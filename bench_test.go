@@ -383,9 +383,10 @@ func BenchmarkSubsequenceSearch(b *testing.B) {
 	for len(stream) < 4096 {
 		stream = append(stream, d.Series[1].Values...)
 	}
+	eng := NewEngine(Options{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Subsequence(query, stream[:4096]); err != nil {
+		if _, err := eng.Subsequence(query, stream[:4096]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,14 +19,6 @@
 //	sdtwgen ... | sdtw monitor -queries data.txt -stream -
 //	sdtw monitor -queries data.txt -stream stream.txt   # best match only
 //
-// The migrate subcommand converts a legacy gob snapshot (Index.Save or
-// ShardedIndex.Save) into a segment store directory that OpenIndex /
-// OpenShardedIndex (and sdtwd -store) serve without loading raw values
-// into RAM:
-//
-//	sdtw migrate -in idx.gob -out idx.store
-//	sdtw migrate -in cluster.gob -out cluster.store -sharded
-//
 // The fsck subcommand verifies (and with -repair, repairs) a segment
 // store or sharded store root after a crash or suspected corruption:
 //
@@ -51,12 +43,6 @@ import (
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "monitor" {
 		if err := runMonitor(os.Args[2:], os.Stdin, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "migrate" {
-		if err := runMigrate(os.Args[2:], os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
@@ -336,42 +322,6 @@ func runMonitor(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  query %-16s matches=%d cells=%d time=%v\n",
 			label(q.QueryID), q.Matches, q.Cells, q.Time.Round(time.Microsecond))
 	}
-	return nil
-}
-
-// runMigrate is the migrate subcommand: it converts a legacy gob
-// snapshot into a segment store directory, preserving the snapshot's
-// engine fingerprint (and, for sharded snapshots, the shard layout and
-// sequence numbers) so searches over the opened store are bit-identical
-// to searches over the gob-loaded index.
-func runMigrate(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
-	var (
-		in      = fs.String("in", "", "gob snapshot to convert (required)")
-		out     = fs.String("out", "", "segment store directory to create (required, must not already hold a store)")
-		sharded = fs.Bool("sharded", false, "the snapshot is a ShardedIndex.Save snapshot")
-		sketch  = fs.Int("sketch", 0, "stage-0 sketch width in segments (0 = default)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *out == "" {
-		return fmt.Errorf("migrate: -in and -out are required")
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if *sharded {
-		err = sdtw.MigrateShardedStore(f, *out, *sketch)
-	} else {
-		err = sdtw.MigrateStore(f, *out, *sketch)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "migrated %s -> %s\n", *in, *out)
 	return nil
 }
 

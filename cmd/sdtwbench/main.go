@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		exp            = flag.String("exp", "all", "experiment to run: table1, table2, fig13, fig14, fig15, fig16, fig17, fig18, noise, invariance, baseline, extras, retrieval, stream, kernel, serve, scale, bands, all")
+		exp            = flag.String("exp", "all", "experiment to run: table1, table2, fig13, fig14, fig15, fig16, fig17, fig18, noise, invariance, baseline, extras, retrieval, stream, kernel, serve, bands, all")
 		scale          = flag.String("scale", "full", "workload scale: full, medium, small")
 		short          = flag.Bool("short", false, "CI smoke mode: force the small scale and trim measurement budgets")
 		dataset        = flag.String("dataset", "", "restrict per-dataset figures to one data set (Gun, Trace, 50Words)")
@@ -48,10 +48,6 @@ func main() {
 		serveShards   = flag.Int("serveshards", 4, "shard count for the serving benchmark")
 		serveBaseline = flag.String("servebaseline", "", "committed BENCH_serve.json to gate p99 latency against (empty disables)")
 		serveRegress  = flag.Float64("servemaxregress", 0, "fail if any p99 exceeds its baseline by more than this factor, e.g. 1.2 (0 disables)")
-
-		scaleOut      = flag.String("scalejson", "BENCH_scale.json", "path for the machine-readable storage scaling results (empty disables)")
-		scaleBaseline = flag.String("scalebaseline", "", "committed BENCH_scale.json to gate store-open time and stage-0 prune rate against (empty disables)")
-		scaleRegress  = flag.Float64("scalemaxregress", 0, "fail if any store-open time exceeds its baseline by more than this factor, e.g. 1.5 (0 disables)")
 	)
 	flag.Parse()
 
@@ -329,35 +325,6 @@ func main() {
 			fmt.Printf("machine-readable results written to %s\n\n", *serveOut)
 		}
 		if err := checkServeBaseline(entries, *serveBaseline, *serveRegress); err != nil {
-			fatal(err)
-		}
-	}
-	if want("scale") {
-		ran = true
-		scaleNames := []string{"Gun", "Trace"}
-		if *dataset != "" {
-			scaleNames = []string{*dataset}
-		}
-		var entries []scaleEntry
-		for _, name := range scaleNames {
-			name := name
-			run("Storage scaling: segment store vs gob snapshot on "+name, func() error {
-				out, rows, err := runScale(name, sc, *seed)
-				if err != nil {
-					return err
-				}
-				entries = append(entries, rows...)
-				fmt.Print(out)
-				return nil
-			})
-		}
-		if *scaleOut != "" {
-			if err := writeScaleJSON(*scaleOut, entries); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("machine-readable results written to %s\n\n", *scaleOut)
-		}
-		if err := checkScaleBaseline(entries, *scaleBaseline, *scaleRegress); err != nil {
 			fatal(err)
 		}
 	}

@@ -227,64 +227,3 @@ func TestParseScale(t *testing.T) {
 		t.Fatal("unknown scale accepted")
 	}
 }
-
-func TestRunScale(t *testing.T) {
-	out, entries, err := runScale("Gun", experiments.Small, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"gob_load", "open", "speedup", "lb_paa"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("scale report missing %q:\n%s", want, out)
-		}
-	}
-	if len(entries) != len(scaleSizes(experiments.Small)) {
-		t.Fatalf("got %d machine-readable entries, want one per size", len(entries))
-	}
-	for _, e := range entries {
-		if e.Dataset != "Gun" || e.Series == 0 || e.GobBytes == 0 || e.StoreOpenMS <= 0 {
-			t.Fatalf("malformed entry: %+v", e)
-		}
-		if e.SketchPruneRate <= 0 {
-			t.Fatalf("stage-0 sketch filter never pruned: %+v", e)
-		}
-	}
-}
-
-func TestCheckScaleBaseline(t *testing.T) {
-	entries := []scaleEntry{{Dataset: "Gun", Series: 24, StoreOpenMS: 2.0, SketchPruneRate: 0.40}}
-	dir := t.TempDir()
-	write := func(name string, baseline []scaleEntry) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		data, err := json.Marshal(baseline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	ok := write("ok.json", []scaleEntry{{Dataset: "Gun", Series: 24, StoreOpenMS: 1.8, SketchPruneRate: 0.42}})
-	if err := checkScaleBaseline(entries, ok, 1.5); err != nil {
-		t.Fatalf("passing baseline failed: %v", err)
-	}
-	slow := write("slow.json", []scaleEntry{{Dataset: "Gun", Series: 24, StoreOpenMS: 0.001, SketchPruneRate: 0.42}})
-	// 0.001*1.5 + 5ms grace = ~5ms > 2ms, still passes; shrink the grace
-	// case instead with a huge measured time.
-	fast := []scaleEntry{{Dataset: "Gun", Series: 24, StoreOpenMS: 50.0, SketchPruneRate: 0.40}}
-	if err := checkScaleBaseline(fast, slow, 1.5); err == nil {
-		t.Fatal("open-time regression not caught")
-	}
-	dull := write("dull.json", []scaleEntry{{Dataset: "Gun", Series: 24, StoreOpenMS: 1.8, SketchPruneRate: 0.90}})
-	if err := checkScaleBaseline(entries, dull, 1.5); err == nil {
-		t.Fatal("prune-rate regression not caught")
-	}
-	if err := checkScaleBaseline(entries, write("none.json", nil), 1.5); err == nil {
-		t.Fatal("empty baseline accepted")
-	}
-	if err := checkScaleBaseline(entries, ok, 0); err != nil {
-		t.Fatalf("disabled gate errored: %v", err)
-	}
-}

@@ -3,9 +3,8 @@
 // backpressure and graceful drain on SIGTERM.
 //
 //	sdtwd -addr :8080 -shards 4                 # empty engine-backed index
-//	sdtwd -load idx.gob                         # serve a saved sharded index
-//	sdtwd -load widx.gob -backend windowed      # saved windowed sharded index
-//	sdtwd -store idx.store                      # serve a segment store (sdtw migrate)
+//	sdtwd -store idx.store                      # serve a sharded segment store
+//	sdtwd -store widx.store -backend windowed   # serve a windowed sharded store
 //	sdtwd -store idx.store -allow-quarantine    # serve around quarantined segments
 //
 // Endpoints:
@@ -38,11 +37,10 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		shards       = flag.Int("shards", 4, "shard count for a fresh index (ignored with -load)")
+		shards       = flag.Int("shards", 4, "shard count for a fresh index (ignored with -store)")
 		workers      = flag.Int("workers", 0, "DP worker budget per search (0 = GOMAXPROCS)")
 		backend      = flag.String("backend", "engine", "index backend: engine | windowed")
-		load         = flag.String("load", "", "serve a sharded index snapshot (legacy ShardedIndex.Save gob format)")
-		storeDir     = flag.String("store", "", "serve a sharded segment store directory (ShardedIndex.SaveStore / sdtw migrate format)")
+		storeDir     = flag.String("store", "", "serve a sharded segment store directory (ShardedIndex.SaveStore format)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent searches (0 = GOMAXPROCS)")
 		maxQueue     = flag.Int("max-queue", 0, "max searches queued for a slot before 429 (0 = 4x max-inflight)")
 		defaultK     = flag.Int("default-k", 1, "k when a search request sets neither k nor threshold")
@@ -52,7 +50,7 @@ func main() {
 	)
 	flag.Parse()
 
-	ix, err := buildIndex(*backend, *load, *storeDir, *shards, *workers, *quarantine)
+	ix, err := buildIndex(*backend, *storeDir, *shards, *workers, *quarantine)
 	if err != nil {
 		log.Fatalf("sdtwd: %v", err)
 	}
@@ -91,46 +89,23 @@ func main() {
 	log.Printf("sdtwd: drained cleanly")
 }
 
-func buildIndex(backend, load, storeDir string, shards, workers int, quarantine bool) (*sdtw.ShardedIndex, error) {
+func buildIndex(backend, storeDir string, shards, workers int, quarantine bool) (*sdtw.ShardedIndex, error) {
 	opts := sdtw.DefaultOptions()
 	opts.Workers = workers
-	if load != "" && storeDir != "" {
-		return nil, fmt.Errorf("-load and -store are mutually exclusive")
+	var open []sdtw.OpenOption
+	if quarantine {
+		open = append(open, sdtw.AllowQuarantine())
 	}
-	if storeDir != "" {
-		var open []sdtw.OpenOption
-		if quarantine {
-			open = append(open, sdtw.AllowQuarantine())
-		}
-		switch backend {
-		case "engine":
-			return sdtw.OpenShardedIndex(storeDir, opts, open...)
-		case "windowed":
-			return sdtw.OpenShardedWindowedIndex(storeDir, open...)
-		default:
-			return nil, fmt.Errorf("unknown -backend %q (want engine or windowed)", backend)
-		}
-	}
-	if load == "" {
-		if backend == "windowed" {
-			return nil, fmt.Errorf("-backend windowed needs -load: the series length fixes the window geometry")
-		}
-		if backend != "engine" {
-			return nil, fmt.Errorf("unknown -backend %q (want engine or windowed)", backend)
-		}
-		return sdtw.NewShardedIndex(nil, shards, opts)
-	}
-	f, err := os.Open(load)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch backend {
-	case "engine":
-		return sdtw.LoadShardedIndex(f, opts)
-	case "windowed":
-		return sdtw.LoadShardedWindowedIndex(f)
-	default:
+	switch {
+	case backend != "engine" && backend != "windowed":
 		return nil, fmt.Errorf("unknown -backend %q (want engine or windowed)", backend)
+	case storeDir == "" && backend == "windowed":
+		return nil, fmt.Errorf("-backend windowed needs -store: the stored series length fixes the window geometry")
+	case storeDir == "":
+		return sdtw.NewShardedIndex(nil, shards, opts)
+	case backend == "windowed":
+		return sdtw.OpenShardedWindowedIndex(storeDir, open...)
+	default:
+		return sdtw.OpenShardedIndex(storeDir, opts, open...)
 	}
 }

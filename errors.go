@@ -25,8 +25,10 @@ var (
 	// ErrLengthMismatch reports a series or query whose length violates
 	// the windowed backend's equal-length requirement.
 	ErrLengthMismatch = retrieve.ErrLengthMismatch
-	// ErrConfigMismatch reports an index snapshot whose configuration
-	// fingerprint does not match the options it is being loaded under.
+	// ErrConfigMismatch reports a segment store whose kind or
+	// configuration fingerprint does not match the constructor and options
+	// it is being opened under, or an index that cannot be exported at
+	// all (a custom PointDistance has no admissible envelopes).
 	ErrConfigMismatch = retrieve.ErrConfigMismatch
 	// ErrDuplicateID reports two collection series sharing one non-empty
 	// ID (IDs key the feature cache and Remove).
@@ -63,14 +65,14 @@ var (
 	// degraded serving), and Compact refuses until the quarantine is
 	// resolved.
 	ErrQuarantined = store.ErrQuarantined
-	// ErrStoreExists reports a SaveStore (or migration) into a directory
-	// that already holds a segment store.
+	// ErrStoreExists reports a SaveStore into a directory that already
+	// holds a segment store.
 	ErrStoreExists = store.ErrStoreExists
 	// ErrNotStoreBacked reports Compact, StoreStats or CloseStore on an
 	// index that was not opened from a segment store.
 	ErrNotStoreBacked = errors.New("index is not store-backed")
-	// ErrStoreBacked reports a gob Save of a store-backed index, whose
-	// raw values live in its segment store (keep serving from the store,
-	// or rebuild an in-RAM index from the data).
+	// ErrStoreBacked reports a SaveStore of a store-backed index, whose
+	// raw values already live in its segment store (keep serving from
+	// that store, or rebuild an in-RAM index from the data).
 	ErrStoreBacked = errors.New("index is store-backed")
 )

@@ -50,10 +50,10 @@ func ExampleEngine() {
 
 // Subsequence search finds where a short pattern best matches inside a
 // longer stream.
-func ExampleSubsequence() {
+func ExampleEngine_Subsequence() {
 	pattern := []float64{0, 2, 0}
 	stream := []float64{5, 5, 5, 0, 2, 0, 5, 5}
-	m, err := sdtw.Subsequence(pattern, stream)
+	m, err := sdtw.NewEngine(sdtw.Options{}).Subsequence(pattern, stream)
 	if err != nil {
 		panic(err)
 	}

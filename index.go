@@ -8,10 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"sdtw/internal/retrieve"
-	"sdtw/internal/store"
 )
 
 // Index supports retrieval and k-nearest-neighbour classification over a
@@ -42,11 +40,10 @@ type Index struct {
 	engine *Engine // nil for the windowed backend
 	radius int     // effective windowed radius; -1 for the engine backend
 
-	// Store-backed state (non-nil store only for indexes opened with
-	// OpenIndex / OpenWindowedIndex): mutations write through to the
-	// segment store, serialised by storeMu.
-	store   *store.Store
-	storeMu sync.Mutex
+	// Store-backed state (stores is non-nil, holding one store, only for
+	// indexes opened with OpenIndex / OpenWindowedIndex): mutations write
+	// through to the segment store.
+	storeSet
 	seqs    map[string]uint64 // insertion sequence by series ID
 	nextSeq uint64
 
@@ -63,6 +60,79 @@ type Neighbor = retrieve.Neighbor
 // accounting, and per-stage timings. It is shared by both backends.
 type SearchStats = retrieve.Stats
 
+// backendFamily is one of the two distance families an index is built
+// over — the sDTW engine or windowed exact DTW — reduced to what
+// constructing or opening an index (flat or sharded) needs to know.
+type backendFamily struct {
+	// kind is the family's name in a store manifest.
+	kind string
+	// fingerprint identifies the configuration a store must have been
+	// written under.
+	fingerprint string
+	// radius is the effective windowed radius; -1 for the engine family.
+	radius  int
+	workers int
+	abandon bool
+	// newBackend builds one backend — one per shard, so per-series caches
+	// never contend — with its engine (nil for the windowed family).
+	newBackend func() (retrieve.Backend, *Engine, error)
+}
+
+// engineFamily is the sDTW engine family configured by opts.
+func engineFamily(opts Options) backendFamily {
+	fp := engineFingerprint(opts)
+	return backendFamily{
+		kind:        snapshotKindEngine,
+		fingerprint: fp,
+		radius:      -1,
+		workers:     indexWorkers(opts.Workers),
+		abandon:     !opts.DisableAbandon,
+		newBackend: func() (retrieve.Backend, *Engine, error) {
+			engine := NewEngine(opts)
+			return retrieve.NewEngineBackend(engine.inner, fp, opts.PointDistance != nil), engine, nil
+		},
+	}
+}
+
+// windowedFamily is the windowed exact-DTW family for series of the
+// given length.
+func windowedFamily(length, radius int) (backendFamily, error) {
+	probe, eff, err := retrieve.NewWindowedBackend(length, radius)
+	if err != nil {
+		return backendFamily{}, fmt.Errorf("sdtw: %w", err)
+	}
+	return backendFamily{
+		kind:        snapshotKindWindowed,
+		fingerprint: probe.Fingerprint(),
+		radius:      eff,
+		workers:     indexWorkers(0),
+		abandon:     true,
+		newBackend: func() (retrieve.Backend, *Engine, error) {
+			b, _, err := retrieve.NewWindowedBackend(length, radius)
+			return b, nil, err
+		},
+	}, nil
+}
+
+// newIndex builds the in-RAM index of a family over data, with the
+// stage-0 sketch filter at sketchW (0 leaves it off).
+func newIndex(f backendFamily, data []Series, sketchW, segRecords int) (*Index, error) {
+	backend, engine, err := f.newBackend()
+	if err != nil {
+		return nil, fmt.Errorf("sdtw: %w", err)
+	}
+	core, err := retrieve.New(backend, data, f.workers, f.abandon)
+	if err != nil {
+		return nil, fmt.Errorf("sdtw: %w", err)
+	}
+	if sketchW > 0 {
+		if err := core.EnableSketches(sketchW); err != nil {
+			return nil, fmt.Errorf("sdtw: %w", err)
+		}
+	}
+	return &Index{core: core, engine: engine, radius: f.radius, segRecords: segRecords}, nil
+}
+
 // NewIndex builds an index over data using the sDTW engine configured by
 // opts. Every series must be non-empty; series IDs must be unique when
 // non-empty (they key the feature cache and Remove). Construction
@@ -70,18 +140,7 @@ type SearchStats = retrieve.Stats
 // precomputes LB_Keogh envelopes at the radius admissible for the
 // engine's band strategy.
 func NewIndex(data []Series, opts Options) (*Index, error) {
-	engine := NewEngine(opts)
-	backend := retrieve.NewEngineBackend(engine.inner, engineFingerprint(opts), opts.PointDistance != nil)
-	core, err := retrieve.New(backend, data, indexWorkers(opts.Workers), !opts.DisableAbandon)
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	if w := resolveSketchWidth(opts.SketchWidth); w > 0 {
-		if err := core.EnableSketches(w); err != nil {
-			return nil, fmt.Errorf("sdtw: %w", err)
-		}
-	}
-	return &Index{core: core, engine: engine, radius: -1, segRecords: opts.StoreSegmentRecords}, nil
+	return newIndex(engineFamily(opts), data, resolveSketchWidth(opts.SketchWidth), opts.StoreSegmentRecords)
 }
 
 // NewWindowedIndex builds an index answering exact top-k DTW queries over
@@ -98,22 +157,11 @@ func NewWindowedIndex(data []Series, radius int) (*Index, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("sdtw: cannot index: %w", ErrEmptyCollection)
 	}
-	length := data[0].Len()
-	if length == 0 {
-		return nil, fmt.Errorf("sdtw: series 0: %w", ErrEmptySeries)
-	}
-	backend, eff, err := retrieve.NewWindowedBackend(length, radius)
+	f, err := windowedFamily(data[0].Len(), radius)
 	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
+		return nil, err
 	}
-	core, err := retrieve.New(backend, data, indexWorkers(0), true)
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	if err := core.EnableSketches(DefaultSketchWidth); err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	return &Index{core: core, radius: eff}, nil
+	return newIndex(f, data, DefaultSketchWidth, 0)
 }
 
 // indexWorkers resolves a worker-pool width: <= 0 means GOMAXPROCS.
@@ -125,11 +173,10 @@ func indexWorkers(w int) int {
 }
 
 // engineFingerprint deterministically encodes every engine option that
-// affects distances or cascade geometry, so persisted indexes refuse to
-// load under options that would change their answers. A custom
+// affects distances or cascade geometry, so a segment store refuses to
+// open under options that would change its answers. A custom
 // PointDistance is recorded by presence only — functions cannot be
-// serialised — so callers persisting such indexes must supply the same
-// function on load.
+// serialised — and an index built on one cannot be exported at all.
 func engineFingerprint(o Options) string {
 	var b strings.Builder
 	b.WriteString("sdtw/v1")
@@ -174,7 +221,7 @@ func (ix *Index) Radius() int { return ix.radius }
 // non-empty, its non-empty ID unique, and — on windowed indexes — its
 // length equal to the indexed length.
 func (ix *Index) Add(s Series) error {
-	if ix.store != nil {
+	if ix.stores != nil {
 		return ix.addStore(s)
 	}
 	if err := ix.core.Add(s); err != nil {
@@ -187,7 +234,7 @@ func (ix *Index) Add(s Series) error {
 // envelope and cached features. Later series shift down one position.
 // Removing the last series fails: an index is never empty.
 func (ix *Index) Remove(id string) error {
-	if ix.store != nil {
+	if ix.stores != nil {
 		return ix.removeStore(id)
 	}
 	if err := ix.core.Remove(id); err != nil {

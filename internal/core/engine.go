@@ -199,30 +199,6 @@ func (e *Engine) Evict(id string) {
 	e.mu.Unlock()
 }
 
-// CacheSnapshot returns a copy of the feature cache keyed by series ID,
-// for whole-index persistence. The feature slices are shared, not deep
-// copied: features are immutable once extracted.
-func (e *Engine) CacheSnapshot() map[string][]sift.Feature {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make(map[string][]sift.Feature, len(e.cache))
-	for id, feats := range e.cache {
-		out[id] = feats
-	}
-	return out
-}
-
-// RestoreCache merges a snapshot produced by CacheSnapshot into the
-// cache, overwriting existing entries. Only meaningful for engines
-// configured with the same feature options as the snapshot's source.
-func (e *Engine) RestoreCache(m map[string][]sift.Feature) {
-	e.mu.Lock()
-	for id, feats := range m {
-		e.cache[id] = feats
-	}
-	e.mu.Unlock()
-}
-
 // ClearCache drops all cached features.
 func (e *Engine) ClearCache() {
 	e.mu.Lock()

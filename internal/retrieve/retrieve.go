@@ -172,24 +172,6 @@ func (cs *coldSlot) get() ([]float64, error) {
 	return cs.vals, cs.err
 }
 
-// New builds a core over data, validating every series and warming the
-// backend's caches. workers bounds the query worker pool (<= 0 means the
-// caller should have defaulted it; it is clamped to 1). abandon enables
-// early abandonment when the backend admits it.
-func New(backend Backend, data []series.Series, workers int, abandon bool) (*Core, error) {
-	return build(backend, data, nil, workers, abandon)
-}
-
-// Restore is New for persisted indexes: envelopes are trusted from the
-// snapshot instead of recomputed. len(envelopes) must match len(data)
-// when the backend's cascade is active.
-func Restore(backend Backend, data []series.Series, envelopes []lower.Envelope, workers int, abandon bool) (*Core, error) {
-	if backend.Cascade() && len(envelopes) != len(data) {
-		return nil, fmt.Errorf("snapshot has %d envelopes for %d series: %w", len(envelopes), len(data), ErrConfigMismatch)
-	}
-	return build(backend, data, envelopes, workers, abandon)
-}
-
 // ColdSeries is one series restored from a segment store: everything the
 // pre-DP cascade stages need is resident (length, endpoints, envelope,
 // sketch), while the raw values stay on disk behind Load until a
@@ -284,7 +266,11 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, aband
 	return c, nil
 }
 
-func build(backend Backend, data []series.Series, envelopes []lower.Envelope, workers int, abandon bool) (*Core, error) {
+// New builds a core over data, validating every series and warming the
+// backend's caches. workers bounds the query worker pool (<= 0 means the
+// caller should have defaulted it; it is clamped to 1). abandon enables
+// early abandonment when the backend admits it.
+func New(backend Backend, data []series.Series, workers int, abandon bool) (*Core, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("cannot index: %w", ErrEmptyCollection)
 	}
@@ -317,11 +303,7 @@ func build(backend Backend, data []series.Series, envelopes []lower.Envelope, wo
 		c.envelopes = make([]lower.Envelope, 0, len(data))
 	}
 	for i, s := range data {
-		var env *lower.Envelope
-		if envelopes != nil {
-			env = &envelopes[i]
-		}
-		if err := c.admitLocked(s, env, false); err != nil {
+		if err := c.admitLocked(s, false); err != nil {
 			return nil, fmt.Errorf("series %d: %w", i, err)
 		}
 	}
@@ -329,15 +311,13 @@ func build(backend Backend, data []series.Series, envelopes []lower.Envelope, wo
 }
 
 // admitLocked validates s, warms the backend, and appends it with its
-// envelope. env non-nil short-circuits envelope computation (persistence
-// restore path). fresh drops any backend cache state already held under
-// the series' ID before warming: construction starts from a clean (or
-// snapshot-restored, trusted) backend, but by Add time a search query
-// sharing the ID may have planted its own features in the read-through
-// cache, and admitting through that stale entry would permanently serve
-// another series' features. Callers hold the write lock (or are
-// constructing).
-func (c *Core) admitLocked(s series.Series, env *lower.Envelope, fresh bool) error {
+// envelope. fresh drops any backend cache state already held under the
+// series' ID before warming: construction starts from a clean backend,
+// but by Add time a search query sharing the ID may have planted its own
+// features in the read-through cache, and admitting through that stale
+// entry would permanently serve another series' features. Callers hold
+// the write lock (or are constructing).
+func (c *Core) admitLocked(s series.Series, fresh bool) error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
 	}
@@ -362,14 +342,10 @@ func (c *Core) admitLocked(s series.Series, env *lower.Envelope, fresh bool) err
 		c.cold = append(c.cold, nil) // values are resident
 	}
 	if c.cascade {
-		env2 := env
-		if env2 == nil {
-			e := lower.NewEnvelope(s.Values, c.backend.EnvelopeRadius(n))
-			env2 = &e
-		}
-		c.envelopes = append(c.envelopes, *env2)
+		env := lower.NewEnvelope(s.Values, c.backend.EnvelopeRadius(n))
+		c.envelopes = append(c.envelopes, env)
 		if c.sketchW > 0 {
-			sk, err := sketch.FromEnvelope(*env2, c.sketchW)
+			sk, err := sketch.FromEnvelope(env, c.sketchW)
 			if err != nil {
 				return fmt.Errorf("series %q: %w", s.ID, err)
 			}
@@ -436,8 +412,8 @@ func (c *Core) Envelope(i int) lower.Envelope {
 func (c *Core) Cascade() bool { return c.cascade }
 
 // Cold reports whether any indexed series keeps its raw values on disk
-// (a store-backed core). Gob persistence refuses such cores: their
-// Series snapshots would hold nil values.
+// (a store-backed core): its Series snapshots hold nil values, so it
+// cannot be exported again.
 func (c *Core) Cold() bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -466,7 +442,7 @@ func (c *Core) Values(i int) ([]float64, error) {
 func (c *Core) Add(s series.Series) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.admitLocked(s, nil, true)
+	return c.admitLocked(s, true)
 }
 
 // Remove deletes the series with the given non-empty ID, dropping its
@@ -562,7 +538,7 @@ func (c *Core) CloneAdd(s series.Series) (*Core, error) {
 	c.mu.RUnlock()
 	// nc is unpublished: no lock needed, but admitLocked's contract holds
 	// (no concurrent access).
-	if err := nc.admitLocked(s, nil, true); err != nil {
+	if err := nc.admitLocked(s, true); err != nil {
 		return nil, err
 	}
 	return nc, nil
@@ -616,26 +592,28 @@ func (c *Core) Series(i int) series.Series {
 	return c.data[i]
 }
 
+// Pos returns the position of the series with the given non-empty ID.
+func (c *Core) Pos(id string) (int, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	pos, ok := c.ids[id]
+	return pos, ok
+}
+
 // Fingerprint exposes the backend's configuration fingerprint for
 // persistence.
 func (c *Core) Fingerprint() string { return c.backend.Fingerprint() }
 
 // Snapshot returns copies of the collection and envelope slices for
 // persistence. The Series values and envelope arrays are shared (they are
-// immutable once indexed). A non-nil capture runs while the read lock is
-// held, so callers can snapshot backend-adjacent state (the engine's
-// feature cache) consistent with the collection — no Add or Remove can
-// interleave between the two captures.
-func (c *Core) Snapshot(capture func()) ([]series.Series, []lower.Envelope) {
+// immutable once indexed).
+func (c *Core) Snapshot() ([]series.Series, []lower.Envelope) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	data := make([]series.Series, len(c.data))
 	copy(data, c.data)
 	envs := make([]lower.Envelope, len(c.envelopes))
 	copy(envs, c.envelopes)
-	if capture != nil {
-		capture()
-	}
 	return data, envs
 }
 

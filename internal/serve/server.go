@@ -191,7 +191,7 @@ type StatsResponse struct {
 	Backend    string `json:"backend"`
 
 	// Store-backed indexes additionally report their segment-store shape;
-	// all four are zero for in-RAM (gob-loaded or freshly built) indexes.
+	// all four are zero for in-RAM indexes.
 	StoreBacked bool `json:"store_backed"`
 	Segments    int  `json:"segments,omitempty"`
 	Tombstones  int  `json:"tombstones,omitempty"`

@@ -108,22 +108,29 @@ func Route(id string, shards int) int {
 // in data, so a search over the freshly built cluster breaks distance
 // ties exactly like an unsharded index over the same slice.
 func New(cfg Config, data []series.Series) (*Cluster, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	parts, seqs, err := partition(cfg, data)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(cfg, parts, nil, seqs, uint64(len(data)))
+	return assemble(cfg, seqs, uint64(len(data)), func(i int, b retrieve.Backend, workers int) (*retrieve.Core, error) {
+		return newCore(b, parts[i], workers, cfg.Abandon, cfg.SketchWidth)
+	})
 }
 
-// Restore rebuilds a cluster from persisted per-shard state: the series,
-// their LB_Keogh envelopes (trusted, not recomputed), the insertion
-// sequences, and the next sequence number. parts, envs and seqs are
-// indexed by shard and must all have cfg.Shards entries; empty shards
-// are empty slices.
-func Restore(cfg Config, parts [][]series.Series, envs [][]lower.Envelope, seqs [][]uint64, nextSeq uint64) (*Cluster, error) {
-	if len(parts) != cfg.Shards || len(envs) != cfg.Shards || len(seqs) != cfg.Shards {
-		return nil, fmt.Errorf("snapshot has %d/%d/%d shard entries, want %d: %w",
-			len(parts), len(envs), len(seqs), cfg.Shards, retrieve.ErrConfigMismatch)
+// RestoreCold rebuilds a cluster from per-shard store-backed cold series
+// (envelopes and sketches resident, raw values lazy). parts and seqs are
+// indexed by shard; empty shards are empty slices. cfg.SketchWidth must
+// match the width of the stored sketches.
+func RestoreCold(cfg Config, parts [][]retrieve.ColdSeries, seqs [][]uint64, nextSeq uint64) (*Cluster, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	if len(parts) != cfg.Shards || len(seqs) != cfg.Shards {
+		return nil, fmt.Errorf("store has %d/%d shard entries, want %d: %w",
+			len(parts), len(seqs), cfg.Shards, retrieve.ErrConfigMismatch)
 	}
 	for i, part := range parts {
 		if len(seqs[i]) != len(part) {
@@ -131,7 +138,20 @@ func Restore(cfg Config, parts [][]series.Series, envs [][]lower.Envelope, seqs 
 				i, len(seqs[i]), len(part), retrieve.ErrConfigMismatch)
 		}
 	}
-	return assemble(cfg, parts, envs, seqs, nextSeq)
+	return assemble(cfg, seqs, nextSeq, func(i int, b retrieve.Backend, workers int) (*retrieve.Core, error) {
+		return retrieve.RestoreCold(b, parts[i], cfg.SketchWidth, workers, cfg.Abandon)
+	})
+}
+
+// check rejects a configuration no cluster can be built from.
+func (cfg Config) check() error {
+	if cfg.Shards < 1 {
+		return fmt.Errorf("cluster needs at least one shard, got %d", cfg.Shards)
+	}
+	if cfg.NewBackend == nil {
+		return fmt.Errorf("cluster needs a backend constructor")
+	}
+	return nil
 }
 
 // partition validates data and splits it (order-preserving) across the
@@ -155,76 +175,27 @@ func partition(cfg Config, data []series.Series) ([][]series.Series, [][]uint64,
 	return parts, seqs, nil
 }
 
-func assemble(cfg Config, parts [][]series.Series, envs [][]lower.Envelope, seqs [][]uint64, nextSeq uint64) (*Cluster, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("cluster needs at least one shard, got %d", cfg.Shards)
+// newCore builds one shard's in-RAM core with the stage-0 sketch filter
+// enabled at sketchW (0 leaves it off).
+func newCore(b retrieve.Backend, data []series.Series, workers int, abandon bool, sketchW int) (*retrieve.Core, error) {
+	core, err := retrieve.New(b, data, workers, abandon)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.NewBackend == nil {
-		return nil, fmt.Errorf("cluster needs a backend constructor")
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = cfg.Shards
-	}
-	c := &Cluster{
-		backends: make([]retrieve.Backend, cfg.Shards),
-		workers:  workers,
-		abandon:  cfg.Abandon,
-		sketchW:  cfg.SketchWidth,
-		slots:    make([]slot, cfg.Shards),
-	}
-	c.nextSeq.Store(nextSeq)
-	for i := range c.slots {
-		b, err := cfg.NewBackend(i)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d backend: %w", i, err)
+	if sketchW > 0 {
+		if err := core.EnableSketches(sketchW); err != nil {
+			return nil, err
 		}
-		c.backends[i] = b
-		snap := &snapshot{}
-		if len(parts[i]) > 0 {
-			var core *retrieve.Core
-			if envs == nil {
-				core, err = retrieve.New(b, parts[i], workers, cfg.Abandon)
-			} else {
-				core, err = retrieve.Restore(b, parts[i], envs[i], workers, cfg.Abandon)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			if c.sketchW > 0 {
-				if err := core.EnableSketches(c.sketchW); err != nil {
-					return nil, fmt.Errorf("shard %d: %w", i, err)
-				}
-			}
-			snap.core = core
-			snap.seqs = append([]uint64(nil), seqs[i]...)
-		}
-		c.slots[i].snap.Store(snap)
 	}
-	return c, nil
+	return core, nil
 }
 
-// RestoreCold rebuilds a cluster from per-shard store-backed cold series
-// (envelopes and sketches resident, raw values lazy). parts and seqs are
-// indexed by shard; empty shards are empty slices. cfg.SketchWidth must
-// match the width of the stored sketches.
-func RestoreCold(cfg Config, parts [][]retrieve.ColdSeries, seqs [][]uint64, nextSeq uint64) (*Cluster, error) {
-	if len(parts) != cfg.Shards || len(seqs) != cfg.Shards {
-		return nil, fmt.Errorf("store has %d/%d shard entries, want %d: %w",
-			len(parts), len(seqs), cfg.Shards, retrieve.ErrConfigMismatch)
-	}
-	for i, part := range parts {
-		if len(seqs[i]) != len(part) {
-			return nil, fmt.Errorf("shard %d has %d sequence numbers for %d series: %w",
-				i, len(seqs[i]), len(part), retrieve.ErrConfigMismatch)
-		}
-	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("cluster needs at least one shard, got %d", cfg.Shards)
-	}
-	if cfg.NewBackend == nil {
-		return nil, fmt.Errorf("cluster needs a backend constructor")
-	}
+// assemble builds the cluster around per-shard cores: one backend per
+// shard, and for every shard holding series (seqs[i] non-empty) the core
+// build constructs over that backend. It is the one construction path;
+// New and RestoreCold differ only in the core constructor they pass.
+func assemble(cfg Config, seqs [][]uint64, nextSeq uint64,
+	build func(shard int, b retrieve.Backend, workers int) (*retrieve.Core, error)) (*Cluster, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = cfg.Shards
@@ -244,8 +215,8 @@ func RestoreCold(cfg Config, parts [][]retrieve.ColdSeries, seqs [][]uint64, nex
 		}
 		c.backends[i] = b
 		snap := &snapshot{}
-		if len(parts[i]) > 0 {
-			core, err := retrieve.RestoreCold(b, parts[i], cfg.SketchWidth, workers, cfg.Abandon)
+		if len(seqs[i]) > 0 {
+			core, err := build(i, b, workers)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: %w", i, err)
 			}
@@ -266,7 +237,7 @@ func (c *Cluster) Backend(i int) retrieve.Backend { return c.backends[i] }
 func (c *Cluster) SketchWidth() int { return c.sketchW }
 
 // Cold reports whether any shard core is store-backed (raw values on
-// disk). Gob persistence refuses such clusters.
+// disk); such a cluster cannot be exported again.
 func (c *Cluster) Cold() bool {
 	for i := range c.slots {
 		if snap := c.slots[i].snap.Load(); snap.core != nil && snap.core.Cold() {
@@ -319,14 +290,9 @@ func (c *Cluster) Add(s series.Series) (uint64, error) {
 	cur := sl.snap.Load()
 	next := &snapshot{}
 	if cur.core == nil {
-		core, err := retrieve.New(c.backends[sh], []series.Series{s}, c.workers, c.abandon)
+		core, err := newCore(c.backends[sh], []series.Series{s}, c.workers, c.abandon, c.sketchW)
 		if err != nil {
 			return 0, err
-		}
-		if c.sketchW > 0 {
-			if err := core.EnableSketches(c.sketchW); err != nil {
-				return 0, err
-			}
 		}
 		next.core = core
 	} else {
@@ -379,6 +345,22 @@ func (c *Cluster) Remove(id string) (uint64, error) {
 	seqs = append(seqs, cur.seqs[pos+1:]...)
 	sl.snap.Store(&snapshot{core: core, seqs: seqs})
 	return seq, nil
+}
+
+// Seq returns the insertion sequence of the series with the given
+// non-empty ID without removing it: the storage layer tombstones a
+// series on disk before it unpublishes it from the cluster.
+func (c *Cluster) Seq(id string) (uint64, error) {
+	if id == "" {
+		return 0, fmt.Errorf("Remove needs a non-empty ID: %w", ErrNoID)
+	}
+	snap := c.slots[Route(id, len(c.slots))].snap.Load()
+	if snap.core != nil {
+		if pos, ok := snap.core.Pos(id); ok {
+			return snap.seqs[pos], nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q", retrieve.ErrUnknownID, id)
 }
 
 // hit is a merged result before the sequence tie-break is dropped.
@@ -488,18 +470,13 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 
 // ShardSnapshot captures shard i's published state for persistence: the
 // series, their envelopes, and their insertion sequences (nil slices for
-// an empty shard). A non-nil capture runs while the shard core's read
-// lock is held — the same consistency seam retrieve.Core.Snapshot gives
-// single-core persistence.
-func (c *Cluster) ShardSnapshot(i int, capture func()) ([]series.Series, []lower.Envelope, []uint64) {
+// an empty shard).
+func (c *Cluster) ShardSnapshot(i int) ([]series.Series, []lower.Envelope, []uint64) {
 	snap := c.slots[i].snap.Load()
 	if snap.core == nil {
-		if capture != nil {
-			capture()
-		}
 		return nil, nil, nil
 	}
-	data, envs := snap.core.Snapshot(capture)
+	data, envs := snap.core.Snapshot()
 	seqs := append([]uint64(nil), snap.seqs...)
 	return data, envs, seqs
 }

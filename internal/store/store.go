@@ -1,7 +1,7 @@
 // Package store implements the append-friendly segment persistence
-// format behind store-backed indexes, replacing whole-index gob: a
-// directory holds a JSON manifest, immutable sealed segments, one
-// active (appendable) segment, and a tombstone log.
+// format behind store-backed indexes: a directory holds a JSON manifest,
+// immutable sealed segments, one active (appendable) segment, and a
+// tombstone log.
 //
 // Each segment is a pair of files. The hot file (seg-NNNNNNNN.hot)
 // carries everything a search needs before a candidate survives the

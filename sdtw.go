@@ -6,7 +6,7 @@
 //
 // The package offers four levels of API:
 //
-//   - one-shot helpers (DTW, DTWPath, Distance, Subsequence) for ad-hoc
+//   - one-shot helpers (DTW, DTWPath, Distance) for ad-hoc
 //     comparisons;
 //   - Engine for repeated comparisons with feature caching and full
 //     per-stage accounting;
@@ -33,9 +33,9 @@
 // filled and saved, per-stage times), and a cancelled context stops the
 // search mid-band. SearchBatch and LabelsAll run whole-dataset workloads
 // through the same path; Add and Remove mutate the collection in place;
-// Save and LoadIndex persist the whole index including its one-time
-// costs. Validation failures wrap the package's sentinel errors
-// (ErrEmptySeries, ErrBadK, ...) for errors.Is.
+// SaveStore and OpenIndex persist the collection with its envelopes and
+// sketches in a crash-safe segment store. Validation failures wrap the
+// package's sentinel errors (ErrEmptySeries, ErrBadK, ...) for errors.Is.
 //
 // The heavy lifting lives in internal packages: dtw (the dynamic program
 // and band-constrained variants), scalespace and sift (1-D scale-invariant
@@ -47,7 +47,6 @@ package sdtw
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"sdtw/internal/band"
 	"sdtw/internal/core"
@@ -354,41 +353,6 @@ func ExtractFeatures(v []float64, opts Options) ([]Feature, error) {
 
 // SubsequenceMatch locates the best-matching region of a long series.
 type SubsequenceMatch = dtw.SubsequenceMatch
-
-// Subsequence finds the contiguous region of stream whose DTW distance to
-// query is minimal (open-begin, open-end alignment): the query must be
-// fully consumed, the stream may be entered and left anywhere. It is a
-// thin wrapper over the streaming Monitor — the whole stream is pushed in
-// one batch and the monitor's best-only Flush is the answer, bit-identical
-// to the classical offline O(|query|·|stream|) dynamic program.
-//
-// Deprecated: use Monitor, which serves the same one-shot result through
-// Flush and additionally handles unbounded streams, multiple queries,
-// thresholded non-overlapping match emission, and cancellation.
-func Subsequence(query, stream []float64) (SubsequenceMatch, error) {
-	if len(stream) == 0 {
-		return SubsequenceMatch{}, fmt.Errorf("sdtw: Subsequence: empty stream: %w", ErrEmptySeries)
-	}
-	m, err := NewMonitor([]Series{{Values: query}}, Options{})
-	if err != nil {
-		return SubsequenceMatch{}, fmt.Errorf("sdtw: Subsequence: %w", err)
-	}
-	if _, err := m.PushBatch(nil, stream); err != nil {
-		return SubsequenceMatch{}, fmt.Errorf("sdtw: Subsequence: %w", err)
-	}
-	matches, err := m.Flush()
-	if err != nil {
-		return SubsequenceMatch{}, fmt.Errorf("sdtw: Subsequence: %w", err)
-	}
-	if len(matches) == 0 {
-		// Only reachable when every column's distance is NaN (a NaN query
-		// or stream): no region ever compares below +Inf. The historical
-		// DP returned position 0 with the NaN cost; keep that shape.
-		return SubsequenceMatch{Distance: math.NaN()}, nil
-	}
-	best := matches[0]
-	return SubsequenceMatch{Start: best.Start, End: best.End, Distance: best.Distance}, nil
-}
 
 // SaveFeatures serialises the engine's salient-feature cache (gob
 // encoded) so the one-time extraction cost (§3.4) can be paid offline and

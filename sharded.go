@@ -3,11 +3,9 @@ package sdtw
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"sdtw/internal/retrieve"
 	"sdtw/internal/shard"
-	"sdtw/internal/store"
 )
 
 // ShardedIndex is the horizontally partitioned form of Index, built for
@@ -32,11 +30,10 @@ type ShardedIndex struct {
 	radius  int       // effective windowed radius; -1 for the engine backend
 	shards  int
 
-	// Store-backed state (non-nil stores only for indexes opened with
+	// Store-backed state (stores is non-nil only for indexes opened with
 	// OpenShardedIndex / OpenShardedWindowedIndex): one segment store per
-	// shard; mutations write through, serialised by storeMu.
-	stores  []*store.Store
-	storeMu sync.Mutex
+	// shard; mutations write through.
+	storeSet
 
 	// segRecords is Options.StoreSegmentRecords, kept for SaveStore
 	// (zero means the store default).
@@ -55,23 +52,7 @@ var ErrNoID = shard.ErrNoID
 // shards. Every series needs a non-empty, unique ID. Each shard owns its
 // own engine, so feature caches never contend across shards.
 func NewShardedIndex(data []Series, shards int, opts Options) (*ShardedIndex, error) {
-	engines := make([]*Engine, shards)
-	fp := engineFingerprint(opts)
-	cfg := shard.Config{
-		Shards: shards,
-		NewBackend: func(i int) (retrieve.Backend, error) {
-			engines[i] = NewEngine(opts)
-			return retrieve.NewEngineBackend(engines[i].inner, fp, opts.PointDistance != nil), nil
-		},
-		Workers:     indexWorkers(opts.Workers),
-		Abandon:     !opts.DisableAbandon,
-		SketchWidth: resolveSketchWidth(opts.SketchWidth),
-	}
-	cluster, err := shard.New(cfg, data)
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	return &ShardedIndex{cluster: cluster, engines: engines, radius: -1, shards: shards, segRecords: opts.StoreSegmentRecords}, nil
+	return newShardedIndex(engineFamily(opts), data, shards, resolveSketchWidth(opts.SketchWidth), opts.StoreSegmentRecords)
 }
 
 // NewShardedWindowedIndex builds a sharded index answering exact
@@ -82,27 +63,45 @@ func NewShardedWindowedIndex(data []Series, shards, radius int) (*ShardedIndex, 
 	if len(data) == 0 {
 		return nil, fmt.Errorf("sdtw: a windowed sharded index needs at least one series (its length fixes the window geometry): %w", ErrEmptyCollection)
 	}
-	length := data[0].Len()
-	if length == 0 {
-		return nil, fmt.Errorf("sdtw: series 0: %w", ErrEmptySeries)
+	f, err := windowedFamily(data[0].Len(), radius)
+	if err != nil {
+		return nil, err
 	}
-	eff := -1
-	cfg := shard.Config{
-		Shards: shards,
-		NewBackend: func(i int) (retrieve.Backend, error) {
-			b, e, err := retrieve.NewWindowedBackend(length, radius)
-			eff = e
-			return b, err
-		},
-		Workers:     indexWorkers(0),
-		Abandon:     true,
-		SketchWidth: DefaultSketchWidth,
-	}
+	return newShardedIndex(f, data, shards, DefaultSketchWidth, 0)
+}
+
+// newShardedIndex builds the in-RAM sharded index of a family over data.
+func newShardedIndex(f backendFamily, data []Series, shards, sketchW, segRecords int) (*ShardedIndex, error) {
+	cfg, engines := f.shardConfig(shards, sketchW)
 	cluster, err := shard.New(cfg, data)
 	if err != nil {
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
-	return &ShardedIndex{cluster: cluster, radius: eff, shards: shards}, nil
+	return &ShardedIndex{cluster: cluster, engines: engines, radius: f.radius, shards: shards, segRecords: segRecords}, nil
+}
+
+// shardConfig is the one shard.Config: every shard gets its own backend
+// of the family. The returned engines (nil for the windowed family) fill
+// in as the cluster builds its backends.
+func (f backendFamily) shardConfig(shards, sketchW int) (shard.Config, []*Engine) {
+	var engines []*Engine
+	if f.kind == snapshotKindEngine {
+		// A bad shard count is shard's to refuse; it must not panic here first.
+		engines = make([]*Engine, max(shards, 0))
+	}
+	return shard.Config{
+		Shards: shards,
+		NewBackend: func(i int) (retrieve.Backend, error) {
+			b, engine, err := f.newBackend()
+			if engines != nil {
+				engines[i] = engine
+			}
+			return b, err
+		},
+		Workers:     f.workers,
+		Abandon:     f.abandon,
+		SketchWidth: sketchW,
+	}, engines
 }
 
 // Search fans the query out across every non-empty shard and merges the

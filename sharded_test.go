@@ -1,7 +1,6 @@
 package sdtw
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -252,77 +251,6 @@ func TestShardedValidation(t *testing.T) {
 	}
 	if _, _, err := si.Search(ctx, Series{ID: "q"}, WithK(1)); !IsErr(err, ErrEmptySeries) {
 		t.Fatalf("empty query: %v, want ErrEmptySeries", err)
-	}
-}
-
-// TestShardedPersistRoundTrip saves and reloads a sharded index on both
-// backends and requires bit-identical search answers afterwards —
-// including the insertion sequences that order distance ties.
-func TestShardedPersistRoundTrip(t *testing.T) {
-	d := TraceDataset(DatasetConfig{Seed: 19, SeriesPerClass: 4})
-	ctx := context.Background()
-	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
-
-	engine, err := NewShardedIndex(d.Series, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := engine.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadShardedIndex(&buf, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < d.Len(); qi += 4 {
-		want, _, err := engine.Search(ctx, d.Series[qi], WithK(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := restored.Search(ctx, d.Series[qi], WithK(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameHits(t, fmt.Sprintf("engine reload query %d", qi), want, got)
-	}
-	// Mutations keep working on the restored cluster (sequences resume).
-	if err := restored.Remove(d.Series[0].ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Add(d.Series[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	windowed, err := NewShardedWindowedIndex(d.Series, 3, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := windowed.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wRestored, err := LoadShardedWindowedIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := windowed.Search(ctx, d.Series[1], WithK(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := wRestored.Search(ctx, d.Series[1], WithK(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameHits(t, "windowed reload", want, got)
-
-	// Cross-kind loads refuse cleanly.
-	buf.Reset()
-	if err := engine.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadShardedWindowedIndex(&buf); !IsErr(err, ErrConfigMismatch) {
-		t.Fatalf("windowed load of engine snapshot: %v, want ErrConfigMismatch", err)
 	}
 }
 

@@ -2,10 +2,10 @@ package sdtw
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"sdtw/internal/lower"
 	"sdtw/internal/retrieve"
@@ -15,16 +15,17 @@ import (
 	"sdtw/internal/vfs"
 )
 
-// This file is the segment-store face of the index: SaveStore exports a
-// warm index into an on-disk segment store, OpenIndex (and friends)
-// serve straight from one with only the hot sections — IDs, endpoints,
-// sketches, envelopes — resident, and Add/Remove on an opened index
-// write through to the store, so the collection scales past what the
-// raw values would occupy in RAM. Gob snapshots (Save/LoadIndex) remain
-// readable for one release; migrate converts them.
+// This file is the segment-store face of the index — the only on-disk
+// form an index has. SaveStore exports a warm index into a segment
+// store, OpenIndex (and friends) serve straight from one with only the
+// hot sections — IDs, endpoints, sketches, envelopes — resident, and
+// Add/Remove on an opened index write through to the store, so the
+// collection scales past what the raw values would occupy in RAM. An
+// Index is the one-store case of everything here; a ShardedIndex holds
+// one store per shard.
 
 // Manifest metadata keys the index layer stores alongside the segment
-// format's own fields.
+// format's own fields, and the two values of the kind key.
 const (
 	storeMetaKind    = "kind"
 	storeMetaLength  = "length"
@@ -32,6 +33,9 @@ const (
 	storeMetaShards  = "shards"
 	storeMetaShard   = "shard"
 	storeMetaNextSeq = "next_seq"
+
+	snapshotKindEngine   = "engine"
+	snapshotKindWindowed = "windowed"
 )
 
 // shardDirName names the per-shard store directory under a sharded
@@ -95,54 +99,245 @@ func storeOpenOptions(open []OpenOption) store.OpenOptions {
 	return o
 }
 
+// storeSet is the store-backed state of an index: one segment store for
+// an Index, one per shard for a ShardedIndex (stores is nil for an index
+// that lives in RAM only). storeMu serialises every mutation that writes
+// through — Add, Remove, Compact, SyncStore, CloseStore — so RAM and
+// disk change together. Both index types embed it, which is how they
+// come by StoreBacked, Compact, StoreStats, SyncStore and CloseStore.
+type storeSet struct {
+	storeMu sync.Mutex
+	stores  []*store.Store
+	// sharded marks a ShardedIndex's set: errors name the shard and
+	// StoreStats carries the per-shard health breakdown.
+	sharded bool
+}
+
+// each runs op over every store under the set's lock on behalf of the
+// public method name. The first failure is returned; keepGoing runs the
+// remaining stores regardless (CloseStore must release every handle).
+func (ss *storeSet) each(name string, keepGoing bool, op func(*store.Store) error) error {
+	if ss.stores == nil {
+		return fmt.Errorf("sdtw: %s: %w", name, ErrNotStoreBacked)
+	}
+	ss.storeMu.Lock()
+	defer ss.storeMu.Unlock()
+	var first error
+	for i, st := range ss.stores {
+		err := op(st)
+		if err == nil || first != nil {
+			continue
+		}
+		if ss.sharded {
+			first = fmt.Errorf("sdtw: %s: shard %d: %w", name, i, err)
+		} else {
+			first = fmt.Errorf("sdtw: %s: %w", name, err)
+		}
+		if !keepGoing {
+			break
+		}
+	}
+	return first
+}
+
+// StoreBacked reports whether the index serves from a segment store
+// (one per shard for a sharded index).
+func (ss *storeSet) StoreBacked() bool { return ss.stores != nil }
+
+// Compact rewrites every store's live records into fresh segments,
+// dropping tombstoned space. Searches keep serving throughout.
+func (ss *storeSet) Compact() error { return ss.each("Compact", false, (*store.Store).Compact) }
+
+// SyncStore flushes every store's active segment to stable storage: once
+// it returns, every Add acknowledged before the call survives a power
+// cut. Remove needs no barrier — tombstones are synced as they are
+// appended.
+func (ss *storeSet) SyncStore() error { return ss.each("SyncStore", false, (*store.Store).Sync) }
+
+// CloseStore releases every store's file handles. Searches may keep
+// running against already-materialised values, but candidates whose
+// values were never loaded will fail; close after draining.
+func (ss *storeSet) CloseStore() error { return ss.each("CloseStore", true, (*store.Store).Close) }
+
+// StoreStats sums the stores' counters and the health their opens
+// reported (recovered, swept, quarantined); a sharded index also gets
+// the per-shard breakdown in ShardHealth.
+func (ss *storeSet) StoreStats() (StoreStats, error) {
+	if ss.stores == nil {
+		return StoreStats{}, fmt.Errorf("sdtw: StoreStats: %w", ErrNotStoreBacked)
+	}
+	var out StoreStats
+	for _, st := range ss.stores {
+		s := st.Stats()
+		out.Segments += s.Segments
+		out.LiveRecords += s.LiveRecords
+		out.Tombstones += s.Tombstones
+		out.SketchWidth = s.SketchWidth
+		h := st.Health()
+		if ss.sharded {
+			out.ShardHealth = append(out.ShardHealth, h)
+		}
+		out.Health.Quarantined += h.Quarantined
+		out.Health.QuarantinedRecords += h.QuarantinedRecords
+		out.Health.RecoveredRecords += h.RecoveredRecords
+		out.Health.TruncatedBytes += h.TruncatedBytes
+		out.Health.OrphansSwept += h.OrphansSwept
+	}
+	return out, nil
+}
+
+// remove is the write-through Remove both index types share. The
+// tombstone is made durable first and the series unpublished from RAM
+// second: a failed tombstone write then leaves the series searchable and
+// a retry can succeed, where the reverse order would drop it from
+// searches, answer the retry with ErrUnknownID, and resurrect it at the
+// next open. lookup resolves the ID's insertion sequence and refuses an
+// ID that cannot be removed; storeMu serialises every store-backed
+// mutation, so nothing changes between lookup and unpublish.
+func (ss *storeSet) remove(shard int, id string, lookup func() (uint64, error), unpublish func() error) error {
+	ss.storeMu.Lock()
+	defer ss.storeMu.Unlock()
+	seq, err := lookup()
+	if err != nil {
+		return fmt.Errorf("sdtw: Remove: %w", err)
+	}
+	if err := ss.stores[shard].Tombstone(id, seq); err != nil {
+		return fmt.Errorf("sdtw: Remove: %w", err)
+	}
+	if err := unpublish(); err != nil {
+		return fmt.Errorf("sdtw: Remove: %w", err)
+	}
+	return nil
+}
+
+// newRecord is the one place a series becomes a store record: the hot
+// endpoints, its envelope and the width-w sketch derived from it, and
+// the raw values. The caller assigns Seq.
+func newRecord(s Series, env lower.Envelope, w int) (rec store.Record, err error) {
+	if s.ID == "" {
+		return rec, fmt.Errorf("a store keys removals on non-empty series IDs: %w", ErrNoID)
+	}
+	if len(s.Values) == 0 {
+		return rec, fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
+	}
+	sk, err := sketch.FromEnvelope(env, w)
+	if err != nil {
+		return rec, fmt.Errorf("series %q: %w", s.ID, err)
+	}
+	return store.Record{
+		ID:       s.ID,
+		Label:    s.Label,
+		N:        len(s.Values),
+		First:    s.Values[0],
+		Last:     s.Values[len(s.Values)-1],
+		Sketch:   sk,
+		Envelope: env,
+		Values:   s.Values,
+	}, nil
+}
+
+// storeExport is one store of an export: where it goes and what it
+// holds. seqs nil means insertion sequence = position.
+type storeExport struct {
+	dir  string
+	meta map[string]string
+	data []Series
+	envs []lower.Envelope
+	seqs []uint64
+}
+
+// exportMeta builds the manifest metadata every exported store carries;
+// a sharded export adds its shard keys on top.
+func exportMeta(kind string, nextSeq uint64, length, radius int) map[string]string {
+	meta := map[string]string{
+		storeMetaKind:    kind,
+		storeMetaNextSeq: strconv.FormatUint(nextSeq, 10),
+	}
+	if kind == snapshotKindWindowed {
+		meta[storeMetaLength] = strconv.Itoa(length)
+		meta[storeMetaRadius] = strconv.Itoa(radius)
+	}
+	return meta
+}
+
+// exportStores is the one export routine behind both SaveStores: create
+// every store, write its records, close them all, and on any failure
+// remove root — but only if this call created it.
+func exportStores(root, fingerprint string, sketchW, segRecords int, parts []storeExport) error {
+	if sketchW <= 0 {
+		sketchW = DefaultSketchWidth
+	}
+	_, statErr := os.Stat(root)
+	created := os.IsNotExist(statErr)
+	var stores []*store.Store
+	err := func() error {
+		for _, p := range parts {
+			if len(p.envs) != len(p.data) {
+				return fmt.Errorf("a custom PointDistance has no admissible envelopes or sketches to persist: %w", ErrConfigMismatch)
+			}
+			st, err := store.Create(p.dir, store.Config{
+				Fingerprint:    fingerprint,
+				SketchWidth:    sketchW,
+				SegmentRecords: segRecords,
+				Meta:           p.meta,
+			})
+			if err != nil {
+				return err
+			}
+			stores = append(stores, st)
+			for i, s := range p.data {
+				rec, err := newRecord(s, p.envs[i], sketchW)
+				if err != nil {
+					return fmt.Errorf("series %d: %w", i, err)
+				}
+				rec.Seq = uint64(i)
+				if p.seqs != nil {
+					rec.Seq = p.seqs[i]
+				}
+				if err := st.Append(rec); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}()
+	for _, st := range stores {
+		if cerr := st.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		if created {
+			os.RemoveAll(root)
+		}
+		return fmt.Errorf("sdtw: SaveStore: %w", err)
+	}
+	return nil
+}
+
 // SaveStore exports the index into a segment store rooted at dir
 // (created if missing; refused with ErrStoreExists if dir already holds
 // a store). Every series needs a non-empty ID — the store keys removals
 // on (ID, insertion sequence). The store persists everything the
 // cascade's pre-DP stages need hot (sketches, envelopes, endpoints) and
 // the raw values cold, so OpenIndex serves from it without loading
-// values into RAM. Like Save, export during a quiet period for a
-// point-in-time snapshot.
+// values into RAM. Export during a quiet period for a point-in-time
+// snapshot.
 func (ix *Index) SaveStore(dir string) error {
 	if ix.core.Cold() {
 		return fmt.Errorf("sdtw: SaveStore: the index already serves from a segment store: %w", ErrStoreBacked)
 	}
-	if !ix.core.Cascade() {
-		return fmt.Errorf("sdtw: SaveStore: a custom PointDistance has no admissible envelopes or sketches to persist: %w", ErrConfigMismatch)
+	data, envs := ix.core.Snapshot()
+	kind, length := snapshotKindEngine, 0
+	if ix.engine == nil {
+		kind, length = snapshotKindWindowed, data[0].Len()
 	}
-	w := ix.core.SketchWidth()
-	if w <= 0 {
-		w = DefaultSketchWidth
-	}
-	data, envs := ix.core.Snapshot(nil)
-	meta := map[string]string{storeMetaNextSeq: strconv.Itoa(len(data))}
-	if ix.engine != nil {
-		meta[storeMetaKind] = snapshotKindEngine
-	} else {
-		meta[storeMetaKind] = snapshotKindWindowed
-		meta[storeMetaLength] = strconv.Itoa(data[0].Len())
-		meta[storeMetaRadius] = strconv.Itoa(ix.radius)
-	}
-	created := dirMissing(dir)
-	st, err := store.Create(dir, store.Config{
-		Fingerprint:    ix.core.Fingerprint(),
-		SketchWidth:    w,
-		SegmentRecords: ix.segRecords,
-		Meta:           meta,
-	})
-	if err != nil {
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
-	}
-	if err := writeStoreRecords(st, data, envs, nil, w); err != nil {
-		st.Close()
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
-	}
-	if err := st.Close(); err != nil {
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
-	}
-	return nil
+	return exportStores(dir, ix.core.Fingerprint(), ix.core.SketchWidth(), ix.segRecords, []storeExport{{
+		dir:  dir,
+		meta: exportMeta(kind, uint64(len(data)), length, ix.radius),
+		data: data,
+		envs: envs,
+	}})
 }
 
 // SaveStore exports the sharded index into a store root at dir: one
@@ -154,404 +349,88 @@ func (si *ShardedIndex) SaveStore(dir string) error {
 	if si.cluster.Cold() {
 		return fmt.Errorf("sdtw: SaveStore: the index already serves from segment stores: %w", ErrStoreBacked)
 	}
-	w := si.cluster.SketchWidth()
-	if w <= 0 {
-		w = DefaultSketchWidth
-	}
 	kind := snapshotKindWindowed
 	if si.engines != nil {
 		kind = snapshotKindEngine
 	}
-	parts := make([][]Series, si.shards)
-	envs := make([][]lower.Envelope, si.shards)
-	seqs := make([][]uint64, si.shards)
+	parts := make([]storeExport, si.shards)
 	length := 0
-	for i := 0; i < si.shards; i++ {
-		parts[i], envs[i], seqs[i] = si.cluster.ShardSnapshot(i, nil)
-		if kind == snapshotKindWindowed && length == 0 && len(parts[i]) > 0 {
-			length = parts[i][0].Len()
-		}
-		if len(parts[i]) > 0 && len(envs[i]) != len(parts[i]) {
-			return fmt.Errorf("sdtw: SaveStore: a custom PointDistance has no admissible envelopes or sketches to persist: %w", ErrConfigMismatch)
+	for i := range parts {
+		p := &parts[i]
+		p.dir = filepath.Join(dir, shardDirName(i))
+		p.data, p.envs, p.seqs = si.cluster.ShardSnapshot(i)
+		if length == 0 && len(p.data) > 0 {
+			length = p.data[0].Len()
 		}
 	}
+	// Captured after the shards, so every captured sequence is below it.
 	nextSeq := si.cluster.NextSeq()
-	created := dirMissing(dir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
+	for i := range parts {
+		meta := exportMeta(kind, nextSeq, length, si.radius)
+		meta[storeMetaShards] = strconv.Itoa(si.shards)
+		meta[storeMetaShard] = strconv.Itoa(i)
+		parts[i].meta = meta
 	}
-	stores := make([]*store.Store, 0, si.shards)
-	fail := func(err error) error {
-		for _, st := range stores {
-			st.Close()
-		}
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: SaveStore: %w", err)
-	}
-	for i := 0; i < si.shards; i++ {
-		meta := map[string]string{
-			storeMetaKind:    kind,
-			storeMetaShards:  strconv.Itoa(si.shards),
-			storeMetaShard:   strconv.Itoa(i),
-			storeMetaNextSeq: strconv.FormatUint(nextSeq, 10),
-		}
-		if kind == snapshotKindWindowed {
-			meta[storeMetaLength] = strconv.Itoa(length)
-			meta[storeMetaRadius] = strconv.Itoa(si.radius)
-		}
-		st, err := store.Create(filepath.Join(dir, shardDirName(i)), store.Config{
-			Fingerprint:    si.cluster.Fingerprint(),
-			SketchWidth:    w,
-			SegmentRecords: si.segRecords,
-			Meta:           meta,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		stores = append(stores, st)
-		if err := writeStoreRecords(st, parts[i], envs[i], seqs[i], w); err != nil {
-			return fail(err)
-		}
-	}
-	for _, st := range stores {
-		if err := st.Close(); err != nil {
-			cleanupStoreDir(dir, created)
-			return fmt.Errorf("sdtw: SaveStore: %w", err)
-		}
-	}
-	return nil
+	return exportStores(dir, si.cluster.Fingerprint(), si.cluster.SketchWidth(), si.segRecords, parts)
 }
 
-// writeStoreRecords appends data into st, pairing each series with its
-// envelope and a sketch derived from it. seqs supplies the insertion
-// sequences (nil means positions).
-func writeStoreRecords(st *store.Store, data []Series, envs []lower.Envelope, seqs []uint64, w int) error {
-	for i, s := range data {
-		if s.ID == "" {
-			return fmt.Errorf("series %d: %w", i, ErrNoID)
-		}
-		sk, err := sketch.FromEnvelope(envs[i], w)
-		if err != nil {
-			return fmt.Errorf("series %q: %w", s.ID, err)
-		}
-		seq := uint64(i)
-		if seqs != nil {
-			seq = seqs[i]
-		}
-		rec := store.Record{
-			ID:       s.ID,
-			Label:    s.Label,
-			Seq:      seq,
-			N:        len(s.Values),
-			First:    s.Values[0],
-			Last:     s.Values[len(s.Values)-1],
-			Sketch:   sk,
-			Envelope: envs[i],
-			Values:   s.Values,
-		}
-		if err := st.Append(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dirMissing reports whether dir does not exist yet (so a failed export
-// may remove what it created without touching a pre-existing
-// directory).
-func dirMissing(dir string) bool {
-	_, err := os.Stat(dir)
-	return os.IsNotExist(err)
-}
-
-// cleanupStoreDir best-effort removes a partially written store root,
-// but only if the export created the directory itself.
-func cleanupStoreDir(dir string, created bool) {
-	if created {
-		os.RemoveAll(dir)
-	}
-}
-
-// OpenIndex opens a segment store written by SaveStore (or migrate) for
-// an engine-backed index and serves from it: sketches, envelopes and
-// endpoints load eagerly, raw values stay on disk until a candidate
-// survives the lower-bound cascade. opts must describe the same engine
-// configuration the store was written under (ErrConfigMismatch
-// otherwise). Add and Remove write through to the store. Crash residue
-// (a torn active-segment tail, orphaned segment files) is repaired on
-// the way in; AllowQuarantine additionally opts into serving around
-// corrupt sealed segments.
-func OpenIndex(dir string, opts Options, open ...OpenOption) (*Index, error) {
-	st, err := store.OpenWith(dir, storeOpenOptions(open))
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	if kind := st.Meta()[storeMetaKind]; kind != snapshotKindEngine {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: store holds a %q index, want %s (use OpenWindowedIndex): %w",
-			kind, snapshotKindEngine, ErrConfigMismatch)
-	}
-	if fp := engineFingerprint(opts); fp != st.Fingerprint() {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: store written under %q, opening under %q: %w",
-			st.Fingerprint(), fp, ErrConfigMismatch)
-	}
-	engine := NewEngine(opts)
-	backend := retrieve.NewEngineBackend(engine.inner, engineFingerprint(opts), opts.PointDistance != nil)
-	ix, err := indexFromStore(st, backend, indexWorkers(opts.Workers), !opts.DisableAbandon)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	ix.engine = engine
-	ix.radius = -1
-	return ix, nil
-}
-
-// OpenWindowedIndex opens a segment store written by SaveStore for a
-// windowed index; its configuration (length and radius) travels inside
-// the store's manifest, so no Options are needed.
-func OpenWindowedIndex(dir string, open ...OpenOption) (*Index, error) {
-	st, err := store.OpenWith(dir, storeOpenOptions(open))
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	if kind := st.Meta()[storeMetaKind]; kind != snapshotKindWindowed {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: store holds a %q index, want %s (use OpenIndex): %w",
-			kind, snapshotKindWindowed, ErrConfigMismatch)
-	}
-	length, radius, err := windowedStoreGeometry(st)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	backend, eff, err := retrieve.NewWindowedBackend(length, radius)
-	if err != nil {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	if fp := backend.Fingerprint(); fp != st.Fingerprint() {
-		st.Close()
-		return nil, fmt.Errorf("sdtw: store written under %q, rebuilt backend is %q: %w",
-			st.Fingerprint(), fp, ErrConfigMismatch)
-	}
-	ix, err := indexFromStore(st, backend, indexWorkers(0), true)
-	if err != nil {
-		st.Close()
-		return nil, err
-	}
-	ix.radius = eff
-	return ix, nil
-}
-
-// windowedStoreGeometry parses a windowed store's length and radius
-// metadata.
-func windowedStoreGeometry(st *store.Store) (length, radius int, err error) {
-	length, err = strconv.Atoi(st.Meta()[storeMetaLength])
-	if err != nil || length <= 0 {
-		return 0, 0, fmt.Errorf("sdtw: store has windowed length %q: %w", st.Meta()[storeMetaLength], ErrCorruptManifest)
-	}
-	radius, err = strconv.Atoi(st.Meta()[storeMetaRadius])
-	if err != nil {
-		return 0, 0, fmt.Errorf("sdtw: store has windowed radius %q: %w", st.Meta()[storeMetaRadius], ErrCorruptManifest)
-	}
-	return length, radius, nil
-}
-
-// indexFromStore builds the store-backed Index: cold series from the
-// store's live records, write-through bookkeeping from their sequences.
-func indexFromStore(st *store.Store, backend retrieve.Backend, workers int, abandon bool) (*Index, error) {
-	cold, seqs := coldRecords(st.Live())
-	core, err := retrieve.RestoreCold(backend, cold, st.SketchWidth(), workers, abandon)
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	return &Index{core: core, store: st, seqs: seqs, nextSeq: storeNextSeq(st)}, nil
-}
-
-// coldRecords lowers live store records onto the cascade's cold-series
-// form, pairing each ID with its insertion sequence.
-func coldRecords(live []*store.Record) ([]retrieve.ColdSeries, map[string]uint64) {
-	cold := make([]retrieve.ColdSeries, len(live))
-	seqs := make(map[string]uint64, len(live))
-	for i, rec := range live {
-		cold[i] = retrieve.ColdSeries{
-			ID:       rec.ID,
-			Label:    rec.Label,
-			N:        rec.N,
-			First:    rec.First,
-			Last:     rec.Last,
-			Envelope: rec.Envelope,
-			Sketch:   rec.Sketch,
-			Load:     rec.LoadValues,
-		}
-		seqs[rec.ID] = rec.Seq
-	}
-	return cold, seqs
-}
-
-// storeNextSeq resolves the next insertion sequence for a reopened
-// store: the larger of the manifest's recorded counter and one past the
-// highest stored sequence (appends after the manifest was written).
-func storeNextSeq(st *store.Store) uint64 {
-	next := st.NextSeq()
-	if v, err := strconv.ParseUint(st.Meta()[storeMetaNextSeq], 10, 64); err == nil && v > next {
-		next = v
-	}
-	return next
-}
-
-// addStore is the write-through Add of a store-backed Index.
-func (ix *Index) addStore(s Series) error {
-	if s.ID == "" {
-		return fmt.Errorf("sdtw: Add: a store-backed index needs non-empty series IDs: %w", ErrNoID)
-	}
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.core.Add(s); err != nil {
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	env := ix.core.Envelope(ix.core.Len() - 1)
-	err := func() error {
-		sk, err := sketch.FromEnvelope(env, ix.store.SketchWidth())
-		if err != nil {
-			return err
-		}
-		return ix.store.Append(store.Record{
-			ID:       s.ID,
-			Label:    s.Label,
-			Seq:      ix.nextSeq,
-			N:        len(s.Values),
-			First:    s.Values[0],
-			Last:     s.Values[len(s.Values)-1],
-			Sketch:   sk,
-			Envelope: env,
-			Values:   s.Values,
-		})
-	}()
-	if err != nil {
-		// Keep RAM and disk agreeing: undo the admission (the series was
-		// just added on top of a non-empty collection, so this cannot hit
-		// the last-series refusal).
-		ix.core.Remove(s.ID)
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	ix.seqs[s.ID] = ix.nextSeq
-	ix.nextSeq++
-	return nil
-}
-
-// removeStore is the write-through Remove of a store-backed Index.
-func (ix *Index) removeStore(id string) error {
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.core.Remove(id); err != nil {
-		return fmt.Errorf("sdtw: Remove: %w", err)
-	}
-	seq := ix.seqs[id]
-	if err := ix.store.Tombstone(id, seq); err != nil {
-		return fmt.Errorf("sdtw: Remove: %w", err)
-	}
-	delete(ix.seqs, id)
-	return nil
-}
-
-// StoreBacked reports whether the index serves from a segment store.
-func (ix *Index) StoreBacked() bool { return ix.store != nil }
-
-// Compact rewrites the store's live records into fresh segments,
-// dropping tombstoned space. Searches keep serving throughout.
-func (ix *Index) Compact() error {
-	if ix.store == nil {
-		return fmt.Errorf("sdtw: Compact: %w", ErrNotStoreBacked)
-	}
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.store.Compact(); err != nil {
-		return fmt.Errorf("sdtw: Compact: %w", err)
-	}
-	return nil
-}
-
-// StoreStats returns the segment store's counters, including the
-// health its open reported (recovered, swept, quarantined).
-func (ix *Index) StoreStats() (StoreStats, error) {
-	if ix.store == nil {
-		return StoreStats{}, fmt.Errorf("sdtw: StoreStats: %w", ErrNotStoreBacked)
-	}
-	s := ix.store.Stats()
-	return StoreStats{
-		Segments: s.Segments, LiveRecords: s.LiveRecords, Tombstones: s.Tombstones,
-		SketchWidth: s.SketchWidth, Health: ix.store.Health(),
-	}, nil
-}
-
-// SyncStore flushes the store's active segment to stable storage: once
-// it returns, every Append acknowledged before the call survives a
-// power cut. Remove needs no barrier — tombstones are synced as they
-// are appended.
-func (ix *Index) SyncStore() error {
-	if ix.store == nil {
-		return fmt.Errorf("sdtw: SyncStore: %w", ErrNotStoreBacked)
-	}
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.store.Sync(); err != nil {
-		return fmt.Errorf("sdtw: SyncStore: %w", err)
-	}
-	return nil
-}
-
-// CloseStore releases the store's file handles. Searches may keep
-// running against already-materialised values, but candidates whose
-// values were never loaded will fail; close after draining.
-func (ix *Index) CloseStore() error {
-	if ix.store == nil {
-		return fmt.Errorf("sdtw: CloseStore: %w", ErrNotStoreBacked)
-	}
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.store.Close(); err != nil {
-		return fmt.Errorf("sdtw: CloseStore: %w", err)
-	}
-	return nil
-}
-
-// openShardStores opens every per-shard store under dir, atomically:
-// any missing, corrupt or inconsistent shard closes the ones already
-// opened and fails the whole open — a cluster must never come up over a
-// subset of its shards. Under so.AllowQuarantine a shard with corrupt
-// sealed segments opens degraded (its survivors serve, possibly none)
-// instead of failing the whole open; structural failures (a missing
-// shard, a corrupt manifest, mixed configurations) still fail
+// openStores opens the store(s) an index of the given kind was exported
+// to — dir itself for an unsharded index, every shard-NNNN under it for
+// a sharded one — and resolves the backend family to serve them with
+// (familyOf reads what it needs from store 0's manifest). It returns the
+// next insertion sequence too: the largest any store implies. The open
+// is atomic: any missing, corrupt or inconsistent shard closes the ones
+// already opened and fails the whole open — a cluster must never come
+// up over a subset of its shards. Under AllowQuarantine a shard with
+// corrupt sealed segments opens degraded (its survivors serve, possibly
+// none) instead of failing the whole open; structural failures (a
+// missing shard, a corrupt manifest, mixed configurations) still fail
 // atomically — quarantine bounds the damage, it never papers over a
 // store that cannot describe itself.
-func openShardStores(dir string, so store.OpenOptions) ([]*store.Store, string, uint64, error) {
-	st0, err := store.OpenWith(filepath.Join(dir, shardDirName(0)), so)
-	if err != nil {
-		return nil, "", 0, fmt.Errorf("sdtw: shard 0: %w", err)
+func openStores(dir string, sharded bool, kind string, familyOf func(*store.Store) (backendFamily, error),
+	open []OpenOption) ([]*store.Store, uint64, backendFamily, error) {
+	so := storeOpenOptions(open)
+	var stores []*store.Store
+	fail := func(err error) ([]*store.Store, uint64, backendFamily, error) {
+		closeStores(stores)
+		return nil, 0, backendFamily{}, err
 	}
-	stores := []*store.Store{st0}
-	fail := func(err error) ([]*store.Store, string, uint64, error) {
-		for _, st := range stores {
-			st.Close()
+	// One store, unless shard 0's manifest says how many there are.
+	shards := 1
+	for i := 0; i < shards; i++ {
+		path, label := dir, ""
+		if sharded {
+			path, label = filepath.Join(dir, shardDirName(i)), fmt.Sprintf("shard %d: ", i)
 		}
-		return nil, "", 0, err
-	}
-	shards, err := strconv.Atoi(st0.Meta()[storeMetaShards])
-	if err != nil || shards < 1 {
-		return fail(fmt.Errorf("sdtw: shard 0 has shard count %q: %w", st0.Meta()[storeMetaShards], ErrCorruptManifest))
-	}
-	for i := 1; i < shards; i++ {
-		st, err := store.OpenWith(filepath.Join(dir, shardDirName(i)), so)
+		st, err := store.OpenWith(path, so)
 		if err != nil {
-			return fail(fmt.Errorf("sdtw: shard %d: %w", i, err))
+			return fail(fmt.Errorf("sdtw: %s%w", label, err))
 		}
 		stores = append(stores, st)
+		if sharded && i == 0 {
+			shards, err = strconv.Atoi(st.Meta()[storeMetaShards])
+			if err != nil || shards < 1 {
+				return fail(fmt.Errorf("sdtw: shard 0 has shard count %q: %w", st.Meta()[storeMetaShards], ErrCorruptManifest))
+			}
+		}
 	}
-	kind := st0.Meta()[storeMetaKind]
-	nextSeq := uint64(0)
+	// The one kind and fingerprint check behind every Open*: the store
+	// must hold the family of index the constructor serves, written under
+	// the configuration it is being opened under — its envelopes and
+	// sketches would bound a different distance otherwise.
+	st0 := stores[0]
+	if got := st0.Meta()[storeMetaKind]; got != kind {
+		return fail(fmt.Errorf("sdtw: store holds a %q index, want %q: %w", got, kind, ErrConfigMismatch))
+	}
+	f, err := familyOf(st0)
+	if err != nil {
+		return fail(err)
+	}
+	if f.fingerprint != st0.Fingerprint() {
+		return fail(fmt.Errorf("sdtw: store written under %q, opening under %q: %w",
+			st0.Fingerprint(), f.fingerprint, ErrConfigMismatch))
+	}
+	var nextSeq uint64
 	for i, st := range stores {
 		// Every shard store must agree on the cluster configuration: a
 		// mixed-config directory (shards written by different indexes, or
@@ -568,18 +447,169 @@ func openShardStores(dir string, so store.OpenOptions) ([]*store.Store, string, 
 			return fail(fmt.Errorf("sdtw: shard %d expects %q shards, shard 0 %q: %w",
 				i, got, st0.Meta()[storeMetaShards], ErrConfigMismatch))
 		}
-		if got := st.Meta()[storeMetaShard]; got != strconv.Itoa(i) {
+		if got := st.Meta()[storeMetaShard]; sharded && got != strconv.Itoa(i) {
 			return fail(fmt.Errorf("sdtw: directory %s holds shard %q: %w", shardDirName(i), got, ErrConfigMismatch))
 		}
 		if st.SketchWidth() != st0.SketchWidth() {
 			return fail(fmt.Errorf("sdtw: shard %d has sketch width %d, shard 0 %d: %w",
 				i, st.SketchWidth(), st0.SketchWidth(), ErrConfigMismatch))
 		}
-		if next := storeNextSeq(st); next > nextSeq {
-			nextSeq = next
+		// The larger of the manifest's recorded counter and one past the
+		// highest stored sequence (appends after the manifest was written).
+		next := st.NextSeq()
+		if v, err := strconv.ParseUint(st.Meta()[storeMetaNextSeq], 10, 64); err == nil && v > next {
+			next = v
 		}
+		nextSeq = max(nextSeq, next)
 	}
-	return stores, kind, nextSeq, nil
+	return stores, nextSeq, f, nil
+}
+
+// closeStores releases the stores of an open that did not complete.
+func closeStores(stores []*store.Store) {
+	for _, st := range stores {
+		st.Close()
+	}
+}
+
+// engineStoreFamily is the familyOf of the engine Open*: the family comes
+// from the caller's options, the store only has to match it.
+func engineStoreFamily(opts Options) func(*store.Store) (backendFamily, error) {
+	return func(*store.Store) (backendFamily, error) { return engineFamily(opts), nil }
+}
+
+// windowedStoreFamily is the familyOf of the windowed Open*: length and
+// radius travel in the manifest. Rebuilding the family from the store's
+// own parameters must reproduce the fingerprint it was written under; a
+// mismatch means the fingerprint format was revved (or the manifest
+// edited) and the persisted envelopes cannot be trusted.
+func windowedStoreFamily(st *store.Store) (backendFamily, error) {
+	length, err := strconv.Atoi(st.Meta()[storeMetaLength])
+	if err != nil || length <= 0 {
+		return backendFamily{}, fmt.Errorf("sdtw: store has windowed length %q: %w", st.Meta()[storeMetaLength], ErrCorruptManifest)
+	}
+	radius, err := strconv.Atoi(st.Meta()[storeMetaRadius])
+	if err != nil {
+		return backendFamily{}, fmt.Errorf("sdtw: store has windowed radius %q: %w", st.Meta()[storeMetaRadius], ErrCorruptManifest)
+	}
+	return windowedFamily(length, radius)
+}
+
+// coldRecords lowers live store records onto the cascade's cold-series
+// form, with their insertion sequences position-parallel.
+func coldRecords(live []*store.Record) ([]retrieve.ColdSeries, []uint64) {
+	cold := make([]retrieve.ColdSeries, len(live))
+	seqs := make([]uint64, len(live))
+	for i, rec := range live {
+		cold[i] = retrieve.ColdSeries{
+			ID:       rec.ID,
+			Label:    rec.Label,
+			N:        rec.N,
+			First:    rec.First,
+			Last:     rec.Last,
+			Envelope: rec.Envelope,
+			Sketch:   rec.Sketch,
+			Load:     rec.LoadValues,
+		}
+		seqs[i] = rec.Seq
+	}
+	return cold, seqs
+}
+
+// OpenIndex opens a segment store written by SaveStore for an
+// engine-backed index and serves from it: sketches, envelopes and
+// endpoints load eagerly, raw values stay on disk until a candidate
+// survives the lower-bound cascade. opts must describe the same engine
+// configuration the store was written under (ErrConfigMismatch
+// otherwise). Add and Remove write through to the store. Crash residue
+// (a torn active-segment tail, orphaned segment files) is repaired on
+// the way in; AllowQuarantine additionally opts into serving around
+// corrupt sealed segments.
+func OpenIndex(dir string, opts Options, open ...OpenOption) (*Index, error) {
+	return openIndex(dir, snapshotKindEngine, engineStoreFamily(opts), open)
+}
+
+// OpenWindowedIndex opens a segment store written by SaveStore for a
+// windowed index; its configuration (length and radius) travels inside
+// the store's manifest, so no Options are needed.
+func OpenWindowedIndex(dir string, open ...OpenOption) (*Index, error) {
+	return openIndex(dir, snapshotKindWindowed, windowedStoreFamily, open)
+}
+
+// openIndex builds the store-backed Index: cold series from the store's
+// live records, write-through bookkeeping from their sequences.
+func openIndex(dir, kind string, familyOf func(*store.Store) (backendFamily, error), open []OpenOption) (*Index, error) {
+	stores, nextSeq, f, err := openStores(dir, false, kind, familyOf, open)
+	if err != nil {
+		return nil, err
+	}
+	backend, engine, err := f.newBackend()
+	if err != nil {
+		closeStores(stores)
+		return nil, fmt.Errorf("sdtw: %w", err)
+	}
+	cold, seqList := coldRecords(stores[0].Live())
+	core, err := retrieve.RestoreCold(backend, cold, stores[0].SketchWidth(), f.workers, f.abandon)
+	if err != nil {
+		closeStores(stores)
+		return nil, fmt.Errorf("sdtw: %w", err)
+	}
+	seqs := make(map[string]uint64, len(cold))
+	for i, cs := range cold {
+		seqs[cs.ID] = seqList[i]
+	}
+	return &Index{core: core, engine: engine, radius: f.radius,
+		storeSet: storeSet{stores: stores}, seqs: seqs, nextSeq: nextSeq}, nil
+}
+
+// addStore is the write-through Add of a store-backed Index: RAM first,
+// disk second, RAM rolled back if the append fails. The record shares
+// the envelope the core just computed.
+func (ix *Index) addStore(s Series) error {
+	if s.ID == "" {
+		return fmt.Errorf("sdtw: Add: a store-backed index needs non-empty series IDs: %w", ErrNoID)
+	}
+	ix.storeMu.Lock()
+	defer ix.storeMu.Unlock()
+	if err := ix.core.Add(s); err != nil {
+		return fmt.Errorf("sdtw: Add: %w", err)
+	}
+	st := ix.stores[0]
+	rec, err := newRecord(s, ix.core.Envelope(ix.core.Len()-1), st.SketchWidth())
+	if err == nil {
+		rec.Seq = ix.nextSeq
+		err = st.Append(rec)
+	}
+	if err != nil {
+		// Keep RAM and disk agreeing: undo the admission (the series was
+		// just added on top of a non-empty collection, so this cannot hit
+		// the last-series refusal).
+		ix.core.Remove(s.ID)
+		return fmt.Errorf("sdtw: Add: %w", err)
+	}
+	ix.seqs[s.ID] = ix.nextSeq
+	ix.nextSeq++
+	return nil
+}
+
+// removeStore is the write-through Remove of a store-backed Index.
+func (ix *Index) removeStore(id string) error {
+	return ix.remove(0, id, func() (uint64, error) {
+		seq, ok := ix.seqs[id]
+		if !ok {
+			return 0, fmt.Errorf("%w: %q", ErrUnknownID, id)
+		}
+		if ix.core.Len() == 1 {
+			return 0, fmt.Errorf("cannot remove the last series %q: %w", id, ErrEmptyCollection)
+		}
+		return seq, nil
+	}, func() error {
+		if err := ix.core.Remove(id); err != nil {
+			return err
+		}
+		delete(ix.seqs, id)
+		return nil
+	})
 }
 
 // OpenShardedIndex opens a sharded store root written by
@@ -590,159 +620,57 @@ func openShardStores(dir string, so store.OpenOptions) ([]*store.Store, string, 
 // with corrupt sealed segments serves its survivors (per-shard damage
 // surfaces in StoreStats.ShardHealth).
 func OpenShardedIndex(dir string, opts Options, open ...OpenOption) (*ShardedIndex, error) {
-	stores, kind, nextSeq, err := openShardStores(dir, storeOpenOptions(open))
-	if err != nil {
-		return nil, err
-	}
-	closeAll := func() {
-		for _, st := range stores {
-			st.Close()
-		}
-	}
-	if kind != snapshotKindEngine {
-		closeAll()
-		return nil, fmt.Errorf("sdtw: store holds a %q sharded index, want %s (use OpenShardedWindowedIndex): %w",
-			kind, snapshotKindEngine, ErrConfigMismatch)
-	}
-	fp := engineFingerprint(opts)
-	if fp != stores[0].Fingerprint() {
-		closeAll()
-		return nil, fmt.Errorf("sdtw: store written under %q, opening under %q: %w",
-			stores[0].Fingerprint(), fp, ErrConfigMismatch)
-	}
-	engines := make([]*Engine, len(stores))
-	cfg := shard.Config{
-		Shards: len(stores),
-		NewBackend: func(i int) (retrieve.Backend, error) {
-			engines[i] = NewEngine(opts)
-			return retrieve.NewEngineBackend(engines[i].inner, fp, opts.PointDistance != nil), nil
-		},
-		Workers:     indexWorkers(opts.Workers),
-		Abandon:     !opts.DisableAbandon,
-		SketchWidth: stores[0].SketchWidth(),
-	}
-	si, err := shardedFromStores(cfg, stores, nextSeq)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	si.engines = engines
-	si.radius = -1
-	return si, nil
+	return openShardedIndex(dir, snapshotKindEngine, engineStoreFamily(opts), open)
 }
 
 // OpenShardedWindowedIndex opens a sharded store root written by
 // ShardedIndex.SaveStore for a windowed cluster; length and radius
 // travel inside the manifests.
 func OpenShardedWindowedIndex(dir string, open ...OpenOption) (*ShardedIndex, error) {
-	stores, kind, nextSeq, err := openShardStores(dir, storeOpenOptions(open))
-	if err != nil {
-		return nil, err
-	}
-	closeAll := func() {
-		for _, st := range stores {
-			st.Close()
-		}
-	}
-	if kind != snapshotKindWindowed {
-		closeAll()
-		return nil, fmt.Errorf("sdtw: store holds a %q sharded index, want %s (use OpenShardedIndex): %w",
-			kind, snapshotKindWindowed, ErrConfigMismatch)
-	}
-	length, radius, err := windowedStoreGeometry(stores[0])
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	eff := -1
-	var fpErr error
-	cfg := shard.Config{
-		Shards: len(stores),
-		NewBackend: func(i int) (retrieve.Backend, error) {
-			b, e, err := retrieve.NewWindowedBackend(length, radius)
-			if err != nil {
-				return nil, err
-			}
-			eff = e
-			if fp := b.Fingerprint(); fp != stores[0].Fingerprint() && fpErr == nil {
-				fpErr = fmt.Errorf("sdtw: store written under %q, rebuilt backend is %q: %w",
-					stores[0].Fingerprint(), fp, ErrConfigMismatch)
-			}
-			return b, nil
-		},
-		Workers:     indexWorkers(0),
-		Abandon:     true,
-		SketchWidth: stores[0].SketchWidth(),
-	}
-	si, err := shardedFromStores(cfg, stores, nextSeq)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	if fpErr != nil {
-		si.CloseStore()
-		return nil, fpErr
-	}
-	si.radius = eff
-	return si, nil
+	return openShardedIndex(dir, snapshotKindWindowed, windowedStoreFamily, open)
 }
 
-// shardedFromStores rebuilds the cluster from the per-shard stores'
-// live records.
-func shardedFromStores(cfg shard.Config, stores []*store.Store, nextSeq uint64) (*ShardedIndex, error) {
+// openShardedIndex rebuilds the cluster from the per-shard stores' live
+// records.
+func openShardedIndex(dir, kind string, familyOf func(*store.Store) (backendFamily, error), open []OpenOption) (*ShardedIndex, error) {
+	stores, nextSeq, f, err := openStores(dir, true, kind, familyOf, open)
+	if err != nil {
+		return nil, err
+	}
 	parts := make([][]retrieve.ColdSeries, len(stores))
 	seqs := make([][]uint64, len(stores))
 	for i, st := range stores {
-		live := st.Live()
-		cold, _ := coldRecords(live)
-		parts[i] = cold
-		seqs[i] = make([]uint64, len(live))
-		for j, rec := range live {
-			seqs[i][j] = rec.Seq
-		}
+		parts[i], seqs[i] = coldRecords(st.Live())
 	}
+	cfg, engines := f.shardConfig(len(stores), stores[0].SketchWidth())
 	cluster, err := shard.RestoreCold(cfg, parts, seqs, nextSeq)
 	if err != nil {
+		closeStores(stores)
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
-	return &ShardedIndex{cluster: cluster, shards: len(stores), stores: stores}, nil
+	return &ShardedIndex{cluster: cluster, engines: engines, radius: f.radius, shards: len(stores),
+		storeSet: storeSet{stores: stores, sharded: true}}, nil
 }
 
-// addStore is the write-through Add of a store-backed ShardedIndex.
+// addStore is the write-through Add of a store-backed ShardedIndex: RAM
+// first, disk second, RAM rolled back if the append fails.
 func (si *ShardedIndex) addStore(s Series) error {
-	if s.ID == "" {
-		return fmt.Errorf("sdtw: Add: %w", ErrNoID)
-	}
 	sh := shard.Route(s.ID, si.shards)
 	st := si.stores[sh]
 	// Recompute the envelope exactly as the shard core will: same
 	// values, same backend radius, same deterministic construction. The
 	// O(n) envelope and sketch work runs before the store lock.
-	if len(s.Values) == 0 {
-		return fmt.Errorf("sdtw: Add: series %q: %w", s.ID, ErrEmptySeries)
-	}
 	env := lower.NewEnvelope(s.Values, si.cluster.Backend(sh).EnvelopeRadius(len(s.Values)))
-	sk, err := sketch.FromEnvelope(env, st.SketchWidth())
+	rec, err := newRecord(s, env, st.SketchWidth())
 	if err != nil {
 		return fmt.Errorf("sdtw: Add: %w", err)
 	}
 	si.storeMu.Lock()
 	defer si.storeMu.Unlock()
-	seq, err := si.cluster.Add(s)
-	if err != nil {
+	if rec.Seq, err = si.cluster.Add(s); err != nil {
 		return fmt.Errorf("sdtw: Add: %w", err)
 	}
-	if err := st.Append(store.Record{
-		ID:       s.ID,
-		Label:    s.Label,
-		Seq:      seq,
-		N:        len(s.Values),
-		First:    s.Values[0],
-		Last:     s.Values[len(s.Values)-1],
-		Sketch:   sk,
-		Envelope: env,
-		Values:   s.Values,
-	}); err != nil {
+	if err := st.Append(rec); err != nil {
 		si.cluster.Remove(s.ID) // keep RAM and disk agreeing
 		return fmt.Errorf("sdtw: Add: %w", err)
 	}
@@ -752,203 +680,7 @@ func (si *ShardedIndex) addStore(s Series) error {
 // removeStore is the write-through Remove of a store-backed
 // ShardedIndex.
 func (si *ShardedIndex) removeStore(id string) error {
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	seq, err := si.cluster.Remove(id)
-	if err != nil {
-		return fmt.Errorf("sdtw: Remove: %w", err)
-	}
-	if err := si.stores[shard.Route(id, si.shards)].Tombstone(id, seq); err != nil {
-		return fmt.Errorf("sdtw: Remove: %w", err)
-	}
-	return nil
-}
-
-// StoreBacked reports whether the index serves from segment stores.
-func (si *ShardedIndex) StoreBacked() bool { return si.stores != nil }
-
-// Compact rewrites every shard store's live records into fresh
-// segments, dropping tombstoned space. Searches keep serving
-// throughout.
-func (si *ShardedIndex) Compact() error {
-	if si.stores == nil {
-		return fmt.Errorf("sdtw: Compact: %w", ErrNotStoreBacked)
-	}
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	for i, st := range si.stores {
-		if err := st.Compact(); err != nil {
-			return fmt.Errorf("sdtw: Compact: shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// StoreStats aggregates the per-shard stores' counters and health;
-// ShardHealth carries the per-shard breakdown.
-func (si *ShardedIndex) StoreStats() (StoreStats, error) {
-	if si.stores == nil {
-		return StoreStats{}, fmt.Errorf("sdtw: StoreStats: %w", ErrNotStoreBacked)
-	}
-	out := StoreStats{ShardHealth: make([]StoreHealth, len(si.stores))}
-	for i, st := range si.stores {
-		s := st.Stats()
-		out.Segments += s.Segments
-		out.LiveRecords += s.LiveRecords
-		out.Tombstones += s.Tombstones
-		out.SketchWidth = s.SketchWidth
-		h := st.Health()
-		out.ShardHealth[i] = h
-		out.Health.Quarantined += h.Quarantined
-		out.Health.QuarantinedRecords += h.QuarantinedRecords
-		out.Health.RecoveredRecords += h.RecoveredRecords
-		out.Health.TruncatedBytes += h.TruncatedBytes
-		out.Health.OrphansSwept += h.OrphansSwept
-	}
-	return out, nil
-}
-
-// SyncStore flushes every shard store's active segment to stable
-// storage: once it returns, every Append acknowledged before the call
-// survives a power cut.
-func (si *ShardedIndex) SyncStore() error {
-	if si.stores == nil {
-		return fmt.Errorf("sdtw: SyncStore: %w", ErrNotStoreBacked)
-	}
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	for i, st := range si.stores {
-		if err := st.Sync(); err != nil {
-			return fmt.Errorf("sdtw: SyncStore: shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// CloseStore releases every shard store's file handles; close after
-// draining searches.
-func (si *ShardedIndex) CloseStore() error {
-	if si.stores == nil {
-		return fmt.Errorf("sdtw: CloseStore: %w", ErrNotStoreBacked)
-	}
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	var first error
-	for i, st := range si.stores {
-		if err := st.Close(); err != nil && first == nil {
-			first = fmt.Errorf("sdtw: CloseStore: shard %d: %w", i, err)
-		}
-	}
-	return first
-}
-
-// MigrateStore converts a gob snapshot written by Index.Save into a
-// segment store at dir. The snapshot's fingerprint is copied verbatim
-// and its envelopes are trusted, so no Options are needed — the store
-// opens under exactly the options the snapshot was written under.
-// sketchWidth <= 0 selects DefaultSketchWidth. Cached salient features
-// are dropped: the store keeps only what the cascade needs hot, and the
-// engine's feature cache refills read-through on first evaluation.
-func MigrateStore(r io.Reader, dir string, sketchWidth int) error {
-	snap, err := decodeSnapshot(r)
-	if err != nil {
-		return err
-	}
-	if len(snap.Envelopes) != len(snap.Series) {
-		return fmt.Errorf("sdtw: migrate: snapshot has %d envelopes for %d series (a custom PointDistance cannot be store-backed): %w",
-			len(snap.Envelopes), len(snap.Series), ErrConfigMismatch)
-	}
-	w := sketchWidth
-	if w <= 0 {
-		w = DefaultSketchWidth
-	}
-	meta := map[string]string{
-		storeMetaKind:    snap.Kind,
-		storeMetaNextSeq: strconv.Itoa(len(snap.Series)),
-	}
-	if snap.Kind == snapshotKindWindowed {
-		meta[storeMetaLength] = strconv.Itoa(snap.Length)
-		meta[storeMetaRadius] = strconv.Itoa(snap.Radius)
-	}
-	created := dirMissing(dir)
-	st, err := store.Create(dir, store.Config{
-		Fingerprint: snap.Fingerprint,
-		SketchWidth: w,
-		Meta:        meta,
-	})
-	if err != nil {
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	if err := writeStoreRecords(st, snap.Series, snap.Envelopes, nil, w); err != nil {
-		st.Close()
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	if err := st.Close(); err != nil {
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	return nil
-}
-
-// MigrateShardedStore converts a gob snapshot written by
-// ShardedIndex.Save into a sharded store root at dir (one per-shard
-// store, preserving insertion sequences). sketchWidth <= 0 selects
-// DefaultSketchWidth.
-func MigrateShardedStore(r io.Reader, dir string, sketchWidth int) error {
-	snap, err := decodeShardedSnapshot(r)
-	if err != nil {
-		return err
-	}
-	w := sketchWidth
-	if w <= 0 {
-		w = DefaultSketchWidth
-	}
-	created := dirMissing(dir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	var stores []*store.Store
-	fail := func(err error) error {
-		for _, st := range stores {
-			st.Close()
-		}
-		cleanupStoreDir(dir, created)
-		return fmt.Errorf("sdtw: migrate: %w", err)
-	}
-	for i := 0; i < snap.Shards; i++ {
-		if len(snap.ShardEnvelopes[i]) != len(snap.ShardSeries[i]) {
-			return fail(fmt.Errorf("shard %d has %d envelopes for %d series (a custom PointDistance cannot be store-backed): %w",
-				i, len(snap.ShardEnvelopes[i]), len(snap.ShardSeries[i]), ErrConfigMismatch))
-		}
-		meta := map[string]string{
-			storeMetaKind:    snap.Kind,
-			storeMetaShards:  strconv.Itoa(snap.Shards),
-			storeMetaShard:   strconv.Itoa(i),
-			storeMetaNextSeq: strconv.FormatUint(snap.NextSeq, 10),
-		}
-		if snap.Kind == snapshotKindWindowed {
-			meta[storeMetaLength] = strconv.Itoa(snap.Length)
-			meta[storeMetaRadius] = strconv.Itoa(snap.Radius)
-		}
-		st, err := store.Create(filepath.Join(dir, shardDirName(i)), store.Config{
-			Fingerprint: snap.Fingerprint,
-			SketchWidth: w,
-			Meta:        meta,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		stores = append(stores, st)
-		if err := writeStoreRecords(st, snap.ShardSeries[i], snap.ShardEnvelopes[i], snap.ShardSeqs[i], w); err != nil {
-			return fail(err)
-		}
-	}
-	for _, st := range stores {
-		if err := st.Close(); err != nil {
-			cleanupStoreDir(dir, created)
-			return fmt.Errorf("sdtw: migrate: %w", err)
-		}
-	}
-	return nil
+	return si.remove(shard.Route(id, si.shards), id,
+		func() (uint64, error) { return si.cluster.Seq(id) },
+		func() error { _, err := si.cluster.Remove(id); return err })
 }

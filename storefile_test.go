@@ -1,15 +1,19 @@
 package sdtw
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"sdtw/internal/store"
+	"sdtw/internal/vfs"
 )
 
 // storeAndFlat exports data into a segment store under t.TempDir, opens
@@ -348,8 +352,8 @@ func TestShardedStoreBackedExactness(t *testing.T) {
 	}
 }
 
-// TestOpenIndexValidation: wrong options, wrong kind, and gob Save on a
-// store-backed index all refuse with the right sentinels.
+// TestOpenIndexValidation: wrong options, wrong kind, corrupt input and
+// re-export of a store-backed index all refuse with the right sentinels.
 func TestOpenIndexValidation(t *testing.T) {
 	d := GunDataset(DatasetConfig{Seed: 89, SeriesPerClass: 4})
 	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
@@ -360,9 +364,6 @@ func TestOpenIndexValidation(t *testing.T) {
 	}
 	if _, err := OpenWindowedIndex(dir); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("kind mismatch: %v, want ErrConfigMismatch", err)
-	}
-	if err := cold.Save(&bytes.Buffer{}); !errors.Is(err, ErrStoreBacked) {
-		t.Fatalf("gob Save of a store-backed index: %v, want ErrStoreBacked", err)
 	}
 	if err := cold.SaveStore(filepath.Join(dir, "again")); !errors.Is(err, ErrStoreBacked) {
 		t.Fatalf("SaveStore of a store-backed index: %v, want ErrStoreBacked", err)
@@ -390,6 +391,43 @@ func TestOpenIndexValidation(t *testing.T) {
 	}
 	if err := custom.SaveStore(filepath.Join(t.TempDir(), "custom")); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("SaveStore under a custom PointDistance: %v, want ErrConfigMismatch", err)
+	}
+
+	// Every option that changes distances or cascade geometry refuses.
+	for _, bad := range []Options{
+		{Strategy: AdaptiveCoreAdaptiveWidth, Symmetric: true},
+		{Strategy: AdaptiveCoreAdaptiveWidth, DescriptorBins: 8},
+		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.20},
+	} {
+		if _, err := OpenIndex(dir, bad); !errors.Is(err, ErrConfigMismatch) {
+			t.Fatalf("options %+v: %v, want ErrConfigMismatch", bad, err)
+		}
+	}
+	// A windowed store carries its own configuration — the radius comes
+	// back — and refuses the engine constructor.
+	wflat, wcold, wdir := storeAndFlat(t, "windowed", d.Series, Options{})
+	if wcold.Radius() != wflat.Radius() {
+		t.Fatalf("reopened radius %d, want %d", wcold.Radius(), wflat.Radius())
+	}
+	if _, err := OpenIndex(wdir, opts); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("OpenIndex on a windowed store: %v, want ErrConfigMismatch", err)
+	}
+	// Corrupt input: a directory that holds no store, and one whose
+	// manifest is garbage, fail cleanly on both constructors.
+	garbage := t.TempDir()
+	for _, open := range []func() (*Index, error){
+		func() (*Index, error) { return OpenIndex(garbage, opts) },
+		func() (*Index, error) { return OpenWindowedIndex(garbage) },
+	} {
+		if _, err := open(); !errors.Is(err, ErrCorruptManifest) {
+			t.Fatalf("open of an empty directory: %v, want ErrCorruptManifest", err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(garbage, "MANIFEST.json"), []byte("not a manifest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenIndex(garbage, opts); !errors.Is(err, ErrCorruptManifest) {
+		t.Fatalf("open over a garbage manifest: %v, want ErrCorruptManifest", err)
 	}
 }
 
@@ -575,105 +613,207 @@ func TestOpenShardedMixedConfig(t *testing.T) {
 	if _, err := OpenShardedIndex(dirA, optsA); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("open over mixed-config shards: %v, want ErrConfigMismatch", err)
 	}
-}
 
-// TestLoadShardedIndexRejectsGarbage: the legacy gob loader fails
-// cleanly (no partial cluster) on corrupt input.
-func TestLoadShardedIndexRejectsGarbage(t *testing.T) {
-	d := GunDataset(DatasetConfig{Seed: 103, SeriesPerClass: 4})
-	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
-	si, err := NewShardedIndex(d.Series, 2, opts)
+	// Cross-kind opens refuse in both directions, as does a sharded open
+	// of an unsharded store (there is no shard-0000 under it).
+	dirE := filepath.Join(t.TempDir(), "e")
+	if err := siA.SaveStore(dirE); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenShardedWindowedIndex(dirE); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("windowed open of an engine root: %v, want ErrConfigMismatch", err)
+	}
+	windowed, err := NewShardedWindowedIndex(d.Series, 3, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := si.Save(&buf); err != nil {
+	dirW := filepath.Join(t.TempDir(), "w")
+	if err := windowed.SaveStore(dirW); err != nil {
 		t.Fatal(err)
 	}
-	// Truncated snapshot.
-	if _, err := LoadShardedIndex(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), opts); err == nil {
-		t.Fatal("truncated sharded snapshot loaded")
+	if _, err := OpenShardedIndex(dirW, optsA); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("engine open of a windowed root: %v, want ErrConfigMismatch", err)
 	}
-	// Not a gob stream at all.
-	if _, err := LoadShardedIndex(strings.NewReader("not a gob snapshot"), opts); err == nil {
-		t.Fatal("garbage input loaded as a sharded snapshot")
-	}
-	// A flat snapshot fed to the sharded loader (kind mismatch).
-	flat, err := NewIndex(d.Series, opts)
+	flat, err := NewIndex(d.Series, optsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fbuf bytes.Buffer
-	if err := flat.Save(&fbuf); err != nil {
+	dirF := filepath.Join(t.TempDir(), "f")
+	if err := flat.SaveStore(dirF); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadShardedIndex(&fbuf, opts); err == nil {
-		t.Fatal("flat snapshot loaded as a sharded snapshot")
+	if _, err := OpenShardedIndex(dirF, optsA); !errors.Is(err, ErrCorruptManifest) {
+		t.Fatalf("sharded open of an unsharded store: %v, want ErrCorruptManifest", err)
 	}
 }
 
-// TestMigrateStoreRoundTrip: gob snapshots (the legacy format, readable
-// for one more release) convert into segment stores that answer
-// bit-identically.
-func TestMigrateStoreRoundTrip(t *testing.T) {
-	d := GunDataset(DatasetConfig{Seed: 107, SeriesPerClass: 6})
+// TestStoreExportFormat pins the on-disk contract of SaveStore: the
+// exact manifest metadata key set (and values) of unsharded and sharded
+// exports on both backends, and the shard directory names.
+func TestStoreExportFormat(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 109, SeriesPerClass: 5})
 	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
+	n := strconv.Itoa(len(d.Series))
+	length := strconv.Itoa(d.Series[0].Len())
+	requireMeta := func(t *testing.T, dir string, want map[string]string) {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if got := st.Meta(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: manifest meta = %v, want %v", dir, got, want)
+		}
+	}
+
+	_, _, dir := storeAndFlat(t, "engine", d.Series, opts)
+	requireMeta(t, dir, map[string]string{"kind": "engine", "next_seq": n})
+	_, _, dir = storeAndFlat(t, "windowed", d.Series, opts)
+	requireMeta(t, dir, map[string]string{"kind": "windowed", "next_seq": n, "length": length, "radius": "12"})
+
+	for _, backend := range []string{"engine", "windowed"} {
+		var si *ShardedIndex
+		var err error
+		want := map[string]string{"kind": backend, "next_seq": n, "shards": "3"}
+		if backend == "engine" {
+			si, err = NewShardedIndex(d.Series, 3, opts)
+		} else {
+			si, err = NewShardedWindowedIndex(d.Series, 3, 12)
+			want["length"], want["radius"] = length, "12"
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := filepath.Join(t.TempDir(), "root")
+		if err := si.SaveStore(root); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if !reflect.DeepEqual(names, []string{"shard-0000", "shard-0001", "shard-0002"}) {
+			t.Fatalf("%s root holds %v", backend, names)
+		}
+		for i, name := range names {
+			want["shard"] = strconv.Itoa(i)
+			requireMeta(t, filepath.Join(root, name), want)
+		}
+	}
+}
+
+// faultFSFrom copies the store tree under root into a fault-injecting
+// in-memory filesystem at the same paths.
+func faultFSFrom(t *testing.T, root string) *vfs.FaultFS {
+	t.Helper()
+	fs := vfs.NewFaultFS(1)
+	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			return fs.MkdirAll(path)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return fs.WriteFile(path, data)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// TestStoreBackedRemoveFailureKeepsSeries: a Remove whose tombstone
+// write fails must leave the series exactly where it was — searchable in
+// RAM, live on disk — so a retry after the fault clears succeeds and
+// sticks across a reopen. (Unpublishing before tombstoning lost the
+// series from searches, answered the retry with ErrUnknownID, and
+// resurrected it at the next open.)
+func TestStoreBackedRemoveFailureKeepsSeries(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 113, SeriesPerClass: 5})
+	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
+	victim := d.Series[4]
 	ctx := context.Background()
+	injected := errors.New("injected tombstone fault")
 
-	t.Run("flat", func(t *testing.T) {
-		flat, err := NewIndex(d.Series, opts)
-		if err != nil {
+	// index is the surface the two index types share for this property.
+	type index interface {
+		Remove(id string) error
+		Len() int
+		CloseStore() error
+	}
+	run := func(t *testing.T, dir string, open func(fs *vfs.FaultFS) (index, func() string)) {
+		fs := faultFSFrom(t, dir)
+		ix, nearest := open(fs)
+		fs.FailAt(1, injected)
+		if err := ix.Remove(victim.ID); !errors.Is(err, injected) {
+			t.Fatalf("Remove over a failing tombstone log: %v, want the injected fault", err)
+		}
+		if got := nearest(); got != victim.ID || ix.Len() != len(d.Series) {
+			t.Fatalf("failed Remove lost the series: nearest %q, %d series", got, ix.Len())
+		}
+		if err := ix.Remove(victim.ID); err != nil {
+			t.Fatalf("retry after the fault cleared: %v", err)
+		}
+		if got := nearest(); got == victim.ID || ix.Len() != len(d.Series)-1 {
+			t.Fatalf("retried Remove did not take: nearest %q, %d series", got, ix.Len())
+		}
+		if err := ix.CloseStore(); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := flat.Save(&buf); err != nil {
-			t.Fatal(err)
+		back, nearest := open(fs)
+		defer back.CloseStore()
+		if got := nearest(); got == victim.ID || back.Len() != len(d.Series)-1 {
+			t.Fatalf("removed series resurrected at reopen: nearest %q, %d series", got, back.Len())
 		}
-		dir := filepath.Join(t.TempDir(), "migrated")
-		if err := MigrateStore(&buf, dir, 0); err != nil {
-			t.Fatal(err)
-		}
-		cold, err := OpenIndex(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cold.CloseStore()
-		want, _, err := flat.Search(ctx, d.Series[0], WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := cold.Search(ctx, d.Series[0], WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameNeighbors(t, "migrated", want, got)
+	}
+
+	t.Run("index", func(t *testing.T) {
+		_, cold, dir := storeAndFlat(t, "engine", d.Series, opts)
+		cold.CloseStore()
+		run(t, dir, func(fs *vfs.FaultFS) (index, func() string) {
+			ix, err := OpenIndex(dir, opts, withStoreFS(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix, func() string {
+				nbrs, _, err := ix.Search(ctx, Series{Values: victim.Values})
+				if err != nil || len(nbrs) != 1 {
+					t.Fatalf("search: %v, %v", nbrs, err)
+				}
+				return ix.Series(nbrs[0].Pos).ID
+			}
+		})
 	})
 	t.Run("sharded", func(t *testing.T) {
 		si, err := NewShardedIndex(d.Series, 3, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := si.Save(&buf); err != nil {
+		dir := filepath.Join(t.TempDir(), "sharded")
+		if err := si.SaveStore(dir); err != nil {
 			t.Fatal(err)
 		}
-		dir := filepath.Join(t.TempDir(), "migrated")
-		if err := MigrateShardedStore(&buf, dir, 0); err != nil {
-			t.Fatal(err)
-		}
-		cold, err := OpenShardedIndex(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cold.CloseStore()
-		want, _, err := si.Search(ctx, d.Series[0], WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := cold.Search(ctx, d.Series[0], WithK(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameHits(t, "migrated", want, got)
+		run(t, dir, func(fs *vfs.FaultFS) (index, func() string) {
+			ix, err := OpenShardedIndex(dir, opts, withStoreFS(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix, func() string {
+				hits, _, err := ix.Search(ctx, Series{Values: victim.Values})
+				if err != nil || len(hits) != 1 {
+					t.Fatalf("search: %v, %v", hits, err)
+				}
+				return hits[0].ID
+			}
+		})
 	})
 }

@@ -111,9 +111,27 @@ func TestMonitorAcceptance10k(t *testing.T) {
 	}
 }
 
-// TestSubsequenceWrapperBitIdentical pins the compatibility contract: the
-// deprecated one-shot Subsequence, now a thin wrapper over the Monitor,
-// answers bit-identically to the offline dynamic program it replaced.
+// monitorOneShot is the one-shot use of a Monitor that replaced the root
+// Subsequence helper: push the whole stream, take the best-only Flush.
+func monitorOneShot(t *testing.T, query, stream []float64) []Match {
+	t.Helper()
+	m, err := NewMonitor([]Series{{Values: query}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PushBatch(context.Background(), stream); err != nil {
+		t.Fatal(err)
+	}
+	matches, err := m.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return matches
+}
+
+// TestSubsequenceWrapperBitIdentical pins the one-shot contract: a
+// Monitor fed the whole stream in one batch answers bit-identically to
+// the offline dynamic program.
 func TestSubsequenceWrapperBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 15; trial++ {
@@ -127,27 +145,35 @@ func TestSubsequenceWrapperBitIdentical(t *testing.T) {
 		for j := range s {
 			s[j] = rng.NormFloat64()
 		}
-		got, err := Subsequence(q, s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := monitorOneShot(t, q, s)
 		want, err := dtw.Subsequence(q, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("trial %d: wrapper %+v, offline %+v", trial, got, want)
+		if len(got) != 1 || got[0].Start != want.Start || got[0].End != want.End || got[0].Distance != want.Distance {
+			t.Fatalf("trial %d: monitor %+v, offline %+v", trial, got, want)
 		}
 	}
 	// A NaN-poisoned query never compares below +Inf, so no best match
-	// exists; the wrapper must report the historical shape (position 0,
-	// NaN cost), not panic.
-	m, err := Subsequence([]float64{1, math.NaN()}, []float64{1, 2, 3})
+	// exists: the monitor must report none, not panic.
+	if got := monitorOneShot(t, []float64{1, math.NaN()}, []float64{1, 2, 3}); len(got) != 0 {
+		t.Fatalf("NaN query: got %+v, want no match", got)
+	}
+}
+
+func TestSubsequencePublicAPI(t *testing.T) {
+	eng := NewEngine(Options{})
+	q := []float64{0, 1, 0}
+	s := []float64{9, 9, 0, 1, 0, 9, 9}
+	m, err := eng.Subsequence(q, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Start != 0 || m.End != 0 || !math.IsNaN(m.Distance) {
-		t.Fatalf("NaN query: got %+v, want [0,0] at NaN", m)
+	if m.Distance != 0 || m.Start != 2 || m.End != 4 {
+		t.Fatalf("match = %+v, want [2,4] at 0", m)
+	}
+	if _, err := eng.Subsequence(nil, s); err == nil {
+		t.Fatal("empty query accepted")
 	}
 }
 
@@ -355,10 +381,11 @@ func TestMonitorValidationTable(t *testing.T) {
 	}
 
 	// The one-shot helpers wrap the same sentinels.
-	if _, err := Subsequence(nil, []float64{1}); !IsErr(err, ErrEmptySeries) {
+	eng := NewEngine(Options{})
+	if _, err := eng.Subsequence(nil, []float64{1}); !IsErr(err, ErrEmptySeries) {
 		t.Fatalf("Subsequence empty query: got %v", err)
 	}
-	if _, err := Subsequence([]float64{1}, nil); !IsErr(err, ErrEmptySeries) {
+	if _, err := eng.Subsequence([]float64{1}, nil); !IsErr(err, ErrEmptySeries) {
 		t.Fatalf("Subsequence empty stream: got %v", err)
 	}
 	if _, err := DTW(nil, []float64{1}); !IsErr(err, ErrEmptySeries) {
