@@ -1,206 +1,166 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
+	"flag"
+	"io"
 	"os"
-	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"sdtw/internal/experiments"
 )
 
-func TestRunRetrieval(t *testing.T) {
-	out, entries, err := runRetrieval("Gun", experiments.Small, 42)
+// splitNames parses a "a, b, c" list as the help text and the package
+// comment print it.
+func splitNames(list string) []string {
+	var names []string
+	for _, n := range strings.Split(list, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
+// tableNames is what both published lists must equal: every table name,
+// then "all".
+func tableNames() []string { return splitNames(experimentNames(experimentTable)) }
+
+func sameSet(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	seen := map[string]int{}
+	for _, n := range got {
+		seen[n]++
+	}
+	for _, n := range want {
+		if seen[n] != 1 {
+			t.Errorf("%s lists %q %d times, want once (got %v)", what, n, seen[n], got)
+		}
+		delete(seen, n)
+	}
+	for n := range seen {
+		t.Errorf("%s lists %q, which is not in the experiment table", what, n)
+	}
+}
+
+// TestHelpListsTheTable drives -h: exactly four flags, and the -exp help
+// names every table row plus "all" and nothing else.
+func TestHelpListsTheTable(t *testing.T) {
+	var usage bytes.Buffer
+	if err := run([]string{"-h"}, io.Discard, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\w+)`).FindAllStringSubmatch(usage.String(), -1) {
+		flags = append(flags, m[1])
+	}
+	sameSet(t, "-h", flags, []string{"exp", "scale", "dataset", "seed"})
+
+	m := regexp.MustCompile(`experiment to run: ([^\n(]*)`).FindStringSubmatch(usage.String())
+	if m == nil {
+		t.Fatalf("-exp help carries no experiment list:\n%s", usage.String())
+	}
+	sameSet(t, "-exp help", splitNames(m[1]), tableNames())
+}
+
+// TestPackageCommentListsTheTable keeps the doc comment's "Experiments:"
+// sentence in step with the table.
+func TestPackageCommentListsTheTable(t *testing.T) {
+	src, err := os.ReadFile("main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"lb_kim", "lb_keogh", "evaluated", "abandoned", "ac,aw", "fc,fw 10%"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("retrieval report missing %q:\n%s", want, out)
+	m := regexp.MustCompile(`(?s)// Experiments: (.*?)\. Scales:`).FindSubmatch(src)
+	if m == nil {
+		t.Fatal("package comment has no \"Experiments: …. Scales:\" sentence")
+	}
+	sameSet(t, "package comment", splitNames(strings.ReplaceAll(string(m[1]), "\n//", " ")), tableNames())
+}
+
+// TestAllRunsEachExperimentOnce runs "all" over a counting copy of the
+// table: every row once, per-dataset rows once per data set, in order.
+func TestAllRunsEachExperimentOnce(t *testing.T) {
+	var calls []string
+	table := make([]experiment, len(experimentTable))
+	for i, x := range experimentTable {
+		x := x
+		table[i] = experiment{x.name, x.title, x.perDataset, func(_ *env, d string) (string, error) {
+			calls = append(calls, x.name+"/"+d)
+			return "", nil
+		}}
+	}
+	selected, err := selectExperiments(table, "all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runExperiments(&out, selected, &env{}, []string{"Gun", "Trace"}); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, x := range experimentTable {
+		if x.perDataset {
+			want = append(want, x.name+"/Gun", x.name+"/Trace")
+		} else {
+			want = append(want, x.name+"/")
+		}
+		if !strings.Contains(out.String(), "=== "+x.title) {
+			t.Errorf("output has no section for %s (%q)", x.name, x.title)
 		}
 	}
-	if len(entries) != 4 {
-		t.Fatalf("got %d machine-readable entries, want one per config", len(entries))
+	if strings.Join(calls, " ") != strings.Join(want, " ") {
+		t.Fatalf("all ran\n %v\nwant\n %v", calls, want)
 	}
-	for _, e := range entries {
-		if e.Dataset != "Gun" || e.Algorithm == "" || e.Candidates == 0 {
-			t.Fatalf("malformed entry: %+v", e)
+
+	one, err := selectExperiments(table, "fig17")
+	if err != nil || len(one) != 1 || one[0].name != "fig17" {
+		t.Fatalf("selectExperiments(fig17) = %v, %v", one, err)
+	}
+}
+
+// TestRetiredAndUnknownExperiments pins the two refusals: a retired
+// performance experiment names the benchmark workload that replaced it,
+// any other name gets the table's list.
+func TestRetiredAndUnknownExperiments(t *testing.T) {
+	workloads := map[string]string{
+		"serve":     "serve-mixed",
+		"stream":    "hub-dormant",
+		"kernel":    "knn-dp",
+		"retrieval": "knn-match",
+		"scale":     "store-restart",
+	}
+	for name, workload := range workloads {
+		err := run([]string{"-exp", name, "-scale", "small"}, io.Discard, io.Discard)
+		if err == nil {
+			t.Fatalf("-exp %s accepted", name)
 		}
-		if e.PrunedSketch+e.PrunedKim+e.PrunedKeogh+e.Evaluated != e.Candidates {
-			t.Fatalf("entry stages do not partition candidates: %+v", e)
+		if want := "bash benchmark/run.sh --workload " + workload; !strings.Contains(err.Error(), want) {
+			t.Errorf("-exp %s: error %q does not name %q", name, err, want)
 		}
 	}
-	if _, _, err := runRetrieval("bogus", experiments.Small, 42); err == nil {
+	err := run([]string{"-exp", "bogus"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), experimentNames(experimentTable)) {
+		t.Fatalf("-exp bogus: error %v does not list the experiments", err)
+	}
+	if err := run([]string{"-exp", "table1", "-scale", "tiny"}, io.Discard, io.Discard); err == nil {
+		t.Fatal("unknown scale accepted")
+	}
+}
+
+// TestRunOneExperimentEndToEnd drives a real row through run.
+func TestRunOneExperimentEndToEnd(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-exp", "fig14", "-scale", "small", "-dataset", "Gun"}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "=== Fig 14: distance error on Gun ===") {
+		t.Fatalf("missing section header:\n%s", out.String())
+	}
+	if err := run([]string{"-exp", "fig13", "-scale", "small", "-dataset", "bogus"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown dataset accepted")
-	}
-}
-
-func TestRunStream(t *testing.T) {
-	out, entries, err := runStream("Gun", experiments.Small, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"best-only", "threshold", "multi-query", "points/sec", "cells/point"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("stream report missing %q:\n%s", want, out)
-		}
-	}
-	if len(entries) != 3 {
-		t.Fatalf("got %d machine-readable entries, want one per mode", len(entries))
-	}
-	for _, e := range entries {
-		if e.Dataset != "Gun" || e.Mode == "" || e.Points != streamPoints(experiments.Small) {
-			t.Fatalf("malformed entry: %+v", e)
-		}
-		if e.PointsPerSec <= 0 || e.CellsPerPoint < float64(e.QueryLen) {
-			t.Fatalf("implausible throughput accounting: %+v", e)
-		}
-	}
-	// The thresholded mode must actually emit matches (the threshold is
-	// calibrated off the best distance) and report a finite latency.
-	var thresholded *streamEntry
-	for i := range entries {
-		if entries[i].Mode == "threshold" {
-			thresholded = &entries[i]
-		}
-	}
-	if thresholded == nil || thresholded.Matches == 0 || thresholded.AvgLatencyPoints < 0 {
-		t.Fatalf("thresholded mode emitted nothing measurable: %+v", thresholded)
-	}
-	if _, _, err := runStream("bogus", experiments.Small, 42); err == nil {
-		t.Fatal("unknown dataset accepted")
-	}
-}
-
-// TestRunStreamFullScale runs the long streaming experiment (200k points
-// per dataset); like the retrieval reproduction suite it is skipped
-// under -short.
-func TestRunStreamFullScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale stream experiment skipped in -short mode")
-	}
-	for _, name := range []string{"Gun", "Trace"} {
-		_, entries, err := runStream(name, experiments.Full, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if e.Points != streamPoints(experiments.Full) || e.PointsPerSec <= 0 {
-				t.Fatalf("%s: malformed full-scale entry: %+v", name, e)
-			}
-		}
-	}
-}
-
-func TestRunKernel(t *testing.T) {
-	out, entries, err := runKernel("Gun", experiments.Small, 42, 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"dp", "keogh", "spring", "engine", "search", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("kernel report missing %q:\n%s", want, out)
-		}
-	}
-	components := map[string]bool{}
-	for _, e := range entries {
-		if e.Dataset != "Gun" || e.Unit == "" {
-			t.Fatalf("malformed entry: %+v", e)
-		}
-		if e.Generic <= 0 || e.Specialized <= 0 {
-			t.Fatalf("non-positive throughput: %+v", e)
-		}
-		if got := e.Specialized / e.Generic; got != e.Speedup {
-			t.Fatalf("speedup %v inconsistent with throughputs: %+v", got, e)
-		}
-		components[e.Component] = true
-	}
-	for _, want := range []string{"dp", "keogh", "spring", "engine", "search"} {
-		if !components[want] {
-			t.Fatalf("kernel entries missing component %q: %+v", want, entries)
-		}
-	}
-	if _, _, err := runKernel("bogus", experiments.Small, 42, time.Millisecond); err == nil {
-		t.Fatal("unknown dataset accepted")
-	}
-}
-
-func TestCheckKernelFloor(t *testing.T) {
-	entries := []kernelEntry{
-		{Component: "dp", Unit: "cells/sec", Dataset: "Gun", Speedup: 2.0},
-		{Component: "keogh", Unit: "elems/sec", Dataset: "Gun", Speedup: 0.9},    // thin margin: not gated
-		{Component: "search", Unit: "queries/sec", Dataset: "Gun", Speedup: 0.5}, // composite: not gated
-	}
-	if err := checkKernelFloor(entries, 1.0); err != nil {
-		t.Fatalf("only cells/sec kernel components may be gated: %v", err)
-	}
-	entries[0].Speedup = 0.9
-	if err := checkKernelFloor(entries, 1.0); err == nil {
-		t.Fatal("a pure-kernel ratio below the floor must fail")
-	}
-	if err := checkKernelFloor(entries, 0); err != nil {
-		t.Fatalf("floor 0 must disable the gate: %v", err)
-	}
-}
-
-func TestWriteKernelJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_kernel.json")
-	entries := []kernelEntry{{Dataset: "Gun", Component: "dp", Unit: "cells/sec",
-		Generic: 1e8, Specialized: 3e8, Speedup: 3}}
-	if err := writeKernelJSON(path, entries); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []kernelEntry
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != entries[0] {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-}
-
-func TestWriteStreamJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_stream.json")
-	entries := []streamEntry{{Dataset: "Gun", Mode: "threshold", Queries: 1, QueryLen: 150,
-		Points: 10000, Matches: 3, WallMS: 12.5, PointsPerSec: 8e5, CellsPerPoint: 150, AvgLatencyPoints: 40}}
-	if err := writeStreamJSON(path, entries); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []streamEntry
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != entries[0] {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-}
-
-func TestWriteRetrievalJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_retrieval.json")
-	entries := []retrievalEntry{{Dataset: "Trace", Algorithm: "ac,aw", Candidates: 10, Evaluated: 4, AbandonedDTW: 2}}
-	if err := writeRetrievalJSON(path, entries); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []retrievalEntry
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != entries[0] {
-		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
 

@@ -85,7 +85,7 @@ func engineFamily(opts Options) backendFamily {
 		kind:        snapshotKindEngine,
 		fingerprint: fp,
 		radius:      -1,
-		workers:     indexWorkers(opts.Workers),
+		workers:     resolveWorkers(opts.Workers),
 		abandon:     !opts.DisableAbandon,
 		newBackend: func() (retrieve.Backend, *Engine, error) {
 			engine := NewEngine(opts)
@@ -105,7 +105,7 @@ func windowedFamily(length, radius int) (backendFamily, error) {
 		kind:        snapshotKindWindowed,
 		fingerprint: probe.Fingerprint(),
 		radius:      eff,
-		workers:     indexWorkers(0),
+		workers:     resolveWorkers(0),
 		abandon:     true,
 		newBackend: func() (retrieve.Backend, *Engine, error) {
 			b, _, err := retrieve.NewWindowedBackend(length, radius)
@@ -164,8 +164,9 @@ func NewWindowedIndex(data []Series, radius int) (*Index, error) {
 	return newIndex(f, data, DefaultSketchWidth, 0)
 }
 
-// indexWorkers resolves a worker-pool width: <= 0 means GOMAXPROCS.
-func indexWorkers(w int) int {
+// resolveWorkers resolves a worker-pool width (an index's or a monitor's):
+// <= 0 means GOMAXPROCS.
+func resolveWorkers(w int) int {
 	if w <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}

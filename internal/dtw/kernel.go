@@ -31,9 +31,8 @@ import (
 
 // useSquaredKernel reports whether dist selects the default squared cost,
 // in which case the dispatch sites may run the monomorphized kernels. The
-// decision (and the repository-wide series.SetKernelDispatch A/B switch
-// it honours) lives in internal/series, shared with the lower-bound
-// kernels so the two packages cannot flip out of lockstep.
+// decision lives in internal/series, shared with the lower-bound kernels
+// so the two packages cannot disagree.
 func useSquaredKernel(dist series.PointDistance) bool {
 	return series.UseSquaredKernel(dist)
 }

@@ -29,14 +29,6 @@ func TestUseSquaredKernelDispatch(t *testing.T) {
 	if useSquaredKernel(series.AbsDistance) {
 		t.Error("a custom cost must not select the squared kernel")
 	}
-	series.SetKernelDispatch(false)
-	if useSquaredKernel(nil) {
-		t.Error("series.SetKernelDispatch(false) must disable the squared kernel")
-	}
-	series.SetKernelDispatch(true)
-	if !useSquaredKernel(nil) {
-		t.Error("series.SetKernelDispatch(true) must re-enable the squared kernel")
-	}
 }
 
 // kernelRandomSeries draws n values from a mix of scales so sums exercise many
@@ -248,31 +240,6 @@ func TestKernelDifferentialSpring(t *testing.T) {
 		if gok != sok || gf != sf {
 			t.Fatalf("trial %d: flush differs: generic (%+v,%v) specialized (%+v,%v)", trial, gf, gok, sf, sok)
 		}
-	}
-}
-
-// TestKernelDispatchToggleEquivalence drives the public entry points with
-// dispatch disabled and re-enabled, pinning that the toggle changes
-// nothing observable — the guarantee the sdtwbench kernel experiment's
-// A/B measurement rests on.
-func TestKernelDispatchToggleEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	x := kernelRandomSeries(rng, 50)
-	y := kernelRandomSeries(rng, 60)
-	b := kernelRandomBand(rng, 50, 60)
-
-	on, cellsOn, err := Banded(x, y, b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series.SetKernelDispatch(false)
-	off, cellsOff, err := Banded(x, y, b, nil)
-	series.SetKernelDispatch(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(on) != math.Float64bits(off) || cellsOn != cellsOff {
-		t.Fatalf("toggle changed results: on (%v,%d) off (%v,%d)", on, cellsOn, off, cellsOff)
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 
 // useSquaredKernel reports whether dist selects the default squared cost
 // (nil or series.SquaredDistance itself), enabling the monomorphized
-// kernels. The decision and the repository-wide series.SetKernelDispatch
-// A/B switch live in internal/series, shared with the dynamic-program
-// kernels so the two packages cannot flip out of lockstep.
+// kernels. The decision lives in internal/series, shared with the
+// dynamic-program kernels so the two packages cannot disagree.
 func useSquaredKernel(dist series.PointDistance) bool {
 	return series.UseSquaredKernel(dist)
 }

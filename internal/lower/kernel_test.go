@@ -28,14 +28,6 @@ func TestKernelDispatchLower(t *testing.T) {
 	if useSquaredKernel(sqGeneric) || useSquaredKernel(series.AbsDistance) {
 		t.Error("custom costs must not select the squared kernel")
 	}
-	series.SetKernelDispatch(false)
-	if useSquaredKernel(nil) {
-		t.Error("series.SetKernelDispatch(false) must disable the squared kernel")
-	}
-	series.SetKernelDispatch(true)
-	if !useSquaredKernel(nil) {
-		t.Error("series.SetKernelDispatch(true) must re-enable the squared kernel")
-	}
 }
 
 // TestKimDifferential pins the monomorphized LB_Kim against the generic

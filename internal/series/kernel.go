@@ -1,27 +1,6 @@
 package series
 
-import (
-	"reflect"
-	"sync/atomic"
-)
-
-// kernelOff disables dispatch to the monomorphized squared-cost kernels
-// (internal/dtw/kernel.go, internal/lower/kernel.go) when set, forcing
-// every entry point through the generic PointDistance path. One shared
-// switch serves both kernel packages so A/B measurement cannot flip them
-// out of lockstep.
-var kernelOff atomic.Bool
-
-// SetKernelDispatch enables (the default) or disables dispatch to the
-// monomorphized squared-cost kernels across the repository. Disabling it
-// never changes results — the kernels are bit-identical to the generic
-// path — only speed. It is a benchmarking and testing hook; toggling it
-// concurrently with running computations is safe but leaves unspecified
-// which path each one takes. Dispatch is consulted at each computation's
-// entry point, except that a Spring (and hence a Monitor) captures the
-// decision at construction: toggle before building the monitor whose
-// path should change.
-func SetKernelDispatch(enabled bool) { kernelOff.Store(!enabled) }
+import "reflect"
 
 // squaredPtr is the code pointer of SquaredDistance, what
 // UseSquaredKernel compares a non-nil cost against.
@@ -33,11 +12,9 @@ var squaredPtr = reflect.ValueOf(PointDistance(SquaredDistance)).Pointer()
 // costs one comparison; a non-nil dist is recognised by its code
 // pointer, so passing SquaredDistance explicitly also takes the fast
 // path. Any other cost — including closures wrapping the squared cost —
-// runs the generic path.
+// runs the generic path, which is bit-identical and the reference the
+// differential tests compare the kernels against.
 func UseSquaredKernel(dist PointDistance) bool {
-	if kernelOff.Load() {
-		return false
-	}
 	if dist == nil {
 		return true
 	}

@@ -291,3 +291,23 @@ func TestResampleBitIdenticalToReference(t *testing.T) {
 		}
 	}
 }
+
+// TestUseSquaredKernel pins the dispatch decision as a pure function of
+// its argument: nil and SquaredDistance itself select the specialized
+// kernels, anything else — a closure over the same arithmetic included —
+// takes the generic path.
+func TestUseSquaredKernel(t *testing.T) {
+	if !UseSquaredKernel(nil) {
+		t.Error("nil must select the squared kernel")
+	}
+	if !UseSquaredKernel(SquaredDistance) {
+		t.Error("SquaredDistance must select the squared kernel")
+	}
+	wrapped := func(a, b float64) float64 { return SquaredDistance(a, b) }
+	if UseSquaredKernel(wrapped) {
+		t.Error("a closure over the squared cost must not select the squared kernel")
+	}
+	if UseSquaredKernel(AbsDistance) {
+		t.Error("a custom cost must not select the squared kernel")
+	}
+}

@@ -24,6 +24,17 @@ import (
 	"sdtw"
 )
 
+const (
+	// maxBodyBytes caps a request body (a series of several hundred
+	// thousand points in JSON); a larger one is answered 413 before it is
+	// buffered.
+	maxBodyBytes = 8 << 20
+	// readHeaderTimeout closes a connection whose request header has not
+	// arrived in full, so idle or trickling clients cannot hold
+	// connections open indefinitely.
+	readHeaderTimeout = 10 * time.Second
+)
+
 // Config tunes a Server.
 type Config struct {
 	// MaxInflight bounds the searches executing concurrently; further
@@ -128,7 +139,8 @@ type SearchRequest struct {
 	// pruning cascade). Absent means no limit; an explicit 0 is honoured
 	// (exact matches only).
 	Threshold *float64 `json:"threshold,omitempty"`
-	// Workers overrides the per-search worker budget when positive.
+	// Workers overrides the per-search worker budget when positive; it is
+	// clamped to GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -248,6 +260,23 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
+// decodeBody decodes the JSON body of a what request into v, reading at
+// most maxBodyBytes of it. It reports whether it succeeded; if not it has
+// already answered: 413 for a body over the cap, 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decoding %s request: %w", what, err))
+	return false
+}
+
 // statusFor maps the library's sentinel errors onto HTTP statuses.
 func statusFor(err error) int {
 	switch {
@@ -304,8 +333,7 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding search request: %w", err))
+	if !decodeBody(w, r, "search", &req) {
 		return
 	}
 	if req.K < 0 {
@@ -332,7 +360,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, sdtw.WithThreshold(*req.Threshold))
 	}
 	if req.Workers > 0 {
-		opts = append(opts, sdtw.WithWorkers(req.Workers))
+		// A client may narrow the fan-out, not multiply goroutines.
+		opts = append(opts, sdtw.WithWorkers(min(req.Workers, runtime.GOMAXPROCS(0))))
 	}
 	query := sdtw.Series{ID: req.ID, Label: -1, Values: req.Values}
 	hits, stats, err := s.ix.Search(ctx, query, opts...)
@@ -362,8 +391,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var req AddRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding add request: %w", err))
+	if !decodeBody(w, r, "add", &req) {
 		return
 	}
 	s2 := sdtw.NewSeries(req.ID, req.Label, req.Values)
@@ -381,8 +409,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	var req RemoveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding remove request: %w", err))
+	if !decodeBody(w, r, "remove", &req) {
 		return
 	}
 	if err := s.ix.Remove(req.ID); err != nil {
@@ -485,8 +512,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // returns once the server has fully stopped — the wiring cmd/sdtwd and
 // the drain tests share.
 func (s *Server) Run(ctx context.Context, addr string, drainTimeout time.Duration, ready chan<- string) error {
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
-	return s.run(ctx, hs, drainTimeout, ready)
+	return s.run(ctx, s.httpServer(addr), drainTimeout, ready)
+}
+
+// httpServer is the http.Server Run serves on.
+func (s *Server) httpServer(addr string) *http.Server {
+	return &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 }
 
 func (s *Server) run(ctx context.Context, hs *http.Server, drainTimeout time.Duration, ready chan<- string) error {

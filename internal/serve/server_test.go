@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -55,9 +57,10 @@ func TestEndpoints(t *testing.T) {
 	defer ts.Close()
 	c := ts.Client()
 
-	// Search: explicit k.
+	// Search: explicit k, and a worker count far above GOMAXPROCS (clamped,
+	// not refused).
 	q := d.Series[0]
-	resp, body := postJSON(t, c, ts.URL+"/v1/search", SearchRequest{ID: q.ID, Values: q.Values, K: 3})
+	resp, body := postJSON(t, c, ts.URL+"/v1/search", SearchRequest{ID: q.ID, Values: q.Values, K: 3, Workers: 1 << 20})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search: status %d: %s", resp.StatusCode, body)
 	}
@@ -593,5 +596,86 @@ func TestDegradedServing(t *testing.T) {
 	resp, body := postJSON(t, c, ts.URL+"/v1/search", SearchRequest{Values: d.Series[1].Values, K: 3})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded search: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestOversizedBodyRefused pins the request-body cap: a well-formed
+// /v1/add or /v1/search body over maxBodyBytes is answered 413 without
+// touching the index or the counters (uncapped, both were decoded whole
+// and executed).
+func TestOversizedBodyRefused(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// `{"id":"big","values":[0,0,...,0]}`, just over the cap.
+	var body bytes.Buffer
+	body.WriteString(`{"id":"big","values":[`)
+	body.WriteString(strings.Repeat("0,", maxBodyBytes/2))
+	body.WriteString(`0]}`)
+
+	before := srv.ix.Len()
+	for _, path := range []string{"/v1/add", "/v1/search"} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413", path, body.Len(), resp.StatusCode)
+		}
+	}
+	if got := srv.ix.Len(); got != before {
+		t.Errorf("oversized add changed Len: %d -> %d", before, got)
+	}
+	if a, s, r := srv.adds.Load(), srv.searches.Load(), srv.rejected.Load(); a != 0 || s != 0 || r != 0 {
+		t.Errorf("counters moved: adds %d searches %d rejected %d", a, s, r)
+	}
+	if len(srv.sem) != 0 || srv.waiting.Load() != 0 {
+		t.Errorf("admission state moved: inflight %d queued %d", len(srv.sem), srv.waiting.Load())
+	}
+
+	// A body under the cap still gets its ordinary answer.
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/remove", RemoveRequest{ID: "no-such"})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("small remove: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestHeaderTimeoutClosesConnection: Run's server carries the header
+// timeout, and a request header that never completes gets its connection
+// closed by it.
+func TestHeaderTimeoutClosesConnection(t *testing.T) {
+	defer checkNoLeaks(t, runtime.NumGoroutine())
+
+	srv, _ := newTestServer(t, Config{})
+	hs := srv.httpServer("127.0.0.1:0")
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("Run's server has ReadHeaderTimeout %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	hs.ReadHeaderTimeout = 100 * time.Millisecond // the constant, shortened for the test
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan string, 1)
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.run(ctx, hs, time.Second, ready) }()
+
+	conn, err := net.Dial("tcp", <-ready)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/add HTTP/1.1\r\nHost: sdtwd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("server kept the half-sent request open: %v", err)
+	}
+
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }

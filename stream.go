@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -180,7 +179,7 @@ func NewMonitor(queries []Series, opts Options, mopts ...MonitorOption) (*Monito
 	}
 	m := &Monitor{
 		queries:   make([]monitorQuery, len(queries)),
-		workers:   monitorWorkers(cfg.workers),
+		workers:   resolveWorkers(cfg.workers),
 		bestOnly:  bestOnly,
 		threshold: cfg.threshold,
 	}
@@ -206,14 +205,6 @@ func NewMonitor(queries []Series, opts Options, mopts ...MonitorOption) (*Monito
 		m.queries[i] = monitorQuery{id: q.ID, sp: sp}
 	}
 	return m, nil
-}
-
-// monitorWorkers resolves a worker-pool width: <= 0 means GOMAXPROCS.
-func monitorWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }
 
 // Push consumes one stream point and returns the matches it confirmed
