@@ -251,6 +251,27 @@ func TestQueryStatsAccounting(t *testing.T) {
 	if s := stats.String(); s == "" {
 		t.Fatal("empty stats string")
 	}
+
+	// At one worker the stages run back to back inside the search, so
+	// their times partition (part of) its wall time — for a held-out
+	// query too, whose one feature extraction is a stage of its own.
+	heldOut := NewSeries("held-out", 0, append([]float64(nil), d.Series[0].Values...))
+	heldOut.Values[len(heldOut.Values)/2] += 0.5
+	for _, q := range []Series{d.Series[0], heldOut} {
+		_, st, err := ix.Search(context.Background(), q, WithK(5), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// (A member query's preparation is a cache lookup, too short to
+		// demand a non-zero reading of.)
+		if st.MatchTime <= 0 || (q.ID == heldOut.ID && st.ExtractTime <= 0) {
+			t.Fatalf("query %q: missing stage timings: extract %v match %v", q.ID, st.ExtractTime, st.MatchTime)
+		}
+		if sum := st.BoundTime + st.ExtractTime + st.MatchTime + st.DPTime; sum > st.WallTime {
+			t.Fatalf("query %q: stages sum to %v (bound %v + extract %v + match %v + dp %v), over the %v wall",
+				q.ID, sum, st.BoundTime, st.ExtractTime, st.MatchTime, st.DPTime, st.WallTime)
+		}
+	}
 }
 
 // TestSearchBatchMatchesSingle checks the batch entry point returns exactly

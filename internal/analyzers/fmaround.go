@@ -14,7 +14,9 @@ import (
 var fmaKernelPackages = map[string]bool{
 	"sdtw/internal/dtw":    true,
 	"sdtw/internal/lower":  true,
+	"sdtw/internal/match":  true,
 	"sdtw/internal/series": true,
+	"sdtw/internal/sift":   true,
 }
 
 // Fmaround flags float64 multiply-add shapes (a + b*c, a - b*c, a += b*c)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdtw/internal/band"
@@ -24,8 +25,8 @@ import (
 )
 
 // Options configures an Engine. The zero value selects the paper's
-// defaults: (ac,aw) constraints, 64-bin descriptors, ε = 0.0096,
-// squared point distance.
+// defaults: (ac,aw) constraints, 64-bin descriptors, ε = 0.10 (see
+// sift.Config.Epsilon's calibration note), squared point distance.
 type Options struct {
 	// Band selects and parameterises the constraint strategy.
 	Band band.Config
@@ -124,14 +125,18 @@ type Engine struct {
 	mu    sync.RWMutex
 	cache map[string][]sift.Feature
 
-	// scratch pools per-goroutine workspaces (band builder buffers and DP
-	// row buffers) so concurrent distance computations allocate nothing
-	// in steady state.
+	// extractions counts the sift.Extract runs this engine has paid for.
+	extractions atomic.Int64
+
+	// scratch pools per-goroutine workspaces (matcher scratch, band
+	// builder buffers and DP row buffers) so concurrent distance
+	// computations allocate nothing in steady state.
 	scratch sync.Pool
 }
 
 // workspace bundles the reusable per-computation buffers.
 type workspace struct {
+	match   match.Workspace
 	builder band.Builder
 	dp      dtw.Workspace
 }
@@ -146,17 +151,14 @@ func NewEngine(opts Options) *Engine {
 // Options returns a copy of the engine's options.
 func (e *Engine) Options() Options { return e.opts }
 
-// Features extracts (or recalls) the salient features of s.
+// Features extracts (or recalls) the salient features of s, caching them
+// under s.ID: it is the collection-side entry, for series whose ID names
+// them for good. A one-off query goes through Prepare instead.
 func (e *Engine) Features(s series.Series) ([]sift.Feature, error) {
-	if e.opts.CacheFeatures && s.ID != "" {
-		e.mu.RLock()
-		f, ok := e.cache[s.ID]
-		e.mu.RUnlock()
-		if ok {
-			return f, nil
-		}
+	if f, ok := e.cached(s.ID); ok {
+		return f, nil
 	}
-	f, err := sift.Extract(s.Values, e.opts.Features)
+	f, err := e.extract(s)
 	if err != nil {
 		return nil, err
 	}
@@ -166,6 +168,78 @@ func (e *Engine) Features(s series.Series) ([]sift.Feature, error) {
 		e.mu.Unlock()
 	}
 	return f, nil
+}
+
+// cached looks id up in the feature cache without filling it.
+func (e *Engine) cached(id string) ([]sift.Feature, bool) {
+	if !e.opts.CacheFeatures || id == "" {
+		return nil, false
+	}
+	e.mu.RLock()
+	f, ok := e.cache[id]
+	e.mu.RUnlock()
+	return f, ok
+}
+
+// extract runs one (counted) feature extraction, bypassing the cache.
+func (e *Engine) extract(s series.Series) ([]sift.Feature, error) {
+	e.extractions.Add(1)
+	return sift.Extract(s.Values, e.opts.Features)
+}
+
+// Extractions reports how many feature extractions the engine has run
+// (cache hits excluded) — the one-time cost of §3.4, countable.
+func (e *Engine) Extractions() int64 { return e.extractions.Load() }
+
+// needsAlignment reports whether the band strategy consumes a feature
+// alignment at all (the fixed-core, fixed-width band does not).
+func (e *Engine) needsAlignment() bool {
+	return e.opts.Band.Strategy.AdaptiveCore() || e.opts.Band.Strategy.AdaptiveWidth()
+}
+
+// Query is a series prepared for comparison against many candidates: its
+// salient features are extracted once, held here for as long as the caller
+// keeps the Query, and handed to every DistanceUnderQuery — instead of
+// each comparison looking them up (or, for an ID-less series, extracting
+// them again) through the ID-keyed collection cache. A Query is immutable
+// and safe for concurrent use, with any engine of the same Options.
+type Query struct {
+	operand
+	// ExtractTime is what preparing cost: one extraction, or a cache
+	// lookup when the series is a cached member of the collection.
+	ExtractTime time.Duration
+}
+
+// operand is one side of a distance computation: a series and, when
+// ready, its features (nil features with ready set means the band needs
+// none).
+type operand struct {
+	s     series.Series
+	feats []sift.Feature
+	ready bool
+}
+
+// Prepare readies s as a query. The collection cache is consulted
+// read-only — a query that is itself a cached member reuses its features —
+// and never written: a one-off query's ID must neither pin an entry in the
+// cache nor stand in for a different series that later arrives under the
+// same ID.
+func (e *Engine) Prepare(s series.Series) (*Query, error) {
+	q := &Query{operand: operand{s: s, ready: true}}
+	if !e.needsAlignment() {
+		return q, nil
+	}
+	start := time.Now()
+	f, ok := e.cached(s.ID)
+	if !ok {
+		var err error
+		if f, err = e.extract(s); err != nil {
+			return nil, fmt.Errorf("core: extracting features of the query: %w", err)
+		}
+	}
+	q.feats = f
+	q.ExtractTime = time.Since(start)
+	return q, nil
 }
 
 // Warm pre-extracts and caches the features of every series, the paper's
@@ -240,7 +314,19 @@ func (e *Engine) DistanceUnder(x, y series.Series, budget float64) (Result, erro
 // set: that branch runs its band to completion, so cancellation is only
 // observed between computations.
 func (e *Engine) DistanceUnderCtx(ctx context.Context, x, y series.Series, budget float64) (Result, error) {
-	if e.opts.Band.Symmetric && canonicalLess(y, x) {
+	return e.oriented(ctx, operand{s: x}, operand{s: y}, budget)
+}
+
+// DistanceUnderQuery is DistanceUnderCtx from a prepared query to the
+// candidate c, whose features come from the collection cache.
+func (e *Engine) DistanceUnderQuery(ctx context.Context, q *Query, c series.Series, budget float64) (Result, error) {
+	return e.oriented(ctx, q.operand, operand{s: c}, budget)
+}
+
+// oriented puts x and y into canonical orientation when the band is
+// symmetric, runs the computation, and maps the result back.
+func (e *Engine) oriented(ctx context.Context, x, y operand, budget float64) (Result, error) {
+	if e.opts.Band.Symmetric && canonicalLess(y.s, x.s) {
 		res, err := e.distance(ctx, y, x, budget)
 		if err != nil {
 			return res, err
@@ -274,29 +360,40 @@ func canonicalLess(a, b series.Series) bool {
 	return false
 }
 
-func (e *Engine) distance(ctx context.Context, x, y series.Series, budget float64) (Result, error) {
+// features returns o's features: the ones it carries, or the collection
+// cache's (extracting and caching on a miss).
+func (e *Engine) features(o operand) ([]sift.Feature, error) {
+	if o.ready {
+		return o.feats, nil
+	}
+	return e.Features(o.s)
+}
+
+func (e *Engine) distance(ctx context.Context, xo, yo operand, budget float64) (Result, error) {
+	x, y := xo.s, yo.s
 	nx, ny := x.Len(), y.Len()
 	if nx == 0 || ny == 0 {
 		return Result{}, fmt.Errorf("core: empty series (len(x)=%d len(y)=%d)", nx, ny)
 	}
 	res := Result{GridCells: nx * ny}
-	needsAlignment := e.opts.Band.Strategy.AdaptiveCore() || e.opts.Band.Strategy.AdaptiveWidth()
+	ws := e.scratch.Get().(*workspace)
+	defer e.scratch.Put(ws)
 
 	var al *match.Alignment
-	if needsAlignment {
+	if e.needsAlignment() {
 		extractStart := time.Now()
-		fx, err := e.Features(x)
+		fx, err := e.features(xo)
 		if err != nil {
 			return res, fmt.Errorf("core: extracting features of x: %w", err)
 		}
-		fy, err := e.Features(y)
+		fy, err := e.features(yo)
 		if err != nil {
 			return res, fmt.Errorf("core: extracting features of y: %w", err)
 		}
 		res.ExtractTime = time.Since(extractStart)
 
 		matchStart := time.Now()
-		al, err = match.Match(fx, fy, nx, ny, e.opts.Matcher)
+		al, err = match.MatchWS(fx, fy, nx, ny, e.opts.Matcher, &ws.match)
 		if err != nil {
 			return res, fmt.Errorf("core: matching: %w", err)
 		}
@@ -317,8 +414,6 @@ func (e *Engine) distance(ctx context.Context, x, y series.Series, budget float6
 		al = &match.Alignment{NX: nx, NY: ny}
 	}
 
-	ws := e.scratch.Get().(*workspace)
-	defer e.scratch.Put(ws)
 	b, err := ws.builder.Build(al, e.opts.Band)
 	if err != nil {
 		return res, fmt.Errorf("core: building band: %w", err)

@@ -504,3 +504,52 @@ func TestEngineDistanceUnderComputePath(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPreparedQueryEqualsDistance: a prepared query answers every
+// candidate exactly as the ID-keyed path does — in either orientation of
+// a symmetric band — without ever entering the collection cache.
+func TestPreparedQueryEqualsDistance(t *testing.T) {
+	for _, symmetric := range []bool{false, true} {
+		opts := optsFor(band.AdaptiveCoreAdaptiveWidth)
+		opts.Band.Symmetric = symmetric
+		ref, e := NewEngine(opts), NewEngine(opts)
+		x, _ := makePair(31, 180, 0.3)
+		var cands []series.Series
+		for seed := int64(32); seed < 38; seed++ {
+			_, y := makePair(seed, 150+int(seed), 0.3) // shorter and longer than x
+			cands = append(cands, y)
+		}
+		if _, err := e.Warm(cands); err != nil {
+			t.Fatal(err)
+		}
+		cached := e.CacheSize()
+		for _, id := range []string{"", "one-off"} {
+			x.ID = id
+			q, err := e.Prepare(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cands {
+				got, err := e.DistanceUnderQuery(nil, q, c, math.Inf(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Distance(x, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got.Distance) != math.Float64bits(want.Distance) ||
+					got.CellsFilled != want.CellsFilled || got.Pairs != want.Pairs {
+					t.Fatalf("symmetric=%v id=%q → %s: prepared (%v, %d cells, %d pairs) vs direct (%v, %d cells, %d pairs)",
+						symmetric, id, c.ID, got.Distance, got.CellsFilled, got.Pairs, want.Distance, want.CellsFilled, want.Pairs)
+				}
+			}
+		}
+		if got := e.CacheSize(); got != cached {
+			t.Fatalf("symmetric=%v: cache holds %d feature sets after prepared queries, %d before", symmetric, got, cached)
+		}
+		if got := e.Extractions(); got != int64(len(cands))+2 {
+			t.Fatalf("symmetric=%v: %d extractions, want %d (one per candidate, one per Prepare)", symmetric, got, len(cands)+2)
+		}
+	}
+}

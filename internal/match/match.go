@@ -13,9 +13,11 @@
 package match
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"sdtw/internal/sift"
 )
@@ -144,21 +146,56 @@ func (a *Alignment) Intervals() (xs, xe, ys, ye []int) {
 	return xs, xe, ys, ye
 }
 
+// Workspace holds the matcher's reusable scratch: the nearest-two scan's
+// gathered indices and distances, the mutual-best memo, the dominant-pair
+// list, and the pruning stage's boundary lists and sort temporaries. The
+// zero value is ready to use; after a few calls at a given feature count
+// MatchWS allocates nothing but the Alignment it returns. A Workspace is
+// not safe for concurrent use — core.Engine keeps one per pooled
+// computation workspace.
+type Workspace struct {
+	idx      []int     // threshold-passing pool indices of one scan, ascending
+	dist     []float64 // dist[t] is the squared distance to pool[idx[t]]
+	backBest []int     // nearest X feature per Y feature; -2 = not computed
+	pairs    []Pair    // dominant pairs, then sorted by descending µcomb
+	kept     []Pair    // pairs surviving inconsistency pruning
+
+	blX, blY  boundaryList
+	committed []bpoint // corresponding boundary points, sorted by x
+	trial     []bpoint // slopesOK's trial insertion
+	bounds    []bpoint // commitBoundaries' flattened boundary points
+}
+
+// workspaces recycles scratch for the callers that bring none (Match and
+// DominantPairs).
+var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
+
 // Match runs both stages over the feature sets of X (length nx) and Y
 // (length ny) and returns the consistent alignment. An alignment with no
 // pairs (empty boundary lists) is valid and signals the caller to fall
 // back to diagonal constraints.
 func Match(fx, fy []sift.Feature, nx, ny int, cfg Config) (*Alignment, error) {
+	ws := workspaces.Get().(*Workspace)
+	defer workspaces.Put(ws)
+	return MatchWS(fx, fy, nx, ny, cfg, ws)
+}
+
+// MatchWS is Match over caller-owned scratch, for callers that already
+// hold a per-goroutine workspace.
+func MatchWS(fx, fy []sift.Feature, nx, ny int, cfg Config, ws *Workspace) (*Alignment, error) {
 	if nx <= 0 || ny <= 0 {
 		return nil, fmt.Errorf("match: series lengths must be positive, got %d and %d", nx, ny)
 	}
 	cfg = cfg.withDefaults()
-	pairs := DominantPairs(fx, fy, cfg)
+	pairs := ws.dominantPairs(fx, fy, cfg)
 	scorePairs(pairs)
-	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].Combined > pairs[b].Combined })
-	kept := pruneInconsistent(pairs, nx, ny, cfg)
-	al := &Alignment{NX: nx, NY: ny, Pairs: kept}
-	al.BoundsX, al.BoundsY = commitBoundaries(kept, nx, ny)
+	slices.SortStableFunc(pairs, func(a, b Pair) int { return cmp.Compare(b.Combined, a.Combined) })
+	kept := ws.pruneInconsistent(pairs, nx, ny, cfg)
+	// Pairs tying on X land where pattern-defeating quicksort leaves them,
+	// exactly as under sort.Slice: the two run the same algorithm.
+	slices.SortFunc(kept, func(a, b Pair) int { return cmp.Compare(a.FI.X, b.FI.X) })
+	al := &Alignment{NX: nx, NY: ny, Pairs: append([]Pair(nil), kept...)}
+	al.BoundsX, al.BoundsY = ws.commitBoundaries(kept, nx, ny)
 	return al, nil
 }
 
@@ -167,24 +204,27 @@ func Match(fx, fy []sift.Feature, nx, ny int, cfg Config) (*Alignment, error) {
 // the τa/τs thresholds, dominates the runner-up by τd (runner-ups inside
 // the best match's temporal scope are duplicates, not competitors, and are
 // skipped), and — unless disabled — is the mutual nearest match. All
-// nearest-neighbour scans work on squared distances with early
-// abandonment; the Y→X back-check is memoised so each Y feature is scanned
-// at most once.
+// nearest-neighbour scans work on squared distances; the Y→X back-check is
+// memoised so each Y feature is scanned at most once.
 func DominantPairs(fx, fy []sift.Feature, cfg Config) []Pair {
-	cfg = cfg.withDefaults()
-	var pairs []Pair
-	// backBest memoises the nearest X feature of each Y feature; -2 marks
-	// "not yet computed".
-	var backBest []int
+	ws := workspaces.Get().(*Workspace)
+	defer workspaces.Put(ws)
+	return append([]Pair(nil), ws.dominantPairs(fx, fy, cfg.withDefaults())...)
+}
+
+// dominantPairs is DominantPairs into the workspace's pair list (valid
+// until the next call); cfg has its defaults applied.
+func (ws *Workspace) dominantPairs(fx, fy []sift.Feature, cfg Config) []Pair {
+	pairs := ws.pairs[:0]
 	if !cfg.DisableMutualBest {
-		backBest = make([]int, len(fy))
-		for j := range backBest {
-			backBest[j] = -2
+		ws.backBest = slices.Grow(ws.backBest[:0], len(fy))[:len(fy)]
+		for j := range ws.backBest {
+			ws.backBest[j] = -2
 		}
 	}
 	tdSq := cfg.DominanceRatio * cfg.DominanceRatio
 	for i := range fx {
-		bestJ, bestSq, secondSq := nearestTwoSq(&fx[i], fy, cfg)
+		bestJ, bestSq, secondSq := ws.nearestTwoSq(&fx[i], fy, cfg)
 		if bestJ < 0 {
 			continue
 		}
@@ -199,32 +239,58 @@ func DominantPairs(fx, fy []sift.Feature, cfg Config) []Pair {
 			}
 		}
 		if !cfg.DisableMutualBest {
-			if backBest[bestJ] == -2 {
-				bi, _, _ := nearestTwoSq(&fy[bestJ], fx, cfg)
-				backBest[bestJ] = bi
+			if ws.backBest[bestJ] == -2 {
+				bi, _, _ := ws.nearestTwoSq(&fy[bestJ], fx, cfg)
+				ws.backBest[bestJ] = bi
 			}
-			backI := backBest[bestJ]
+			backI := ws.backBest[bestJ]
 			if backI < 0 || !sameNeighborhood(&fx[i], &fx[backI]) {
 				continue // not mutually nearest (up to duplicate clusters)
 			}
 		}
 		pairs = append(pairs, Pair{I: i, J: bestJ, FI: fx[i], FJ: fy[bestJ], DescDist: math.Sqrt(bestSq)})
 	}
+	ws.pairs = pairs
 	return pairs
 }
 
-// nearestTwoSq returns, in one scan over pool, the index and squared
-// descriptor distance of the threshold-passing feature closest to f, plus
-// the squared distance of the best alternative *outside* the winner's
-// duplicate cluster (the τd runner-up). Returns (-1, +Inf, +Inf) when no
-// candidate passes the thresholds.
-func nearestTwoSq(f *sift.Feature, pool []sift.Feature, cfg Config) (int, float64, float64) {
-	bestJ, best, second := -1, math.Inf(1), math.Inf(1)
+// nearestTwoSq returns the index and squared descriptor distance of the
+// threshold-passing feature of pool closest to f, plus the squared
+// distance of the best alternative *outside* the winner's duplicate
+// cluster (the τd runner-up). Returns (-1, +Inf, +Inf) when no candidate
+// passes the thresholds.
+//
+// The scan is gather → block → decide: collect the threshold-passing pool
+// indices in order, compute all their squared distances four at a time
+// (descriptorDistancesSq), then walk the stored distances through the
+// sequential best/cluster/runner-up logic. A one-pass scan that abandons
+// each sum against the running runner-up decides identically — a sum it
+// abandons already exceeds the runner-up, so the full sum (terms are
+// non-negative) takes the same d >= second branch — but serialises every
+// pair's 64 additions behind one another for a cutoff too loose to skip
+// many of them.
+//
+//sdtw:hotpath
+func (ws *Workspace) nearestTwoSq(f *sift.Feature, pool []sift.Feature, cfg Config) (int, float64, float64) {
+	// dist grows in step with idx so both stay amortised appends.
+	idx, dist := ws.idx[:0], ws.dist[:0]
 	for j := range pool {
-		if !passesThresholds(f, &pool[j], cfg) {
-			continue
+		if passesThresholds(f, &pool[j], cfg) {
+			idx, dist = append(idx, j), append(dist, 0)
 		}
-		d := sift.DescriptorDistanceSqAbandon(f.Descriptor, pool[j].Descriptor, second)
+	}
+	// Pad to whole blocks by repeating the last index: a redundant lane in
+	// the block kernel is cheaper than a serial scalar tail.
+	n := len(idx)
+	for len(idx)%4 != 0 {
+		idx, dist = append(idx, idx[n-1]), append(dist, 0)
+	}
+	ws.idx, ws.dist = idx, dist
+	descriptorDistancesSq(f.Descriptor, pool, idx, dist)
+
+	bestJ, best, second := -1, math.Inf(1), math.Inf(1)
+	for t, j := range idx[:n] {
+		d := dist[t]
 		if d >= second {
 			continue
 		}
@@ -247,6 +313,42 @@ func nearestTwoSq(f *sift.Feature, pool []sift.Feature, cfg Config) (int, float6
 		}
 	}
 	return bestJ, best, second
+}
+
+// descriptorDistancesSq fills out[t] with the squared Euclidean distance
+// between descriptor a and pool[idx[t]].Descriptor (+Inf when the lengths
+// differ). Four candidates advance per pass through four independent
+// accumulators, so the floating-point adds of different pairs overlap
+// instead of queueing behind one dependency chain; each pair's own sum
+// still runs k = 0…len-1 in order with every product rounded, which makes
+// the result bit-identical to sift.DescriptorDistanceSqAbandon's on every
+// platform. len(idx) must be a multiple of four; a block containing a
+// length mismatch takes the scalar function itself.
+//
+//sdtw:hotpath
+func descriptorDistancesSq(a []float64, pool []sift.Feature, idx []int, out []float64) {
+	inf := math.Inf(1)
+	for t := 0; t+4 <= len(idx); t += 4 {
+		b0, b1 := pool[idx[t]].Descriptor, pool[idx[t+1]].Descriptor
+		b2, b3 := pool[idx[t+2]].Descriptor, pool[idx[t+3]].Descriptor
+		if len(b0) != len(a) || len(b1) != len(a) || len(b2) != len(a) || len(b3) != len(a) {
+			out[t] = sift.DescriptorDistanceSqAbandon(a, b0, inf)
+			out[t+1] = sift.DescriptorDistanceSqAbandon(a, b1, inf)
+			out[t+2] = sift.DescriptorDistanceSqAbandon(a, b2, inf)
+			out[t+3] = sift.DescriptorDistanceSqAbandon(a, b3, inf)
+			continue
+		}
+		b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+		var s0, s1, s2, s3 float64
+		for k, av := range a {
+			d0, d1, d2, d3 := av-b0[k], av-b1[k], av-b2[k], av-b3[k]
+			s0 += float64(d0 * d0)
+			s1 += float64(d1 * d1)
+			s2 += float64(d2 * d2)
+			s3 += float64(d3 * d3)
+		}
+		out[t], out[t+1], out[t+2], out[t+3] = s0, s1, s2, s3
+	}
 }
 
 // sameNeighborhood reports whether two features of one series belong to

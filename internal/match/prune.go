@@ -1,6 +1,10 @@
 package match
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // boundaryList is an ordered multiset of committed boundary time points on
 // one series. Insertion ranks are computed against the committed points;
@@ -27,7 +31,7 @@ func (bl *boundaryList) ranks(st, end int) (rankSt, rankEnd int) {
 // insert commits st and end into the list.
 func (bl *boundaryList) insert(st, end int) {
 	bl.points = append(bl.points, st, end)
-	sort.Ints(bl.points)
+	slices.Sort(bl.points)
 }
 
 // pruneInconsistent walks pairs in the given order (the caller sorts by
@@ -35,14 +39,14 @@ func (bl *boundaryList) insert(st, end int) {
 // boundaries preserves identical boundary ordering in both series
 // (§3.2.2 step 2) and (b) the local time stretch the boundaries imply
 // against their committed neighbours stays within cfg.MaxBoundarySlope.
-// The kept pairs are returned sorted by X position.
-func pruneInconsistent(pairs []Pair, nx, ny int, cfg Config) []Pair {
-	var blX, blY boundaryList
+// The kept pairs are returned in walk order, in workspace scratch.
+func (ws *Workspace) pruneInconsistent(pairs []Pair, nx, ny int, cfg Config) []Pair {
+	blX, blY := &ws.blX, &ws.blY
+	blX.points, blY.points = blX.points[:0], blY.points[:0]
 	// committed holds the corresponding boundary points of both series,
 	// kept sorted by X position, with the two virtual grid corners.
-	committed := []bpoint{{0, 0}, {nx - 1, ny - 1}}
-	scratch := make([]bpoint, 0, 2*len(pairs)+4)
-	var kept []Pair
+	committed := append(ws.committed[:0], bpoint{0, 0}, bpoint{nx - 1, ny - 1})
+	kept := ws.kept[:0]
 	for _, p := range pairs {
 		st1, end1 := p.FI.Start(nx), p.FI.End(nx)
 		st2, end2 := p.FJ.Start(ny), p.FJ.End(ny)
@@ -55,7 +59,7 @@ func pruneInconsistent(pairs []Pair, nx, ny int, cfg Config) []Pair {
 			continue // would reorder scope boundaries across the series
 		}
 		if cfg.MaxBoundarySlope >= 1 &&
-			!slopesOK(committed, bpoint{st1, st2}, bpoint{end1, end2}, cfg.MaxBoundarySlope, scratch) {
+			!ws.slopesOK(committed, bpoint{st1, st2}, bpoint{end1, end2}, cfg.MaxBoundarySlope) {
 			continue // implies an implausible local stretch
 		}
 		blX.insert(st1, end1)
@@ -64,7 +68,7 @@ func pruneInconsistent(pairs []Pair, nx, ny int, cfg Config) []Pair {
 		committed = insertBPoint(committed, bpoint{end1, end2})
 		kept = append(kept, p)
 	}
-	sort.Slice(kept, func(a, b int) bool { return kept[a].FI.X < kept[b].FI.X })
+	ws.committed, ws.kept = committed, kept
 	return kept
 }
 
@@ -83,11 +87,11 @@ func insertBPoint(committed []bpoint, p bpoint) []bpoint {
 // slopesOK checks that adding the candidate boundary points keeps every
 // implied segment stretch within maxSlope. Segment stretch is measured on
 // +1-smoothed deltas so coincident boundaries (empty intervals, which
-// §3.3.2 explicitly tolerates) do not divide by zero. scratch provides
-// reusable storage for the trial insertion.
-func slopesOK(committed []bpoint, st, end bpoint, maxSlope float64, scratch []bpoint) bool {
-	pts := insertBPoint(append(scratch[:0], committed...), st)
+// §3.3.2 explicitly tolerates) do not divide by zero.
+func (ws *Workspace) slopesOK(committed []bpoint, st, end bpoint, maxSlope float64) bool {
+	pts := insertBPoint(append(ws.trial[:0], committed...), st)
 	pts = insertBPoint(pts, end)
+	ws.trial = pts
 	for k := 1; k < len(pts); k++ {
 		dx := float64(pts[k].x-pts[k-1].x) + 1
 		dy := float64(pts[k].y-pts[k-1].y) + 1
@@ -109,22 +113,23 @@ func slopesOK(committed []bpoint, st, end bpoint, maxSlope float64, scratch []bp
 // (coincident boundaries) are collapsed pairwise so both lists stay equal
 // length; boundaries at the extreme endpoints are dropped since the
 // implicit first/last intervals already start/end there.
-func commitBoundaries(kept []Pair, nx, ny int) (bx, by []int) {
-	type bpt struct{ x, y int }
-	var pts []bpt
+func (ws *Workspace) commitBoundaries(kept []Pair, nx, ny int) (bx, by []int) {
+	pts := ws.bounds[:0]
 	for _, p := range kept {
-		pts = append(pts, bpt{p.FI.Start(nx), p.FJ.Start(ny)})
-		pts = append(pts, bpt{p.FI.End(nx), p.FJ.End(ny)})
+		pts = append(pts, bpoint{p.FI.Start(nx), p.FJ.Start(ny)})
+		pts = append(pts, bpoint{p.FI.End(nx), p.FJ.End(ny)})
 	}
+	ws.bounds = pts
 	// The rank-consistency invariant makes sorting by x equivalent to
 	// sorting by y (no crossings), so a single sort yields corresponding
 	// orders. Ties broken by y to keep the sort deterministic.
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a].x != pts[b].x {
-			return pts[a].x < pts[b].x
+	slices.SortFunc(pts, func(a, b bpoint) int {
+		if a.x != b.x {
+			return cmp.Compare(a.x, b.x)
 		}
-		return pts[a].y < pts[b].y
+		return cmp.Compare(a.y, b.y)
 	})
+	bx, by = make([]int, 0, len(pts)), make([]int, 0, len(pts))
 	for _, p := range pts {
 		if p.x <= 0 || p.x >= nx-1 || p.y <= 0 || p.y >= ny-1 {
 			continue
@@ -141,6 +146,9 @@ func commitBoundaries(kept []Pair, nx, ny int) (bx, by []int) {
 		}
 		bx = append(bx, p.x)
 		by = append(by, p.y)
+	}
+	if len(bx) == 0 {
+		return nil, nil
 	}
 	return bx, by
 }

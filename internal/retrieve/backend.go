@@ -29,6 +29,20 @@ type Result struct {
 	MatchTime, DPTime time.Duration
 }
 
+// Query is a search's query as a backend prepared it: the series itself
+// plus whatever the backend derived from it once for the whole search
+// (the sDTW engine's salient features). Prepared queries carry over
+// between backends of equal Fingerprint, which is how a sharded search
+// prepares once and hands the same Query to every shard.
+type Query struct {
+	series.Series
+	// ExtractTime is what the preparation cost beyond validation.
+	ExtractTime time.Duration
+	// engine is the engine backend's prepared form; nil for backends that
+	// read nothing but the raw values.
+	engine *core.Query
+}
+
 // Backend is the distance family behind an index: it owns the constraint
 // geometry (and any per-series caches) while the shared cascade in Core
 // owns candidate ordering, lower-bound pruning, the best-so-far
@@ -51,9 +65,11 @@ type Backend interface {
 	Admit(s series.Series) error
 	// Forget drops cached state held for a series leaving the collection.
 	Forget(s series.Series)
-	// CheckQuery validates a query against backend constraints (the
-	// windowed backend requires the indexed length).
-	CheckQuery(q series.Series) error
+	// Prepare validates a query against backend constraints (the windowed
+	// backend requires the indexed length) and does the per-query work
+	// every candidate's Distance would otherwise repeat. It must not leave
+	// state behind in the backend: a query is not part of the collection.
+	Prepare(q series.Series) (Query, error)
 	// Cascade reports whether the LB_Kim/LB_Keogh bounds are admissible
 	// lower bounds for this backend's distance. When false the Core
 	// degrades to an exact parallel scan.
@@ -66,11 +82,11 @@ type Backend interface {
 	// envelope over a series of length m lower-bounds this backend's
 	// distance.
 	EnvelopeRadius(m int) int
-	// Distance computes the backend distance between query and candidate
-	// with threshold-aware early abandonment against budget (+Inf never
-	// abandons). A cancelled ctx stops the computation mid-band with
-	// ctx.Err().
-	Distance(ctx context.Context, q, c series.Series, budget float64) (Result, error)
+	// Distance computes the backend distance between a prepared query and
+	// a candidate with threshold-aware early abandonment against budget
+	// (+Inf never abandons). A cancelled ctx stops the computation
+	// mid-band with ctx.Err().
+	Distance(ctx context.Context, q Query, c series.Series, budget float64) (Result, error)
 }
 
 // engineBackend serves sDTW banded distances through a shared core.Engine
@@ -107,15 +123,21 @@ func (b *engineBackend) Admit(s series.Series) error {
 
 func (b *engineBackend) Forget(s series.Series) { b.engine.Evict(s.ID) }
 
-func (b *engineBackend) CheckQuery(q series.Series) error { return nil }
+func (b *engineBackend) Prepare(q series.Series) (Query, error) {
+	eq, err := b.engine.Prepare(q)
+	if err != nil {
+		return Query{}, err
+	}
+	return Query{Series: q, ExtractTime: eq.ExtractTime, engine: eq}, nil
+}
 
 func (b *engineBackend) Cascade() bool     { return !b.customDist }
 func (b *engineBackend) Abandonable() bool { return !b.customDist }
 
 func (b *engineBackend) EnvelopeRadius(m int) int { return band.EnvelopeRadius(b.bandCfg, m) }
 
-func (b *engineBackend) Distance(ctx context.Context, q, c series.Series, budget float64) (Result, error) {
-	res, err := b.engine.DistanceUnderCtx(ctx, q, c, budget)
+func (b *engineBackend) Distance(ctx context.Context, q Query, c series.Series, budget float64) (Result, error) {
+	res, err := b.engine.DistanceUnderQuery(ctx, q.engine, c, budget)
 	if err != nil {
 		return Result{}, err
 	}
@@ -192,11 +214,11 @@ func (b *windowedBackend) AdmitCold(id string, n int) error {
 
 func (b *windowedBackend) Forget(series.Series) {}
 
-func (b *windowedBackend) CheckQuery(q series.Series) error {
+func (b *windowedBackend) Prepare(q series.Series) (Query, error) {
 	if q.Len() != b.length {
-		return fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
+		return Query{}, fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
 	}
-	return nil
+	return Query{Series: q}, nil
 }
 
 func (b *windowedBackend) Cascade() bool     { return true }
@@ -204,7 +226,7 @@ func (b *windowedBackend) Abandonable() bool { return true }
 
 func (b *windowedBackend) EnvelopeRadius(int) int { return b.radius }
 
-func (b *windowedBackend) Distance(ctx context.Context, q, c series.Series, budget float64) (Result, error) {
+func (b *windowedBackend) Distance(ctx context.Context, q Query, c series.Series, budget float64) (Result, error) {
 	ws := b.scratch.Get().(*dtw.Workspace)
 	defer b.scratch.Put(ws)
 	dpStart := time.Now()

@@ -313,10 +313,10 @@ func New(backend Backend, data []series.Series, workers int, abandon bool) (*Cor
 // admitLocked validates s, warms the backend, and appends it with its
 // envelope. fresh drops any backend cache state already held under the
 // series' ID before warming: construction starts from a clean backend,
-// but by Add time a search query sharing the ID may have planted its own
-// features in the read-through cache, and admitting through that stale
-// entry would permanently serve another series' features. Callers hold
-// the write lock (or are constructing).
+// but by Add time a removed series' in-flight search may have re-derived
+// its features into the read-through cache, and admitting through that
+// stale entry would permanently serve another series' features. Callers
+// hold the write lock (or are constructing).
 func (c *Core) admitLocked(s series.Series, fresh bool) error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
@@ -731,6 +731,29 @@ func (c *Core) Search(ctx context.Context, query series.Series, p Params) ([]Nei
 	return c.search(ctx, query, p)
 }
 
+// Prepare validates query and prepares it with backend, for
+// SearchPrepared on any core of that backend configuration. The sharded
+// layer prepares a query once and searches every shard with it.
+func Prepare(backend Backend, query series.Series) (Query, error) {
+	if len(query.Values) == 0 {
+		return Query{}, fmt.Errorf("query: %w", ErrEmptySeries)
+	}
+	q, err := backend.Prepare(query)
+	if err != nil {
+		return Query{}, fmt.Errorf("query: %w", err)
+	}
+	return q, nil
+}
+
+// SearchPrepared is Search over a query some core of the same backend
+// configuration already prepared. The preparation is the caller's to
+// account for: the returned Stats leave ExtractTime zero.
+func (c *Core) SearchPrepared(ctx context.Context, q Query, p Params) ([]Neighbor, Stats, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.searchPrepared(ctx, q, p)
+}
+
 // SearchWithLabels is Search returning, alongside each neighbour, the
 // class label of its series — resolved under the same read lock as the
 // search itself, so concurrent Add/Remove cannot renumber positions
@@ -772,16 +795,24 @@ func (c *Core) labelsLocked(nbrs []Neighbor) []int {
 }
 
 // search is Search under a held read lock (batch calls it directly so a
-// whole batch sees one consistent collection).
+// whole batch sees one consistent collection): one preparation, then the
+// cascade.
 func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Neighbor, Stats, error) {
+	start := time.Now()
+	q, err := Prepare(c.backend, query)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	nbrs, stats, err := c.searchPrepared(ctx, q, p)
+	stats.ExtractTime = q.ExtractTime
+	stats.WallTime = time.Since(start)
+	return nbrs, stats, err
+}
+
+// searchPrepared is the cascade itself, under a held read lock.
+func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Neighbor, Stats, error) {
 	var stats Stats
 	start := time.Now()
-	if len(query.Values) == 0 {
-		return nil, stats, fmt.Errorf("query: %w", ErrEmptySeries)
-	}
-	if err := c.backend.CheckQuery(query); err != nil {
-		return nil, stats, fmt.Errorf("query: %w", err)
-	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, stats, err
 	}

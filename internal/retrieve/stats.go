@@ -40,6 +40,10 @@ type Stats struct {
 	GridCells int
 	// BoundTime is the time spent computing LB_Kim and LB_Keogh bounds.
 	BoundTime time.Duration
+	// ExtractTime is the time spent preparing the query — on the sDTW
+	// backend its one feature extraction per search (a cache lookup when
+	// the query is an indexed series); zero on the windowed backend.
+	ExtractTime time.Duration
 	// MatchTime and DPTime are the summed backend stage durations of the
 	// evaluated candidates (the paper's tasks b and c).
 	MatchTime, DPTime time.Duration
@@ -85,6 +89,7 @@ func (s *Stats) Merge(o Stats) {
 	s.Cells += o.Cells
 	s.GridCells += o.GridCells
 	s.BoundTime += o.BoundTime
+	s.ExtractTime += o.ExtractTime
 	s.MatchTime += o.MatchTime
 	s.DPTime += o.DPTime
 }

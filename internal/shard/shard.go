@@ -378,6 +378,11 @@ type hit struct {
 // (distance, insertion sequence), which reproduces an unsharded index's
 // (distance, position) order bit-for-bit.
 //
+// The query is prepared once per call, not once per shard: all shards
+// share one backend configuration, so the backend of the shard the
+// query's ID routes to (where a member query finds its cached features)
+// prepares it for all.
+//
 // p.Exclude is positional and therefore meaningless across shards; use
 // retrieve.DefaultParams (Exclude −1) and rely on the ID-based
 // self-exclusion. A cancelled ctx stops every shard search promptly.
@@ -398,6 +403,11 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 		}
 		stats.WallTime = time.Since(start)
 		return nil, stats, nil
+	}
+
+	q, err := retrieve.Prepare(c.backends[Route(query.ID, len(c.slots))], query)
+	if err != nil {
+		return nil, stats, err
 	}
 
 	rp := p
@@ -425,7 +435,7 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 		wg.Add(1)
 		go func(i int, snap *snapshot) {
 			defer wg.Done()
-			nbrs, st, err := snap.core.Search(ctx, query, rp)
+			nbrs, st, err := snap.core.SearchPrepared(ctx, q, rp)
 			out := shardOut{st: st, err: err}
 			if err == nil && len(nbrs) > 0 {
 				out.hits = make([]hit, len(nbrs))
@@ -442,6 +452,7 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 	}
 	wg.Wait()
 
+	stats.ExtractTime = q.ExtractTime
 	merged := make([]hit, 0, len(snaps)*max(1, rp.K))
 	for _, out := range outs {
 		stats.Merge(out.st)

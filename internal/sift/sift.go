@@ -62,7 +62,10 @@ type Feature struct {
 	// Amplitude is the mean series value within the feature's scope, used
 	// by the matcher's τa threshold and ∆amp similarity term (§3.2).
 	Amplitude float64
-	// Descriptor is the normalised gradient histogram (len = 2·cells).
+	// Descriptor is the normalised gradient histogram (len = 2·cells). The
+	// descriptors of one Extract call are consecutive sub-slices of a
+	// single block, in feature order, so a matcher scanning a series'
+	// features walks contiguous memory.
 	Descriptor []float64
 }
 
@@ -233,7 +236,6 @@ func ExtractFromPyramid(v []float64, pyr *scalespace.Pyramid, cfg Config) ([]Fea
 					Response: val,
 				}
 				f.Scope = 3 * f.Sigma
-				f.Descriptor = describe(oct.Gauss[l].Values, i, cfg)
 				f.Amplitude = scopeAmplitude(v, f)
 				feats = append(feats, f)
 			}
@@ -246,6 +248,17 @@ func ExtractFromPyramid(v []float64, pyr *scalespace.Pyramid, cfg Config) ([]Fea
 		}
 		return feats[a].Sigma < feats[b].Sigma
 	})
+	// Describe only the survivors, in their final order, into one block:
+	// one allocation per series instead of one per detected keypoint, and
+	// the layout the matcher's blocked distance kernel reads sequentially.
+	bins := cfg.DescriptorBins
+	block := make([]float64, len(feats)*bins)
+	for k := range feats {
+		f := &feats[k]
+		oct := &pyr.Octaves[f.Octave] // Octaves[o].Index == o by construction
+		f.Descriptor = block[k*bins : (k+1)*bins : (k+1)*bins]
+		describe(f.Descriptor, oct.Gauss[f.Level].Values, f.X/oct.Stride, cfg)
+	}
 	return feats, nil
 }
 
@@ -334,18 +347,18 @@ func isRelaxedExtremum(val float64, i int, d, below, above []float64, eps float6
 	return false
 }
 
-// describe builds the gradient-histogram descriptor around sample i of the
-// octave-resolution smoothed series g (paper §3.1.2 step 2, Fig 5b).
+// describe builds, into the zeroed desc (len = DescriptorBins), the
+// gradient-histogram descriptor around sample i of the octave-resolution
+// smoothed series g (paper §3.1.2 step 2, Fig 5b).
 // The window spans cells·CellWidth samples centred at i; each cell
 // accumulates Gaussian-weighted positive gradient magnitude into its first
 // bin and negative magnitude into its second.
-func describe(g []float64, i int, cfg Config) []float64 {
+func describe(desc, g []float64, i int, cfg Config) {
 	cells := cfg.DescriptorBins / 2
 	window := cells * cfg.CellWidth
 	half := window / 2
-	desc := make([]float64, cfg.DescriptorBins)
 	if len(g) < 3 {
-		return desc
+		return
 	}
 	// Gaussian weighting with σ = half the window, as in SIFT.
 	wSigma := float64(window) / 2
@@ -361,15 +374,14 @@ func describe(g []float64, i int, cfg Config) []float64 {
 			cell = cells - 1
 		}
 		if grad >= 0 {
-			desc[2*cell] += w * grad
+			desc[2*cell] += float64(w * grad)
 		} else {
-			desc[2*cell+1] += w * (-grad)
+			desc[2*cell+1] += float64(w * (-grad))
 		}
 	}
 	if cfg.AmplitudeInvariant {
 		normalize(desc)
 	}
-	return desc
 }
 
 // gradientAt returns the central-difference gradient of g at pos with
@@ -400,7 +412,7 @@ func gradientAt(g []float64, pos int) float64 {
 func normalize(v []float64) {
 	ss := 0.0
 	for _, x := range v {
-		ss += x * x
+		ss += float64(x * x)
 	}
 	if ss == 0 {
 		return
@@ -445,7 +457,7 @@ func DescriptorDistance(a, b []float64) float64 {
 	ss := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss)
 }
@@ -478,7 +490,7 @@ func DescriptorDistanceSqAbandon(a, b []float64, cutoffSq float64) float64 {
 	for ; i+8 <= len(a); i += 8 {
 		for k := i; k < i+8; k++ {
 			d := a[k] - b[k]
-			ss += d * d
+			ss += float64(d * d)
 		}
 		if ss > cutoffSq {
 			return math.Inf(1)
@@ -486,7 +498,7 @@ func DescriptorDistanceSqAbandon(a, b []float64, cutoffSq float64) float64 {
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		ss += d * d
+		ss += float64(d * d)
 	}
 	if ss > cutoffSq {
 		return math.Inf(1)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sdtw/internal/series"
 )
@@ -475,6 +476,30 @@ func TestExtractDeterministic(t *testing.T) {
 	for i := range f1 {
 		if f1[i].X != f2[i].X || f1[i].Sigma != f2[i].Sigma {
 			t.Fatal("extraction not deterministic")
+		}
+	}
+}
+
+// TestDescriptorsShareOneBlock pins the layout the matcher's blocked
+// kernel reads: one Extract's descriptors are consecutive, capacity-capped
+// windows of a single allocation, in feature order.
+func TestDescriptorsShareOneBlock(t *testing.T) {
+	feats, err := Extract(bumpSeries(300, []int{40, 110, 190, 260}, 6, 1), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(feats) < 2 {
+		t.Fatalf("need several features, got %d", len(feats))
+	}
+	bins := len(feats[0].Descriptor)
+	base := uintptr(unsafe.Pointer(&feats[0].Descriptor[0]))
+	for k, f := range feats {
+		if len(f.Descriptor) != bins || cap(f.Descriptor) != bins {
+			t.Fatalf("feature %d: descriptor len %d cap %d, want both %d (a window must not reach its neighbour)",
+				k, len(f.Descriptor), cap(f.Descriptor), bins)
+		}
+		if at, want := uintptr(unsafe.Pointer(&f.Descriptor[0])), base+uintptr(k*bins*8); at != want {
+			t.Fatalf("feature %d: descriptor at %#x, want %#x (%d windows after the first)", k, at, want, k)
 		}
 	}
 }
