@@ -333,7 +333,7 @@ func TestBoundedIndexRadiusRegression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			brute = append(brute, Neighbor{Pos: i, Distance: dist})
+			brute = append(brute, Neighbor{Pos: i, ID: s.ID, Label: s.Label, Distance: dist})
 		}
 		sort.Slice(brute, func(a, b int) bool {
 			if brute[a].Distance != brute[b].Distance {

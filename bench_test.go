@@ -283,14 +283,15 @@ func BenchmarkFig13RetrievalAccuracy(b *testing.B) {
 }
 
 // BenchmarkFig14DistanceError reproduces Fig 14: distance error versus
-// time gain per algorithm per data set.
+// time gain per algorithm per data set, read off the Fig 13 grid (the two
+// figures plot different columns of the same evaluation).
 func BenchmarkFig14DistanceError(b *testing.B) {
 	for _, name := range []string{"Gun", "Trace", "50Words"} {
 		b.Run(name, func(b *testing.B) {
 			var results []experiments.AlgoResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				results, err = experiments.Fig14(name, experiments.Small, benchSeed)
+				results, err = experiments.Fig13(name, experiments.Small, benchSeed)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -394,29 +395,45 @@ func BenchmarkSubsequenceSearch(b *testing.B) {
 
 // BenchmarkMonitorPush measures the streaming monitor's per-point cost —
 // the acceptance gate is zero allocations per pushed point after warm-up
-// (O(|q|) state, no per-point growth).
+// (O(|q|) state, no per-point growth). The 32x128 rows are the one-point
+// multi-query shape: with default workers it must not lose to workers=1,
+// because a single point carries too little work to fan out.
 func BenchmarkMonitorPush(b *testing.B) {
 	query, stream := streamWorkload(b, "Gun", 4, 10_000)
-	m, err := NewMonitor([]Series{NewSeries("q", 0, query)}, Options{}) // 150-point query
-	if err != nil {
-		b.Fatal(err)
+	grid := monitorGrid(b)
+	cases := []struct {
+		name    string
+		queries []Series
+		mopts   []MonitorOption
+	}{
+		{"1x150", []Series{NewSeries("q", 0, query)}, nil},
+		{"32x128", grid, nil},
+		{"32x128/workers=1", grid, []MonitorOption{WithMonitorWorkers(1)}},
 	}
-	ctx := context.Background()
-	for _, v := range stream[:512] { // warm-up before measuring
-		if _, err := m.Push(ctx, v); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			m, err := NewMonitor(tc.queries, Options{}, tc.mopts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			for _, v := range stream[:512] { // warm-up before measuring
+				if _, err := m.Push(ctx, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Push(ctx, stream[i%len(stream)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			st := m.Stats()
+			b.ReportMetric(float64(st.Cells)/float64(st.Points), "cells/point")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Push(ctx, stream[i%len(stream)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := m.Stats()
-	b.ReportMetric(float64(st.Cells)/float64(st.Points), "cells/point")
 }
 
 // BenchmarkMonitorPushBatch measures the batched streaming path with
@@ -489,55 +506,7 @@ func BenchmarkExtrasComparison(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks ----------------------------------------------
-
-// --- Extension benchmarks: reduced representations, bounds, clustering ---
-
-// BenchmarkFastDTW measures the multi-resolution approximation (the
-// §2.1.4 reduced-representation family) against the exact grid.
-func BenchmarkFastDTW(b *testing.B) {
-	d, err := datasets.ByName("Trace", datasets.Config{Seed: benchSeed, SeriesPerClass: 1, Length: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := d.Series[0].Values
-	y := d.Series[1].Values
-	for _, radius := range []int{1, 4} {
-		b.Run(fmt.Sprintf("radius=%d", radius), func(b *testing.B) {
-			b.ReportAllocs()
-			cells := 0
-			for i := 0; i < b.N; i++ {
-				res, err := FastDTW(x, y, radius)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cells = res.Cells
-			}
-			b.ReportMetric(1-float64(cells)/float64(len(x)*len(y)), "cellsgain")
-		})
-	}
-}
-
-// BenchmarkCombinedMultiresSDTW measures the paper-suggested combination
-// of multi-resolution projection with the salient-feature band.
-func BenchmarkCombinedMultiresSDTW(b *testing.B) {
-	d, err := datasets.ByName("Trace", datasets.Config{Seed: benchSeed, SeriesPerClass: 1, Length: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := d.Series[0].Values
-	y := d.Series[1].Values
-	b.ReportAllocs()
-	cells := 0
-	for i := 0; i < b.N; i++ {
-		res, err := CombinedDistance(x, y, 1, DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells = res.Cells
-	}
-	b.ReportMetric(1-float64(cells)/float64(len(x)*len(y)), "cellsgain")
-}
+// --- Retrieval and ablation benchmarks --------------------------------
 
 // BenchmarkIndexTopKCascade measures the Index's cascaded parallel top-k
 // retrieval on a Table-1-style Trace workload: candidates ordered by
@@ -661,29 +630,6 @@ func BenchmarkBoundedTopK(b *testing.B) {
 	}
 	b.ReportMetric(stats.PruneRate(), "prunerate")
 	b.ReportMetric(stats.AbandonRate(), "abandonrate")
-}
-
-// BenchmarkClusteringKMedoids measures k-medoids over sDTW distances on
-// the Gun workload.
-func BenchmarkClusteringKMedoids(b *testing.B) {
-	d, err := datasets.ByName("Gun", datasets.Config{Seed: benchSeed, SeriesPerClass: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	purity := 0.0
-	for i := 0; i < b.N; i++ {
-		c, err := Cluster(d.Series, 2, DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := ClusterPurity(c, d.Series)
-		if err != nil {
-			b.Fatal(err)
-		}
-		purity = p
-	}
-	b.ReportMetric(purity, "purity")
 }
 
 // BenchmarkAblationNeighborRadius varies the ac2 width-averaging radius,

@@ -268,108 +268,3 @@ func TestSearchStatsPruneRate(t *testing.T) {
 		t.Fatal("empty stats prune rate not zero")
 	}
 }
-
-func TestFastDTWPublicAPI(t *testing.T) {
-	d := boundedWorkload(t)
-	x := d.Series[0].Values
-	y := d.Series[1].Values
-	exact, err := DTW(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := FastDTW(x, y, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Distance < exact-1e-9 {
-		t.Fatalf("FastDTW underestimates: %v < %v", res.Distance, exact)
-	}
-	if err := res.Path.Validate(len(x), len(y)); err != nil {
-		t.Fatal(err)
-	}
-	if res.Cells >= len(x)*len(y) {
-		t.Fatalf("FastDTW did not prune: %d cells", res.Cells)
-	}
-	if res.Levels < 2 {
-		t.Fatalf("FastDTW did not recurse: %d levels", res.Levels)
-	}
-	if _, err := FastDTW(nil, y, 1); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-func TestCombinedDistancePublicAPI(t *testing.T) {
-	d := boundedWorkload(t)
-	x := d.Series[0].Values
-	y := d.Series[1].Values
-	exact, err := DTW(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := CombinedDistance(x, y, 1, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Distance < exact-1e-9 {
-		t.Fatalf("combined underestimates: %v < %v", res.Distance, exact)
-	}
-	// The combined band must not exceed the sDTW band alone.
-	eng := NewEngine(Options{Strategy: AdaptiveCoreAdaptiveWidth, KeepBand: true})
-	solo, err := eng.DistanceSeries(d.Series[0], d.Series[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BandCells > solo.Band.Cells() {
-		t.Fatalf("combined band %d cells > sDTW band %d", res.BandCells, solo.Band.Cells())
-	}
-	if _, err := CombinedDistance(nil, y, 1, DefaultOptions()); !IsErr(err, ErrEmptySeries) {
-		t.Fatalf("empty input: got %v, want ErrEmptySeries", err)
-	}
-}
-
-func TestPAAPublicAPI(t *testing.T) {
-	v := []float64{1, 3, 5, 7}
-	r := PAA(v, 2)
-	if len(r) != 2 || r[0] != 2 || r[1] != 6 {
-		t.Fatalf("PAA = %v", r)
-	}
-}
-
-func TestClusterPublicAPI(t *testing.T) {
-	d := GunDataset(DatasetConfig{Seed: 51, SeriesPerClass: 8})
-	c, err := Cluster(d.Series, 2, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Medoids) != 2 || len(c.Assign) != d.Len() {
-		t.Fatalf("clustering malformed: %+v", c)
-	}
-	purity, err := ClusterPurity(c, d.Series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if purity < 0.7 {
-		t.Fatalf("sDTW clustering purity = %v on a 2-class workload", purity)
-	}
-	if c.Silhouette <= 0 {
-		t.Fatalf("silhouette = %v", c.Silhouette)
-	}
-	// Exact-DTW clustering also works through the same entry point.
-	cExact, err := Cluster(d.Series, 2, Options{Strategy: FullGrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pExact, err := ClusterPurity(cExact, d.Series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pExact < 0.7 {
-		t.Fatalf("exact clustering purity = %v", pExact)
-	}
-	if _, err := Cluster(nil, 2, DefaultOptions()); !IsErr(err, ErrEmptyCollection) {
-		t.Fatalf("empty collection: got %v, want ErrEmptyCollection", err)
-	}
-	if _, err := ClusterPurity(nil, d.Series); err == nil {
-		t.Fatal("nil clustering accepted")
-	}
-}

@@ -78,7 +78,7 @@ func bruteTopK(t *testing.T, ix *Index, query Series, k int) []Neighbor {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, Neighbor{Pos: i, Distance: res.Distance})
+		all = append(all, Neighbor{Pos: i, ID: s.ID, Label: s.Label, Distance: res.Distance})
 	}
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].Distance != all[b].Distance {

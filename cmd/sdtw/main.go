@@ -177,8 +177,7 @@ func runQuery(data *sdtw.Dataset, q, k int, opts sdtw.Options) error {
 	}
 	fmt.Printf("top-%d neighbours of %s (label %d):\n", k, data.Series[q].ID, data.Series[q].Label)
 	for rank, nb := range nbrs {
-		s := data.Series[nb.Pos]
-		fmt.Printf("%3d. %-20s label=%-3d distance=%g\n", rank+1, s.ID, s.Label, nb.Distance)
+		fmt.Printf("%3d. %-20s label=%-3d distance=%g\n", rank+1, nb.ID, nb.Label, nb.Distance)
 	}
 	labels, err := idx.Labels(context.Background(), data.Series[q], sdtw.WithK(k))
 	if err != nil {

@@ -24,10 +24,6 @@ func GunDataset(cfg DatasetConfig) *Dataset { return datasets.Gun(cfg) }
 // 100 series).
 func TraceDataset(cfg DatasetConfig) *Dataset { return datasets.Trace(cfg) }
 
-// FiftyWordsDataset synthesises the 50-class word-profile workload
-// (length 270, 450 series).
-func FiftyWordsDataset(cfg DatasetConfig) *Dataset { return datasets.FiftyWords(cfg) }
-
 // DatasetByName generates a paper workload by name ("Gun", "Trace" or
 // "50Words").
 func DatasetByName(name string, cfg DatasetConfig) (*Dataset, error) {

@@ -27,7 +27,7 @@ func legacyEngineTopK(t *testing.T, ix *Index, query Series, k int) []Neighbor {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, Neighbor{Pos: i, Distance: res.Distance})
+		all = append(all, Neighbor{Pos: i, ID: s.ID, Label: s.Label, Distance: res.Distance})
 	}
 	return rankTruncate(all, k)
 }
@@ -53,7 +53,7 @@ func legacyWindowedTopK(t *testing.T, data []Series, query Series, radius, k int
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, Neighbor{Pos: i, Distance: d})
+		all = append(all, Neighbor{Pos: i, ID: s.ID, Label: s.Label, Distance: d})
 	}
 	return rankTruncate(all, k)
 }

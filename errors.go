@@ -9,14 +9,14 @@ import (
 )
 
 // Sentinel errors of the query surface. Every validation failure across
-// NewIndex, NewWindowedIndex, Search, NewMonitor, Push, Add, Remove,
-// Cluster and the one-shot helpers wraps one of these, so callers branch
+// NewIndex, NewWindowedIndex, Search, NewMonitor, Push, Add, Remove and
+// the one-shot helpers wraps one of these, so callers branch
 // with errors.Is instead of matching message strings:
 //
 //	if _, _, err := ix.Search(ctx, q, sdtw.WithK(k)); errors.Is(err, sdtw.ErrBadK) { ... }
 var (
-	// ErrEmptyCollection reports an attempt to index, cluster, or batch
-	// over zero series — or to Remove an index's last series.
+	// ErrEmptyCollection reports an attempt to index or batch over zero
+	// series — or to Remove an index's last series.
 	ErrEmptyCollection = retrieve.ErrEmptyCollection
 	// ErrEmptySeries reports a series or query with no observations.
 	ErrEmptySeries = retrieve.ErrEmptySeries

@@ -88,13 +88,6 @@ func ExampleMonitor() {
 	// pulse at [7,9] distance 0.0
 }
 
-// PAA reduces a series by window averaging, the coarsening step of the
-// multi-resolution DTW family.
-func ExamplePAA() {
-	fmt.Println(sdtw.PAA([]float64{1, 3, 5, 7, 9, 11}, 3))
-	// Output: [3 9]
-}
-
 // Search is the unified query surface: one call serves top-k retrieval,
 // range search (WithThreshold) and leave-one-out exclusion on either
 // backend, under a cancellable context.

@@ -11,9 +11,10 @@
 //
 //	<stream-id> <v1> <v2> ...
 //
-// either from stdin:
+// either from stdin (sdtwgen writes UCR lines, "label,v1,v2,...": with
+// the commas turned into spaces each class label becomes a stream):
 //
-//	go run ./examples/sdtwgen | go run ./examples/fleet -stdin
+//	go run ./cmd/sdtwgen | tr ',' ' ' | go run ./examples/fleet -stdin
 //
 // or from a TCP socket shared by any number of producers:
 //

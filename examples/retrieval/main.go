@@ -79,8 +79,8 @@ func main() {
 			e, f := exact[rank], fast[rank]
 			fmt.Printf("   #%d  exact: %-14s d=%.4f   sdtw: %-14s d=%.4f\n",
 				rank+1,
-				data.Series[e.Pos].ID, e.Distance,
-				data.Series[f.Pos].ID, f.Distance)
+				e.ID, e.Distance,
+				f.ID, f.Distance)
 		}
 	}
 	fmt.Printf("\nmean top-%d retrieval accuracy (accret): %.3f\n", k, overlapSum/float64(len(queries)))

@@ -52,7 +52,12 @@ type Index struct {
 	segRecords int
 }
 
-// Neighbor is one retrieval result.
+// Neighbor is one retrieval result, and the one result type: it carries
+// the matched series' Pos, ID, Label and Distance. ID and Label are copied
+// inside the search, so they name the series whose distance is reported
+// even when a concurrent Add or Remove renumbers positions afterwards. A
+// ShardedIndex reports Pos -1: positions are per shard and mean nothing
+// across them.
 type Neighbor = retrieve.Neighbor
 
 // SearchStats accounts for the work one search (or batch) did and, more
@@ -376,7 +381,7 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []Series, opts ...Sear
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
-	out, stats, err := ix.core.SearchBatch(ctx, queries, p, false)
+	out, stats, err := ix.core.SearchBatch(ctx, queries, p)
 	if err != nil {
 		return nil, stats, fmt.Errorf("sdtw: %w", err)
 	}
@@ -388,17 +393,11 @@ func (ix *Index) SearchBatch(ctx context.Context, queries []Series, opts ...Sear
 // achieving the maximum count among the neighbours is returned (ties can
 // attach multiple labels, §4.2), sorted ascending.
 func (ix *Index) Labels(ctx context.Context, query Series, opts ...SearchOption) ([]int, error) {
-	p, err := resolveSearch(opts)
+	nbrs, _, err := ix.Search(ctx, query, opts...)
 	if err != nil {
 		return nil, err
 	}
-	// Neighbour labels are resolved inside the search's read lock, so a
-	// concurrent Remove cannot renumber positions under the vote.
-	_, nbLabels, _, err := ix.core.SearchWithLabels(ctx, query, p)
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	return vote(nbLabels), nil
+	return vote(nbrs), nil
 }
 
 // LabelsAll classifies every indexed series against the rest of the
@@ -411,25 +410,25 @@ func (ix *Index) LabelsAll(ctx context.Context, opts ...SearchOption) ([][]int, 
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
-	_, nbLabels, stats, err := ix.core.SearchAllWithLabels(ctx, p)
+	nbrs, stats, err := ix.core.SearchSelf(ctx, p)
 	if err != nil {
 		return nil, stats, fmt.Errorf("sdtw: %w", err)
 	}
-	labels := make([][]int, len(nbLabels))
-	for i, ls := range nbLabels {
-		labels[i] = vote(ls)
+	labels := make([][]int, len(nbrs))
+	for i, nb := range nbrs {
+		labels[i] = vote(nb)
 	}
 	return labels, stats, nil
 }
 
 // vote derives the majority-vote label set from the neighbours' labels.
-func vote(nbLabels []int) []int {
+func vote(nbrs []Neighbor) []int {
 	counts := make(map[int]int)
 	maxCount := 0
-	for _, l := range nbLabels {
-		counts[l]++
-		if counts[l] > maxCount {
-			maxCount = counts[l]
+	for _, nb := range nbrs {
+		counts[nb.Label]++
+		if counts[nb.Label] > maxCount {
+			maxCount = counts[nb.Label]
 		}
 	}
 	var labels []int

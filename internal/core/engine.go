@@ -273,13 +273,6 @@ func (e *Engine) Evict(id string) {
 	e.mu.Unlock()
 }
 
-// ClearCache drops all cached features.
-func (e *Engine) ClearCache() {
-	e.mu.Lock()
-	e.cache = make(map[string][]sift.Feature)
-	e.mu.Unlock()
-}
-
 // Distance computes the constrained DTW distance between x and y.
 //
 // When the band is Symmetric (§3.3.3), the inputs are first put into a

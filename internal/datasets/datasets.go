@@ -54,15 +54,6 @@ func (d *Dataset) Labels() []int {
 	return out
 }
 
-// ByClass groups series indices by class label.
-func (d *Dataset) ByClass() map[int][]int {
-	groups := make(map[int][]int, d.NumClasses)
-	for i, s := range d.Series {
-		groups[s.Label] = append(groups[s.Label], i)
-	}
-	return groups
-}
-
 // Validate checks the structural invariants of the data set.
 func (d *Dataset) Validate() error {
 	if len(d.Series) == 0 {

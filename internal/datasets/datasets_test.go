@@ -74,13 +74,16 @@ func TestConfigOverrides(t *testing.T) {
 
 func TestClassBalance(t *testing.T) {
 	d := Trace(Config{Seed: 5})
-	groups := d.ByClass()
-	if len(groups) != 4 {
-		t.Fatalf("Trace has %d classes, want 4", len(groups))
+	counts := make(map[int]int)
+	for _, l := range d.Labels() {
+		counts[l]++
 	}
-	for label, idxs := range groups {
-		if len(idxs) != 25 {
-			t.Fatalf("class %d has %d series, want 25", label, len(idxs))
+	if len(counts) != 4 {
+		t.Fatalf("Trace has %d classes, want 4", len(counts))
+	}
+	for label, n := range counts {
+		if n != 25 {
+			t.Fatalf("class %d has %d series, want 25", label, n)
 		}
 	}
 }

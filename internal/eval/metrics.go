@@ -5,7 +5,6 @@
 package eval
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -142,39 +141,4 @@ func KNNLabels(ranked []int, labels []int, k int) map[int]bool {
 		}
 	}
 	return out
-}
-
-// Summary aggregates a slice of per-object or per-pair measurements.
-type Summary struct {
-	Mean, Min, Max float64
-	N              int
-}
-
-// Summarize computes a Summary over finite entries of v.
-func Summarize(v []float64) Summary {
-	s := Summary{Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		sum += x
-		s.N++
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	if s.N == 0 {
-		return Summary{}
-	}
-	s.Mean = sum / float64(s.N)
-	return s
-}
-
-// String implements fmt.Stringer for terse experiment logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("mean=%.4f min=%.4f max=%.4f n=%d", s.Mean, s.Min, s.Max, s.N)
 }

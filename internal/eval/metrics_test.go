@@ -159,17 +159,3 @@ func TestKNNLabels(t *testing.T) {
 		t.Fatalf("kNN(50) = %v", got)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 5, 3, math.NaN(), math.Inf(1)})
-	if s.N != 3 || s.Min != 1 || s.Max != 5 || s.Mean != 3 {
-		t.Fatalf("Summarize = %+v", s)
-	}
-	if got := s.String(); got == "" {
-		t.Fatal("empty summary string")
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Fatalf("empty summary = %+v", empty)
-	}
-}

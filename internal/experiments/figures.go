@@ -6,15 +6,10 @@ import (
 )
 
 // Fig13 evaluates the standard algorithm grid on one data set and reports
-// top-5/top-10 retrieval accuracy with time gains (paper Fig 13).
+// top-5/top-10 retrieval accuracy with time gains (paper Fig 13). Fig 14
+// (distance error versus time gain) plots other columns of the same
+// results: render them with RenderFig14.
 func Fig13(name string, scale Scale, seed int64) ([]AlgoResult, error) {
-	return evaluateGrid(name, scale, seed, StandardAlgorithms())
-}
-
-// Fig14 reports distance error versus time gain on one data set (paper
-// Fig 14). It shares Fig 13's evaluation grid; both figures derive from
-// the same matrices, so callers wanting both should reuse the results.
-func Fig14(name string, scale Scale, seed int64) ([]AlgoResult, error) {
 	return evaluateGrid(name, scale, seed, StandardAlgorithms())
 }
 

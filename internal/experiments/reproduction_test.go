@@ -48,7 +48,7 @@ func TestPaperShape50Words(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction regression runs medium-scale matrices")
 	}
-	results, err := Fig14("50Words", Medium, 42)
+	results, err := Fig13("50Words", Medium, 42) // Fig 14 reads the same grid
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -258,6 +258,9 @@ func TestMatchDifferentialOnExtractedFeatures(t *testing.T) {
 // at the Alignment, its pair list and its two boundary lists — through
 // Match itself, whose scratch comes from the package pool.
 func TestMatchAllocatesOnlyItsAlignment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the pooled scratch is not reliably warm")
+	}
 	rng := rand.New(rand.NewSource(3))
 	alphabet := [][]float64{make([]float64, 64)}
 	fx := kernelFeatures(rng, 40, 200, 64, alphabet, nil)

@@ -32,11 +32,20 @@ import (
 	"sdtw/internal/sketch"
 )
 
-// Neighbor is one retrieval result.
+// Neighbor is one retrieval result — the one result type of every search
+// surface, flat or sharded. ID and Label are copied from the matched
+// series under the search's own view of the collection, so they belong to
+// the series whose Distance is reported even if a concurrent Add/Remove
+// renumbers positions before the caller looks.
 type Neighbor struct {
 	// Pos is the position of the neighbour in the indexed collection (as
-	// of the search; Add/Remove renumber positions).
+	// of the search; Add/Remove renumber positions). A sharded search
+	// reports -1: positions are per shard and mean nothing across them.
 	Pos int
+	// ID is the matched series' ID (empty when it has none).
+	ID string
+	// Label is the matched series' class label.
+	Label int
 	// Distance is the backend distance to the query.
 	Distance float64
 }
@@ -754,46 +763,6 @@ func (c *Core) SearchPrepared(ctx context.Context, q Query, p Params) ([]Neighbo
 	return c.searchPrepared(ctx, q, p)
 }
 
-// SearchWithLabels is Search returning, alongside each neighbour, the
-// class label of its series — resolved under the same read lock as the
-// search itself, so concurrent Add/Remove cannot renumber positions
-// between retrieval and label lookup.
-func (c *Core) SearchWithLabels(ctx context.Context, query series.Series, p Params) ([]Neighbor, []int, Stats, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	nbrs, stats, err := c.search(ctx, query, p)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	return nbrs, c.labelsLocked(nbrs), stats, nil
-}
-
-// SearchAllWithLabels is SearchAll with per-neighbour labels, resolved
-// under the batch's read lock (see SearchWithLabels).
-func (c *Core) SearchAllWithLabels(ctx context.Context, p Params) ([][]Neighbor, [][]int, Stats, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	nbrs, stats, err := c.batch(ctx, c.data, p, true)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	labels := make([][]int, len(nbrs))
-	for i, nb := range nbrs {
-		labels[i] = c.labelsLocked(nb)
-	}
-	return nbrs, labels, stats, nil
-}
-
-// labelsLocked maps a neighbour list to its series' class labels. Callers
-// hold (at least) the read lock.
-func (c *Core) labelsLocked(nbrs []Neighbor) []int {
-	labels := make([]int, len(nbrs))
-	for i, nb := range nbrs {
-		labels[i] = c.data[nb.Pos].Label
-	}
-	return labels
-}
-
 // search is Search under a held read lock (batch calls it directly so a
 // whole batch sees one consistent collection): one preparation, then the
 // cascade.
@@ -1022,7 +991,7 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 			return
 		}
 
-		nb := Neighbor{Pos: cd.pos, Distance: res.Distance}
+		nb := Neighbor{Pos: cd.pos, ID: s.ID, Label: s.Label, Distance: res.Distance}
 		mu.Lock()
 		if len(best) < k {
 			heap.Push(&best, nb)
@@ -1073,17 +1042,25 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 // SearchBatch answers one search per entry of queries, parallelising
 // across queries and dividing the remaining worker budget inside each
 // query's cascade, so the pool stays bounded at the core's worker count.
-// With excludeSelf set, queries must be the indexed collection itself and
-// query n additionally excludes position n — leave-one-out even when
-// series lack the IDs the usual self-match skip keys on. The returned
-// stats aggregate every query; WallTime is the batch's elapsed time.
-func (c *Core) SearchBatch(ctx context.Context, queries []series.Series, p Params, excludeSelf bool) ([][]Neighbor, Stats, error) {
+// The returned stats aggregate every query; WallTime is the batch's
+// elapsed time.
+func (c *Core) SearchBatch(ctx context.Context, queries []series.Series, p Params) ([][]Neighbor, Stats, error) {
 	if len(queries) == 0 {
 		return nil, Stats{}, fmt.Errorf("batch needs at least one query: %w", ErrEmptyCollection)
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.batch(ctx, queries, p, excludeSelf)
+	return c.batch(ctx, queries, p, false)
+}
+
+// SearchSelf is the leave-one-out self-batch: one search per indexed
+// series against the rest of the collection, query n excluding position n
+// — so leave-one-out holds even when series lack the IDs the usual
+// self-match skip keys on.
+func (c *Core) SearchSelf(ctx context.Context, p Params) ([][]Neighbor, Stats, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.batch(ctx, c.data, p, true)
 }
 
 // batch is SearchBatch under a held read lock. With excludeSelf set the

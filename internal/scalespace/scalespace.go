@@ -222,8 +222,3 @@ func Build(v []float64, cfg Config) (*Pyramid, error) {
 	}
 	return p, nil
 }
-
-// Kappa returns the per-level scale multiplier κ = 2^{1/s} for the pyramid.
-func (p *Pyramid) Kappa() float64 {
-	return math.Pow(2, 1/float64(p.Cfg.Levels))
-}

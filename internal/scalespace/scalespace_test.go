@@ -256,17 +256,6 @@ func TestBuildStopsWhenOctaveTooSmall(t *testing.T) {
 	}
 }
 
-func TestKappa(t *testing.T) {
-	v := make([]float64, 64)
-	p, err := Build(v, Config{Levels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p.Kappa()-math.Sqrt2) > 1e-12 {
-		t.Fatalf("κ = %v, want √2", p.Kappa())
-	}
-}
-
 func TestGaussianBlurDetectsScale(t *testing.T) {
 	// A bump of width w produces its strongest DoG response at a scale
 	// comparable to w: check the argmax response grows with bump width.

@@ -106,21 +106,6 @@ func AddNoise(rng *rand.Rand, v []float64, sigma float64) []float64 {
 	return out
 }
 
-// Shift returns a copy of v circularly shifted right by k samples
-// (k may be negative for a left shift).
-func Shift(v []float64, k int) []float64 {
-	n := len(v)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	k = ((k % n) + n) % n
-	for i := range v {
-		out[(i+k)%n] = v[i]
-	}
-	return out
-}
-
 // Sigmoid is a smooth step from 0 to 1 centred at c with slope controlled
 // by width (samples over which most of the transition happens). It is used
 // by the synthetic data-set generators to build plateau-style features.

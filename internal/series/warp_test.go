@@ -147,36 +147,6 @@ func TestAddNoiseZeroSigma(t *testing.T) {
 	}
 }
 
-func TestShift(t *testing.T) {
-	v := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		k    int
-		want []float64
-	}{
-		{0, []float64{1, 2, 3, 4, 5}},
-		{1, []float64{5, 1, 2, 3, 4}},
-		{2, []float64{4, 5, 1, 2, 3}},
-		{-1, []float64{2, 3, 4, 5, 1}},
-		{5, []float64{1, 2, 3, 4, 5}},
-		{7, []float64{4, 5, 1, 2, 3}},
-		{-6, []float64{2, 3, 4, 5, 1}},
-	}
-	for _, tc := range tests {
-		got := Shift(v, tc.k)
-		for i := range tc.want {
-			if got[i] != tc.want[i] {
-				t.Fatalf("Shift(%d) = %v, want %v", tc.k, got, tc.want)
-			}
-		}
-	}
-}
-
-func TestShiftEmpty(t *testing.T) {
-	if out := Shift(nil, 3); len(out) != 0 {
-		t.Fatalf("Shift(nil) = %v", out)
-	}
-}
-
 func TestSigmoidShape(t *testing.T) {
 	// Rises from ~0 to ~1 around the centre.
 	if v := Sigmoid(0, 50, 10); v > 0.01 {

@@ -33,6 +33,14 @@ const (
 	// arrived in full, so idle or trickling clients cannot hold
 	// connections open indefinitely.
 	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds a whole request, header and body: a body trickled
+	// in below ~140 KB/s for the full 8 MiB is cut off rather than holding
+	// its connection (it never holds an in-flight slot — those are taken
+	// after the body is decoded).
+	readTimeout = time.Minute
+	// maxHeaderBytes caps a request header; the API carries nothing in
+	// headers, so net/http's 1 MiB default is 16× more than it needs.
+	maxHeaderBytes = 64 << 10
 )
 
 // Config tunes a Server.
@@ -298,6 +306,21 @@ func statusFor(err error) int {
 	}
 }
 
+// overloaded reports whether a search arriving now would be refused:
+// every in-flight slot taken and the wait queue full. handleSearch asks
+// before it decodes, so a saturated server does not parse bodies it is
+// about to answer 429; admit still has the last word.
+func (s *Server) overloaded() bool {
+	return len(s.sem) == cap(s.sem) && s.waiting.Load() >= int64(s.cfg.MaxQueue)
+}
+
+// refuse counts one shed search and returns its 429.
+func (s *Server) refuse() (int, error) {
+	s.rejected.Add(1)
+	return http.StatusTooManyRequests,
+		fmt.Errorf("over capacity: %d searches in flight and %d queued", s.cfg.MaxInflight, s.cfg.MaxQueue)
+}
+
 // admit acquires an in-flight slot, waiting in the bounded queue if the
 // server is saturated. It returns a release function, or an HTTP status
 // explaining the rejection.
@@ -309,9 +332,8 @@ func (s *Server) admit(ctx context.Context) (func(), int, error) {
 	}
 	if s.waiting.Add(1) > int64(s.cfg.MaxQueue) {
 		s.waiting.Add(-1)
-		s.rejected.Add(1)
-		return nil, http.StatusTooManyRequests,
-			fmt.Errorf("over capacity: %d searches in flight and %d queued", s.cfg.MaxInflight, s.cfg.MaxQueue)
+		status, err := s.refuse()
+		return nil, status, err
 	}
 	defer s.waiting.Add(-1)
 	select {
@@ -332,6 +354,11 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	if s.overloaded() {
+		status, err := s.refuse()
+		writeError(w, status, err)
+		return
+	}
 	var req SearchRequest
 	if !decodeBody(w, r, "search", &req) {
 		return
@@ -340,6 +367,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("k must be >= 0, got %d", req.K))
 		return
 	}
+	// The slot is taken only now, with the body already in memory: a
+	// client sending its body slowly occupies a connection, not a slot.
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	release, status, err := s.admit(ctx)
@@ -517,7 +546,13 @@ func (s *Server) Run(ctx context.Context, addr string, drainTimeout time.Duratio
 
 // httpServer is the http.Server Run serves on.
 func (s *Server) httpServer(addr string) *http.Server {
-	return &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 func (s *Server) run(ctx context.Context, hs *http.Server, drainTimeout time.Duration, ready chan<- string) error {

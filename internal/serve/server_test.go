@@ -212,6 +212,55 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestSearchHitsWireFormat pins the bytes of a search reply's hits: the
+// keys id, label, distance, in that order and no others (the library's
+// result type also carries a position, which must not leak onto the
+// wire), with the values a flat index over the same collection reports.
+func TestSearchHitsWireFormat(t *testing.T) {
+	srv, d := newTestServer(t, Config{})
+	flat, err := sdtw.NewIndex(d.Series, sdtw.Options{Strategy: sdtw.FixedCoreFixedWidth, WidthFrac: 0.10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := d.Series[0]
+	nbrs, _, err := flat.Search(context.Background(), q, sdtw.WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	want.WriteByte('[')
+	for i, nb := range nbrs {
+		if i > 0 {
+			want.WriteByte(',')
+		}
+		dist, err := json.Marshal(nb.Distance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, `{"id":%q,"label":%d,"distance":%s}`, nb.ID, nb.Label, dist)
+	}
+	want.WriteByte(']')
+
+	b, err := json.Marshal(SearchRequest{ID: q.ID, Values: q.Values, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(b)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("search: status %d: %s", rec.Code, rec.Body)
+	}
+	var reply struct {
+		Hits json.RawMessage `json:"hits"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reply.Hits, want.Bytes()) {
+		t.Fatalf("hits on the wire:\n%s\nwant:\n%s", reply.Hits, want.Bytes())
+	}
+}
+
 // TestBackpressure saturates the in-flight slots and the wait queue by
 // holding the admission semaphore directly, then checks the server sheds
 // the overflow with 429 instead of buffering without bound.
@@ -249,6 +298,77 @@ func TestBackpressure(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("queued search never completed")
+	}
+}
+
+// unreadBody fails the test if the handler reads any of it.
+type unreadBody struct{ t *testing.T }
+
+func (b *unreadBody) Read(p []byte) (int, error) {
+	b.t.Error("the body of a search that was going to be refused was read")
+	return 0, io.EOF
+}
+
+func (b *unreadBody) Close() error { return nil }
+
+// TestOverloadRefusedBeforeDecode: with every in-flight slot taken and
+// the wait queue full, a search is answered 429 and counted without a
+// byte of its body being read — a saturated server used to decode up to
+// 8 MiB of JSON first. With room in the queue the body is decoded, and
+// the search holds no in-flight slot while it is.
+func TestOverloadRefusedBeforeDecode(t *testing.T) {
+	srv, d := newTestServer(t, Config{MaxInflight: 1, MaxQueue: 1})
+	h := srv.Handler()
+	srv.sem <- struct{}{} // the one in-flight slot is busy
+	srv.waiting.Add(1)    // and the one queue place is taken
+
+	body := &unreadBody{t: t}
+	req := httptest.NewRequest(http.MethodPost, "/v1/search", body)
+	req.ContentLength = maxBodyBytes - 1 // claims a body just under the cap
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("saturated search: status %d, want 429 (%s)", rec.Code, rec.Body)
+	}
+	if got := srv.rejected.Load(); got != 1 {
+		t.Fatalf("rejected counter = %d, want 1", got)
+	}
+	if got := srv.waiting.Load(); got != 1 {
+		t.Fatalf("refusal moved the queue count to %d", got)
+	}
+
+	// Free the queue place (the slot stays busy): the next search decodes
+	// its body before it queues, so while the body is still arriving it is
+	// neither in flight nor waiting.
+	srv.waiting.Add(-1)
+	pr, pw := io.Pipe()
+	done := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", pr))
+		done <- rec.Code
+	}()
+	b, err := json.Marshal(SearchRequest{Values: d.Series[0].Values, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pw.Write(b[:len(b)/2]); err != nil { // returns once the decoder has consumed it
+		t.Fatal(err)
+	}
+	if len(srv.sem) != 1 || srv.waiting.Load() != 0 {
+		t.Fatalf("half-sent body holds admission state: inflight %d queued %d", len(srv.sem), srv.waiting.Load())
+	}
+	if _, err := pw.Write(b[len(b)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	waitFor(t, func() bool { return srv.waiting.Load() == 1 }, "decoded search to queue")
+	<-srv.sem // free the slot
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("queued search: status %d, want 200", code)
+	}
+	if got := srv.rejected.Load(); got != 1 {
+		t.Fatalf("rejected counter = %d after an admitted search, want 1", got)
 	}
 }
 
@@ -652,6 +772,10 @@ func TestHeaderTimeoutClosesConnection(t *testing.T) {
 	hs := srv.httpServer("127.0.0.1:0")
 	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
 		t.Fatalf("Run's server has ReadHeaderTimeout %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.ReadTimeout != readTimeout || hs.MaxHeaderBytes != maxHeaderBytes {
+		t.Fatalf("Run's server has ReadTimeout %v and MaxHeaderBytes %d, want %v and %d",
+			hs.ReadTimeout, hs.MaxHeaderBytes, readTimeout, maxHeaderBytes)
 	}
 	hs.ReadHeaderTimeout = 100 * time.Millisecond // the constant, shortened for the test
 

@@ -53,16 +53,10 @@ type Config struct {
 	SketchWidth int
 }
 
-// Hit is one merged retrieval result. Sharding renumbers positions per
-// shard, so results are identified by series ID rather than position.
-type Hit struct {
-	// ID is the matched series' ID.
-	ID string
-	// Label is the matched series' class label.
-	Label int
-	// Distance is the backend distance to the query.
-	Distance float64
-}
+// Hit is one merged retrieval result: retrieve's one result type with Pos
+// set to -1, since sharding renumbers positions per shard and results are
+// identified by series ID.
+type Hit = retrieve.Neighbor
 
 // snapshot is one shard's immutable published state. Readers load it
 // atomically and use it for a whole search; writers clone it, mutate the
@@ -440,11 +434,9 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 			if err == nil && len(nbrs) > 0 {
 				out.hits = make([]hit, len(nbrs))
 				for j, nb := range nbrs {
-					s := snap.core.Series(nb.Pos)
-					out.hits[j] = hit{
-						Hit: Hit{ID: s.ID, Label: s.Label, Distance: nb.Distance},
-						seq: snap.seqs[nb.Pos],
-					}
+					seq := snap.seqs[nb.Pos]
+					nb.Pos = -1 // shard-local, meaningless to the caller
+					out.hits[j] = hit{Hit: nb, seq: seq}
 				}
 			}
 			outs[i] = out

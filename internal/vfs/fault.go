@@ -108,13 +108,6 @@ func (f *FaultFS) Crashed() bool {
 	return f.crashed
 }
 
-// Ops returns the number of mutating operations performed so far.
-func (f *FaultFS) Ops() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ops
-}
-
 // Recover turns the machine back on: the volatile namespace is rebuilt
 // from the durable one, each surviving file holds its synced contents
 // plus a deterministic prefix of whatever unsynced suffix the page
@@ -446,19 +439,6 @@ func (f *FaultFS) SyncDir(dir string) error {
 		}
 	}
 	return nil
-}
-
-// DurableNames lists the names that would survive a crash right now
-// (test introspection).
-func (f *FaultFS) DurableNames() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.durBind))
-	for name := range f.durBind {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // faultFile is an open FaultFS handle. Reads and writes see the

@@ -46,7 +46,6 @@ package sdtw
 
 import (
 	"fmt"
-	"io"
 
 	"sdtw/internal/band"
 	"sdtw/internal/core"
@@ -353,13 +352,3 @@ func ExtractFeatures(v []float64, opts Options) ([]Feature, error) {
 
 // SubsequenceMatch locates the best-matching region of a long series.
 type SubsequenceMatch = dtw.SubsequenceMatch
-
-// SaveFeatures serialises the engine's salient-feature cache (gob
-// encoded) so the one-time extraction cost (§3.4) can be paid offline and
-// shipped alongside the data. Snapshots are only meaningful for engines
-// configured with the same feature options.
-func (e *Engine) SaveFeatures(w io.Writer) error { return e.inner.SaveFeatures(w) }
-
-// LoadFeatures merges a cache snapshot written by SaveFeatures into the
-// engine.
-func (e *Engine) LoadFeatures(r io.Reader) error { return e.inner.LoadFeatures(r) }

@@ -22,8 +22,8 @@ import (
 // bit-identical (IDs and distances) to a single Index.Search over the
 // same collection, including distance-tie ordering. Unlike Index, a
 // ShardedIndex may be empty — a serving collection starts empty and
-// fills through Add — and results carry series IDs instead of positions,
-// since sharding makes positions meaningless.
+// fills through Add — and its results are identified by series ID: they
+// carry Pos -1, since sharding makes positions meaningless.
 type ShardedIndex struct {
 	cluster *shard.Cluster
 	engines []*Engine // per-shard engines; nil for the windowed backend
@@ -40,8 +40,9 @@ type ShardedIndex struct {
 	segRecords int
 }
 
-// Hit is one sharded retrieval result, identified by series ID.
-type Hit = shard.Hit
+// Hit is Neighbor under the name the sharded surfaces use; a sharded
+// result is identified by its ID and carries Pos -1.
+type Hit = Neighbor
 
 // ErrNoID reports a series without an ID reaching a sharded surface:
 // hash routing (and Remove) key on non-empty IDs.

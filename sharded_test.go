@@ -45,13 +45,14 @@ func shardedAndFlat(t *testing.T, backend string, data []Series, ns []int) (map[
 	return sharded, flat
 }
 
-// flatHits maps a single-process neighbour list to (ID, Label, Distance)
-// hits so it compares field-for-field with the sharded result.
+// flatHits maps a single-process neighbour list to the hits a sharded
+// search must report for it — ID and Label looked up by position, Pos -1
+// — so it compares field-for-field with the sharded result.
 func flatHits(ix *Index, nbrs []Neighbor) []Hit {
 	hits := make([]Hit, len(nbrs))
 	for i, nb := range nbrs {
 		s := ix.Series(nb.Pos)
-		hits[i] = Hit{ID: s.ID, Label: s.Label, Distance: nb.Distance}
+		hits[i] = Hit{Pos: -1, ID: s.ID, Label: s.Label, Distance: nb.Distance}
 	}
 	return hits
 }
@@ -74,6 +75,62 @@ func requireSameHits(t *testing.T, label string, want, got []Hit) {
 		}
 		if want[i].Label != got[i].Label {
 			t.Fatalf("%s: hit %d (%q) label %d, want %d", label, i, got[i].ID, got[i].Label, want[i].Label)
+		}
+		if want[i].Pos != got[i].Pos {
+			t.Fatalf("%s: hit %d (%q) position %d, want %d", label, i, got[i].ID, got[i].Pos, want[i].Pos)
+		}
+	}
+}
+
+// TestOneResultType: Neighbor is the only result struct. A flat
+// neighbour carries the ID and Label of the series at its Pos, and a
+// sharded hit is that same value — every field, distance bits included —
+// with Pos -1, on both backends and after mutation has renumbered the
+// flat positions.
+func TestOneResultType(t *testing.T) {
+	d := TraceDataset(DatasetConfig{Seed: 13, SeriesPerClass: 5})
+	ctx := context.Background()
+	for _, backend := range []string{"engine", "windowed"} {
+		sharded, flat := shardedAndFlat(t, backend, d.Series[:16], []int{3})
+		for _, s := range d.Series[16:] {
+			if err := flat.Add(s); err != nil {
+				t.Fatal(err)
+			}
+			if err := sharded[3].Add(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []string{d.Series[0].ID, d.Series[7].ID} {
+			if err := flat.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := sharded[3].Remove(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for qi := 1; qi < d.Len(); qi += 4 {
+			nbrs, _, err := flat.Search(ctx, d.Series[qi], WithK(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits, _, err := sharded[3].Search(ctx, d.Series[qi], WithK(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hits) != len(nbrs) {
+				t.Fatalf("%s/query %d: %d hits for %d neighbours", backend, qi, len(hits), len(nbrs))
+			}
+			for i, nb := range nbrs {
+				if s := flat.Series(nb.Pos); nb.ID != s.ID || nb.Label != s.Label {
+					t.Fatalf("%s/query %d: neighbour %+v is not the series at its position (%q, label %d)",
+						backend, qi, nb, s.ID, s.Label)
+				}
+				want := nb
+				want.Pos = -1
+				if hits[i] != want || math.Float64bits(hits[i].Distance) != math.Float64bits(want.Distance) {
+					t.Fatalf("%s/query %d: hit %d is %+v, want %+v", backend, qi, i, hits[i], want)
+				}
+			}
 		}
 	}
 }

@@ -98,8 +98,8 @@ func WithBestOnly() MonitorOption {
 // WithMonitorWorkers bounds the worker pool Push and PushBatch fan
 // queries out across, overriding Options.Workers for this monitor.
 // n <= 0 means GOMAXPROCS; 1 forces sequential processing. Fan-out only
-// engages for multi-query monitors; results are independent of the
-// worker count.
+// engages for multi-query monitors, on calls carrying enough DP work to
+// repay it (see fanOutCells); results are independent of the worker count.
 func WithMonitorWorkers(n int) MonitorOption {
 	return func(c *monitorConfig) { c.workers = n }
 }
@@ -151,6 +151,8 @@ type Monitor struct {
 	matches   int64
 	pushTime  time.Duration
 	one       [1]float64 // Push's allocation-free single-point batch
+	// queryCells is Σ|query|: the DP cells one stream point costs.
+	queryCells int
 }
 
 // NewMonitor builds a streaming monitor over the given query patterns.
@@ -203,6 +205,7 @@ func NewMonitor(queries []Series, opts Options, mopts ...MonitorOption) (*Monito
 			return nil, fmt.Errorf("sdtw: NewMonitor: query %d: %w", i, err)
 		}
 		m.queries[i] = monitorQuery{id: q.ID, sp: sp}
+		m.queryCells += q.Len()
 	}
 	return m, nil
 }
@@ -231,6 +234,14 @@ func (m *Monitor) PushBatch(ctx context.Context, values []float64) ([]Match, err
 	defer m.mu.Unlock()
 	return m.push(ctx, values)
 }
+
+// fanOutCells is the DP work (stream points × Σ|query| cells) a push must
+// carry before it fans out across the worker pool. Starting the workers
+// costs goroutines, a WaitGroup and an error slice — 6–8 µs and 7
+// allocations on 2 cores — which a one-point Push over 32 queries of
+// length 128 (4 096 cells, ~15 µs sequential) never earns back; on that
+// shape fanning out broke even between 5 and 8 points.
+const fanOutCells = 32 * 1024
 
 // cancelCheckPoints is how often (in stream points) a push polls its
 // context; a point is O(|query|) work, so the poll stays off the hot
@@ -261,7 +272,7 @@ func (m *Monitor) push(ctx context.Context, values []float64) ([]Match, error) {
 	}
 	start := time.Now()
 	var err error
-	if m.workers > 1 && len(m.queries) > 1 {
+	if m.workers > 1 && len(m.queries) > 1 && len(values)*m.queryCells >= fanOutCells {
 		err = m.pushParallel(ctx, values)
 	} else {
 		for qi := range m.queries {

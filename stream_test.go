@@ -424,30 +424,56 @@ func TestMonitorValidationTable(t *testing.T) {
 	}
 }
 
+// monitorGrid builds the 32 × 128 multi-query shape (32 Trace series of
+// length 128) the fan-out threshold was measured on.
+func monitorGrid(tb testing.TB) []Series {
+	tb.Helper()
+	d, err := DatasetByName("Trace", DatasetConfig{Seed: 17, SeriesPerClass: 8, Length: 128})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d.Series
+}
+
 // TestMonitorPushNoAlloc is the O(|q|)-memory acceptance check: after
-// warm-up, pushing a point through a 150-point-query monitor allocates
-// nothing.
+// warm-up, pushing a point allocates nothing — through a 150-point-query
+// monitor, and through a 32 × 128 multi-query one whose worker pool must
+// stay out of a one-point push (it used to cost 7 objects a point).
 func TestMonitorPushNoAlloc(t *testing.T) {
 	query, stream := streamWorkload(t, "Gun", 4, 2000)
-	m, err := NewMonitor([]Series{NewSeries("q", 0, query)}, Options{})
-	if err != nil {
-		t.Fatal(err)
+	grid := monitorGrid(t)
+	cases := []struct {
+		name    string
+		queries []Series
+		mopts   []MonitorOption
+	}{
+		{"1x150", []Series{NewSeries("q", 0, query)}, nil},
+		{"32x128 default workers", grid, nil},
+		{"32x128 four workers", grid, []MonitorOption{WithMonitorWorkers(4)}},
 	}
-	ctx := context.Background()
-	for _, v := range stream[:500] { // warm-up
-		if _, err := m.Push(ctx, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 500
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := m.Push(ctx, stream[i%len(stream)]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("Push allocates %.1f objects per point after warm-up, want 0", allocs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewMonitor(tc.queries, Options{}, tc.mopts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for _, v := range stream[:500] { // warm-up
+				if _, err := m.Push(ctx, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 500
+			allocs := testing.AllocsPerRun(1000, func() {
+				if _, err := m.Push(ctx, stream[i%len(stream)]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("Push allocates %.1f objects per point after warm-up, want 0", allocs)
+			}
+		})
 	}
 }
 
