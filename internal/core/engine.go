@@ -45,10 +45,12 @@ type Options struct {
 	//
 	// The default cost is the fast path throughout the pipeline: a nil
 	// value (or series.SquaredDistance itself) dispatches every dynamic
-	// program to monomorphized, branch-free kernels with the cost
-	// inlined (internal/dtw/kernel.go), bit-identical to the generic
-	// path. Any other function — including a closure wrapping the
-	// squared cost — runs the generic per-cell indirect-call path.
+	// program to monomorphized kernels with the cost inlined
+	// (internal/dtw/kernel.go) — the banded DP among them, which fills
+	// four band rows per pass wherever the band is wide enough —
+	// bit-identical to the generic path. Any other function — including
+	// a closure wrapping the squared cost — runs the generic per-cell
+	// indirect-call path.
 	PointDistance series.PointDistance
 	// ComputePath, when true, makes Distance also recover the warp path
 	// (costs O(band cells) extra memory).

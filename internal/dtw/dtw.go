@@ -62,15 +62,22 @@ func (p Path) Cost(x, y []float64, dist series.PointDistance) float64 {
 }
 
 // Distance computes the exact DTW distance between x and y with the full
-// O(NM) grid using two rolling rows (O(M) memory). dist nil defaults to
-// squared point distance, dispatching to the monomorphized kernel (see
-// kernel.go).
+// O(NM) grid using rolling rows (O(M) memory). dist nil defaults to
+// squared point distance, which runs the banded squared kernel over the
+// full band (see kernel.go).
 func Distance(x, y []float64, dist series.PointDistance) (float64, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, fmt.Errorf("dtw: empty input (len(x)=%d len(y)=%d): %w", len(x), len(y), series.ErrEmptySeries)
 	}
 	if useSquaredKernel(dist) {
-		return distanceSquared(x, y), nil
+		// Over the full band the kernel's one failure is a grid whose every
+		// path costs +Inf (infinite or overflowing inputs), which the
+		// full-grid loop below reports as that distance.
+		d, _, _, err := bandedAbandonSquared(nil, x, y, FullBand(len(x), len(y)), math.Inf(1), nil)
+		if err != nil {
+			d = math.Inf(1)
+		}
+		return d, nil
 	}
 	if dist == nil {
 		dist = series.SquaredDistance
@@ -121,16 +128,22 @@ func DistanceWithPath(x, y []float64, dist series.PointDistance) (PathResult, er
 // The zero value is ready to use; a Workspace must not be shared between
 // concurrent computations.
 type Workspace struct {
-	prev, curr           []float64
+	buf                  []float64 // backs every row buffer handed out
 	prevStart, currStart []int
 }
 
-func (w *Workspace) rows(width int) (prev, curr []float64) {
-	if cap(w.prev) < width {
-		w.prev = make([]float64, width)
-		w.curr = make([]float64, width)
+// floats returns a buffer of n values, reusing the backing array.
+func (w *Workspace) floats(n int) []float64 {
+	if cap(w.buf) < n {
+		w.buf = make([]float64, n)
 	}
-	return w.prev[:width], w.curr[:width]
+	return w.buf[:n]
+}
+
+// rows returns the two rolling rows of a row-at-a-time dynamic program.
+func (w *Workspace) rows(width int) (prev, curr []float64) {
+	buf := w.floats(2 * width)
+	return buf[:width:width], buf[width:]
 }
 
 // startRows returns the start-pointer companions to rows, used by the
@@ -289,13 +302,14 @@ func BandedWithPath(x, y []float64, b Band, dist series.PointDistance) (PathResu
 	n, m := len(x), len(y)
 	inf := math.Inf(1)
 	// Band-compact storage: row i occupies flat[off[i]:off[i+1]], holding
-	// cells Lo[i]..Hi[i].
+	// cells Lo[i]-1..Hi[i]+1 — the two end cells are the +Inf pads of the
+	// squared kernel's row buffers (see kernel.go), unused otherwise.
 	off := make([]int, n+1)
 	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + b.Hi[i] - b.Lo[i] + 1
+		off[i+1] = off[i] + b.Hi[i] - b.Lo[i] + 3
 	}
 	flat := make([]float64, off[n])
-	cells := off[n]
+	cells := off[n] - 2*n
 	at := func(i, j int) float64 {
 		if i < 0 || j < 0 || i >= n {
 			if i == -1 && j == -1 {
@@ -306,16 +320,14 @@ func BandedWithPath(x, y []float64, b Band, dist series.PointDistance) (PathResu
 		if j < b.Lo[i] || j > b.Hi[i] {
 			return inf
 		}
-		return flat[off[i]+j-b.Lo[i]]
+		return flat[off[i]+j-b.Lo[i]+1]
 	}
 	if useSquaredKernel(dist) {
+		prev, prevLo, prevHi := originRow(), -1, -1
 		for i := 0; i < n; i++ {
 			row := flat[off[i]:off[i+1]]
-			if i == 0 {
-				fillRow0SquaredNoMin(x[0], y, b.Lo[0], b.Hi[0], row)
-			} else {
-				fillRowSquaredNoMin(x[i], y, b.Lo[i], b.Hi[i], flat[off[i-1]:off[i]], b.Lo[i-1], b.Hi[i-1], row)
-			}
+			fillRowSquared(x[i], y, b.Lo[i], prev, prevLo, prevHi, row, b.Lo[i], b.Hi[i])
+			prev, prevLo, prevHi = row, b.Lo[i], b.Hi[i]
 		}
 	} else {
 		if dist == nil {
@@ -337,7 +349,7 @@ func BandedWithPath(x, y []float64, b Band, dist series.PointDistance) (PathResu
 						best = v
 					}
 				}
-				flat[off[i]+j-lo] = best + dist(xi, y[j])
+				flat[off[i]+j-lo+1] = best + dist(xi, y[j])
 			}
 		}
 	}
@@ -350,6 +362,12 @@ func BandedWithPath(x, y []float64, b Band, dist series.PointDistance) (PathResu
 	path := make(Path, 0, n+m)
 	i, j := n-1, m-1
 	for {
+		// Every step lowers i+j, so a walk that misses the origin leaves
+		// the grid; only NaN costs (a NaN or infinite input) lose every
+		// comparison and lead it there.
+		if i < 0 || j < 0 {
+			return PathResult{Cells: cells}, fmt.Errorf("dtw: no warp path through non-finite costs")
+		}
 		path = append(path, Step{i, j})
 		if i == 0 && j == 0 {
 			break
@@ -382,11 +400,4 @@ func checkInputs(x, y []float64, b Band) error {
 		return fmt.Errorf("dtw: band constrains %d columns, series has %d points: %w", b.M, len(y), series.ErrLengthMismatch)
 	}
 	return b.Validate()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -173,24 +173,30 @@ func TestPathValidate(t *testing.T) {
 	}
 }
 
+// TestBandedFullBandEqualsFull holds the banded DP over the full band to
+// the full-grid Distance loop. The squared Distance runs the banded
+// kernel itself, so the reference is the generic Distance (a cost the
+// dispatch does not recognise): bit-identical to both banded dispatches.
 func TestBandedFullBandEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
 		x := randomSeries(rng, 2+rng.Intn(40))
 		y := randomSeries(rng, 2+rng.Intn(40))
-		full, err := Distance(x, y, nil)
+		full, err := Distance(x, y, sqGeneric)
 		if err != nil {
 			t.Fatal(err)
 		}
-		banded, cells, err := Banded(x, y, FullBand(len(x), len(y)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(full-banded) > 1e-9 {
-			t.Fatalf("full-band banded %v != full %v", banded, full)
-		}
-		if cells != len(x)*len(y) {
-			t.Fatalf("full band filled %d cells, want %d", cells, len(x)*len(y))
+		for _, dist := range []series.PointDistance{nil, sqGeneric} {
+			banded, cells, err := Banded(x, y, FullBand(len(x), len(y)), dist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(full) != math.Float64bits(banded) {
+				t.Fatalf("full-band banded %v != generic full %v", banded, full)
+			}
+			if cells != len(x)*len(y) {
+				t.Fatalf("full band filled %d cells, want %d", cells, len(x)*len(y))
+			}
 		}
 	}
 }

@@ -13,36 +13,58 @@ import (
 // bounded ~30s in the fuzz-smoke lane.
 
 // FuzzBandedKernelDifferential compares the specialized and generic
-// early-abandoning banded DP on fuzzer-chosen shapes, bands and budgets.
+// early-abandoning banded DP on fuzzer-chosen shapes (up to 320×320, so
+// strips by the dozen and every n mod 4), StripBand shapes, budgets (as a
+// fraction of the true distance, which steers the abandoning row through
+// every position of a strip) and planted non-finite values.
 func FuzzBandedKernelDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(8), uint8(0))
-	f.Add(int64(42), uint8(32), uint8(17), uint8(1))
-	f.Add(int64(7), uint8(48), uint8(3), uint8(2))
-	f.Add(int64(99), uint8(1), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, n8, m8, bsel uint8) {
-		n := int(n8)%48 + 1
-		m := int(m8)%48 + 1
+	f.Add(int64(1), uint16(7), uint16(7), uint8(0), uint8(255), uint8(0))
+	f.Add(int64(42), uint16(31), uint16(16), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(7), uint16(47), uint16(2), uint8(0), uint8(100), uint8(0))
+	f.Add(int64(99), uint16(0), uint16(0), uint8(0), uint8(200), uint8(0))
+	for kind := 1; kind < StripBandKinds; kind++ { // the strip shapes at 256+ rows, every n mod 4
+		f.Add(int64(200+kind), uint16(255+kind), uint16(299-7*kind), uint8(kind), uint8(30*kind), uint8(0))
+	}
+	f.Add(int64(300), uint16(63), uint16(11), uint8(4), uint8(120), uint8(0)) // 64×12 full band: joint range exactly the strip threshold
+	f.Add(int64(301), uint16(63), uint16(10), uint8(4), uint8(120), uint8(0)) // 64×11: one below
+	for n := uint16(0); n < 5; n++ {                                          // 1..5 rows: no strip until the fifth
+		f.Add(int64(310)+int64(n), n, uint16(39), uint8(4), uint8(150), uint8(0))
+	}
+	// NaN, +Inf, -Inf and ±MaxFloat64 planted in bands that would strip.
+	// The seeds of the first three are ones where the strip's builtin min
+	// and the generic < cascade do part ways, so they fail if such inputs
+	// ever reach the strip.
+	f.Add(int64(17), uint16(96), uint16(80), uint8(1), uint8(255), uint8(1))
+	f.Add(int64(47), uint16(96), uint16(80), uint8(1), uint8(255), uint8(1))
+	f.Add(int64(1), uint16(96), uint16(80), uint8(1), uint8(255), uint8(2))
+	f.Add(int64(2), uint16(33), uint16(33), uint8(4), uint8(255), uint8(2))
+	f.Add(int64(1), uint16(96), uint16(80), uint8(1), uint8(255), uint8(3))
+	f.Add(int64(346), uint16(33), uint16(33), uint8(2), uint8(255), uint8(3))
+	for special := uint8(4); special < NonFiniteKinds; special++ {
+		f.Add(int64(400)+int64(special), uint16(96), uint16(80), uint8(1), uint8(180), special)
+		f.Add(int64(410)+int64(special), uint16(33), uint16(33), uint8(4), uint8(255), special)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n16, m16 uint16, kind, bsel, special uint8) {
+		n := int(n16)%320 + 1
+		m := int(m16)%320 + 1
 		rng := rand.New(rand.NewSource(seed))
 		x := kernelRandomSeries(rng, n)
 		y := kernelRandomSeries(rng, m)
-		b := kernelRandomBand(rng, n, m)
-		budget := math.Inf(1)
-		switch bsel % 4 {
-		case 1:
-			budget = 0
-		case 2:
-			budget = rng.Float64() * float64(n)
-		case 3:
-			budget = rng.Float64() * 10
-		}
+		b := StripBand(rng, n, m, int(kind))
+		InjectNonFinite(rng, x, y, int(special))
 		var wsS, wsG Workspace
-		gotD, gotC, gotA, err := BandedAbandonWS(x, y, b, nil, budget, &wsS)
-		if err != nil {
-			t.Fatal(err)
+		budget := math.Inf(1)
+		if bsel < 250 {
+			exact, _, _ := BandedWS(x, y, b, sqGeneric, &wsG)
+			if math.IsNaN(exact) || math.IsInf(exact, 0) {
+				exact = float64(n)
+			}
+			budget = exact * float64(bsel) / 200
 		}
-		wantD, wantC, wantA, err := BandedAbandonWS(x, y, b, sqGeneric, budget, &wsG)
-		if err != nil {
-			t.Fatal(err)
+		gotD, gotC, gotA, gotErr := BandedAbandonWS(x, y, b, nil, budget, &wsS)
+		wantD, wantC, wantA, wantErr := BandedAbandonWS(x, y, b, sqGeneric, budget, &wsG)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("error divergence (n=%d m=%d budget=%v): specialized %v vs generic %v", n, m, budget, gotErr, wantErr)
 		}
 		if math.Float64bits(gotD) != math.Float64bits(wantD) || gotC != wantC || gotA != wantA {
 			t.Fatalf("kernel divergence (n=%d m=%d budget=%v): specialized (%v, %d, %v) vs generic (%v, %d, %v)",

@@ -1,26 +1,43 @@
 package dtw
 
-// Monomorphized, branch-free dynamic-programming kernels for the default
-// squared point cost.
+// Monomorphized dynamic-programming kernels for the default squared point
+// cost.
 //
 // Every hot loop in this package is generic over a series.PointDistance
 // function pointer, which costs one indirect call per grid cell plus
 // per-cell band-interval membership checks. For the default cost (a-b)²
 // that overhead dominates the O(band) dynamic programs the locally
 // relevant constraints buy (§2.1.1, §3.4). The kernels below run the same
-// recurrences with the cost inlined and each band row split into
-// pre-overlap / overlap / post-overlap segments against the previous
-// row's interval, so the core segment runs branch-free over re-sliced
-// buffers (letting the compiler drop the bounds checks) and the tail is a
-// pure horizontal accumulation.
+// recurrences with the cost inlined.
 //
-// Bit-identity contract: every kernel performs the same floating-point
-// operations in the same order as its generic counterpart. Squared costs
-// round through an explicit float64 conversion so the compiler cannot
-// fuse the multiply into the following add across what used to be a
-// function-call boundary. Differential tests in kernel_test.go pin
-// distance, cell count, abandoned flag and path equality against the
-// generic path on random series, bands and budgets.
+// The banded kernel (bandedAbandonSquared, behind BandedAbandonCtx, Banded*
+// and the squared Distance) fills the band four rows per pass wherever
+// four consecutive rows overlap widely enough (fillStripSquared): a cell
+// waits on its left neighbour through a minimum and an add, so one row
+// alone is one serial chain — and, written as the < cascade, three
+// data-dependent branches per cell — while four rows skewed one column
+// apart are four independent chains the core overlaps, with a branchless
+// builtin min. Rows that do not make a strip — a narrow band such as the
+// radius-3 window, the first row, a leftover of n mod 4, rows around an
+// interval jump, any input holding a NaN or an infinity — are filled one
+// at a time by fillRowSquared, which is also what fills the ends of a
+// strip's rows left and right of the skewed loop. Which rows run how is
+// read off the band's own intervals, never set by a caller.
+//
+// Bit-identity contract: every kernel returns what its generic
+// counterpart returns, bit for bit — each cell is still one add of the
+// same two operands, and wherever a kernel picks a minimum some other way
+// than the generic strict < cascade, its comment says why the pick is the
+// same. Squared costs round through an explicit float64 conversion so the
+// compiler cannot fuse the multiply into the following add across what
+// used to be a function-call boundary. cells counts the band cells of the
+// rows the generic loop would have filled: through the abandoning row
+// when a budget stops the DP, not the up to three rows of its strip
+// filled behind it. Differential tests in kernel_test.go and the fuzz
+// targets pin distance or partial cost, cell count, abandoned flag and
+// path equality against the generic path, and oracle_test.go pins both
+// against a textbook full-matrix DP, on strip-reaching bands, every
+// abandoning row and non-finite inputs.
 
 import (
 	"context"
@@ -46,104 +63,95 @@ func sq(a, b float64) float64 {
 	return float64(d * d)
 }
 
-// fillRow0Squared fills the first band row, where cell (0,0) is the free
-// origin and the only other predecessor is the horizontal one — a running
-// accumulation carried in a register.
+// infBits is the bit pattern of +Inf, the identity of a row minimum.
+const infBits = 0x7ff << 52
+
+// Row buffers of the squared-cost banded kernels are padded: the buffer of
+// a row with interval [lo, hi] holds cells lo-1..hi+1 (cell j at index
+// j-lo+1) and the two end cells are +Inf. A predecessor just outside the
+// previous row's interval, or left of this row's, is then read like any
+// other and loses every strict < exactly as the generic loop's "no such
+// predecessor" does, so a row needs no per-cell membership checks. Row 0
+// gets its free origin the same way, from originRow.
+//
+// Row minima are tracked as the minimum over math.Float64bits patterns, a
+// compare and a conditional move off the floating-point dependency chain
+// where v < rowMin is a data-dependent branch. It is the same value:
+// accumulated costs are non-negative (sums of squares, never -0), and
+// non-negative floats order as their bit patterns do; a NaN (only
+// non-finite inputs make one) has a pattern above +Inf's whatever its
+// sign, so it is skipped exactly as v < rowMin skips it.
+
+// originRow is the padded buffer of the virtual row above row 0: the one
+// cell (-1,-1), cost 0, the diagonal predecessor of the origin (0,0).
+// Its interval is [-1, -1].
+func originRow() []float64 { return []float64{math.Inf(1), 0, math.Inf(1)} }
+
+// accumulateSquared fills a run of cells whose only predecessor is the
+// horizontal one, cw[k+1] from cw[k] — a running accumulation carried in
+// a register. The predecessor enters as the generic loop takes it, on a
+// strict < against +Inf, so a NaN to the left restarts the run at +Inf
+// instead of spreading. It returns the bits of the run's minimum.
 //
 //sdtw:hotpath
-func fillRow0Squared(x0 float64, y []float64, lo, hi int, curr []float64) float64 {
-	inf := math.Inf(1)
-	rowMin := inf
-	h := inf
-	for j := lo; j <= hi; j++ {
-		best := h
-		if j == 0 {
-			best = 0
+func accumulateSquared(xi float64, yd, cw []float64) uint64 {
+	rowMin := uint64(infBits)
+	h := cw[0]
+	cw = cw[1:]
+	cw = cw[:len(yd)]
+	for k := range yd {
+		best := math.Inf(1)
+		if h < best {
+			best = h
 		}
-		v := best + sq(x0, y[j])
-		curr[j-lo] = v
-		h = v
-		if v < rowMin {
-			rowMin = v
-		}
+		d := xi - yd[k]
+		h = best + float64(d*d)
+		cw[k] = h
+		rowMin = min(rowMin, math.Float64bits(h))
 	}
 	return rowMin
 }
 
-// fillRowSquared fills one band row of the squared-cost dynamic program:
-// curr[0..hi-lo] receives the accumulated costs of cells (i, lo..hi)
-// given the previous row's interval [prevLo, prevHi] stored in prev. It
-// returns the row minimum.
+// fillRowSquared fills cells from..to of one band row of the squared-cost
+// dynamic program into the padded buffer curr (first column lo), given
+// the previous row's padded buffer prev and interval [prevLo, prevHi]. It
+// writes the +Inf pad left of the row when it starts it (from == lo) and
+// one right of the last cell it fills, and returns the bits of the
+// minimum over the cells it filled. It is the whole of a narrow band's
+// row (from = lo, to = hi) and the head and tail filler of a strip row
+// (see fillStripSquared).
 //
-// The row is split against the previous row's interval into
-//
-//	head:  per-cell membership checks (cells before the full overlap);
-//	core:  diagonal, vertical and horizontal predecessors all exist —
-//	       branch-free over buffers re-sliced to the segment width;
-//	tail:  past the previous interval's reach — only the horizontal
-//	       predecessor remains, a pure running accumulation;
-//
-// with at most one boundary cell between core and tail where the diagonal
-// still reaches. The comparison order inside every segment (diagonal,
-// then vertical on strict <, then horizontal on strict <) is exactly the
-// generic loop's.
+// Columns prevLo..prevHi+1 have a diagonal or vertical predecessor and
+// run the three-way loop over buffers re-sliced to the segment width, so
+// the compiler proves the indexing in range once; the columns before and
+// after have the horizontal predecessor only. The comparison order
+// (diagonal, then vertical on strict <, then horizontal on strict <) is
+// exactly the generic loop's, so a NaN or infinite input behaves as it
+// does there.
 //
 //sdtw:hotpath
-func fillRowSquared(xi float64, y []float64, lo, hi int, prev []float64, prevLo, prevHi int, curr []float64) float64 {
+func fillRowSquared(xi float64, y []float64, lo int, prev []float64, prevLo, prevHi int, curr []float64, from, to int) uint64 {
 	inf := math.Inf(1)
-	rowMin := inf
-	// All three predecessors exist exactly for j in
-	// [max(prevLo, lo)+1, min(prevHi, hi)]; from max(prevHi+2, lo+1) on,
-	// only the horizontal predecessor remains.
-	coreStart := prevLo + 1
-	if lo+1 > coreStart {
-		coreStart = lo + 1
+	rowMin := uint64(infBits)
+	if from == lo {
+		curr[0] = inf
 	}
-	coreEnd := prevHi
-	if hi < coreEnd {
-		coreEnd = hi
+	curr[to-lo+2] = inf
+	j := from
+	if end := min(to, prevLo-1); j <= end {
+		rowMin = accumulateSquared(xi, y[j:end+1], curr[j-lo:])
+		j = end + 1
 	}
-	tailStart := prevHi + 2
-	if lo+1 > tailStart {
-		tailStart = lo + 1
-	}
-
-	j := lo
-	// Head: cells before the full overlap, with per-cell checks.
-	for ; j <= hi && j < coreStart; j++ {
-		best := inf
-		if j-1 >= prevLo && j-1 <= prevHi { // diagonal (i-1, j-1)
-			best = prev[j-1-prevLo]
-		}
-		if j >= prevLo && j <= prevHi { // vertical (i-1, j)
-			if v := prev[j-prevLo]; v < best {
-				best = v
-			}
-		}
-		if j-1 >= lo { // horizontal (i, j-1)
-			if v := curr[j-1-lo]; v < best {
-				best = v
-			}
-		}
-		v := best + sq(xi, y[j])
-		curr[j-lo] = v
-		if v < rowMin {
-			rowMin = v
-		}
-	}
-	// Core: branch-free. The horizontal dependency rides in h; the
-	// re-sliced views are all exactly w long, so the compiler proves the
-	// indexing in range once.
-	if j <= coreEnd {
-		w := coreEnd - j + 1
+	if end := min(to, prevHi+1); j <= end {
+		w := end - j + 1
 		yd := y[j : j+w : j+w]
-		pd := prev[j-1-prevLo:]
+		pd := prev[j-prevLo:] // cell j-1
 		pd = pd[:w]
-		pv := prev[j-prevLo:]
+		pv := prev[j-prevLo+1:] // cell j
 		pv = pv[:w]
-		cw := curr[j-lo:]
+		cw := curr[j-lo+1:]
 		cw = cw[:w]
-		h := curr[j-1-lo]
+		h := curr[j-lo]
 		for k := range yd {
 			best := pd[k]
 			if v := pv[k]; v < best {
@@ -153,271 +161,247 @@ func fillRowSquared(xi float64, y []float64, lo, hi int, prev []float64, prevLo,
 				best = h
 			}
 			d := xi - yd[k]
-			v := best + float64(d*d)
-			cw[k] = v
-			h = v
-			if v < rowMin {
-				rowMin = v
-			}
+			h = best + float64(d*d)
+			cw[k] = h
+			rowMin = min(rowMin, math.Float64bits(h))
 		}
 		j += w
 	}
-	// Boundary: between core and tail the diagonal may still reach
-	// (j == prevHi+1); at most one such cell.
-	for ; j <= hi && j < tailStart; j++ {
-		best := inf
-		if j-1 >= prevLo && j-1 <= prevHi {
-			best = prev[j-1-prevLo]
-		}
-		if j >= prevLo && j <= prevHi {
-			if v := prev[j-prevLo]; v < best {
-				best = v
-			}
-		}
-		if j-1 >= lo {
-			if v := curr[j-1-lo]; v < best {
-				best = v
-			}
-		}
-		v := best + sq(xi, y[j])
-		curr[j-lo] = v
-		if v < rowMin {
-			rowMin = v
-		}
-	}
-	// Tail: only the horizontal predecessor remains. An infinite h stays
-	// infinite through the accumulation, exactly like the generic cells.
-	if j <= hi {
-		h := curr[j-1-lo]
-		yd := y[j : hi+1 : hi+1]
-		cw := curr[j-lo:]
-		cw = cw[:len(yd)]
-		for k := range yd {
-			d := xi - yd[k]
-			v := h + float64(d*d)
-			cw[k] = v
-			h = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
+	if j <= to {
+		rowMin = min(rowMin, accumulateSquared(xi, y[j:to+1], curr[j-lo:]))
 	}
 	return rowMin
 }
 
-// fillRow0SquaredNoMin is fillRow0Squared without row-minimum tracking,
-// for callers that can never abandon (budget +Inf) and so never read it.
-//
-//sdtw:hotpath
-func fillRow0SquaredNoMin(x0 float64, y []float64, lo, hi int, curr []float64) {
-	h := math.Inf(1)
-	for j := lo; j <= hi; j++ {
-		best := h
-		if j == 0 {
-			best = 0
-		}
-		v := best + sq(x0, y[j])
-		curr[j-lo] = v
-		h = v
+// stripRows is how many consecutive band rows fillStripSquared advances
+// per pass. A cell's cost waits on its left neighbour through min and
+// add, about 13 cycles on amd64 (the builtin min is MINSD·MINSD·POR), so
+// a single row fills one cell per 13 cycles however wide the machine is.
+// Rows skewed one column apart share nothing within a step: two rows
+// still leave the chain exposed (1.25–1.5× measured on Trace 1024 bands),
+// four hide it (2.0–2.3×), and more would only spill the seven carried
+// values out of registers.
+const stripRows = 4
+
+// stripMinSteps is the shortest joint range worth a strip: below it the
+// head and tail calls around the joint loop cost more than the loop saves.
+const stripMinSteps = 8
+
+// stripRange reports whether rows i..i+stripRows-1 of b run as a strip
+// and over which steps s..e they advance together: at step t row r fills
+// column t-r, and that cell must have all three predecessors inside the
+// band, i.e. lie in [max(Lo[r-1], Lo[r])+1, min(Hi[r-1], Hi[r])] (row -1
+// being the row above the strip, interval [prevLo, prevHi]). Row 0 never
+// joins a strip: the virtual row above it leaves it no such cell.
+func stripRange(b Band, i, prevLo, prevHi int) (s, e int, ok bool) {
+	if i+stripRows > len(b.Lo) {
+		return 0, 0, false
 	}
+	s, e = 0, b.M
+	for r := 0; r < stripRows; r++ {
+		lo, hi := b.Lo[i+r], b.Hi[i+r]
+		s = max(s, max(prevLo, lo)+1+r)
+		e = min(e, min(prevHi, hi)+r)
+		prevLo, prevHi = lo, hi
+	}
+	return s, e, e-s+1 >= stripMinSteps
 }
 
-// fillRowSquaredNoMin is fillRowSquared without row-minimum tracking: the
-// min update is one data-dependent float branch per cell, a measurable
-// fraction of the branch-free core, and callers that cannot abandon
-// (budget +Inf — every BandedWS/BandedWithPath computation) never read
-// it. Segments and comparison order are identical to fillRowSquared.
+// fillStripSquared fills band rows i..i+3 of the squared-cost dynamic
+// program together, given their joint steps s..e (see stripRange) and the
+// row above them in prev. It returns the bits of the last row's minimum,
+// the only one the caller needs while no row abandons (see
+// bandedAbandonSquared).
+//
+// Over the joint steps the rows advance skewed one column apart: at step
+// t row r fills column t-r. Row r's diagonal and vertical predecessors
+// are then row r-1's outputs of the two previous steps and its horizontal
+// predecessor its own last output, all carried in registers; only row 0
+// loads prev. The four cells of a step depend on nothing computed within
+// it, so their min/add latencies overlap. fillRowSquared fills what the
+// parallelogram leaves of each row: the head up to column s-r-1 before
+// the loop and the tail from e-r+1 after it — each pass top row first,
+// so a row's predecessors are filled before it reads them.
+//
+// Bit-identity with the < cascade of fillRowSquared: every accumulated
+// cost is a non-negative, non-NaN float here — a sum of rounded squares
+// of finite differences, +Inf at worst, never -0 — and on those the
+// builtin min (branchless, where the cascade is two data-dependent
+// branches) returns the operand the cascade selects. The caller keeps
+// inputs with a NaN or an infinity off this path. Each cell still
+// computes best + float64(d*d) on the same operands.
 //
 //sdtw:hotpath
-func fillRowSquaredNoMin(xi float64, y []float64, lo, hi int, prev []float64, prevLo, prevHi int, curr []float64) {
-	inf := math.Inf(1)
-	coreStart := prevLo + 1
-	if lo+1 > coreStart {
-		coreStart = lo + 1
-	}
-	coreEnd := prevHi
-	if hi < coreEnd {
-		coreEnd = hi
-	}
-	tailStart := prevHi + 2
-	if lo+1 > tailStart {
-		tailStart = lo + 1
+func fillStripSquared(x, y []float64, b Band, i, s, e int, prev []float64, prevLo, prevHi int, rows *[stripRows][]float64) uint64 {
+	lo, hi := b.Lo[i:i+stripRows], b.Hi[i:i+stripRows]
+	x = x[i : i+stripRows]
+	var lastMin, tailMin uint64 // of the row filled last: the strip's last, after each pass
+	p, pl, ph := prev, prevLo, prevHi
+	for r := range rows {
+		lastMin = fillRowSquared(x[r], y, lo[r], p, pl, ph, rows[r], lo[r], s-r-1)
+		p, pl, ph = rows[r], lo[r], hi[r]
 	}
 
-	j := lo
-	for ; j <= hi && j < coreStart; j++ {
-		best := inf
-		if j-1 >= prevLo && j-1 <= prevHi { // diagonal (i-1, j-1)
-			best = prev[j-1-prevLo]
-		}
-		if j >= prevLo && j <= prevHi { // vertical (i-1, j)
-			if v := prev[j-prevLo]; v < best {
-				best = v
-			}
-		}
-		if j-1 >= lo { // horizontal (i, j-1)
-			if v := curr[j-1-lo]; v < best {
-				best = v
-			}
-		}
-		curr[j-lo] = best + sq(xi, y[j])
+	w := e - s + 1
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	yv := y[s-3 : e+1] // row r at step s+k reads yv[k+3-r]
+	pv := prev[s-prevLo:]
+	pv = pv[:w+1] // diagonal pv[k], vertical pv[k+1]
+	c0 := rows[0][s-lo[0]+1:]
+	c0 = c0[:w]
+	c1 := rows[1][s-lo[1]:]
+	c1 = c1[:w]
+	c2 := rows[2][s-lo[2]-1:]
+	c2 = c2[:w]
+	c3 := rows[3][s-lo[3]-2:]
+	c3 = c3[:w]
+	// a_r is row r's last output, b_r the one before.
+	a0, b0 := rows[0][s-lo[0]], rows[0][s-lo[0]-1]
+	a1, b1 := rows[1][s-lo[1]-1], rows[1][s-lo[1]-2]
+	a2, b2 := rows[2][s-lo[2]-2], rows[2][s-lo[2]-3]
+	a3 := rows[3][s-lo[3]-3]
+	for k := 0; k < w; k++ {
+		yk := yv[k : k+4 : k+4] // one bounds check for the four loads
+		pk := pv[k : k+2 : k+2]
+		d := x0 - yk[3]
+		n0 := min(pk[0], pk[1], a0) + float64(d*d)
+		d = x1 - yk[2]
+		n1 := min(b0, a0, a1) + float64(d*d)
+		d = x2 - yk[1]
+		n2 := min(b1, a1, a2) + float64(d*d)
+		d = x3 - yk[0]
+		n3 := min(b2, a2, a3) + float64(d*d)
+		c0[k], c1[k], c2[k], c3[k] = n0, n1, n2, n3
+		lastMin = min(lastMin, math.Float64bits(n3))
+		b0, b1, b2 = a0, a1, a2
+		a0, a1, a2, a3 = n0, n1, n2, n3
 	}
-	if j <= coreEnd {
-		w := coreEnd - j + 1
-		yd := y[j : j+w : j+w]
-		pd := prev[j-1-prevLo:]
-		pd = pd[:w]
-		pv := prev[j-prevLo:]
-		pv = pv[:w]
-		cw := curr[j-lo:]
-		cw = cw[:w]
-		h := curr[j-1-lo]
-		for k := range yd {
-			best := pd[k]
-			if v := pv[k]; v < best {
-				best = v
-			}
-			if h < best {
-				best = h
-			}
-			d := xi - yd[k]
-			v := best + float64(d*d)
-			cw[k] = v
-			h = v
-		}
-		j += w
+
+	p, pl, ph = prev, prevLo, prevHi
+	for r := range rows {
+		tailMin = fillRowSquared(x[r], y, lo[r], p, pl, ph, rows[r], e-r+1, hi[r])
+		p, pl, ph = rows[r], lo[r], hi[r]
 	}
-	for ; j <= hi && j < tailStart; j++ {
-		best := inf
-		if j-1 >= prevLo && j-1 <= prevHi {
-			best = prev[j-1-prevLo]
-		}
-		if j >= prevLo && j <= prevHi {
-			if v := prev[j-prevLo]; v < best {
-				best = v
-			}
-		}
-		if j-1 >= lo {
-			if v := curr[j-1-lo]; v < best {
-				best = v
-			}
-		}
-		curr[j-lo] = best + sq(xi, y[j])
+	return min(lastMin, tailMin)
+}
+
+// rowMinimum returns the smallest accumulated cost among cells, +Inf if
+// it holds none (see the note on bit patterns above).
+func rowMinimum(cells []float64) float64 {
+	rowMin := uint64(infBits)
+	for _, v := range cells {
+		rowMin = min(rowMin, math.Float64bits(v))
 	}
-	if j <= hi {
-		h := curr[j-1-lo]
-		yd := y[j : hi+1 : hi+1]
-		cw := curr[j-lo:]
-		cw = cw[:len(yd)]
-		for k := range yd {
-			d := xi - yd[k]
-			v := h + float64(d*d)
-			cw[k] = v
-			h = v
+	return math.Float64frombits(rowMin)
+}
+
+// finite reports whether v holds no NaN and no infinity.
+func finite(v []float64) bool {
+	for _, f := range v {
+		if math.Float64bits(f)&infBits == infBits {
+			return false
 		}
 	}
+	return true
 }
 
 // bandedAbandonSquared is BandedAbandonCtx monomorphized for the default
-// squared cost: same row order, same cancellation and abandonment points,
-// same comparison order — with the cost inlined and rows filled by the
-// segmented kernel. A budget of +Inf (or NaN) can never abandon, so that
-// path runs the min-free row fillers: tracking the row minimum costs one
-// data-dependent float branch per cell, a real fraction of the branch-
-// free core. Inputs were validated by the caller.
+// squared cost: same rows, same abandonment points, same comparison
+// results — with the cost inlined and four rows advanced per pass
+// wherever the band lets them (fillStripSquared). Whether a group of rows
+// runs as a strip is decided from the band's own intervals; a band too
+// narrow for any strip (the radius-3 window) never even scans its inputs
+// for the non-finite values the strip cannot take. Inputs were validated
+// by the caller.
 func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, budget float64, ws *Workspace) (float64, int, bool, error) {
 	n, m := len(x), len(y)
 	maxWidth := 0
 	for i := 0; i < n; i++ {
-		if w := b.Hi[i] - b.Lo[i] + 1; w > maxWidth {
-			maxWidth = w
-		}
+		maxWidth = max(maxWidth, b.Hi[i]-b.Lo[i]+1)
 	}
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	prev, curr := ws.rows(maxWidth)
-	prevLo, prevHi := 0, -1
+	// Five padded row buffers: the strip's four and the row above it.
+	width := maxWidth + 2
+	buf := ws.floats((stripRows + 1) * width)
+	var rows [stripRows][]float64
+	for r := range rows {
+		rows[r] = buf[r*width : (r+1)*width : (r+1)*width]
+	}
+	prev := buf[stripRows*width:]
+	copy(prev, originRow())
+	prevLo, prevHi := -1, -1
 	cells := 0
-	abandonable := !math.IsInf(budget, 1) && !math.IsNaN(budget)
-	for i := 0; i < n; i++ {
-		if ctx != nil && i%cancelCheckRows == 0 {
+	// Rows narrower than a joint range plus the skew hold no strip (unless
+	// the band drifts left, which narrow bands are not worth checking for).
+	strips := maxWidth >= stripMinSteps+stripRows && finite(x) && finite(y)
+	polled := -cancelCheckRows
+	for i, k, tryAt := 0, 0, 0; i < n; i += k {
+		// Where rows do not make a strip, the next few are not asked: a
+		// band that stays just too narrow would pay for the question on
+		// every row.
+		var s, e int
+		k = 1
+		if strips && i >= tryAt {
+			var ok bool
+			if s, e, ok = stripRange(b, i, prevLo, prevHi); ok {
+				k = stripRows
+			} else {
+				tryAt = i + stripRows
+			}
+		}
+		// Poll before the rows that would put more than cancelCheckRows
+		// between two polls: every cancelCheckRows-th row of a narrow
+		// band, every other strip.
+		if ctx != nil && i+k > polled+cancelCheckRows {
+			polled = i
 			if err := ctx.Err(); err != nil {
 				return 0, cells, false, err
 			}
 		}
-		lo, hi := b.Lo[i], b.Hi[i]
-		if abandonable {
-			var rowMin float64
-			if i == 0 {
-				rowMin = fillRow0Squared(x[0], y, lo, hi, curr)
-			} else {
-				rowMin = fillRowSquared(x[i], y, lo, hi, prev, prevLo, prevHi, curr)
-			}
+		// Abandoning on the final row would save nothing. A +Inf or NaN
+		// budget is exceeded by nothing.
+		if k == 1 {
+			lo, hi := b.Lo[i], b.Hi[i]
+			rowMin := fillRowSquared(x[i], y, lo, prev, prevLo, prevHi, rows[0], lo, hi)
 			cells += hi - lo + 1
-			prev, curr = curr, prev
-			prevLo, prevHi = lo, hi
-			if i < n-1 && rowMin > budget {
-				return rowMin, cells, true, nil
+			if v := math.Float64frombits(rowMin); v > budget && i < n-1 {
+				return v, cells, true, nil
 			}
+			prev, rows[0] = rows[0], prev
+			prevLo, prevHi = lo, hi
 			continue
 		}
-		if i == 0 {
-			fillRow0SquaredNoMin(x[0], y, lo, hi, curr)
-		} else {
-			fillRowSquaredNoMin(x[i], y, lo, hi, prev, prevLo, prevHi, curr)
+		// Row minima never decrease down the grid — a cell is a cell of
+		// the row above, or one to its left, plus a non-negative cost, and
+		// rounding is monotone — so a row of the strip can only exceed the
+		// budget if the last one does, the only one whose minimum the
+		// strip tracks. Then, rarely, the rows' minima are read off their
+		// buffers. The rows filled behind an abandoning row are not
+		// counted: cells is the generic loop's count.
+		lastMin := fillStripSquared(x, y, b, i, s, e, prev, prevLo, prevHi, &rows)
+		exceeded := math.Float64frombits(lastMin) > budget
+		for r := range rows {
+			width := b.Hi[i+r] - b.Lo[i+r] + 1
+			cells += width
+			if exceeded && i+r < n-1 {
+				if v := rowMinimum(rows[r][1 : width+1]); v > budget {
+					return v, cells, true, nil
+				}
+			}
 		}
-		cells += hi - lo + 1
-		prev, curr = curr, prev
-		prevLo, prevHi = lo, hi
+		prev, rows[stripRows-1] = rows[stripRows-1], prev
+		prevLo, prevHi = b.Lo[i+stripRows-1], b.Hi[i+stripRows-1]
 	}
 	if m-1 < prevLo || m-1 > prevHi {
 		return 0, cells, false, errNoWarpPath()
 	}
-	d := prev[m-1-prevLo]
+	d := prev[m-prevLo]
 	if math.IsInf(d, 1) {
 		return 0, cells, false, errNoWarpPath()
 	}
 	return d, cells, false, nil
-}
-
-// distanceSquared is the full-grid Distance loop monomorphized for the
-// default squared cost, using the same two rolling (m+1)-rows and the
-// same comparison order as the generic loop.
-func distanceSquared(x, y []float64) float64 {
-	m := len(y)
-	prev := make([]float64, m+1)
-	curr := make([]float64, m+1)
-	inf := math.Inf(1)
-	for j := 1; j <= m; j++ {
-		prev[j] = inf
-	}
-	for i := 1; i <= len(x); i++ {
-		curr[0] = inf
-		xi := x[i-1]
-		pd := prev[:m] // prev[j-1] for j = 1..m
-		pv := prev[1:]
-		pv = pv[:m]
-		cw := curr[1:]
-		cw = cw[:m]
-		yd := y[:m]
-		h := inf // curr[0]
-		for k := range yd {
-			best := pd[k] // diagonal
-			if v := pv[k]; v < best {
-				best = v // vertical
-			}
-			if h < best {
-				best = h // horizontal
-			}
-			d := xi - yd[k]
-			v := best + float64(d*d)
-			cw[k] = v
-			h = v
-		}
-		prev, curr = curr, prev
-	}
-	return prev[m]
 }
 
 // subsequenceSquared is the open-begin/open-end subsequence DP

@@ -1,6 +1,8 @@
 package dtw
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,10 +64,14 @@ func kernelRandomBand(rng *rand.Rand, n, m int) Band {
 	return b.Normalize()
 }
 
-// randomBudget mixes the abandonment regimes: mostly +Inf (never
-// abandons), sometimes a budget near the true distance, sometimes 0
-// (abandons almost immediately).
-func randomBudget(rng *rand.Rand, exact float64) float64 {
+// randomBudget mixes the abandonment regimes: sometimes +Inf (never
+// abandons), sometimes 0 (abandons almost immediately), mostly a budget
+// around the true distance — or, when the pair has none (a non-finite
+// input), around the series length.
+func randomBudget(rng *rand.Rand, exact float64, n int) float64 {
+	if math.IsNaN(exact) || math.IsInf(exact, 0) {
+		exact = float64(n)
+	}
 	switch rng.Intn(4) {
 	case 0:
 		return math.Inf(1)
@@ -76,64 +82,63 @@ func randomBudget(rng *rand.Rand, exact float64) float64 {
 	}
 }
 
-// TestKernelDifferentialBandedAbandon is the tentpole's differential
-// property test: on random series, random normalized bands and random
-// thresholds, the monomorphized banded kernel must return bit-identical
-// distance, cell count and abandoned flag to the generic path.
+// TestKernelDifferentialBandedAbandon is the kernel's differential
+// property test: on random series, every StripBand shape, grids from 1×1
+// to 300×300 and random budgets — a third of the cases with a NaN, an
+// infinity or an overflowing ±MaxFloat64 planted in the inputs — the
+// monomorphized banded kernel must return the generic path's distance (or
+// partial cost) bit for bit, its cell count, its abandoned flag and its
+// verdict on whether the band admits a path.
 func TestKernelDifferentialBandedAbandon(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var wsSpec, wsGen Workspace
-	for trial := 0; trial < 400; trial++ {
-		n := 1 + rng.Intn(60)
-		m := 1 + rng.Intn(60)
+	for trial := 0; trial < 900; trial++ {
+		n, m := StripShape(rng)
 		x := kernelRandomSeries(rng, n)
 		y := kernelRandomSeries(rng, m)
-		b := kernelRandomBand(rng, n, m)
-
-		exact, _, err := BandedWS(x, y, b, sqGeneric, &wsGen)
-		if err != nil {
-			t.Fatalf("trial %d: generic banded: %v", trial, err)
+		b := StripBand(rng, n, m, trial)
+		if trial%3 == 0 {
+			InjectNonFinite(rng, x, y, 1+trial/3)
 		}
-		budget := randomBudget(rng, exact)
+		exact, _, _ := BandedWS(x, y, b, sqGeneric, &wsGen)
+		budget := randomBudget(rng, exact, n)
 
 		gd, gc, ga, gerr := BandedAbandonWS(x, y, b, sqGeneric, budget, &wsGen)
 		sd, sc, sa, serr := BandedAbandonWS(x, y, b, nil, budget, &wsSpec)
 		if (gerr == nil) != (serr == nil) {
 			t.Fatalf("trial %d: error mismatch: generic %v, specialized %v", trial, gerr, serr)
 		}
-		if gerr != nil {
-			continue
-		}
 		if math.Float64bits(gd) != math.Float64bits(sd) {
 			t.Fatalf("trial %d (n=%d m=%d budget=%v): distance bits differ: generic %v specialized %v",
 				trial, n, m, budget, gd, sd)
 		}
 		if gc != sc || ga != sa {
-			t.Fatalf("trial %d: cells/abandoned differ: generic (%d,%v) specialized (%d,%v)",
-				trial, gc, ga, sc, sa)
+			t.Fatalf("trial %d (n=%d m=%d budget=%v): cells/abandoned differ: generic (%d,%v) specialized (%d,%v)",
+				trial, n, m, budget, gc, ga, sc, sa)
 		}
 	}
 }
 
 // TestKernelDifferentialBandedPath pins the flat-backed, kernel-filled
 // BandedWithPath against the generic fill: bit-identical distance, equal
-// cell counts and step-for-step equal optimal paths.
+// cell counts and step-for-step equal optimal paths, non-finite inputs
+// included.
 func TestKernelDifferentialBandedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(40)
-		m := 1 + rng.Intn(40)
+	for trial := 0; trial < 300; trial++ {
+		n, m := StripShape(rng)
+		n, m = 1+n%80, 1+m%80
 		x := kernelRandomSeries(rng, n)
 		y := kernelRandomSeries(rng, m)
-		b := kernelRandomBand(rng, n, m)
+		b := StripBand(rng, n, m, trial)
+		if trial%3 == 0 {
+			InjectNonFinite(rng, x, y, 1+trial/3)
+		}
 
 		g, gerr := BandedWithPath(x, y, b, sqGeneric)
 		s, serr := BandedWithPath(x, y, b, nil)
 		if (gerr == nil) != (serr == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, gerr, serr)
-		}
-		if gerr != nil {
-			continue
 		}
 		if math.Float64bits(g.Distance) != math.Float64bits(s.Distance) {
 			t.Fatalf("trial %d: distance bits differ: %v vs %v", trial, g.Distance, s.Distance)
@@ -152,13 +157,18 @@ func TestKernelDifferentialBandedPath(t *testing.T) {
 	}
 }
 
-// TestKernelDifferentialFullDistance pins the monomorphized full-grid
-// Distance loop against the generic one.
+// TestKernelDifferentialFullDistance pins the squared Distance — the
+// banded kernel over the full band, strips and all — against the generic
+// full-grid loop, non-finite inputs included.
 func TestKernelDifferentialFullDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 150; trial++ {
-		x := kernelRandomSeries(rng, 1+rng.Intn(80))
-		y := kernelRandomSeries(rng, 1+rng.Intn(80))
+	for trial := 0; trial < 200; trial++ {
+		n, m := StripShape(rng)
+		x := kernelRandomSeries(rng, 1+n%120)
+		y := kernelRandomSeries(rng, 1+m%120)
+		if trial%3 == 0 {
+			InjectNonFinite(rng, x, y, 1+trial/3)
+		}
 		g, err := Distance(x, y, sqGeneric)
 		if err != nil {
 			t.Fatal(err)
@@ -243,6 +253,102 @@ func TestKernelDifferentialSpring(t *testing.T) {
 	}
 }
 
+// TestBandedWithPathNonFiniteTerminates pins the backtrack's exit: NaN
+// costs lose every comparison, and the walk used to step left past column
+// 0 and on forever, appending to the path until memory ran out. Either
+// dispatch must now return promptly — an error, or a valid path when the
+// NaN cells happen to lie off the optimal one.
+func TestBandedWithPathNonFiniteTerminates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct{ x, y []float64 }{
+		{[]float64{0, nan, 1, 2}, []float64{0, 1, nan, 2}},
+		{[]float64{nan, nan, nan}, []float64{1, 2, 3}},
+		{[]float64{0, inf, 1}, []float64{0, inf, 1}},
+		{[]float64{0, 1, 2, 3}, []float64{0, 1, nan, 3}},
+	} {
+		for _, dist := range []series.PointDistance{nil, sqGeneric} {
+			res, err := BandedWithPath(c.x, c.y, FullBand(len(c.x), len(c.y)), dist)
+			if err == nil {
+				if verr := res.Path.Validate(len(c.x), len(c.y)); verr != nil {
+					t.Errorf("x=%v y=%v: no error and an invalid path: %v", c.x, c.y, verr)
+				}
+			}
+		}
+	}
+}
+
+// cancelAtPoll is a context that reports cancellation from its at-th Err
+// call on, so a test can cancel a DP at an exact poll.
+type cancelAtPoll struct {
+	context.Context
+	polls, at int
+}
+
+func (c *cancelAtPoll) Err() error {
+	if c.polls++; c.polls >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBandedAbandonCtxPollInterval cancels the DP at its first, second,
+// third… poll and reads off the returned cell count how many rows were
+// filled by then: the first poll precedes row 0, and no two polls (nor
+// the last poll and the end) are more than cancelCheckRows rows apart —
+// on the strip path, where rows advance four at a time, as on the per-row
+// path of a narrow band and on the generic loop.
+func TestBandedAbandonCtxPollInterval(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct {
+		name string
+		band Band
+		dist series.PointDistance
+	}{
+		{"strips", FullBand(70, 40), nil},
+		{"strips, n mod 4 = 3", FullBand(72, 40), nil},
+		{"narrow band", SakoeChibaRadius(70, 70, 3), nil},
+		{"strips and single rows mixed", StripBand(rng, 90, 120, 2), nil},
+		{"generic", FullBand(70, 40), sqGeneric},
+	} {
+		b := tc.band
+		n := b.N()
+		x, y := kernelRandomSeries(rng, n), kernelRandomSeries(rng, b.M)
+		rowsOf := map[int]int{0: 0} // cells filled -> rows filled
+		for i, cells := 0, 0; i < n; i++ {
+			cells += b.Hi[i] - b.Lo[i] + 1
+			rowsOf[cells] = i + 1
+		}
+		if tc.dist == nil && tc.name != "narrow band" && StripRowsOf(b) == 0 {
+			t.Fatalf("%s: the band never reaches the strip", tc.name)
+		}
+		last := 0
+		for at := 1; ; at++ {
+			ctx := &cancelAtPoll{Context: context.Background(), at: at}
+			_, cells, _, err := BandedAbandonCtx(ctx, x, y, b, tc.dist, math.Inf(1), nil)
+			rows, whole := rowsOf[cells]
+			if !whole {
+				t.Fatalf("%s: poll %d returned %d cells, not a whole number of rows", tc.name, at, cells)
+			}
+			if rows-last > cancelCheckRows {
+				t.Fatalf("%s: %d rows between poll %d and the next (or the end), want at most %d", tc.name, rows-last, at-1, cancelCheckRows)
+			}
+			if err == nil {
+				if rows != n {
+					t.Fatalf("%s: finished after %d of %d rows", tc.name, rows, n)
+				}
+				break
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: poll %d: error %v, want context.Canceled", tc.name, at, err)
+			}
+			if at == 1 && rows != 0 {
+				t.Fatalf("%s: %d rows filled before the first poll", tc.name, rows)
+			}
+			last = rows
+		}
+	}
+}
+
 // TestBandedWithPathAllocs pins the flat-backing satellite: allocations
 // must not grow with the row count (the per-row make slices used to cost
 // n allocations).
@@ -269,30 +375,6 @@ func TestBandedWithPathAllocs(t *testing.T) {
 	if large > 6 {
 		t.Errorf("BandedWithPath allocates %v times per call, want <= 6", large)
 	}
-}
-
-func BenchmarkBandedKernel(b *testing.B) {
-	rng := rand.New(rand.NewSource(29))
-	x := kernelRandomSeries(rng, 275)
-	y := kernelRandomSeries(rng, 275)
-	bd := SakoeChiba(275, 275, 0.10)
-	var ws Workspace
-	b.Run("generic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := BandedWS(x, y, bd, sqGeneric, &ws); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("specialized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := BandedWS(x, y, bd, nil, &ws); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkSpringAppendKernel(b *testing.B) {

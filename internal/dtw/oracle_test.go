@@ -19,8 +19,9 @@ import (
 // recovered by backtracking (diagonal first on ties). It returns +Inf and
 // no path when the band admits none. Each cell is cost + min(three
 // predecessors) — one addition of the same two operands the kernels add,
-// so the distance must agree with theirs to the last bit.
-func oracleDTW(x, y []float64, b dtw.Band) (float64, dtw.Path) {
+// so the distance must agree with theirs to the last bit. The matrix
+// comes back too: oracleAbandon reads the row minima off it.
+func oracleDTW(x, y []float64, b dtw.Band) (float64, dtw.Path, [][]float64) {
 	n, m := len(x), len(y)
 	inf := math.Inf(1)
 	acc := make([][]float64, n+1)
@@ -42,7 +43,7 @@ func oracleDTW(x, y []float64, b dtw.Band) (float64, dtw.Path) {
 		}
 	}
 	if math.IsInf(acc[n][m], 1) {
-		return inf, nil
+		return inf, nil, acc
 	}
 	var path dtw.Path
 	for i, j := n, m; i > 0 && j > 0; {
@@ -60,7 +61,32 @@ func oracleDTW(x, y []float64, b dtw.Band) (float64, dtw.Path) {
 	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
 		path[l], path[r] = path[r], path[l]
 	}
-	return acc[n][m], path
+	return acc[n][m], path, acc
+}
+
+// oracleAbandon is what an early-abandoning banded DP must return under
+// budget, read off the oracle's matrix: the first row short of the last
+// whose in-band minimum exceeds the budget abandons, with that minimum as
+// the partial cost and the band's cells through that row as the work
+// done; if none does, the full distance and every cell.
+func oracleAbandon(acc [][]float64, b dtw.Band, budget float64) (cost float64, cells int, abandoned bool) {
+	n := b.N()
+	for i := 0; i < n; i++ {
+		cells += b.Hi[i] - b.Lo[i] + 1
+		if rowMin := oracleRowMin(acc, b, i); i < n-1 && rowMin > budget {
+			return rowMin, cells, true
+		}
+	}
+	return acc[n][b.M], cells, false
+}
+
+// oracleRowMin is the smallest accumulated cost among row i's band cells.
+func oracleRowMin(acc [][]float64, b dtw.Band, i int) float64 {
+	rowMin := math.Inf(1)
+	for j := b.Lo[i]; j <= b.Hi[i]; j++ {
+		rowMin = math.Min(rowMin, acc[i+1][j+1])
+	}
+	return rowMin
 }
 
 // sqClosure is the squared cost as a function value the dispatch does not
@@ -77,11 +103,13 @@ var oracleStrategies = []band.Strategy{
 
 // oracleBand builds the band of one fuzz case over an n×m grid: strategy
 // sel under a random alignment (sorted corresponding boundaries, the
-// shape the matcher commits) and random width knobs, or a random
-// normalized band when sel is past the strategies.
+// shape the matcher commits) and random width knobs, or, when sel is past
+// the strategies, one of dtw.StripBand's shapes (the first a random
+// normalized band no strategy would build, the rest aimed at the strip).
 func oracleBand(t *testing.T, rng *rand.Rand, n, m int, sel uint8, symmetric bool) dtw.Band {
 	t.Helper()
-	if k := int(sel) % (len(oracleStrategies) + 1); k < len(oracleStrategies) {
+	k := int(sel) % (len(oracleStrategies) + dtw.StripBandKinds)
+	if k < len(oracleStrategies) {
 		al := &match.Alignment{NX: n, NY: m}
 		for c := rng.Intn(min(n, m)); c > 0; c-- {
 			al.BoundsX = append(al.BoundsX, rng.Intn(n))
@@ -102,15 +130,7 @@ func oracleBand(t *testing.T, rng *rand.Rand, n, m int, sel uint8, symmetric boo
 		}
 		return b
 	}
-	b := dtw.NewBand(n, m)
-	for i := range b.Lo {
-		lo, hi := rng.Intn(m), rng.Intn(m)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		b.Lo[i], b.Hi[i] = lo, hi
-	}
-	return b.Normalize()
+	return dtw.StripBand(rng, n, m, k-len(oracleStrategies))
 }
 
 // checkOracleCase holds every banded kernel to the oracle on one pair:
@@ -118,11 +138,14 @@ func oracleBand(t *testing.T, rng *rand.Rand, n, m int, sel uint8, symmetric boo
 // under both kernel dispatches (nil selects the monomorphized squared
 // kernels, a closure the generic ones), must report the oracle's distance
 // bit for bit, and every recovered path — the oracle's too — must be a
-// valid warp path inside the band whose cost is that distance.
-func checkOracleCase(t *testing.T, x, y []float64, b dtw.Band) {
+// valid warp path inside the band whose cost is that distance. Then
+// BandedAbandonCtx runs under budgets placed on the oracle's own row
+// minima (abandonBudgets) and must return oracleAbandon's partial cost,
+// cell count and abandoned flag.
+func checkOracleCase(t *testing.T, rng *rand.Rand, x, y []float64, b dtw.Band) {
 	t.Helper()
 	n, m := len(x), len(y)
-	want, wantPath := oracleDTW(x, y, b)
+	want, wantPath, acc := oracleDTW(x, y, b)
 	if wantPath == nil {
 		t.Fatalf("normalized %dx%d band admits no warp path: %+v", n, m, b)
 	}
@@ -168,7 +191,39 @@ func checkOracleCase(t *testing.T, x, y []float64, b dtw.Band) {
 		res, err := dtw.BandedWithPath(x, y, b, k.dist)
 		same("BandedWithPath/"+k.name, res.Distance, res.Cells, err)
 		checkPath("BandedWithPath/"+k.name, res.Path)
+		for _, budget := range abandonBudgets(rng, acc, b) {
+			wantD, wantCells, wantAbandoned := oracleAbandon(acc, b, budget)
+			d, cells, abandoned, err := dtw.BandedAbandonCtx(context.Background(), x, y, b, k.dist, budget, nil)
+			if err != nil {
+				t.Fatalf("BandedAbandonCtx/%s under budget %v: %v", k.name, budget, err)
+			}
+			if math.Float64bits(d) != math.Float64bits(wantD) || cells != wantCells || abandoned != wantAbandoned {
+				t.Fatalf("BandedAbandonCtx/%s (%dx%d) under budget %v = (%v, %d cells, abandoned %v), oracle (%v, %d cells, abandoned %v)\nband %+v",
+					k.name, n, m, budget, d, cells, abandoned, wantD, wantCells, wantAbandoned, b)
+			}
+		}
 	}
+}
+
+// abandonBudgets places budgets on the oracle's row minima so that
+// abandonment lands where the kernel's row grouping could get it wrong:
+// for four consecutive rows from a random one — each position within a
+// strip of four, wherever the strips fall — the row's minimum itself (the
+// row survives, a later one abandons) and the float just below it (this
+// row abandons, unless an earlier one already did); the same pair for the
+// last row, which never abandons; and 0.
+func abandonBudgets(rng *rand.Rand, acc [][]float64, b dtw.Band) []float64 {
+	n := b.N()
+	budgets := []float64{0}
+	rows := []int{n - 1}
+	for r, first := 0, rng.Intn(n); r < 4 && first+r < n; r++ {
+		rows = append(rows, first+r)
+	}
+	for _, i := range rows {
+		rowMin := oracleRowMin(acc, b, i)
+		budgets = append(budgets, rowMin, math.Nextafter(rowMin, math.Inf(-1)))
+	}
+	return budgets
 }
 
 // oracleSeries draws n values with plateaus and repeats, so ties between
@@ -188,44 +243,63 @@ func oracleSeries(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// unequal maps two fuzz bytes to grid dimensions in [1,48] that differ:
+// unequal maps two fuzz values to grid dimensions in [1,300] that differ:
 // rectangular grids are the path the equal-length retrieval suites never
-// take.
-func unequal(n8, m8 uint8) (n, m int) {
-	n, m = int(n8)%48+1, int(m8)%48+1
+// take, and 300 rows hold strips by the dozen.
+func unequal(n16, m16 uint16) (n, m int) {
+	n, m = int(n16)%300+1, int(m16)%300+1
 	if n == m {
-		m = n%48 + 1
+		m = n%300 + 1
 	}
 	return n, m
 }
 
 // FuzzOracleDifferential drives checkOracleCase over fuzzer-chosen
-// unequal lengths, band strategies and seeds. The kernels' existing
-// differential targets compare them with each other; this compares all
-// of them with an implementation that shares none of their code. CI runs
-// it for a bounded ~30 s in the fuzz-smoke lane.
+// unequal lengths, band strategies and strip shapes, and seeds. The
+// kernels' existing differential targets compare them with each other;
+// this compares all of them with an implementation that shares none of
+// their code. CI runs it for a bounded ~30 s in the fuzz-smoke lane.
 func FuzzOracleDifferential(f *testing.F) {
 	for sel := uint8(0); int(sel) <= len(oracleStrategies); sel++ {
-		f.Add(int64(sel)+1, uint8(7*sel+3), uint8(40-5*sel), sel, sel%2 == 0)
+		f.Add(int64(sel)+1, uint16(7*sel+3), uint16(40-5*sel), sel, sel%2 == 0)
 	}
-	f.Add(int64(99), uint8(0), uint8(47), uint8(4), true)   // 1×48
-	f.Add(int64(100), uint8(47), uint8(0), uint8(7), false) // 48×1
-	f.Fuzz(func(t *testing.T, seed int64, n8, m8, sel uint8, symmetric bool) {
-		n, m := unequal(n8, m8)
+	f.Add(int64(99), uint16(0), uint16(47), uint8(4), true)   // 1×48
+	f.Add(int64(100), uint16(47), uint16(0), uint8(7), false) // 48×1
+	for kind := 1; kind < dtw.StripBandKinds; kind++ {        // the strip shapes at 256+ rows, every n mod 4
+		f.Add(int64(200+kind), uint16(255+kind), uint16(299-7*kind), uint8(len(oracleStrategies)+kind), kind%2 == 0)
+	}
+	full := uint8(len(oracleStrategies) + 4)
+	f.Add(int64(300), uint16(63), uint16(11), full, false) // 64×12: joint range exactly the strip threshold
+	f.Add(int64(301), uint16(63), uint16(10), full, false) // 64×11: one below
+	for n := uint16(0); n < 5; n++ {                       // 1..5 rows: no strip until the fifth
+		f.Add(int64(310)+int64(n), n, uint16(39), full, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n16, m16 uint16, sel uint8, symmetric bool) {
+		n, m := unequal(n16, m16)
 		rng := rand.New(rand.NewSource(seed))
 		x, y := oracleSeries(rng, n), oracleSeries(rng, m)
-		checkOracleCase(t, x, y, oracleBand(t, rng, n, m, sel, symmetric))
+		checkOracleCase(t, rng, x, y, oracleBand(t, rng, n, m, sel, symmetric))
 	})
 }
 
 // TestOracleDifferential runs the same property over a fixed sweep, so
-// the plain test lanes cover every strategy on unequal lengths without
-// the fuzzer.
+// the plain test lanes cover every strategy and strip shape on unequal
+// lengths without the fuzzer: small grids as the fuzz target's first
+// version drew them, then dtw.StripShape's, up to 300×300.
 func TestOracleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 600; trial++ {
-		n, m := unequal(uint8(rng.Intn(256)), uint8(rng.Intn(256)))
+		n, m := unequal(uint16(rng.Intn(48)), uint16(rng.Intn(48)))
 		x, y := oracleSeries(rng, n), oracleSeries(rng, m)
-		checkOracleCase(t, x, y, oracleBand(t, rng, n, m, uint8(trial), trial%3 == 0))
+		checkOracleCase(t, rng, x, y, oracleBand(t, rng, n, m, uint8(trial), trial%3 == 0))
+	}
+	trials := 280
+	if testing.Short() {
+		trials = 56
+	}
+	for trial := 0; trial < trials; trial++ {
+		n, m := dtw.StripShape(rng)
+		x, y := oracleSeries(rng, n), oracleSeries(rng, m)
+		checkOracleCase(t, rng, x, y, oracleBand(t, rng, n, m, uint8(trial), trial%3 == 0))
 	}
 }
