@@ -34,9 +34,6 @@ func TestTopKAbandonInvariance(t *testing.T) {
 			if opts.Strategy == FixedCoreFixedWidth {
 				name += fmt.Sprintf("+w=%g", opts.WidthFrac)
 			}
-			if opts.Slope != 0 {
-				name += fmt.Sprintf("+slope=%g", opts.Slope)
-			}
 			opts := opts
 			data := data
 			t.Run(name, func(t *testing.T) {

@@ -1,25 +1,19 @@
-// Benchmark suite regenerating the paper's evaluation (one benchmark per
-// table and figure, reporting the paper's measures via b.ReportMetric),
-// plus micro-benchmarks for the pipeline stages and ablations for the
-// design choices called out in DESIGN.md.
-//
-// Figure-level benchmarks run the Small workload scale so the whole suite
-// finishes in minutes; cmd/sdtwbench reproduces the same experiments at
-// full scale. Custom metrics use the papers' units: accuracy and gains in
-// [0,1], distance errors as relative over-estimation.
+// Micro-benchmarks for the pipeline stages, the retrieval cascade and the
+// streaming monitor, plus ablations for the design choices. The paper's
+// tables and figures are cmd/sdtwbench's, asserted by internal/experiments'
+// tests; end-to-end performance is benchmark/'s. Custom metrics use the
+// paper's units: gains and rates in [0,1].
 package sdtw
 
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"sdtw/internal/band"
 	"sdtw/internal/core"
 	"sdtw/internal/datasets"
 	"sdtw/internal/dtw"
-	"sdtw/internal/experiments"
 	"sdtw/internal/match"
 	"sdtw/internal/sift"
 )
@@ -188,190 +182,6 @@ func BenchmarkEngineDistance(b *testing.B) {
 	}
 }
 
-// --- Table benchmarks -------------------------------------------------
-
-// BenchmarkTable1DatasetGeneration regenerates the three workloads at
-// paper scale (Table 1).
-func BenchmarkTable1DatasetGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(experiments.Full, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-// BenchmarkTable2SalientFeatureExtraction reproduces Table 2: average
-// salient point counts per scale class, at full workload scale.
-func BenchmarkTable2SalientFeatureExtraction(b *testing.B) {
-	var rows []experiments.Table2Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table2(experiments.Full, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Total, "feat/series:"+r.Dataset)
-	}
-}
-
-// --- Figure benchmarks ------------------------------------------------
-
-// reportAlgoMetrics publishes a result row's paper measures. Metric units
-// must not contain whitespace, so algorithm labels like "fc,fw 10%" are
-// compacted.
-func reportAlgoMetrics(b *testing.B, r experiments.AlgoResult, fields ...string) {
-	name := strings.ReplaceAll(r.Algorithm, " ", "")
-	for _, f := range fields {
-		switch f {
-		case "top5":
-			b.ReportMetric(r.Top5Acc, "top5:"+name)
-		case "top10":
-			b.ReportMetric(r.Top10Acc, "top10:"+name)
-		case "disterr":
-			b.ReportMetric(r.DistErr, "disterr:"+name)
-		case "intra":
-			b.ReportMetric(r.IntraClassErr, "intraerr:"+name)
-		case "cls5":
-			b.ReportMetric(r.Cls5Acc, "cls5:"+name)
-		case "timegain":
-			b.ReportMetric(r.TimeGain, "timegain:"+name)
-		case "cellsgain":
-			b.ReportMetric(r.CellsGain, "cellsgain:"+name)
-		case "matchshare":
-			b.ReportMetric(r.MatchShare, "matchshare:"+name)
-		}
-	}
-}
-
-// keyAlgorithms picks the rows most indicative of the paper's findings,
-// keeping benchmark output readable.
-func keyAlgorithms(results []experiments.AlgoResult) []experiments.AlgoResult {
-	want := map[string]bool{"fc,fw 10%": true, "fc,aw": true, "ac,fw 10%": true, "ac,aw": true, "ac2,aw": true}
-	var out []experiments.AlgoResult
-	for _, r := range results {
-		if want[r.Algorithm] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// BenchmarkFig13RetrievalAccuracy reproduces Fig 13: top-5/top-10
-// retrieval accuracy and time gain per algorithm per data set.
-func BenchmarkFig13RetrievalAccuracy(b *testing.B) {
-	for _, name := range []string{"Gun", "Trace", "50Words"} {
-		b.Run(name, func(b *testing.B) {
-			var results []experiments.AlgoResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				results, err = experiments.Fig13(name, experiments.Small, benchSeed)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, r := range keyAlgorithms(results) {
-				reportAlgoMetrics(b, r, "top5", "timegain")
-			}
-		})
-	}
-}
-
-// BenchmarkFig14DistanceError reproduces Fig 14: distance error versus
-// time gain per algorithm per data set, read off the Fig 13 grid (the two
-// figures plot different columns of the same evaluation).
-func BenchmarkFig14DistanceError(b *testing.B) {
-	for _, name := range []string{"Gun", "Trace", "50Words"} {
-		b.Run(name, func(b *testing.B) {
-			var results []experiments.AlgoResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				results, err = experiments.Fig13(name, experiments.Small, benchSeed)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, r := range keyAlgorithms(results) {
-				reportAlgoMetrics(b, r, "disterr", "cellsgain")
-			}
-		})
-	}
-}
-
-// BenchmarkFig15IntraClassError reproduces Fig 15: intra-class distance
-// errors on the 4-class Trace workload.
-func BenchmarkFig15IntraClassError(b *testing.B) {
-	var results []experiments.AlgoResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = experiments.Fig15(experiments.Small, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range keyAlgorithms(results) {
-		reportAlgoMetrics(b, r, "intra")
-	}
-}
-
-// BenchmarkFig16Classification reproduces Fig 16: kNN classification
-// agreement on the 50-class 50Words workload.
-func BenchmarkFig16Classification(b *testing.B) {
-	var results []experiments.AlgoResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = experiments.Fig16(experiments.Small, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range keyAlgorithms(results) {
-		reportAlgoMetrics(b, r, "cls5", "timegain")
-	}
-}
-
-// BenchmarkFig17TimeBreakdown reproduces Fig 17: the matching versus
-// dynamic-programming share of per-pair work for adaptive algorithms.
-func BenchmarkFig17TimeBreakdown(b *testing.B) {
-	var results []experiments.AlgoResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = experiments.Fig17("Trace", experiments.Small, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range results {
-		reportAlgoMetrics(b, r, "matchshare")
-	}
-}
-
-// BenchmarkFig18DescriptorLength reproduces Fig 18: the impact of the
-// descriptor length on error, accuracy and speedup (reduced to two sweep
-// points per run; cmd/sdtwbench sweeps the paper's full 4–128 range).
-func BenchmarkFig18DescriptorLength(b *testing.B) {
-	for _, bins := range []int{8, 64} {
-		b.Run(fmt.Sprintf("bins=%d", bins), func(b *testing.B) {
-			var points []experiments.Fig18Point
-			for i := 0; i < b.N; i++ {
-				var err error
-				points, err = experiments.Fig18("Gun", experiments.Small, benchSeed, []int{bins})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, p := range points {
-				reportAlgoMetrics(b, p.Result, "disterr", "top10")
-			}
-		})
-	}
-}
-
 // BenchmarkSubsequenceSearch measures open-begin/open-end subsequence
 // DTW over a long stream.
 func BenchmarkSubsequenceSearch(b *testing.B) {
@@ -458,54 +268,6 @@ func BenchmarkMonitorPushBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkLearnedBaseline trains the R-K style learned band and
-// classifies a holdout, the §1 training-dependent alternative.
-func BenchmarkLearnedBaseline(b *testing.B) {
-	var rows []experiments.BaselineRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.LearnedBaseline(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.HoldoutAccuracy, "holdout:"+strings.ReplaceAll(r.Method, " ", ""))
-	}
-}
-
-// BenchmarkNoiseRobustness measures the §3.1.2 noise-robustness sweep.
-func BenchmarkNoiseRobustness(b *testing.B) {
-	var rows []experiments.NoiseRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.NoiseRobustness(benchSeed, []float64{0.01, 0.05})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.PairSurvival, fmt.Sprintf("pairsurvival:sigma=%g", r.Sigma))
-	}
-}
-
-// BenchmarkExtrasComparison runs the extension comparison (Itakura,
-// symmetric union, FastDTW, multi-resolution ∩ sDTW) on the small Gun
-// workload.
-func BenchmarkExtrasComparison(b *testing.B) {
-	var rows []experiments.ExtraRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Extras("Gun", experiments.Small, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.DistErr, "disterr:"+strings.ReplaceAll(r.Method, " ", ""))
-	}
-}
-
 // --- Retrieval and ablation benchmarks --------------------------------
 
 // BenchmarkIndexTopKCascade measures the Index's cascaded parallel top-k
@@ -525,7 +287,6 @@ func BenchmarkIndexTopKCascade(b *testing.B) {
 		opts Options
 	}{
 		{"sakoe-chiba-10", Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}},
-		{"itakura", Options{Strategy: ItakuraBand}},
 		{"ac-aw", DefaultOptions()},
 	}
 	for _, cfg := range configs {

@@ -34,10 +34,6 @@ func cascadeConfigs() []Options {
 		{Strategy: AdaptiveCoreAdaptiveWidth},
 		{Strategy: AdaptiveCoreAdaptiveWidth, Symmetric: true},
 		{Strategy: AdaptiveCoreAdaptiveWidthAvg},
-		{Strategy: ItakuraBand},
-		// Degenerate slope the builder resets to 2: the envelope radius
-		// must track the band actually built, not the raw option.
-		{Strategy: ItakuraBand, Slope: 1},
 	}
 }
 
@@ -112,9 +108,6 @@ func TestCascadeMatchesBruteForce(t *testing.T) {
 			}
 			if opts.Strategy == FixedCoreFixedWidth {
 				name += fmt.Sprintf("+w=%g", opts.WidthFrac)
-			}
-			if opts.Slope != 0 {
-				name += fmt.Sprintf("+slope=%g", opts.Slope)
 			}
 			opts := opts
 			data := data

@@ -9,7 +9,7 @@
 //	sdtw -file data.txt -query 0 -k 5             # top-5 retrieval for row 0
 //	sdtw -file data.txt -features 0               # salient features of row 0
 //
-// Strategies: dtw (full grid), fc,fw; fc,aw; ac,fw; ac,aw; ac2,aw; itakura.
+// Strategies: dtw (full grid), fc,fw; fc,aw; ac,fw; ac,aw; ac2,aw.
 //
 // The monitor subcommand streams whitespace-separated values from a file
 // or stdin through the Monitor API and reports subsequence matches of the
@@ -61,7 +61,7 @@ func runClassic() {
 		file      = flag.String("file", "", "UCR-format input file (required)")
 		i         = flag.Int("i", 0, "index of the first series")
 		j         = flag.Int("j", 1, "index of the second series")
-		strategy  = flag.String("strategy", "dtw", "constraint strategy: dtw, fc,fw, fc,aw, ac,fw, ac,aw, ac2,aw, itakura")
+		strategy  = flag.String("strategy", "dtw", "constraint strategy: dtw, fc,fw, fc,aw, ac,fw, ac,aw, ac2,aw")
 		width     = flag.Float64("width", 0.10, "band width fraction for fixed-width strategies")
 		query     = flag.Int("query", -1, "run top-k retrieval for this series index instead of a pairwise distance")
 		k         = flag.Int("k", 5, "number of neighbours for -query")
@@ -119,8 +119,6 @@ func optionsFor(strategy string, width float64, symmetric bool) (sdtw.Options, e
 		opts.Strategy = sdtw.AdaptiveCoreAdaptiveWidth
 	case "ac2,aw":
 		opts.Strategy = sdtw.AdaptiveCoreAdaptiveWidthAvg
-	case "itakura":
-		opts.Strategy = sdtw.ItakuraBand
 	default:
 		return opts, fmt.Errorf("unknown strategy %q", strategy)
 	}

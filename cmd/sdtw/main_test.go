@@ -23,7 +23,6 @@ func TestOptionsFor(t *testing.T) {
 		{"ac,fw", sdtw.AdaptiveCoreFixedWidth},
 		{"ac,aw", sdtw.AdaptiveCoreAdaptiveWidth},
 		{"ac2,aw", sdtw.AdaptiveCoreAdaptiveWidthAvg},
-		{"itakura", sdtw.ItakuraBand},
 	}
 	for _, tc := range tests {
 		opts, err := optionsFor(tc.in, 0.1, false)

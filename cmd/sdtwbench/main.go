@@ -6,11 +6,9 @@
 //	sdtwbench -exp all                 # every table and figure, full scale
 //	sdtwbench -exp fig13 -scale small  # one experiment, reduced workload
 //	sdtwbench -exp fig18 -dataset Gun  # restrict figures to one data set
-//	sdtwbench -exp bands               # ASCII rendering of the band shapes
 //
 // Experiments: table1, table2, fig13, fig14, fig15, fig16, fig17, fig18,
-// baseline, noise, invariance, extras, bands, all. Scales: full (paper
-// sizes), medium, small.
+// noise, invariance, all. Scales: full (paper sizes), medium, small.
 //
 // Performance is not measured here: throughput, latency and per-layer
 // cost live on the benchmark ledger (bash benchmark/run.sh, see
@@ -31,7 +29,7 @@ import (
 
 // env is what every experiment runs under: the workload scale and seed
 // from the command line, and the Fig 13 evaluation grids already computed
-// in this process (Fig 14 derives from the same matrices).
+// in this process (Fig 14, 15 and 16 derive from the same matrices).
 type env struct {
 	scale experiments.Scale
 	seed  int64
@@ -86,10 +84,10 @@ var experimentTable = []experiment{
 		return rendered(experiments.RenderFig14)(e.standardGrid(d))
 	}},
 	{"fig15", "Fig 15: intra-class distance errors (Trace)", false, func(e *env, _ string) (string, error) {
-		return rendered(experiments.RenderFig15)(experiments.Fig15(e.scale, e.seed))
+		return rendered(experiments.RenderFig15)(e.standardGrid("Trace"))
 	}},
 	{"fig16", "Fig 16: classification accuracy (50Words)", false, func(e *env, _ string) (string, error) {
-		return rendered(experiments.RenderFig16)(experiments.Fig16(e.scale, e.seed))
+		return rendered(experiments.RenderFig16)(e.standardGrid("50Words"))
 	}},
 	{"fig17", "Fig 17: matching vs DP time breakdown", true, func(e *env, d string) (string, error) {
 		return rendered(experiments.RenderFig17)(experiments.Fig17(d, e.scale, e.seed))
@@ -97,21 +95,11 @@ var experimentTable = []experiment{
 	{"fig18", "Fig 18: descriptor length sweep", true, func(e *env, d string) (string, error) {
 		return rendered(experiments.RenderFig18)(experiments.Fig18(d, e.scale, e.seed, nil))
 	}},
-	{"baseline", "Learned (R-K) vs structural constraints (§1)", false, func(e *env, _ string) (string, error) {
-		return rendered(experiments.RenderBaseline)(experiments.LearnedBaseline(e.seed))
-	}},
 	{"noise", "Noise robustness of salient features (§3.1.2)", false, func(e *env, _ string) (string, error) {
 		return rendered(experiments.RenderNoise)(experiments.NoiseRobustness(e.seed, nil))
 	}},
 	{"invariance", "Amplitude-invariance ablation (§3.1.2)", false, func(e *env, _ string) (string, error) {
 		return rendered(experiments.RenderInvariance)(experiments.Invariance(e.seed))
-	}},
-	{"extras", "Extras: Itakura, symmetric, FastDTW, combination", true, func(e *env, d string) (string, error) {
-		show := func(rows []experiments.ExtraRow) string { return experiments.RenderExtras(d, rows) }
-		return rendered(show)(experiments.Extras(d, e.scale, e.seed))
-	}},
-	{"bands", "Band shapes (Fig 2/10)", false, func(e *env, _ string) (string, error) {
-		return experiments.RenderBandShapes(e.seed)
 	}},
 }
 

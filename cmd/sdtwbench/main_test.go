@@ -141,9 +141,13 @@ func TestRetiredAndUnknownExperiments(t *testing.T) {
 			t.Errorf("-exp %s: error %q does not name %q", name, err, want)
 		}
 	}
-	err := run([]string{"-exp", "bogus"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), experimentNames(experimentTable)) {
-		t.Fatalf("-exp bogus: error %v does not list the experiments", err)
+	// The three deleted non-paper experiments have no replacement to name.
+	for _, name := range []string{"bogus", "baseline", "extras", "bands"} {
+		err := run([]string{"-exp", name}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") ||
+			!strings.Contains(err.Error(), experimentNames(experimentTable)) {
+			t.Fatalf("-exp %s: error %v does not list the experiments", name, err)
+		}
 	}
 	if err := run([]string{"-exp", "table1", "-scale", "tiny"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown scale accepted")
@@ -161,6 +165,29 @@ func TestRunOneExperimentEndToEnd(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "fig13", "-scale", "small", "-dataset", "bogus"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+}
+
+// TestFig15And16ReadTheStandardGrid: the two single-data-set figures are
+// columns of the grid fig13/fig14 evaluate, so -exp all computes the Trace
+// and 50Words grids once each.
+func TestFig15And16ReadTheStandardGrid(t *testing.T) {
+	e := &env{grids: map[string][]experiments.AlgoResult{
+		"Trace":   {{Algorithm: "cached-trace", Dataset: "Trace"}},
+		"50Words": {{Algorithm: "cached-words", Dataset: "50Words"}},
+	}}
+	for name, want := range map[string]string{"fig15": "cached-trace", "fig16": "cached-words"} {
+		row, err := selectExperiments(experimentTable, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := row[0].run(e, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text, want) {
+			t.Errorf("%s did not render the cached grid:\n%s", name, text)
+		}
 	}
 }
 

@@ -92,9 +92,6 @@ func TestSearchEquivalentToPreRedesignEngineTopK(t *testing.T) {
 			if opts.Strategy == FixedCoreFixedWidth {
 				name += fmt.Sprintf("+w=%g", opts.WidthFrac)
 			}
-			if opts.Slope != 0 {
-				name += fmt.Sprintf("+slope=%g", opts.Slope)
-			}
 			opts := opts
 			d := d
 			t.Run(name, func(t *testing.T) {

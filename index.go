@@ -93,6 +93,9 @@ func engineFamily(opts Options) backendFamily {
 		workers:     resolveWorkers(opts.Workers),
 		abandon:     !opts.DisableAbandon,
 		newBackend: func() (retrieve.Backend, *Engine, error) {
+			if opts.Strategy < FullGrid || opts.Strategy > AdaptiveCoreAdaptiveWidthAvg {
+				return nil, nil, fmt.Errorf("unknown band strategy %v: %w", opts.Strategy, ErrConfigMismatch)
+			}
 			engine := NewEngine(opts)
 			return retrieve.NewEngineBackend(engine.inner, fp, opts.PointDistance != nil), engine, nil
 		},
@@ -141,9 +144,11 @@ func newIndex(f backendFamily, data []Series, sketchW, segRecords int) (*Index, 
 // NewIndex builds an index over data using the sDTW engine configured by
 // opts. Every series must be non-empty; series IDs must be unique when
 // non-empty (they key the feature cache and Remove). Construction
-// extracts and caches the salient features of every series and
+// extracts and caches the salient features of every series — unless the
+// band strategy reads none (FullGrid, FixedCoreFixedWidth) — and
 // precomputes LB_Keogh envelopes at the radius admissible for the
-// engine's band strategy.
+// strategy. A Strategy outside the declared six fails with
+// ErrConfigMismatch.
 func NewIndex(data []Series, opts Options) (*Index, error) {
 	return newIndex(engineFamily(opts), data, resolveSketchWidth(opts.SketchWidth), opts.StoreSegmentRecords)
 }
@@ -192,7 +197,9 @@ func engineFingerprint(o Options) string {
 	f("minw", strconv.FormatFloat(o.MinWidthFrac, 'g', -1, 64))
 	f("maxw", strconv.FormatFloat(o.MaxWidthFrac, 'g', -1, 64))
 	f("nr", o.NeighborRadius)
-	f("slope", strconv.FormatFloat(o.Slope, 'g', -1, 64))
+	// The slope bound of the removed Itakura strategy: the literal keeps
+	// every store written without it opening unchanged.
+	b.WriteString("|slope=0")
 	f("sym", o.Symmetric)
 	f("bins", o.DescriptorBins)
 	f("eps", strconv.FormatFloat(o.Epsilon, 'g', -1, 64))

@@ -25,8 +25,6 @@ var dpEntryPoints = map[string]map[string]bool{
 		"Kim":         true,
 		"Keogh":       true,
 		"KeoghUnder":  true,
-		"KeoghPair":   true,
-		"Cascade":     true,
 		"NewEnvelope": true,
 	},
 	"sdtw/internal/core": {

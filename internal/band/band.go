@@ -34,9 +34,6 @@ const (
 	// variant (ac2,aw): the width averages the sizes of the previous,
 	// current and next intervals, useful on noisy series (§3.3.1).
 	AdaptiveCoreAdaptiveWidthAvg
-	// ItakuraBand is the slope-constrained parallelogram (§2.1.4),
-	// included for completeness; it ignores alignments.
-	ItakuraBand
 )
 
 // String implements fmt.Stringer using the paper's labels.
@@ -54,8 +51,6 @@ func (s Strategy) String() string {
 		return "ac,aw"
 	case AdaptiveCoreAdaptiveWidthAvg:
 		return "ac2,aw"
-	case ItakuraBand:
-		return "itakura"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -81,6 +76,18 @@ func (s Strategy) AdaptiveWidth() bool {
 	return false
 }
 
+// NeedsAlignment reports whether the strategy's band is a function of the
+// salient-feature alignment. When false no features need extracting or
+// matching: the band depends on the grid dimensions alone.
+func (s Strategy) NeedsAlignment() bool {
+	return s.AdaptiveCore() || s.AdaptiveWidth()
+}
+
+// valid reports whether s is one of the six declared strategies.
+func (s Strategy) valid() bool {
+	return s >= FullGrid && s <= AdaptiveCoreAdaptiveWidthAvg
+}
+
 // Config parameterises band construction.
 type Config struct {
 	// Strategy selects the band type.
@@ -101,9 +108,6 @@ type Config struct {
 	// averages the sizes of the r intervals on each side of the current
 	// one. Zero means 1 (previous, current, next — the paper's ac2,aw).
 	NeighborRadius int
-	// Slope is the Itakura slope bound; values <= 1 (including zero) mean
-	// 2, matching dtw.Itakura's own normalisation.
-	Slope float64
 	// Symmetric, when true, unions this band with the transposed band
 	// built with the roles of X and Y switched (§3.3.3), making the
 	// resulting distance symmetric.
@@ -122,11 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NeighborRadius <= 0 {
 		c.NeighborRadius = 1
-	}
-	// dtw.Itakura itself resets any slope <= 1 to 2; normalise identically
-	// here so EnvelopeRadius reasons about the band actually built.
-	if c.Slope <= 1 {
-		c.Slope = 2
 	}
 	return c
 }
@@ -167,7 +166,10 @@ func Build(al *match.Alignment, cfg Config) (dtw.Band, error) {
 // The result aliases the Builder's scratch buffers.
 func (bu *Builder) Build(al *match.Alignment, cfg Config) (dtw.Band, error) {
 	cfg = cfg.withDefaults()
-	if al == nil && (cfg.Strategy.AdaptiveCore() || cfg.Strategy.AdaptiveWidth()) {
+	if !cfg.Strategy.valid() {
+		return dtw.Band{}, fmt.Errorf("band: unknown strategy %v", cfg.Strategy)
+	}
+	if al == nil && cfg.Strategy.NeedsAlignment() {
 		return dtw.Band{}, fmt.Errorf("band: strategy %v requires an alignment", cfg.Strategy)
 	}
 	var n, m int
@@ -182,8 +184,6 @@ func (bu *Builder) Build(al *match.Alignment, cfg Config) (dtw.Band, error) {
 		return dtw.FullBand(n, m), nil
 	case FixedCoreFixedWidth:
 		return dtw.SakoeChiba(n, m, cfg.WidthFrac), nil
-	case ItakuraBand:
-		return dtw.Itakura(n, m, cfg.Slope), nil
 	}
 	b, err := bu.buildAdaptive(al, cfg)
 	if err != nil {
@@ -375,10 +375,6 @@ func EnvelopeRadius(cfg Config, m int) int {
 			return maxW/2 + 2
 		}
 		return m
-	case ItakuraBand:
-		// The parallelogram's maximum deviation from the diagonal is
-		// (s-1)(m-1)/(s+1), attained one (s+1)-th of the way in.
-		return int(math.Ceil((cfg.Slope-1)*float64(m-1)/(cfg.Slope+1))) + 1
 	default:
 		// FullGrid and the adaptive-core strategies.
 		return m

@@ -28,7 +28,7 @@ func TestStrategyStrings(t *testing.T) {
 		{AdaptiveCoreFixedWidth, "ac,fw"},
 		{AdaptiveCoreAdaptiveWidth, "ac,aw"},
 		{AdaptiveCoreAdaptiveWidthAvg, "ac2,aw"},
-		{ItakuraBand, "itakura"},
+		{Strategy(6), "Strategy(6)"},
 	}
 	for _, tc := range tests {
 		if got := tc.s.String(); got != tc.want {
@@ -49,6 +49,11 @@ func TestStrategyClassification(t *testing.T) {
 	}
 	if !FixedCoreAdaptiveWidth.AdaptiveWidth() || !AdaptiveCoreAdaptiveWidth.AdaptiveWidth() {
 		t.Error("adaptive widths misclassified")
+	}
+	for s := FullGrid; s <= AdaptiveCoreAdaptiveWidthAvg; s++ {
+		if want := s != FullGrid && s != FixedCoreFixedWidth; s.NeedsAlignment() != want {
+			t.Errorf("%v.NeedsAlignment() = %v, want %v", s, !want, want)
+		}
 	}
 }
 
@@ -77,14 +82,18 @@ func TestBuildSakoe(t *testing.T) {
 	}
 }
 
-func TestBuildItakura(t *testing.T) {
+// TestBuildRejectsUnknownStrategy: a value outside the six declared
+// strategies is an error, not a silently different band.
+func TestBuildRejectsUnknownStrategy(t *testing.T) {
 	al := alignmentWith(40, 40, nil, nil)
-	b, err := Build(al, Config{Strategy: ItakuraBand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
+	var bu Builder
+	for _, s := range []Strategy{6, 7, 99, -1} {
+		if _, err := Build(al, Config{Strategy: s}); err == nil {
+			t.Errorf("Build accepted %v", s)
+		}
+		if _, err := bu.Build(al, Config{Strategy: s}); err == nil {
+			t.Errorf("Builder.Build accepted %v", s)
+		}
 	}
 }
 
@@ -374,7 +383,7 @@ func TestAllStrategiesProduceUsableBands(t *testing.T) {
 			y[i] = rng.NormFloat64()
 		}
 		for _, s := range []Strategy{FullGrid, FixedCoreFixedWidth, FixedCoreAdaptiveWidth,
-			AdaptiveCoreFixedWidth, AdaptiveCoreAdaptiveWidth, AdaptiveCoreAdaptiveWidthAvg, ItakuraBand} {
+			AdaptiveCoreFixedWidth, AdaptiveCoreAdaptiveWidth, AdaptiveCoreAdaptiveWidthAvg} {
 			b, err := Build(al, Config{Strategy: s, WidthFrac: 0.1})
 			if err != nil {
 				return false
@@ -398,9 +407,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if cfg.NeighborRadius != 1 {
 		t.Errorf("default neighbour radius = %d, want 1", cfg.NeighborRadius)
-	}
-	if cfg.Slope != 2 {
-		t.Errorf("default slope = %v, want 2", cfg.Slope)
 	}
 	fcaw := Config{Strategy: FixedCoreAdaptiveWidth}.withDefaults()
 	if fcaw.MinWidthFrac != 0.20 {

@@ -193,12 +193,6 @@ func (e *Engine) extract(s series.Series) ([]sift.Feature, error) {
 // (cache hits excluded) — the one-time cost of §3.4, countable.
 func (e *Engine) Extractions() int64 { return e.extractions.Load() }
 
-// needsAlignment reports whether the band strategy consumes a feature
-// alignment at all (the fixed-core, fixed-width band does not).
-func (e *Engine) needsAlignment() bool {
-	return e.opts.Band.Strategy.AdaptiveCore() || e.opts.Band.Strategy.AdaptiveWidth()
-}
-
 // Query is a series prepared for comparison against many candidates: its
 // salient features are extracted once, held here for as long as the caller
 // keeps the Query, and handed to every DistanceUnderQuery — instead of
@@ -228,7 +222,7 @@ type operand struct {
 // same ID.
 func (e *Engine) Prepare(s series.Series) (*Query, error) {
 	q := &Query{operand: operand{s: s, ready: true}}
-	if !e.needsAlignment() {
+	if !e.opts.Band.Strategy.NeedsAlignment() {
 		return q, nil
 	}
 	start := time.Now()
@@ -245,8 +239,12 @@ func (e *Engine) Prepare(s series.Series) (*Query, error) {
 }
 
 // Warm pre-extracts and caches the features of every series, the paper's
-// offline indexing step. It returns the total extraction time.
+// offline indexing step. It returns the total extraction time: zero, with
+// nothing extracted, when the band strategy consumes no alignment.
 func (e *Engine) Warm(data []series.Series) (time.Duration, error) {
+	if !e.opts.Band.Strategy.NeedsAlignment() {
+		return 0, nil
+	}
 	start := time.Now()
 	for _, s := range data {
 		if _, err := e.Features(s); err != nil {
@@ -375,7 +373,7 @@ func (e *Engine) distance(ctx context.Context, xo, yo operand, budget float64) (
 	defer e.scratch.Put(ws)
 
 	var al *match.Alignment
-	if e.needsAlignment() {
+	if e.opts.Band.Strategy.NeedsAlignment() {
 		extractStart := time.Now()
 		fx, err := e.features(xo)
 		if err != nil {

@@ -68,7 +68,7 @@ func TestEngineNeverUnderestimates(t *testing.T) {
 	strategies := []band.Strategy{
 		band.FixedCoreFixedWidth, band.FixedCoreAdaptiveWidth,
 		band.AdaptiveCoreFixedWidth, band.AdaptiveCoreAdaptiveWidth,
-		band.AdaptiveCoreAdaptiveWidthAvg, band.ItakuraBand,
+		band.AdaptiveCoreAdaptiveWidthAvg,
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		x, y := makePair(seed, 150, 0.4)

@@ -23,7 +23,7 @@ func TestEngineUnequalLengths(t *testing.T) {
 	strategies := []band.Strategy{
 		band.FullGrid, band.FixedCoreFixedWidth, band.FixedCoreAdaptiveWidth,
 		band.AdaptiveCoreFixedWidth, band.AdaptiveCoreAdaptiveWidth,
-		band.AdaptiveCoreAdaptiveWidthAvg, band.ItakuraBand,
+		band.AdaptiveCoreAdaptiveWidthAvg,
 	}
 	for _, s := range strategies {
 		eng := NewEngine(optsFor(s))

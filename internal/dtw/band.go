@@ -1,9 +1,9 @@
 // Package dtw implements dynamic time warping: the full O(NM) dynamic
 // program, warp-path recovery, and band-constrained variants where the
 // feasible region of the DTW grid is restricted to arbitrary per-row column
-// intervals. The classical Sakoe-Chiba band and Itakura parallelogram are
-// provided as constructors of such bands; the sDTW locally relevant
-// constraints (package band) produce bands consumed by the same engine.
+// intervals. The classical Sakoe-Chiba band is provided as a constructor of
+// such bands; the sDTW locally relevant constraints (package band) produce
+// bands consumed by the same engine.
 package dtw
 
 import (
@@ -267,38 +267,6 @@ func SakoeChibaRadius(n, m, radius int) Band {
 		center := diagonalColumn(i, n, m)
 		b.Lo[i] = center - radius
 		b.Hi[i] = center + radius
-	}
-	return b.Normalize()
-}
-
-// Itakura returns the Itakura parallelogram band for an n-by-m grid with
-// maximum local slope maxSlope (> 1, classically 2): the warp path is
-// confined to the intersection of two cones with slopes maxSlope and
-// 1/maxSlope anchored at the two corners. The result is normalized.
-func Itakura(n, m int, maxSlope float64) Band {
-	if n <= 0 || m <= 0 {
-		panic("dtw: Itakura needs positive grid dimensions")
-	}
-	if maxSlope <= 1 {
-		maxSlope = 2
-	}
-	b := Band{Lo: make([]int, n), Hi: make([]int, n), M: m}
-	nf, mf := float64(n-1), float64(m-1)
-	if nf == 0 {
-		nf = 1
-	}
-	for i := 0; i < n; i++ {
-		t := float64(i)
-		// Lines from (0,0): slope maxSlope (upper) and 1/maxSlope (lower).
-		upFromStart := t * maxSlope
-		loFromStart := t / maxSlope
-		// Lines into (n-1, m-1), mirrored cone.
-		upIntoEnd := mf - (nf-t)/maxSlope
-		loIntoEnd := mf - float64((nf-t)*maxSlope)
-		lo := math.Max(loFromStart, loIntoEnd)
-		hi := math.Min(upFromStart, upIntoEnd)
-		b.Lo[i] = int(math.Floor(lo))
-		b.Hi[i] = int(math.Ceil(hi))
 	}
 	return b.Normalize()
 }

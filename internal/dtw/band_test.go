@@ -237,39 +237,6 @@ func TestSakoeChibaDegenerateInputs(t *testing.T) {
 	SakoeChiba(0, 5, 0.1)
 }
 
-func TestItakuraShape(t *testing.T) {
-	b := Itakura(100, 100, 2)
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Contains(0, 0) || !b.Contains(99, 99) {
-		t.Fatal("Itakura misses corners")
-	}
-	// Mid rows are widest; the first and last rows are narrow.
-	widthAt := func(i int) int { return b.Hi[i] - b.Lo[i] + 1 }
-	if widthAt(50) <= widthAt(2) {
-		t.Fatalf("parallelogram not widest at centre: %d vs %d", widthAt(50), widthAt(2))
-	}
-	// Slope constraint from the origin: j <= 2i (+rounding).
-	for i := 1; i < 100; i++ {
-		if b.Hi[i] > 2*i+2 {
-			t.Fatalf("row %d violates slope bound: hi=%d", i, b.Hi[i])
-		}
-	}
-}
-
-func TestItakuraDefaultSlope(t *testing.T) {
-	b := Itakura(50, 50, 0) // <=1 defaults to 2
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	d, _, err := Banded(randomSeries(rand.New(rand.NewSource(12)), 50),
-		randomSeries(rand.New(rand.NewSource(13)), 50), b, nil)
-	if err != nil || math.IsInf(d, 1) {
-		t.Fatalf("Itakura band unusable: %v %v", d, err)
-	}
-}
-
 func TestDiagonalColumnEndpoints(t *testing.T) {
 	if DiagonalColumn(0, 10, 20) != 0 {
 		t.Fatal("diagonal start not at column 0")

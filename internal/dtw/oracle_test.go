@@ -98,7 +98,7 @@ func sqClosure(a, b float64) float64 { d := a - b; return d * d }
 var oracleStrategies = []band.Strategy{
 	band.FullGrid, band.FixedCoreFixedWidth, band.FixedCoreAdaptiveWidth,
 	band.AdaptiveCoreFixedWidth, band.AdaptiveCoreAdaptiveWidth,
-	band.AdaptiveCoreAdaptiveWidthAvg, band.ItakuraBand,
+	band.AdaptiveCoreAdaptiveWidthAvg,
 }
 
 // oracleBand builds the band of one fuzz case over an n×m grid: strategy
@@ -122,7 +122,6 @@ func oracleBand(t *testing.T, rng *rand.Rand, n, m int, sel uint8, symmetric boo
 			WidthFrac:      0.05 + 0.4*rng.Float64(),
 			MaxWidthFrac:   rng.Float64(),
 			NeighborRadius: rng.Intn(3),
-			Slope:          1 + 2*rng.Float64(),
 			Symmetric:      symmetric,
 		})
 		if err != nil {

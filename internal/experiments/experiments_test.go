@@ -132,14 +132,14 @@ func TestFig13SmallGun(t *testing.T) {
 }
 
 func TestFig15SmallTrace(t *testing.T) {
-	results, err := Fig15(Small, 42)
+	results, err := Fig13("Trace", Small, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byName := map[string]AlgoResult{}
 	for _, r := range results {
 		if r.Dataset != "Trace" {
-			t.Fatalf("Fig15 ran on %s", r.Dataset)
+			t.Fatalf("the Trace grid ran on %s", r.Dataset)
 		}
 		byName[r.Algorithm] = r
 		if r.IntraClassErr < 0 {
@@ -161,13 +161,13 @@ func TestFig16SmallWords(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the 50-class workload needs a 450x450 distance matrix even at Small scale")
 	}
-	results, err := Fig16(Small, 42)
+	results, err := Fig13("50Words", Small, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range results {
 		if r.Dataset != "50Words" {
-			t.Fatalf("Fig16 ran on %s", r.Dataset)
+			t.Fatalf("the 50Words grid ran on %s", r.Dataset)
 		}
 		if r.Cls5Acc < 0 || r.Cls5Acc > 1 || r.Cls10Acc < 0 || r.Cls10Acc > 1 {
 			t.Fatalf("%s classification accuracy out of range", r.Algorithm)

@@ -7,22 +7,12 @@ import (
 
 // Fig13 evaluates the standard algorithm grid on one data set and reports
 // top-5/top-10 retrieval accuracy with time gains (paper Fig 13). Fig 14
-// (distance error versus time gain) plots other columns of the same
-// results: render them with RenderFig14.
+// (distance error versus time gain), Fig 15 (intra-class distance error,
+// on Trace) and Fig 16 (kNN classification agreement, on 50Words) plot
+// other columns of the same results: render them with RenderFig14,
+// RenderFig15 and RenderFig16.
 func Fig13(name string, scale Scale, seed int64) ([]AlgoResult, error) {
 	return evaluateGrid(name, scale, seed, StandardAlgorithms())
-}
-
-// Fig15 reports intra-class distance errors on the Trace data set (paper
-// Fig 15: 4 classes, ~25 series each).
-func Fig15(scale Scale, seed int64) ([]AlgoResult, error) {
-	return evaluateGrid("Trace", scale, seed, StandardAlgorithms())
-}
-
-// Fig16 reports top-5/top-10 kNN classification agreement on the 50Words
-// data set (paper Fig 16).
-func Fig16(scale Scale, seed int64) ([]AlgoResult, error) {
-	return evaluateGrid("50Words", scale, seed, StandardAlgorithms())
 }
 
 // Fig17 reports the matching vs dynamic-programming time breakdown of the

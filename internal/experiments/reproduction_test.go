@@ -70,7 +70,7 @@ func TestPaperShapeTraceIntraClass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction regression runs medium-scale matrices")
 	}
-	results, err := Fig15(Medium, 42)
+	results, err := Fig13("Trace", Medium, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,36 +31,6 @@ func TestNoiseRobustness(t *testing.T) {
 	}
 }
 
-func TestLearnedBaseline(t *testing.T) {
-	rows, err := LearnedBaseline(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	byName := map[string]BaselineRow{}
-	for _, r := range rows {
-		byName[r.Method] = r
-		if r.HoldoutAccuracy < 0 || r.HoldoutAccuracy > 1 {
-			t.Fatalf("%s accuracy out of range: %v", r.Method, r.HoldoutAccuracy)
-		}
-	}
-	if !byName["learned band (R-K)"].NeedsTraining {
-		t.Fatal("learned band not flagged as training-dependent")
-	}
-	if byName["sDTW (ac,aw)"].NeedsTraining {
-		t.Fatal("sDTW flagged as training-dependent")
-	}
-	// Structural constraints must be competitive on this workload.
-	if byName["sDTW (ac,aw)"].HoldoutAccuracy < 0.7 {
-		t.Fatalf("sDTW holdout accuracy %v too low", byName["sDTW (ac,aw)"].HoldoutAccuracy)
-	}
-	if out := RenderBaseline(rows); !strings.Contains(out, "needs-training") {
-		t.Fatalf("rendered baseline malformed:\n%s", out)
-	}
-}
-
 func TestInvariance(t *testing.T) {
 	rows, err := Invariance(42)
 	if err != nil {

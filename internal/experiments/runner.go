@@ -116,7 +116,7 @@ func Evaluate(w *Workload, algo Algorithm) (AlgoResult, error) {
 	engine := core.NewEngine(algo.Opts)
 	res := AlgoResult{Algorithm: algo.Name, Dataset: w.Data.Name}
 
-	needsFeatures := algo.Opts.Band.Strategy.AdaptiveCore() || algo.Opts.Band.Strategy.AdaptiveWidth()
+	needsFeatures := algo.Opts.Band.Strategy.NeedsAlignment()
 	if needsFeatures {
 		warm, err := engine.Warm(w.Data.Series)
 		if err != nil {

@@ -136,46 +136,6 @@ func TestKeoghUnderProperties(t *testing.T) {
 	}
 }
 
-// TestCascadeAbandonedKeoghConsistent pins that threading the threshold
-// into the Keogh stage never changes Cascade's skip decision.
-func TestCascadeAbandonedKeoghConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		n := 2 + rng.Intn(60)
-		q := randomValues(rng, n)
-		c := randomValues(rng, n)
-		env := NewEnvelope(c, 1+rng.Intn(8))
-
-		full, err := Keogh(q, env, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kim, err := Kim(q, c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tight := full
-		if kim > tight {
-			tight = kim
-		}
-		for _, threshold := range []float64{-1, 0, tight * 0.5, tight, tight * 2} {
-			bound, skip, err := Cascade(q, c, env, threshold, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSkip := threshold >= 0 && tight > threshold
-			if skip != wantSkip {
-				t.Fatalf("trial %d threshold %v: skip=%v want %v (bound %v, tight %v)",
-					trial, threshold, skip, wantSkip, bound, tight)
-			}
-			if !skip && bound != tight {
-				t.Fatalf("trial %d threshold %v: surviving bound %v != tightest %v",
-					trial, threshold, bound, tight)
-			}
-		}
-	}
-}
-
 // TestEnvelopeRingBruteForce re-verifies the ring-deque envelope against
 // a brute-force sliding window across awkward shapes: tiny series, radii
 // past the length, long plateaus (equal values stress the tie dropping),

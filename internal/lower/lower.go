@@ -185,49 +185,6 @@ func KeoghUnder(q []float64, env Envelope, threshold float64, dist series.PointD
 	return sum, abandoned, nil
 }
 
-// KeoghPair computes LB_Keogh directly from two equal-length series and a
-// warping radius, building the envelope on the fly. Convenience for
-// one-shot checks; indexes should precompute envelopes.
-func KeoghPair(q, c []float64, r int, dist series.PointDistance) (float64, error) {
-	if len(q) != len(c) {
-		return 0, fmt.Errorf("lower: LB_Keogh needs equal lengths, got %d and %d", len(q), len(c))
-	}
-	return Keogh(q, NewEnvelope(c, r), dist)
-}
-
-// Cascade evaluates the bound cascade (Kim, then Keogh) against a pruning
-// threshold and reports whether the candidate can be skipped. A negative
-// threshold disables pruning (Skip always false). The returned bound is
-// the tightest one computed; when the Keogh stage abandons early, that is
-// the partial Keogh sum — already above the threshold, so the skip
-// decision is identical to the full evaluation's.
-func Cascade(q []float64, c []float64, env Envelope, threshold float64, dist series.PointDistance) (bound float64, skip bool, err error) {
-	kim, err := Kim(q, c, dist)
-	if err != nil {
-		return 0, false, err
-	}
-	if threshold >= 0 && kim > threshold {
-		return kim, true, nil
-	}
-	if len(q) == len(env.Upper) {
-		budget := math.Inf(1)
-		if threshold >= 0 {
-			budget = threshold
-		}
-		keogh, abandoned, err := KeoghUnder(q, env, budget, dist)
-		if err != nil {
-			return kim, false, err
-		}
-		if keogh > kim {
-			kim = keogh
-		}
-		if abandoned || (threshold >= 0 && kim > threshold) {
-			return kim, true, nil
-		}
-	}
-	return kim, false, nil
-}
-
 // ValidateBound is a test helper contract: a lower bound must never
 // exceed the exact DTW distance. It returns an error describing the
 // violation, or nil.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"sdtw/internal/dtw"
 	"sdtw/internal/series"
@@ -26,6 +25,14 @@ func TestKimKnownValue(t *testing.T) {
 	// (1-2)^2 + (2-4)^2 = 1 + 4.
 	if got != 5 {
 		t.Fatalf("Kim = %v, want 5", got)
+	}
+	// A custom cost takes the generic path: |0-3| + |0-4| under L1.
+	got, err = Kim([]float64{0, 0}, []float64{3, 4}, series.AbsDistance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 7 {
+		t.Fatalf("Kim under L1 = %v, want 7", got)
 	}
 }
 
@@ -149,7 +156,7 @@ func TestKeoghIsLowerBoundWithinRadius(t *testing.T) {
 		q := randSeries(rng, n)
 		c := randSeries(rng, n)
 		r := 2 + rng.Intn(10)
-		bound, err := KeoghPair(q, c, r, nil)
+		bound, err := Keogh(q, NewEnvelope(c, r), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +169,7 @@ func TestKeoghIsLowerBoundWithinRadius(t *testing.T) {
 			t.Fatalf("trial %d (r=%d): %v", trial, r, err)
 		}
 		// Full-radius envelope bounds unconstrained DTW.
-		full, err := KeoghPair(q, c, n, nil)
+		full, err := Keogh(q, NewEnvelope(c, n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,82 +187,16 @@ func TestKeoghTightensWithSmallerRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	q := randSeries(rng, 100)
 	c := randSeries(rng, 100)
-	tight, err := KeoghPair(q, c, 2, nil)
+	tight, err := Keogh(q, NewEnvelope(c, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := KeoghPair(q, c, 40, nil)
+	loose, err := Keogh(q, NewEnvelope(c, 40), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tight < loose {
 		t.Fatalf("smaller radius gave smaller bound: %v < %v", tight, loose)
-	}
-}
-
-func TestCascade(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	q := randSeries(rng, 50)
-	c := randSeries(rng, 50)
-	env := NewEnvelope(c, 5)
-	// Threshold below any bound: must skip.
-	bound, skip, err := Cascade(q, c, env, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !skip || bound <= 0 {
-		t.Fatalf("cascade did not skip with zero threshold: bound=%v skip=%v", bound, skip)
-	}
-	// Negative threshold disables pruning.
-	_, skip, err = Cascade(q, c, env, -1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skip {
-		t.Fatal("cascade skipped with pruning disabled")
-	}
-	// Huge threshold: never skip.
-	_, skip, err = Cascade(q, c, env, 1e12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skip {
-		t.Fatal("cascade skipped below threshold")
-	}
-}
-
-func TestCascadeBoundStillValid(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 20 + rng.Intn(40)
-		q := randSeries(rng, n)
-		c := randSeries(rng, n)
-		env := NewEnvelope(c, n) // full radius: valid against full DTW
-		bound, _, err := Cascade(q, c, env, -1, nil)
-		if err != nil {
-			return false
-		}
-		exact, err := dtw.Distance(q, c, nil)
-		if err != nil {
-			return false
-		}
-		return ValidateBound(bound, exact) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCascadeCustomDistance(t *testing.T) {
-	q := []float64{0, 0}
-	c := []float64{3, 4}
-	bound, _, err := Cascade(q, c, NewEnvelope(c, 2), -1, series.AbsDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kim with L1: |0-3| + |0-4| = 7.
-	if bound < 7-1e-12 {
-		t.Fatalf("cascade bound %v below Kim L1 value 7", bound)
 	}
 }
 

@@ -50,7 +50,7 @@ type Config struct {
 	DisableMutualBest bool
 	// MaxBoundarySlope bounds the local time stretch any committed pair
 	// of scope boundaries may imply relative to its committed neighbours
-	// (an Itakura-style slope sanity check on the alignment itself).
+	// (a slope sanity check on the alignment itself).
 	// Candidate pairs implying steeper stretch are pruned as
 	// inconsistent. Zero means 4; values < 1 disable the check.
 	MaxBoundarySlope float64

@@ -115,6 +115,9 @@ func NewEngineBackend(engine *core.Engine, fingerprint string, customDist bool) 
 func (b *engineBackend) Fingerprint() string { return b.fingerprint }
 
 func (b *engineBackend) Admit(s series.Series) error {
+	if !b.bandCfg.Strategy.NeedsAlignment() {
+		return nil
+	}
 	// Pay the paper's one-time indexing cost (§3.4) up front: extract and
 	// cache the series' salient features so no query pays it.
 	_, err := b.engine.Features(s)

@@ -145,42 +145,6 @@ func Normalize01(v []float64) []float64 {
 	return out
 }
 
-// Resample linearly interpolates v to exactly n samples. It panics if n < 1
-// or v is empty, as both indicate programmer error.
-func Resample(v []float64, n int) []float64 {
-	if n < 1 {
-		panic("series: Resample target length < 1")
-	}
-	if len(v) == 0 {
-		panic("series: Resample of empty series")
-	}
-	if n == len(v) {
-		out := make([]float64, n)
-		copy(out, v)
-		return out
-	}
-	out := make([]float64, n)
-	if n == 1 {
-		out[0] = v[0]
-		return out
-	}
-	scale := float64(len(v)-1) / float64(n-1)
-	for i := range out {
-		pos := float64(i) * scale
-		j := int(pos)
-		if j >= len(v)-1 {
-			out[i] = v[len(v)-1]
-			continue
-		}
-		frac := pos - float64(j)
-		out[i] = float64(v[j]*(1-frac)) + float64(v[j+1]*frac)
-	}
-	// Guarantee exact endpoint preservation despite floating-point
-	// rounding in the position arithmetic.
-	out[n-1] = v[len(v)-1]
-	return out
-}
-
 // EuclideanAligned returns the pointwise accumulated cost of the diagonal
 // alignment of two equal-length series. DTW distance is bounded above by
 // this value (the diagonal is itself a warp path), which several tests and

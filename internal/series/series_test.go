@@ -2,7 +2,6 @@ package series
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -122,46 +121,6 @@ func TestNormalize01(t *testing.T) {
 	}
 }
 
-func TestResampleEndpointsPreserved(t *testing.T) {
-	v := []float64{1, 5, 2, 8, 3}
-	for _, n := range []int{1, 2, 5, 9, 50} {
-		r := Resample(v, n)
-		if len(r) != n {
-			t.Fatalf("Resample length = %d, want %d", len(r), n)
-		}
-		if r[0] != v[0] {
-			t.Errorf("n=%d: first sample %v, want %v", n, r[0], v[0])
-		}
-		if n > 1 && r[n-1] != v[len(v)-1] {
-			t.Errorf("n=%d: last sample %v, want %v", n, r[n-1], v[len(v)-1])
-		}
-	}
-}
-
-func TestResampleIdentity(t *testing.T) {
-	v := []float64{3, 1, 4, 1, 5}
-	r := Resample(v, 5)
-	for i := range v {
-		if r[i] != v[i] {
-			t.Fatalf("identity resample changed values: %v", r)
-		}
-	}
-	// And it must be a copy.
-	r[0] = 42
-	if v[0] == 42 {
-		t.Fatalf("identity resample aliases input")
-	}
-}
-
-func TestResamplePanicsOnBadInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Resample(v, 0) did not panic")
-		}
-	}()
-	Resample([]float64{1}, 0)
-}
-
 func TestEuclideanAligned(t *testing.T) {
 	d, err := EuclideanAligned([]float64{1, 2}, []float64{1, 4}, nil)
 	if err != nil {
@@ -226,69 +185,6 @@ func TestMinMaxProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResampleConstantStaysConstant(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		c := rng.Float64()*100 - 50
-		v := make([]float64, 3+rng.Intn(40))
-		for i := range v {
-			v[i] = c
-		}
-		r := Resample(v, 1+rng.Intn(80))
-		for _, x := range r {
-			if math.Abs(x-c) > 1e-9 {
-				t.Fatalf("constant series resampled to %v, want %v", x, c)
-			}
-		}
-	}
-}
-
-// TestResampleBitIdenticalToReference pins the FMA-rounding fix: the
-// interpolation in Resample rounds each product through an explicit
-// float64 conversion, so its output must be bit-identical to this
-// straight-line reference on every platform, including FMA-contracting
-// ones (arm64/ppc64).
-func TestResampleBitIdenticalToReference(t *testing.T) {
-	reference := func(v []float64, n int) []float64 {
-		out := make([]float64, n)
-		if n == 1 {
-			out[0] = v[0]
-			return out
-		}
-		scale := float64(len(v)-1) / float64(n-1)
-		for i := range out {
-			pos := float64(i) * scale
-			j := int(pos)
-			if j >= len(v)-1 {
-				out[i] = v[len(v)-1]
-				continue
-			}
-			frac := pos - float64(j)
-			left := v[j] * (1 - frac) // product rounded by assignment
-			right := v[j+1] * frac    // product rounded by assignment
-			out[i] = left + right
-		}
-		out[n-1] = v[len(v)-1]
-		return out
-	}
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 100; trial++ {
-		ln := 1 + rng.Intn(300)
-		n := 1 + rng.Intn(300)
-		v := make([]float64, ln)
-		for i := range v {
-			v[i] = (rng.Float64()*2 - 1) * math.Pow(10, float64(rng.Intn(5)-2))
-		}
-		got := Resample(v, n)
-		want := reference(v, n)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d (len=%d n=%d) sample %d: %v != reference %v", trial, ln, n, i, got[i], want[i])
-			}
-		}
 	}
 }
 

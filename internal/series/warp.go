@@ -11,9 +11,6 @@ import (
 // and shifts DTW is designed to absorb.
 type WarpFunc func(t float64) float64
 
-// IdentityWarp is the no-op warp.
-func IdentityWarp(t float64) float64 { return t }
-
 // RandomWarp builds a random monotone warp from knots+2 control points whose
 // vertical spacing is jittered by strength in [0,1). strength 0 yields the
 // identity; values near 1 produce severe local stretches. The result is a

@@ -30,7 +30,7 @@ func TestExtractFromPyramidMatchesExtract(t *testing.T) {
 		if direct[i].X != shared[i].X || direct[i].Sigma != shared[i].Sigma {
 			t.Fatalf("feature %d differs: %+v vs %+v", i, direct[i], shared[i])
 		}
-		if d := DescriptorDistance(direct[i].Descriptor, shared[i].Descriptor); d != 0 {
+		if d := descriptorDistance(direct[i].Descriptor, shared[i].Descriptor); d != 0 {
 			t.Fatalf("feature %d descriptor differs by %v", i, d)
 		}
 	}

@@ -448,33 +448,6 @@ func maxAbsDoG(pyr *scalespace.Pyramid) float64 {
 	return maxAbs
 }
 
-// DescriptorDistance returns the Euclidean distance between descriptors a
-// and b. Descriptors of different lengths are incomparable and yield +Inf.
-func DescriptorDistance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	ss := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		ss += float64(d * d)
-	}
-	return math.Sqrt(ss)
-}
-
-// DescriptorDistanceEarlyAbandon is DescriptorDistance with an early exit:
-// once the partial distance provably exceeds cutoff the function returns
-// +Inf. Matching performs |S_X|·|S_Y| nearest-neighbour scans where most
-// candidates lose quickly, so abandoning keeps the §3.4 matching cost far
-// below the DTW grid fill.
-func DescriptorDistanceEarlyAbandon(a, b []float64, cutoff float64) float64 {
-	d := DescriptorDistanceSqAbandon(a, b, cutoff*cutoff)
-	if math.IsInf(d, 1) {
-		return d
-	}
-	return math.Sqrt(d)
-}
-
 // DescriptorDistanceSqAbandon returns the squared Euclidean descriptor
 // distance, abandoning with +Inf once the partial sum exceeds cutoffSq.
 // Working in squared space lets nearest-neighbour scans avoid sqrt

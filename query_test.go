@@ -167,3 +167,53 @@ func sameStageCounts(a, b SearchStats) bool {
 		a.Evaluated == b.Evaluated && a.AbandonedDTW == b.AbandonedDTW &&
 		a.CellsSaved == b.CellsSaved && a.Cells == b.Cells && a.GridCells == b.GridCells
 }
+
+// TestNoAlignmentIndexExtractsNothing: the full grid and the fixed-core,
+// fixed-width band never read a feature, so an index over them must not
+// pay §3.4's extraction at admission — flat, sharded, or on a later Add —
+// while (ac,aw) still pays it once per series.
+func TestNoAlignmentIndexExtractsNothing(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 23, SeriesPerClass: 6})
+	data, extra := d.Series[:10], d.Series[10]
+	for _, tc := range []struct {
+		opts Options
+		per  int64 // extractions per admitted series
+	}{
+		{Options{Strategy: FullGrid}, 0},
+		{Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}, 0},
+		{DefaultOptions(), 1},
+	} {
+		ix, err := NewIndex(data, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		si, err := NewShardedIndex(data, 3, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string, admitted int64) {
+			t.Helper()
+			want := tc.per * admitted
+			if got := extractions(ix.engine); got != want {
+				t.Errorf("%v flat, %s: %d extractions, want %d", tc.opts.Strategy, when, got, want)
+			}
+			if got := int64(cachedFeatureSets(ix.engine)); got != want {
+				t.Errorf("%v flat, %s: %d cached feature sets, want %d", tc.opts.Strategy, when, got, want)
+			}
+			if got := extractions(si.engines...); got != want {
+				t.Errorf("%v sharded, %s: %d extractions, want %d", tc.opts.Strategy, when, got, want)
+			}
+			if got := int64(cachedFeatureSets(si.engines...)); got != want {
+				t.Errorf("%v sharded, %s: %d cached feature sets, want %d", tc.opts.Strategy, when, got, want)
+			}
+		}
+		check("built", 10)
+		if err := ix.Add(extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := si.Add(extra); err != nil {
+			t.Fatal(err)
+		}
+		check("after Add", 11)
+	}
+}

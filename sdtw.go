@@ -68,7 +68,6 @@ const (
 	AdaptiveCoreFixedWidth       = band.AdaptiveCoreFixedWidth
 	AdaptiveCoreAdaptiveWidth    = band.AdaptiveCoreAdaptiveWidth
 	AdaptiveCoreAdaptiveWidthAvg = band.AdaptiveCoreAdaptiveWidthAvg
-	ItakuraBand                  = band.ItakuraBand
 )
 
 // Series is a univariate time series with identity and label metadata.
@@ -97,7 +96,9 @@ type Result = core.Result
 // Options configures an Engine.
 type Options struct {
 	// Strategy selects the band type. The zero value is FullGrid (exact
-	// DTW); use DefaultOptions for the paper's (ac,aw) configuration.
+	// DTW); use DefaultOptions for the paper's (ac,aw) configuration. A
+	// value outside the six declared constants is an error wherever a
+	// distance is computed or an index built.
 	Strategy Strategy
 	// WidthFrac is the band width for fixed-width strategies as a
 	// fraction of the second series' length (paper values: 0.06, 0.10,
@@ -110,9 +111,6 @@ type Options struct {
 	MinWidthFrac, MaxWidthFrac float64
 	// NeighborRadius is r for the ac2 width averaging. Zero means 1.
 	NeighborRadius int
-	// Slope is the Itakura slope bound. Values <= 1 (including zero)
-	// mean 2.
-	Slope float64
 	// Symmetric unions the X-driven and Y-driven bands so the distance is
 	// symmetric (§3.3.3).
 	Symmetric bool
@@ -216,7 +214,6 @@ func (o Options) toCore() core.Options {
 			MinWidthFrac:   o.MinWidthFrac,
 			MaxWidthFrac:   o.MaxWidthFrac,
 			NeighborRadius: o.NeighborRadius,
-			Slope:          o.Slope,
 			Symmetric:      o.Symmetric,
 		},
 		Features:      feat,
@@ -305,7 +302,8 @@ func (e *Engine) Align(x, y Series) (Alignment, error) {
 }
 
 // Warm pre-extracts and caches the features of every series (the paper's
-// one-time indexing cost, §3.4).
+// one-time indexing cost, §3.4). It does nothing under a strategy whose
+// band reads no features (FullGrid, FixedCoreFixedWidth).
 func (e *Engine) Warm(data []Series) error {
 	_, err := e.inner.Warm(data)
 	return err

@@ -1,6 +1,7 @@
 package sdtw
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -70,7 +71,7 @@ func TestEngineStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []Strategy{FullGrid, FixedCoreFixedWidth, FixedCoreAdaptiveWidth,
-		AdaptiveCoreFixedWidth, AdaptiveCoreAdaptiveWidth, AdaptiveCoreAdaptiveWidthAvg, ItakuraBand} {
+		AdaptiveCoreFixedWidth, AdaptiveCoreAdaptiveWidth, AdaptiveCoreAdaptiveWidthAvg} {
 		eng := NewEngine(Options{Strategy: s, WidthFrac: 0.1})
 		res, err := eng.DistanceSeries(x, y)
 		if err != nil {
@@ -81,6 +82,26 @@ func TestEngineStrategies(t *testing.T) {
 		}
 		if s == FullGrid && math.Abs(res.Distance-full) > 1e-9 {
 			t.Fatalf("full grid inexact: %v vs %v", res.Distance, full)
+		}
+	}
+}
+
+// TestOutOfRangeStrategyIsAnError: a Strategy outside the six declared
+// values (6 named a seventh, since removed) must fail, not fall through
+// to some other band.
+func TestOutOfRangeStrategyIsAnError(t *testing.T) {
+	x, y := warpedPair(t)
+	data := []Series{x, y}
+	for _, s := range []Strategy{6, 7, 99, -1} {
+		opts := Options{Strategy: s}
+		if res, err := Distance(x.Values, y.Values, opts); err == nil {
+			t.Errorf("Distance under %v returned %v, want an error", s, res.Distance)
+		}
+		if _, err := NewIndex(data, opts); !errors.Is(err, ErrConfigMismatch) {
+			t.Errorf("NewIndex under %v: %v, want ErrConfigMismatch", s, err)
+		}
+		if _, err := NewShardedIndex(data, 2, opts); !errors.Is(err, ErrConfigMismatch) {
+			t.Errorf("NewShardedIndex under %v: %v, want ErrConfigMismatch", s, err)
 		}
 	}
 }

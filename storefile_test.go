@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdtw/internal/lower"
 	"sdtw/internal/store"
 	"sdtw/internal/vfs"
 )
@@ -80,7 +81,10 @@ func TestStoreBackedSearchExactness(t *testing.T) {
 	engineOpts := []Options{
 		{Strategy: AdaptiveCoreAdaptiveWidth},
 		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10},
-		{Strategy: ItakuraBand},
+		{Strategy: FullGrid},
+		{Strategy: FixedCoreAdaptiveWidth},
+		{Strategy: AdaptiveCoreFixedWidth},
+		{Strategy: AdaptiveCoreAdaptiveWidthAvg},
 	}
 	ctx := context.Background()
 	queries := []Series{d.Series[0], d.Series[7], d.Series[11]}
@@ -359,7 +363,7 @@ func TestOpenIndexValidation(t *testing.T) {
 	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
 	_, cold, dir := storeAndFlat(t, "engine", d.Series, opts)
 
-	if _, err := OpenIndex(dir, Options{Strategy: ItakuraBand}); !errors.Is(err, ErrConfigMismatch) {
+	if _, err := OpenIndex(dir, Options{Strategy: FixedCoreAdaptiveWidth}); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("mismatched options: %v, want ErrConfigMismatch", err)
 	}
 	if _, err := OpenWindowedIndex(dir); !errors.Is(err, ErrConfigMismatch) {
@@ -585,7 +589,7 @@ func TestOpenShardedDegraded(t *testing.T) {
 func TestOpenShardedMixedConfig(t *testing.T) {
 	d := GunDataset(DatasetConfig{Seed: 101, SeriesPerClass: 6})
 	optsA := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
-	optsB := Options{Strategy: ItakuraBand}
+	optsB := Options{Strategy: FixedCoreAdaptiveWidth}
 	siA, err := NewShardedIndex(d.Series, 3, optsA)
 	if err != nil {
 		t.Fatal(err)
@@ -644,6 +648,62 @@ func TestOpenShardedMixedConfig(t *testing.T) {
 	}
 	if _, err := OpenShardedIndex(dirF, optsA); !errors.Is(err, ErrCorruptManifest) {
 		t.Fatalf("sharded open of an unsharded store: %v, want ErrCorruptManifest", err)
+	}
+}
+
+// TestEngineFingerprintGolden holds the fingerprint to the strings the
+// release that still had a seventh strategy produced (slope=0 is that
+// strategy's knob, unset): every store written then under a configuration
+// still expressible must keep opening.
+func TestEngineFingerprintGolden(t *testing.T) {
+	const tail = "|bins=0|eps=0|oct=0|lev=0|amp=0|scale=0|dom=0|pd=false"
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{DefaultOptions(),
+			"sdtw/v1|strategy=4|w=0|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail},
+		{Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10},
+			"sdtw/v1|strategy=1|w=0.1|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail},
+		{Options{Strategy: AdaptiveCoreAdaptiveWidthAvg, Symmetric: true},
+			"sdtw/v1|strategy=5|w=0|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail},
+	} {
+		if got := engineFingerprint(tc.opts); got != tc.want {
+			t.Errorf("fingerprint of %+v:\n got %s\nwant %s", tc.opts, got, tc.want)
+		}
+	}
+}
+
+// TestOpenRefusesRemovedStrategyStore: a store exported under the removed
+// seventh strategy says strategy=6 in its manifest. No Options may open it —
+// Options{Strategy: 6} reproduces the fingerprint, and must still be
+// refused rather than serve that band's envelopes over another band.
+func TestOpenRefusesRemovedStrategyStore(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 107, SeriesPerClass: 3})
+	fp := strings.Replace(engineFingerprint(Options{}), "strategy=0", "strategy=6", 1)
+	envs := make([]lower.Envelope, len(d.Series))
+	for i, s := range d.Series {
+		envs[i] = lower.NewEnvelope(s.Values, s.Len()/3)
+	}
+	flat := filepath.Join(t.TempDir(), "flat")
+	meta := exportMeta(snapshotKindEngine, uint64(len(d.Series)), 0, 0)
+	if err := exportStores(flat, fp, DefaultSketchWidth, 0, []storeExport{{dir: flat, meta: meta, data: d.Series, envs: envs}}); err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Join(t.TempDir(), "root")
+	meta = exportMeta(snapshotKindEngine, uint64(len(d.Series)), 0, 0)
+	meta[storeMetaShards], meta[storeMetaShard] = "1", "0"
+	if err := exportStores(root, fp, DefaultSketchWidth, 0,
+		[]storeExport{{dir: filepath.Join(root, shardDirName(0)), meta: meta, data: d.Series, envs: envs}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{Strategy: 6}, {}, DefaultOptions()} {
+		if _, err := OpenIndex(flat, opts); !errors.Is(err, ErrConfigMismatch) {
+			t.Errorf("OpenIndex under %v: %v, want ErrConfigMismatch", opts.Strategy, err)
+		}
+		if _, err := OpenShardedIndex(root, opts); !errors.Is(err, ErrConfigMismatch) {
+			t.Errorf("OpenShardedIndex under %v: %v, want ErrConfigMismatch", opts.Strategy, err)
+		}
 	}
 }
 
