@@ -13,10 +13,10 @@ import (
 )
 
 // TestTopKAbandonInvariance is the tentpole property: early abandonment
-// must never change retrieval results, only skip grid work. Across every
-// band strategy and both equal- and unequal-length collections, Search
-// and LabelsAll with abandonment enabled are bit-identical to the same
-// queries with abandonment disabled.
+// and pruning must never change retrieval results, only skip grid work.
+// Across every band strategy and both equal- and unequal-length
+// collections, Search and LabelsAll with abandonment enabled are
+// bit-identical to the same queries with abandonment disabled.
 func TestTopKAbandonInvariance(t *testing.T) {
 	collections := map[string][]Series{
 		"equal-length":   randomWalkSeries(rand.New(rand.NewSource(21)), 16, 64, 0),
@@ -228,6 +228,60 @@ func TestWindowedIndexAbandonInvariance(t *testing.T) {
 		}
 		if totalAbandoned == 0 {
 			t.Fatalf("radius=%d: abandonment never fired across the workload", radius)
+		}
+	}
+}
+
+// TestBudgetNeverFillsMoreCells pins the direction of the saving at the
+// retrieval level. At one worker the cascade visits the same candidates
+// in the same order under the same thresholds whether or not the dynamic
+// program is handed the budget (an abandoned candidate would not have
+// entered the heap either), so the hits and the evaluated count are
+// identical and every candidate fills at most the cells it fills without
+// the budget — on the sDTW backend, whose wide bands are pruned as well
+// as abandoned, and on the windowed one. (With more workers the set of
+// candidates that reach the DP depends on timing, and so does the sum.)
+func TestBudgetNeverFillsMoreCells(t *testing.T) {
+	d := TraceDataset(DatasetConfig{Seed: 33, SeriesPerClass: 8})
+	engine, err := NewIndex(d.Series, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowed, err := NewWindowedIndex(d.Series, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for name, ix := range map[string]*Index{"(ac,aw)": engine, "windowed": windowed} {
+		under, whole := 0, 0
+		for q := 0; q < d.Len(); q += 3 {
+			for _, k := range []int{1, 4} {
+				got, gotStats, err := ix.Search(ctx, d.Series[q], WithK(k), WithWorkers(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantStats, err := ix.Search(ctx, d.Series[q], WithK(k), WithWorkers(1), WithoutAbandon())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s q=%d k=%d: %d vs %d neighbours", name, q, k, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s q=%d k=%d rank %d: %+v under the budget, %+v without", name, q, k, i, got[i], want[i])
+					}
+				}
+				if gotStats.Evaluated != wantStats.Evaluated || gotStats.Cells > wantStats.Cells {
+					t.Fatalf("%s q=%d k=%d: %d candidates filled %d cells under the budget, %d filled %d without",
+						name, q, k, gotStats.Evaluated, gotStats.Cells, wantStats.Evaluated, wantStats.Cells)
+				}
+				under += gotStats.Cells
+				whole += wantStats.Cells
+			}
+		}
+		if under >= whole {
+			t.Fatalf("%s: the budget saved nothing: %d cells under it, %d without", name, under, whole)
 		}
 	}
 }

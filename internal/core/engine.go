@@ -84,17 +84,22 @@ type Result struct {
 	Path dtw.Path
 	// Band is the constraint actually used; zero unless Options.KeepBand.
 	Band dtw.Band
-	// CellsFilled is the number of DTW grid cells evaluated.
+	// CellsFilled is the number of DTW grid cells evaluated: all of the
+	// band under Distance, and under DistanceUnder's budget only the cells
+	// that could still come in within it (dtw.BandedAbandonWS), through
+	// the row that abandoned if one did.
 	CellsFilled int
-	// BandCells is the total cell count of the constraint band; it equals
-	// CellsFilled unless the computation abandoned early, in which case
-	// BandCells − CellsFilled is the work abandonment skipped.
+	// BandCells is the total cell count of the constraint band, so
+	// BandCells − CellsFilled is the work the budget saved — on a
+	// computation that abandoned and, by pruning, on one that completed.
 	BandCells int
 	// GridCells is N·M, for computing pruning gains.
 	GridCells int
-	// Abandoned reports that DistanceUnder stopped early because every
-	// continuation already exceeded the caller's budget. Distance is then
-	// a valid lower bound on the banded distance, not the distance itself.
+	// Abandoned reports that the banded distance exceeds DistanceUnder's
+	// budget: some row had no cell within it, or every row had and the
+	// final cell was over. Distance is then the smallest float64 above the
+	// budget — a valid lower bound on the banded distance, strictly above
+	// the budget, and no tighter than that.
 	Abandoned bool
 	// Pairs is the number of consistent salient pairs that informed the
 	// band (0 for fixed-core/fixed-width strategies).
@@ -284,15 +289,19 @@ func (e *Engine) Distance(x, y series.Series) (Result, error) {
 	return e.DistanceUnder(x, y, math.Inf(1))
 }
 
-// DistanceUnder is Distance with threshold-aware early abandonment: the
-// dynamic program stops the moment every continuation already exceeds
-// budget (exclusive), returning Result.Abandoned=true and a partial
-// Distance that is itself a valid lower bound on the banded distance.
+// DistanceUnder is Distance under a pruning budget (exclusive): the
+// dynamic program fills only the band cells that can still come in at or
+// under budget, stops at the first row that has none, and returns
+// Result.Abandoned=true whenever the banded distance exceeds the budget —
+// with Distance the smallest float64 above the budget, a valid lower
+// bound on the banded distance and nothing tighter. A distance at or
+// under the budget comes back bit for bit as Distance computes it.
 // Retrieval cascades pass their best-so-far k-th distance as the budget,
-// so hopeless candidates stop after a few rows instead of filling the
-// whole band. A budget of +Inf makes the call identical to Distance.
+// so hopeless candidates stop after a few rows and the others fill the
+// part of the band around their path. A budget of +Inf makes the call
+// identical to Distance.
 //
-// Abandonment assumes a non-negative point cost; when Options.ComputePath
+// Pruning assumes a non-negative point cost; when Options.ComputePath
 // is set (the path needs the full band) the budget is ignored.
 func (e *Engine) DistanceUnder(x, y series.Series, budget float64) (Result, error) {
 	return e.DistanceUnderCtx(nil, x, y, budget)

@@ -66,6 +66,17 @@ func (b Band) Cells() int {
 	return total
 }
 
+// maxWidth returns the cell count of the band's widest row: the row
+// buffer the dynamic programs need, and what decides whether a band is
+// wide enough for strips and pruning (see pruneMinWidth).
+func (b Band) maxWidth() int {
+	w := 0
+	for i := range b.Lo {
+		w = max(w, b.Hi[i]-b.Lo[i]+1)
+	}
+	return w
+}
+
 // Clone returns a deep copy of the band.
 func (b Band) Clone() Band {
 	lo := make([]int, len(b.Lo))

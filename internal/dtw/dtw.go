@@ -172,25 +172,45 @@ func BandedWS(x, y []float64, b Band, dist series.PointDistance, ws *Workspace) 
 	return d, cells, err
 }
 
-// BandedAbandonWS is BandedWS with early abandonment against a pruning
-// budget: after each row it checks the running row minimum, and the
-// moment every cell of the current row already exceeds budget it stops
-// filling the grid and returns abandoned=true. Every warp path must pass
-// through some in-band cell of every row and point costs are
-// non-negative, so the returned partial cost (the abandoned row's
-// minimum) is itself a valid lower bound on the banded distance. The
-// budget is exclusive: abandonment requires the row minimum to be
-// strictly greater than budget, so a candidate whose true distance ties
-// the budget is always evaluated fully. A budget of +Inf (or NaN) never
-// abandons and makes the call identical to BandedWS, including its
-// distance and cell count bit for bit.
+// BandedAbandonWS is BandedWS under a pruning budget (Herrmann & Webb's
+// early abandoning and pruning): the dynamic program fills only cells
+// that can still come in at or under budget and returns abandoned=true
+// once it knows the banded distance exceeds it. Row to row it carries the
+// live range — the first and last cell of the row above at or under
+// budget — and fills from the first live column to one past the last, and
+// on from there only while the cell to the left is itself within budget:
+// every other cell of the row has three predecessors over budget, and
+// with non-negative point costs is over budget too. A cell within budget
+// has a predecessor within budget, which pruning left exact, so every
+// distance that is not abandoned is the one BandedWS returns, bit for
+// bit. The computation abandons at the first row with no cell within
+// budget — every warp path crosses every row — and, having run every
+// row, when the corner cell itself is over budget. Bands whose widest row
+// is under 12 cells (the radius-3 window) are filled in whole rows:
+// there is too little to prune to pay for finding it.
 //
-// Admissibility of the partial cost requires a non-negative point
-// distance (the default squared cost is); callers with signed custom
-// costs must pass budget = +Inf.
+// The budget is exclusive: abandoned means the banded distance is
+// strictly greater than budget, so a candidate whose true distance ties
+// the budget is always evaluated fully. The cost returned with
+// abandoned=true is the smallest float64 above budget, which is all an
+// abandoned computation knows — a valid lower bound on the banded
+// distance, strictly above the budget, and nothing tighter: the cells it
+// did fill may have lost their cheapest predecessor to pruning, so no
+// row minimum bounds the distance from below. cells counts the cells
+// filled, through the abandoning row. A budget of +Inf (or NaN) prunes
+// nothing, never abandons and makes the call identical to BandedWS,
+// including its distance and cell count bit for bit.
+//
+// Pruning and abandonment both require a non-negative point distance (the
+// default squared cost is); callers with signed custom costs must pass
+// budget = +Inf.
 func BandedAbandonWS(x, y []float64, b Band, dist series.PointDistance, budget float64, ws *Workspace) (float64, int, bool, error) {
 	return BandedAbandonCtx(nil, x, y, b, dist, budget, ws)
 }
+
+// overBudget is the cost an abandoned computation reports: the smallest
+// float64 above budget (see BandedAbandonWS).
+func overBudget(budget float64) float64 { return math.Nextafter(budget, math.Inf(1)) }
 
 // cancelCheckRows is how often (in grid rows) BandedAbandonCtx polls the
 // context. A row is O(band width) work, so a handful of rows bounds the
@@ -203,6 +223,10 @@ const cancelCheckRows = 8
 // stops mid-band and returns ctx.Err() (so errors.Is(err, context.Canceled)
 // and errors.Is(err, context.DeadlineExceeded) hold). A nil ctx disables
 // the polling and behaves exactly like BandedAbandonWS.
+//
+// The loop below is the custom-cost path and the reference the squared
+// kernel (kernel.go) is tested against: one row at a time, pruned by the
+// rule above to the cell.
 func BandedAbandonCtx(ctx context.Context, x, y []float64, b Band, dist series.PointDistance, budget float64, ws *Workspace) (float64, int, bool, error) {
 	if err := checkInputs(x, y, b); err != nil {
 		return 0, 0, false, err
@@ -219,17 +243,18 @@ func BandedAbandonCtx(ctx context.Context, x, y []float64, b Band, dist series.P
 	// so the DP costs O(band cells), not O(NM). Reads into the previous
 	// row are bounds-checked against its interval instead of padding the
 	// arrays with infinities.
-	maxWidth := 0
-	for i := 0; i < n; i++ {
-		if w := b.Hi[i] - b.Lo[i] + 1; w > maxWidth {
-			maxWidth = w
-		}
-	}
+	maxWidth := b.maxWidth()
 	if ws == nil {
 		ws = &Workspace{}
 	}
 	prev, curr := ws.rows(maxWidth)
-	prevLo, prevHi := 0, -1 // previous row's interval; empty before row 0
+	// The previous row: prev[0] is column prevBase, and [prevLo, prevHi]
+	// the cells the next row may read — the filled ones, or under pruning
+	// the live range among them; empty before row 0.
+	prevBase, prevLo, prevHi := 0, 0, -1
+	bounded := budget < inf // a +Inf or NaN budget is exceeded by nothing
+	prune := bounded && maxWidth >= pruneMinWidth
+	over := overBudget(budget)
 	cells := 0
 	for i := 0; i < n; i++ {
 		if ctx != nil && i%cancelCheckRows == 0 {
@@ -238,19 +263,31 @@ func BandedAbandonCtx(ctx context.Context, x, y []float64, b Band, dist series.P
 			}
 		}
 		lo, hi := b.Lo[i], b.Hi[i]
+		if prune {
+			lo = max(lo, prevLo)
+		}
 		xi := x[i]
 		rowMin := inf
-		for j := lo; j <= hi; j++ {
+		j := lo
+		for ; j <= hi; j++ {
+			// Past the column after the previous row's last live cell only
+			// the horizontal predecessor is left, and right of a dead one
+			// the rest of the row is dead; a row that starts there — the
+			// band stepped back or ahead of the live range — has no live
+			// predecessor at all.
+			if prune && j > prevHi+1 && (j == lo || curr[j-1-lo] > budget) {
+				break
+			}
 			var best float64
 			if i == 0 && j == 0 {
 				best = 0
 			} else {
 				best = inf
 				if j-1 >= prevLo && j-1 <= prevHi { // diagonal (i-1, j-1)
-					best = prev[j-1-prevLo]
+					best = prev[j-1-prevBase]
 				}
 				if j >= prevLo && j <= prevHi { // vertical (i-1, j)
-					if v := prev[j-prevLo]; v < best {
+					if v := prev[j-prevBase]; v < best {
 						best = v
 					}
 				}
@@ -265,20 +302,37 @@ func BandedAbandonCtx(ctx context.Context, x, y []float64, b Band, dist series.P
 			if v < rowMin {
 				rowMin = v
 			}
-			cells++
+		}
+		cells += j - lo
+		if rowMin > budget {
+			return over, cells, true, nil
 		}
 		prev, curr = curr, prev
-		prevLo, prevHi = lo, hi
-		// Abandoning on the final row would save nothing, and skipping the
-		// check there keeps the non-abandoned result identical to BandedWS.
-		if i < n-1 && rowMin > budget {
-			return rowMin, cells, true, nil
+		prevBase, prevLo, prevHi = lo, lo, j-1
+		if prune {
+			// rowMin is within budget, so both scans stop inside the row. A
+			// cell is dead unless it compares <= budget, which a NaN never
+			// does.
+			for !(prev[prevLo-prevBase] <= budget) {
+				prevLo++
+			}
+			for !(prev[prevHi-prevBase] <= budget) {
+				prevHi--
+			}
 		}
 	}
-	if m-1 < prevLo || m-1 > prevHi {
+	if m-1 < b.Lo[n-1] || m-1 > b.Hi[n-1] {
 		return 0, cells, false, errNoWarpPath()
 	}
-	d := prev[m-1-prevLo]
+	// A corner cell pruned away or left over budget is a distance over
+	// budget: the last row has live cells, and none of them ends a path.
+	if m-1 > prevHi {
+		return over, cells, true, nil
+	}
+	d := prev[m-1-prevBase]
+	if bounded && !(d <= budget) {
+		return over, cells, true, nil
+	}
 	if math.IsInf(d, 1) {
 		return 0, cells, false, errNoWarpPath()
 	}
@@ -326,7 +380,7 @@ func BandedWithPath(x, y []float64, b Band, dist series.PointDistance) (PathResu
 		prev, prevLo, prevHi := originRow(), -1, -1
 		for i := 0; i < n; i++ {
 			row := flat[off[i]:off[i+1]]
-			fillRowSquared(x[i], y, b.Lo[i], prev, prevLo, prevHi, row, b.Lo[i], b.Hi[i])
+			fillRowSquared(x[i], y, b.Lo[i], prev, prevLo, prevHi, row, b.Lo[i], b.Hi[i], inf)
 			prev, prevLo, prevHi = row, b.Lo[i], b.Hi[i]
 		}
 	} else {

@@ -414,12 +414,15 @@ func TestPathValidateLengthBoundary(t *testing.T) {
 
 // TestBandedAbandonProperties is the contract the retrieval cascade's
 // exactness rests on: with budget +Inf the abandoning variant is
-// bit-identical to BandedWS; with a finite budget an abandoned run's
-// partial cost is strictly above the budget yet never above the true
-// banded distance (a valid lower bound), and a budget at or above the
-// true distance never abandons (the budget is exclusive).
+// bit-identical to BandedWS, cells included; with a finite budget an
+// abandoned run's partial cost is strictly above the budget yet never
+// above the true banded distance (a valid lower bound), and a budget at
+// or above the true distance never abandons (the budget is exclusive) and
+// returns the distance bit for bit, having filled no more cells than the
+// band has — on the full band, which is pruned, fewer.
 func TestBandedAbandonProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	pruned, saved := 0, 0 // full bands wide enough to prune, and those budget = d filled in part
 	for trial := 0; trial < 80; trial++ {
 		n, m := 3+rng.Intn(30), 3+rng.Intn(30)
 		x := randomSeries(rng, n)
@@ -446,8 +449,14 @@ func TestBandedAbandonProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if abandoned || dt != d || ct != cells {
+		if abandoned || dt != d || ct > cells {
 			t.Fatalf("budget=d abandoned or diverged: (%v,%d,%v) vs (%v,%d)", dt, ct, abandoned, d, cells)
+		}
+		if m >= pruneMinWidth && trial%2 == 0 {
+			pruned++
+			if ct < cells {
+				saved++
+			}
 		}
 		// Tight budget: if the run abandons, the partial cost must be a
 		// lower bound on d sitting strictly above the budget, with fewer
@@ -464,11 +473,41 @@ func TestBandedAbandonProperties(t *testing.T) {
 			if dp > d+1e-9*(1+math.Abs(d)) {
 				t.Fatalf("partial cost %v exceeds true banded distance %v", dp, d)
 			}
-			if cp >= cells {
+			if cp > cells {
 				t.Fatalf("abandoned run filled %d cells, full run %d", cp, cells)
 			}
-		} else if dp != d || cp != cells {
+		} else if dp != d || cp > cells {
 			t.Fatalf("non-abandoned run diverged: (%v,%d) vs (%v,%d)", dp, cp, d, cells)
+		}
+	}
+	if saved*10 < pruned*9 {
+		t.Fatalf("budget = d pruned only %d of %d full bands", saved, pruned)
+	}
+}
+
+// TestFinalRowOverBudgetIsAbandoned pins the case row-by-row abandonment
+// cannot see: every row has a cell within budget — here the whole grid
+// costs 0 but its last column — and the one cell a warp path must end on
+// is over it. The computation runs every row and must still come back
+// abandoned, with a cost just over the budget and every cell counted, on
+// a band filled in whole rows (4 columns), on a pruned one (16) where the
+// strip runs, and on the generic loop; it used to come back as a distance
+// for the caller to compare again.
+func TestFinalRowOverBudgetIsAbandoned(t *testing.T) {
+	for _, n := range []int{4, 16} {
+		x, y := make([]float64, n), make([]float64, n)
+		y[n-1] = 5
+		b := FullBand(n, n)
+		for _, dist := range []series.PointDistance{nil, series.AbsDistance} {
+			d, cells, err := BandedWS(x, y, b, dist, nil)
+			if err != nil || d <= 1 || cells != n*n {
+				t.Fatalf("n=%d: distance %v over %d cells, err %v", n, d, cells, err)
+			}
+			got, cells, abandoned, err := BandedAbandonWS(x, y, b, dist, 1, nil)
+			if err != nil || !abandoned || !(got > 1 && got <= d) || cells != n*n {
+				t.Fatalf("n=%d under budget 1: (%v, %d cells, abandoned %v, err %v), want abandoned with a cost in (1, %v] after all %d cells",
+					n, got, cells, abandoned, err, d, n*n)
+			}
 		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 // but let the fuzzer drive the shape parameters; CI runs each for a
 // bounded ~30s in the fuzz-smoke lane.
 
-// FuzzBandedKernelDifferential compares the specialized and generic
-// early-abandoning banded DP on fuzzer-chosen shapes (up to 320×320, so
+// FuzzBandedKernelDifferential holds the specialized early-abandoning
+// banded DP to the generic one (checkKernelAgainstGeneric) on
+// fuzzer-chosen shapes (up to 320×320, so
 // strips by the dozen and every n mod 4), StripBand shapes, budgets (as a
 // fraction of the true distance, which steers the abandoning row through
 // every position of a strip) and planted non-finite values.
@@ -61,15 +62,7 @@ func FuzzBandedKernelDifferential(f *testing.F) {
 			}
 			budget = exact * float64(bsel) / 200
 		}
-		gotD, gotC, gotA, gotErr := BandedAbandonWS(x, y, b, nil, budget, &wsS)
-		wantD, wantC, wantA, wantErr := BandedAbandonWS(x, y, b, sqGeneric, budget, &wsG)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("error divergence (n=%d m=%d budget=%v): specialized %v vs generic %v", n, m, budget, gotErr, wantErr)
-		}
-		if math.Float64bits(gotD) != math.Float64bits(wantD) || gotC != wantC || gotA != wantA {
-			t.Fatalf("kernel divergence (n=%d m=%d budget=%v): specialized (%v, %d, %v) vs generic (%v, %d, %v)",
-				n, m, budget, gotD, gotC, gotA, wantD, wantC, wantA)
-		}
+		checkKernelAgainstGeneric(t, x, y, b, budget, &wsS, &wsG)
 	})
 }
 

@@ -21,8 +21,10 @@ package dtw
 // radius-3 window, the first row, a leftover of n mod 4, rows around an
 // interval jump, any input holding a NaN or an infinity — are filled one
 // at a time by fillRowSquared, which is also what fills the ends of a
-// strip's rows left and right of the skewed loop. Which rows run how is
-// read off the band's own intervals, never set by a caller.
+// strip's rows left and right of the skewed loop. Under a budget the rows
+// of a band wide enough for a strip are pruned to the live range of the
+// row above (liveRange), strips included. Which rows run how is read off
+// the band's own intervals and that range, never set by a caller.
 //
 // Bit-identity contract: every kernel returns what its generic
 // counterpart returns, bit for bit — each cell is still one add of the
@@ -30,14 +32,19 @@ package dtw
 // than the generic strict < cascade, its comment says why the pick is the
 // same. Squared costs round through an explicit float64 conversion so the
 // compiler cannot fuse the multiply into the following add across what
-// used to be a function-call boundary. cells counts the band cells of the
-// rows the generic loop would have filled: through the abandoning row
-// when a budget stops the DP, not the up to three rows of its strip
-// filled behind it. Differential tests in kernel_test.go and the fuzz
-// targets pin distance or partial cost, cell count, abandoned flag and
-// path equality against the generic path, and oracle_test.go pins both
-// against a textbook full-matrix DP, on strip-reaching bands, every
-// abandoning row and non-finite inputs.
+// used to be a function-call boundary. cells is the one result the
+// budgeted kernel and the generic loop do not share: each counts the
+// cells it filled through the abandoning row (not the up to three rows of
+// a strip filled behind it), the generic loop prunes to the cell, and a
+// strip — one left bound for its four rows, each row's end run against
+// the filled end of the row above — fills that and some more, never more
+// than the band. Where no strip can run (non-finite inputs, a band under
+// pruneMinWidth, a +Inf budget) the two counts are equal. Differential
+// tests in kernel_test.go and the fuzz targets pin distance, abandoned
+// flag, cell counts and path equality against the generic path, and
+// oracle_test.go pins both against a textbook full-matrix DP and the live
+// ranges read off it, on strip-reaching bands, every abandoning row and
+// non-finite inputs.
 
 import (
 	"context"
@@ -117,20 +124,24 @@ func accumulateSquared(xi float64, yd, cw []float64) uint64 {
 // the previous row's padded buffer prev and interval [prevLo, prevHi]. It
 // writes the +Inf pad left of the row when it starts it (from == lo) and
 // one right of the last cell it fills, and returns the bits of the
-// minimum over the cells it filled. It is the whole of a narrow band's
-// row (from = lo, to = hi) and the head and tail filler of a strip row
-// (see fillStripSquared).
+// minimum over the cells it filled and the column of the last one. It is
+// the whole of a per-row row (from = lo, to = hi) and the head and tail
+// filler of a strip row (see fillStripSquared).
 //
 // Columns prevLo..prevHi+1 have a diagonal or vertical predecessor and
 // run the three-way loop over buffers re-sliced to the segment width, so
 // the compiler proves the indexing in range once; the columns before and
-// after have the horizontal predecessor only. The comparison order
+// after have the horizontal predecessor only. The run after them stops
+// short of to at the first cell whose left neighbour exceeds cut: nothing
+// right of it can come in at or under a budget of cut, and +Inf fills the
+// run whole — a NaN neighbour exceeds nothing, and the cell after it,
+// restarted at +Inf, ends the run instead. The comparison order
 // (diagonal, then vertical on strict <, then horizontal on strict <) is
 // exactly the generic loop's, so a NaN or infinite input behaves as it
 // does there.
 //
 //sdtw:hotpath
-func fillRowSquared(xi float64, y []float64, lo int, prev []float64, prevLo, prevHi int, curr []float64, from, to int) uint64 {
+func fillRowSquared(xi float64, y []float64, lo int, prev []float64, prevLo, prevHi int, curr []float64, from, to int, cut float64) (uint64, int) {
 	inf := math.Inf(1)
 	rowMin := uint64(infBits)
 	if from == lo {
@@ -168,9 +179,50 @@ func fillRowSquared(xi float64, y []float64, lo int, prev []float64, prevLo, pre
 		j += w
 	}
 	if j <= to {
-		rowMin = min(rowMin, accumulateSquared(xi, y[j:to+1], curr[j-lo:]))
+		yd := y[j : to+1]
+		cw := curr[j-lo:]
+		h := cw[0]
+		cw = cw[1:]
+		cw = cw[:len(yd)]
+		for k := range yd {
+			if h > cut {
+				to = j + k - 1
+				cw[k] = inf
+				break
+			}
+			best := inf
+			if h < best {
+				best = h
+			}
+			d := xi - yd[k]
+			h = best + float64(d*d)
+			cw[k] = h
+			rowMin = min(rowMin, math.Float64bits(h))
+		}
 	}
-	return rowMin
+	return rowMin, to
+}
+
+// liveRange narrows a filled row — padded buffer row, cells lo..hi, at
+// least one of them within budget — to its live range, the first and the
+// last cell within budget, and returns it as a padded buffer of its own:
+// the two cells around the range become its +Inf pads, so the rows below
+// read the dead cells beyond them as the band's edge. A cell is dead
+// unless it compares <= budget, which a NaN never does. The scan reads
+// the dead cells it drops and the two live ones it stops at.
+//
+//sdtw:hotpath
+func liveRange(row []float64, lo, hi int, budget float64) (live []float64, first, last int) {
+	first, last = lo, hi
+	for !(row[first-lo+1] <= budget) {
+		first++
+	}
+	for !(row[last-lo+1] <= budget) {
+		last--
+	}
+	live = row[first-lo:]
+	live[0], live[last-first+2] = math.Inf(1), math.Inf(1)
+	return live, first, last
 }
 
 // stripRows is how many consecutive band rows fillStripSquared advances
@@ -187,19 +239,29 @@ const stripRows = 4
 // head and tail calls around the joint loop cost more than the loop saves.
 const stripMinSteps = 8
 
+// pruneMinWidth is the widest-row width from which a budgeted dynamic
+// program tracks the live column range (see bandedAbandonSquared): the
+// narrowest band that can hold a strip. A band under it — the radius-3
+// window — has rows of a handful of cells, where finding the range costs
+// more than the few cells it would save, and is filled whole.
+const pruneMinWidth = stripMinSteps + stripRows
+
 // stripRange reports whether rows i..i+stripRows-1 of b run as a strip
 // and over which steps s..e they advance together: at step t row r fills
 // column t-r, and that cell must have all three predecessors inside the
 // band, i.e. lie in [max(Lo[r-1], Lo[r])+1, min(Hi[r-1], Hi[r])] (row -1
-// being the row above the strip, interval [prevLo, prevHi]). Row 0 never
-// joins a strip: the virtual row above it leaves it no such cell.
-func stripRange(b Band, i, prevLo, prevHi int) (s, e int, ok bool) {
+// being the row above the strip, interval [prevLo, prevHi] — its live
+// range under a budget, so the joint range ends at its last live cell).
+// No row starts left of floor, the first live column of the row above
+// under a budget and 0 without one. Row 0 never joins a strip: the
+// virtual row above it leaves it no such cell.
+func stripRange(b Band, i, floor, prevLo, prevHi int) (s, e int, ok bool) {
 	if i+stripRows > len(b.Lo) {
 		return 0, 0, false
 	}
 	s, e = 0, b.M
 	for r := 0; r < stripRows; r++ {
-		lo, hi := b.Lo[i+r], b.Hi[i+r]
+		lo, hi := max(b.Lo[i+r], floor), b.Hi[i+r]
 		s = max(s, max(prevLo, lo)+1+r)
 		e = min(e, min(prevHi, hi)+r)
 		prevLo, prevHi = lo, hi
@@ -208,10 +270,11 @@ func stripRange(b Band, i, prevLo, prevHi int) (s, e int, ok bool) {
 }
 
 // fillStripSquared fills band rows i..i+3 of the squared-cost dynamic
-// program together, given their joint steps s..e (see stripRange) and the
-// row above them in prev. It returns the bits of the last row's minimum,
-// the only one the caller needs while no row abandons (see
-// bandedAbandonSquared).
+// program together, given their joint steps s..e and the floor they were
+// found under (see stripRange) and the row above them in prev. It stores
+// how many cells of each row it filled, from max(Lo, floor) on, in
+// filled, and returns the bits of the last row's minimum, the only one
+// the caller needs while no row abandons (see bandedAbandonSquared).
 //
 // Over the joint steps the rows advance skewed one column apart: at step
 // t row r fills column t-r. Row r's diagonal and vertical predecessors
@@ -221,7 +284,12 @@ func stripRange(b Band, i, prevLo, prevHi int) (s, e int, ok bool) {
 // it, so their min/add latencies overlap. fillRowSquared fills what the
 // parallelogram leaves of each row: the head up to column s-r-1 before
 // the loop and the tail from e-r+1 after it — each pass top row first,
-// so a row's predecessors are filled before it reads them.
+// so a row's predecessors are filled before it reads them. A tail runs
+// against the filled end of the row above, not its band end, and on
+// alone only while its left neighbour is within cut: under a budget the
+// joint range ends at the last live cell of the row above the strip, and
+// each row reaches one column further than the row above it did plus
+// whatever stays within the budget from there.
 //
 // Bit-identity with the < cascade of fillRowSquared: every accumulated
 // cost is a non-negative, non-NaN float here — a sum of rounded squares
@@ -232,13 +300,17 @@ func stripRange(b Band, i, prevLo, prevHi int) (s, e int, ok bool) {
 // computes best + float64(d*d) on the same operands.
 //
 //sdtw:hotpath
-func fillStripSquared(x, y []float64, b Band, i, s, e int, prev []float64, prevLo, prevHi int, rows *[stripRows][]float64) uint64 {
-	lo, hi := b.Lo[i:i+stripRows], b.Hi[i:i+stripRows]
+func fillStripSquared(x, y []float64, b Band, i, floor, s, e int, prev []float64, prevLo, prevHi int, rows *[stripRows][]float64, cut float64, filled *[stripRows]int) uint64 {
+	var lo [stripRows]int
+	for r := range lo {
+		lo[r] = max(b.Lo[i+r], floor)
+	}
+	hi := b.Hi[i : i+stripRows]
 	x = x[i : i+stripRows]
 	var lastMin, tailMin uint64 // of the row filled last: the strip's last, after each pass
 	p, pl, ph := prev, prevLo, prevHi
 	for r := range rows {
-		lastMin = fillRowSquared(x[r], y, lo[r], p, pl, ph, rows[r], lo[r], s-r-1)
+		lastMin, _ = fillRowSquared(x[r], y, lo[r], p, pl, ph, rows[r], lo[r], s-r-1, math.Inf(1))
 		p, pl, ph = rows[r], lo[r], hi[r]
 	}
 
@@ -279,8 +351,10 @@ func fillStripSquared(x, y []float64, b Band, i, s, e int, prev []float64, prevL
 
 	p, pl, ph = prev, prevLo, prevHi
 	for r := range rows {
-		tailMin = fillRowSquared(x[r], y, lo[r], p, pl, ph, rows[r], e-r+1, hi[r])
-		p, pl, ph = rows[r], lo[r], hi[r]
+		var end int
+		tailMin, end = fillRowSquared(x[r], y, lo[r], p, pl, ph, rows[r], e-r+1, hi[r], cut)
+		filled[r] = end - lo[r] + 1
+		p, pl, ph = rows[r], lo[r], end
 	}
 	return min(lastMin, tailMin)
 }
@@ -306,19 +380,32 @@ func finite(v []float64) bool {
 }
 
 // bandedAbandonSquared is BandedAbandonCtx monomorphized for the default
-// squared cost: same rows, same abandonment points, same comparison
-// results — with the cost inlined and four rows advanced per pass
-// wherever the band lets them (fillStripSquared). Whether a group of rows
-// runs as a strip is decided from the band's own intervals; a band too
-// narrow for any strip (the radius-3 window) never even scans its inputs
-// for the non-finite values the strip cannot take. Inputs were validated
-// by the caller.
+// squared cost: same live ranges row to row, same abandonment points,
+// same comparison results — with the cost inlined and four rows advanced
+// per pass wherever the band lets them (fillStripSquared). Whether a
+// group of rows runs as a strip is decided from the band's own intervals
+// and, under a budget, the live range above them; a band too narrow for
+// any strip (the radius-3 window) never even scans its inputs for the
+// non-finite values the strip cannot take, nor its rows for their live
+// range. Inputs were validated by the caller.
+//
+// Under a budget a wide band's rows are pruned (Herrmann & Webb's early
+// abandoning and pruning): prev is the live range of the row above, the
+// cells between its first and last within budget, and a row starts no
+// further left than that range does — the cells there have a dead
+// diagonal, a dead vertical and, by induction from the row's start, a
+// dead horizontal predecessor — runs the three-way recurrence one column
+// past its end, and on from there, where only the horizontal predecessor
+// is left, until that one is dead too. The first live column never
+// decreases down the grid, so a strip holds the one above it for its four
+// rows and only its last row is narrowed, which makes the strip coarser
+// than the per-row rule, never wrong: accumulated costs only grow along a
+// path, so a cell within budget has a predecessor within budget, filled
+// and exact by induction, and gets the bits the whole band would give it;
+// a dead cell may cost more than it would there, and is dead either way.
 func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, budget float64, ws *Workspace) (float64, int, bool, error) {
 	n, m := len(x), len(y)
-	maxWidth := 0
-	for i := 0; i < n; i++ {
-		maxWidth = max(maxWidth, b.Hi[i]-b.Lo[i]+1)
-	}
+	maxWidth := b.maxWidth()
 	if ws == nil {
 		ws = &Workspace{}
 	}
@@ -329,75 +416,127 @@ func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, budget fl
 	for r := range rows {
 		rows[r] = buf[r*width : (r+1)*width : (r+1)*width]
 	}
-	prev := buf[stripRows*width:]
-	copy(prev, originRow())
-	prevLo, prevHi := -1, -1
+	// prev is the row above as the rows below read it: all of prevBuf, or
+	// under pruning the part of it that holds the live range.
+	prevBuf := buf[stripRows*width:]
+	copy(prevBuf, originRow())
+	prev, prevLo, prevHi := prevBuf, -1, -1
 	cells := 0
-	// Rows narrower than a joint range plus the skew hold no strip (unless
-	// the band drifts left, which narrow bands are not worth checking for).
-	strips := maxWidth >= stripMinSteps+stripRows && finite(x) && finite(y)
-	polled := -cancelCheckRows
-	for i, k, tryAt := 0, 0, 0; i < n; i += k {
-		// Where rows do not make a strip, the next few are not asked: a
-		// band that stays just too narrow would pay for the question on
-		// every row.
-		var s, e int
-		k = 1
-		if strips && i >= tryAt {
-			var ok bool
-			if s, e, ok = stripRange(b, i, prevLo, prevHi); ok {
-				k = stripRows
-			} else {
-				tryAt = i + stripRows
+	// A +Inf or NaN budget is exceeded by nothing: no row abandons and
+	// nothing is pruned.
+	bounded := budget < math.Inf(1)
+	over := overBudget(budget)
+
+	if maxWidth < pruneMinWidth {
+		// Rows narrower than a joint range plus the skew hold no strip
+		// (unless the band drifts left, which narrow bands are not worth
+		// checking for) and too few cells to prune: whole rows, one at a
+		// time, abandoning on the row minimum. This loop is all per-row
+		// overhead, seven cells a row on the radius-3 window, and carries
+		// none of the strip's or the live range's state.
+		for i := 0; i < n; i++ {
+			if ctx != nil && i%cancelCheckRows == 0 {
+				if err := ctx.Err(); err != nil {
+					return 0, cells, false, err
+				}
 			}
-		}
-		// Poll before the rows that would put more than cancelCheckRows
-		// between two polls: every cancelCheckRows-th row of a narrow
-		// band, every other strip.
-		if ctx != nil && i+k > polled+cancelCheckRows {
-			polled = i
-			if err := ctx.Err(); err != nil {
-				return 0, cells, false, err
-			}
-		}
-		// Abandoning on the final row would save nothing. A +Inf or NaN
-		// budget is exceeded by nothing.
-		if k == 1 {
 			lo, hi := b.Lo[i], b.Hi[i]
-			rowMin := fillRowSquared(x[i], y, lo, prev, prevLo, prevHi, rows[0], lo, hi)
+			rowMin, _ := fillRowSquared(x[i], y, lo, prev, prevLo, prevHi, rows[0], lo, hi, math.Inf(1))
 			cells += hi - lo + 1
-			if v := math.Float64frombits(rowMin); v > budget && i < n-1 {
-				return v, cells, true, nil
+			if math.Float64frombits(rowMin) > budget {
+				return over, cells, true, nil
 			}
 			prev, rows[0] = rows[0], prev
 			prevLo, prevHi = lo, hi
-			continue
 		}
-		// Row minima never decrease down the grid — a cell is a cell of
-		// the row above, or one to its left, plus a non-negative cost, and
-		// rounding is monotone — so a row of the strip can only exceed the
-		// budget if the last one does, the only one whose minimum the
-		// strip tracks. Then, rarely, the rows' minima are read off their
-		// buffers. The rows filled behind an abandoning row are not
-		// counted: cells is the generic loop's count.
-		lastMin := fillStripSquared(x, y, b, i, s, e, prev, prevLo, prevHi, &rows)
-		exceeded := math.Float64frombits(lastMin) > budget
-		for r := range rows {
-			width := b.Hi[i+r] - b.Lo[i+r] + 1
-			cells += width
-			if exceeded && i+r < n-1 {
-				if v := rowMinimum(rows[r][1 : width+1]); v > budget {
-					return v, cells, true, nil
+	} else {
+		strips := finite(x) && finite(y)
+		polled := -cancelCheckRows
+		for i, k, tryAt := 0, 0, 0; i < n; i += k {
+			// Under a budget no row starts left of the live range above it.
+			floor := 0
+			if bounded {
+				floor = prevLo
+			}
+			// Where rows do not make a strip, the next few are not asked: a
+			// band that stays just too narrow would pay for the question on
+			// every row.
+			var s, e int
+			k = 1
+			if strips && i >= tryAt {
+				var ok bool
+				if s, e, ok = stripRange(b, i, floor, prevLo, prevHi); ok {
+					k = stripRows
+				} else {
+					tryAt = i + stripRows
 				}
 			}
+			// Poll before the rows that would put more than cancelCheckRows
+			// between two polls: every cancelCheckRows-th single row, every
+			// other strip.
+			if ctx != nil && i+k > polled+cancelCheckRows {
+				polled = i
+				if err := ctx.Err(); err != nil {
+					return 0, cells, false, err
+				}
+			}
+			var lo, hi int // the cells of the last row filled
+			if k == 1 {
+				lo, hi = max(b.Lo[i], floor), b.Hi[i]
+				// A band may step back left of the live range (Normalize does
+				// not promise a non-decreasing Hi), or start right of the
+				// column after it: no cell of the row has a live predecessor.
+				if bounded && lo > min(hi, prevHi+1) {
+					return over, cells, true, nil
+				}
+				var rowMin uint64
+				rowMin, hi = fillRowSquared(x[i], y, lo, prev, prevLo, prevHi, rows[0], lo, hi, budget)
+				cells += hi - lo + 1
+				if math.Float64frombits(rowMin) > budget {
+					return over, cells, true, nil
+				}
+				prevBuf, rows[0] = rows[0], prevBuf
+			} else {
+				// Row minima never decrease down the grid — a cell is a cell of
+				// the row above, or one to its left, plus a non-negative cost, and
+				// rounding is monotone — so a row of the strip can only exceed the
+				// budget if the last one does, the only one whose minimum the
+				// strip tracks. Then, rarely, the rows' minima are read off their
+				// buffers. The rows filled behind an abandoning row are not
+				// counted.
+				var filled [stripRows]int
+				lastMin := fillStripSquared(x, y, b, i, floor, s, e, prev, prevLo, prevHi, &rows, budget, &filled)
+				exceeded := math.Float64frombits(lastMin) > budget
+				for r := range rows {
+					cells += filled[r]
+					if exceeded && rowMinimum(rows[r][1:filled[r]+1]) > budget {
+						return over, cells, true, nil
+					}
+				}
+				const last = stripRows - 1
+				lo = max(b.Lo[i+last], floor)
+				hi = lo + filled[last] - 1
+				prevBuf, rows[last] = rows[last], prevBuf
+			}
+			prev, prevLo, prevHi = prevBuf, lo, hi
+			if bounded {
+				prev, prevLo, prevHi = liveRange(prevBuf, lo, hi, budget)
+			}
 		}
-		prev, rows[stripRows-1] = rows[stripRows-1], prev
-		prevLo, prevHi = b.Lo[i+stripRows-1], b.Hi[i+stripRows-1]
 	}
-	if m-1 < prevLo || m-1 > prevHi {
+
+	if m-1 < b.Lo[n-1] || m-1 > b.Hi[n-1] {
 		return 0, cells, false, errNoWarpPath()
 	}
+	// A corner cell pruned away or left over budget is a distance over
+	// budget: the last row has live cells, and none of them ends a path.
+	if m-1 > prevHi {
+		return over, cells, true, nil
+	}
 	d := prev[m-prevLo]
+	if bounded && !(d <= budget) {
+		return over, cells, true, nil
+	}
 	if math.IsInf(d, 1) {
 		return 0, cells, false, errNoWarpPath()
 	}

@@ -44,39 +44,46 @@ func engineBands(b testing.TB, name string, length int) []benchCase {
 	return cases
 }
 
-// BenchmarkBandedKernel measures the early-abandoning banded DP in
-// ns/cell on the band shapes the workloads run: the historical 275×275
-// Sakoe-Chiba 10 % band (generic vs specialized, budget +Inf), real
-// (ac,aw) bands from core.Engine on the three paper data sets, and the
-// radius-3 window of the windowed backend. Each real shape runs at budget
-// +Inf (no row minimum needed) and at a finite budget that never abandons
-// (the exact distance: what a retrieval candidate that survives costs).
+// BenchmarkBandedKernel measures the budgeted banded DP on the band
+// shapes the workloads run: the historical 275×275 Sakoe-Chiba 10 % band
+// (generic vs specialized, budget +Inf), real (ac,aw) bands from
+// core.Engine on the three paper data sets, and the radius-3 window of
+// the windowed backend. Each real shape runs at budget +Inf (whole band,
+// no row minimum needed), at a finite budget that never abandons (the
+// exact distance: what a retrieval candidate that enters the top k costs,
+// and the most pruning a completed DP gets) and at a tight one (half the
+// distance: a candidate that abandons). It reports cells/op, the cells
+// the kernel filled under that budget, and ns/cell over those — so
+// pruning shows as fewer cells, not as cheaper ones, and the per-cell
+// price of finding the live range stays visible.
 func BenchmarkBandedKernel(b *testing.B) {
-	run := func(b *testing.B, cases []benchCase, dist func(a, b float64) float64, finite bool) {
+	run := func(b *testing.B, cases []benchCase, dist func(a, b float64) float64, budgetShare float64) {
 		b.Helper()
 		var ws dtw.Workspace
 		budgets := make([]float64, len(cases))
 		cells := 0
 		for i, c := range cases {
-			d, n, err := dtw.BandedWS(c.x, c.y, c.band, dist, &ws)
+			d, _, err := dtw.BandedWS(c.x, c.y, c.band, dist, &ws)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cells += n
-			budgets[i] = math.Inf(1)
-			if finite {
-				budgets[i] = d
+			budgets[i] = d * budgetShare
+			_, n, abandoned, err := dtw.BandedAbandonWS(c.x, c.y, c.band, dist, budgets[i], &ws)
+			if err != nil || abandoned != (budgetShare < 1) {
+				b.Fatal(err, abandoned)
 			}
+			cells += n
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k, c := range cases {
-				if _, _, abandoned, err := dtw.BandedAbandonWS(c.x, c.y, c.band, dist, budgets[k], &ws); err != nil || abandoned {
-					b.Fatal(err, abandoned)
+				if _, _, _, err := dtw.BandedAbandonWS(c.x, c.y, c.band, dist, budgets[k], &ws); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}
+		b.ReportMetric(float64(cells), "cells/op")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
 	}
 
@@ -89,8 +96,8 @@ func BenchmarkBandedKernel(b *testing.B) {
 		return v
 	}
 	sakoe := []benchCase{{x: randomSeries(275), y: randomSeries(275), band: dtw.SakoeChiba(275, 275, 0.10)}}
-	b.Run("generic", func(b *testing.B) { run(b, sakoe, sqClosure, false) })
-	b.Run("specialized", func(b *testing.B) { run(b, sakoe, nil, false) })
+	b.Run("generic", func(b *testing.B) { run(b, sakoe, sqClosure, math.Inf(1)) })
+	b.Run("specialized", func(b *testing.B) { run(b, sakoe, nil, math.Inf(1)) })
 
 	shapes := []struct {
 		name  string
@@ -108,8 +115,9 @@ func BenchmarkBandedKernel(b *testing.B) {
 		w.cases = append(w.cases, benchCase{x: randomSeries(128), y: randomSeries(128), band: dtw.SakoeChibaRadius(128, 128, 3)})
 	}
 	for _, s := range shapes {
-		b.Run(s.name+"/inf", func(b *testing.B) { run(b, s.cases, nil, false) })
-		b.Run(s.name+"/finite", func(b *testing.B) { run(b, s.cases, nil, true) })
+		b.Run(s.name+"/inf", func(b *testing.B) { run(b, s.cases, nil, math.Inf(1)) })
+		b.Run(s.name+"/finite", func(b *testing.B) { run(b, s.cases, nil, 1) })
+		b.Run(s.name+"/tight", func(b *testing.B) { run(b, s.cases, nil, 0.5) })
 	}
 }
 
@@ -117,7 +125,8 @@ func BenchmarkBandedKernel(b *testing.B) {
 // warmed Workspace a call allocates nothing — on the radius-3 window (the
 // per-row path) and on a real (ac,aw) band (the strip path, five row
 // buffers where there were two), whether it runs to the end under a +Inf
-// or a finite budget or abandons.
+// budget, under a finite one that prunes it (the distance itself, and
+// half as much again) or abandons.
 func TestBandedAbandonWSAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	narrow := benchCase{x: oracleSeries(rng, 128), y: oracleSeries(rng, 128), band: dtw.SakoeChibaRadius(128, 128, 3)}
@@ -132,7 +141,7 @@ func TestBandedAbandonWSAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, budget := range []float64{math.Inf(1), exact, exact / 8} {
+		for _, budget := range []float64{math.Inf(1), exact * 1.5, exact, exact / 8} {
 			wantAbandoned := budget < exact
 			allocs := testing.AllocsPerRun(20, func() {
 				if _, _, abandoned, err := dtw.BandedAbandonWS(c.x, c.y, c.band, nil, budget, &ws); err != nil || abandoned != wantAbandoned {

@@ -82,13 +82,39 @@ func randomBudget(rng *rand.Rand, exact float64, n int) float64 {
 	}
 }
 
+// checkKernelAgainstGeneric runs the early-abandoning banded DP under both
+// dispatches and holds the squared kernel to the generic loop: the same
+// verdict on whether the band admits a path, the same abandoned flag, the
+// same distance (or, abandoned, the same cost just over the budget) bit
+// for bit. cells is what each filled, and there the two may part: the
+// generic loop prunes to the cell, a strip holds one left bound for its
+// four rows and runs each row's end against the filled end of the row
+// above, so the squared kernel fills at least the generic loop's cells
+// and at most the band's — and exactly the generic loop's wherever no
+// strip can have run: non-finite inputs, a band under pruneMinWidth, a
+// budget that prunes nothing.
+func checkKernelAgainstGeneric(t *testing.T, x, y []float64, b Band, budget float64, wsSpec, wsGen *Workspace) {
+	t.Helper()
+	gd, gc, ga, gerr := BandedAbandonWS(x, y, b, sqGeneric, budget, wsGen)
+	sd, sc, sa, serr := BandedAbandonWS(x, y, b, nil, budget, wsSpec)
+	perRow := !finite(x) || !finite(y) || b.maxWidth() < pruneMinWidth || !(budget < math.Inf(1))
+	switch {
+	case (gerr == nil) != (serr == nil):
+		t.Fatalf("n=%d m=%d budget=%v: error mismatch: generic %v, specialized %v", len(x), len(y), budget, gerr, serr)
+	case math.Float64bits(gd) != math.Float64bits(sd) || ga != sa:
+		t.Fatalf("n=%d m=%d budget=%v: generic (%v, abandoned %v), specialized (%v, abandoned %v)", len(x), len(y), budget, gd, ga, sd, sa)
+	case sc < gc || sc > b.Cells() || (perRow && sc != gc):
+		t.Fatalf("n=%d m=%d budget=%v (per-row only: %v): generic filled %d cells, specialized %d, of the band's %d",
+			len(x), len(y), budget, perRow, gc, sc, b.Cells())
+	}
+}
+
 // TestKernelDifferentialBandedAbandon is the kernel's differential
 // property test: on random series, every StripBand shape, grids from 1×1
 // to 300×300 and random budgets — a third of the cases with a NaN, an
 // infinity or an overflowing ±MaxFloat64 planted in the inputs — the
-// monomorphized banded kernel must return the generic path's distance (or
-// partial cost) bit for bit, its cell count, its abandoned flag and its
-// verdict on whether the band admits a path.
+// monomorphized banded kernel is held to the generic path by
+// checkKernelAgainstGeneric.
 func TestKernelDifferentialBandedAbandon(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var wsSpec, wsGen Workspace
@@ -101,21 +127,7 @@ func TestKernelDifferentialBandedAbandon(t *testing.T) {
 			InjectNonFinite(rng, x, y, 1+trial/3)
 		}
 		exact, _, _ := BandedWS(x, y, b, sqGeneric, &wsGen)
-		budget := randomBudget(rng, exact, n)
-
-		gd, gc, ga, gerr := BandedAbandonWS(x, y, b, sqGeneric, budget, &wsGen)
-		sd, sc, sa, serr := BandedAbandonWS(x, y, b, nil, budget, &wsSpec)
-		if (gerr == nil) != (serr == nil) {
-			t.Fatalf("trial %d: error mismatch: generic %v, specialized %v", trial, gerr, serr)
-		}
-		if math.Float64bits(gd) != math.Float64bits(sd) {
-			t.Fatalf("trial %d (n=%d m=%d budget=%v): distance bits differ: generic %v specialized %v",
-				trial, n, m, budget, gd, sd)
-		}
-		if gc != sc || ga != sa {
-			t.Fatalf("trial %d (n=%d m=%d budget=%v): cells/abandoned differ: generic (%d,%v) specialized (%d,%v)",
-				trial, n, m, budget, gc, ga, sc, sa)
-		}
+		checkKernelAgainstGeneric(t, x, y, b, randomBudget(rng, exact, n), &wsSpec, &wsGen)
 	}
 }
 
@@ -396,5 +408,28 @@ func BenchmarkSpringAppendKernel(b *testing.B) {
 				sp.Append(stream[i%len(stream)])
 			}
 		})
+	}
+}
+
+// TestNaNCellIsDead pins what "dead" means where a NaN sits at the edge
+// of the live range: two equal ramps but for a NaN at y[25], so column 25
+// is NaN in every row, under the full band and a budget of 1, which keeps
+// the live range within a column of the diagonal — up against the NaN
+// column from row 24 on. A cell is live only if it compares <= budget; a
+// scan that asked "not > budget" would take the NaN for live, carry the
+// range one column further than the generic loop does and fill a cell
+// more on the next row. Row 26 has no live cell left and abandons.
+func TestNaNCellIsDead(t *testing.T) {
+	const n = 40
+	x, y := make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i] = float64(i), float64(i)
+	}
+	y[25] = math.NaN()
+	b := FullBand(n, n)
+	var wsSpec, wsGen Workspace
+	checkKernelAgainstGeneric(t, x, y, b, 1, &wsSpec, &wsGen)
+	if _, cells, abandoned, err := BandedAbandonWS(x, y, b, nil, 1, &wsSpec); err != nil || !abandoned || cells >= 27*6 {
+		t.Fatalf("(%d cells, abandoned %v, err %v), want abandonment on row 26 at under six cells a row", cells, abandoned, err)
 	}
 }

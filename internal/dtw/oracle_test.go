@@ -20,7 +20,7 @@ import (
 // no path when the band admits none. Each cell is cost + min(three
 // predecessors) — one addition of the same two operands the kernels add,
 // so the distance must agree with theirs to the last bit. The matrix
-// comes back too: oracleAbandon reads the row minima off it.
+// comes back too: oracleBudgeted reads the live ranges off it.
 func oracleDTW(x, y []float64, b dtw.Band) (float64, dtw.Path, [][]float64) {
 	n, m := len(x), len(y)
 	inf := math.Inf(1)
@@ -64,20 +64,71 @@ func oracleDTW(x, y []float64, b dtw.Band) (float64, dtw.Path, [][]float64) {
 	return acc[n][m], path, acc
 }
 
-// oracleAbandon is what an early-abandoning banded DP must return under
-// budget, read off the oracle's matrix: the first row short of the last
-// whose in-band minimum exceeds the budget abandons, with that minimum as
-// the partial cost and the band's cells through that row as the work
-// done; if none does, the full distance and every cell.
-func oracleAbandon(acc [][]float64, b dtw.Band, budget float64) (cost float64, cells int, abandoned bool) {
+// budgeted is what a banded DP under a budget must return, read off the
+// oracle's matrix (see oracleBudgeted).
+type budgeted struct {
+	// abandoned: some row has no cell within budget, or every row has and
+	// the corner cell is over it — the distance exceeds the budget.
+	abandoned bool
+	// exact is the number of cells pruning to the cell fills, through the
+	// abandoning row: what the generic loop must count. whole is the band's
+	// cells through that row, which no kernel may exceed. The strip kernel
+	// prunes coarser than to the cell — it holds one left bound for four
+	// rows and runs each row's end against the filled end of the row above,
+	// not its live end — so the squared kernel lies between the two.
+	exact, whole int
+}
+
+// oracleBudgeted derives the contract of BandedAbandonCtx under budget
+// from the unpruned matrix. The live range of a row is its first and last
+// band cell within budget; the first row without one abandons. Pruning to
+// the cell fills row i from the first live column of row i-1 (or Lo[i],
+// if that is further right) through the column after its last live one
+// (or Hi[i], if that is further left), and on from there while the cell
+// to the left is within budget — whose cost the matrix knows, because a
+// cell within budget keeps its cost under pruning and a cell over it
+// stays over. The virtual row above row 0 is live at column -1, the free
+// origin. A +Inf budget, and any budget over a band whose widest row is
+// under dtw.PruneMinWidth, fills whole rows.
+func oracleBudgeted(acc [][]float64, b dtw.Band, budget float64) budgeted {
 	n := b.N()
+	maxWidth := 0
 	for i := 0; i < n; i++ {
-		cells += b.Hi[i] - b.Lo[i] + 1
-		if rowMin := oracleRowMin(acc, b, i); i < n-1 && rowMin > budget {
-			return rowMin, cells, true
+		maxWidth = max(maxWidth, b.Hi[i]-b.Lo[i]+1)
+	}
+	prune := budget < math.Inf(1) && maxWidth >= dtw.PruneMinWidth
+	var want budgeted
+	first, last := -1, -1 // live range of the row above
+	for i := 0; i < n; i++ {
+		lo, hi := b.Lo[i], b.Hi[i]
+		want.whole += hi - lo + 1
+		if prune {
+			from, to := max(lo, first), min(hi, last+1)
+			for to >= from && to < hi && acc[i+1][to+1] <= budget {
+				to++
+			}
+			if to >= from {
+				want.exact += to - from + 1
+			}
+		} else {
+			want.exact = want.whole
+		}
+		first, last = -1, -1
+		for j := lo; j <= hi; j++ {
+			if acc[i+1][j+1] <= budget {
+				if first < 0 {
+					first = j
+				}
+				last = j
+			}
+		}
+		if first < 0 {
+			want.abandoned = true
+			return want
 		}
 	}
-	return acc[n][b.M], cells, false
+	want.abandoned = !(acc[n][b.M] <= budget)
+	return want
 }
 
 // oracleRowMin is the smallest accumulated cost among row i's band cells.
@@ -136,15 +187,18 @@ func oracleBand(t *testing.T, rng *rand.Rand, n, m int, sel uint8, symmetric boo
 // Banded, BandedAbandonCtx at a +Inf budget and BandedWithPath, each
 // under both kernel dispatches (nil selects the monomorphized squared
 // kernels, a closure the generic ones), must report the oracle's distance
-// bit for bit, and every recovered path — the oracle's too — must be a
-// valid warp path inside the band whose cost is that distance. Then
-// BandedAbandonCtx runs under budgets placed on the oracle's own row
-// minima (abandonBudgets) and must return oracleAbandon's partial cost,
-// cell count and abandoned flag.
-func checkOracleCase(t *testing.T, rng *rand.Rand, x, y []float64, b dtw.Band) {
+// bit for bit and fill every cell of the band, and every recovered path —
+// the oracle's too — must be a valid warp path inside the band whose cost
+// is that distance. Then BandedAbandonCtx runs under each of budgets and
+// is held to oracleBudgeted: the oracle's distance bit for bit when that
+// is within budget, abandoned otherwise, with a cost strictly above the
+// budget and not above the distance; the generic loop's cell count the
+// exact pruned one, the squared kernel's between that and the band's —
+// which pins the abandoning row from both sides.
+func checkOracleCase(t *testing.T, x, y []float64, b dtw.Band, acc [][]float64, wantPath dtw.Path, budgets []float64) {
 	t.Helper()
 	n, m := len(x), len(y)
-	want, wantPath, acc := oracleDTW(x, y, b)
+	want := acc[n][m]
 	if wantPath == nil {
 		t.Fatalf("normalized %dx%d band admits no warp path: %+v", n, m, b)
 	}
@@ -177,9 +231,10 @@ func checkOracleCase(t *testing.T, rng *rand.Rand, x, y []float64, b dtw.Band) {
 		}
 	}
 	for _, k := range []struct {
-		name string
-		dist func(a, b float64) float64
-	}{{"squared kernel", nil}, {"generic kernel", sqClosure}} {
+		name      string
+		dist      func(a, b float64) float64
+		toTheCell bool
+	}{{"squared kernel", nil, false}, {"generic kernel", sqClosure, true}} {
 		d, cells, err := dtw.Banded(x, y, b, k.dist)
 		same("Banded/"+k.name, d, cells, err)
 		d, cells, abandoned, err := dtw.BandedAbandonCtx(context.Background(), x, y, b, k.dist, math.Inf(1), nil)
@@ -190,30 +245,77 @@ func checkOracleCase(t *testing.T, rng *rand.Rand, x, y []float64, b dtw.Band) {
 		res, err := dtw.BandedWithPath(x, y, b, k.dist)
 		same("BandedWithPath/"+k.name, res.Distance, res.Cells, err)
 		checkPath("BandedWithPath/"+k.name, res.Path)
-		for _, budget := range abandonBudgets(rng, acc, b) {
-			wantD, wantCells, wantAbandoned := oracleAbandon(acc, b, budget)
+		for _, budget := range budgets {
+			wantB := oracleBudgeted(acc, b, budget)
 			d, cells, abandoned, err := dtw.BandedAbandonCtx(context.Background(), x, y, b, k.dist, budget, nil)
 			if err != nil {
 				t.Fatalf("BandedAbandonCtx/%s under budget %v: %v", k.name, budget, err)
 			}
-			if math.Float64bits(d) != math.Float64bits(wantD) || cells != wantCells || abandoned != wantAbandoned {
-				t.Fatalf("BandedAbandonCtx/%s (%dx%d) under budget %v = (%v, %d cells, abandoned %v), oracle (%v, %d cells, abandoned %v)\nband %+v",
-					k.name, n, m, budget, d, cells, abandoned, wantD, wantCells, wantAbandoned, b)
+			fail := func(what string) {
+				t.Helper()
+				t.Fatalf("BandedAbandonCtx/%s (%dx%d) under budget %v = (%v, %d cells, abandoned %v): %s; oracle distance %v, %+v\nband %+v",
+					k.name, n, m, budget, d, cells, abandoned, what, want, wantB, b)
+			}
+			switch {
+			case abandoned != wantB.abandoned:
+				fail("abandoned differs")
+			case !abandoned && math.Float64bits(d) != math.Float64bits(want):
+				fail("distance bits differ")
+			case abandoned && !(d > budget && d <= want):
+				fail("partial cost not in (budget, distance]")
+			case k.toTheCell && cells != wantB.exact:
+				fail("cells differ from pruning to the cell")
+			case cells < wantB.exact || cells > wantB.whole:
+				fail("cells outside [exact, whole]")
 			}
 		}
 	}
 }
 
-// abandonBudgets places budgets on the oracle's row minima so that
-// abandonment lands where the kernel's row grouping could get it wrong:
-// for four consecutive rows from a random one — each position within a
-// strip of four, wherever the strips fall — the row's minimum itself (the
-// row survives, a later one abandons) and the float just below it (this
-// row abandons, unless an earlier one already did); the same pair for the
-// last row, which never abandons; and 0.
+// checkNonFiniteCase plants a NaN, an infinity or an overflowing
+// ±MaxFloat64 in copies of x and y and runs both dispatches under the
+// budgets — finite ones, where the oracle's case has them. The oracle's
+// matrix says nothing about such inputs (a NaN cost sticks to the cells
+// below it or is dropped, as the < cascade has it, and a pruned NaN is
+// neither), so the contract is the one that is left: a NaN cell is dead,
+// the squared kernel keeps such inputs on the per-row path and there
+// agrees with the generic loop on everything, cells included; an
+// abandoned cost is over the budget, a returned distance within it.
+func checkNonFiniteCase(t *testing.T, rng *rand.Rand, x, y []float64, b dtw.Band, budgets []float64) {
+	t.Helper()
+	x, y = append([]float64(nil), x...), append([]float64(nil), y...)
+	kind := 1 + rng.Intn(dtw.NonFiniteKinds-1)
+	dtw.InjectNonFinite(rng, x, y, kind)
+	strips := kind >= 4 // ±MaxFloat64 is finite: those inputs may run in strips
+	for _, budget := range budgets {
+		gd, gc, ga, gerr := dtw.BandedAbandonCtx(context.Background(), x, y, b, sqClosure, budget, nil)
+		sd, sc, sa, serr := dtw.BandedAbandonCtx(context.Background(), x, y, b, nil, budget, nil)
+		switch {
+		case (gerr == nil) != (serr == nil):
+			t.Fatalf("non-finite kind %d under budget %v: generic error %v, squared %v", kind, budget, gerr, serr)
+		case math.Float64bits(gd) != math.Float64bits(sd) || ga != sa || sc < gc || sc > b.Cells() || (!strips && sc != gc):
+			t.Fatalf("non-finite kind %d (%dx%d) under budget %v: generic (%v, %d cells, abandoned %v), squared (%v, %d cells, abandoned %v)\nband %+v",
+				kind, len(x), len(y), budget, gd, gc, ga, sd, sc, sa, b)
+		case gerr == nil && budget < math.Inf(1) && ga != !(gd <= budget):
+			t.Fatalf("non-finite kind %d under budget %v: cost %v, abandoned %v", kind, budget, gd, ga)
+		}
+	}
+}
+
+// abandonBudgets places budgets on the oracle's matrix so that
+// abandonment and pruning land where the kernel's row grouping could get
+// them wrong: for four consecutive rows from a random one — each position
+// within a strip of four, wherever the strips fall — the row's minimum
+// itself (the row survives, a later one abandons) and the float just
+// below it (this row abandons, unless an earlier one already did); the
+// same pair for the last row, where a budget between its minimum and the
+// distance leaves every row a live cell and the corner dead; the distance
+// itself (the tightest budget that completes, so the most pruned), the
+// float below it, half of it and one and a half times it; and 0.
 func abandonBudgets(rng *rand.Rand, acc [][]float64, b dtw.Band) []float64 {
 	n := b.N()
-	budgets := []float64{0}
+	d := acc[n][b.M]
+	budgets := []float64{0, d, math.Nextafter(d, math.Inf(-1)), d / 2, d * 1.5}
 	rows := []int{n - 1}
 	for r, first := 0, rng.Intn(n); r < 4 && first+r < n; r++ {
 		rows = append(rows, first+r)
@@ -223,6 +325,17 @@ func abandonBudgets(rng *rand.Rand, acc [][]float64, b dtw.Band) []float64 {
 		budgets = append(budgets, rowMin, math.Nextafter(rowMin, math.Inf(-1)))
 	}
 	return budgets
+}
+
+// checkRandomCase is one case of the sweep and of the fuzz target: the
+// pair against the oracle under abandonBudgets, then the same pair with
+// non-finite values planted in it.
+func checkRandomCase(t *testing.T, rng *rand.Rand, x, y []float64, b dtw.Band) {
+	t.Helper()
+	_, path, acc := oracleDTW(x, y, b)
+	budgets := abandonBudgets(rng, acc, b)
+	checkOracleCase(t, x, y, b, acc, path, budgets)
+	checkNonFiniteCase(t, rng, x, y, b, budgets)
 }
 
 // oracleSeries draws n values with plateaus and repeats, so ties between
@@ -277,7 +390,7 @@ func FuzzOracleDifferential(f *testing.F) {
 		n, m := unequal(n16, m16)
 		rng := rand.New(rand.NewSource(seed))
 		x, y := oracleSeries(rng, n), oracleSeries(rng, m)
-		checkOracleCase(t, rng, x, y, oracleBand(t, rng, n, m, sel, symmetric))
+		checkRandomCase(t, rng, x, y, oracleBand(t, rng, n, m, sel, symmetric))
 	})
 }
 
@@ -290,7 +403,7 @@ func TestOracleDifferential(t *testing.T) {
 	for trial := 0; trial < 600; trial++ {
 		n, m := unequal(uint16(rng.Intn(48)), uint16(rng.Intn(48)))
 		x, y := oracleSeries(rng, n), oracleSeries(rng, m)
-		checkOracleCase(t, rng, x, y, oracleBand(t, rng, n, m, uint8(trial), trial%3 == 0))
+		checkRandomCase(t, rng, x, y, oracleBand(t, rng, n, m, uint8(trial), trial%3 == 0))
 	}
 	trials := 280
 	if testing.Short() {
@@ -299,6 +412,41 @@ func TestOracleDifferential(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		n, m := dtw.StripShape(rng)
 		x, y := oracleSeries(rng, n), oracleSeries(rng, m)
-		checkOracleCase(t, rng, x, y, oracleBand(t, rng, n, m, uint8(trial), trial%3 == 0))
+		checkRandomCase(t, rng, x, y, oracleBand(t, rng, n, m, uint8(trial), trial%3 == 0))
 	}
+}
+
+// TestBandStepsBackOfLiveRange pins dtw.StepBackCase: the oracle confirms
+// what the case is built to be — under its budget the live range of the
+// row above the short one lies right of where the short row ends, and the
+// short row has no live cell — and both kernels must then abandon on that
+// row, having filled none of it. Pruning that trusts Hi not to decrease
+// slices that row from its start to before it.
+func TestBandStepsBackOfLiveRange(t *testing.T) {
+	x, y, b, budget := dtw.StepBackCase()
+	if err := b.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	_, path, acc := oracleDTW(x, y, b)
+	short := -1
+	for i := 1; i < b.N(); i++ {
+		if b.Hi[i] < b.Hi[i-1] {
+			short = i
+			break
+		}
+	}
+	if short < 0 {
+		t.Fatal("no row of the band steps back")
+	}
+	for j := 0; j <= b.Hi[short]; j++ {
+		if acc[short][j+1] <= budget || acc[short+1][j+1] <= budget {
+			t.Fatalf("column %d of row %d or the row above is within budget %v: the band does not step back of the live range", j, short, budget)
+		}
+	}
+	want := oracleBudgeted(acc, b, budget)
+	if through := short * b.M; !want.abandoned || want.exact >= through || want.whole != through+b.Hi[short]+1 {
+		t.Fatalf("oracle %+v: want abandonment on row %d with none of its cells filled", want, short)
+	}
+	checkOracleCase(t, x, y, b, acc, path, []float64{budget})
+	checkNonFiniteCase(t, rand.New(rand.NewSource(1)), x, y, b, []float64{budget})
 }

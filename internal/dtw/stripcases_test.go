@@ -13,7 +13,12 @@ import (
 // so on its own it leaves fillStripSquared nearly unreached.
 
 // StripBandKinds is the number of shapes StripBand builds.
-const StripBandKinds = 7
+const StripBandKinds = 8
+
+// PruneMinWidth is pruneMinWidth for the oracle: under a finite budget a
+// band whose widest row is at least this wide is pruned to its live
+// range, a narrower one filled in whole rows.
+const PruneMinWidth = pruneMinWidth
 
 // StripBand builds the normalized band of shape kind (mod StripBandKinds)
 // over an n×m grid:
@@ -27,6 +32,9 @@ const StripBandKinds = 7
 //	5  Sakoe-Chiba, radius 6..9: joint range 2·radius-7, either side of
 //	   the threshold
 //	6  wide, drifting left: Lo decreases, the lean the skew follows
+//	7  wide, stepping back: every dozenth row or so ends left of the
+//	   diagonal, so under a tight budget Hi falls left of the live range
+//	   the rows above carried down (Normalize promises no monotone Hi)
 func StripBand(rng *rand.Rand, n, m, kind int) Band {
 	b := Band{Lo: make([]int, n), Hi: make([]int, n), M: m}
 	switch kind % StripBandKinds {
@@ -75,8 +83,35 @@ func StripBand(rng *rand.Rand, n, m, kind int) Band {
 			c := m - 1 - diagonalColumn(i, n, m)
 			b.Lo[i], b.Hi[i] = c-r, c+r
 		}
+	case 7:
+		r := 10 + rng.Intn(1+m/5)
+		for i := range b.Lo {
+			c := diagonalColumn(i, n, m)
+			b.Lo[i], b.Hi[i] = c-r, c+r
+			if rng.Intn(12) == 0 {
+				b.Hi[i] = c - r + rng.Intn(r)
+			}
+		}
 	}
 	return b.Normalize()
+}
+
+// StepBackCase is the hand-built case of a band that steps back left of
+// the live range: two equal ramps, whose zero-cost path is the diagonal,
+// under a band that is the whole grid except for row 20, which ends at
+// column 2 — normalized as it stands. Under the budget, 1, the live range
+// of row 19 is columns 18..20, so row 20 has no cell with a live
+// predecessor: it starts right of where it ends. The banded distance,
+// which must reach row 20 by column 2, is far over the budget.
+func StepBackCase() (x, y []float64, b Band, budget float64) {
+	const n = 40
+	x, y = make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], y[i] = float64(i), float64(i)
+	}
+	b = FullBand(n, n)
+	b.Hi[20] = 2
+	return x, y, b.Normalize(), 1
 }
 
 // StripShape draws grid dimensions that exercise the strip's row grouping:
@@ -127,7 +162,7 @@ func StripRowsOf(b Band) int {
 	prevLo, prevHi := -1, -1
 	for i := 0; i < n; {
 		k := 1
-		if _, _, ok := stripRange(b, i, prevLo, prevHi); ok {
+		if _, _, ok := stripRange(b, i, 0, prevLo, prevHi); ok {
 			k = stripRows
 			rows += k
 		}

@@ -15,15 +15,17 @@ import (
 // Result is the outcome of one backend distance computation, the
 // per-candidate accounting the cascade folds into Stats.
 type Result struct {
-	// Distance is the backend's distance — or, when Abandoned, a valid
-	// lower bound on it.
+	// Distance is the backend's distance — or, when Abandoned, the
+	// smallest float64 above the caller's budget: a valid lower bound on
+	// the distance, and all that is known of it.
 	Distance float64
-	// Abandoned reports the computation stopped early because every
-	// continuation already exceeded the caller's budget.
+	// Abandoned reports that the distance exceeds the caller's budget,
+	// whether the computation stopped at a row with no cell within it or
+	// ran every row and ended over it.
 	Abandoned bool
 	// CellsFilled is the number of DTW grid cells evaluated; BandCells is
 	// the constraint band's total, so BandCells − CellsFilled is the work
-	// abandonment skipped.
+	// the budget saved, by abandoning and by pruning.
 	CellsFilled, BandCells int
 	// MatchTime and DPTime are the backend's per-stage durations.
 	MatchTime, DPTime time.Duration

@@ -24,13 +24,15 @@ type Stats struct {
 	// Evaluated counts candidates that required a DTW computation
 	// (including ones abandoned partway through).
 	Evaluated int
-	// AbandonedDTW counts evaluated candidates whose DTW computation was
-	// abandoned early once its partial cost — itself a valid lower bound —
-	// exceeded the best-so-far threshold. Abandoned candidates are
-	// included in Evaluated.
+	// AbandonedDTW counts evaluated candidates whose DTW computation came
+	// back abandoned: their distance exceeds the best-so-far threshold they
+	// were computed under, whether the dynamic program stopped at a row
+	// with no cell within it or ran every row and ended over it. Abandoned
+	// candidates are included in Evaluated and never contend for the heap.
 	AbandonedDTW int
-	// CellsSaved counts the band cells early abandonment skipped on
-	// abandoned candidates.
+	// CellsSaved counts the band cells left unfilled on abandoned
+	// candidates. Cells pruned from candidates that completed are not in
+	// it; they show in Cells and CellsGain.
 	CellsSaved int
 	// Cells is the number of DTW grid cells actually filled.
 	Cells int

@@ -249,14 +249,17 @@ func (e *Engine) DistanceSeries(x, y Series) (Result, error) {
 	return e.inner.Distance(x, y)
 }
 
-// DistanceUnder computes the constrained distance with threshold-aware
-// early abandonment: once every continuation of the dynamic program
-// already exceeds budget, the computation stops with Result.Abandoned set
-// and a partial Distance that is a valid lower bound on the true banded
-// distance. Retrieval loops pass their best-so-far k-th distance so
-// hopeless candidates stop after a few rows. budget = +Inf behaves
-// exactly like Distance. Abandonment assumes a non-negative point cost
-// (the default squared cost qualifies).
+// DistanceUnder computes the constrained distance under a pruning budget:
+// the dynamic program fills only the band cells that can still come in
+// at or under budget and stops at the first row that has none. A banded
+// distance at or under budget is returned exactly as Distance computes
+// it; one above it comes back with Result.Abandoned set and Distance the
+// smallest float64 above budget — a valid lower bound on the true banded
+// distance, strictly above the budget, and no tighter than that.
+// Retrieval loops pass their best-so-far k-th distance so hopeless
+// candidates stop after a few rows. budget = +Inf behaves exactly like
+// Distance. Pruning assumes a non-negative point cost (the default
+// squared cost qualifies).
 func (e *Engine) DistanceUnder(x, y []float64, budget float64) (Result, error) {
 	return e.inner.DistanceUnder(Series{Values: x}, Series{Values: y}, budget)
 }
