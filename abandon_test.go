@@ -38,24 +38,18 @@ func TestTopKAbandonInvariance(t *testing.T) {
 			data := data
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				on, err := NewIndex(data, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				offOpts := opts
-				offOpts.DisableAbandon = true
-				off, err := NewIndex(data, offOpts)
+				ix, err := NewIndex(data, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ctx := context.Background()
 				for _, k := range []int{1, 3, 100} {
 					for _, q := range []Series{data[0], data[len(data)-1]} {
-						got, gotStats, err := on.Search(ctx, q, WithK(k))
+						got, gotStats, err := ix.Search(ctx, q, WithK(k))
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, wantStats, err := off.Search(ctx, q, WithK(k))
+						want, wantStats, err := ix.Search(ctx, q, WithK(k), WithoutAbandon())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -69,7 +63,7 @@ func TestTopKAbandonInvariance(t *testing.T) {
 							}
 						}
 						if wantStats.AbandonedDTW != 0 || wantStats.CellsSaved != 0 {
-							t.Fatalf("disabled index reported abandonment: %v", wantStats)
+							t.Fatalf("WithoutAbandon search reported abandonment: %v", wantStats)
 						}
 						if gotStats.AbandonedDTW > gotStats.Evaluated {
 							t.Fatalf("abandoned exceeds evaluated: %v", gotStats)
@@ -79,11 +73,11 @@ func TestTopKAbandonInvariance(t *testing.T) {
 						}
 					}
 				}
-				onLabels, _, err := on.LabelsAll(ctx, WithK(3))
+				onLabels, _, err := ix.LabelsAll(ctx, WithK(3))
 				if err != nil {
 					t.Fatal(err)
 				}
-				offLabels, _, err := off.LabelsAll(ctx, WithK(3))
+				offLabels, _, err := ix.LabelsAll(ctx, WithK(3), WithoutAbandon())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,21 +145,15 @@ func TestAbandonSavesWorkOnTrace(t *testing.T) {
 		{"ac,aw", DefaultOptions()},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			on, err := NewIndex(d.Series, cfg.opts)
+			ix, err := NewIndex(d.Series, cfg.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			offOpts := cfg.opts
-			offOpts.DisableAbandon = true
-			off, err := NewIndex(d.Series, offOpts)
+			_, onStats, err := ix.SearchBatch(context.Background(), d.Series, WithK(5))
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, onStats, err := on.SearchBatch(context.Background(), d.Series, WithK(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, offStats, err := off.SearchBatch(context.Background(), d.Series, WithK(5), WithoutAbandon())
+			_, offStats, err := ix.SearchBatch(context.Background(), d.Series, WithK(5), WithoutAbandon())
 			if err != nil {
 				t.Fatal(err)
 			}

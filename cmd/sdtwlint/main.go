@@ -1,14 +1,12 @@
-// Command sdtwlint runs the internal/analyzers suite over Go packages.
+// Command sdtwlint runs the internal/analyzers suite over Go packages as
+// a vet tool:
 //
-// It supports two modes:
+//	go build -o /tmp/sdtwlint ./cmd/sdtwlint
+//	go vet -vettool=/tmp/sdtwlint ./...
 //
-//	sdtwlint [packages]              standalone: analyze the named package
-//	                                 patterns (default ./...) using
-//	                                 `go list -export` for dependencies
-//	go vet -vettool=sdtwlint ./...   vettool: speak the cmd/go unitchecker
-//	                                 protocol (-V=full, -flags, *.cfg)
-//
-// Both modes exit non-zero when any analyzer reports a diagnostic.
+// It speaks the cmd/go unitchecker protocol (-V=full, -flags, *.cfg) —
+// go vet loads the packages, test files included, and hands them over one
+// at a time — and exits non-zero when any analyzer reports a diagnostic.
 package main
 
 import (
@@ -64,15 +62,11 @@ func main() {
 		rest = append(rest, arg)
 	}
 
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		os.Exit(runUnitchecker(rest[0], selections))
+	if len(rest) != 1 || !strings.HasSuffix(rest[0], ".cfg") {
+		fmt.Fprintln(os.Stderr, "sdtwlint is a vet tool; run: go vet -vettool=$(command -v sdtwlint) ./...")
+		os.Exit(2)
 	}
-
-	patterns := rest
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	os.Exit(runStandalone(patterns))
+	os.Exit(runUnitchecker(rest[0], selections))
 }
 
 // versionLine returns the -V=full identity. The go command uses the

@@ -30,22 +30,6 @@ func repoRoot(t *testing.T) string {
 	return abs
 }
 
-// TestStandaloneCleanOnRepo is the smoke test the issue asks for: the
-// standalone driver must build and run clean over ./... — the tree has
-// no outstanding violations.
-func TestStandaloneCleanOnRepo(t *testing.T) {
-	bin := buildLint(t)
-	cmd := exec.Command(bin, "./...")
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("sdtwlint ./... reported findings or failed: %v\n%s", err, out)
-	}
-	if len(bytes.TrimSpace(out)) != 0 {
-		t.Fatalf("sdtwlint ./... not silent:\n%s", out)
-	}
-}
-
 // TestVettoolProtocol exercises the cmd/go unitchecker handshake: -V=full
 // identity, -flags inventory, and a full `go vet -vettool` run over the
 // module (which also covers _test.go files via test-variant packages).

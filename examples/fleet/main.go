@@ -46,21 +46,16 @@ import (
 
 func main() {
 	var (
-		streams     = flag.Int("streams", 64, "synthetic mode: number of streams")
-		points      = flag.Int("points", 20000, "synthetic mode: points per stream")
-		threshold   = flag.Float64("threshold", 0.25, "match threshold (subsequence DTW distance)")
-		listen      = flag.String("listen", "", "ingest line batches from this TCP address instead of synthesizing")
-		stdin       = flag.Bool("stdin", false, "ingest line batches from stdin instead of synthesizing")
-		noPrefilter = flag.Bool("noprefilter", false, "disable the time-domain prefilter (A/B; emissions are identical)")
-		maxPrint    = flag.Int("print", 12, "print at most this many matches (0 silences them)")
+		streams   = flag.Int("streams", 64, "synthetic mode: number of streams")
+		points    = flag.Int("points", 20000, "synthetic mode: points per stream")
+		threshold = flag.Float64("threshold", 0.25, "match threshold (subsequence DTW distance)")
+		listen    = flag.String("listen", "", "ingest line batches from this TCP address instead of synthesizing")
+		stdin     = flag.Bool("stdin", false, "ingest line batches from stdin instead of synthesizing")
+		maxPrint  = flag.Int("print", 12, "print at most this many matches (0 silences them)")
 	)
 	flag.Parse()
 
-	var hopts []sdtw.HubOption
-	if *noPrefilter {
-		hopts = append(hopts, sdtw.WithoutPrefilter())
-	}
-	hub := sdtw.NewHub(sdtw.Options{}, hopts...)
+	hub := sdtw.NewHub(sdtw.Options{})
 
 	// Standing queries: two short shape patterns every stream is watched
 	// for. Real deployments would AddQuery/RemoveQuery at runtime too.

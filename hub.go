@@ -27,7 +27,6 @@ type hubConfig struct {
 	streamBuffer int
 	matchBuffer  int
 	workers      int
-	noPrefilter  bool
 }
 
 // HubOption configures a NewHub call, mirroring the MonitorOption idiom
@@ -52,14 +51,6 @@ func WithMatchBuffer(n int) HubOption {
 // means GOMAXPROCS.
 func WithHubWorkers(n int) HubOption {
 	return func(c *hubConfig) { c.workers = n }
-}
-
-// WithoutPrefilter disables the time-domain prefilter (an A/B switch:
-// emissions are bit-identical either way, the prefilter only skips
-// provably matchless column advances; see the README's Fleet streaming
-// section).
-func WithoutPrefilter() HubOption {
-	return func(c *hubConfig) { c.noPrefilter = true }
 }
 
 // Hub is the fleet-scale streaming surface: many independent streams
@@ -94,11 +85,10 @@ func NewHub(opts Options, hopts ...HubOption) *Hub {
 		o(&cfg)
 	}
 	return &Hub{h: hub.New(hub.Config{
-		StreamBuffer:     cfg.streamBuffer,
-		MatchBuffer:      cfg.matchBuffer,
-		Workers:          cfg.workers,
-		DisablePrefilter: cfg.noPrefilter,
-		Dist:             opts.PointDistance,
+		StreamBuffer: cfg.streamBuffer,
+		MatchBuffer:  cfg.matchBuffer,
+		Workers:      cfg.workers,
+		Dist:         opts.PointDistance,
 	})}
 }
 

@@ -74,8 +74,9 @@ func hubPushAll(t testing.TB, h *Hub, streamID string, vals []float64, rng *rand
 // TestHubMatchesMonitorProperty is the fleet acceptance property: over
 // random queries, thresholds, gaps and streams, the Hub's emissions
 // (stream, query, start, end, distance) are bit-identical to running one
-// Monitor per stream over the same queries — with the time-domain
-// prefilter both enabled and disabled.
+// Monitor per stream over the same queries. Monitor never prefilters, so
+// this is also the proof that the Hub's time-domain prefilter changes no
+// emission.
 func TestHubMatchesMonitorProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 8; trial++ {
@@ -125,111 +126,87 @@ func TestHubMatchesMonitorProperty(t *testing.T) {
 		}
 		sortHubKeys(want)
 
-		for _, hopts := range [][]HubOption{
-			{WithHubWorkers(3), WithMatchBuffer(1 << 15)},
-			{WithHubWorkers(3), WithMatchBuffer(1 << 15), WithoutPrefilter()},
-		} {
-			h := NewHub(Options{}, hopts...)
-			for _, q := range queries {
-				if err := h.AddQuery(q.ID, q, WithMatchThreshold(threshold), WithMinGap(minGap)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for id := range streams {
-				if err := h.AddStream(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runErr := make(chan error, 1)
-			go func() { runErr <- h.Run(context.Background()) }()
-			var got []hubMatchKey
-			var collectWG sync.WaitGroup
-			collectWG.Add(1)
-			go hubCollect(h, &got, &collectWG)
-			var pushWG sync.WaitGroup
-			for id, vals := range streams {
-				pushWG.Add(1)
-				go func(id string, vals []float64, seed int64) {
-					defer pushWG.Done()
-					hubPushAll(t, h, id, vals, rand.New(rand.NewSource(seed)))
-				}(id, vals, rng.Int63())
-			}
-			pushWG.Wait()
-			if err := h.Flush(context.Background()); err != nil {
+		h := NewHub(Options{}, WithHubWorkers(3), WithMatchBuffer(1<<15))
+		for _, q := range queries {
+			if err := h.AddQuery(q.ID, q, WithMatchThreshold(threshold), WithMinGap(minGap)); err != nil {
 				t.Fatal(err)
 			}
-			collectWG.Wait()
-			if err := <-runErr; err != nil {
-				t.Fatalf("Run: %v", err)
+		}
+		for id := range streams {
+			if err := h.AddStream(id); err != nil {
+				t.Fatal(err)
 			}
-			sortHubKeys(got)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d (opts %d): hub emitted %d matches, monitors %d", trial, len(hopts), len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: emission %d diverged: hub %+v, monitor %+v", trial, i, got[i], want[i])
-				}
+		}
+		runErr := make(chan error, 1)
+		go func() { runErr <- h.Run(context.Background()) }()
+		var got []hubMatchKey
+		var collectWG sync.WaitGroup
+		collectWG.Add(1)
+		go hubCollect(h, &got, &collectWG)
+		var pushWG sync.WaitGroup
+		for id, vals := range streams {
+			pushWG.Add(1)
+			go func(id string, vals []float64, seed int64) {
+				defer pushWG.Done()
+				hubPushAll(t, h, id, vals, rand.New(rand.NewSource(seed)))
+			}(id, vals, rng.Int63())
+		}
+		pushWG.Wait()
+		if err := h.Flush(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		collectWG.Wait()
+		if err := <-runErr; err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		sortHubKeys(got)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: hub emitted %d matches, monitors %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: emission %d diverged: hub %+v, monitor %+v", trial, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestHubPrefilterAccounting: a stream dominated by far-out-of-band
-// values must show a high prefilter skip rate in HubStats, and the
-// prefilter-off hub must show none.
+// TestHubPrefilterAccounting: a stream of far-out-of-band values is
+// skipped whole by the prefilter, and HubStats says so.
 func TestHubPrefilterAccounting(t *testing.T) {
 	stream := make([]float64, 4096)
 	for i := range stream {
 		stream[i] = 1e6 // dead for a unit-range query at any sane threshold
 	}
-	for _, tc := range []struct {
-		name     string
-		opt      []HubOption
-		wantSkip bool
-	}{
-		{"prefilter", nil, true},
-		{"no-prefilter", []HubOption{WithoutPrefilter()}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := NewHub(Options{}, tc.opt...)
-			if err := h.AddQuery("q", NewSeries("q", 0, []float64{0, 1, 0}), WithMatchThreshold(0.5)); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.AddStream("s"); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.PushBatch("s", stream); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.Flush(nil); err != nil {
-				t.Fatal(err)
-			}
-			st := h.Stats()
-			if st.Processed != int64(len(stream)) {
-				t.Fatalf("processed %d, want %d", st.Processed, len(stream))
-			}
-			if tc.wantSkip {
-				if st.Skipped != int64(len(stream)) {
-					t.Fatalf("skipped %d of %d all-dead points", st.Skipped, len(stream))
-				}
-				if st.Appends != 0 {
-					t.Fatalf("appends %d on an all-dead stream, want 0", st.Appends)
-				}
-			} else {
-				if st.Skipped != 0 {
-					t.Fatalf("prefilter disabled but skipped %d", st.Skipped)
-				}
-				if st.Appends != int64(len(stream)) {
-					t.Fatalf("appends %d, want %d", st.Appends, len(stream))
-				}
-			}
-			if len(st.PerQuery) != 1 || st.PerQuery[0].ID != "q" ||
-				st.PerQuery[0].Appends+st.PerQuery[0].Skipped != int64(len(stream)) {
-				t.Fatalf("per-query accounting off: %+v", st.PerQuery)
-			}
-		})
-	}
+	t.Run("prefilter", func(t *testing.T) {
+		h := NewHub(Options{})
+		if err := h.AddQuery("q", NewSeries("q", 0, []float64{0, 1, 0}), WithMatchThreshold(0.5)); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.AddStream("s"); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.PushBatch("s", stream); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+		st := h.Stats()
+		if st.Processed != int64(len(stream)) {
+			t.Fatalf("processed %d, want %d", st.Processed, len(stream))
+		}
+		if st.Skipped != int64(len(stream)) {
+			t.Fatalf("skipped %d of %d all-dead points", st.Skipped, len(stream))
+		}
+		if st.Appends != 0 {
+			t.Fatalf("appends %d on an all-dead stream, want 0", st.Appends)
+		}
+		if len(st.PerQuery) != 1 || st.PerQuery[0].ID != "q" ||
+			st.PerQuery[0].Appends+st.PerQuery[0].Skipped != int64(len(stream)) {
+			t.Fatalf("per-query accounting off: %+v", st.PerQuery)
+		}
+	})
 }
 
 // TestHubPushNoAlloc is the fleet ingest acceptance check: with arenas

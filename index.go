@@ -38,7 +38,7 @@ import (
 type Index struct {
 	core   *retrieve.Core
 	engine *Engine // nil for the windowed backend
-	radius int     // effective windowed radius; -1 for the engine backend
+	family backendFamily
 
 	// Store-backed state (stores is non-nil, holding one store, only for
 	// indexes opened with OpenIndex / OpenWindowedIndex): mutations write
@@ -74,10 +74,10 @@ type backendFamily struct {
 	// fingerprint identifies the configuration a store must have been
 	// written under.
 	fingerprint string
-	// radius is the effective windowed radius; -1 for the engine family.
-	radius  int
-	workers int
-	abandon bool
+	// length and radius are the windowed geometry — the one series length
+	// and the effective window; 0 and -1 for the engine family.
+	length, radius int
+	workers        int
 	// newBackend builds one backend — one per shard, so per-series caches
 	// never contend — with its engine (nil for the windowed family).
 	newBackend func() (retrieve.Backend, *Engine, error)
@@ -91,7 +91,6 @@ func engineFamily(opts Options) backendFamily {
 		fingerprint: fp,
 		radius:      -1,
 		workers:     resolveWorkers(opts.Workers),
-		abandon:     !opts.DisableAbandon,
 		newBackend: func() (retrieve.Backend, *Engine, error) {
 			if opts.Strategy < FullGrid || opts.Strategy > AdaptiveCoreAdaptiveWidthAvg {
 				return nil, nil, fmt.Errorf("unknown band strategy %v: %w", opts.Strategy, ErrConfigMismatch)
@@ -112,9 +111,9 @@ func windowedFamily(length, radius int) (backendFamily, error) {
 	return backendFamily{
 		kind:        snapshotKindWindowed,
 		fingerprint: probe.Fingerprint(),
+		length:      length,
 		radius:      eff,
 		workers:     resolveWorkers(0),
-		abandon:     true,
 		newBackend: func() (retrieve.Backend, *Engine, error) {
 			b, _, err := retrieve.NewWindowedBackend(length, radius)
 			return b, nil, err
@@ -122,14 +121,28 @@ func windowedFamily(length, radius int) (backendFamily, error) {
 	}, nil
 }
 
+// windowedFamilyOver is the windowed family whose geometry data fixes: a
+// windowed index, flat or sharded, takes its length from its first series
+// and so cannot be built over none.
+func windowedFamilyOver(data []Series, radius int) (backendFamily, error) {
+	if len(data) == 0 {
+		return backendFamily{}, fmt.Errorf("sdtw: a windowed index takes its length from its first series: %w", ErrEmptyCollection)
+	}
+	return windowedFamily(data[0].Len(), radius)
+}
+
 // newIndex builds the in-RAM index of a family over data, with the
-// stage-0 sketch filter at sketchW (0 leaves it off).
+// stage-0 sketch filter at sketchW (0 leaves it off). A flat index is
+// never empty: the refusal is here, retrieve.Core itself holds any count.
 func newIndex(f backendFamily, data []Series, sketchW, segRecords int) (*Index, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("sdtw: cannot index: %w", ErrEmptyCollection)
+	}
 	backend, engine, err := f.newBackend()
 	if err != nil {
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
-	core, err := retrieve.New(backend, data, f.workers, f.abandon)
+	core, err := retrieve.New(backend, data, f.workers, true)
 	if err != nil {
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
@@ -138,7 +151,7 @@ func newIndex(f backendFamily, data []Series, sketchW, segRecords int) (*Index, 
 			return nil, fmt.Errorf("sdtw: %w", err)
 		}
 	}
-	return &Index{core: core, engine: engine, radius: f.radius, segRecords: segRecords}, nil
+	return &Index{core: core, engine: engine, family: f, segRecords: segRecords}, nil
 }
 
 // NewIndex builds an index over data using the sDTW engine configured by
@@ -164,10 +177,7 @@ func NewIndex(data []Series, opts Options) (*Index, error) {
 // must be unique (they key Remove), which the pre-unification
 // NewBoundedIndex did not require.
 func NewWindowedIndex(data []Series, radius int) (*Index, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("sdtw: cannot index: %w", ErrEmptyCollection)
-	}
-	f, err := windowedFamily(data[0].Len(), radius)
+	f, err := windowedFamilyOver(data, radius)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +236,7 @@ func (ix *Index) Engine() *Engine { return ix.engine }
 
 // Radius returns the effective Sakoe-Chiba warping window in samples for
 // windowed indexes, and -1 for engine-backed indexes.
-func (ix *Index) Radius() int { return ix.radius }
+func (ix *Index) Radius() int { return ix.family.radius }
 
 // Add appends a series to the collection, incrementally paying its
 // one-time costs (feature extraction on the engine backend, LB_Keogh

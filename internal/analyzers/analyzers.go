@@ -6,9 +6,8 @@
 //
 // The framework below is a deliberately minimal re-implementation of the
 // go/analysis Analyzer/Pass shape on top of the standard library only, so
-// the module stays free of external dependencies. cmd/sdtwlint drives the
-// same analyzers both standalone and through the `go vet -vettool`
-// protocol.
+// the module stays free of external dependencies. cmd/sdtwlint drives
+// the analyzers through the `go vet -vettool` protocol.
 package analyzers
 
 import (

@@ -128,9 +128,6 @@ type Config struct {
 	// Workers is the number of processing goroutines Run starts. Zero
 	// means GOMAXPROCS.
 	Workers int
-	// DisablePrefilter turns the time-domain prefilter off (A/B switch;
-	// emissions are bit-identical either way).
-	DisablePrefilter bool
 	// Dist is the element cost; nil means squared difference (which also
 	// enables the monomorphized kernels and the prefilter).
 	Dist series.PointDistance
@@ -312,7 +309,7 @@ func (h *Hub) AddQuery(q Query) error {
 		Dist:      h.cfg.Dist,
 		Threshold: q.Threshold,
 		MinGap:    q.MinGap,
-		Prefilter: !h.cfg.DisablePrefilter,
+		Prefilter: true,
 	})
 	if err != nil {
 		return fmt.Errorf("hub: AddQuery %q: %w", q.ID, err)

@@ -78,36 +78,30 @@ func matchesEqual(a, b []Match) bool {
 // TestHubSynchronousDrain: without Run, pushes buffer and Flush drains
 // everything inline — the simplest correctness path.
 func TestHubSynchronousDrain(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "prefilter"
-		if disable {
-			name = "no-prefilter"
+	t.Run("prefilter", func(t *testing.T) {
+		h := New(Config{MatchBuffer: 1 << 14})
+		q := Query{ID: "q", Values: []float64{0, 1, 0}, Threshold: 0.5}
+		if err := h.AddQuery(q); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			h := New(Config{MatchBuffer: 1 << 14, DisablePrefilter: disable})
-			q := Query{ID: "q", Values: []float64{0, 1, 0}, Threshold: 0.5}
-			if err := h.AddQuery(q); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.AddStream("s"); err != nil {
-				t.Fatal(err)
-			}
-			stream := []float64{9, 0, 1, 0, 9, 9, 0, 1, 0}
-			if err := h.PushBatch("s", stream); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.Flush(nil); err != nil {
-				t.Fatal(err)
-			}
-			got := drainAll(t, h)
-			want := springMatches(t, q, "s", stream, 0)
-			sortMatches(got)
-			sortMatches(want)
-			if !matchesEqual(got, want) {
-				t.Fatalf("got %+v, want %+v", got, want)
-			}
-		})
-	}
+		if err := h.AddStream("s"); err != nil {
+			t.Fatal(err)
+		}
+		stream := []float64{9, 0, 1, 0, 9, 9, 0, 1, 0}
+		if err := h.PushBatch("s", stream); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+		got := drainAll(t, h)
+		want := springMatches(t, q, "s", stream, 0)
+		sortMatches(got)
+		sortMatches(want)
+		if !matchesEqual(got, want) {
+			t.Fatalf("got %+v, want %+v", got, want)
+		}
+	})
 }
 
 // TestHubRunMultiStream: many streams × queries under Run with random

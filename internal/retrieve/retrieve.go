@@ -15,6 +15,12 @@
 // A Core is safe for concurrent use; searches run under a read lock and
 // the Add/Remove mutators take the write lock, so a mutating index keeps
 // serving queries between mutations.
+//
+// A Core may hold zero series: New and RestoreCold accept an empty
+// collection and CloneRemove may return one, so a drained shard is a Core
+// like any other — it answers a search with no neighbours and fills again
+// through CloneAdd. Only the in-place Remove refuses the last series: it
+// is the flat index's mutator, and the flat index is never empty.
 package retrieve
 
 import (
@@ -131,7 +137,7 @@ type Core struct {
 	// whether the DP early-abandons against the best-so-far threshold.
 	// Both are off when the backend's cost assumptions don't hold.
 	cascade bool
-	abandon atomic.Bool
+	abandon bool
 
 	// sketchW is the stage-0 PAA sketch width; 0 disables stage 0.
 	sketchW int
@@ -205,16 +211,14 @@ type ColdAdmitter interface {
 	AdmitCold(id string, n int) error
 }
 
-// RestoreCold builds a core over store-backed series: envelopes and
-// sketches are trusted from the store, raw values load lazily. sketchW
+// RestoreCold builds a core over store-backed series (possibly none):
+// envelopes and sketches are trusted from the store, raw values load
+// lazily. sketchW
 // enables stage 0 at that width (0 disables; ignored when the backend's
 // cascade is inactive). Backend caches are not warmed — the engine's
 // feature cache fills read-through on first evaluation, which computes
 // the same features Admit would have.
 func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, abandon bool) (*Core, error) {
-	if len(cold) == 0 {
-		return nil, fmt.Errorf("cannot index: %w", ErrEmptyCollection)
-	}
 	if workers <= 0 {
 		workers = 1
 	}
@@ -222,12 +226,12 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, aband
 		backend: backend,
 		workers: workers,
 		cascade: backend.Cascade(),
+		abandon: abandon && backend.Abandonable(),
 		data:    make([]series.Series, 0, len(cold)),
 		meta:    make([]seriesMeta, 0, len(cold)),
 		cold:    make([]*coldSlot, 0, len(cold)),
 		ids:     make(map[string]int, len(cold)),
 	}
-	c.abandon.Store(abandon && backend.Abandonable())
 	if c.cascade {
 		c.envelopes = make([]lower.Envelope, 0, len(cold))
 		if sketchW > 0 {
@@ -275,16 +279,13 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, aband
 	return c, nil
 }
 
-// New builds a core over data, validating every series and warming the
-// backend's caches. workers bounds the query worker pool (<= 0 means the
-// caller should have defaulted it; it is clamped to 1). abandon enables
-// early abandonment when the backend admits it.
+// New builds a core over data (possibly none), validating every series
+// and warming the backend's caches. workers bounds the query worker pool
+// (<= 0 means the caller should have defaulted it; it is clamped to 1).
+// abandon enables early abandonment when the backend admits it.
 func New(backend Backend, data []series.Series, workers int, abandon bool) (*Core, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("cannot index: %w", ErrEmptyCollection)
-	}
 	// Validate the whole collection before paying any one-time costs, so
-	// structural errors (emptiness, duplicate IDs) surface first.
+	// structural errors (empty series, duplicate IDs) surface first.
 	seen := make(map[string]bool, len(data))
 	for i, s := range data {
 		if len(s.Values) == 0 {
@@ -304,15 +305,15 @@ func New(backend Backend, data []series.Series, workers int, abandon bool) (*Cor
 		backend: backend,
 		workers: workers,
 		cascade: backend.Cascade(),
+		abandon: abandon && backend.Abandonable(),
 		data:    make([]series.Series, 0, len(data)),
 		ids:     make(map[string]int, len(data)),
 	}
-	c.abandon.Store(abandon && backend.Abandonable())
 	if c.cascade {
 		c.envelopes = make([]lower.Envelope, 0, len(data))
 	}
 	for i, s := range data {
-		if err := c.admitLocked(s, false); err != nil {
+		if err := c.admitLocked(s); err != nil {
 			return nil, fmt.Errorf("series %d: %w", i, err)
 		}
 	}
@@ -320,13 +321,12 @@ func New(backend Backend, data []series.Series, workers int, abandon bool) (*Cor
 }
 
 // admitLocked validates s, warms the backend, and appends it with its
-// envelope. fresh drops any backend cache state already held under the
-// series' ID before warming: construction starts from a clean backend,
-// but by Add time a removed series' in-flight search may have re-derived
-// its features into the read-through cache, and admitting through that
-// stale entry would permanently serve another series' features. Callers
-// hold the write lock (or are constructing).
-func (c *Core) admitLocked(s series.Series, fresh bool) error {
+// envelope. It first drops any backend cache state already held under the
+// series' ID: a removed series' in-flight search may have re-derived its
+// features into the read-through cache, and admitting through that stale
+// entry would permanently serve another series' features. Callers hold
+// the write lock (or are constructing).
+func (c *Core) admitLocked(s series.Series) error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
 	}
@@ -335,9 +335,7 @@ func (c *Core) admitLocked(s series.Series, fresh bool) error {
 			return fmt.Errorf("%w: %q", ErrDuplicateID, s.ID)
 		}
 	}
-	if fresh {
-		c.backend.Forget(s)
-	}
+	c.backend.Forget(s)
 	if err := c.backend.Admit(s); err != nil {
 		return err
 	}
@@ -420,15 +418,6 @@ func (c *Core) Envelope(i int) lower.Envelope {
 // distance, whose bounds are inadmissible.
 func (c *Core) Cascade() bool { return c.cascade }
 
-// Cold reports whether any indexed series keeps its raw values on disk
-// (a store-backed core): its Series snapshots hold nil values, so it
-// cannot be exported again.
-func (c *Core) Cold() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.cold != nil
-}
-
 // Values returns the raw values of the series at position i,
 // materialising them from the store if cold.
 func (c *Core) Values(i int) ([]float64, error) {
@@ -451,12 +440,14 @@ func (c *Core) Values(i int) ([]float64, error) {
 func (c *Core) Add(s series.Series) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.admitLocked(s, true)
+	return c.admitLocked(s)
 }
 
 // Remove deletes the series with the given non-empty ID, dropping its
 // envelope and any backend cache entries. Later series shift down one
-// position. Removing the last series fails: an index is never empty.
+// position. Removing the last series fails: Remove is the flat index's
+// mutator, and a flat index is never empty (check and removal are atomic
+// under the write lock).
 func (c *Core) Remove(id string) error {
 	if id == "" {
 		return fmt.Errorf("Remove needs a non-empty ID")
@@ -470,20 +461,16 @@ func (c *Core) Remove(id string) error {
 	if len(c.data) == 1 {
 		return fmt.Errorf("cannot remove the last series %q: %w", id, ErrEmptyCollection)
 	}
-	c.backend.Forget(c.data[pos])
-	c.spliceLocked(pos)
-	delete(c.ids, id)
-	for sid, p := range c.ids {
-		if p > pos {
-			c.ids[sid] = p - 1
-		}
-	}
+	c.dropLocked(pos)
 	return nil
 }
 
-// spliceLocked drops position pos from every position-parallel slice.
+// dropLocked forgets the series at position pos in the backend, drops it
+// from every position-parallel slice and renumbers the IDs behind it.
 // Callers hold the write lock (or own an unpublished copy).
-func (c *Core) spliceLocked(pos int) {
+func (c *Core) dropLocked(pos int) {
+	c.backend.Forget(c.data[pos])
+	delete(c.ids, c.data[pos].ID)
 	c.data = append(c.data[:pos], c.data[pos+1:]...)
 	c.meta = append(c.meta[:pos], c.meta[pos+1:]...)
 	if c.cold != nil {
@@ -493,6 +480,11 @@ func (c *Core) spliceLocked(pos int) {
 		c.envelopes = append(c.envelopes[:pos], c.envelopes[pos+1:]...)
 		if c.sketchW > 0 {
 			c.sketches = append(c.sketches[:pos], c.sketches[pos+1:]...)
+		}
+	}
+	for sid, p := range c.ids {
+		if p > pos {
+			c.ids[sid] = p - 1
 		}
 	}
 }
@@ -506,12 +498,12 @@ func (c *Core) copyLocked() *Core {
 		backend: c.backend,
 		workers: c.workers,
 		cascade: c.cascade,
+		abandon: c.abandon,
 		sketchW: c.sketchW,
 		data:    make([]series.Series, len(c.data)),
 		meta:    make([]seriesMeta, len(c.meta)),
 		ids:     make(map[string]int, len(c.ids)+1),
 	}
-	nc.abandon.Store(c.abandon.Load())
 	copy(nc.data, c.data)
 	copy(nc.meta, c.meta)
 	if c.cold != nil {
@@ -547,7 +539,7 @@ func (c *Core) CloneAdd(s series.Series) (*Core, error) {
 	c.mu.RUnlock()
 	// nc is unpublished: no lock needed, but admitLocked's contract holds
 	// (no concurrent access).
-	if err := nc.admitLocked(s, true); err != nil {
+	if err := nc.admitLocked(s); err != nil {
 		return nil, err
 	}
 	return nc, nil
@@ -556,10 +548,11 @@ func (c *Core) CloneAdd(s series.Series) (*Core, error) {
 // CloneRemove returns a copy of the core with the series of the given
 // non-empty ID removed, along with the position it occupied (so callers
 // maintaining position-parallel state can renumber the same way). The
-// receiver is unchanged; like Remove, removing the last series fails.
-// The shared backend forgets the series' cached state — in-flight
-// searches on the old core may re-derive it on demand, which costs work,
-// never correctness.
+// receiver is unchanged. Unlike Remove it may take the last series: the
+// copy is then an empty core, which is what a drained shard holds. The
+// shared backend forgets the series' cached state — in-flight searches on
+// the old core may re-derive it on demand, which costs work, never
+// correctness (CloneAdd forgets again before it admits under that ID).
 func (c *Core) CloneRemove(id string) (*Core, int, error) {
 	if id == "" {
 		return nil, -1, fmt.Errorf("Remove needs a non-empty ID")
@@ -570,20 +563,9 @@ func (c *Core) CloneRemove(id string) (*Core, int, error) {
 		c.mu.RUnlock()
 		return nil, -1, fmt.Errorf("%w: %q", ErrUnknownID, id)
 	}
-	if len(c.data) == 1 {
-		c.mu.RUnlock()
-		return nil, -1, fmt.Errorf("cannot remove the last series %q: %w", id, ErrEmptyCollection)
-	}
 	nc := c.copyLocked()
 	c.mu.RUnlock()
-	nc.backend.Forget(nc.data[pos])
-	nc.spliceLocked(pos)
-	delete(nc.ids, id)
-	for sid, p := range nc.ids {
-		if p > pos {
-			nc.ids[sid] = p - 1
-		}
-	}
+	nc.dropLocked(pos)
 	return nc, pos, nil
 }
 
@@ -608,10 +590,6 @@ func (c *Core) Pos(id string) (int, bool) {
 	pos, ok := c.ids[id]
 	return pos, ok
 }
-
-// Fingerprint exposes the backend's configuration fingerprint for
-// persistence.
-func (c *Core) Fingerprint() string { return c.backend.Fingerprint() }
 
 // Snapshot returns copies of the collection and envelope slices for
 // persistence. The Series values and envelope arrays are shared (they are
@@ -897,7 +875,7 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	} else {
 		threshold.Tighten(limit)
 	}
-	abandon := c.abandon.Load() && !p.NoAbandon
+	abandon := c.abandon && !p.NoAbandon
 	var prunedSketch, prunedKim, prunedKeogh, evaluated, abandoned, cells, cellsSaved atomic.Int64
 	var boundNS, matchNS, dpNS atomic.Int64
 	workers := c.workers

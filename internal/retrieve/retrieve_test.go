@@ -85,7 +85,8 @@ func TestRemoveRenumbersIDs(t *testing.T) {
 		t.Fatal("empty-ID remove succeeded")
 	}
 
-	// The collection never drains to empty through Remove.
+	// The collection never drains to empty through the in-place Remove —
+	// the flat index's mutator (CloneRemove may: TestEmptyCore).
 	if err := c.Remove("s-01"); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
@@ -312,6 +313,69 @@ func TestCloneAddRemoveIsolation(t *testing.T) {
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("receiver result %d changed: %+v -> %+v", i, before[i], after[i])
+		}
+	}
+}
+
+// TestEmptyCore pins the emptiness contract: both constructors accept
+// zero series, an empty core answers a search with no neighbours, fills
+// through CloneAdd and is what CloneRemove of the last series returns —
+// cold or warm — while the receiver keeps serving what it held.
+func TestEmptyCore(t *testing.T) {
+	const length = 40
+	backend, _, err := NewWindowedBackend(length, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := New(backend, nil, 2, true)
+	if err != nil {
+		t.Fatalf("New over no series: %v", err)
+	}
+	if err := warm.EnableSketches(8); err != nil {
+		t.Fatalf("EnableSketches on an empty core: %v", err)
+	}
+	cold, err := RestoreCold(backend, nil, 8, 2, true)
+	if err != nil {
+		t.Fatalf("RestoreCold over no series: %v", err)
+	}
+	only := testCore(t, 1, length).Series(0)
+	q := series.Series{ID: "q", Values: only.Values}
+	ctx := context.Background()
+	for name, empty := range map[string]*Core{"warm": warm, "cold": cold} {
+		if empty.Len() != 0 {
+			t.Fatalf("%s: empty core holds %d series", name, empty.Len())
+		}
+		if nbs, st, err := empty.Search(ctx, q, DefaultParams()); err != nil || len(nbs) != 0 || st.Candidates != 0 {
+			t.Fatalf("%s: search on an empty core = %v, %+v, %v", name, nbs, st, err)
+		}
+		if _, _, err := empty.Search(ctx, series.Series{}, DefaultParams()); !errors.Is(err, ErrEmptySeries) {
+			t.Fatalf("%s: empty query on an empty core: %v, want ErrEmptySeries", name, err)
+		}
+		if _, _, err := empty.CloneRemove(only.ID); !errors.Is(err, ErrUnknownID) {
+			t.Fatalf("%s: CloneRemove on an empty core: %v, want ErrUnknownID", name, err)
+		}
+		one, err := empty.CloneAdd(only)
+		if err != nil {
+			t.Fatalf("%s: CloneAdd onto an empty core: %v", name, err)
+		}
+		if nbs, _, err := one.Search(ctx, q, DefaultParams()); err != nil || len(nbs) != 1 || nbs[0].ID != only.ID || nbs[0].Distance != 0 {
+			t.Fatalf("%s: search after the first CloneAdd = %v, %v", name, nbs, err)
+		}
+		if one.SketchWidth() != 8 {
+			t.Fatalf("%s: sketch width %d after the first CloneAdd, want 8", name, one.SketchWidth())
+		}
+		drained, pos, err := one.CloneRemove(only.ID)
+		if err != nil || pos != 0 || drained.Len() != 0 || one.Len() != 1 {
+			t.Fatalf("%s: CloneRemove of the last series = pos %d, %v; copy holds %d, receiver %d",
+				name, pos, err, drained.Len(), one.Len())
+		}
+		checkIDsConsistent(t, drained)
+		// The in-place mutator is the flat index's: it still refuses.
+		if err := one.Remove(only.ID); !errors.Is(err, ErrEmptyCollection) {
+			t.Fatalf("%s: in-place Remove of the last series: %v, want ErrEmptyCollection", name, err)
+		}
+		if _, err := drained.CloneAdd(only); err != nil {
+			t.Fatalf("%s: refilling a drained core: %v", name, err)
 		}
 	}
 }

@@ -8,6 +8,11 @@
 // publishes it with a single atomic store, so searches never block
 // behind mutations.
 //
+// A shard may hold zero series — a serving cluster starts empty, and any
+// shard may drain — and an empty shard is an empty retrieve.Core, not a
+// special state: it fills through the same CloneAdd and drains through
+// the same CloneRemove as a full one.
+//
 // Sharded search is exact: for any shard count, the merged top-k is
 // bit-identical (IDs and distances) to a single-core search over the
 // same collection. Per-shard results are merged by (distance, insertion
@@ -45,9 +50,6 @@ type Config struct {
 	// Workers is the total search worker budget, divided across the
 	// non-empty shards per search (<= 0 is clamped to the shard count).
 	Workers int
-	// Abandon enables threshold-aware early abandonment inside the DP
-	// when the backend admits it.
-	Abandon bool
 	// SketchWidth enables the stage-0 LB_PAA filter at that width on
 	// every shard core (0 disables it).
 	SketchWidth int
@@ -62,7 +64,6 @@ type Hit = retrieve.Neighbor
 // atomically and use it for a whole search; writers clone it, mutate the
 // clone, and publish the result.
 type snapshot struct {
-	// core is nil while the shard holds no series.
 	core *retrieve.Core
 	// seqs[i] is the cluster-wide insertion sequence of the series at
 	// local position i — the global tie-break order merged results use.
@@ -82,7 +83,6 @@ type slot struct {
 type Cluster struct {
 	backends []retrieve.Backend
 	workers  int
-	abandon  bool
 	sketchW  int
 	slots    []slot
 	nextSeq  atomic.Uint64
@@ -110,7 +110,11 @@ func New(cfg Config, data []series.Series) (*Cluster, error) {
 		return nil, err
 	}
 	return assemble(cfg, seqs, uint64(len(data)), func(i int, b retrieve.Backend, workers int) (*retrieve.Core, error) {
-		return newCore(b, parts[i], workers, cfg.Abandon, cfg.SketchWidth)
+		core, err := retrieve.New(b, parts[i], workers, true)
+		if err != nil || cfg.SketchWidth <= 0 {
+			return core, err
+		}
+		return core, core.EnableSketches(cfg.SketchWidth)
 	})
 }
 
@@ -133,7 +137,7 @@ func RestoreCold(cfg Config, parts [][]retrieve.ColdSeries, seqs [][]uint64, nex
 		}
 	}
 	return assemble(cfg, seqs, nextSeq, func(i int, b retrieve.Backend, workers int) (*retrieve.Core, error) {
-		return retrieve.RestoreCold(b, parts[i], cfg.SketchWidth, workers, cfg.Abandon)
+		return retrieve.RestoreCold(b, parts[i], cfg.SketchWidth, workers, true)
 	})
 }
 
@@ -169,25 +173,10 @@ func partition(cfg Config, data []series.Series) ([][]series.Series, [][]uint64,
 	return parts, seqs, nil
 }
 
-// newCore builds one shard's in-RAM core with the stage-0 sketch filter
-// enabled at sketchW (0 leaves it off).
-func newCore(b retrieve.Backend, data []series.Series, workers int, abandon bool, sketchW int) (*retrieve.Core, error) {
-	core, err := retrieve.New(b, data, workers, abandon)
-	if err != nil {
-		return nil, err
-	}
-	if sketchW > 0 {
-		if err := core.EnableSketches(sketchW); err != nil {
-			return nil, err
-		}
-	}
-	return core, nil
-}
-
 // assemble builds the cluster around per-shard cores: one backend per
-// shard, and for every shard holding series (seqs[i] non-empty) the core
-// build constructs over that backend. It is the one construction path;
-// New and RestoreCold differ only in the core constructor they pass.
+// shard, and the core build constructs over it (an empty one for a shard
+// holding no series). It is the one construction path; New and
+// RestoreCold differ only in the core constructor they pass.
 func assemble(cfg Config, seqs [][]uint64, nextSeq uint64,
 	build func(shard int, b retrieve.Backend, workers int) (*retrieve.Core, error)) (*Cluster, error) {
 	workers := cfg.Workers
@@ -197,7 +186,6 @@ func assemble(cfg Config, seqs [][]uint64, nextSeq uint64,
 	c := &Cluster{
 		backends: make([]retrieve.Backend, cfg.Shards),
 		workers:  workers,
-		abandon:  cfg.Abandon,
 		sketchW:  cfg.SketchWidth,
 		slots:    make([]slot, cfg.Shards),
 	}
@@ -208,38 +196,23 @@ func assemble(cfg Config, seqs [][]uint64, nextSeq uint64,
 			return nil, fmt.Errorf("shard %d backend: %w", i, err)
 		}
 		c.backends[i] = b
-		snap := &snapshot{}
-		if len(seqs[i]) > 0 {
-			core, err := build(i, b, workers)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			snap.core = core
-			snap.seqs = append([]uint64(nil), seqs[i]...)
+		core, err := build(i, b, workers)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		c.slots[i].snap.Store(snap)
+		c.slots[i].snap.Store(&snapshot{core: core, seqs: append([]uint64(nil), seqs[i]...)})
 	}
 	return c, nil
 }
-
-// Backend exposes shard i's distance backend (the storage layer derives
-// envelope radii from it when writing through to a segment store).
-func (c *Cluster) Backend(i int) retrieve.Backend { return c.backends[i] }
 
 // SketchWidth returns the cluster's stage-0 sketch width (0 when the
 // sketch filter is disabled).
 func (c *Cluster) SketchWidth() int { return c.sketchW }
 
-// Cold reports whether any shard core is store-backed (raw values on
-// disk); such a cluster cannot be exported again.
-func (c *Cluster) Cold() bool {
-	for i := range c.slots {
-		if snap := c.slots[i].snap.Load(); snap.core != nil && snap.core.Cold() {
-			return true
-		}
-	}
-	return false
-}
+// Cascade reports whether the shard cores run the lower-bound cascade
+// (and so hold envelopes and sketches) — false under a custom point
+// distance.
+func (c *Cluster) Cascade() bool { return c.backends[0].Cascade() }
 
 // Shards returns the shard count.
 func (c *Cluster) Shards() int { return len(c.slots) }
@@ -248,9 +221,7 @@ func (c *Cluster) Shards() int { return len(c.slots) }
 func (c *Cluster) Len() int {
 	n := 0
 	for i := range c.slots {
-		if snap := c.slots[i].snap.Load(); snap.core != nil {
-			n += snap.core.Len()
-		}
+		n += c.slots[i].snap.Load().core.Len()
 	}
 	return n
 }
@@ -259,9 +230,7 @@ func (c *Cluster) Len() int {
 func (c *Cluster) Sizes() []int {
 	sizes := make([]int, len(c.slots))
 	for i := range c.slots {
-		if snap := c.slots[i].snap.Load(); snap.core != nil {
-			sizes[i] = snap.core.Len()
-		}
+		sizes[i] = c.slots[i].snap.Load().core.Len()
 	}
 	return sizes
 }
@@ -282,31 +251,20 @@ func (c *Cluster) Add(s series.Series) (uint64, error) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	cur := sl.snap.Load()
-	next := &snapshot{}
-	if cur.core == nil {
-		core, err := newCore(c.backends[sh], []series.Series{s}, c.workers, c.abandon, c.sketchW)
-		if err != nil {
-			return 0, err
-		}
-		next.core = core
-	} else {
-		core, err := cur.core.CloneAdd(s)
-		if err != nil {
-			return 0, err
-		}
-		next.core = core
+	core, err := cur.core.CloneAdd(s)
+	if err != nil {
+		return 0, err
 	}
 	seq := c.nextSeq.Add(1) - 1
-	next.seqs = append(append(make([]uint64, 0, len(cur.seqs)+1), cur.seqs...), seq)
-	sl.snap.Store(next)
+	seqs := append(append(make([]uint64, 0, len(cur.seqs)+1), cur.seqs...), seq)
+	sl.snap.Store(&snapshot{core: core, seqs: seqs})
 	return seq, nil
 }
 
 // Remove deletes the series with the given non-empty ID from its shard
 // via a copy-on-write snapshot, returning the insertion sequence the
-// series held (the storage layer keys tombstones on it). Unlike a single
-// Core — which refuses to drop its last series — a shard may drain to
-// empty: the cluster as a whole is allowed to be empty.
+// series held (the storage layer keys tombstones on it). A shard may
+// drain to empty, and so may the cluster as a whole.
 func (c *Cluster) Remove(id string) (uint64, error) {
 	if id == "" {
 		return 0, fmt.Errorf("Remove needs a non-empty ID: %w", ErrNoID)
@@ -316,19 +274,6 @@ func (c *Cluster) Remove(id string) (uint64, error) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	cur := sl.snap.Load()
-	if cur.core == nil {
-		return 0, fmt.Errorf("%w: %q", retrieve.ErrUnknownID, id)
-	}
-	if cur.core.Len() == 1 {
-		only := cur.core.Series(0)
-		if only.ID != id {
-			return 0, fmt.Errorf("%w: %q", retrieve.ErrUnknownID, id)
-		}
-		c.backends[sh].Forget(only)
-		seq := cur.seqs[0]
-		sl.snap.Store(&snapshot{})
-		return seq, nil
-	}
 	core, pos, err := cur.core.CloneRemove(id)
 	if err != nil {
 		return 0, err
@@ -346,15 +291,26 @@ func (c *Cluster) Remove(id string) (uint64, error) {
 // series on disk before it unpublishes it from the cluster.
 func (c *Cluster) Seq(id string) (uint64, error) {
 	if id == "" {
-		return 0, fmt.Errorf("Remove needs a non-empty ID: %w", ErrNoID)
+		return 0, fmt.Errorf("Seq needs a non-empty ID: %w", ErrNoID)
 	}
 	snap := c.slots[Route(id, len(c.slots))].snap.Load()
-	if snap.core != nil {
-		if pos, ok := snap.core.Pos(id); ok {
-			return snap.seqs[pos], nil
-		}
+	pos, ok := snap.core.Pos(id)
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", retrieve.ErrUnknownID, id)
 	}
-	return 0, fmt.Errorf("%w: %q", retrieve.ErrUnknownID, id)
+	return snap.seqs[pos], nil
+}
+
+// Envelope returns the LB_Keogh envelope the shard core computed when it
+// admitted the series with the given ID — the storage layer persists it
+// beside the series — and the zero Envelope for an ID the cluster does
+// not hold. Only meaningful when Cascade reports true.
+func (c *Cluster) Envelope(id string) lower.Envelope {
+	snap := c.slots[Route(id, len(c.slots))].snap.Load()
+	if pos, ok := snap.core.Pos(id); ok {
+		return snap.core.Envelope(pos)
+	}
+	return lower.Envelope{}
 }
 
 // hit is a merged result before the sequence tie-break is dropped.
@@ -384,7 +340,8 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 	start := time.Now()
 	snaps := make([]*snapshot, 0, len(c.slots))
 	for i := range c.slots {
-		if snap := c.slots[i].snap.Load(); snap.core != nil {
+		// seqs is position-parallel to the core: empty means no series.
+		if snap := c.slots[i].snap.Load(); len(snap.seqs) > 0 {
 			snaps = append(snaps, snap)
 		}
 	}
@@ -472,13 +429,10 @@ func (c *Cluster) Search(ctx context.Context, query series.Series, p retrieve.Pa
 }
 
 // ShardSnapshot captures shard i's published state for persistence: the
-// series, their envelopes, and their insertion sequences (nil slices for
+// series, their envelopes, and their insertion sequences (all empty for
 // an empty shard).
 func (c *Cluster) ShardSnapshot(i int) ([]series.Series, []lower.Envelope, []uint64) {
 	snap := c.slots[i].snap.Load()
-	if snap.core == nil {
-		return nil, nil, nil
-	}
 	data, envs := snap.core.Snapshot()
 	seqs := append([]uint64(nil), snap.seqs...)
 	return data, envs, seqs
@@ -486,7 +440,3 @@ func (c *Cluster) ShardSnapshot(i int) ([]series.Series, []lower.Envelope, []uin
 
 // NextSeq exposes the cluster's next insertion sequence for persistence.
 func (c *Cluster) NextSeq() uint64 { return c.nextSeq.Load() }
-
-// Fingerprint returns shard 0's backend fingerprint; all shards share
-// one configuration, so one fingerprint describes the cluster.
-func (c *Cluster) Fingerprint() string { return c.backends[0].Fingerprint() }

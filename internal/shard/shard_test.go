@@ -29,7 +29,6 @@ func testConfig(shards int) Config {
 			return b, err
 		},
 		Workers:     2,
-		Abandon:     true,
 		SketchWidth: testSketch,
 	}
 }
@@ -152,9 +151,6 @@ func TestNewAndRestoreColdAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cold.Cold() || warm.Cold() {
-		t.Fatalf("Cold() = %v for the restored cluster, %v for the built one", cold.Cold(), warm.Cold())
-	}
 	if cold.Len() != warm.Len() || cold.NextSeq() != warm.NextSeq() {
 		t.Fatalf("restored %d series / next seq %d, want %d / %d", cold.Len(), cold.NextSeq(), warm.Len(), warm.NextSeq())
 	}
@@ -210,7 +206,9 @@ func TestAddRemoveSequences(t *testing.T) {
 }
 
 // TestDrainAndRefill: every shard may drain to empty — an empty cluster
-// answers with no hits and no error — and fills again through Add.
+// answers with no hits and no error — and fills again through Add. A
+// drained shard is an empty core, not a missing one: every accessor keeps
+// answering, and a cluster restores over shards that hold nothing.
 func TestDrainAndRefill(t *testing.T) {
 	data := testData(12, 6)
 	c, err := New(testConfig(3), data)
@@ -224,6 +222,27 @@ func TestDrainAndRefill(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("drained cluster holds %d series", c.Len())
+	}
+	for i, n := range c.Sizes() {
+		if part, envs, seqs := c.ShardSnapshot(i); n != 0 || len(part)+len(envs)+len(seqs) != 0 {
+			t.Fatalf("drained shard %d: size %d, snapshot %d/%d/%d", i, n, len(part), len(envs), len(seqs))
+		}
+	}
+	if _, err := c.Seq(data[0].ID); !errors.Is(err, retrieve.ErrUnknownID) {
+		t.Fatalf("Seq on a drained shard: %v, want ErrUnknownID", err)
+	}
+	if _, err := c.Remove(data[0].ID); !errors.Is(err, retrieve.ErrUnknownID) {
+		t.Fatalf("Remove on a drained shard: %v, want ErrUnknownID", err)
+	}
+	if env := c.Envelope(data[0].ID); len(env.Upper) != 0 {
+		t.Fatalf("Envelope of a removed series: %v", env)
+	}
+	restored, err := RestoreCold(testConfig(3), make([][]retrieve.ColdSeries, 3), make([][]uint64, 3), c.NextSeq())
+	if err != nil {
+		t.Fatalf("RestoreCold over empty shards: %v", err)
+	}
+	if seq, err := restored.Add(data[0]); err != nil || seq != c.NextSeq() || restored.Len() != 1 {
+		t.Fatalf("Add into a restored empty cluster = %d, %v; holds %d", seq, err, restored.Len())
 	}
 	q := series.Series{Values: data[0].Values}
 	if hits := mustSearch(t, c, q, 3); len(hits) != 0 {

@@ -1,0 +1,39 @@
+#!/usr/bin/env bash
+# Prints the size counters ROADMAP item 5 records, so CHANGES.md quotes a
+# script and not a hand count. Run from anywhere inside the repository.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+doc=$(go doc -all .)
+
+# Non-test Go outside the nested benchmark module (testdata included).
+lines=$(git ls-files '*.go' | grep -v '_test\.go$' | grep -v '^benchmark/' | xargs cat | wc -l)
+
+# Exported root symbols: functions and methods, types, and every name of
+# a const or var declaration, as go doc lists them.
+symbols=$(awk '
+	/^func / || /^type / || /^(const|var) [A-Z]/ { n++ }
+	/^(const|var) \($/ { block = 1; next }
+	block && /^\)/ { block = 0 }
+	block && /^\t[A-Z][A-Za-z0-9_]*( |$)/ { n++ }
+	END { print n }' <<<"$doc")
+
+# Fields of the Options struct ("A, B int" declares two).
+fields=$(awk '
+	/^type Options struct/ { in_struct = 1; next }
+	in_struct && /^}/ { exit }
+	in_struct && match($0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) {
+		n += split(substr($0, RSTART, RLENGTH), names, ",")
+	}
+	END { print n }' sdtw.go)
+
+options=$(grep -cE '^func With(out)?[A-Z]' <<<"$doc")
+internal=$(find internal -mindepth 1 -maxdepth 1 -type d | wc -l)
+examples=$(find examples -mindepth 1 -maxdepth 1 -type d | wc -l)
+
+printf 'non-test Go lines outside benchmark/: %d\n' "$lines"
+printf 'root exported symbols:                %d\n' "$symbols"
+printf 'Options fields:                       %d\n' "$fields"
+printf 'root With*/Without* options:          %d\n' "$options"
+printf 'internal/ packages:                   %d\n' "$internal"
+printf 'examples:                             %d\n' "$examples"

@@ -135,12 +135,6 @@ type Options struct {
 	KeepBand bool
 	// DisableCache turns off per-series feature caching.
 	DisableCache bool
-	// DisableAbandon turns off threshold-based early abandonment inside
-	// Index queries. Abandonment never changes results — a candidate is
-	// abandoned only once its partial cost, itself a lower bound on its
-	// distance, exceeds the k-th best distance — it only skips grid work;
-	// the switch exists for A/B verification and measurement.
-	DisableAbandon bool
 	// Workers bounds the worker pool Index queries fan candidates out
 	// across. Zero means GOMAXPROCS; 1 forces sequential queries. It does
 	// not affect Engine, whose calls are parallelised by the caller.

@@ -22,12 +22,14 @@ import (
 // bit-identical (IDs and distances) to a single Index.Search over the
 // same collection, including distance-tie ordering. Unlike Index, a
 // ShardedIndex may be empty — a serving collection starts empty and
-// fills through Add — and its results are identified by series ID: they
-// carry Pos -1, since sharding makes positions meaningless.
+// fills through Add, and any shard (or all of them) may drain through
+// Remove and refill; a drained index still exports with SaveStore and
+// reopens — and its results are identified by series ID: they carry Pos
+// -1, since sharding makes positions meaningless.
 type ShardedIndex struct {
 	cluster *shard.Cluster
 	engines []*Engine // per-shard engines; nil for the windowed backend
-	radius  int       // effective windowed radius; -1 for the engine backend
+	family  backendFamily
 	shards  int
 
 	// Store-backed state (stores is non-nil only for indexes opened with
@@ -61,10 +63,7 @@ func NewShardedIndex(data []Series, shards int, opts Options) (*ShardedIndex, er
 // collection. Unlike the engine variant it needs at least one series:
 // the windowed backend's geometry is fixed by the series length.
 func NewShardedWindowedIndex(data []Series, shards, radius int) (*ShardedIndex, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("sdtw: a windowed sharded index needs at least one series (its length fixes the window geometry): %w", ErrEmptyCollection)
-	}
-	f, err := windowedFamily(data[0].Len(), radius)
+	f, err := windowedFamilyOver(data, radius)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +77,7 @@ func newShardedIndex(f backendFamily, data []Series, shards, sketchW, segRecords
 	if err != nil {
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
-	return &ShardedIndex{cluster: cluster, engines: engines, radius: f.radius, shards: shards, segRecords: segRecords}, nil
+	return &ShardedIndex{cluster: cluster, engines: engines, family: f, shards: shards, segRecords: segRecords}, nil
 }
 
 // shardConfig is the one shard.Config: every shard gets its own backend
@@ -100,7 +99,6 @@ func (f backendFamily) shardConfig(shards, sketchW int) (shard.Config, []*Engine
 			return b, err
 		},
 		Workers:     f.workers,
-		Abandon:     f.abandon,
 		SketchWidth: sketchW,
 	}, engines
 }
@@ -163,4 +161,4 @@ func (si *ShardedIndex) ShardSizes() []int { return si.cluster.Sizes() }
 
 // Radius returns the effective Sakoe-Chiba warping window in samples for
 // windowed sharded indexes, and -1 for engine-backed ones.
-func (si *ShardedIndex) Radius() int { return si.radius }
+func (si *ShardedIndex) Radius() int { return si.family.radius }

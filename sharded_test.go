@@ -4,45 +4,71 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"path/filepath"
+	"reflect"
 	"testing"
+
+	"sdtw/internal/shard"
 )
 
-// shardedAndFlat builds, over the same collection, one ShardedIndex per
-// shard count in ns and the single-process Index the exactness property
-// compares against, for the named backend.
-func shardedAndFlat(t *testing.T, backend string, data []Series, ns []int) (map[int]*ShardedIndex, *Index) {
+// shardedTestOpts is the engine configuration of the "engine" backend in
+// the sharded property tests.
+var shardedTestOpts = Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
+
+// newFlat builds the single-process Index the exactness properties
+// compare against, for the named backend.
+func newFlat(t *testing.T, backend string, data []Series) *Index {
 	t.Helper()
-	sharded := make(map[int]*ShardedIndex, len(ns))
 	var flat *Index
 	var err error
 	switch backend {
 	case "engine":
-		opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
-		flat, err = NewIndex(data, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range ns {
-			sharded[n], err = NewShardedIndex(data, n, opts)
-			if err != nil {
-				t.Fatalf("%d shards: %v", n, err)
-			}
-		}
+		flat, err = NewIndex(data, shardedTestOpts)
 	case "windowed":
 		flat, err = NewWindowedIndex(data, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range ns {
-			sharded[n], err = NewShardedWindowedIndex(data, n, 12)
-			if err != nil {
-				t.Fatalf("%d shards: %v", n, err)
-			}
-		}
 	default:
 		t.Fatalf("unknown backend %q", backend)
 	}
-	return sharded, flat
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flat
+}
+
+// shardedAndFlat builds, over the same collection, one ShardedIndex per
+// shard count in ns and the flat Index of newFlat, for the named backend.
+func shardedAndFlat(t *testing.T, backend string, data []Series, ns []int) (map[int]*ShardedIndex, *Index) {
+	t.Helper()
+	sharded := make(map[int]*ShardedIndex, len(ns))
+	for _, n := range ns {
+		var err error
+		if backend == "engine" {
+			sharded[n], err = NewShardedIndex(data, n, shardedTestOpts)
+		} else {
+			sharded[n], err = NewShardedWindowedIndex(data, n, 12)
+		}
+		if err != nil {
+			t.Fatalf("%d shards: %v", n, err)
+		}
+	}
+	return sharded, newFlat(t, backend, data)
+}
+
+// openSharded opens the store root a sharded index of the named backend
+// was exported to.
+func openSharded(t *testing.T, backend, dir string) *ShardedIndex {
+	t.Helper()
+	var si *ShardedIndex
+	var err error
+	if backend == "engine" {
+		si, err = OpenShardedIndex(dir, shardedTestOpts)
+	} else {
+		si, err = OpenShardedWindowedIndex(dir)
+	}
+	if err != nil {
+		t.Fatalf("opening %s: %v", dir, err)
+	}
+	return si
 }
 
 // flatHits maps a single-process neighbour list to the hits a sharded
@@ -135,11 +161,87 @@ func TestOneResultType(t *testing.T) {
 	}
 }
 
+// requireShardedEqualsFlat asserts the exactness property on a few
+// queries: top-k and thresholded range searches of si are bit-identical
+// to flat's.
+func requireShardedEqualsFlat(t *testing.T, label string, si *ShardedIndex, flat *Index, queries []Series) {
+	t.Helper()
+	ctx := context.Background()
+	for qi, query := range queries {
+		nbrs, _, err := flat.Search(ctx, query, WithK(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := si.Search(ctx, query, WithK(5))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireSameHits(t, fmt.Sprintf("%s/query %d/k=5", label, qi), flatHits(flat, nbrs), got)
+		cut := nbrs[len(nbrs)-1].Distance
+		nbrs, _, err = flat.Search(ctx, query, WithThreshold(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err = si.Search(ctx, query, WithThreshold(cut))
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireSameHits(t, fmt.Sprintf("%s/query %d/threshold", label, qi), flatHits(flat, nbrs), got)
+	}
+}
+
+// drainAndRefill runs the history that empties shards and fills them
+// again: every series removed, so every shard drains and the index
+// answers with no hits; the collection re-added in reverse; then shard
+// 0's series removed and re-added once more while the other shards keep
+// serving. It returns the collection in its final insertion order — the
+// one a flat index must be built over to break ties alike.
+func drainAndRefill(t *testing.T, label string, si *ShardedIndex, data []Series) []Series {
+	t.Helper()
+	for _, s := range data {
+		if err := si.Remove(s.ID); err != nil {
+			t.Fatalf("%s: draining: %v", label, err)
+		}
+	}
+	if si.Len() != 0 {
+		t.Fatalf("%s: drained index holds %d series", label, si.Len())
+	}
+	if hits, _, err := si.Search(context.Background(), data[0], WithK(3)); err != nil || len(hits) != 0 {
+		t.Fatalf("%s: search on the drained index = %v, %v", label, hits, err)
+	}
+	var kept, moved []Series
+	for i := len(data) - 1; i >= 0; i-- {
+		if err := si.Add(data[i]); err != nil {
+			t.Fatalf("%s: refilling: %v", label, err)
+		}
+		if shard.Route(data[i].ID, si.Shards()) == 0 {
+			moved = append(moved, data[i])
+		} else {
+			kept = append(kept, data[i])
+		}
+	}
+	for _, s := range moved {
+		if err := si.Remove(s.ID); err != nil {
+			t.Fatalf("%s: draining shard 0: %v", label, err)
+		}
+	}
+	if n := si.ShardSizes()[0]; n != 0 || si.Len() != len(kept) {
+		t.Fatalf("%s: shard 0 holds %d series after its drain, the index %d of %d", label, n, si.Len(), len(kept))
+	}
+	for _, s := range moved {
+		if err := si.Add(s); err != nil {
+			t.Fatalf("%s: refilling shard 0: %v", label, err)
+		}
+	}
+	return append(kept, moved...)
+}
+
 // TestShardedSearchExactness is the serving layer's headline property:
 // for any shard count, the merged sharded top-k is bit-identical (IDs
 // and Float64bits distances) to a single-process Index.Search over the
 // same collection — on both backends, across ks, and for thresholded
-// range searches.
+// range searches — and stays so through a history that drains shards to
+// empty and refills them, in RAM and written through to a store root.
 func TestShardedSearchExactness(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 7, SeriesPerClass: 6})
 	ctx := context.Background()
@@ -181,6 +283,105 @@ func TestShardedSearchExactness(t *testing.T) {
 				requireSameHits(t, fmt.Sprintf("%s/query %d/threshold/%d shards", backend, qi, n), want, got)
 			}
 		}
+
+		queries := []Series{d.Series[1], d.Series[d.Len()/2], d.Series[d.Len()-1]}
+		for _, n := range shardCounts {
+			label := fmt.Sprintf("%s/%d shards", backend, n)
+			dir := filepath.Join(t.TempDir(), "root")
+			if err := sharded[n].SaveStore(dir); err != nil {
+				t.Fatal(err)
+			}
+			final := drainAndRefill(t, label+"/ram", sharded[n], d.Series)
+			flat := newFlat(t, backend, final)
+			requireShardedEqualsFlat(t, label+"/ram", sharded[n], flat, queries)
+
+			cold := openSharded(t, backend, dir)
+			drainAndRefill(t, label+"/store", cold, d.Series)
+			requireShardedEqualsFlat(t, label+"/store", cold, flat, queries)
+			// Every shard has drained and refilled with resident values; the
+			// index serves from its stores all the same.
+			if err := cold.SaveStore(filepath.Join(t.TempDir(), "again")); !IsErr(err, ErrStoreBacked) {
+				t.Fatalf("%s: SaveStore of a store-backed index: %v, want ErrStoreBacked", label, err)
+			}
+			if err := cold.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+			back := openSharded(t, backend, dir)
+			requireShardedEqualsFlat(t, label+"/reopened", back, flat, queries)
+			if err := back.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestShardedReAddUnderDrainedShardsLastID is the stale-feature
+// regression: a shard's last series is removed, a search still running on
+// the pre-Remove snapshot re-derives that series' features into the shard
+// engine's read-through cache, and a different series is then added under
+// the same ID. The refill must extract from the new values — admission
+// into an empty shard forgets the ID first, like any other — or the shard
+// serves the removed series' features under that ID for good.
+func TestShardedReAddUnderDrainedShardsLastID(t *testing.T) {
+	d := TraceDataset(DatasetConfig{Seed: 41, SeriesPerClass: 4})
+	opts := DefaultOptions()
+	const shards = 4
+	old := d.Series[0]
+	sh := shard.Route(old.ID, shards)
+	// old is the only series of its shard.
+	data := []Series{old}
+	for _, s := range d.Series[1:] {
+		if shard.Route(s.ID, shards) != sh {
+			data = append(data, s)
+		}
+	}
+	si, err := NewShardedIndex(data, shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := si.Remove(old.ID); err != nil {
+		t.Fatal(err)
+	}
+	if n := si.ShardSizes()[sh]; n != 0 {
+		t.Fatalf("shard %d holds %d series after removing its only one", sh, n)
+	}
+	// What the in-flight search's DP stage does to the cache.
+	if _, err := si.engines[sh].Features(old); err != nil {
+		t.Fatal(err)
+	}
+	fresh := d.Series[d.Len()-1]
+	fresh.ID = old.ID
+	if err := si.Add(fresh); err != nil {
+		t.Fatal(err)
+	}
+	got, err := si.engines[sh].Features(fresh) // the cache entry searches read
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ExtractFeatures(fresh.Values, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard serves %d cached features under %q, a fresh extraction of its values gives %d",
+			len(got), fresh.ID, len(want))
+	}
+	rebuilt, err := NewShardedIndex(append(data[1:len(data):len(data)], fresh), shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, probe := range d.Series[1:4] {
+		probe.ID = "probe"
+		gotHits, _, err := si.Search(ctx, probe, WithK(si.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantHits, _, err := rebuilt.Search(ctx, probe, WithK(si.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameHits(t, "refilled vs rebuilt", wantHits, gotHits)
 	}
 }
 

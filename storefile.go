@@ -186,6 +186,35 @@ func (ss *storeSet) StoreStats() (StoreStats, error) {
 	return out, nil
 }
 
+// add is the write-through Add both index types share: admit in RAM,
+// build the record from the envelope the core just computed, append it,
+// and roll the admission back if the record cannot be built or appended,
+// so RAM and disk keep agreeing. admit reports the insertion sequence it
+// assigned; rollback cannot meet the flat index's last-series refusal,
+// because the series went in on top of a non-empty collection.
+func (ss *storeSet) add(shard int, s Series, admit func() (uint64, lower.Envelope, error), rollback func()) error {
+	if s.ID == "" {
+		return fmt.Errorf("sdtw: Add: a store-backed index needs non-empty series IDs: %w", ErrNoID)
+	}
+	ss.storeMu.Lock()
+	defer ss.storeMu.Unlock()
+	seq, env, err := admit()
+	if err != nil {
+		return fmt.Errorf("sdtw: Add: %w", err)
+	}
+	st := ss.stores[shard]
+	rec, err := newRecord(s, env, st.SketchWidth())
+	if err == nil {
+		rec.Seq = seq
+		err = st.Append(rec)
+	}
+	if err != nil {
+		rollback()
+		return fmt.Errorf("sdtw: Add: %w", err)
+	}
+	return nil
+}
+
 // remove is the write-through Remove both index types share. The
 // tombstone is made durable first and the series unpublished from RAM
 // second: a failed tombstone write then leaves the series searchable and
@@ -247,23 +276,32 @@ type storeExport struct {
 }
 
 // exportMeta builds the manifest metadata every exported store carries;
-// a sharded export adds its shard keys on top.
-func exportMeta(kind string, nextSeq uint64, length, radius int) map[string]string {
+// a sharded export adds its shard keys on top. The windowed geometry
+// comes from the family, so an index holding no series exports it too.
+func exportMeta(f backendFamily, nextSeq uint64) map[string]string {
 	meta := map[string]string{
-		storeMetaKind:    kind,
+		storeMetaKind:    f.kind,
 		storeMetaNextSeq: strconv.FormatUint(nextSeq, 10),
 	}
-	if kind == snapshotKindWindowed {
-		meta[storeMetaLength] = strconv.Itoa(length)
-		meta[storeMetaRadius] = strconv.Itoa(radius)
+	if f.kind == snapshotKindWindowed {
+		meta[storeMetaLength] = strconv.Itoa(f.length)
+		meta[storeMetaRadius] = strconv.Itoa(f.radius)
 	}
 	return meta
 }
 
-// exportStores is the one export routine behind both SaveStores: create
-// every store, write its records, close them all, and on any failure
-// remove root — but only if this call created it.
-func exportStores(root, fingerprint string, sketchW, segRecords int, parts []storeExport) error {
+// exportStores is the one export routine behind both SaveStores: refuse
+// an index that already serves from a store (its series hold no values
+// to write) or that keeps no envelopes, then create every store, write
+// its records, close them all, and on any failure remove root — but only
+// if this call created it.
+func (ss *storeSet) exportStores(root, fingerprint string, cascade bool, sketchW, segRecords int, parts []storeExport) error {
+	if ss.StoreBacked() {
+		return fmt.Errorf("sdtw: SaveStore: the index already serves from a segment store: %w", ErrStoreBacked)
+	}
+	if !cascade {
+		return fmt.Errorf("sdtw: SaveStore: a custom PointDistance has no admissible envelopes or sketches to persist: %w", ErrConfigMismatch)
+	}
 	if sketchW <= 0 {
 		sketchW = DefaultSketchWidth
 	}
@@ -272,9 +310,6 @@ func exportStores(root, fingerprint string, sketchW, segRecords int, parts []sto
 	var stores []*store.Store
 	err := func() error {
 		for _, p := range parts {
-			if len(p.envs) != len(p.data) {
-				return fmt.Errorf("a custom PointDistance has no admissible envelopes or sketches to persist: %w", ErrConfigMismatch)
-			}
 			st, err := store.Create(p.dir, store.Config{
 				Fingerprint:    fingerprint,
 				SketchWidth:    sketchW,
@@ -324,17 +359,10 @@ func exportStores(root, fingerprint string, sketchW, segRecords int, parts []sto
 // values into RAM. Export during a quiet period for a point-in-time
 // snapshot.
 func (ix *Index) SaveStore(dir string) error {
-	if ix.core.Cold() {
-		return fmt.Errorf("sdtw: SaveStore: the index already serves from a segment store: %w", ErrStoreBacked)
-	}
 	data, envs := ix.core.Snapshot()
-	kind, length := snapshotKindEngine, 0
-	if ix.engine == nil {
-		kind, length = snapshotKindWindowed, data[0].Len()
-	}
-	return exportStores(dir, ix.core.Fingerprint(), ix.core.SketchWidth(), ix.segRecords, []storeExport{{
+	return ix.exportStores(dir, ix.family.fingerprint, ix.core.Cascade(), ix.core.SketchWidth(), ix.segRecords, []storeExport{{
 		dir:  dir,
-		meta: exportMeta(kind, uint64(len(data)), length, ix.radius),
+		meta: exportMeta(ix.family, uint64(len(data))),
 		data: data,
 		envs: envs,
 	}})
@@ -346,32 +374,21 @@ func (ix *Index) SaveStore(dir string) error {
 // next insertion sequence, so OpenShardedIndex rebuilds the cluster —
 // including the cross-shard tie-break order — exactly.
 func (si *ShardedIndex) SaveStore(dir string) error {
-	if si.cluster.Cold() {
-		return fmt.Errorf("sdtw: SaveStore: the index already serves from segment stores: %w", ErrStoreBacked)
-	}
-	kind := snapshotKindWindowed
-	if si.engines != nil {
-		kind = snapshotKindEngine
-	}
 	parts := make([]storeExport, si.shards)
-	length := 0
 	for i := range parts {
 		p := &parts[i]
 		p.dir = filepath.Join(dir, shardDirName(i))
 		p.data, p.envs, p.seqs = si.cluster.ShardSnapshot(i)
-		if length == 0 && len(p.data) > 0 {
-			length = p.data[0].Len()
-		}
 	}
 	// Captured after the shards, so every captured sequence is below it.
 	nextSeq := si.cluster.NextSeq()
 	for i := range parts {
-		meta := exportMeta(kind, nextSeq, length, si.radius)
+		meta := exportMeta(si.family, nextSeq)
 		meta[storeMetaShards] = strconv.Itoa(si.shards)
 		meta[storeMetaShard] = strconv.Itoa(i)
 		parts[i].meta = meta
 	}
-	return exportStores(dir, si.cluster.Fingerprint(), si.cluster.SketchWidth(), si.segRecords, parts)
+	return si.exportStores(dir, si.family.fingerprint, si.cluster.Cascade(), si.cluster.SketchWidth(), si.segRecords, parts)
 }
 
 // openStores opens the store(s) an index of the given kind was exported
@@ -549,7 +566,11 @@ func openIndex(dir, kind string, familyOf func(*store.Store) (backendFamily, err
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
 	cold, seqList := coldRecords(stores[0].Live())
-	core, err := retrieve.RestoreCold(backend, cold, stores[0].SketchWidth(), f.workers, f.abandon)
+	core, err := retrieve.RestoreCold(backend, cold, stores[0].SketchWidth(), f.workers, true)
+	if err == nil && len(cold) == 0 {
+		// A flat index is never empty; a sharded root may open over nothing.
+		err = fmt.Errorf("cannot index: %w", ErrEmptyCollection)
+	}
 	if err != nil {
 		closeStores(stores)
 		return nil, fmt.Errorf("sdtw: %w", err)
@@ -558,38 +579,24 @@ func openIndex(dir, kind string, familyOf func(*store.Store) (backendFamily, err
 	for i, cs := range cold {
 		seqs[cs.ID] = seqList[i]
 	}
-	return &Index{core: core, engine: engine, radius: f.radius,
+	return &Index{core: core, engine: engine, family: f,
 		storeSet: storeSet{stores: stores}, seqs: seqs, nextSeq: nextSeq}, nil
 }
 
-// addStore is the write-through Add of a store-backed Index: RAM first,
-// disk second, RAM rolled back if the append fails. The record shares
-// the envelope the core just computed.
+// addStore is the write-through Add of a store-backed Index.
 func (ix *Index) addStore(s Series) error {
-	if s.ID == "" {
-		return fmt.Errorf("sdtw: Add: a store-backed index needs non-empty series IDs: %w", ErrNoID)
-	}
-	ix.storeMu.Lock()
-	defer ix.storeMu.Unlock()
-	if err := ix.core.Add(s); err != nil {
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	st := ix.stores[0]
-	rec, err := newRecord(s, ix.core.Envelope(ix.core.Len()-1), st.SketchWidth())
-	if err == nil {
-		rec.Seq = ix.nextSeq
-		err = st.Append(rec)
-	}
-	if err != nil {
-		// Keep RAM and disk agreeing: undo the admission (the series was
-		// just added on top of a non-empty collection, so this cannot hit
-		// the last-series refusal).
+	return ix.add(0, s, func() (uint64, lower.Envelope, error) {
+		if err := ix.core.Add(s); err != nil {
+			return 0, lower.Envelope{}, err
+		}
+		seq := ix.nextSeq
+		ix.nextSeq++
+		ix.seqs[s.ID] = seq
+		return seq, ix.core.Envelope(ix.core.Len() - 1), nil
+	}, func() {
 		ix.core.Remove(s.ID)
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	ix.seqs[s.ID] = ix.nextSeq
-	ix.nextSeq++
-	return nil
+		delete(ix.seqs, s.ID)
+	})
 }
 
 // removeStore is the write-through Remove of a store-backed Index.
@@ -648,33 +655,19 @@ func openShardedIndex(dir, kind string, familyOf func(*store.Store) (backendFami
 		closeStores(stores)
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
-	return &ShardedIndex{cluster: cluster, engines: engines, radius: f.radius, shards: len(stores),
+	return &ShardedIndex{cluster: cluster, engines: engines, family: f, shards: len(stores),
 		storeSet: storeSet{stores: stores, sharded: true}}, nil
 }
 
-// addStore is the write-through Add of a store-backed ShardedIndex: RAM
-// first, disk second, RAM rolled back if the append fails.
+// addStore is the write-through Add of a store-backed ShardedIndex.
 func (si *ShardedIndex) addStore(s Series) error {
-	sh := shard.Route(s.ID, si.shards)
-	st := si.stores[sh]
-	// Recompute the envelope exactly as the shard core will: same
-	// values, same backend radius, same deterministic construction. The
-	// O(n) envelope and sketch work runs before the store lock.
-	env := lower.NewEnvelope(s.Values, si.cluster.Backend(sh).EnvelopeRadius(len(s.Values)))
-	rec, err := newRecord(s, env, st.SketchWidth())
-	if err != nil {
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	si.storeMu.Lock()
-	defer si.storeMu.Unlock()
-	if rec.Seq, err = si.cluster.Add(s); err != nil {
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	if err := st.Append(rec); err != nil {
-		si.cluster.Remove(s.ID) // keep RAM and disk agreeing
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	return nil
+	return si.add(shard.Route(s.ID, si.shards), s, func() (uint64, lower.Envelope, error) {
+		seq, err := si.cluster.Add(s)
+		if err != nil {
+			return 0, lower.Envelope{}, err
+		}
+		return seq, si.cluster.Envelope(s.ID), nil
+	}, func() { si.cluster.Remove(s.ID) })
 }
 
 // removeStore is the write-through Remove of a store-backed

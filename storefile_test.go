@@ -250,33 +250,15 @@ func TestStoreBackedMutationExactness(t *testing.T) {
 // through mutations, compaction and reopen.
 func TestShardedStoreBackedExactness(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 83, SeriesPerClass: 5})
-	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
 	for _, backend := range []string{"engine", "windowed"} {
 		t.Run(backend, func(t *testing.T) {
 			seed := d.Series[:16]
-			var si *ShardedIndex
-			var err error
-			if backend == "engine" {
-				si, err = NewShardedIndex(seed, 3, opts)
-			} else {
-				si, err = NewShardedWindowedIndex(seed, 3, 12)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			sharded, _ := shardedAndFlat(t, backend, seed, []int{3})
 			dir := filepath.Join(t.TempDir(), "sharded")
-			if err := si.SaveStore(dir); err != nil {
+			if err := sharded[3].SaveStore(dir); err != nil {
 				t.Fatal(err)
 			}
-			var cold *ShardedIndex
-			if backend == "engine" {
-				cold, err = OpenShardedIndex(dir, opts)
-			} else {
-				cold, err = OpenShardedWindowedIndex(dir)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			cold := openSharded(t, backend, dir)
 			defer cold.CloseStore()
 			if !cold.StoreBacked() {
 				t.Fatal("opened sharded index does not report store backing")
@@ -301,15 +283,7 @@ func TestShardedStoreBackedExactness(t *testing.T) {
 				mutated = append(mutated, s)
 			}
 
-			var flat *Index
-			if backend == "engine" {
-				flat, err = NewIndex(mutated, opts)
-			} else {
-				flat, err = NewWindowedIndex(mutated, 12)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			flat := newFlat(t, backend, mutated)
 			ctx := context.Background()
 			check := func(label string, si *ShardedIndex) {
 				t.Helper()
@@ -341,15 +315,7 @@ func TestShardedStoreBackedExactness(t *testing.T) {
 			if err := cold.CloseStore(); err != nil {
 				t.Fatal(err)
 			}
-			var back *ShardedIndex
-			if backend == "engine" {
-				back, err = OpenShardedIndex(dir, opts)
-			} else {
-				back, err = OpenShardedWindowedIndex(dir)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+			back := openSharded(t, backend, dir)
 			defer back.CloseStore()
 			check("reopened", back)
 		})
@@ -432,6 +398,76 @@ func TestOpenIndexValidation(t *testing.T) {
 	}
 	if _, err := OpenIndex(garbage, opts); !errors.Is(err, ErrCorruptManifest) {
 		t.Fatalf("open over a garbage manifest: %v, want ErrCorruptManifest", err)
+	}
+}
+
+// TestDrainedShardedExportReopens: a sharded index whose every series was
+// removed still exports, and the export reopens and fills through Add —
+// on the windowed backend too, whose length and radius must reach the
+// manifest from the index's configuration, there being no series left to
+// read a length off.
+func TestDrainedShardedExportReopens(t *testing.T) {
+	d := TraceDataset(DatasetConfig{Seed: 61, SeriesPerClass: 3})
+	for _, backend := range []string{"engine", "windowed"} {
+		sharded, flat := shardedAndFlat(t, backend, d.Series, []int{3})
+		si := sharded[3]
+		for _, s := range d.Series {
+			if err := si.Remove(s.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := filepath.Join(t.TempDir(), "drained")
+		if err := si.SaveStore(dir); err != nil {
+			t.Fatalf("%s: SaveStore of a drained index: %v", backend, err)
+		}
+		back := openSharded(t, backend, dir)
+		if back.Len() != 0 || back.Radius() != si.Radius() {
+			t.Fatalf("%s: reopened %d series at radius %d, want 0 at %d", backend, back.Len(), back.Radius(), si.Radius())
+		}
+		for _, s := range d.Series {
+			if err := back.Add(s); err != nil {
+				t.Fatalf("%s: Add into the reopened drained index: %v", backend, err)
+			}
+		}
+		requireShardedEqualsFlat(t, backend+"/refilled", back, flat, d.Series[:3])
+		if err := back.CloseStore(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFlatIndexIsNeverEmpty: retrieve.Core holds any number of series,
+// the flat Index at least one — all four of its constructors refuse an
+// empty collection with ErrEmptyCollection (a drained one-shard root's
+// shard directory is a well-formed store of no records).
+func TestFlatIndexIsNeverEmpty(t *testing.T) {
+	if _, err := NewIndex(nil, DefaultOptions()); !errors.Is(err, ErrEmptyCollection) {
+		t.Fatalf("NewIndex over no series: %v, want ErrEmptyCollection", err)
+	}
+	if _, err := NewWindowedIndex(nil, 5); !errors.Is(err, ErrEmptyCollection) {
+		t.Fatalf("NewWindowedIndex over no series: %v, want ErrEmptyCollection", err)
+	}
+	d := GunDataset(DatasetConfig{Seed: 67, SeriesPerClass: 1})
+	for _, backend := range []string{"engine", "windowed"} {
+		sharded, _ := shardedAndFlat(t, backend, d.Series, []int{1})
+		for _, s := range d.Series {
+			if err := sharded[1].Remove(s.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		root := filepath.Join(t.TempDir(), "root")
+		if err := sharded[1].SaveStore(root); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if backend == "engine" {
+			_, err = OpenIndex(filepath.Join(root, shardDirName(0)), shardedTestOpts)
+		} else {
+			_, err = OpenWindowedIndex(filepath.Join(root, shardDirName(0)))
+		}
+		if !errors.Is(err, ErrEmptyCollection) {
+			t.Fatalf("%s: flat open of a store holding no records: %v, want ErrEmptyCollection", backend, err)
+		}
 	}
 }
 
@@ -686,14 +722,15 @@ func TestOpenRefusesRemovedStrategyStore(t *testing.T) {
 		envs[i] = lower.NewEnvelope(s.Values, s.Len()/3)
 	}
 	flat := filepath.Join(t.TempDir(), "flat")
-	meta := exportMeta(snapshotKindEngine, uint64(len(d.Series)), 0, 0)
-	if err := exportStores(flat, fp, DefaultSketchWidth, 0, []storeExport{{dir: flat, meta: meta, data: d.Series, envs: envs}}); err != nil {
+	engine := backendFamily{kind: snapshotKindEngine}
+	meta := exportMeta(engine, uint64(len(d.Series)))
+	if err := new(storeSet).exportStores(flat, fp, true, DefaultSketchWidth, 0, []storeExport{{dir: flat, meta: meta, data: d.Series, envs: envs}}); err != nil {
 		t.Fatal(err)
 	}
 	root := filepath.Join(t.TempDir(), "root")
-	meta = exportMeta(snapshotKindEngine, uint64(len(d.Series)), 0, 0)
+	meta = exportMeta(engine, uint64(len(d.Series)))
 	meta[storeMetaShards], meta[storeMetaShard] = "1", "0"
-	if err := exportStores(root, fp, DefaultSketchWidth, 0,
+	if err := new(storeSet).exportStores(root, fp, true, DefaultSketchWidth, 0,
 		[]storeExport{{dir: filepath.Join(root, shardDirName(0)), meta: meta, data: d.Series, envs: envs}}); err != nil {
 		t.Fatal(err)
 	}
