@@ -323,7 +323,7 @@ func TestBoundedIndexRadiusRegression(t *testing.T) {
 			pruned++
 			continue
 		}
-		dist, _, err := dtw.Banded(query.Values, data[c.pos].Values, oldBand, nil)
+		dist, _, err := dtw.Banded(query.Values, data[c.pos].Values, oldBand)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,11 +334,11 @@ func TestBoundedIndexRadiusRegression(t *testing.T) {
 	// Under the old pipeline's own distance (band radius 2), the true
 	// nearest neighbour is pos 0 at distance 0 — the spikes align inside
 	// the radius-2 band.
-	d0, _, err := dtw.Banded(query.Values, trueNeighbor.Values, oldBand, nil)
+	d0, _, err := dtw.Banded(query.Values, trueNeighbor.Values, oldBand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, _, err := dtw.Banded(query.Values, decoy.Values, oldBand, nil)
+	d1, _, err := dtw.Banded(query.Values, decoy.Values, oldBand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestBoundedIndexRadiusRegression(t *testing.T) {
 		}
 		var brute []Neighbor
 		for i, s := range data {
-			dist, _, err := dtw.Banded(query.Values, s.Values, fixedBand, nil)
+			dist, _, err := dtw.Banded(query.Values, s.Values, fixedBand)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,7 +70,7 @@ func BenchmarkDTWPathRecovery(b *testing.B) {
 	x, y := benchPair(b, "Trace")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := dtw.DistanceWithPath(x.Values, y.Values, nil); err != nil {
+		if _, err := dtw.DistanceWithPath(x.Values, y.Values); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func BenchmarkBandedSakoeChiba10(b *testing.B) {
 	var ws dtw.Workspace
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dtw.BandedWS(x.Values, y.Values, bd, nil, &ws); err != nil {
+		if _, _, err := dtw.BandedWS(x.Values, y.Values, bd, &ws); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -85,7 +85,7 @@ func TestWindowedIndexWindowedExact(t *testing.T) {
 	// exactly the envelope radius (not the widthFrac-derived band, whose
 	// ceil rounding widens the radius by one).
 	want, _, err := dtw.Banded(d.Series[2].Values, d.Series[got[0].Pos].Values,
-		dtw.SakoeChibaRadius(d.Length, d.Length, radius), nil)
+		dtw.SakoeChibaRadius(d.Length, d.Length, radius))
 	if err != nil {
 		t.Fatal(err)
 	}

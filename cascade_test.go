@@ -352,31 +352,3 @@ func TestLabelsAllWithoutIDs(t *testing.T) {
 		t.Fatalf("expected 1 candidate per query after positional self-exclusion, got %d total", stats.Candidates)
 	}
 }
-
-// TestCascadeCustomPointDistance checks the cascade degrades to an exact
-// parallel scan when a custom point cost voids the bounds' assumptions.
-func TestCascadeCustomPointDistance(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	data := randomWalkSeries(rng, 10, 48, 0)
-	abs := func(a, b float64) float64 { return math.Abs(a - b) }
-	ix, err := NewIndex(data, Options{Strategy: AdaptiveCoreAdaptiveWidth, PointDistance: abs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := ix.Search(context.Background(), data[0], WithK(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PrunedSketch+stats.PrunedKim+stats.PrunedKeogh != 0 {
-		t.Fatalf("bounds fired despite custom point distance: %v", stats)
-	}
-	if stats.Evaluated != stats.Candidates {
-		t.Fatalf("scan skipped candidates: %v", stats)
-	}
-	want := bruteTopK(t, ix, data[0], 4)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rank %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}

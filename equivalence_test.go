@@ -49,7 +49,7 @@ func legacyWindowedTopK(t *testing.T, data []Series, query Series, radius, k int
 		if s.ID != "" && s.ID == query.ID {
 			continue
 		}
-		d, _, err := dtw.Banded(query.Values, s.Values, b, nil)
+		d, _, err := dtw.Banded(query.Values, s.Values, b)
 		if err != nil {
 			t.Fatal(err)
 		}

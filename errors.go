@@ -27,8 +27,8 @@ var (
 	ErrLengthMismatch = retrieve.ErrLengthMismatch
 	// ErrConfigMismatch reports a segment store whose kind or
 	// configuration fingerprint does not match the constructor and options
-	// it is being opened under, or an index that cannot be exported at
-	// all (a custom PointDistance has no admissible envelopes).
+	// it is being opened under, or options that name no configuration at
+	// all (a Strategy outside the declared constants).
 	ErrConfigMismatch = retrieve.ErrConfigMismatch
 	// ErrDuplicateID reports two collection series sharing one non-empty
 	// ID (IDs key the feature cache and Remove).

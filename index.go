@@ -96,7 +96,7 @@ func engineFamily(opts Options) backendFamily {
 				return nil, nil, fmt.Errorf("unknown band strategy %v: %w", opts.Strategy, ErrConfigMismatch)
 			}
 			engine := NewEngine(opts)
-			return retrieve.NewEngineBackend(engine.inner, fp, opts.PointDistance != nil), engine, nil
+			return retrieve.NewEngineBackend(engine.inner, fp, false), engine, nil
 		},
 	}
 }
@@ -195,9 +195,7 @@ func resolveWorkers(w int) int {
 
 // engineFingerprint deterministically encodes every engine option that
 // affects distances or cascade geometry, so a segment store refuses to
-// open under options that would change its answers. A custom
-// PointDistance is recorded by presence only — functions cannot be
-// serialised — and an index built on one cannot be exported at all.
+// open under options that would change its answers.
 func engineFingerprint(o Options) string {
 	var b strings.Builder
 	b.WriteString("sdtw/v1")
@@ -218,7 +216,9 @@ func engineFingerprint(o Options) string {
 	f("amp", strconv.FormatFloat(o.MaxAmplitudeDiff, 'g', -1, 64))
 	f("scale", strconv.FormatFloat(o.MaxScaleRatio, 'g', -1, 64))
 	f("dom", strconv.FormatFloat(o.DominanceRatio, 'g', -1, 64))
-	f("pd", o.PointDistance != nil)
+	// The custom point cost, removed with the option that set it: no store
+	// was ever exported under one, so every store holds "false".
+	b.WriteString("|pd=false")
 	return b.String()
 }
 

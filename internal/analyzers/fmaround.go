@@ -6,7 +6,8 @@ import (
 )
 
 // fmaKernelPackages are the packages whose float64 arithmetic must stay
-// bit-identical between the generic and monomorphized kernels. On FMA
+// bit-identical between the kernels and the references their tests hold
+// them to (row-at-a-time loops, textbook definitions, scalar scans). On FMA
 // architectures (arm64, ppc64) the Go compiler may contract a*b + c into
 // a fused multiply-add, changing the rounding; an explicit float64(...)
 // conversion around the product forces the intermediate rounding and

@@ -243,7 +243,7 @@ func TestEmptyXIntervalGapBridged(t *testing.T) {
 	}
 	x := make([]float64, 100)
 	y := make([]float64, 100)
-	d, _, err := dtw.Banded(x, y, b, nil)
+	d, _, err := dtw.Banded(x, y, b)
 	if err != nil || math.IsInf(d, 1) {
 		t.Fatalf("gap not bridged: %v %v", d, err)
 	}
@@ -306,11 +306,11 @@ func TestSymmetricDistanceIsSymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dXY, _, err := dtw.Banded(x, y, bXY, nil)
+	dXY, _, err := dtw.Banded(x, y, bXY)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dYX, _, err := dtw.Banded(y, x, bYX, nil)
+	dYX, _, err := dtw.Banded(y, x, bYX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestAllStrategiesProduceUsableBands(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			d, _, err := dtw.Banded(x, y, b, nil)
+			d, _, err := dtw.Banded(x, y, b)
 			if err != nil || math.IsNaN(d) || math.IsInf(d, 1) {
 				return false
 			}

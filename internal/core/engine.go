@@ -26,7 +26,9 @@ import (
 
 // Options configures an Engine. The zero value selects the paper's
 // defaults: (ac,aw) constraints, 64-bin descriptors, ε = 0.10 (see
-// sift.Config.Epsilon's calibration note), squared point distance.
+// sift.Config.Epsilon's calibration note). The point cost is always the
+// squared distance (a−b)², which every bound of the retrieval cascade
+// assumes.
 type Options struct {
 	// Band selects and parameterises the constraint strategy.
 	Band band.Config
@@ -41,17 +43,6 @@ type Options struct {
 	// spurious match and would anchor the whole core. Zero means 2;
 	// negative disables the floor.
 	MinPairs int
-	// PointDistance is the element cost; nil means squared distance.
-	//
-	// The default cost is the fast path throughout the pipeline: a nil
-	// value (or series.SquaredDistance itself) dispatches every dynamic
-	// program to monomorphized kernels with the cost inlined
-	// (internal/dtw/kernel.go) — the banded DP among them, which fills
-	// four band rows per pass wherever the band is wide enough —
-	// bit-identical to the generic path. Any other function — including
-	// a closure wrapping the squared cost — runs the generic per-cell
-	// indirect-call path.
-	PointDistance series.PointDistance
 	// ComputePath, when true, makes Distance also recover the warp path
 	// (costs O(band cells) extra memory).
 	ComputePath bool
@@ -301,8 +292,8 @@ func (e *Engine) Distance(x, y series.Series) (Result, error) {
 // part of the band around their path. A budget of +Inf makes the call
 // identical to Distance.
 //
-// Pruning assumes a non-negative point cost; when Options.ComputePath
-// is set (the path needs the full band) the budget is ignored.
+// When Options.ComputePath is set (the path needs the full band) the
+// budget is ignored.
 func (e *Engine) DistanceUnder(x, y series.Series, budget float64) (Result, error) {
 	return e.DistanceUnderCtx(nil, x, y, budget)
 }
@@ -427,13 +418,13 @@ func (e *Engine) distance(ctx context.Context, xo, yo operand, budget float64) (
 
 	dpStart := time.Now()
 	if e.opts.ComputePath {
-		pr, err := dtw.BandedWithPath(x.Values, y.Values, b, e.opts.PointDistance)
+		pr, err := dtw.BandedWithPath(x.Values, y.Values, b)
 		if err != nil {
 			return res, fmt.Errorf("core: constrained DTW: %w", err)
 		}
 		res.Distance, res.Path, res.CellsFilled = pr.Distance, pr.Path, pr.Cells
 	} else {
-		d, cells, abandoned, err := dtw.BandedAbandonCtx(ctx, x.Values, y.Values, b, e.opts.PointDistance, budget, &ws.dp)
+		d, cells, abandoned, err := dtw.BandedAbandonCtx(ctx, x.Values, y.Values, b, budget, &ws.dp)
 		if err != nil {
 			return res, fmt.Errorf("core: constrained DTW: %w", err)
 		}
@@ -445,14 +436,14 @@ func (e *Engine) distance(ctx context.Context, xo, yo operand, budget float64) (
 
 // Subsequence finds the contiguous region of stream whose DTW distance
 // to query is minimal (open-begin, open-end alignment), using the
-// engine's configured point distance and its pooled DP workspaces so
-// repeated calls allocate nothing in steady state. The subsequence DP
-// runs the full O(|query|·|stream|) recurrence — the locally relevant
-// constraint band does not apply to open-begin alignments.
+// engine's pooled DP workspaces so repeated calls allocate nothing in
+// steady state. The subsequence DP runs the full O(|query|·|stream|)
+// recurrence — the locally relevant constraint band does not apply to
+// open-begin alignments.
 func (e *Engine) Subsequence(query, stream []float64) (dtw.SubsequenceMatch, error) {
 	ws := e.scratch.Get().(*workspace)
 	defer e.scratch.Put(ws)
-	m, err := dtw.SubsequenceWS(query, stream, e.opts.PointDistance, &ws.dp)
+	m, err := dtw.SubsequenceWS(query, stream, &ws.dp)
 	if err != nil {
 		return m, fmt.Errorf("core: subsequence: %w", err)
 	}

@@ -227,7 +227,7 @@ func TestEngineComputePath(t *testing.T) {
 	if err := res.Path.Validate(x.Len(), y.Len()); err != nil {
 		t.Fatal(err)
 	}
-	if c := res.Path.Cost(x.Values, y.Values, nil); math.Abs(c-res.Distance) > 1e-9 {
+	if c := res.Path.Cost(x.Values, y.Values); math.Abs(c-res.Distance) > 1e-9 {
 		t.Fatalf("path cost %v != distance %v", c, res.Distance)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"sdtw/internal/band"
@@ -44,38 +43,6 @@ func TestEngineUnequalLengths(t *testing.T) {
 		}
 		if res2.Distance < full-1e-9 {
 			t.Fatalf("%v underestimates transposed", s)
-		}
-	}
-}
-
-// TestEngineCustomPointDistance verifies the point cost reaches the
-// constrained DP for every strategy.
-func TestEngineCustomPointDistance(t *testing.T) {
-	x, y := makePair(77, 150, 0.3)
-	for _, s := range []band.Strategy{band.FullGrid, band.FixedCoreFixedWidth, band.AdaptiveCoreAdaptiveWidth} {
-		opts := optsFor(s)
-		opts.PointDistance = series.AbsDistance
-		eng := NewEngine(opts)
-		res, err := eng.Distance(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fullL1, err := dtw.Distance(x.Values, y.Values, series.AbsDistance)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Distance < fullL1-1e-9 {
-			t.Fatalf("%v with L1 underestimates: %v < %v", s, res.Distance, fullL1)
-		}
-		// The L1 distance differs from the default squared distance, so a
-		// matching value would indicate the option was dropped.
-		sqEng := NewEngine(optsFor(s))
-		sqRes, err := sqEng.Distance(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(res.Distance-sqRes.Distance) < 1e-12 && fullL1 != 0 {
-			t.Fatalf("%v: L1 and squared distances coincide (%v) — option ignored?", s, res.Distance)
 		}
 	}
 }

@@ -110,7 +110,7 @@ func TestNormalizedBandAlwaysAdmitsPath(t *testing.T) {
 			b.Hi[i] = rng.Intn(2*m) - m/2
 		}
 		b.Normalize()
-		d, _, err := Banded(x, y, b, nil)
+		d, _, err := Banded(x, y, b)
 		return err == nil && !math.IsInf(d, 1) && !math.IsNaN(d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

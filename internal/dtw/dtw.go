@@ -49,61 +49,34 @@ func (p Path) Validate(n, m int) error {
 	return nil
 }
 
-// Cost accumulates the path's total alignment cost over x and y using dist.
-func (p Path) Cost(x, y []float64, dist series.PointDistance) float64 {
-	if dist == nil {
-		dist = series.SquaredDistance
-	}
+// Cost accumulates the path's total squared alignment cost over x and y,
+// each cell's cost rounded before the add exactly as the dynamic programs
+// round it, so an optimal path costs the distance bit for bit.
+func (p Path) Cost(x, y []float64) float64 {
 	total := 0.0
 	for _, s := range p {
-		total += dist(x[s.I], y[s.J])
+		total += sq(x[s.I], y[s.J])
 	}
 	return total
 }
 
-// Distance computes the exact DTW distance between x and y with the full
-// O(NM) grid using rolling rows (O(M) memory). dist nil defaults to
-// squared point distance, which runs the banded squared kernel over the
-// full band (see kernel.go).
-func Distance(x, y []float64, dist series.PointDistance) (float64, error) {
+// Distance computes the exact DTW distance between x and y over the full
+// grid: the banded kernel (see kernel.go) over the full band, in O(M)
+// memory. A grid whose every path costs +Inf (infinite or overflowing
+// inputs) has that distance.
+//
+// The series.PointDistance parameter is ignored — the point cost is
+// always (a−b)² — and goes with the benchmark edit of ROADMAP item 2c:
+// the nested benchmark module calls Distance with a nil cost.
+func Distance(x, y []float64, _ series.PointDistance) (float64, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, fmt.Errorf("dtw: empty input (len(x)=%d len(y)=%d): %w", len(x), len(y), series.ErrEmptySeries)
 	}
-	if useSquaredKernel(dist) {
-		// Over the full band the kernel's one failure is a grid whose every
-		// path costs +Inf (infinite or overflowing inputs), which the
-		// full-grid loop below reports as that distance.
-		d, _, _, err := bandedAbandonSquared(nil, x, y, FullBand(len(x), len(y)), math.Inf(1), nil)
-		if err != nil {
-			d = math.Inf(1)
-		}
-		return d, nil
+	d, _, _, err := bandedAbandonSquared(nil, x, y, FullBand(len(x), len(y)), math.Inf(1), nil)
+	if err != nil {
+		d = math.Inf(1)
 	}
-	if dist == nil {
-		dist = series.SquaredDistance
-	}
-	m := len(y)
-	prev := make([]float64, m+1)
-	curr := make([]float64, m+1)
-	for j := 1; j <= m; j++ {
-		prev[j] = math.Inf(1)
-	}
-	for i := 1; i <= len(x); i++ {
-		curr[0] = math.Inf(1)
-		xi := x[i-1]
-		for j := 1; j <= m; j++ {
-			best := prev[j-1] // diagonal
-			if prev[j] < best {
-				best = prev[j] // vertical (advance x only)
-			}
-			if curr[j-1] < best {
-				best = curr[j-1] // horizontal (advance y only)
-			}
-			curr[j] = best + dist(xi, y[j-1])
-		}
-		prev, curr = curr, prev
-	}
-	return prev[m], nil
+	return d, nil
 }
 
 // PathResult bundles a DTW distance with the optimal warp path that
@@ -116,11 +89,11 @@ type PathResult struct {
 
 // DistanceWithPath computes the exact DTW distance and recovers the optimal
 // warp path by backtracking over the full grid (O(NM) memory).
-func DistanceWithPath(x, y []float64, dist series.PointDistance) (PathResult, error) {
+func DistanceWithPath(x, y []float64) (PathResult, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return PathResult{}, fmt.Errorf("dtw: empty input (len(x)=%d len(y)=%d): %w", len(x), len(y), series.ErrEmptySeries)
 	}
-	return BandedWithPath(x, y, FullBand(len(x), len(y)), dist)
+	return BandedWithPath(x, y, FullBand(len(x), len(y)))
 }
 
 // Workspace holds reusable row buffers for repeated banded and
@@ -161,14 +134,14 @@ func (w *Workspace) startRows(width int) (prev, curr []int) {
 // (or otherwise known to contain a monotone path); Banded returns an error
 // if the constrained grid admits no path, which cannot happen for
 // normalized bands.
-func Banded(x, y []float64, b Band, dist series.PointDistance) (float64, int, error) {
-	return BandedWS(x, y, b, dist, nil)
+func Banded(x, y []float64, b Band) (float64, int, error) {
+	return BandedWS(x, y, b, nil)
 }
 
 // BandedWS is Banded with an optional caller-provided workspace for
 // allocation-free repeated computation.
-func BandedWS(x, y []float64, b Band, dist series.PointDistance, ws *Workspace) (float64, int, error) {
-	d, cells, _, err := BandedAbandonWS(x, y, b, dist, math.Inf(1), ws)
+func BandedWS(x, y []float64, b Band, ws *Workspace) (float64, int, error) {
+	d, cells, _, err := BandedAbandonCtx(nil, x, y, b, math.Inf(1), ws)
 	return d, cells, err
 }
 
@@ -201,11 +174,11 @@ func BandedWS(x, y []float64, b Band, dist series.PointDistance, ws *Workspace) 
 // nothing, never abandons and makes the call identical to BandedWS,
 // including its distance and cell count bit for bit.
 //
-// Pruning and abandonment both require a non-negative point distance (the
-// default squared cost is); callers with signed custom costs must pass
-// budget = +Inf.
-func BandedAbandonWS(x, y []float64, b Band, dist series.PointDistance, budget float64, ws *Workspace) (float64, int, bool, error) {
-	return BandedAbandonCtx(nil, x, y, b, dist, budget, ws)
+// The series.PointDistance parameter is ignored — the point cost is
+// always (a−b)² — and goes with the benchmark edit of ROADMAP item 2c:
+// the nested benchmark module calls BandedAbandonWS with a nil cost.
+func BandedAbandonWS(x, y []float64, b Band, _ series.PointDistance, budget float64, ws *Workspace) (float64, int, bool, error) {
+	return BandedAbandonCtx(nil, x, y, b, budget, ws)
 }
 
 // overBudget is the cost an abandoned computation reports: the smallest
@@ -223,124 +196,15 @@ const cancelCheckRows = 8
 // stops mid-band and returns ctx.Err() (so errors.Is(err, context.Canceled)
 // and errors.Is(err, context.DeadlineExceeded) hold). A nil ctx disables
 // the polling and behaves exactly like BandedAbandonWS.
-//
-// The loop below is the custom-cost path and the reference the squared
-// kernel (kernel.go) is tested against: one row at a time, pruned by the
-// rule above to the cell.
-func BandedAbandonCtx(ctx context.Context, x, y []float64, b Band, dist series.PointDistance, budget float64, ws *Workspace) (float64, int, bool, error) {
+func BandedAbandonCtx(ctx context.Context, x, y []float64, b Band, budget float64, ws *Workspace) (float64, int, bool, error) {
 	if err := checkInputs(x, y, b); err != nil {
 		return 0, 0, false, err
 	}
-	if useSquaredKernel(dist) {
-		return bandedAbandonSquared(ctx, x, y, b, budget, ws)
-	}
-	if dist == nil {
-		dist = series.SquaredDistance
-	}
-	n, m := len(x), len(y)
-	inf := math.Inf(1)
-	// Band-compact rolling rows: row buffers hold only the band interval,
-	// so the DP costs O(band cells), not O(NM). Reads into the previous
-	// row are bounds-checked against its interval instead of padding the
-	// arrays with infinities.
-	maxWidth := b.maxWidth()
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	prev, curr := ws.rows(maxWidth)
-	// The previous row: prev[0] is column prevBase, and [prevLo, prevHi]
-	// the cells the next row may read — the filled ones, or under pruning
-	// the live range among them; empty before row 0.
-	prevBase, prevLo, prevHi := 0, 0, -1
-	bounded := budget < inf // a +Inf or NaN budget is exceeded by nothing
-	prune := bounded && maxWidth >= pruneMinWidth
-	over := overBudget(budget)
-	cells := 0
-	for i := 0; i < n; i++ {
-		if ctx != nil && i%cancelCheckRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, cells, false, err
-			}
-		}
-		lo, hi := b.Lo[i], b.Hi[i]
-		if prune {
-			lo = max(lo, prevLo)
-		}
-		xi := x[i]
-		rowMin := inf
-		j := lo
-		for ; j <= hi; j++ {
-			// Past the column after the previous row's last live cell only
-			// the horizontal predecessor is left, and right of a dead one
-			// the rest of the row is dead; a row that starts there — the
-			// band stepped back or ahead of the live range — has no live
-			// predecessor at all.
-			if prune && j > prevHi+1 && (j == lo || curr[j-1-lo] > budget) {
-				break
-			}
-			var best float64
-			if i == 0 && j == 0 {
-				best = 0
-			} else {
-				best = inf
-				if j-1 >= prevLo && j-1 <= prevHi { // diagonal (i-1, j-1)
-					best = prev[j-1-prevBase]
-				}
-				if j >= prevLo && j <= prevHi { // vertical (i-1, j)
-					if v := prev[j-prevBase]; v < best {
-						best = v
-					}
-				}
-				if j-1 >= lo { // horizontal (i, j-1)
-					if v := curr[j-1-lo]; v < best {
-						best = v
-					}
-				}
-			}
-			v := best + dist(xi, y[j])
-			curr[j-lo] = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		cells += j - lo
-		if rowMin > budget {
-			return over, cells, true, nil
-		}
-		prev, curr = curr, prev
-		prevBase, prevLo, prevHi = lo, lo, j-1
-		if prune {
-			// rowMin is within budget, so both scans stop inside the row. A
-			// cell is dead unless it compares <= budget, which a NaN never
-			// does.
-			for !(prev[prevLo-prevBase] <= budget) {
-				prevLo++
-			}
-			for !(prev[prevHi-prevBase] <= budget) {
-				prevHi--
-			}
-		}
-	}
-	if m-1 < b.Lo[n-1] || m-1 > b.Hi[n-1] {
-		return 0, cells, false, errNoWarpPath()
-	}
-	// A corner cell pruned away or left over budget is a distance over
-	// budget: the last row has live cells, and none of them ends a path.
-	if m-1 > prevHi {
-		return over, cells, true, nil
-	}
-	d := prev[m-1-prevBase]
-	if bounded && !(d <= budget) {
-		return over, cells, true, nil
-	}
-	if math.IsInf(d, 1) {
-		return 0, cells, false, errNoWarpPath()
-	}
-	return d, cells, false, nil
+	return bandedAbandonSquared(ctx, x, y, b, budget, ws)
 }
 
-// errNoWarpPath is the shared constrained-grid infeasibility error of the
-// generic and monomorphized dynamic programs.
+// errNoWarpPath is the constrained-grid infeasibility error of the banded
+// dynamic programs.
 func errNoWarpPath() error {
 	return fmt.Errorf("dtw: band admits no warp path (band not normalized?)")
 }
@@ -349,7 +213,7 @@ func errNoWarpPath() error {
 // the optimal warp path within the band. Memory is proportional to the
 // band's cell count, not N*M: all rows live in one flat backing array
 // (one allocation, not one per row — pinned by a regression test).
-func BandedWithPath(x, y []float64, b Band, dist series.PointDistance) (PathResult, error) {
+func BandedWithPath(x, y []float64, b Band) (PathResult, error) {
 	if err := checkInputs(x, y, b); err != nil {
 		return PathResult{}, err
 	}
@@ -357,7 +221,7 @@ func BandedWithPath(x, y []float64, b Band, dist series.PointDistance) (PathResu
 	inf := math.Inf(1)
 	// Band-compact storage: row i occupies flat[off[i]:off[i+1]], holding
 	// cells Lo[i]-1..Hi[i]+1 — the two end cells are the +Inf pads of the
-	// squared kernel's row buffers (see kernel.go), unused otherwise.
+	// squared kernel's row buffers (see kernel.go).
 	off := make([]int, n+1)
 	for i := 0; i < n; i++ {
 		off[i+1] = off[i] + b.Hi[i] - b.Lo[i] + 3
@@ -376,36 +240,11 @@ func BandedWithPath(x, y []float64, b Band, dist series.PointDistance) (PathResu
 		}
 		return flat[off[i]+j-b.Lo[i]+1]
 	}
-	if useSquaredKernel(dist) {
-		prev, prevLo, prevHi := originRow(), -1, -1
-		for i := 0; i < n; i++ {
-			row := flat[off[i]:off[i+1]]
-			fillRowSquared(x[i], y, b.Lo[i], prev, prevLo, prevHi, row, b.Lo[i], b.Hi[i], inf)
-			prev, prevLo, prevHi = row, b.Lo[i], b.Hi[i]
-		}
-	} else {
-		if dist == nil {
-			dist = series.SquaredDistance
-		}
-		for i := 0; i < n; i++ {
-			lo, hi := b.Lo[i], b.Hi[i]
-			xi := x[i]
-			for j := lo; j <= hi; j++ {
-				var best float64
-				if i == 0 && j == 0 {
-					best = 0
-				} else {
-					best = at(i-1, j-1)
-					if v := at(i-1, j); v < best {
-						best = v
-					}
-					if v := at(i, j-1); v < best {
-						best = v
-					}
-				}
-				flat[off[i]+j-lo+1] = best + dist(xi, y[j])
-			}
-		}
+	prev, prevLo, prevHi := originRow(), -1, -1
+	for i := 0; i < n; i++ {
+		row := flat[off[i]:off[i+1]]
+		fillRowSquared(x[i], y, b.Lo[i], prev, prevLo, prevHi, row, b.Lo[i], b.Hi[i], inf)
+		prev, prevLo, prevHi = row, b.Lo[i], b.Hi[i]
 	}
 	d := at(n-1, m-1)
 	if math.IsInf(d, 1) {

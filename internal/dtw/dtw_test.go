@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"sdtw/internal/series"
 )
 
 func randomSeries(rng *rand.Rand, n int) []float64 {
@@ -40,16 +38,6 @@ func TestDistanceKnownValues(t *testing.T) {
 				t.Fatalf("Distance = %v, want %v", got, tc.want)
 			}
 		})
-	}
-}
-
-func TestDistanceAbsCost(t *testing.T) {
-	got, err := Distance([]float64{0, 0}, []float64{3, 3}, series.AbsDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 6 {
-		t.Fatalf("L1 DTW = %v, want 6", got)
 	}
 }
 
@@ -112,9 +100,10 @@ func TestDistanceBoundedByDiagonalAlignment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diag, err := series.EuclideanAligned(x, y, nil)
-		if err != nil {
-			t.Fatal(err)
+		diag := 0.0
+		for i := range x {
+			d := x[i] - y[i]
+			diag += d * d
 		}
 		if d > diag+1e-9 {
 			t.Fatalf("DTW %v exceeds diagonal alignment cost %v", d, diag)
@@ -131,7 +120,7 @@ func TestDistanceWithPathMatchesDistance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := DistanceWithPath(x, y, nil)
+		pr, err := DistanceWithPath(x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +130,7 @@ func TestDistanceWithPathMatchesDistance(t *testing.T) {
 		if err := pr.Path.Validate(len(x), len(y)); err != nil {
 			t.Fatalf("invalid path: %v", err)
 		}
-		if c := pr.Path.Cost(x, y, nil); math.Abs(c-d) > 1e-9 {
+		if c := pr.Path.Cost(x, y); math.Abs(c-d) > 1e-9 {
 			t.Fatalf("path cost %v != distance %v", c, d)
 		}
 	}
@@ -174,29 +163,30 @@ func TestPathValidate(t *testing.T) {
 }
 
 // TestBandedFullBandEqualsFull holds the banded DP over the full band to
-// the full-grid Distance loop. The squared Distance runs the banded
-// kernel itself, so the reference is the generic Distance (a cost the
-// dispatch does not recognise): bit-identical to both banded dispatches.
+// Distance and to the row-at-a-time reference over the same band,
+// bit for bit, with every cell of the grid filled.
 func TestBandedFullBandEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
 		x := randomSeries(rng, 2+rng.Intn(40))
 		y := randomSeries(rng, 2+rng.Intn(40))
-		full, err := Distance(x, y, sqGeneric)
+		full, err := Distance(x, y, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, dist := range []series.PointDistance{nil, sqGeneric} {
-			banded, cells, err := Banded(x, y, FullBand(len(x), len(y)), dist)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(full) != math.Float64bits(banded) {
-				t.Fatalf("full-band banded %v != generic full %v", banded, full)
-			}
-			if cells != len(x)*len(y) {
-				t.Fatalf("full band filled %d cells, want %d", cells, len(x)*len(y))
-			}
+		ref, refCells, _, err := BandedGeneric(x, y, FullBand(len(x), len(y)), math.Inf(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banded, cells, err := Banded(x, y, FullBand(len(x), len(y)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(full) != math.Float64bits(banded) || math.Float64bits(ref) != math.Float64bits(banded) {
+			t.Fatalf("full-band banded %v, Distance %v, reference %v", banded, full, ref)
+		}
+		if cells != len(x)*len(y) || refCells != cells {
+			t.Fatalf("full band filled %d cells (reference %d), want %d", cells, refCells, len(x)*len(y))
 		}
 	}
 }
@@ -212,7 +202,7 @@ func TestBandedNeverUnderestimates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		banded, _, err := Banded(x, y, b, nil)
+		banded, _, err := Banded(x, y, b)
 		if err != nil {
 			t.Fatalf("normalized band failed: %v", err)
 		}
@@ -242,7 +232,7 @@ func TestBandedWithPathStaysInBand(t *testing.T) {
 		x := randomSeries(rng, n)
 		y := randomSeries(rng, m)
 		b := randomBand(rng, n, m).Normalize()
-		pr, err := BandedWithPath(x, y, b, nil)
+		pr, err := BandedWithPath(x, y, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +244,7 @@ func TestBandedWithPathStaysInBand(t *testing.T) {
 				t.Fatalf("path leaves band at (%d,%d)", s.I, s.J)
 			}
 		}
-		if c := pr.Path.Cost(x, y, nil); math.Abs(c-pr.Distance) > 1e-9 {
+		if c := pr.Path.Cost(x, y); math.Abs(c-pr.Distance) > 1e-9 {
 			t.Fatalf("banded path cost %v != distance %v", c, pr.Distance)
 		}
 	}
@@ -267,11 +257,11 @@ func TestBandedAgreesWithBandedWithPath(t *testing.T) {
 		x := randomSeries(rng, n)
 		y := randomSeries(rng, m)
 		b := randomBand(rng, n, m).Normalize()
-		d1, cells1, err := Banded(x, y, b, nil)
+		d1, cells1, err := Banded(x, y, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := BandedWithPath(x, y, b, nil)
+		pr, err := BandedWithPath(x, y, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +280,7 @@ func TestBandedRejectsDisconnectedBand(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{1, 2, 3, 4}
 	b := Band{Lo: []int{0, 0, 3, 3}, Hi: []int{0, 0, 3, 3}, M: 4}
-	if _, _, err := Banded(x, y, b, nil); err == nil {
+	if _, _, err := Banded(x, y, b); err == nil {
 		t.Fatal("disconnected band not rejected")
 	}
 }
@@ -299,17 +289,17 @@ func TestBandedInputValidation(t *testing.T) {
 	x := []float64{1, 2}
 	y := []float64{1, 2, 3}
 	good := FullBand(2, 3)
-	if _, _, err := Banded(nil, y, good, nil); err == nil {
+	if _, _, err := Banded(nil, y, good); err == nil {
 		t.Error("empty x accepted")
 	}
-	if _, _, err := Banded(x, y, FullBand(3, 3), nil); err == nil {
+	if _, _, err := Banded(x, y, FullBand(3, 3)); err == nil {
 		t.Error("row-count mismatch accepted")
 	}
-	if _, _, err := Banded(x, y, FullBand(2, 2), nil); err == nil {
+	if _, _, err := Banded(x, y, FullBand(2, 2)); err == nil {
 		t.Error("column-count mismatch accepted")
 	}
 	bad := Band{Lo: []int{0, 5}, Hi: []int{0, 6}, M: 3}
-	if _, _, err := Banded(x, y, bad, nil); err == nil {
+	if _, _, err := Banded(x, y, bad); err == nil {
 		t.Error("out-of-range band accepted")
 	}
 }
@@ -322,11 +312,11 @@ func TestBandedWorkspaceReuse(t *testing.T) {
 		x := randomSeries(rng, n)
 		y := randomSeries(rng, m)
 		b := randomBand(rng, n, m).Normalize()
-		want, _, err := Banded(x, y, b, nil)
+		want, _, err := Banded(x, y, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := BandedWS(x, y, b, nil, &ws)
+		got, _, err := BandedWS(x, y, b, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +334,7 @@ func TestBandedPropertyDominatesFull(t *testing.T) {
 		y := randomSeries(rng, m)
 		b := randomBand(rng, n, m).Normalize()
 		full, err1 := Distance(x, y, nil)
-		banded, _, err2 := Banded(x, y, b, nil)
+		banded, _, err2 := Banded(x, y, b)
 		return err1 == nil && err2 == nil && banded >= full-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -361,11 +351,11 @@ func TestWiderBandNeverWorse(t *testing.T) {
 		y := randomSeries(rng, m)
 		narrow := SakoeChiba(n, m, 0.1)
 		wide := SakoeChiba(n, m, 0.4)
-		dn, _, err := Banded(x, y, narrow, nil)
+		dn, _, err := Banded(x, y, narrow)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dw, _, err := Banded(x, y, wide, nil)
+		dw, _, err := Banded(x, y, wide)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +423,7 @@ func TestBandedAbandonProperties(t *testing.T) {
 		} else {
 			b = SakoeChiba(n, m, 0.2)
 		}
-		d, cells, err := BandedWS(x, y, b, nil, nil)
+		d, cells, err := BandedWS(x, y, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,22 +481,24 @@ func TestBandedAbandonProperties(t *testing.T) {
 // is over it. The computation runs every row and must still come back
 // abandoned, with a cost just over the budget and every cell counted, on
 // a band filled in whole rows (4 columns), on a pruned one (16) where the
-// strip runs, and on the generic loop; it used to come back as a distance
-// for the caller to compare again.
+// strip runs, and on the row-at-a-time reference.
 func TestFinalRowOverBudgetIsAbandoned(t *testing.T) {
 	for _, n := range []int{4, 16} {
 		x, y := make([]float64, n), make([]float64, n)
 		y[n-1] = 5
 		b := FullBand(n, n)
-		for _, dist := range []series.PointDistance{nil, series.AbsDistance} {
-			d, cells, err := BandedWS(x, y, b, dist, nil)
-			if err != nil || d <= 1 || cells != n*n {
-				t.Fatalf("n=%d: distance %v over %d cells, err %v", n, d, cells, err)
-			}
-			got, cells, abandoned, err := BandedAbandonWS(x, y, b, dist, 1, nil)
+		d, cells, err := BandedWS(x, y, b, nil)
+		if err != nil || d <= 1 || cells != n*n {
+			t.Fatalf("n=%d: distance %v over %d cells, err %v", n, d, cells, err)
+		}
+		for name, run := range map[string]func() (float64, int, bool, error){
+			"kernel":    func() (float64, int, bool, error) { return BandedAbandonWS(x, y, b, nil, 1, nil) },
+			"reference": func() (float64, int, bool, error) { return BandedGeneric(x, y, b, 1, nil) },
+		} {
+			got, cells, abandoned, err := run()
 			if err != nil || !abandoned || !(got > 1 && got <= d) || cells != n*n {
-				t.Fatalf("n=%d under budget 1: (%v, %d cells, abandoned %v, err %v), want abandoned with a cost in (1, %v] after all %d cells",
-					n, got, cells, abandoned, err, d, n*n)
+				t.Fatalf("%s, n=%d under budget 1: (%v, %d cells, abandoned %v, err %v), want abandoned with a cost in (1, %v] after all %d cells",
+					name, n, got, cells, abandoned, err, d, n*n)
 			}
 		}
 	}

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// Differential fuzz targets: the monomorphized squared-cost kernels must
-// stay bit-identical to the generic per-cell-callback path on any input.
+// Differential fuzz targets: the kernels must stay bit-identical to the
+// row-at-a-time references of reference_test.go on any input.
 // These wrap the same properties as the TestKernelDifferential* suites
 // but let the fuzzer drive the shape parameters; CI runs each for a
 // bounded ~30s in the fuzz-smoke lane.
 
-// FuzzBandedKernelDifferential holds the specialized early-abandoning
-// banded DP to the generic one (checkKernelAgainstGeneric) on
+// FuzzBandedKernelDifferential holds the early-abandoning banded kernel to
+// the row-at-a-time reference (checkKernelAgainstGeneric) on
 // fuzzer-chosen shapes (up to 320×320, so
 // strips by the dozen and every n mod 4), StripBand shapes, budgets (as a
 // fraction of the true distance, which steers the abandoning row through
@@ -33,7 +33,7 @@ func FuzzBandedKernelDifferential(f *testing.F) {
 	}
 	// NaN, +Inf, -Inf and ±MaxFloat64 planted in bands that would strip.
 	// The seeds of the first three are ones where the strip's builtin min
-	// and the generic < cascade do part ways, so they fail if such inputs
+	// and the reference's < cascade do part ways, so they fail if such inputs
 	// ever reach the strip.
 	f.Add(int64(17), uint16(96), uint16(80), uint8(1), uint8(255), uint8(1))
 	f.Add(int64(47), uint16(96), uint16(80), uint8(1), uint8(255), uint8(1))
@@ -56,7 +56,7 @@ func FuzzBandedKernelDifferential(f *testing.F) {
 		var wsS, wsG Workspace
 		budget := math.Inf(1)
 		if bsel < 250 {
-			exact, _, _ := BandedWS(x, y, b, sqGeneric, &wsG)
+			exact, _, _, _ := BandedGeneric(x, y, b, math.Inf(1), &wsG)
 			if math.IsNaN(exact) || math.IsInf(exact, 0) {
 				exact = float64(n)
 			}
@@ -66,9 +66,9 @@ func FuzzBandedKernelDifferential(f *testing.F) {
 	})
 }
 
-// FuzzSpringDifferential compares the specialized and generic SPRING
-// streaming DP: every emitted match and the final global best must agree
-// bit for bit.
+// FuzzSpringDifferential compares Append with the reference column
+// advance of the SPRING streaming DP: every emitted match and the final
+// flush must agree bit for bit.
 func FuzzSpringDifferential(f *testing.F) {
 	f.Add(int64(7), uint8(8), uint8(64), false)
 	f.Add(int64(3), uint8(1), uint8(1), true)
@@ -88,23 +88,22 @@ func FuzzSpringDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Dist = sqGeneric
 		spG, err := NewSpring(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range stream {
 			mS, okS := spS.Append(v)
-			mG, okG := spG.Append(v)
+			mG, okG := spG.appendGeneric(v)
 			if okS != okG || mS != mG {
-				t.Fatalf("point %d: emission divergence: specialized (%+v, %v) vs generic (%+v, %v)", i, mS, okS, mG, okG)
+				t.Fatalf("point %d: emission divergence: Append (%+v, %v) vs reference (%+v, %v)", i, mS, okS, mG, okG)
 			}
 		}
 		fS, okS := spS.Flush()
 		fG, okG := spG.Flush()
 		if okS != okG || math.Float64bits(fS.Distance) != math.Float64bits(fG.Distance) ||
 			fS.Start != fG.Start || fS.End != fG.End {
-			t.Fatalf("flush divergence: specialized (%+v, %v) vs generic (%+v, %v)", fS, okS, fG, okG)
+			t.Fatalf("flush divergence: Append (%+v, %v) vs reference (%+v, %v)", fS, okS, fG, okG)
 		}
 	})
 }

@@ -1,17 +1,13 @@
 package dtw
 
-// Monomorphized dynamic-programming kernels for the default squared point
-// cost.
-//
-// Every hot loop in this package is generic over a series.PointDistance
-// function pointer, which costs one indirect call per grid cell plus
-// per-cell band-interval membership checks. For the default cost (a-b)²
-// that overhead dominates the O(band) dynamic programs the locally
-// relevant constraints buy (§2.1.1, §3.4). The kernels below run the same
-// recurrences with the cost inlined.
+// The dynamic-programming kernels of the squared point cost (a-b)², the
+// one cost this repository computes — with the cost inlined and the band
+// intervals read once per row, because per-cell overhead would dominate
+// the O(band) dynamic programs the locally relevant constraints buy
+// (§2.1.1, §3.4).
 //
 // The banded kernel (bandedAbandonSquared, behind BandedAbandonCtx, Banded*
-// and the squared Distance) fills the band four rows per pass wherever
+// and Distance) fills the band four rows per pass wherever
 // four consecutive rows overlap widely enough (fillStripSquared): a cell
 // waits on its left neighbour through a minimum and an add, so one row
 // alone is one serial chain — and, written as the < cascade, three
@@ -26,22 +22,22 @@ package dtw
 // row above (liveRange), strips included. Which rows run how is read off
 // the band's own intervals and that range, never set by a caller.
 //
-// Bit-identity contract: every kernel returns what its generic
-// counterpart returns, bit for bit — each cell is still one add of the
-// same two operands, and wherever a kernel picks a minimum some other way
-// than the generic strict < cascade, its comment says why the pick is the
-// same. Squared costs round through an explicit float64 conversion so the
-// compiler cannot fuse the multiply into the following add across what
-// used to be a function-call boundary. cells is the one result the
-// budgeted kernel and the generic loop do not share: each counts the
-// cells it filled through the abandoning row (not the up to three rows of
-// a strip filled behind it), the generic loop prunes to the cell, and a
-// strip — one left bound for its four rows, each row's end run against
-// the filled end of the row above — fills that and some more, never more
-// than the band. Where no strip can run (non-finite inputs, a band under
-// pruneMinWidth, a +Inf budget) the two counts are equal. Differential
-// tests in kernel_test.go and the fuzz targets pin distance, abandoned
-// flag, cell counts and path equality against the generic path, and
+// Bit-identity contract: every kernel returns what the row-at-a-time
+// reference loops of the tests (reference_test.go) return, bit for bit —
+// each cell is still one add of the same two operands, and wherever a
+// kernel picks a minimum some other way than the reference's strict <
+// cascade, its comment says why the pick is the same. Squared costs round
+// through an explicit float64 conversion so the compiler cannot fuse the
+// multiply into the following add (FMA contraction on arm64 and ppc64).
+// cells is the one result the budgeted kernel and the reference do not
+// share: each counts the cells it filled through the abandoning row (not
+// the up to three rows of a strip filled behind it), the reference prunes
+// to the cell, and a strip — one left bound for its four rows, each row's
+// end run against the filled end of the row above — fills that and some
+// more, never more than the band. Where no strip can run (non-finite
+// inputs, a band under pruneMinWidth, a +Inf budget) the two counts are
+// equal. Differential tests in kernel_test.go and the fuzz targets pin
+// distance, abandoned flag and cell counts against the reference, and
 // oracle_test.go pins both against a textbook full-matrix DP and the live
 // ranges read off it, on strip-reaching bands, every abandoning row and
 // non-finite inputs.
@@ -49,22 +45,11 @@ package dtw
 import (
 	"context"
 	"math"
-
-	"sdtw/internal/series"
 )
 
-// useSquaredKernel reports whether dist selects the default squared cost,
-// in which case the dispatch sites may run the monomorphized kernels. The
-// decision lives in internal/series, shared with the lower-bound kernels
-// so the two packages cannot disagree.
-func useSquaredKernel(dist series.PointDistance) bool {
-	return series.UseSquaredKernel(dist)
-}
-
-// sq is the inlined default cost (a-b)². The explicit float64 conversion
-// forces the multiply to round before the caller's add, exactly like the
-// result of a series.PointDistance call does, so fused multiply-add
-// cannot break bit-identity with the generic path.
+// sq is the point cost (a-b)². The explicit float64 conversion forces the
+// multiply to round before the caller's add, so fused multiply-add cannot
+// break bit-identity between the kernels and their references.
 func sq(a, b float64) float64 {
 	d := a - b
 	return float64(d * d)
@@ -77,7 +62,7 @@ const infBits = 0x7ff << 52
 // a row with interval [lo, hi] holds cells lo-1..hi+1 (cell j at index
 // j-lo+1) and the two end cells are +Inf. A predecessor just outside the
 // previous row's interval, or left of this row's, is then read like any
-// other and loses every strict < exactly as the generic loop's "no such
+// other and loses every strict < exactly as the reference loop's "no such
 // predecessor" does, so a row needs no per-cell membership checks. Row 0
 // gets its free origin the same way, from originRow.
 //
@@ -96,7 +81,7 @@ func originRow() []float64 { return []float64{math.Inf(1), 0, math.Inf(1)} }
 
 // accumulateSquared fills a run of cells whose only predecessor is the
 // horizontal one, cw[k+1] from cw[k] — a running accumulation carried in
-// a register. The predecessor enters as the generic loop takes it, on a
+// a register. The predecessor enters as the reference loop takes it, on a
 // strict < against +Inf, so a NaN to the left restarts the run at +Inf
 // instead of spreading. It returns the bits of the run's minimum.
 //
@@ -137,7 +122,7 @@ func accumulateSquared(xi float64, yd, cw []float64) uint64 {
 // run whole — a NaN neighbour exceeds nothing, and the cell after it,
 // restarted at +Inf, ends the run instead. The comparison order
 // (diagonal, then vertical on strict <, then horizontal on strict <) is
-// exactly the generic loop's, so a NaN or infinite input behaves as it
+// exactly the reference loop's, so a NaN or infinite input behaves as it
 // does there.
 //
 //sdtw:hotpath
@@ -379,10 +364,10 @@ func finite(v []float64) bool {
 	return true
 }
 
-// bandedAbandonSquared is BandedAbandonCtx monomorphized for the default
-// squared cost: same live ranges row to row, same abandonment points,
-// same comparison results — with the cost inlined and four rows advanced
-// per pass wherever the band lets them (fillStripSquared). Whether a
+// bandedAbandonSquared is the dynamic program behind BandedAbandonCtx: the
+// row-at-a-time reference's live ranges row to row, abandonment points and
+// comparison results, with four rows advanced per pass wherever the band
+// lets them (fillStripSquared). Whether a
 // group of rows runs as a strip is decided from the band's own intervals
 // and, under a budget, the live range above them; a band too narrow for
 // any strip (the radius-3 window) never even scans its inputs for the
@@ -543,9 +528,9 @@ func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, budget fl
 	return d, cells, false, nil
 }
 
-// subsequenceSquared is the open-begin/open-end subsequence DP
-// monomorphized for the default squared cost; same recurrence, comparison
-// order and start-pointer tie-breaking as the generic SubsequenceWS loop.
+// subsequenceSquared is the open-begin/open-end subsequence DP behind
+// SubsequenceWS: the recurrence, comparison order and start-pointer
+// tie-breaking of Spring's column advance, one row of the grid at a time.
 //
 //sdtw:hotpath
 func subsequenceSquared(q, s []float64, ws *Workspace) SubsequenceMatch {

@@ -46,7 +46,7 @@ func engineBands(b testing.TB, name string, length int) []benchCase {
 
 // BenchmarkBandedKernel measures the budgeted banded DP on the band
 // shapes the workloads run: the historical 275×275 Sakoe-Chiba 10 % band
-// (generic vs specialized, budget +Inf), real (ac,aw) bands from
+// (budget +Inf), real (ac,aw) bands from
 // core.Engine on the three paper data sets, and the radius-3 window of
 // the windowed backend. Each real shape runs at budget +Inf (whole band,
 // no row minimum needed), at a finite budget that never abandons (the
@@ -57,18 +57,18 @@ func engineBands(b testing.TB, name string, length int) []benchCase {
 // pruning shows as fewer cells, not as cheaper ones, and the per-cell
 // price of finding the live range stays visible.
 func BenchmarkBandedKernel(b *testing.B) {
-	run := func(b *testing.B, cases []benchCase, dist func(a, b float64) float64, budgetShare float64) {
+	run := func(b *testing.B, cases []benchCase, budgetShare float64) {
 		b.Helper()
 		var ws dtw.Workspace
 		budgets := make([]float64, len(cases))
 		cells := 0
 		for i, c := range cases {
-			d, _, err := dtw.BandedWS(c.x, c.y, c.band, dist, &ws)
+			d, _, err := dtw.BandedWS(c.x, c.y, c.band, &ws)
 			if err != nil {
 				b.Fatal(err)
 			}
 			budgets[i] = d * budgetShare
-			_, n, abandoned, err := dtw.BandedAbandonWS(c.x, c.y, c.band, dist, budgets[i], &ws)
+			_, n, abandoned, err := dtw.BandedAbandonWS(c.x, c.y, c.band, nil, budgets[i], &ws)
 			if err != nil || abandoned != (budgetShare < 1) {
 				b.Fatal(err, abandoned)
 			}
@@ -78,7 +78,7 @@ func BenchmarkBandedKernel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k, c := range cases {
-				if _, _, _, err := dtw.BandedAbandonWS(c.x, c.y, c.band, dist, budgets[k], &ws); err != nil {
+				if _, _, _, err := dtw.BandedAbandonWS(c.x, c.y, c.band, nil, budgets[k], &ws); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,8 +96,7 @@ func BenchmarkBandedKernel(b *testing.B) {
 		return v
 	}
 	sakoe := []benchCase{{x: randomSeries(275), y: randomSeries(275), band: dtw.SakoeChiba(275, 275, 0.10)}}
-	b.Run("generic", func(b *testing.B) { run(b, sakoe, sqClosure, math.Inf(1)) })
-	b.Run("specialized", func(b *testing.B) { run(b, sakoe, nil, math.Inf(1)) })
+	b.Run("Sakoe275/inf", func(b *testing.B) { run(b, sakoe, math.Inf(1)) })
 
 	shapes := []struct {
 		name  string
@@ -115,9 +114,9 @@ func BenchmarkBandedKernel(b *testing.B) {
 		w.cases = append(w.cases, benchCase{x: randomSeries(128), y: randomSeries(128), band: dtw.SakoeChibaRadius(128, 128, 3)})
 	}
 	for _, s := range shapes {
-		b.Run(s.name+"/inf", func(b *testing.B) { run(b, s.cases, nil, math.Inf(1)) })
-		b.Run(s.name+"/finite", func(b *testing.B) { run(b, s.cases, nil, 1) })
-		b.Run(s.name+"/tight", func(b *testing.B) { run(b, s.cases, nil, 0.5) })
+		b.Run(s.name+"/inf", func(b *testing.B) { run(b, s.cases, math.Inf(1)) })
+		b.Run(s.name+"/finite", func(b *testing.B) { run(b, s.cases, 1) })
+		b.Run(s.name+"/tight", func(b *testing.B) { run(b, s.cases, 0.5) })
 	}
 }
 
@@ -137,7 +136,7 @@ func TestBandedAbandonWSAllocs(t *testing.T) {
 	}
 	for name, c := range map[string]benchCase{"radius-3 window": narrow, "(ac,aw) band": wide} {
 		var ws dtw.Workspace
-		exact, _, err := dtw.BandedWS(c.x, c.y, c.band, nil, &ws)
+		exact, _, err := dtw.BandedWS(c.x, c.y, c.band, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}

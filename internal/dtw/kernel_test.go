@@ -6,32 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"sdtw/internal/series"
 )
-
-// sqGeneric is the squared cost as a distinct function value: the same
-// arithmetic as series.SquaredDistance but a different code pointer, so
-// useSquaredKernel cannot recognise it and every call runs the generic
-// per-cell indirect-call path. Differential tests compare the
-// monomorphized kernels against it; bit-identity must hold because the
-// two bodies perform identical operations.
-func sqGeneric(a, b float64) float64 { d := a - b; return d * d }
-
-func TestUseSquaredKernelDispatch(t *testing.T) {
-	if !useSquaredKernel(nil) {
-		t.Error("nil dist must select the squared kernel")
-	}
-	if !useSquaredKernel(series.SquaredDistance) {
-		t.Error("series.SquaredDistance must select the squared kernel")
-	}
-	if useSquaredKernel(sqGeneric) {
-		t.Error("a wrapper with the same body must NOT select the squared kernel")
-	}
-	if useSquaredKernel(series.AbsDistance) {
-		t.Error("a custom cost must not select the squared kernel")
-	}
-}
 
 // kernelRandomSeries draws n values from a mix of scales so sums exercise many
 // exponents (rounding differences would surface as bit mismatches).
@@ -82,29 +57,29 @@ func randomBudget(rng *rand.Rand, exact float64, n int) float64 {
 	}
 }
 
-// checkKernelAgainstGeneric runs the early-abandoning banded DP under both
-// dispatches and holds the squared kernel to the generic loop: the same
+// checkKernelAgainstGeneric runs the early-abandoning banded DP and holds
+// the kernel to the row-at-a-time reference, BandedGeneric: the same
 // verdict on whether the band admits a path, the same abandoned flag, the
 // same distance (or, abandoned, the same cost just over the budget) bit
 // for bit. cells is what each filled, and there the two may part: the
-// generic loop prunes to the cell, a strip holds one left bound for its
+// reference prunes to the cell, a strip holds one left bound for its
 // four rows and runs each row's end against the filled end of the row
-// above, so the squared kernel fills at least the generic loop's cells
-// and at most the band's — and exactly the generic loop's wherever no
-// strip can have run: non-finite inputs, a band under pruneMinWidth, a
-// budget that prunes nothing.
+// above, so the kernel fills at least the reference's cells and at most
+// the band's — and exactly the reference's wherever no strip can have
+// run: non-finite inputs, a band under pruneMinWidth, a budget that
+// prunes nothing.
 func checkKernelAgainstGeneric(t *testing.T, x, y []float64, b Band, budget float64, wsSpec, wsGen *Workspace) {
 	t.Helper()
-	gd, gc, ga, gerr := BandedAbandonWS(x, y, b, sqGeneric, budget, wsGen)
+	gd, gc, ga, gerr := BandedGeneric(x, y, b, budget, wsGen)
 	sd, sc, sa, serr := BandedAbandonWS(x, y, b, nil, budget, wsSpec)
 	perRow := !finite(x) || !finite(y) || b.maxWidth() < pruneMinWidth || !(budget < math.Inf(1))
 	switch {
 	case (gerr == nil) != (serr == nil):
-		t.Fatalf("n=%d m=%d budget=%v: error mismatch: generic %v, specialized %v", len(x), len(y), budget, gerr, serr)
+		t.Fatalf("n=%d m=%d budget=%v: error mismatch: reference %v, kernel %v", len(x), len(y), budget, gerr, serr)
 	case math.Float64bits(gd) != math.Float64bits(sd) || ga != sa:
-		t.Fatalf("n=%d m=%d budget=%v: generic (%v, abandoned %v), specialized (%v, abandoned %v)", len(x), len(y), budget, gd, ga, sd, sa)
+		t.Fatalf("n=%d m=%d budget=%v: reference (%v, abandoned %v), kernel (%v, abandoned %v)", len(x), len(y), budget, gd, ga, sd, sa)
 	case sc < gc || sc > b.Cells() || (perRow && sc != gc):
-		t.Fatalf("n=%d m=%d budget=%v (per-row only: %v): generic filled %d cells, specialized %d, of the band's %d",
+		t.Fatalf("n=%d m=%d budget=%v (per-row only: %v): reference filled %d cells, kernel %d, of the band's %d",
 			len(x), len(y), budget, perRow, gc, sc, b.Cells())
 	}
 }
@@ -113,8 +88,7 @@ func checkKernelAgainstGeneric(t *testing.T, x, y []float64, b Band, budget floa
 // property test: on random series, every StripBand shape, grids from 1×1
 // to 300×300 and random budgets — a third of the cases with a NaN, an
 // infinity or an overflowing ±MaxFloat64 planted in the inputs — the
-// monomorphized banded kernel is held to the generic path by
-// checkKernelAgainstGeneric.
+// banded kernel is held to the reference by checkKernelAgainstGeneric.
 func TestKernelDifferentialBandedAbandon(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var wsSpec, wsGen Workspace
@@ -126,15 +100,19 @@ func TestKernelDifferentialBandedAbandon(t *testing.T) {
 		if trial%3 == 0 {
 			InjectNonFinite(rng, x, y, 1+trial/3)
 		}
-		exact, _, _ := BandedWS(x, y, b, sqGeneric, &wsGen)
+		exact, _, _, _ := BandedGeneric(x, y, b, math.Inf(1), &wsGen)
 		checkKernelAgainstGeneric(t, x, y, b, randomBudget(rng, exact, n), &wsSpec, &wsGen)
 	}
 }
 
-// TestKernelDifferentialBandedPath pins the flat-backed, kernel-filled
-// BandedWithPath against the generic fill: bit-identical distance, equal
-// cell counts and step-for-step equal optimal paths, non-finite inputs
-// included.
+// TestKernelDifferentialBandedPath pins the flat-backed BandedWithPath to
+// the banded kernel, non-finite inputs included, where the full-matrix
+// oracle has nothing to say: whenever it recovers a path, the distance
+// bits and cell count are Banded's and the path is a warp path. On finite
+// inputs — no NaN can arise — the path also stays inside the band, and
+// the two agree on whether the band admits a path at all; a NaN cost
+// loses every comparison of the backtrack, which may then step through
+// cells outside the band.
 func TestKernelDifferentialBandedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -143,35 +121,42 @@ func TestKernelDifferentialBandedPath(t *testing.T) {
 		x := kernelRandomSeries(rng, n)
 		y := kernelRandomSeries(rng, m)
 		b := StripBand(rng, n, m, trial)
+		kind := 0
 		if trial%3 == 0 {
-			InjectNonFinite(rng, x, y, 1+trial/3)
+			kind = 1 + trial/3
+			InjectNonFinite(rng, x, y, kind)
 		}
 
-		g, gerr := BandedWithPath(x, y, b, sqGeneric)
-		s, serr := BandedWithPath(x, y, b, nil)
-		if (gerr == nil) != (serr == nil) {
-			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, gerr, serr)
+		d, cells, err := Banded(x, y, b)
+		res, perr := BandedWithPath(x, y, b)
+		finiteInputs := kind%NonFiniteKinds == 0 || kind%NonFiniteKinds >= 4
+		if perr != nil {
+			if err == nil && finiteInputs {
+				t.Fatalf("trial %d: finite inputs, BandedWithPath failed (%v) where Banded returned %v", trial, perr, d)
+			}
+			continue
 		}
-		if math.Float64bits(g.Distance) != math.Float64bits(s.Distance) {
-			t.Fatalf("trial %d: distance bits differ: %v vs %v", trial, g.Distance, s.Distance)
+		if err != nil {
+			t.Fatalf("trial %d: BandedWithPath returned %v where Banded failed: %v", trial, res.Distance, err)
 		}
-		if g.Cells != s.Cells {
-			t.Fatalf("trial %d: cells differ: %d vs %d", trial, g.Cells, s.Cells)
+		if math.Float64bits(d) != math.Float64bits(res.Distance) || cells != res.Cells {
+			t.Fatalf("trial %d: Banded (%v, %d cells), BandedWithPath (%v, %d cells)", trial, d, cells, res.Distance, res.Cells)
 		}
-		if len(g.Path) != len(s.Path) {
-			t.Fatalf("trial %d: path lengths differ: %d vs %d", trial, len(g.Path), len(s.Path))
+		if err := res.Path.Validate(n, m); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for k := range g.Path {
-			if g.Path[k] != s.Path[k] {
-				t.Fatalf("trial %d: path step %d differs: %v vs %v", trial, k, g.Path[k], s.Path[k])
+		for _, s := range res.Path {
+			if finiteInputs && !b.Contains(s.I, s.J) {
+				t.Fatalf("trial %d: path leaves the band at (%d,%d)", trial, s.I, s.J)
 			}
 		}
 	}
 }
 
-// TestKernelDifferentialFullDistance pins the squared Distance — the
-// banded kernel over the full band, strips and all — against the generic
-// full-grid loop, non-finite inputs included.
+// TestKernelDifferentialFullDistance pins Distance — the banded kernel
+// over the full band, strips and all — against the reference over the
+// full band, non-finite inputs included: a grid the reference finds no
+// finite path through has distance +Inf.
 func TestKernelDifferentialFullDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
@@ -181,9 +166,9 @@ func TestKernelDifferentialFullDistance(t *testing.T) {
 		if trial%3 == 0 {
 			InjectNonFinite(rng, x, y, 1+trial/3)
 		}
-		g, err := Distance(x, y, sqGeneric)
+		g, _, _, err := BandedGeneric(x, y, FullBand(len(x), len(y)), math.Inf(1), nil)
 		if err != nil {
-			t.Fatal(err)
+			g = math.Inf(1)
 		}
 		s, err := Distance(x, y, nil)
 		if err != nil {
@@ -195,32 +180,39 @@ func TestKernelDifferentialFullDistance(t *testing.T) {
 	}
 }
 
-// TestKernelDifferentialSubsequence pins the monomorphized subsequence DP
-// — values, start pointer and end — against the generic loop.
+// TestKernelDifferentialSubsequence pins the offline subsequence DP —
+// values, start pointer and end — against the reference column advance:
+// with emission off, a Spring's Best after the whole stream is the
+// offline match, bit for bit.
 func TestKernelDifferentialSubsequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var ws Workspace
 	for trial := 0; trial < 150; trial++ {
 		q := kernelRandomSeries(rng, 1+rng.Intn(30))
 		s := kernelRandomSeries(rng, 1+rng.Intn(120))
-		g, err := SubsequenceWS(q, s, sqGeneric, &ws)
+		gen, err := NewSpring(q, SpringConfig{Threshold: math.Inf(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := SubsequenceWS(q, s, nil, &ws)
+		for _, v := range s {
+			gen.appendGeneric(v)
+		}
+		g, _ := gen.Best()
+		sp, err := SubsequenceWS(q, s, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g.Start != sp.Start || g.End != sp.End ||
 			math.Float64bits(g.Distance) != math.Float64bits(sp.Distance) {
-			t.Fatalf("trial %d: matches differ: generic %+v specialized %+v", trial, g, sp)
+			t.Fatalf("trial %d: matches differ: reference %+v, SubsequenceWS %+v", trial, g, sp)
 		}
 	}
 }
 
-// TestKernelDifferentialSpring runs two springs — generic cost wrapper vs
-// default cost — over the same random stream with random thresholds and
-// gaps, comparing every emission, the running best and the final flush.
+// TestKernelDifferentialSpring runs two springs — the reference column
+// advance and Append — over the same random stream with random thresholds
+// and gaps, comparing every emission, the running best and the final
+// flush.
 func TestKernelDifferentialSpring(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 60; trial++ {
@@ -232,22 +224,20 @@ func TestKernelDifferentialSpring(t *testing.T) {
 		}
 		minGap := rng.Intn(3)
 
-		gen, err := NewSpring(q, SpringConfig{Dist: sqGeneric, Threshold: threshold, MinGap: minGap})
+		cfg := SpringConfig{Threshold: threshold, MinGap: minGap}
+		gen, err := NewSpring(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := NewSpring(q, SpringConfig{Threshold: threshold, MinGap: minGap})
+		spec, err := NewSpring(q, cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if spec.squared != true || gen.squared != false {
-			t.Fatalf("trial %d: dispatch flags wrong: generic %v specialized %v", trial, gen.squared, spec.squared)
 		}
 		for ti, v := range stream {
-			gm, gok := gen.Append(v)
+			gm, gok := gen.appendGeneric(v)
 			sm, sok := spec.Append(v)
 			if gok != sok || gm != sm {
-				t.Fatalf("trial %d point %d: emissions differ: generic (%+v,%v) specialized (%+v,%v)",
+				t.Fatalf("trial %d point %d: emissions differ: reference (%+v,%v) Append (%+v,%v)",
 					trial, ti, gm, gok, sm, sok)
 			}
 		}
@@ -255,21 +245,21 @@ func TestKernelDifferentialSpring(t *testing.T) {
 		sb, sok := spec.Best()
 		if gok != sok || gb.Start != sb.Start || gb.End != sb.End ||
 			math.Float64bits(gb.Distance) != math.Float64bits(sb.Distance) {
-			t.Fatalf("trial %d: best differs: generic (%+v,%v) specialized (%+v,%v)", trial, gb, gok, sb, sok)
+			t.Fatalf("trial %d: best differs: reference (%+v,%v) Append (%+v,%v)", trial, gb, gok, sb, sok)
 		}
 		gf, gok := gen.Flush()
 		sf, sok := spec.Flush()
 		if gok != sok || gf != sf {
-			t.Fatalf("trial %d: flush differs: generic (%+v,%v) specialized (%+v,%v)", trial, gf, gok, sf, sok)
+			t.Fatalf("trial %d: flush differs: reference (%+v,%v) Append (%+v,%v)", trial, gf, gok, sf, sok)
 		}
 	}
 }
 
 // TestBandedWithPathNonFiniteTerminates pins the backtrack's exit: NaN
 // costs lose every comparison, and the walk used to step left past column
-// 0 and on forever, appending to the path until memory ran out. Either
-// dispatch must now return promptly — an error, or a valid path when the
-// NaN cells happen to lie off the optimal one.
+// 0 and on forever, appending to the path until memory ran out. It must
+// return promptly — an error, or a valid path when the NaN cells happen to
+// lie off the optimal one.
 func TestBandedWithPathNonFiniteTerminates(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct{ x, y []float64 }{
@@ -278,12 +268,10 @@ func TestBandedWithPathNonFiniteTerminates(t *testing.T) {
 		{[]float64{0, inf, 1}, []float64{0, inf, 1}},
 		{[]float64{0, 1, 2, 3}, []float64{0, 1, nan, 3}},
 	} {
-		for _, dist := range []series.PointDistance{nil, sqGeneric} {
-			res, err := BandedWithPath(c.x, c.y, FullBand(len(c.x), len(c.y)), dist)
-			if err == nil {
-				if verr := res.Path.Validate(len(c.x), len(c.y)); verr != nil {
-					t.Errorf("x=%v y=%v: no error and an invalid path: %v", c.x, c.y, verr)
-				}
+		res, err := BandedWithPath(c.x, c.y, FullBand(len(c.x), len(c.y)))
+		if err == nil {
+			if verr := res.Path.Validate(len(c.x), len(c.y)); verr != nil {
+				t.Errorf("x=%v y=%v: no error and an invalid path: %v", c.x, c.y, verr)
 			}
 		}
 	}
@@ -308,19 +296,17 @@ func (c *cancelAtPoll) Err() error {
 // filled by then: the first poll precedes row 0, and no two polls (nor
 // the last poll and the end) are more than cancelCheckRows rows apart —
 // on the strip path, where rows advance four at a time, as on the per-row
-// path of a narrow band and on the generic loop.
+// path of a narrow band.
 func TestBandedAbandonCtxPollInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, tc := range []struct {
 		name string
 		band Band
-		dist series.PointDistance
 	}{
-		{"strips", FullBand(70, 40), nil},
-		{"strips, n mod 4 = 3", FullBand(72, 40), nil},
-		{"narrow band", SakoeChibaRadius(70, 70, 3), nil},
-		{"strips and single rows mixed", StripBand(rng, 90, 120, 2), nil},
-		{"generic", FullBand(70, 40), sqGeneric},
+		{"strips", FullBand(70, 40)},
+		{"strips, n mod 4 = 3", FullBand(72, 40)},
+		{"narrow band", SakoeChibaRadius(70, 70, 3)},
+		{"strips and single rows mixed", StripBand(rng, 90, 120, 2)},
 	} {
 		b := tc.band
 		n := b.N()
@@ -330,13 +316,13 @@ func TestBandedAbandonCtxPollInterval(t *testing.T) {
 			cells += b.Hi[i] - b.Lo[i] + 1
 			rowsOf[cells] = i + 1
 		}
-		if tc.dist == nil && tc.name != "narrow band" && StripRowsOf(b) == 0 {
+		if tc.name != "narrow band" && StripRowsOf(b) == 0 {
 			t.Fatalf("%s: the band never reaches the strip", tc.name)
 		}
 		last := 0
 		for at := 1; ; at++ {
 			ctx := &cancelAtPoll{Context: context.Background(), at: at}
-			_, cells, _, err := BandedAbandonCtx(ctx, x, y, b, tc.dist, math.Inf(1), nil)
+			_, cells, _, err := BandedAbandonCtx(ctx, x, y, b, math.Inf(1), nil)
 			rows, whole := rowsOf[cells]
 			if !whole {
 				t.Fatalf("%s: poll %d returned %d cells, not a whole number of rows", tc.name, at, cells)
@@ -371,7 +357,7 @@ func TestBandedWithPathAllocs(t *testing.T) {
 		y := kernelRandomSeries(rng, m)
 		b := SakoeChiba(n, m, 0.2)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := BandedWithPath(x, y, b, nil); err != nil {
+			if _, err := BandedWithPath(x, y, b); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -393,21 +379,13 @@ func BenchmarkSpringAppendKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	q := kernelRandomSeries(rng, 150)
 	stream := kernelRandomSeries(rng, 4096)
-	for _, mode := range []string{"generic", "specialized"} {
-		b.Run(mode, func(b *testing.B) {
-			cfg := SpringConfig{}
-			if mode == "generic" {
-				cfg.Dist = sqGeneric
-			}
-			sp, err := NewSpring(q, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sp.Append(stream[i%len(stream)])
-			}
-		})
+	sp, err := NewSpring(q, SpringConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sp.Append(stream[i%len(stream)])
 	}
 }
 
@@ -417,7 +395,7 @@ func BenchmarkSpringAppendKernel(b *testing.B) {
 // the live range within a column of the diagonal — up against the NaN
 // column from row 24 on. A cell is live only if it compares <= budget; a
 // scan that asked "not > budget" would take the NaN for live, carry the
-// range one column further than the generic loop does and fill a cell
+// range one column further than the reference does and fill a cell
 // more on the next row. Row 26 has no live cell left and abandons.
 func TestNaNCellIsDead(t *testing.T) {
 	const n = 40

@@ -38,7 +38,7 @@ func oracleDTW(x, y []float64, b dtw.Band) (float64, dtw.Path, [][]float64) {
 				continue
 			}
 			d := x[i-1] - y[j-1]
-			cost := float64(d * d) // rounded before the add, like a PointDistance result
+			cost := float64(d * d) // rounded before the add, like the kernels' cost
 			acc[i][j] = cost + math.Min(acc[i-1][j-1], math.Min(acc[i-1][j], acc[i][j-1]))
 		}
 	}
@@ -71,11 +71,11 @@ type budgeted struct {
 	// the corner cell is over it — the distance exceeds the budget.
 	abandoned bool
 	// exact is the number of cells pruning to the cell fills, through the
-	// abandoning row: what the generic loop must count. whole is the band's
+	// abandoning row: what the row-at-a-time reference must count. whole is the band's
 	// cells through that row, which no kernel may exceed. The strip kernel
 	// prunes coarser than to the cell — it holds one left bound for four
 	// rows and runs each row's end against the filled end of the row above,
-	// not its live end — so the squared kernel lies between the two.
+	// not its live end — so the kernel lies between the two.
 	exact, whole int
 }
 
@@ -140,10 +140,6 @@ func oracleRowMin(acc [][]float64, b dtw.Band, i int) float64 {
 	return rowMin
 }
 
-// sqClosure is the squared cost as a function value the dispatch does not
-// recognise, so it selects the generic per-cell-callback kernels.
-func sqClosure(a, b float64) float64 { d := a - b; return d * d }
-
 // oracleStrategies is every band strategy, plus one past the end for a
 // random normalized band no strategy would build.
 var oracleStrategies = []band.Strategy{
@@ -183,18 +179,18 @@ func oracleBand(t *testing.T, rng *rand.Rand, n, m int, sel uint8, symmetric boo
 	return dtw.StripBand(rng, n, m, k-len(oracleStrategies))
 }
 
-// checkOracleCase holds every banded kernel to the oracle on one pair:
-// Banded, BandedAbandonCtx at a +Inf budget and BandedWithPath, each
-// under both kernel dispatches (nil selects the monomorphized squared
-// kernels, a closure the generic ones), must report the oracle's distance
-// bit for bit and fill every cell of the band, and every recovered path —
-// the oracle's too — must be a valid warp path inside the band whose cost
-// is that distance. Then BandedAbandonCtx runs under each of budgets and
-// is held to oracleBudgeted: the oracle's distance bit for bit when that
-// is within budget, abandoned otherwise, with a cost strictly above the
-// budget and not above the distance; the generic loop's cell count the
-// exact pruned one, the squared kernel's between that and the band's —
-// which pins the abandoning row from both sides.
+// checkOracleCase holds every banded dynamic program to the oracle on one
+// pair: Banded, BandedAbandonCtx and the row-at-a-time reference
+// dtw.BandedGeneric at a +Inf budget, and BandedWithPath, must report the
+// oracle's distance bit for bit and fill every cell of the band, and every
+// recovered path — the oracle's too — must be a valid warp path inside the
+// band whose cost is that distance. Then BandedAbandonCtx and the
+// reference run under each of budgets and are held to oracleBudgeted: the
+// oracle's distance bit for bit when that is within budget, abandoned
+// otherwise, with a cost strictly above the budget and not above the
+// distance; the reference's cell count the exact pruned one, the kernel's
+// between that and the band's — which pins the abandoning row from both
+// sides.
 func checkOracleCase(t *testing.T, x, y []float64, b dtw.Band, acc [][]float64, wantPath dtw.Path, budgets []float64) {
 	t.Helper()
 	n, m := len(x), len(y)
@@ -212,7 +208,7 @@ func checkOracleCase(t *testing.T, x, y []float64, b dtw.Band, acc [][]float64, 
 				t.Fatalf("%s path leaves the band at (%d,%d)", who, s.I, s.J)
 			}
 		}
-		if c := p.Cost(x, y, nil); math.Float64bits(c) != math.Float64bits(want) {
+		if c := p.Cost(x, y); math.Float64bits(c) != math.Float64bits(want) {
 			t.Fatalf("%s path costs %v, the distance is %v", who, c, want)
 		}
 	}
@@ -230,30 +226,37 @@ func checkOracleCase(t *testing.T, x, y []float64, b dtw.Band, acc [][]float64, 
 			t.Fatalf("%s filled %d cells of a %d-cell band", who, cells, b.Cells())
 		}
 	}
+	d, cells, err := dtw.Banded(x, y, b)
+	same("Banded", d, cells, err)
+	res, err := dtw.BandedWithPath(x, y, b)
+	same("BandedWithPath", res.Distance, res.Cells, err)
+	checkPath("BandedWithPath", res.Path)
 	for _, k := range []struct {
 		name      string
-		dist      func(a, b float64) float64
+		run       func(budget float64) (float64, int, bool, error)
 		toTheCell bool
-	}{{"squared kernel", nil, false}, {"generic kernel", sqClosure, true}} {
-		d, cells, err := dtw.Banded(x, y, b, k.dist)
-		same("Banded/"+k.name, d, cells, err)
-		d, cells, abandoned, err := dtw.BandedAbandonCtx(context.Background(), x, y, b, k.dist, math.Inf(1), nil)
-		same("BandedAbandonCtx/"+k.name, d, cells, err)
+	}{
+		{"kernel", func(budget float64) (float64, int, bool, error) {
+			return dtw.BandedAbandonCtx(context.Background(), x, y, b, budget, nil)
+		}, false},
+		{"reference", func(budget float64) (float64, int, bool, error) {
+			return dtw.BandedGeneric(x, y, b, budget, nil)
+		}, true},
+	} {
+		d, cells, abandoned, err := k.run(math.Inf(1))
+		same(k.name, d, cells, err)
 		if abandoned {
-			t.Fatalf("BandedAbandonCtx/%s abandoned under a +Inf budget", k.name)
+			t.Fatalf("%s abandoned under a +Inf budget", k.name)
 		}
-		res, err := dtw.BandedWithPath(x, y, b, k.dist)
-		same("BandedWithPath/"+k.name, res.Distance, res.Cells, err)
-		checkPath("BandedWithPath/"+k.name, res.Path)
 		for _, budget := range budgets {
 			wantB := oracleBudgeted(acc, b, budget)
-			d, cells, abandoned, err := dtw.BandedAbandonCtx(context.Background(), x, y, b, k.dist, budget, nil)
+			d, cells, abandoned, err := k.run(budget)
 			if err != nil {
-				t.Fatalf("BandedAbandonCtx/%s under budget %v: %v", k.name, budget, err)
+				t.Fatalf("%s under budget %v: %v", k.name, budget, err)
 			}
 			fail := func(what string) {
 				t.Helper()
-				t.Fatalf("BandedAbandonCtx/%s (%dx%d) under budget %v = (%v, %d cells, abandoned %v): %s; oracle distance %v, %+v\nband %+v",
+				t.Fatalf("%s (%dx%d) under budget %v = (%v, %d cells, abandoned %v): %s; oracle distance %v, %+v\nband %+v",
 					k.name, n, m, budget, d, cells, abandoned, what, want, wantB, b)
 			}
 			switch {
@@ -273,14 +276,15 @@ func checkOracleCase(t *testing.T, x, y []float64, b dtw.Band, acc [][]float64, 
 }
 
 // checkNonFiniteCase plants a NaN, an infinity or an overflowing
-// ±MaxFloat64 in copies of x and y and runs both dispatches under the
-// budgets — finite ones, where the oracle's case has them. The oracle's
-// matrix says nothing about such inputs (a NaN cost sticks to the cells
-// below it or is dropped, as the < cascade has it, and a pruned NaN is
-// neither), so the contract is the one that is left: a NaN cell is dead,
-// the squared kernel keeps such inputs on the per-row path and there
-// agrees with the generic loop on everything, cells included; an
-// abandoned cost is over the budget, a returned distance within it.
+// ±MaxFloat64 in copies of x and y and runs the kernel and the
+// row-at-a-time reference under the budgets — finite ones, where the
+// oracle's case has them. The oracle's matrix says nothing about such
+// inputs (a NaN cost sticks to the cells below it or is dropped, as the <
+// cascade has it, and a pruned NaN is neither), so the contract is the one
+// that is left: a NaN cell is dead, the kernel keeps such inputs on the
+// per-row path and there agrees with the reference on everything, cells
+// included; an abandoned cost is over the budget, a returned distance
+// within it.
 func checkNonFiniteCase(t *testing.T, rng *rand.Rand, x, y []float64, b dtw.Band, budgets []float64) {
 	t.Helper()
 	x, y = append([]float64(nil), x...), append([]float64(nil), y...)
@@ -288,13 +292,13 @@ func checkNonFiniteCase(t *testing.T, rng *rand.Rand, x, y []float64, b dtw.Band
 	dtw.InjectNonFinite(rng, x, y, kind)
 	strips := kind >= 4 // ±MaxFloat64 is finite: those inputs may run in strips
 	for _, budget := range budgets {
-		gd, gc, ga, gerr := dtw.BandedAbandonCtx(context.Background(), x, y, b, sqClosure, budget, nil)
-		sd, sc, sa, serr := dtw.BandedAbandonCtx(context.Background(), x, y, b, nil, budget, nil)
+		gd, gc, ga, gerr := dtw.BandedGeneric(x, y, b, budget, nil)
+		sd, sc, sa, serr := dtw.BandedAbandonCtx(context.Background(), x, y, b, budget, nil)
 		switch {
 		case (gerr == nil) != (serr == nil):
-			t.Fatalf("non-finite kind %d under budget %v: generic error %v, squared %v", kind, budget, gerr, serr)
+			t.Fatalf("non-finite kind %d under budget %v: reference error %v, kernel %v", kind, budget, gerr, serr)
 		case math.Float64bits(gd) != math.Float64bits(sd) || ga != sa || sc < gc || sc > b.Cells() || (!strips && sc != gc):
-			t.Fatalf("non-finite kind %d (%dx%d) under budget %v: generic (%v, %d cells, abandoned %v), squared (%v, %d cells, abandoned %v)\nband %+v",
+			t.Fatalf("non-finite kind %d (%dx%d) under budget %v: reference (%v, %d cells, abandoned %v), kernel (%v, %d cells, abandoned %v)\nband %+v",
 				kind, len(x), len(y), budget, gd, gc, ga, sd, sc, sa, b)
 		case gerr == nil && budget < math.Inf(1) && ga != !(gd <= budget):
 			t.Fatalf("non-finite kind %d under budget %v: cost %v, abandoned %v", kind, budget, gd, ga)
@@ -368,9 +372,9 @@ func unequal(n16, m16 uint16) (n, m int) {
 
 // FuzzOracleDifferential drives checkOracleCase over fuzzer-chosen
 // unequal lengths, band strategies and strip shapes, and seeds. The
-// kernels' existing differential targets compare them with each other;
-// this compares all of them with an implementation that shares none of
-// their code. CI runs it for a bounded ~30 s in the fuzz-smoke lane.
+// kernels' other differential targets compare them with the row-at-a-time
+// references; this compares both with an implementation that shares none
+// of their code. CI runs it for a bounded ~30 s in the fuzz-smoke lane.
 func FuzzOracleDifferential(f *testing.F) {
 	for sel := uint8(0); int(sel) <= len(oracleStrategies); sel++ {
 		f.Add(int64(sel)+1, uint16(7*sel+3), uint16(40-5*sel), sel, sel%2 == 0)
@@ -419,9 +423,9 @@ func TestOracleDifferential(t *testing.T) {
 // TestBandStepsBackOfLiveRange pins dtw.StepBackCase: the oracle confirms
 // what the case is built to be — under its budget the live range of the
 // row above the short one lies right of where the short row ends, and the
-// short row has no live cell — and both kernels must then abandon on that
-// row, having filled none of it. Pruning that trusts Hi not to decrease
-// slices that row from its start to before it.
+// short row has no live cell — and the kernel and the reference must then
+// abandon on that row, having filled none of it. Pruning that trusts Hi
+// not to decrease slices that row from its start to before it.
 func TestBandStepsBackOfLiveRange(t *testing.T) {
 	x, y, b, budget := dtw.StepBackCase()
 	if err := b.Validate(); err != nil {

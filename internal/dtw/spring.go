@@ -32,16 +32,11 @@ import (
 // A Spring is not safe for concurrent use.
 type Spring struct {
 	q         []float64
-	dist      series.PointDistance
 	threshold float64
 	minGap    int
-	// squared marks the default cost, routing Append through the
-	// monomorphized per-point update (see kernel.go); captured once at
-	// construction so the per-point hot path pays no dispatch check.
-	squared bool
 	// filter arms the time-domain prefilter for AppendFiltered: only set
-	// for the squared cost with a finite threshold and a NaN-free query
-	// (see SpringConfig.Prefilter). qmin/qmax are the query's value range
+	// for a finite threshold and a NaN-free query (see
+	// SpringConfig.Prefilter). qmin/qmax are the query's value range
 	// — its radius-∞ envelope — so the cheapest possible alignment cost
 	// of an out-of-range stream point v is (v-qmax)² or (qmin-v)².
 	filter     bool
@@ -74,9 +69,6 @@ type Spring struct {
 
 // SpringConfig parameterises a Spring.
 type SpringConfig struct {
-	// Dist is the element cost; nil means squared difference. Emission
-	// and the lower-bound reasoning assume a non-negative cost.
-	Dist series.PointDistance
 	// Threshold enables SPRING match emission: a region whose subsequence
 	// DTW distance is <= Threshold is reported once confirmed. +Inf (or
 	// NaN) disables emission; Best still tracks the global optimum.
@@ -88,9 +80,9 @@ type SpringConfig struct {
 	// AppendFiltered: stream points whose cheapest possible alignment
 	// cost against any query element already exceeds Threshold skip the
 	// O(|q|) column advance entirely. The skip is admissible — emitted
-	// matches are bit-identical to plain Append — and only engages for
-	// the default squared cost with a finite Threshold and a NaN-free
-	// query; otherwise AppendFiltered degrades to Append. Best is not
+	// matches are bit-identical to plain Append — and only engages for a
+	// finite Threshold and a NaN-free query; otherwise AppendFiltered
+	// degrades to Append. Best is not
 	// maintained across skipped points (only supra-threshold optima are
 	// affected), so arm it only when thresholded emission is the output.
 	Prefilter bool
@@ -103,8 +95,6 @@ type SpringConfig struct {
 // seam fleet hubs slab-allocate O(|q|) state through.
 type SpringTemplate struct {
 	q          []float64
-	dist       series.PointDistance
-	squared    bool
 	threshold  float64
 	minGap     int
 	filter     bool
@@ -119,23 +109,16 @@ func NewSpringTemplate(q []float64, cfg SpringConfig) (*SpringTemplate, error) {
 	if cfg.MinGap < 0 {
 		return nil, fmt.Errorf("dtw: negative match gap %d", cfg.MinGap)
 	}
-	dist := cfg.Dist
-	squared := useSquaredKernel(dist)
-	if dist == nil {
-		dist = series.SquaredDistance
-	}
 	threshold := cfg.Threshold
 	if math.IsNaN(threshold) {
 		threshold = math.Inf(1)
 	}
 	t := &SpringTemplate{
 		q:         q,
-		dist:      dist,
-		squared:   squared,
 		threshold: threshold,
 		minGap:    cfg.MinGap,
 	}
-	if cfg.Prefilter && squared && !math.IsInf(threshold, 1) {
+	if cfg.Prefilter && !math.IsInf(threshold, 1) {
 		qmin, qmax := q[0], q[0]
 		hasNaN := false
 		for _, x := range q {
@@ -172,8 +155,6 @@ func (t *SpringTemplate) Init(sp *Spring, d []float64, s []int) {
 	inf := math.Inf(1)
 	*sp = Spring{
 		q:         t.q,
-		dist:      t.dist,
-		squared:   t.squared,
 		threshold: t.threshold,
 		minGap:    t.minGap,
 		filter:    t.filter,
@@ -226,11 +207,7 @@ func (sp *Spring) Reset() {
 //sdtw:hotpath
 func (sp *Spring) Append(v float64) (SubsequenceMatch, bool) {
 	t := sp.t
-	if sp.squared {
-		sp.advanceSquared(v)
-	} else {
-		sp.advanceGeneric(v)
-	}
+	sp.advanceSquared(v)
 	sp.cells += int64(len(sp.q))
 	sp.t = t + 1
 	return sp.confirm(t)
@@ -249,8 +226,8 @@ func (sp *Spring) Append(v float64) (SubsequenceMatch, bool) {
 // point. Emitted matches are bit-identical to plain Append's; only Best
 // diverges (it stops tracking supra-threshold optima across skips).
 //
-// With the filter disarmed (generic cost, infinite threshold, NaN query
-// — see SpringConfig.Prefilter) this is exactly Append.
+// With the filter disarmed (infinite threshold, NaN query — see
+// SpringConfig.Prefilter) this is exactly Append.
 //
 //sdtw:hotpath
 func (sp *Spring) AppendFiltered(v float64) (SubsequenceMatch, bool) {
@@ -341,8 +318,7 @@ func (sp *Spring) confirm(t int) (SubsequenceMatch, bool) {
 	return out, emitted
 }
 
-// advanceGeneric advances every DP cell by one stream point through the
-// configured point-distance function.
+// advanceSquared advances every DP cell by one stream point.
 //
 // Row 0: the path may begin at the current point for free — unless the
 // point falls inside the non-overlap / MinGap window of an emitted match,
@@ -350,44 +326,10 @@ func (sp *Spring) confirm(t int) (SubsequenceMatch, bool) {
 // offline DP cell for cell: the comparison order (vertical, then
 // diagonal, then horizontal, each on strict <) matches Subsequence
 // exactly, so values AND start-pointer tie-breaks are bit-identical to
-// the offline grid.
-//
-//sdtw:hotpath
-func (sp *Spring) advanceGeneric(v float64) {
-	n := len(sp.q)
-	d, s, dist := sp.d, sp.s, sp.dist
-	t := sp.t
-	inf := math.Inf(1)
-
-	diagD, diagS := d[0], s[0]
-	if t < sp.nextStart {
-		d[0], s[0] = inf, t
-	} else {
-		d[0], s[0] = dist(sp.q[0], v), t
-	}
-	for i := 1; i < n; i++ {
-		best, from := d[i-1], s[i-1] // vertical: advance q only (this column)
-		if diagD < best {            // diagonal (previous column)
-			best, from = diagD, diagS
-		}
-		if d[i] < best { // horizontal: advance stream only (previous column)
-			best, from = d[i], s[i]
-		}
-		diagD, diagS = d[i], s[i]
-		if math.IsInf(best, 1) {
-			d[i], s[i] = inf, t
-			continue
-		}
-		d[i], s[i] = best+dist(sp.q[i], v), from
-	}
-}
-
-// advanceSquared is advanceGeneric monomorphized for the default squared
-// cost: identical recurrence and comparison order, with the cost inlined,
-// the state slices re-sliced to the query length so the compiler drops
-// the per-cell bounds checks, and the just-written cell below (the
-// vertical predecessor) carried in registers instead of re-loaded.
-// Differential tests pin bit-identity.
+// the offline grid. The state slices are re-sliced to the query length so
+// the compiler drops the per-cell bounds checks, and the just-written cell
+// below (the vertical predecessor) is carried in registers instead of
+// re-loaded. Differential tests pin it to a reference that re-reads it.
 //
 //sdtw:hotpath
 func (sp *Spring) advanceSquared(v float64) {

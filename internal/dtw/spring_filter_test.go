@@ -178,21 +178,19 @@ func TestSpringFilterSkipsDeadStretch(t *testing.T) {
 	}
 }
 
-// TestSpringFilterDisarmed: a generic cost, an infinite threshold or a
-// NaN query element must disarm the filter, making AppendFiltered run
-// the plain recurrence — including Best tracking, which the armed filter
-// does not preserve across skips.
+// TestSpringFilterDisarmed: an infinite threshold or a NaN query element
+// must disarm the filter, making AppendFiltered run the plain recurrence —
+// including Best tracking, which the armed filter does not preserve across
+// skips.
 func TestSpringFilterDisarmed(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	q := kernelRandomSeries(rng, 8)
 	stream := filterRandomStream(rng, queryRange(q), 200)
-	abs := func(a, b float64) float64 { return math.Abs(a - b) }
 	cases := []struct {
 		name string
 		q    []float64
 		cfg  SpringConfig
 	}{
-		{"generic cost", q, SpringConfig{Dist: abs, Threshold: 1, Prefilter: true}},
 		{"infinite threshold", q, SpringConfig{Threshold: math.Inf(1), Prefilter: true}},
 		{"NaN query", append(append([]float64{}, q...), math.NaN()), SpringConfig{Threshold: 1, Prefilter: true}},
 	}

@@ -38,7 +38,7 @@ func TestSpringMatchesOfflineSubsequence(t *testing.T) {
 			if !ok {
 				t.Fatalf("trial %d: no best after %d points", trial, j+1)
 			}
-			want, err := Subsequence(q, s[:j+1], nil)
+			want, err := Subsequence(q, s[:j+1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,32 +50,6 @@ func TestSpringMatchesOfflineSubsequence(t *testing.T) {
 			t.Fatalf("trial %d: accounting points=%d cells=%d, want %d and %d",
 				trial, sp.Points(), sp.Cells(), m, n*m)
 		}
-	}
-}
-
-// TestSpringCustomDistanceEquivalence repeats the equivalence under a
-// non-default point cost.
-func TestSpringCustomDistanceEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	q := []float64{0, 1, 2, 1, 0}
-	s := make([]float64, 40)
-	for j := range s {
-		s[j] = rng.NormFloat64() * 2
-	}
-	sp, err := NewSpring(q, SpringConfig{Dist: series.AbsDistance, Threshold: math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range s {
-		sp.Append(v)
-	}
-	got, _ := sp.Best()
-	want, err := Subsequence(q, s, series.AbsDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Spring %+v, offline %+v", got, want)
 	}
 }
 
@@ -181,10 +155,10 @@ func TestSpringValidation(t *testing.T) {
 
 // TestSubsequenceSentinel pins the offline DP's sentinel wrapping.
 func TestSubsequenceSentinel(t *testing.T) {
-	if _, err := Subsequence(nil, []float64{1}, nil); !errors.Is(err, series.ErrEmptySeries) {
+	if _, err := Subsequence(nil, []float64{1}); !errors.Is(err, series.ErrEmptySeries) {
 		t.Fatalf("empty query: got %v, want ErrEmptySeries", err)
 	}
-	if _, err := Subsequence([]float64{1}, nil, nil); !errors.Is(err, series.ErrEmptySeries) {
+	if _, err := Subsequence([]float64{1}, nil); !errors.Is(err, series.ErrEmptySeries) {
 		t.Fatalf("empty stream: got %v, want ErrEmptySeries", err)
 	}
 }
@@ -205,11 +179,11 @@ func TestSubsequenceWSReuse(t *testing.T) {
 		for j := range s {
 			s[j] = rng.NormFloat64()
 		}
-		got, err := SubsequenceWS(q, s, nil, &ws)
+		got, err := SubsequenceWS(q, s, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Subsequence(q, s, nil)
+		want, err := Subsequence(q, s)
 		if err != nil {
 			t.Fatal(err)
 		}

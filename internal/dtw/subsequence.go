@@ -2,7 +2,6 @@ package dtw
 
 import (
 	"fmt"
-	"math"
 
 	"sdtw/internal/series"
 )
@@ -28,66 +27,18 @@ type SubsequenceMatch struct {
 // match's start point is recovered without storing the full grid. For the
 // incremental, point-at-a-time formulation of the same recurrence see
 // Spring.
-func Subsequence(q, s []float64, dist series.PointDistance) (SubsequenceMatch, error) {
-	return SubsequenceWS(q, s, dist, nil)
+func Subsequence(q, s []float64) (SubsequenceMatch, error) {
+	return SubsequenceWS(q, s, nil)
 }
 
 // SubsequenceWS is Subsequence with an optional caller-provided workspace
 // for allocation-free repeated computation.
-func SubsequenceWS(q, s []float64, dist series.PointDistance, ws *Workspace) (SubsequenceMatch, error) {
+func SubsequenceWS(q, s []float64, ws *Workspace) (SubsequenceMatch, error) {
 	if len(q) == 0 || len(s) == 0 {
 		return SubsequenceMatch{}, fmt.Errorf("dtw: empty input (len(q)=%d len(s)=%d): %w", len(q), len(s), series.ErrEmptySeries)
 	}
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	if useSquaredKernel(dist) {
-		return subsequenceSquared(q, s, ws), nil
-	}
-	if dist == nil {
-		dist = series.SquaredDistance
-	}
-	n, m := len(q), len(s)
-	inf := math.Inf(1)
-	prev, curr := ws.rows(m)
-	prevStart, currStart := ws.startRows(m)
-
-	// Row 0: the path may begin at any column of s for free.
-	for j := 0; j < m; j++ {
-		prev[j] = dist(q[0], s[j])
-		prevStart[j] = j
-	}
-	for i := 1; i < n; i++ {
-		qi := q[i]
-		for j := 0; j < m; j++ {
-			best := prev[j] // vertical: advance q only
-			from := prevStart[j]
-			if j > 0 {
-				if prev[j-1] < best { // diagonal
-					best = prev[j-1]
-					from = prevStart[j-1]
-				}
-				if curr[j-1] < best { // horizontal: advance s only
-					best = curr[j-1]
-					from = currStart[j-1]
-				}
-			}
-			if math.IsInf(best, 1) {
-				curr[j] = inf
-				currStart[j] = j
-				continue
-			}
-			curr[j] = best + dist(qi, s[j])
-			currStart[j] = from
-		}
-		prev, curr = curr, prev
-		prevStart, currStart = currStart, prevStart
-	}
-	bestJ := 0
-	for j := 1; j < m; j++ {
-		if prev[j] < prev[bestJ] {
-			bestJ = j
-		}
-	}
-	return SubsequenceMatch{Start: prevStart[bestJ], End: bestJ, Distance: prev[bestJ]}, nil
+	return subsequenceSquared(q, s, ws), nil
 }

@@ -13,7 +13,7 @@ func TestSubsequenceExactPlant(t *testing.T) {
 	// must align exactly with zero distance.
 	q := []float64{0, 1, 2, 1, 0}
 	s := []float64{5, 5, 5, 0, 1, 2, 1, 0, 5, 5}
-	m, err := Subsequence(q, s, nil)
+	m, err := Subsequence(q, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSubsequenceWarpedPlant(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s = append(s, 0.05*rng.NormFloat64())
 	}
-	m, err := Subsequence(q, s, nil)
+	m, err := Subsequence(q, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSubsequenceWholeSeries(t *testing.T) {
 	// When s == q, the best subsequence is essentially the whole series
 	// and the distance matches full DTW (0).
 	q := []float64{1, 3, 2, 4}
-	m, err := Subsequence(q, q, nil)
+	m, err := Subsequence(q, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSubsequenceBoundsValid(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := randomSeries(rng, 2+rng.Intn(20))
 		s := randomSeries(rng, 2+rng.Intn(120))
-		m, err := Subsequence(q, s, nil)
+		m, err := Subsequence(q, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestSubsequenceAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		q := randomSeries(rng, 2+rng.Intn(5))
 		s := randomSeries(rng, 3+rng.Intn(8))
-		m, err := Subsequence(q, s, nil)
+		m, err := Subsequence(q, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,10 +137,10 @@ func TestSubsequenceAgainstBruteForce(t *testing.T) {
 }
 
 func TestSubsequenceEmptyInput(t *testing.T) {
-	if _, err := Subsequence(nil, []float64{1}, nil); err == nil {
+	if _, err := Subsequence(nil, []float64{1}); err == nil {
 		t.Fatal("empty query accepted")
 	}
-	if _, err := Subsequence([]float64{1}, nil, nil); err == nil {
+	if _, err := Subsequence([]float64{1}, nil); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 }

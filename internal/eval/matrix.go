@@ -46,7 +46,7 @@ type Matrix struct {
 // FullDTWMatrix computes exact pairwise DTW distances over data using the
 // full grid, parallelised across pairs. It is the reference (∆DTW) of all
 // accuracy measures.
-func FullDTWMatrix(data []series.Series, dist series.PointDistance) (*Matrix, error) {
+func FullDTWMatrix(data []series.Series) (*Matrix, error) {
 	n := len(data)
 	if n == 0 {
 		return nil, fmt.Errorf("eval: empty data set")
@@ -64,7 +64,7 @@ func FullDTWMatrix(data []series.Series, dist series.PointDistance) (*Matrix, er
 			defer wg.Done()
 			for jb := range jobs {
 				start := time.Now()
-				d, err := dtw.Distance(data[jb.i].Values, data[jb.j].Values, dist)
+				d, err := dtw.Distance(data[jb.i].Values, data[jb.j].Values, nil)
 				elapsed := time.Since(start)
 				mu.Lock()
 				if err != nil && firstErr == nil {
@@ -182,7 +182,7 @@ func (t Timing) MatchShare() float64 {
 // distance over at most maxPairs deterministically sampled pairs. The
 // engine's feature cache should be warm so per-pair times cover only the
 // paper's tasks (b) matching and (c) constrained DP.
-func TimePairs(engine *core.Engine, data []series.Series, dist series.PointDistance, maxPairs int) (Timing, error) {
+func TimePairs(engine *core.Engine, data []series.Series, maxPairs int) (Timing, error) {
 	n := len(data)
 	if n < 2 {
 		return Timing{}, fmt.Errorf("eval: timing needs at least 2 series, got %d", n)
@@ -200,7 +200,7 @@ func TimePairs(engine *core.Engine, data []series.Series, dist series.PointDista
 				continue
 			}
 			start := time.Now()
-			if _, err := dtw.Distance(data[i].Values, data[j].Values, dist); err != nil {
+			if _, err := dtw.Distance(data[i].Values, data[j].Values, nil); err != nil {
 				return t, fmt.Errorf("eval: timing full DTW (%d,%d): %w", i, j, err)
 			}
 			t.RefTime += time.Since(start)

@@ -21,7 +21,7 @@ func smallDataset(t *testing.T) *datasets.Dataset {
 
 func TestFullDTWMatrixProperties(t *testing.T) {
 	d := smallDataset(t)
-	m, err := FullDTWMatrix(d.Series, nil)
+	m, err := FullDTWMatrix(d.Series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFullDTWMatrixProperties(t *testing.T) {
 
 func TestEngineMatrixDominatesReference(t *testing.T) {
 	d := smallDataset(t)
-	ref, err := FullDTWMatrix(d.Series, nil)
+	ref, err := FullDTWMatrix(d.Series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestEngineMatrixDominatesReference(t *testing.T) {
 
 func TestMatrixMetricsPerfectEstimator(t *testing.T) {
 	d := smallDataset(t)
-	ref, err := FullDTWMatrix(d.Series, nil)
+	ref, err := FullDTWMatrix(d.Series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMatrixMetricsPerfectEstimator(t *testing.T) {
 
 func TestMatrixMetricsDegradeWithNarrowBand(t *testing.T) {
 	d := smallDataset(t)
-	ref, err := FullDTWMatrix(d.Series, nil)
+	ref, err := FullDTWMatrix(d.Series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestMatrixMetricsDegradeWithNarrowBand(t *testing.T) {
 }
 
 func TestEmptyDataRejected(t *testing.T) {
-	if _, err := FullDTWMatrix(nil, nil); err == nil {
+	if _, err := FullDTWMatrix(nil); err == nil {
 		t.Fatal("empty data accepted by FullDTWMatrix")
 	}
 	if _, err := EngineMatrix(core.NewEngine(core.DefaultOptions()), nil); err == nil {
@@ -152,7 +152,7 @@ func TestTimePairs(t *testing.T) {
 	if _, err := engine.Warm(d.Series); err != nil {
 		t.Fatal(err)
 	}
-	timing, err := TimePairs(engine, d.Series, nil, 10)
+	timing, err := TimePairs(engine, d.Series, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTimePairs(t *testing.T) {
 
 func TestTimePairsTooFewSeries(t *testing.T) {
 	engine := core.NewEngine(core.DefaultOptions())
-	if _, err := TimePairs(engine, []series.Series{{Values: []float64{1}}}, nil, 5); err == nil {
+	if _, err := TimePairs(engine, []series.Series{{Values: []float64{1}}}, 5); err == nil {
 		t.Fatal("single series accepted")
 	}
 }

@@ -70,7 +70,7 @@ func NewWorkload(name string, scale Scale, seed int64) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := eval.FullDTWMatrix(d.Series, nil)
+	ref, err := eval.FullDTWMatrix(d.Series)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: reference matrix for %s: %w", name, err)
 	}
@@ -142,7 +142,7 @@ func Evaluate(w *Workload, algo Algorithm) (AlgoResult, error) {
 	// Time gains come from a separate sequential pass: per-pair wall
 	// times measured inside a parallel matrix computation carry scheduler
 	// noise that swamps the signal.
-	timing, err := eval.TimePairs(engine, w.Data.Series, nil, 200)
+	timing, err := eval.TimePairs(engine, w.Data.Series, 200)
 	if err != nil {
 		return res, err
 	}

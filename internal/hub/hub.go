@@ -37,7 +37,6 @@ import (
 
 	"sdtw/internal/dtw"
 	"sdtw/internal/retrieve"
-	"sdtw/internal/series"
 )
 
 // Sentinel errors of the fleet surface.
@@ -128,9 +127,6 @@ type Config struct {
 	// Workers is the number of processing goroutines Run starts. Zero
 	// means GOMAXPROCS.
 	Workers int
-	// Dist is the element cost; nil means squared difference (which also
-	// enables the monomorphized kernels and the prefilter).
-	Dist series.PointDistance
 }
 
 const (
@@ -306,7 +302,6 @@ func (h *Hub) AddQuery(q Query) error {
 		return fmt.Errorf("hub: AddQuery %q: threshold must be finite and non-negative, got %v", q.ID, q.Threshold)
 	}
 	tpl, err := dtw.NewSpringTemplate(q.Values, dtw.SpringConfig{
-		Dist:      h.cfg.Dist,
 		Threshold: q.Threshold,
 		MinGap:    q.MinGap,
 		Prefilter: true,

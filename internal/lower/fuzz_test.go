@@ -10,8 +10,8 @@ import (
 
 // FuzzCascadeAdmissible fuzzes the bound chain's two standing contracts:
 //
-//  1. bit-identity: the monomorphized Kim/Keogh kernels must match the
-//     generic path exactly;
+//  1. bit-identity: the Kim/Keogh kernels must match their textbook
+//     definitions exactly;
 //  2. admissibility: LB_Kim and LB_Keogh(r) must never exceed the
 //     Sakoe-Chiba(r) DTW distance their envelopes assume.
 //
@@ -27,10 +27,7 @@ func FuzzCascadeAdmissible(f *testing.F) {
 		q := randomValues(rng, n)
 		c := randomValues(rng, n)
 
-		kimG, err := Kim(q, c, sqGeneric)
-		if err != nil {
-			t.Fatal(err)
-		}
+		kimG := kimTextbook(q, c)
 		kimS, err := Kim(q, c, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -40,10 +37,7 @@ func FuzzCascadeAdmissible(f *testing.F) {
 		}
 
 		env := NewEnvelope(c, r)
-		keoghG, err := Keogh(q, env, sqGeneric)
-		if err != nil {
-			t.Fatal(err)
-		}
+		keoghG := keoghTextbook(q, env)
 		keoghS, err := Keogh(q, env, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +47,7 @@ func FuzzCascadeAdmissible(f *testing.F) {
 		}
 
 		band := dtw.SakoeChibaRadius(n, n, r)
-		exact, _, err := dtw.Banded(q, c, band, nil)
+		exact, _, err := dtw.Banded(q, c, band)
 		if err != nil {
 			t.Fatal(err)
 		}

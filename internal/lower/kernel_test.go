@@ -4,13 +4,30 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"sdtw/internal/series"
 )
 
-// sqGeneric mirrors series.SquaredDistance with a distinct code pointer,
-// forcing the generic indirect-call path (see the dtw kernel tests).
-func sqGeneric(a, b float64) float64 { d := a - b; return d * d }
+// kimTextbook is LB_Kim as its definition reads: the cost of the first
+// pair of elements plus the cost of the last, counted once when both
+// series are a single point (the one cell is both).
+func kimTextbook(x, y []float64) float64 {
+	first, last := x[0]-y[0], x[len(x)-1]-y[len(y)-1]
+	if len(x) == 1 && len(y) == 1 {
+		return float64(first * first)
+	}
+	return float64(first*first) + float64(last*last)
+}
+
+// keoghTextbook is LB_Keogh as its definition reads: the squared distance
+// from each query point to the nearer envelope side, zero inside the
+// envelope, summed in order.
+func keoghTextbook(q []float64, env Envelope) float64 {
+	sum := 0.0
+	for i, v := range q {
+		d := max(v-env.Upper[i], env.Lower[i]-v, 0)
+		sum += float64(d * d)
+	}
+	return sum
+}
 
 func randomValues(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
@@ -21,17 +38,8 @@ func randomValues(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-func TestKernelDispatchLower(t *testing.T) {
-	if !useSquaredKernel(nil) || !useSquaredKernel(series.SquaredDistance) {
-		t.Error("default costs must select the squared kernel")
-	}
-	if useSquaredKernel(sqGeneric) || useSquaredKernel(series.AbsDistance) {
-		t.Error("custom costs must not select the squared kernel")
-	}
-}
-
-// TestKimDifferential pins the monomorphized LB_Kim against the generic
-// path, bit for bit, including the single-point special case.
+// TestKimDifferential pins LB_Kim against its textbook definition, bit for
+// bit, including the single-point special case.
 func TestKimDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -42,10 +50,7 @@ func TestKimDifferential(t *testing.T) {
 		}
 		x := randomValues(rng, n)
 		y := randomValues(rng, m)
-		g, err := Kim(x, y, sqGeneric)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := kimTextbook(x, y)
 		s, err := Kim(x, y, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -56,8 +61,8 @@ func TestKimDifferential(t *testing.T) {
 	}
 }
 
-// TestKeoghDifferential pins the monomorphized LB_Keogh against the
-// generic path on random queries and envelopes.
+// TestKeoghDifferential pins LB_Keogh against its textbook definition on
+// random queries and envelopes, bit for bit.
 func TestKeoghDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -65,10 +70,7 @@ func TestKeoghDifferential(t *testing.T) {
 		q := randomValues(rng, n)
 		c := randomValues(rng, n)
 		env := NewEnvelope(c, rng.Intn(n+3))
-		g, err := Keogh(q, env, sqGeneric)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := keoghTextbook(q, env)
 		s, err := Keogh(q, env, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +82,7 @@ func TestKeoghDifferential(t *testing.T) {
 }
 
 // TestKeoghUnderProperties checks the early-abandoning Keogh contract on
-// random thresholds, for both dispatch paths:
+// random thresholds:
 //
 //   - threshold +Inf never abandons and equals Keogh bit for bit;
 //   - an abandoned sum strictly exceeds the threshold (it proves the
@@ -90,19 +92,17 @@ func TestKeoghDifferential(t *testing.T) {
 //     evaluation's in every case.
 func TestKeoghUnderProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	dists := []series.PointDistance{nil, sqGeneric}
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(120)
 		q := randomValues(rng, n)
 		c := randomValues(rng, n)
 		env := NewEnvelope(c, rng.Intn(n+2))
-		dist := dists[trial%2]
 
-		full, err := Keogh(q, env, dist)
+		full, err := Keogh(q, env, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inf, abandoned, err := KeoghUnder(q, env, math.Inf(1), dist)
+		inf, abandoned, err := KeoghUnder(q, env, math.Inf(1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestKeoghUnderProperties(t *testing.T) {
 		if trial%5 == 0 {
 			threshold = 0
 		}
-		got, abandoned, err := KeoghUnder(q, env, threshold, dist)
+		got, abandoned, err := KeoghUnder(q, env, threshold, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,20 +219,11 @@ func BenchmarkKeoghKernel(b *testing.B) {
 	q := randomValues(rng, 1024)
 	c := randomValues(rng, 1024)
 	env := NewEnvelope(c, 64)
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Keogh(q, env, sqGeneric); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := Keogh(q, env, nil); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("specialized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Keogh(q, env, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkNewEnvelope(b *testing.B) {
@@ -256,10 +247,8 @@ func TestBoundAllocs(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Kim/specialized", func() { _, _ = Kim(q, c, nil) }},
-		{"Kim/generic", func() { _, _ = Kim(q, c, sqGeneric) }},
-		{"KeoghUnder/specialized", func() { _, _, _ = KeoghUnder(q, env, math.Inf(1), nil) }},
-		{"KeoghUnder/generic", func() { _, _, _ = KeoghUnder(q, env, math.Inf(1), sqGeneric) }},
+		{"Kim", func() { _, _ = Kim(q, c, nil) }},
+		{"KeoghUnder", func() { _, _, _ = KeoghUnder(q, env, math.Inf(1), nil) }},
 	} {
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", tc.name, allocs)

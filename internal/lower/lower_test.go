@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sdtw/internal/dtw"
-	"sdtw/internal/series"
 )
 
 func randSeries(rng *rand.Rand, n int) []float64 {
@@ -25,14 +24,6 @@ func TestKimKnownValue(t *testing.T) {
 	// (1-2)^2 + (2-4)^2 = 1 + 4.
 	if got != 5 {
 		t.Fatalf("Kim = %v, want 5", got)
-	}
-	// A custom cost takes the generic path: |0-3| + |0-4| under L1.
-	got, err = Kim([]float64{0, 0}, []float64{3, 4}, series.AbsDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 7 {
-		t.Fatalf("Kim under L1 = %v, want 7", got)
 	}
 }
 
@@ -161,7 +152,7 @@ func TestKeoghIsLowerBoundWithinRadius(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := dtw.SakoeChiba(n, n, float64(2*r+1)/float64(n))
-		banded, _, err := dtw.Banded(q, c, b, nil)
+		banded, _, err := dtw.Banded(q, c, b)
 		if err != nil {
 			t.Fatal(err)
 		}

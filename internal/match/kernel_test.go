@@ -131,9 +131,35 @@ func kernelFeatures(rng *rand.Rand, n, nx, bins int, alphabet [][]float64, from 
 	return feats
 }
 
+// plantNaN gives about a third of feats a NaN descriptor of a shape sift
+// emits: normalize scales by 1/√Inf = 0 once a bin's gradient sum
+// overflows, so the overflowing bins come out NaN and every other bin 0,
+// and a NaN gradient makes the whole descriptor NaN. The planted NaN
+// always reaches the first bin — every bin NaN, or a NaN run from bin 0
+// followed by zeros — so the scalar scan's sum is NaN before its first
+// abandonment check, as the blocked kernel's is.
+func plantNaN(rng *rand.Rand, feats []sift.Feature) {
+	for k := range feats {
+		if rng.Intn(3) != 0 || len(feats[k].Descriptor) == 0 {
+			continue
+		}
+		desc := make([]float64, len(feats[k].Descriptor))
+		run := len(desc)
+		if rng.Intn(2) == 0 {
+			run = 1 + rng.Intn(len(desc))
+		}
+		for i := range desc[:run] {
+			desc[i] = math.NaN()
+		}
+		feats[k].Descriptor = desc
+	}
+}
+
 // checkNearestTwoDifferential draws one matching problem from the seed
 // and requires the blocked scan and Match to equal the scalar reference.
-func checkNearestTwoDifferential(t *testing.T, seed int64, nx8, ny8, flags uint8) {
+// Bit 0 of nan plants NaN descriptors among the query features, bit 1
+// among the pool's (plantNaN).
+func checkNearestTwoDifferential(t *testing.T, seed int64, nx8, ny8, flags, nan uint8) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	// Sizes 0–9 exercise every block remainder; bit 7 of the size picks a
@@ -169,6 +195,12 @@ func checkNearestTwoDifferential(t *testing.T, seed int64, nx8, ny8, flags uint8
 	const n = 200
 	fx := kernelFeatures(rng, size(nx8), n, bins, alphabet, nil)
 	fy := kernelFeatures(rng, size(ny8), n, bins, alphabet, fx)
+	if nan&1 != 0 {
+		plantNaN(rng, fx)
+	}
+	if nan&2 != 0 {
+		plantNaN(rng, fy)
+	}
 
 	var ws Workspace
 	dcfg := cfg.withDefaults()
@@ -211,39 +243,58 @@ func sameAlignment(a, b *Alignment) bool {
 func TestNearestTwoDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 3000; trial++ {
-		checkNearestTwoDifferential(t, rng.Int63(), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)))
+		checkNearestTwoDifferential(t, rng.Int63(), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(4)))
 	}
 }
 
 // FuzzNearestTwoDifferential is the native-fuzzing entry to the same
 // check (CI runs it for 30 s in the fuzz-smoke lane).
 func FuzzNearestTwoDifferential(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(5), uint8(4), uint8(0))
-	f.Add(int64(3), uint8(9), uint8(7), uint8(1|2|4))
-	f.Add(int64(4), uint8(0x80|36), uint8(0x80|36), uint8(8|64))
-	f.Add(int64(5), uint8(3), uint8(0x80|20), uint8(16|32))
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(5), uint8(4), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(9), uint8(7), uint8(1|2|4), uint8(0))
+	f.Add(int64(4), uint8(0x80|36), uint8(0x80|36), uint8(8|64), uint8(0))
+	f.Add(int64(5), uint8(3), uint8(0x80|20), uint8(16|32), uint8(0))
+	f.Add(int64(6), uint8(0x80|30), uint8(0x80|30), uint8(64), uint8(1|2))
+	f.Add(int64(7), uint8(0x80|12), uint8(0x80|40), uint8(8|64), uint8(2))
 	f.Fuzz(checkNearestTwoDifferential)
 }
 
 // TestMatchDifferentialOnExtractedFeatures runs the same comparison on
-// real extractions, whose descriptors share one block per series.
+// real extractions, whose descriptors share one block per series — and on
+// series stepping between −MaxFloat64 and +MaxFloat64, whose finite values
+// give NaN descriptors (gradients overflow to ±Inf and normalize scales
+// them by 1/√Inf = 0), against smooth series and against each other.
 func TestMatchDifferentialOnExtractedFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	extract := func(n int) []sift.Feature {
+	extract := func(n int, steps bool) []sift.Feature {
 		v := make([]float64, n)
 		for i := range v {
 			v[i] = math.Sin(float64(i)/(5+rng.Float64()*20)) + 0.3*rng.NormFloat64()
 		}
-		f, err := sift.Extract(series.ZNormalize(v), sift.DefaultConfig())
+		v = series.ZNormalize(v)
+		if steps {
+			w := 16 + rng.Intn(17)
+			for i := range v {
+				v[i] = math.MaxFloat64
+				if (i/w)%2 == 1 {
+					v[i] = -math.MaxFloat64
+				}
+			}
+		}
+		f, err := sift.Extract(v, sift.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	for trial := 0; trial < 40; trial++ {
+	nanTrials := 0
+	for trial := 0; trial < 80; trial++ {
 		nx, ny := 120+rng.Intn(200), 120+rng.Intn(200)
-		fx, fy := extract(nx), extract(ny)
+		fx, fy := extract(nx, trial >= 40), extract(ny, trial >= 40 && trial%2 == 0)
+		if trial >= 40 && hasNaNDescriptor(fx) {
+			nanTrials++
+		}
 		got, err := Match(fx, fy, nx, ny, Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -252,6 +303,19 @@ func TestMatchDifferentialOnExtractedFeatures(t *testing.T) {
 			t.Fatalf("trial %d: alignments differ:\n got %+v\nwant %+v", trial, got, want)
 		}
 	}
+	if nanTrials < 30 {
+		t.Fatalf("only %d of the 40 step series gave a NaN descriptor", nanTrials)
+	}
+}
+
+// hasNaNDescriptor reports whether any feature's descriptor holds a NaN.
+func hasNaNDescriptor(feats []sift.Feature) bool {
+	for _, f := range feats {
+		if slices.ContainsFunc(f.Descriptor, math.IsNaN) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestMatchAllocatesOnlyItsAlignment pins the warmed matcher's footprint

@@ -268,7 +268,11 @@ func (ws *Workspace) dominantPairs(fx, fy []sift.Feature, cfg Config) []Pair {
 // abandons already exceeds the runner-up, so the full sum (terms are
 // non-negative) takes the same d >= second branch — but serialises every
 // pair's 64 additions behind one another for a cutoff too loose to skip
-// many of them.
+// many of them. A NaN descriptor sift emits with a NaN in its first bin
+// (every bin, or a NaN run from bin 0 then zeros) makes both sums NaN
+// before the first abandonment check, so they still decide identically;
+// one whose NaN run starts past the first eight bins, after zeros, may
+// part them.
 //
 //sdtw:hotpath
 func (ws *Workspace) nearestTwoSq(f *sift.Feature, pool []sift.Feature, cfg Config) (int, float64, float64) {

@@ -52,6 +52,12 @@ type Query struct {
 // concurrent Distance calls; Admit and Forget are only called under the
 // Core's write lock.
 //
+// Every backend's distance is banded DTW under the squared point cost, so
+// LB_Kim, LB_Keogh at EnvelopeRadius and the stage-0 LB_PAA sketch are
+// admissible lower bounds of it and its dynamic program may abandon
+// against the best-so-far threshold: the cascade runs whole for every
+// backend.
+//
 // The two in-tree implementations are the sDTW engine (salient-feature
 // banded DTW) and the Sakoe-Chiba windowed exact-DTW pipeline; the
 // interface is deliberately small so further distance/constraint families
@@ -72,14 +78,6 @@ type Backend interface {
 	// every candidate's Distance would otherwise repeat. It must not leave
 	// state behind in the backend: a query is not part of the collection.
 	Prepare(q series.Series) (Query, error)
-	// Cascade reports whether the LB_Kim/LB_Keogh bounds are admissible
-	// lower bounds for this backend's distance. When false the Core
-	// degrades to an exact parallel scan.
-	Cascade() bool
-	// Abandonable reports whether threshold-aware early abandonment
-	// inside the dynamic program is admissible (it assumes a non-negative
-	// point cost).
-	Abandonable() bool
 	// EnvelopeRadius returns the warping radius at which an LB_Keogh
 	// envelope over a series of length m lower-bounds this backend's
 	// distance.
@@ -97,20 +95,20 @@ type engineBackend struct {
 	engine      *core.Engine
 	bandCfg     band.Config
 	fingerprint string
-	customDist  bool
 }
 
 // NewEngineBackend wraps an sDTW engine as a cascade backend. fingerprint
 // must deterministically encode every engine option that affects
-// distances (the public layer derives it from its Options). customDist
-// marks a caller-supplied point distance, which voids the admissibility
-// proofs of the lower bounds and of early abandonment.
-func NewEngineBackend(engine *core.Engine, fingerprint string, customDist bool) Backend {
+// distances (the public layer derives it from its Options).
+//
+// The bool parameter is ignored; it goes with the benchmark edit of
+// ROADMAP item 2c: the nested benchmark module calls NewEngineBackend with
+// false.
+func NewEngineBackend(engine *core.Engine, fingerprint string, _ bool) Backend {
 	return &engineBackend{
 		engine:      engine,
 		bandCfg:     engine.Options().Band,
 		fingerprint: fingerprint,
-		customDist:  customDist,
 	}
 }
 
@@ -135,9 +133,6 @@ func (b *engineBackend) Prepare(q series.Series) (Query, error) {
 	}
 	return Query{Series: q, ExtractTime: eq.ExtractTime, engine: eq}, nil
 }
-
-func (b *engineBackend) Cascade() bool     { return !b.customDist }
-func (b *engineBackend) Abandonable() bool { return !b.customDist }
 
 func (b *engineBackend) EnvelopeRadius(m int) int { return band.EnvelopeRadius(b.bandCfg, m) }
 
@@ -226,16 +221,13 @@ func (b *windowedBackend) Prepare(q series.Series) (Query, error) {
 	return Query{Series: q}, nil
 }
 
-func (b *windowedBackend) Cascade() bool     { return true }
-func (b *windowedBackend) Abandonable() bool { return true }
-
 func (b *windowedBackend) EnvelopeRadius(int) int { return b.radius }
 
 func (b *windowedBackend) Distance(ctx context.Context, q Query, c series.Series, budget float64) (Result, error) {
 	ws := b.scratch.Get().(*dtw.Workspace)
 	defer b.scratch.Put(ws)
 	dpStart := time.Now()
-	d, cells, abandoned, err := dtw.BandedAbandonCtx(ctx, q.Values, c.Values, b.band, nil, budget, ws)
+	d, cells, abandoned, err := dtw.BandedAbandonCtx(ctx, q.Values, c.Values, b.band, budget, ws)
 	if err != nil {
 		return Result{}, err
 	}

@@ -6,11 +6,11 @@
 // interface supplying the actual distance family (the sDTW banded engine
 // or the Sakoe-Chiba windowed exact-DTW pipeline).
 //
-// The cascade is exact for any backend whose Cascade method reports the
-// bounds admissible: LB_Kim and LB_Keogh (at the backend's envelope
-// radius) never exceed the backend distance, and an abandoned
-// computation's partial cost is itself a lower bound above the threshold,
-// so a search returns precisely the neighbours a brute-force scan would.
+// The cascade is exact: LB_Kim, the stage-0 LB_PAA sketch and LB_Keogh (at
+// the backend's envelope radius) never exceed the backend distance, and an
+// abandoned computation's partial cost is itself a lower bound above the
+// threshold, so a search returns precisely the neighbours a brute-force
+// scan would.
 //
 // A Core is safe for concurrent use; searches run under a read lock and
 // the Add/Remove mutators take the write lock, so a mutating index keeps
@@ -133,10 +133,8 @@ type Core struct {
 	backend Backend
 	workers int
 
-	// cascade reports whether lower-bound pruning is active; abandon
-	// whether the DP early-abandons against the best-so-far threshold.
-	// Both are off when the backend's cost assumptions don't hold.
-	cascade bool
+	// abandon reports whether the DP early-abandons against the
+	// best-so-far threshold.
 	abandon bool
 
 	// sketchW is the stage-0 PAA sketch width; 0 disables stage 0.
@@ -145,10 +143,10 @@ type Core struct {
 	mu   sync.RWMutex
 	data []series.Series
 	// envelopes[i] is the LB_Keogh envelope of data[i] at the backend's
-	// admissible radius; nil when the cascade is disabled.
+	// admissible radius.
 	envelopes []lower.Envelope
 	// sketches[i] is the stage-0 PAA sketch of envelopes[i]; nil unless
-	// sketchW > 0 and the cascade is active.
+	// sketchW > 0.
 	sketches []sketch.Sketch
 	// meta[i] is the hot per-series metadata (length, raw endpoints) the
 	// pre-DP stages read, so they never touch data[i].Values — which is
@@ -213,31 +211,26 @@ type ColdAdmitter interface {
 
 // RestoreCold builds a core over store-backed series (possibly none):
 // envelopes and sketches are trusted from the store, raw values load
-// lazily. sketchW
-// enables stage 0 at that width (0 disables; ignored when the backend's
-// cascade is inactive). Backend caches are not warmed — the engine's
-// feature cache fills read-through on first evaluation, which computes
-// the same features Admit would have.
+// lazily. sketchW enables stage 0 at that width (0 disables). Backend
+// caches are not warmed — the engine's feature cache fills read-through on
+// first evaluation, which computes the same features Admit would have.
 func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, abandon bool) (*Core, error) {
 	if workers <= 0 {
 		workers = 1
 	}
 	c := &Core{
-		backend: backend,
-		workers: workers,
-		cascade: backend.Cascade(),
-		abandon: abandon && backend.Abandonable(),
-		data:    make([]series.Series, 0, len(cold)),
-		meta:    make([]seriesMeta, 0, len(cold)),
-		cold:    make([]*coldSlot, 0, len(cold)),
-		ids:     make(map[string]int, len(cold)),
+		backend:   backend,
+		workers:   workers,
+		abandon:   abandon,
+		data:      make([]series.Series, 0, len(cold)),
+		meta:      make([]seriesMeta, 0, len(cold)),
+		cold:      make([]*coldSlot, 0, len(cold)),
+		ids:       make(map[string]int, len(cold)),
+		envelopes: make([]lower.Envelope, 0, len(cold)),
 	}
-	if c.cascade {
-		c.envelopes = make([]lower.Envelope, 0, len(cold))
-		if sketchW > 0 {
-			c.sketchW = sketchW
-			c.sketches = make([]sketch.Sketch, 0, len(cold))
-		}
+	if sketchW > 0 {
+		c.sketchW = sketchW
+		c.sketches = make([]sketch.Sketch, 0, len(cold))
 	}
 	admitter, _ := backend.(ColdAdmitter)
 	for i, cs := range cold {
@@ -261,19 +254,17 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, aband
 		c.data = append(c.data, series.Series{ID: cs.ID, Label: cs.Label})
 		c.meta = append(c.meta, seriesMeta{n: cs.N, first: cs.First, last: cs.Last})
 		c.cold = append(c.cold, &coldSlot{load: cs.Load})
-		if c.cascade {
-			if len(cs.Envelope.Upper) != cs.N {
-				return nil, fmt.Errorf("series %d (%q) has envelope length %d for %d values: %w",
-					i, cs.ID, len(cs.Envelope.Upper), cs.N, ErrConfigMismatch)
+		if len(cs.Envelope.Upper) != cs.N {
+			return nil, fmt.Errorf("series %d (%q) has envelope length %d for %d values: %w",
+				i, cs.ID, len(cs.Envelope.Upper), cs.N, ErrConfigMismatch)
+		}
+		c.envelopes = append(c.envelopes, cs.Envelope)
+		if c.sketchW > 0 {
+			if cs.Sketch.Width() != c.sketchW {
+				return nil, fmt.Errorf("series %d (%q) has sketch width %d, want %d: %w",
+					i, cs.ID, cs.Sketch.Width(), c.sketchW, ErrConfigMismatch)
 			}
-			c.envelopes = append(c.envelopes, cs.Envelope)
-			if c.sketchW > 0 {
-				if cs.Sketch.Width() != c.sketchW {
-					return nil, fmt.Errorf("series %d (%q) has sketch width %d, want %d: %w",
-						i, cs.ID, cs.Sketch.Width(), c.sketchW, ErrConfigMismatch)
-				}
-				c.sketches = append(c.sketches, cs.Sketch)
-			}
+			c.sketches = append(c.sketches, cs.Sketch)
 		}
 	}
 	return c, nil
@@ -282,7 +273,7 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, aband
 // New builds a core over data (possibly none), validating every series
 // and warming the backend's caches. workers bounds the query worker pool
 // (<= 0 means the caller should have defaulted it; it is clamped to 1).
-// abandon enables early abandonment when the backend admits it.
+// abandon enables early abandonment.
 func New(backend Backend, data []series.Series, workers int, abandon bool) (*Core, error) {
 	// Validate the whole collection before paying any one-time costs, so
 	// structural errors (empty series, duplicate IDs) surface first.
@@ -302,15 +293,12 @@ func New(backend Backend, data []series.Series, workers int, abandon bool) (*Cor
 		workers = 1
 	}
 	c := &Core{
-		backend: backend,
-		workers: workers,
-		cascade: backend.Cascade(),
-		abandon: abandon && backend.Abandonable(),
-		data:    make([]series.Series, 0, len(data)),
-		ids:     make(map[string]int, len(data)),
-	}
-	if c.cascade {
-		c.envelopes = make([]lower.Envelope, 0, len(data))
+		backend:   backend,
+		workers:   workers,
+		abandon:   abandon,
+		data:      make([]series.Series, 0, len(data)),
+		ids:       make(map[string]int, len(data)),
+		envelopes: make([]lower.Envelope, 0, len(data)),
 	}
 	for i, s := range data {
 		if err := c.admitLocked(s); err != nil {
@@ -348,24 +336,21 @@ func (c *Core) admitLocked(s series.Series) error {
 	if c.cold != nil {
 		c.cold = append(c.cold, nil) // values are resident
 	}
-	if c.cascade {
-		env := lower.NewEnvelope(s.Values, c.backend.EnvelopeRadius(n))
-		c.envelopes = append(c.envelopes, env)
-		if c.sketchW > 0 {
-			sk, err := sketch.FromEnvelope(env, c.sketchW)
-			if err != nil {
-				return fmt.Errorf("series %q: %w", s.ID, err)
-			}
-			c.sketches = append(c.sketches, sk)
+	env := lower.NewEnvelope(s.Values, c.backend.EnvelopeRadius(n))
+	c.envelopes = append(c.envelopes, env)
+	if c.sketchW > 0 {
+		sk, err := sketch.FromEnvelope(env, c.sketchW)
+		if err != nil {
+			return fmt.Errorf("series %q: %w", s.ID, err)
 		}
+		c.sketches = append(c.sketches, sk)
 	}
 	return nil
 }
 
 // EnableSketches switches the stage-0 LB_PAA filter on, computing a
 // width-w sketch for every indexed series from its existing envelope.
-// It is a no-op when the backend's cascade is inactive (the bound would
-// not be admissible) or when sketches at that width are already on.
+// It is a no-op when sketches at that width are already on.
 // Callers use it right after construction; it takes the write lock, so
 // it is safe (if wasteful) later too.
 func (c *Core) EnableSketches(w int) error {
@@ -374,7 +359,7 @@ func (c *Core) EnableSketches(w int) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.cascade || c.sketchW == w {
+	if c.sketchW == w {
 		return nil
 	}
 	sketches := make([]sketch.Sketch, len(c.envelopes))
@@ -405,18 +390,12 @@ func (c *Core) Sketch(i int) sketch.Sketch {
 	return c.sketches[i]
 }
 
-// Envelope returns the LB_Keogh envelope of the series at position i
-// (only meaningful when the cascade is active).
+// Envelope returns the LB_Keogh envelope of the series at position i.
 func (c *Core) Envelope(i int) lower.Envelope {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.envelopes[i]
 }
-
-// Cascade reports whether the lower-bound cascade (and with it the
-// envelopes and sketches) is active — false under a custom point
-// distance, whose bounds are inadmissible.
-func (c *Core) Cascade() bool { return c.cascade }
 
 // Values returns the raw values of the series at position i,
 // materialising them from the store if cold.
@@ -476,11 +455,9 @@ func (c *Core) dropLocked(pos int) {
 	if c.cold != nil {
 		c.cold = append(c.cold[:pos], c.cold[pos+1:]...)
 	}
-	if c.cascade {
-		c.envelopes = append(c.envelopes[:pos], c.envelopes[pos+1:]...)
-		if c.sketchW > 0 {
-			c.sketches = append(c.sketches[:pos], c.sketches[pos+1:]...)
-		}
+	c.envelopes = append(c.envelopes[:pos], c.envelopes[pos+1:]...)
+	if c.sketchW > 0 {
+		c.sketches = append(c.sketches[:pos], c.sketches[pos+1:]...)
 	}
 	for sid, p := range c.ids {
 		if p > pos {
@@ -495,30 +472,27 @@ func (c *Core) dropLocked(pos int) {
 // backing arrays. Callers hold (at least) the read lock.
 func (c *Core) copyLocked() *Core {
 	nc := &Core{
-		backend: c.backend,
-		workers: c.workers,
-		cascade: c.cascade,
-		abandon: c.abandon,
-		sketchW: c.sketchW,
-		data:    make([]series.Series, len(c.data)),
-		meta:    make([]seriesMeta, len(c.meta)),
-		ids:     make(map[string]int, len(c.ids)+1),
+		backend:   c.backend,
+		workers:   c.workers,
+		abandon:   c.abandon,
+		sketchW:   c.sketchW,
+		data:      make([]series.Series, len(c.data)),
+		meta:      make([]seriesMeta, len(c.meta)),
+		ids:       make(map[string]int, len(c.ids)+1),
+		envelopes: make([]lower.Envelope, len(c.envelopes)),
 	}
 	copy(nc.data, c.data)
 	copy(nc.meta, c.meta)
+	copy(nc.envelopes, c.envelopes)
 	if c.cold != nil {
 		// Slots are shared, not copied: a materialisation on either core
 		// serves both (the values are immutable).
 		nc.cold = make([]*coldSlot, len(c.cold))
 		copy(nc.cold, c.cold)
 	}
-	if c.cascade {
-		nc.envelopes = make([]lower.Envelope, len(c.envelopes))
-		copy(nc.envelopes, c.envelopes)
-		if c.sketchW > 0 {
-			nc.sketches = make([]sketch.Sketch, len(c.sketches))
-			copy(nc.sketches, c.sketches)
-		}
+	if c.sketchW > 0 {
+		nc.sketches = make([]sketch.Sketch, len(c.sketches))
+		copy(nc.sketches, c.sketches)
 	}
 	for id, pos := range c.ids {
 		nc.ids[id] = pos
@@ -771,7 +745,7 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	// possibly-cold raw values — so this stays sequential; it also fixes
 	// the processing order that lets the k-heap threshold tighten fast.
 	boundStart := time.Now()
-	useSketch := c.cascade && c.sketchW > 0 && !p.NoSketch
+	useSketch := c.sketchW > 0 && !p.NoSketch
 	var qmean []float64
 	if useSketch {
 		var err error
@@ -794,41 +768,35 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 		}
 		m := c.meta[i]
 		stats.GridCells += len(query.Values) * m.n
-		cd := candidate{pos: i}
-		if c.cascade {
-			// LB_Kim sees only the first/last endpoints, so the hot
-			// two-point stand-in reproduces lower.Kim over the full
-			// values bit for bit (one point when the series has one).
-			kimVals[0], kimVals[1] = m.first, m.last
-			endpoints := kimVals[:2]
-			if m.n == 1 {
-				endpoints = kimVals[:1]
-			}
-			kim, err := lower.Kim(query.Values, endpoints, nil)
-			if err != nil {
-				return nil, stats, fmt.Errorf("LB_Kim to %q: %w", s.ID, err)
-			}
-			cd.kim = kim
-			cd.bound = kim
-			// Stage 0 applies under the same equal-length contract as the
-			// Keogh stage; other candidates keep their Kim ordering.
-			if useSketch && m.n == len(query.Values) {
-				cd.bound = sketch.LBPAA(qmean, c.sketches[i], m.n)
-				cd.paa = true
-			}
+		// LB_Kim sees only the first/last endpoints, so the hot two-point
+		// stand-in reproduces lower.Kim over the full values bit for bit
+		// (one point when the series has one).
+		kimVals[0], kimVals[1] = m.first, m.last
+		endpoints := kimVals[:2]
+		if m.n == 1 {
+			endpoints = kimVals[:1]
+		}
+		kim, err := lower.Kim(query.Values, endpoints, nil)
+		if err != nil {
+			return nil, stats, fmt.Errorf("LB_Kim to %q: %w", s.ID, err)
+		}
+		cd := candidate{pos: i, bound: kim, kim: kim}
+		// Stage 0 applies under the same equal-length contract as the
+		// Keogh stage; other candidates keep their Kim ordering.
+		if useSketch && m.n == len(query.Values) {
+			cd.bound = sketch.LBPAA(qmean, c.sketches[i], m.n)
+			cd.paa = true
 		}
 		cands = append(cands, cd)
 	}
 	stats.Candidates = len(cands)
 	stats.BoundTime += time.Since(boundStart)
-	if c.cascade {
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].bound != cands[b].bound {
-				return cands[a].bound < cands[b].bound
-			}
-			return cands[a].pos < cands[b].pos
-		})
-	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].bound != cands[b].bound {
+			return cands[a].bound < cands[b].bound
+		}
+		return cands[a].pos < cands[b].pos
+	})
 	k := p.K
 	if k <= 0 || k > len(cands) {
 		k = len(cands)
@@ -885,44 +853,40 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	parallelFor(ctx, workers, len(cands), &stop, func(n int) {
 		cd := cands[n]
 		s := c.data[cd.pos]
-		if c.cascade {
-			if cd.paa {
-				// Stage 0: the precomputed LB_PAA sketch bound, checked
-				// before LB_Kim. Pruning here costs O(1) and touches
-				// neither the raw values nor the full envelope.
-				if cd.bound > threshold.Load() {
-					prunedSketch.Add(1)
-					return
-				}
+		// Stage 0: the precomputed LB_PAA sketch bound, checked before
+		// LB_Kim. Pruning here costs O(1) and touches neither the raw
+		// values nor the full envelope.
+		if cd.paa && cd.bound > threshold.Load() {
+			prunedSketch.Add(1)
+			return
+		}
+		if cd.kim > threshold.Load() {
+			prunedKim.Add(1)
+			return
+		}
+		if env := c.envelopes[cd.pos]; len(env.Upper) == len(query.Values) {
+			// The active threshold rides into the bound itself: the partial
+			// Keogh sum is a valid lower bound, so summation abandons the
+			// moment it proves the candidate prunable. Abandonment implies
+			// the partial sum exceeded a threshold no looser than the
+			// current one (it only tightens), so the skip decision matches
+			// the full evaluation's. The A/B switch that disables DP
+			// abandonment disables this too, so the baseline leg measures
+			// full bound evaluation.
+			kgBudget := math.Inf(1)
+			if abandon {
+				kgBudget = threshold.Load()
 			}
-			if cd.kim > threshold.Load() {
-				prunedKim.Add(1)
+			kgStart := time.Now()
+			kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, kgBudget, nil)
+			boundNS.Add(int64(time.Since(kgStart)))
+			if err != nil {
+				fail(fmt.Errorf("LB_Keogh to %q: %w", s.ID, err))
 				return
 			}
-			if env := c.envelopes[cd.pos]; len(env.Upper) == len(query.Values) {
-				// The active threshold rides into the bound itself: the
-				// partial Keogh sum is a valid lower bound, so summation
-				// abandons the moment it proves the candidate prunable.
-				// Abandonment implies the partial sum exceeded a threshold
-				// no looser than the current one (it only tightens), so
-				// the skip decision matches the full evaluation's. The
-				// A/B switch that disables DP abandonment disables this
-				// too, so the baseline leg measures full bound evaluation.
-				kgBudget := math.Inf(1)
-				if abandon {
-					kgBudget = threshold.Load()
-				}
-				kgStart := time.Now()
-				kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, kgBudget, nil)
-				boundNS.Add(int64(time.Since(kgStart)))
-				if err != nil {
-					fail(fmt.Errorf("LB_Keogh to %q: %w", s.ID, err))
-					return
-				}
-				if kgAbandoned || kg > threshold.Load() {
-					prunedKeogh.Add(1)
-					return
-				}
+			if kgAbandoned || kg > threshold.Load() {
+				prunedKeogh.Add(1)
+				return
 			}
 		}
 		// The candidate survived every bound: materialise its raw values

@@ -1,5 +1,5 @@
 // Package series provides the time-series substrate used throughout the
-// sDTW library: the Series value type, element-level distance functions,
+// sDTW library: the Series value type, the squared point cost,
 // normalisation, resampling, and synthetic time-warping utilities.
 //
 // All algorithms in this repository operate on plain []float64 values; the
@@ -64,14 +64,15 @@ func (s Series) Validate() error {
 }
 
 // PointDistance measures the cost of aligning two scalar observations.
-// DTW accumulates these costs along the warp path.
+// DTW accumulates these costs along the warp path. The repository computes
+// one cost, SquaredDistance; the type survives as the ignored parameter of
+// the dtw and lower functions the nested benchmark module names, and goes
+// with the benchmark edit of ROADMAP item 2c.
 type PointDistance func(a, b float64) float64
 
-// SquaredDistance is the conventional UCR point cost (a-b)^2.
+// SquaredDistance is the conventional UCR point cost (a-b)^2, the one
+// every distance and bound in the repository computes.
 func SquaredDistance(a, b float64) float64 { d := a - b; return d * d }
-
-// AbsDistance is the L1 point cost |a-b|.
-func AbsDistance(a, b float64) float64 { return math.Abs(a - b) }
 
 // Mean returns the arithmetic mean of v. It returns 0 for empty input.
 func Mean(v []float64) float64 {
@@ -143,22 +144,4 @@ func Normalize01(v []float64) []float64 {
 		out[i] = (x - lo) / (hi - lo)
 	}
 	return out
-}
-
-// EuclideanAligned returns the pointwise accumulated cost of the diagonal
-// alignment of two equal-length series. DTW distance is bounded above by
-// this value (the diagonal is itself a warp path), which several tests and
-// the evaluation harness exploit.
-func EuclideanAligned(a, b []float64, dist PointDistance) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("series: aligned distance needs equal lengths, got %d and %d", len(a), len(b))
-	}
-	if dist == nil {
-		dist = SquaredDistance
-	}
-	sum := 0.0
-	for i := range a {
-		sum += dist(a[i], b[i])
-	}
-	return sum, nil
 }

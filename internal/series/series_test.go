@@ -60,12 +60,6 @@ func TestPointDistances(t *testing.T) {
 	if got := SquaredDistance(1, 3); got != 4 {
 		t.Errorf("SquaredDistance(1,3) = %v, want 4", got)
 	}
-	if got := AbsDistance(3, 1); got != 2 {
-		t.Errorf("AbsDistance(3,1) = %v, want 2", got)
-	}
-	if got := AbsDistance(-1, 1); got != 2 {
-		t.Errorf("AbsDistance(-1,1) = %v, want 2", got)
-	}
 }
 
 func TestMeanStdMinMax(t *testing.T) {
@@ -121,29 +115,6 @@ func TestNormalize01(t *testing.T) {
 	}
 }
 
-func TestEuclideanAligned(t *testing.T) {
-	d, err := EuclideanAligned([]float64{1, 2}, []float64{1, 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 4 {
-		t.Fatalf("EuclideanAligned = %v, want 4", d)
-	}
-	if _, err := EuclideanAligned([]float64{1}, []float64{1, 2}, nil); err == nil {
-		t.Fatalf("length mismatch not reported")
-	}
-}
-
-func TestEuclideanAlignedCustomDistance(t *testing.T) {
-	d, err := EuclideanAligned([]float64{0, 0}, []float64{3, -4}, AbsDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 7 {
-		t.Fatalf("aligned L1 = %v, want 7", d)
-	}
-}
-
 func TestZNormalizePropertyInvariants(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) < 2 {
@@ -185,25 +156,5 @@ func TestMinMaxProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestUseSquaredKernel pins the dispatch decision as a pure function of
-// its argument: nil and SquaredDistance itself select the specialized
-// kernels, anything else — a closure over the same arithmetic included —
-// takes the generic path.
-func TestUseSquaredKernel(t *testing.T) {
-	if !UseSquaredKernel(nil) {
-		t.Error("nil must select the squared kernel")
-	}
-	if !UseSquaredKernel(SquaredDistance) {
-		t.Error("SquaredDistance must select the squared kernel")
-	}
-	wrapped := func(a, b float64) float64 { return SquaredDistance(a, b) }
-	if UseSquaredKernel(wrapped) {
-		t.Error("a closure over the squared cost must not select the squared kernel")
-	}
-	if UseSquaredKernel(AbsDistance) {
-		t.Error("a custom cost must not select the squared kernel")
 	}
 }

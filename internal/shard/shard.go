@@ -209,11 +209,6 @@ func assemble(cfg Config, seqs [][]uint64, nextSeq uint64,
 // sketch filter is disabled).
 func (c *Cluster) SketchWidth() int { return c.sketchW }
 
-// Cascade reports whether the shard cores run the lower-bound cascade
-// (and so hold envelopes and sketches) — false under a custom point
-// distance.
-func (c *Cluster) Cascade() bool { return c.backends[0].Cascade() }
-
 // Shards returns the shard count.
 func (c *Cluster) Shards() int { return len(c.slots) }
 

@@ -20,9 +20,8 @@
 //	LB_PAA(q̄, sketch) <= LB_Keogh(q, env) <= DTW(q, c)
 //
 // for every band in this repository (the same chain LB_Keogh itself
-// rides; see package lower). The bound is only meaningful for the
-// default squared point cost, exactly like LB_Kim and LB_Keogh — the
-// cascade already disables all three for custom costs.
+// rides; see package lower). Like LB_Kim and LB_Keogh, the bound holds
+// for the squared point cost, the one the repository computes.
 package sketch
 
 import (
@@ -118,7 +117,7 @@ func Means(q []float64, w int, out []float64) ([]float64, error) {
 // LB_Keogh has; unequal lengths skip stage 0 exactly as they skip the
 // Keogh stage). Squared deviations round through an explicit float64
 // conversion like the Keogh kernel's, so fused multiply-add cannot
-// inflate the bound past its generic evaluation.
+// inflate the bound past its unfused evaluation.
 //
 //sdtw:hotpath
 func LBPAA(qmean []float64, sk Sketch, n int) float64 {

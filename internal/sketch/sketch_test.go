@@ -55,7 +55,7 @@ func TestLBPAAAdmissible(t *testing.T) {
 			t.Fatalf("LB_PAA exceeds LB_Keogh (n=%d r=%d w=%d): %v", n, r, w, err)
 		}
 		band := dtw.SakoeChibaRadius(n, n, r)
-		exact, _, err := dtw.Banded(q, c, band, nil)
+		exact, _, err := dtw.Banded(q, c, band)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func FuzzLBPAAAdmissible(f *testing.F) {
 			t.Errorf("LB_PAA exceeds LB_Keogh (n=%d r=%d w=%d): %v", n, r, w, err)
 		}
 		band := dtw.SakoeChibaRadius(n, n, r)
-		exact, _, err := dtw.Banded(q, c, band, nil)
+		exact, _, err := dtw.Banded(q, c, band)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,6 +28,16 @@ fields=$(awk '
 	END { print n }' sdtw.go)
 
 options=$(grep -cE '^func With(out)?[A-Z]' <<<"$doc")
+
+# Root index constructors, New*Index and Open*Index (ROADMAP 6c's target
+# is one New and one Open).
+constructors=$(grep -cE '^func (New|Open)[A-Za-z]*Index\(' <<<"$doc")
+
+# Non-comment lines of non-test Go outside benchmark/ that name the point
+# cost type: its declaration and the ignored parameters the benchmark's
+# calls pin (ROADMAP 2c's benchmark edit takes them to 0).
+pointcost=$(git ls-files '*.go' | grep -v '_test\.go$' | grep -v '^benchmark/' |
+	xargs grep -hwE 'PointDistance' | grep -cvE '^[[:space:]]*//' || true)
 internal=$(find internal -mindepth 1 -maxdepth 1 -type d | wc -l)
 examples=$(find examples -mindepth 1 -maxdepth 1 -type d | wc -l)
 
@@ -37,3 +47,5 @@ printf 'Options fields:                       %d\n' "$fields"
 printf 'root With*/Without* options:          %d\n' "$options"
 printf 'internal/ packages:                   %d\n' "$internal"
 printf 'examples:                             %d\n' "$examples"
+printf 'root index constructors:              %d\n' "$constructors"
+printf 'PointDistance code lines:             %d\n' "$pointcost"

@@ -93,7 +93,9 @@ type Step = dtw.Step
 // grid cells filled, and per-stage timings.
 type Result = core.Result
 
-// Options configures an Engine.
+// Options configures an Engine. The point cost is always the squared
+// difference (a−b)², the cost every lower bound of the Index cascade and
+// the Hub's prefilter assume.
 type Options struct {
 	// Strategy selects the band type. The zero value is FullGrid (exact
 	// DTW); use DefaultOptions for the paper's (ac,aw) configuration. A
@@ -126,8 +128,6 @@ type Options struct {
 	// MaxAmplitudeDiff (τa), MaxScaleRatio (τs) and DominanceRatio (τd)
 	// control feature matching; zeros select defaults (0.5, 2.5, 1.25).
 	MaxAmplitudeDiff, MaxScaleRatio, DominanceRatio float64
-	// PointDistance is the element cost; nil means squared difference.
-	PointDistance func(a, b float64) float64
 	// ComputePath makes Distance recover the warp path.
 	ComputePath bool
 	// KeepBand copies the constraint band into Result.Band (off by
@@ -212,7 +212,6 @@ func (o Options) toCore() core.Options {
 		},
 		Features:      feat,
 		Matcher:       matcher,
-		PointDistance: o.PointDistance,
 		ComputePath:   o.ComputePath,
 		KeepBand:      o.KeepBand,
 		CacheFeatures: !o.DisableCache,
@@ -252,8 +251,7 @@ func (e *Engine) DistanceSeries(x, y Series) (Result, error) {
 // distance, strictly above the budget, and no tighter than that.
 // Retrieval loops pass their best-so-far k-th distance so hopeless
 // candidates stop after a few rows. budget = +Inf behaves exactly like
-// Distance. Pruning assumes a non-negative point cost (the default
-// squared cost qualifies).
+// Distance.
 func (e *Engine) DistanceUnder(x, y []float64, budget float64) (Result, error) {
 	return e.inner.DistanceUnder(Series{Values: x}, Series{Values: y}, budget)
 }
@@ -270,10 +268,9 @@ func (e *Engine) Features(s Series) ([]Feature, error) {
 }
 
 // Subsequence finds the contiguous region of stream whose DTW distance to
-// query is minimal (open-begin, open-end alignment) under the engine's
-// point distance, reusing the engine's pooled DP workspaces so repeated
-// calls allocate nothing in steady state. For push-based matching over an
-// unbounded stream use a Monitor instead.
+// query is minimal (open-begin, open-end alignment), reusing the engine's
+// pooled DP workspaces so repeated calls allocate nothing in steady state.
+// For push-based matching over an unbounded stream use a Monitor instead.
 func (e *Engine) Subsequence(query, stream []float64) (SubsequenceMatch, error) {
 	return e.inner.Subsequence(query, stream)
 }
@@ -314,7 +311,7 @@ func DTW(x, y []float64) (float64, error) {
 
 // DTWPath computes the exact DTW distance and the optimal warp path.
 func DTWPath(x, y []float64) (float64, Path, error) {
-	pr, err := dtw.DistanceWithPath(x, y, nil)
+	pr, err := dtw.DistanceWithPath(x, y)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -334,7 +331,7 @@ func SakoeChibaDTW(x, y []float64, widthFrac float64) (float64, error) {
 		return 0, fmt.Errorf("sdtw: empty input (len(x)=%d len(y)=%d): %w", len(x), len(y), ErrEmptySeries)
 	}
 	b := dtw.SakoeChiba(len(x), len(y), widthFrac)
-	d, _, err := dtw.Banded(x, y, b, nil)
+	d, _, err := dtw.Banded(x, y, b)
 	return d, err
 }
 

@@ -36,7 +36,7 @@ func TestDTWPathValid(t *testing.T) {
 	if err := p.Validate(len(x), len(y)); err != nil {
 		t.Fatal(err)
 	}
-	if c := p.Cost(x, y, nil); math.Abs(c-d) > 1e-12 {
+	if c := p.Cost(x, y); math.Abs(c-d) > 1e-12 {
 		t.Fatalf("path cost %v != distance %v", c, d)
 	}
 	if _, _, err := DTWPath(nil, y); err == nil {
@@ -147,17 +147,6 @@ func TestOptionsPlumbing(t *testing.T) {
 		if f.Octave != 0 {
 			t.Fatalf("octave override ignored: feature at octave %d", f.Octave)
 		}
-	}
-	// Custom point distance is honoured.
-	res, err := Distance([]float64{0, 0}, []float64{2, 2}, Options{
-		Strategy:      FullGrid,
-		PointDistance: func(a, b float64) float64 { return math.Abs(a - b) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Distance != 4 {
-		t.Fatalf("L1 distance = %v, want 4", res.Distance)
 	}
 }
 

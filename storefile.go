@@ -292,15 +292,11 @@ func exportMeta(f backendFamily, nextSeq uint64) map[string]string {
 
 // exportStores is the one export routine behind both SaveStores: refuse
 // an index that already serves from a store (its series hold no values
-// to write) or that keeps no envelopes, then create every store, write
-// its records, close them all, and on any failure remove root — but only
-// if this call created it.
-func (ss *storeSet) exportStores(root, fingerprint string, cascade bool, sketchW, segRecords int, parts []storeExport) error {
+// to write), then create every store, write its records, close them all,
+// and on any failure remove root — but only if this call created it.
+func (ss *storeSet) exportStores(root, fingerprint string, sketchW, segRecords int, parts []storeExport) error {
 	if ss.StoreBacked() {
 		return fmt.Errorf("sdtw: SaveStore: the index already serves from a segment store: %w", ErrStoreBacked)
-	}
-	if !cascade {
-		return fmt.Errorf("sdtw: SaveStore: a custom PointDistance has no admissible envelopes or sketches to persist: %w", ErrConfigMismatch)
 	}
 	if sketchW <= 0 {
 		sketchW = DefaultSketchWidth
@@ -360,7 +356,7 @@ func (ss *storeSet) exportStores(root, fingerprint string, cascade bool, sketchW
 // snapshot.
 func (ix *Index) SaveStore(dir string) error {
 	data, envs := ix.core.Snapshot()
-	return ix.exportStores(dir, ix.family.fingerprint, ix.core.Cascade(), ix.core.SketchWidth(), ix.segRecords, []storeExport{{
+	return ix.exportStores(dir, ix.family.fingerprint, ix.core.SketchWidth(), ix.segRecords, []storeExport{{
 		dir:  dir,
 		meta: exportMeta(ix.family, uint64(len(data))),
 		data: data,
@@ -388,7 +384,7 @@ func (si *ShardedIndex) SaveStore(dir string) error {
 		meta[storeMetaShard] = strconv.Itoa(i)
 		parts[i].meta = meta
 	}
-	return si.exportStores(dir, si.family.fingerprint, si.cluster.Cascade(), si.cluster.SketchWidth(), si.segRecords, parts)
+	return si.exportStores(dir, si.family.fingerprint, si.cluster.SketchWidth(), si.segRecords, parts)
 }
 
 // openStores opens the store(s) an index of the given kind was exported

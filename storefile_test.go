@@ -355,13 +355,6 @@ func TestOpenIndexValidation(t *testing.T) {
 	if err := flat.SaveStore(dir); !errors.Is(err, ErrStoreExists) {
 		t.Fatalf("SaveStore into an existing store: %v, want ErrStoreExists", err)
 	}
-	custom, err := NewIndex(d.Series, Options{PointDistance: func(a, b float64) float64 { return math.Abs(a - b) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := custom.SaveStore(filepath.Join(t.TempDir(), "custom")); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("SaveStore under a custom PointDistance: %v, want ErrConfigMismatch", err)
-	}
 
 	// Every option that changes distances or cascade geometry refuses.
 	for _, bad := range []Options{
@@ -724,13 +717,13 @@ func TestOpenRefusesRemovedStrategyStore(t *testing.T) {
 	flat := filepath.Join(t.TempDir(), "flat")
 	engine := backendFamily{kind: snapshotKindEngine}
 	meta := exportMeta(engine, uint64(len(d.Series)))
-	if err := new(storeSet).exportStores(flat, fp, true, DefaultSketchWidth, 0, []storeExport{{dir: flat, meta: meta, data: d.Series, envs: envs}}); err != nil {
+	if err := new(storeSet).exportStores(flat, fp, DefaultSketchWidth, 0, []storeExport{{dir: flat, meta: meta, data: d.Series, envs: envs}}); err != nil {
 		t.Fatal(err)
 	}
 	root := filepath.Join(t.TempDir(), "root")
 	meta = exportMeta(engine, uint64(len(d.Series)))
 	meta[storeMetaShards], meta[storeMetaShard] = "1", "0"
-	if err := new(storeSet).exportStores(root, fp, true, DefaultSketchWidth, 0,
+	if err := new(storeSet).exportStores(root, fp, DefaultSketchWidth, 0,
 		[]storeExport{{dir: filepath.Join(root, shardDirName(0)), meta: meta, data: d.Series, envs: envs}}); err != nil {
 		t.Fatal(err)
 	}

@@ -121,11 +121,9 @@ type monitorQuery struct {
 //
 // Push and PushBatch consume stream points and return the matches they
 // confirmed; Flush ends the stream, reporting each query's pending (or,
-// in best-only mode, global best) match and closing the monitor. With
-// the default point distance the per-point recurrence runs the
-// monomorphized squared-cost kernel (see the README's Performance
-// section); a custom Options.PointDistance selects the generic path. A
-// Monitor is safe for concurrent use in the sense that Stats may be read
+// in best-only mode, global best) match and closing the monitor. The
+// per-point recurrence is the squared-cost column advance (see the
+// README's Performance section). A Monitor is safe for concurrent use in the sense that Stats may be read
 // while another goroutine pushes; pushing itself must come from one
 // goroutine at a time (calls are serialised by an internal lock, but the
 // stream order would otherwise be unspecified).
@@ -157,8 +155,8 @@ type Monitor struct {
 
 // NewMonitor builds a streaming monitor over the given query patterns.
 // Every query must be non-empty and non-empty query IDs must be unique
-// (they label emitted matches). Of opts, the monitor uses PointDistance
-// and Workers; band options do not apply — open-begin subsequence
+// (they label emitted matches). Of opts, the monitor uses Workers; band
+// options do not apply — open-begin subsequence
 // alignment runs the full per-point recurrence.
 func NewMonitor(queries []Series, opts Options, mopts ...MonitorOption) (*Monitor, error) {
 	cfg := monitorConfig{threshold: math.Inf(1), workers: opts.Workers}
@@ -197,7 +195,6 @@ func NewMonitor(queries []Series, opts Options, mopts ...MonitorOption) (*Monito
 			seen[q.ID] = i
 		}
 		sp, err := dtw.NewSpring(q.Values, dtw.SpringConfig{
-			Dist:      opts.PointDistance,
 			Threshold: springThreshold,
 			MinGap:    cfg.minGap,
 		})

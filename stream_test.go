@@ -34,7 +34,7 @@ func streamWorkload(tb testing.TB, name string, seriesPerClass, points int) (que
 func TestMonitorMatchesOfflineSubsequence(t *testing.T) {
 	for _, name := range []string{"Gun", "Trace"} {
 		query, stream := streamWorkload(t, name, 4, 1200)
-		want, err := dtw.Subsequence(query, stream, nil)
+		want, err := dtw.Subsequence(query, stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestMonitorAcceptance10k(t *testing.T) {
 	if len(query) != 150 {
 		t.Fatalf("Gun query length %d, want 150", len(query))
 	}
-	want, err := dtw.Subsequence(query, stream, nil)
+	want, err := dtw.Subsequence(query, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSubsequenceWrapperBitIdentical(t *testing.T) {
 			s[j] = rng.NormFloat64()
 		}
 		got := monitorOneShot(t, q, s)
-		want, err := dtw.Subsequence(q, s, nil)
+		want, err := dtw.Subsequence(q, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestEngineSubsequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := dtw.Subsequence(q, s, nil)
+		want, err := dtw.Subsequence(q, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestMonitorMultiQueryFanOut(t *testing.T) {
 			t.Fatalf("workers=%d: %d best matches, want one per query", workers, len(matches))
 		}
 		for _, got := range matches {
-			want, err := dtw.Subsequence(queries[got.Query].Values, stream, nil)
+			want, err := dtw.Subsequence(queries[got.Query].Values, stream)
 			if err != nil {
 				t.Fatal(err)
 			}
