@@ -372,18 +372,49 @@ func BenchmarkIndexClassifyAll(b *testing.B) {
 // BenchmarkBoundedTopK measures exact windowed-DTW retrieval with the
 // LB_Kim/LB_Keogh cascade (Keogh's exact-indexing pipeline, paper ref [7]).
 func BenchmarkBoundedTopK(b *testing.B) {
-	d, err := datasets.ByName("Trace", datasets.Config{Seed: benchSeed, SeriesPerClass: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := NewWindowedIndex(d.Series, 15)
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.Run("trace", func(b *testing.B) {
+		d, err := datasets.ByName("Trace", datasets.Config{Seed: benchSeed, SeriesPerClass: 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix, err := NewWindowedIndex(d.Series, 15)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSearches(b, ix, d.Series)
+	})
+	// The knn-bounds geometry: 20 000 Trace series at length 128 under a
+	// radius-3 window, where the sketch stage prunes most candidates and
+	// the cascade's own ordering is a large share of a query. Every 201st
+	// series is held out as a query.
+	b.Run("20000x128-r3", func(b *testing.B) {
+		d := TraceDataset(DatasetConfig{Seed: benchSeed, SeriesPerClass: 5025, Length: 128})
+		var coll, queries []Series
+		for i, s := range d.Series {
+			if i%201 == 200 {
+				queries = append(queries, s)
+			} else {
+				coll = append(coll, s)
+			}
+		}
+		ix, err := NewWindowedIndex(coll, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSearches(b, ix, queries, WithWorkers(1))
+	})
+}
+
+// benchSearches runs top-5 searches of ix over queries in turn and
+// reports the last search's prune and abandon rates.
+func benchSearches(b *testing.B, ix *Index, queries []Series, opts ...SearchOption) {
+	b.Helper()
+	opts = append(opts, WithK(5))
 	b.ReportAllocs()
+	b.ResetTimer()
 	var stats SearchStats
 	for i := 0; i < b.N; i++ {
-		_, s, err := ix.Search(context.Background(), d.Series[i%d.Len()], WithK(5))
+		_, s, err := ix.Search(context.Background(), queries[i%len(queries)], opts...)
 		if err != nil {
 			b.Fatal(err)
 		}

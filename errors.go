@@ -25,6 +25,10 @@ var (
 	// ErrLengthMismatch reports a series or query whose length violates
 	// the windowed backend's equal-length requirement.
 	ErrLengthMismatch = retrieve.ErrLengthMismatch
+	// ErrNonFinite reports a series or query holding a NaN or ±Inf value:
+	// every index constructor, Add and Search refuse one, since no
+	// distance or bound over it means anything.
+	ErrNonFinite = retrieve.ErrNonFinite
 	// ErrConfigMismatch reports a segment store whose kind or
 	// configuration fingerprint does not match the constructor and options
 	// it is being opened under, or options that name no configuration at

@@ -11,7 +11,8 @@ import (
 // wraps one of these so callers can branch with errors.Is instead of
 // matching message strings. ErrEmptySeries and ErrLengthMismatch are the
 // shared identities from internal/series, so the dynamic-programming
-// kernels report the very same sentinels.
+// kernels report the very same sentinels; so is ErrNonFinite, which
+// series.Series.Validate wraps too.
 var (
 	// ErrEmptyCollection reports an attempt to build an index (or run a
 	// batch) over zero series or zero queries.
@@ -23,6 +24,11 @@ var (
 	// ErrLengthMismatch reports a series whose length violates a
 	// backend's equal-length requirement.
 	ErrLengthMismatch = series.ErrLengthMismatch
+	// ErrNonFinite reports a series or query holding a NaN or ±Inf value.
+	// Every entry point refuses one — collection series at admission,
+	// queries at Prepare — since no distance or bound over it means
+	// anything.
+	ErrNonFinite = series.ErrNonFinite
 	// ErrConfigMismatch reports an index snapshot whose configuration
 	// fingerprint does not match the options it is being loaded under.
 	ErrConfigMismatch = errors.New("index config mismatch")

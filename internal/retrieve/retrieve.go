@@ -1,8 +1,9 @@
 // Package retrieve implements the shared lower-bound-cascaded k-NN
-// retrieval core behind the public sdtw.Index: one cascade — LB_Kim
-// candidate ordering, LB_Keogh envelope pruning against a shared
-// best-so-far threshold, and threshold-aware early-abandoning DTW fanned
-// out across a bounded worker pool — parameterised by a small Backend
+// retrieval core behind the public sdtw.Index: one cascade — candidates
+// visited lazily in order of their stage-0 LB_PAA (or LB_Kim) bound,
+// sketch, LB_Kim and LB_Keogh pruning against a shared best-so-far
+// threshold, and threshold-aware early-abandoning DTW fanned out across
+// a bounded worker pool — parameterised by a small Backend
 // interface supplying the actual distance family (the sDTW banded engine
 // or the Sakoe-Chiba windowed exact-DTW pipeline).
 //
@@ -308,15 +309,19 @@ func New(backend Backend, data []series.Series, workers int, abandon bool) (*Cor
 	return c, nil
 }
 
-// admitLocked validates s, warms the backend, and appends it with its
-// envelope. It first drops any backend cache state already held under the
-// series' ID: a removed series' in-flight search may have re-derived its
-// features into the read-through cache, and admitting through that stale
-// entry would permanently serve another series' features. Callers hold
-// the write lock (or are constructing).
+// admitLocked validates s (non-empty, every value finite, its ID new),
+// warms the backend, and appends it with its envelope. It first drops any
+// backend cache state already held under the series' ID: a removed
+// series' in-flight search may have re-derived its features into the
+// read-through cache, and admitting through that stale entry would
+// permanently serve another series' features. Callers hold the write
+// lock (or are constructing).
 func (c *Core) admitLocked(s series.Series) error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
+	}
+	if err := series.Finite(s.Values); err != nil {
+		return fmt.Errorf("series %q: %w", s.ID, err)
 	}
 	if s.ID != "" {
 		if _, dup := c.ids[s.ID]; dup {
@@ -581,12 +586,84 @@ func (c *Core) Snapshot() ([]series.Series, []lower.Envelope) {
 // candidate is one cascade work item: a collection position, its
 // ordering bound, and its LB_Kim bound. bound is the stage-0 LB_PAA
 // sketch bound when paa is set (an equal-length candidate of a
-// sketch-enabled search); otherwise it equals kim.
+// sketch-enabled search); otherwise it equals kim. A search visits its
+// candidates in ascending (bound, pos) order — a NaN bound after every
+// number — by popping them off a candQueue.
 type candidate struct {
 	pos   int
 	bound float64
 	kim   float64
 	paa   bool
+}
+
+// before reports whether a is visited before b: the smaller bound first,
+// a NaN bound after every number, equal bounds (or two NaNs) by position.
+// Positions are distinct, so this is a strict total order and the visit
+// order is fully determined.
+func (a *candidate) before(b *candidate) bool {
+	if a.bound < b.bound {
+		return true
+	}
+	if a.bound > b.bound {
+		return false
+	}
+	if an, bn := math.IsNaN(a.bound), math.IsNaN(b.bound); an != bn {
+		return bn
+	}
+	return a.pos < b.pos
+}
+
+// candQueue is a binary min-heap of candidates under before, built in
+// place over the search's candidate slice: heapifying is O(n) and each
+// pop O(log n), so a search pays only for the candidates it visits
+// instead of sorting all of them up front.
+type candQueue []candidate
+
+// init establishes the heap order.
+//
+//sdtw:hotpath
+func (h candQueue) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts h[i] towards the leaves until neither child comes before it.
+//
+//sdtw:hotpath
+func (h candQueue) down(i int) {
+	n := len(h)
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
+// pop removes and returns the first candidate in visit order; h must be
+// non-empty.
+//
+//sdtw:hotpath
+func (h *candQueue) pop() candidate {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	*h = q[:last]
+	if last > 0 {
+		(*h).down(0)
+	}
+	return top
 }
 
 // bestK is the best-so-far heap: a max-heap on (distance, position)
@@ -692,12 +769,16 @@ func (c *Core) Search(ctx context.Context, query series.Series, p Params) ([]Nei
 	return c.search(ctx, query, p)
 }
 
-// Prepare validates query and prepares it with backend, for
-// SearchPrepared on any core of that backend configuration. The sharded
-// layer prepares a query once and searches every shard with it.
+// Prepare validates query — non-empty, every value finite — and prepares
+// it with backend, for SearchPrepared on any core of that backend
+// configuration. The sharded layer prepares a query once and searches
+// every shard with it.
 func Prepare(backend Backend, query series.Series) (Query, error) {
 	if len(query.Values) == 0 {
 		return Query{}, fmt.Errorf("query: %w", ErrEmptySeries)
+	}
+	if err := series.Finite(query.Values); err != nil {
+		return Query{}, fmt.Errorf("query: %w", err)
 	}
 	q, err := backend.Prepare(query)
 	if err != nil {
@@ -731,6 +812,18 @@ func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Nei
 }
 
 // searchPrepared is the cascade itself, under a held read lock.
+//
+// Candidates are visited in ascending (bound, pos) order, popped one at a
+// time off a heap under the search's mutex — the same path for one
+// worker or many. Once the least bound left exceeds the pruning
+// threshold, the visit stops: every bound still queued is at least that
+// large and the threshold only tightens, so each of those candidates
+// would be pruned by its ordering bound (stage 0 for a sketch bound,
+// LB_Kim otherwise). They are counted into PrunedSketch and PrunedKim in
+// bulk instead of being visited, which leaves every Stats count what a
+// visit of each would have made it. A NaN bound is never below a
+// threshold and is ordered last, so a search holding one visits
+// everything.
 func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Neighbor, Stats, error) {
 	var stats Stats
 	start := time.Now()
@@ -739,11 +832,11 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	}
 	limit := p.EffectiveThreshold()
 
-	// Ordering pass: a cheap bound for every candidate, cheapest first.
-	// O(1) per candidate for LB_Kim, O(W) for the stage-0 sketch bound —
-	// both read only hot metadata (endpoints, sketches), never the
-	// possibly-cold raw values — so this stays sequential; it also fixes
-	// the processing order that lets the k-heap threshold tighten fast.
+	// Ordering pass: a cheap bound for every candidate. O(1) per
+	// candidate for LB_Kim, O(W) for the stage-0 sketch bound — both read
+	// only hot metadata (endpoints, sketches), never the possibly-cold raw
+	// values — so this stays sequential; the bounds fix the visit order
+	// that lets the k-heap threshold tighten fast.
 	boundStart := time.Now()
 	useSketch := c.sketchW > 0 && !p.NoSketch
 	var qmean []float64
@@ -755,6 +848,10 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 		}
 	}
 	cands := make([]candidate, 0, len(c.data))
+	// paaLeft counts the queued candidates carrying a sketch bound, so a
+	// bulk-pruned tail splits into stage-0 and Kim prunes; nans counts the
+	// NaN bounds, which forbid the bulk prune.
+	var paaLeft, nans int
 	var kimVals [2]float64
 	for i, s := range c.data {
 		if i%kimCheckEvery == 0 {
@@ -786,17 +883,15 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 		if useSketch && m.n == len(query.Values) {
 			cd.bound = sketch.LBPAA(qmean, c.sketches[i], m.n)
 			cd.paa = true
+			paaLeft++
+		}
+		if math.IsNaN(cd.bound) {
+			nans++
 		}
 		cands = append(cands, cd)
 	}
 	stats.Candidates = len(cands)
 	stats.BoundTime += time.Since(boundStart)
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].bound != cands[b].bound {
-			return cands[a].bound < cands[b].bound
-		}
-		return cands[a].pos < cands[b].pos
-	})
 	k := p.K
 	if k <= 0 || k > len(cands) {
 		k = len(cands)
@@ -818,13 +913,16 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 		tightenAt = p.K // <= 0 or > len(cands): never reached
 	}
 
-	// Stages 1-3, fanned out: LB_Kim check, LB_Keogh check, full DTW.
-	// Per-candidate accounting uses atomic counters so the fast prune
-	// path never touches the heap mutex. The pruning threshold is the
-	// tighter of the k-th best distance and the caller's range limit.
+	// Stages 0-3, fanned out: sketch check, LB_Kim check, LB_Keogh check,
+	// full DTW. The mutex is held only to pop a candidate and to update
+	// the k-heap; per-candidate accounting uses atomic counters. The
+	// pruning threshold is the tighter of the k-th best distance and the
+	// caller's range limit.
 	best := make(bestK, 0, k+1)
-	var mu sync.Mutex // guards best and firstErr
+	var mu sync.Mutex // guards best, firstErr, queue and paaLeft
 	var firstErr error
+	// stop ends the visit: raised on the first error, and once the queue
+	// is drained or its tail counted.
 	var stop atomic.Bool
 	fail := func(err error) {
 		mu.Lock()
@@ -850,9 +948,37 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	if p.Workers > 0 {
 		workers = p.Workers
 	}
-	parallelFor(ctx, workers, len(cands), &stop, func(n int) {
-		cd := cands[n]
-		s := c.data[cd.pos]
+	queue := candQueue(cands)
+	queue.init()
+	// next pops the next candidate in visit order, or reports the visit
+	// over: the queue is empty, or its least bound exceeds the threshold
+	// and the whole tail is counted as pruned by its ordering bound (see
+	// searchPrepared). With a NaN bound queued the tail is never counted:
+	// NaNs sit at its end and must be visited.
+	next := func() (candidate, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(queue) == 0 {
+			return candidate{}, false
+		}
+		if nans == 0 && queue[0].bound > threshold.Load() {
+			prunedSketch.Add(int64(paaLeft))
+			prunedKim.Add(int64(len(queue) - paaLeft))
+			queue = queue[:0]
+			return candidate{}, false
+		}
+		cd := queue.pop()
+		if cd.paa {
+			paaLeft--
+		}
+		return cd, true
+	}
+	parallelFor(ctx, workers, len(cands), &stop, func(int) {
+		cd, ok := next()
+		if !ok {
+			stop.Store(true)
+			return
+		}
 		// Stage 0: the precomputed LB_PAA sketch bound, checked before
 		// LB_Kim. Pruning here costs O(1) and touches neither the raw
 		// values nor the full envelope.
@@ -881,7 +1007,7 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 			kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, kgBudget, nil)
 			boundNS.Add(int64(time.Since(kgStart)))
 			if err != nil {
-				fail(fmt.Errorf("LB_Keogh to %q: %w", s.ID, err))
+				fail(fmt.Errorf("LB_Keogh to %q: %w", c.data[cd.pos].ID, err))
 				return
 			}
 			if kgAbandoned || kg > threshold.Load() {
@@ -889,9 +1015,11 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 				return
 			}
 		}
-		// The candidate survived every bound: materialise its raw values
-		// if they are still cold. The slot caches, so each series pays
-		// the disk read at most once per core lifetime.
+		// The candidate survived every bound: only now read its series,
+		// and materialise its raw values if they are still cold. The slot
+		// caches, so each series pays the disk read at most once per core
+		// lifetime.
+		s := c.data[cd.pos]
 		if c.cold != nil {
 			if slot := c.cold[cd.pos]; slot != nil {
 				vals, err := slot.get()

@@ -444,3 +444,34 @@ func TestSearchNilContext(t *testing.T) {
 		t.Fatalf("nil-ctx Search = %+v, want position 2", nbs)
 	}
 }
+
+// TestNonFiniteRefused pins ErrNonFinite at the core's four entry
+// points: New, Add and CloneAdd admit no NaN or ±Inf value, and Prepare
+// (hence Search and every SearchPrepared) refuses such a query.
+func TestNonFiniteRefused(t *testing.T) {
+	c := testCore(t, 6, 40)
+	backend, _, err := NewWindowedBackend(40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := series.Series{ID: "bad", Values: append([]float64(nil), c.Series(0).Values...)}
+		bad.Values[10] = v
+		if _, err := New(backend, []series.Series{c.Series(1), bad}, 1, true); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("New with %v: %v, want ErrNonFinite", v, err)
+		}
+		if err := c.Add(bad); !errors.Is(err, ErrNonFinite) || c.Len() != 6 {
+			t.Fatalf("Add with %v: %v (len %d), want ErrNonFinite", v, err, c.Len())
+		}
+		if _, err := c.CloneAdd(bad); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("CloneAdd with %v: %v, want ErrNonFinite", v, err)
+		}
+		if _, err := Prepare(backend, bad); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("Prepare with %v: %v, want ErrNonFinite", v, err)
+		}
+		if nbs, _, err := c.Search(context.Background(), bad, DefaultParams()); !errors.Is(err, ErrNonFinite) || nbs != nil {
+			t.Fatalf("Search with %v: %v, %v; want ErrNonFinite", v, nbs, err)
+		}
+	}
+	checkIDsConsistent(t, c)
+}

@@ -15,4 +15,7 @@ var (
 	// equal-length requirement (a windowed backend's collection, or a
 	// constraint band built for a different length).
 	ErrLengthMismatch = errors.New("series length mismatch")
+	// ErrNonFinite reports a series or query holding a NaN or ±Inf value:
+	// DTW over it, and every bound of it, is meaningless.
+	ErrNonFinite = errors.New("non-finite value")
 )

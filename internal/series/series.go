@@ -45,19 +45,26 @@ func (s Series) String() string {
 	return fmt.Sprintf("Series(id=%q label=%d len=%d)", s.ID, s.Label, len(s.Values))
 }
 
-// Validate reports an error if the series contains NaN or Inf values or is
-// empty. DTW over non-finite values produces meaningless distances, so
-// ingestion points should validate first.
+// Validate reports an error if the series contains NaN or Inf values
+// (wrapping ErrNonFinite) or is empty (ErrEmptySeries). DTW over
+// non-finite values produces meaningless distances, so ingestion points
+// should validate first.
 func (s Series) Validate() error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("series: %w", ErrEmptySeries)
 	}
-	for i, v := range s.Values {
-		if math.IsNaN(v) {
-			return fmt.Errorf("series: NaN at index %d", i)
-		}
-		if math.IsInf(v, 0) {
-			return fmt.Errorf("series: Inf at index %d", i)
+	if err := Finite(s.Values); err != nil {
+		return fmt.Errorf("series: %w", err)
+	}
+	return nil
+}
+
+// Finite reports the first NaN or ±Inf value of v as an error wrapping
+// ErrNonFinite, and nil when every value is finite.
+func Finite(v []float64) error {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%v at index %d: %w", x, i, ErrNonFinite)
 		}
 	}
 	return nil

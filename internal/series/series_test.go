@@ -1,6 +1,7 @@
 package series
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,9 @@ func TestValidate(t *testing.T) {
 			err := Series{Values: tc.values}.Validate()
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("Validate() error = %v, wantErr %v", err, tc.wantErr)
+			}
+			if nonFinite := tc.wantErr && tc.values != nil; nonFinite != errors.Is(err, ErrNonFinite) {
+				t.Fatalf("Validate() error = %v, errors.Is(ErrNonFinite) should be %v", err, nonFinite)
 			}
 		})
 	}

@@ -296,6 +296,7 @@ func statusFor(err error) int {
 		errors.Is(err, sdtw.ErrEmptySeries),
 		errors.Is(err, sdtw.ErrBadK),
 		errors.Is(err, sdtw.ErrLengthMismatch),
+		errors.Is(err, sdtw.ErrNonFinite),
 		errors.Is(err, sdtw.ErrEmptyCollection):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -423,12 +424,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, "add", &req) {
 		return
 	}
-	s2 := sdtw.NewSeries(req.ID, req.Label, req.Values)
-	if err := s2.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.ix.Add(s2); err != nil {
+	if err := s.ix.Add(sdtw.NewSeries(req.ID, req.Label, req.Values)); err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}

@@ -549,6 +549,7 @@ func TestStatusFor(t *testing.T) {
 		{sdtw.ErrEmptySeries, http.StatusBadRequest},
 		{sdtw.ErrBadK, http.StatusBadRequest},
 		{sdtw.ErrLengthMismatch, http.StatusBadRequest},
+		{fmt.Errorf("sdtw: Add: series %q: NaN at index 3: %w", "x", sdtw.ErrNonFinite), http.StatusBadRequest},
 		{context.Canceled, http.StatusServiceUnavailable},
 		{context.DeadlineExceeded, http.StatusServiceUnavailable},
 		{fmt.Errorf("wrapped: %w", sdtw.ErrUnknownID), http.StatusNotFound},

@@ -41,6 +41,31 @@ type Sketch struct {
 // Width returns the coefficient count.
 func (s Sketch) Width() int { return len(s.Upper) }
 
+// segments walks the w segments of a length-n series in order: segment k
+// covers [k·n/w, (k+1)·n/w). The one division is up front; each step adds
+// the quotient n/w and carries the remainder n%w, so (k+1)·n/w is
+// k·n/w + n/w, plus one whenever the carried remainder reaches w. Means,
+// FromEnvelope and LBPAA all walk through it, so they agree on what a
+// segment is.
+type segments struct {
+	q, r, w int // n/w, n%w, w
+	hi, acc int // end of the last segment, k·(n%w) mod w
+}
+
+func newSegments(n, w int) segments { return segments{q: n / w, r: n % w, w: w} }
+
+// next returns the bounds [lo, hi) of the next segment; hi == lo for the
+// empty segments of n < w.
+func (s *segments) next() (lo, hi int) {
+	lo = s.hi
+	s.hi += s.q
+	if s.acc += s.r; s.acc >= s.w {
+		s.acc -= s.w
+		s.hi++
+	}
+	return lo, s.hi
+}
+
 // FromEnvelope summarises an envelope into a width-w sketch: segment k
 // of a length-n series covers positions [k·n/w, (k+1)·n/w), and the
 // sketch keeps the max upper / min lower envelope value over each
@@ -57,8 +82,9 @@ func FromEnvelope(env lower.Envelope, w int) (Sketch, error) {
 	}
 	out := make([]float64, 2*w)
 	sk := Sketch{Upper: out[:w:w], Lower: out[w:]}
+	seg := newSegments(n, w)
 	for k := 0; k < w; k++ {
-		lo, hi := k*n/w, (k+1)*n/w
+		lo, hi := seg.next()
 		if hi <= lo {
 			continue // empty segment (n < w); LBPAA skips it too
 		}
@@ -93,8 +119,9 @@ func Means(q []float64, w int, out []float64) ([]float64, error) {
 		out = make([]float64, w)
 	}
 	out = out[:w]
+	seg := newSegments(n, w)
 	for k := 0; k < w; k++ {
-		lo, hi := k*n/w, (k+1)*n/w
+		lo, hi := seg.next()
 		if hi <= lo {
 			out[k] = 0
 			continue
@@ -126,8 +153,9 @@ func LBPAA(qmean []float64, sk Sketch, n int) float64 {
 	lo := sk.Lower[:w:w]
 	qm := qmean[:w:w]
 	sum := 0.0
+	seg := newSegments(n, w)
 	for k := 0; k < w; k++ {
-		segLo, segHi := k*n/w, (k+1)*n/w
+		segLo, segHi := seg.next()
 		if segHi <= segLo {
 			continue
 		}

@@ -186,3 +186,146 @@ func FuzzLBPAAAdmissible(f *testing.F) {
 		}
 	})
 }
+
+// TestSegmentsMatchDivision pins the carried-remainder walker to the
+// division it replaces: segment k of a length-n series at width w is
+// [k·n/w, (k+1)·n/w), including the empty segments of n < w.
+func TestSegmentsMatchDivision(t *testing.T) {
+	for n := 1; n <= 600; n++ {
+		for w := 1; w <= 70; w++ {
+			seg := newSegments(n, w)
+			for k := 0; k < w; k++ {
+				lo, hi := seg.next()
+				if wantLo, wantHi := k*n/w, (k+1)*n/w; lo != wantLo || hi != wantHi {
+					t.Fatalf("n=%d w=%d segment %d = [%d, %d), want [%d, %d)", n, w, k, lo, hi, wantLo, wantHi)
+				}
+			}
+		}
+	}
+}
+
+// The textbook forms the segment walker replaced: each segment's bounds
+// by two integer divisions. Kept as the bit-for-bit references.
+
+func fromEnvelopeDivision(env lower.Envelope, w int) Sketch {
+	n := len(env.Upper)
+	sk := Sketch{Upper: make([]float64, w), Lower: make([]float64, w)}
+	for k := 0; k < w; k++ {
+		lo, hi := k*n/w, (k+1)*n/w
+		if hi <= lo {
+			continue
+		}
+		u, l := env.Upper[lo], env.Lower[lo]
+		for i := lo + 1; i < hi; i++ {
+			u, l = max(u, env.Upper[i]), min(l, env.Lower[i])
+		}
+		sk.Upper[k], sk.Lower[k] = u, l
+	}
+	return sk
+}
+
+func meansDivision(q []float64, w int) []float64 {
+	n := len(q)
+	out := make([]float64, w)
+	for k := 0; k < w; k++ {
+		lo, hi := k*n/w, (k+1)*n/w
+		if hi <= lo {
+			continue
+		}
+		sum := 0.0
+		for _, v := range q[lo:hi] {
+			sum += v
+		}
+		out[k] = sum / float64(hi-lo)
+	}
+	return out
+}
+
+func lbpaaDivision(qmean []float64, sk Sketch, n int) float64 {
+	w := len(sk.Upper)
+	sum := 0.0
+	for k := 0; k < w; k++ {
+		lo, hi := k*n/w, (k+1)*n/w
+		if hi <= lo {
+			continue
+		}
+		m := qmean[k]
+		var d float64
+		switch {
+		case m > sk.Upper[k]:
+			d = m - sk.Upper[k]
+		case m < sk.Lower[k]:
+			d = m - sk.Lower[k]
+		default:
+			continue
+		}
+		sum += float64(hi-lo) * float64(d*d)
+	}
+	return sum
+}
+
+// TestSketchMatchesDivisionForms holds FromEnvelope, Means and LBPAA to
+// their division forms bit for bit, across lengths below, at and above
+// the width.
+func TestSketchMatchesDivisionForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for iter := 0; iter < 2000; iter++ {
+		n := rng.Intn(300) + 1
+		w := rng.Intn(70) + 1
+		q := randomValues(rng, n)
+		env := lower.NewEnvelope(randomValues(rng, n), rng.Intn(8))
+		sk, err := FromEnvelope(env, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := fromEnvelopeDivision(env, w)
+		if !same(sk.Upper, ref.Upper) || !same(sk.Lower, ref.Lower) {
+			t.Fatalf("n=%d w=%d: FromEnvelope differs from the division form", n, w)
+		}
+		qm, err := Means(q, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(qm, meansDivision(q, w)) {
+			t.Fatalf("n=%d w=%d: Means differs from the division form", n, w)
+		}
+		got, want := LBPAA(qm, sk, n), lbpaaDivision(qm, sk, n)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d w=%d: LBPAA %v, division form %v", n, w, got, want)
+		}
+	}
+}
+
+// BenchmarkLBPAA is the per-candidate stage-0 bound at the index's
+// default geometry: length 128, width 16.
+func BenchmarkLBPAA(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	const n, w, count = 128, 16, 1024
+	sks := make([]Sketch, count)
+	for i := range sks {
+		sk, err := FromEnvelope(lower.NewEnvelope(randomValues(rng, n), 3), w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sks[i] = sk
+	}
+	qm, err := Means(randomValues(rng, n), w, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += LBPAA(qm, sks[i%count], n)
+	}
+	_ = sink
+}
