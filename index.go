@@ -132,9 +132,9 @@ func windowedFamilyOver(data []Series, radius int) (backendFamily, error) {
 }
 
 // newIndex builds the in-RAM index of a family over data, with the
-// stage-0 sketch filter at sketchW (0 leaves it off). A flat index is
-// never empty: the refusal is here, retrieve.Core itself holds any count.
-func newIndex(f backendFamily, data []Series, sketchW, segRecords int) (*Index, error) {
+// stage-0 sketch filter at DefaultSketchWidth. A flat index is never
+// empty: the refusal is here, retrieve.Core itself holds any count.
+func newIndex(f backendFamily, data []Series, segRecords int) (*Index, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("sdtw: cannot index: %w", ErrEmptyCollection)
 	}
@@ -142,14 +142,9 @@ func newIndex(f backendFamily, data []Series, sketchW, segRecords int) (*Index, 
 	if err != nil {
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
-	core, err := retrieve.New(backend, data, f.workers, true)
+	core, err := newCore(backend, data, f.workers)
 	if err != nil {
 		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	if sketchW > 0 {
-		if err := core.EnableSketches(sketchW); err != nil {
-			return nil, fmt.Errorf("sdtw: %w", err)
-		}
 	}
 	return &Index{core: core, engine: engine, family: f, segRecords: segRecords}, nil
 }
@@ -163,7 +158,7 @@ func newIndex(f backendFamily, data []Series, sketchW, segRecords int) (*Index, 
 // strategy. A Strategy outside the declared six fails with
 // ErrConfigMismatch.
 func NewIndex(data []Series, opts Options) (*Index, error) {
-	return newIndex(engineFamily(opts), data, resolveSketchWidth(opts.SketchWidth), opts.StoreSegmentRecords)
+	return newIndex(engineFamily(opts), data, opts.StoreSegmentRecords)
 }
 
 // NewWindowedIndex builds an index answering exact top-k DTW queries over
@@ -181,7 +176,17 @@ func NewWindowedIndex(data []Series, radius int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(f, data, DefaultSketchWidth, 0)
+	return newIndex(f, data, 0)
+}
+
+// newCore builds an in-RAM core over data with the stage-0 sketch filter
+// on, the one way both index types build one.
+func newCore(backend retrieve.Backend, data []Series, workers int) (*retrieve.Core, error) {
+	core, err := retrieve.New(backend, data, workers, true)
+	if err != nil {
+		return nil, err
+	}
+	return core, core.EnableSketches(DefaultSketchWidth)
 }
 
 // resolveWorkers resolves a worker-pool width (an index's or a monitor's):

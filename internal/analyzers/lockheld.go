@@ -8,8 +8,8 @@ import (
 // dpEntryPoints lists the DP/kernel entry points that must never run
 // while an exclusive mutex is held: they are O(n·m) per call, so holding
 // a lock across them serializes every reader behind the slowest DP. The
-// sanctioned patterns (internal/shard) are copy-on-write snapshots or an
-// RLock: searches share the lock, only mutation excludes.
+// sanctioned patterns are copy-on-write snapshots (the root ShardedIndex)
+// or an RLock: searches share the lock, only mutation excludes.
 var dpEntryPoints = map[string]map[string]bool{
 	"sdtw/internal/dtw": {
 		"Distance":         true,
@@ -41,7 +41,7 @@ var dpEntryPoints = map[string]map[string]bool{
 // Lockheld flags calls into DP/kernel entry points made while a
 // sync.Mutex or the write half of a sync.RWMutex is held. RLock regions
 // are exempt: concurrent readers may run the DP (the retrieve.Core
-// pattern); exclusive regions must not (the internal/shard COW
+// pattern); exclusive regions must not (the ShardedIndex COW
 // discipline).
 var Lockheld = &Analyzer{
 	Name: "lockheld",

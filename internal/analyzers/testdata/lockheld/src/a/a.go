@@ -27,7 +27,7 @@ func (ix *index) ReadSearch(q []float64) float64 {
 }
 
 // CopySearch snapshots under the lock and runs the DP after releasing
-// it: the COW discipline from internal/shard.
+// it: the COW discipline of the sharded index.
 func (ix *index) CopySearch(q []float64) float64 {
 	ix.mu.Lock()
 	snap := ix.data[0]

@@ -87,7 +87,7 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 	} else {
 		threshold.Tighten(limit)
 	}
-	abandon := c.abandon && !p.NoAbandon
+	abandon := !p.NoAbandon
 	budget := func() float64 {
 		if abandon {
 			return threshold.Load()

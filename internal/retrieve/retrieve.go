@@ -134,10 +134,6 @@ type Core struct {
 	backend Backend
 	workers int
 
-	// abandon reports whether the DP early-abandons against the
-	// best-so-far threshold.
-	abandon bool
-
 	// sketchW is the stage-0 PAA sketch width; 0 disables stage 0.
 	sketchW int
 
@@ -215,14 +211,17 @@ type ColdAdmitter interface {
 // lazily. sketchW enables stage 0 at that width (0 disables). Backend
 // caches are not warmed — the engine's feature cache fills read-through on
 // first evaluation, which computes the same features Admit would have.
-func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, abandon bool) (*Core, error) {
+//
+// The bool parameter is ignored (the DP always early-abandons, unless a
+// search sets Params.NoAbandon); it goes with the benchmark edit of
+// ROADMAP item 2c: the nested benchmark module passes true.
+func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ bool) (*Core, error) {
 	if workers <= 0 {
 		workers = 1
 	}
 	c := &Core{
 		backend:   backend,
 		workers:   workers,
-		abandon:   abandon,
 		data:      make([]series.Series, 0, len(cold)),
 		meta:      make([]seriesMeta, 0, len(cold)),
 		cold:      make([]*coldSlot, 0, len(cold)),
@@ -274,8 +273,8 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, aband
 // New builds a core over data (possibly none), validating every series
 // and warming the backend's caches. workers bounds the query worker pool
 // (<= 0 means the caller should have defaulted it; it is clamped to 1).
-// abandon enables early abandonment.
-func New(backend Backend, data []series.Series, workers int, abandon bool) (*Core, error) {
+// The bool parameter is ignored, as in RestoreCold.
+func New(backend Backend, data []series.Series, workers int, _ bool) (*Core, error) {
 	// Validate the whole collection before paying any one-time costs, so
 	// structural errors (empty series, duplicate IDs) surface first.
 	seen := make(map[string]bool, len(data))
@@ -296,7 +295,6 @@ func New(backend Backend, data []series.Series, workers int, abandon bool) (*Cor
 	c := &Core{
 		backend:   backend,
 		workers:   workers,
-		abandon:   abandon,
 		data:      make([]series.Series, 0, len(data)),
 		ids:       make(map[string]int, len(data)),
 		envelopes: make([]lower.Envelope, 0, len(data)),
@@ -479,7 +477,6 @@ func (c *Core) copyLocked() *Core {
 	nc := &Core{
 		backend:   c.backend,
 		workers:   c.workers,
-		abandon:   c.abandon,
 		sketchW:   c.sketchW,
 		data:      make([]series.Series, len(c.data)),
 		meta:      make([]seriesMeta, len(c.meta)),
@@ -941,7 +938,7 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	} else {
 		threshold.Tighten(limit)
 	}
-	abandon := c.abandon && !p.NoAbandon
+	abandon := !p.NoAbandon
 	var prunedSketch, prunedKim, prunedKeogh, evaluated, abandoned, cells, cellsSaved atomic.Int64
 	var boundNS, matchNS, dpNS atomic.Int64
 	workers := c.workers

@@ -273,6 +273,178 @@ func TestStoreFailAtInjection(t *testing.T) {
 	checkLiveSeqs(t, st, map[uint64]bool{1: true}, "after injection")
 }
 
+// shortFS wraps a filesystem so that, once armed, the next write into a
+// file whose name ends in suffix writes the first half of its bytes and
+// fails — a short write, as a full disk makes. failCut additionally fails
+// every Truncate, so the store cannot undo it.
+type shortFS struct {
+	vfs.FS
+	suffix  string
+	armed   bool
+	failCut bool
+}
+
+var (
+	errShortWrite = errors.New("injected short write")
+	errCut        = errors.New("injected truncate failure")
+)
+
+func (f *shortFS) Create(name string) (vfs.File, error) {
+	h, err := f.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &shortFile{File: h, fs: f, name: name}, nil
+}
+
+func (f *shortFS) OpenAppend(name string) (vfs.File, int64, error) {
+	h, size, err := f.FS.OpenAppend(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &shortFile{File: h, fs: f, name: name}, size, nil
+}
+
+func (f *shortFS) Truncate(name string, size int64) error {
+	if f.failCut {
+		return errCut
+	}
+	return f.FS.Truncate(name, size)
+}
+
+type shortFile struct {
+	vfs.File
+	fs   *shortFS
+	name string
+}
+
+func (h *shortFile) Write(p []byte) (int, error) {
+	if !h.fs.armed || !strings.HasSuffix(h.name, h.fs.suffix) {
+		return h.File.Write(p)
+	}
+	h.fs.armed = false
+	n, _ := h.File.Write(p[:len(p)/2])
+	return n, errShortWrite
+}
+
+// TestStoreShortWrite: a write that fails after writing part of its bytes
+// — into the value file, the hot file or the tombstone log — leaves the
+// file as it was, so the retry and every later acknowledged write read
+// back intact in the running process and again after a reopen, with
+// nothing for the reopen to recover. Every file is restored, on the real
+// filesystem (whose write handles must follow the cut) and on FaultFS.
+func TestStoreShortWrite(t *testing.T) {
+	bases := map[string]func(t *testing.T) (vfs.FS, string){
+		"os":    func(t *testing.T) (vfs.FS, string) { return vfs.OS(), t.TempDir() },
+		"fault": func(*testing.T) (vfs.FS, string) { return vfs.NewFaultFS(3), "store" },
+	}
+	for baseName, base := range bases {
+		for _, suffix := range []string{".val", ".hot", tombstonesName} {
+			t.Run(baseName+"/"+suffix, func(t *testing.T) {
+				under, dir := base(t)
+				fs := &shortFS{FS: under, suffix: suffix}
+				st, err := Create(dir, Config{Fingerprint: "fp", SketchWidth: 4, FS: fs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				add := func(seq uint64) error { return st.Append(makeRecord(t, "s"+strconv.Itoa(int(seq)), seq, 16, 4)) }
+				for seq := uint64(0); seq < 3; seq++ {
+					if err := add(seq); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st.Tombstone("s0", 0); err != nil {
+					t.Fatal(err)
+				}
+				// The failing write, then its retry: an Append of seq 3, or
+				// a Tombstone of seq 1.
+				want := map[uint64]bool{1: true, 2: true, 3: true, 4: true}
+				write := func() error { return add(3) }
+				if suffix == tombstonesName {
+					want = map[uint64]bool{2: true, 4: true}
+					write = func() error { return st.Tombstone("s1", 1) }
+				}
+				fs.armed = true
+				if err := write(); !errors.Is(err, errShortWrite) {
+					t.Fatalf("write under a short %s write: %v, want the injected fault", suffix, err)
+				}
+				if fs.armed {
+					t.Fatalf("no write into a %s file happened", suffix)
+				}
+				if err := write(); err != nil {
+					t.Fatalf("retry: %v", err)
+				}
+				// Acknowledged writes after the fault, of both kinds.
+				if err := add(4); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Tombstone("s3", 3); err != nil {
+					t.Fatal(err)
+				}
+				delete(want, 3)
+				checkLiveSeqs(t, st, want, "in process")
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				st, err = OpenWith(dir, OpenOptions{FS: under})
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer st.Close()
+				checkLiveSeqs(t, st, want, "reopened")
+				if h := st.Health(); h != (Health{}) {
+					t.Fatalf("reopen recovered something: %+v", h)
+				}
+			})
+		}
+	}
+}
+
+// TestStoreShortWriteUncut: when the partial bytes of a failed write
+// cannot be cut back, the store refuses every later write instead of
+// appending after them, and a reopen truncates them and serves every
+// acknowledged record.
+func TestStoreShortWriteUncut(t *testing.T) {
+	fs := &shortFS{FS: vfs.NewFaultFS(5), suffix: ".hot"}
+	st, err := Create("store", Config{Fingerprint: "fp", SketchWidth: 4, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(makeRecord(t, "s0", 0, 16, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs.armed, fs.failCut = true, true
+	if err := st.Append(makeRecord(t, "s1", 1, 16, 4)); !errors.Is(err, errShortWrite) {
+		t.Fatalf("append under a short write: %v, want the injected fault", err)
+	}
+	fs.failCut = false
+	if err := st.Append(makeRecord(t, "s2", 2, 16, 4)); !errors.Is(err, errCut) {
+		t.Fatalf("append after an uncut short write: %v, want a refusal naming the failed cut", err)
+	}
+	if err := st.Tombstone("s0", 0); !errors.Is(err, errCut) {
+		t.Fatalf("tombstone after an uncut short write: %v, want a refusal naming the failed cut", err)
+	}
+	if err := st.Compact(); !errors.Is(err, errCut) {
+		t.Fatalf("compact after an uncut short write: %v, want a refusal naming the failed cut", err)
+	}
+	st.Close()
+	st, err = OpenWith("store", OpenOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	checkLiveSeqs(t, st, map[uint64]bool{0: true}, "reopened")
+	if h := st.Health(); h.TruncatedBytes == 0 {
+		t.Fatalf("reopen did not cut the partial record: %+v", h)
+	}
+}
+
 // TestVerifyRepair drives the fsck surface: Verify finds torn tails,
 // orphans and corrupt sealed segments with the right sentinels, Repair
 // fixes what recovery can fix, and a repaired store verifies clean (up

@@ -310,6 +310,9 @@ type Store struct {
 	sources map[int]*valSource
 	retired []*valSource
 	tomb    vfs.File
+	// tombOff is the tombstone log's length: a failed append cuts the log
+	// back to it.
+	tombOff int64
 	health  Health
 	// deferManifest suppresses the manifest commit a mid-compact seal
 	// would otherwise write: with the orphan sweep, an intermediate
@@ -317,6 +320,10 @@ type Store struct {
 	// mid-compact into data loss.
 	deferManifest bool
 	closed        bool
+	// broken is set when a failed write's partial bytes could not be cut
+	// back: a later write would land after them, so the store refuses
+	// writes until a reopen's recovery truncates them.
+	broken error
 }
 
 // segWriter is the active segment's append state.
@@ -325,7 +332,9 @@ type segWriter struct {
 	hot, val vfs.File
 	hotCRC   uint32 // running CRC over the whole hot file
 	records  int
-	valOff   int64
+	// hotOff and valOff are the two files' lengths: where the next record
+	// and value block go, and where a failed Append cuts them back to.
+	hotOff, valOff int64
 }
 
 func segName(seg int, ext string) string { return fmt.Sprintf("seg-%08d.%s", seg, ext) }
@@ -368,11 +377,11 @@ func Create(dir string, cfg Config) (*Store, error) {
 		dead:    make(map[uint64]bool),
 		sources: make(map[int]*valSource),
 	}
-	tomb, _, err := fsys.OpenAppend(filepath.Join(dir, tombstonesName))
+	tomb, tombOff, err := fsys.OpenAppend(filepath.Join(dir, tombstonesName))
 	if err != nil {
 		return nil, fmt.Errorf("store: creating tombstone log: %w", err)
 	}
-	st.tomb = tomb
+	st.tomb, st.tombOff = tomb, tombOff
 	if st.active, err = st.newSegment(1); err != nil {
 		tomb.Close()
 		return nil, err
@@ -407,6 +416,7 @@ func (st *Store) newSegment(seg int) (*segWriter, error) {
 		return nil, fmt.Errorf("store: writing segment %d header: %w", seg, err)
 	}
 	w.hotCRC = crc32.ChecksumIEEE(hotHdr)
+	w.hotOff = int64(len(hotHdr))
 	if _, err := val.Write([]byte(valMagic)); err != nil {
 		w.closeFiles()
 		return nil, fmt.Errorf("store: writing segment %d header: %w", seg, err)
@@ -868,7 +878,7 @@ func (st *Store) openActive(seg int) (*segWriter, error) {
 		hot.Close()
 		return nil, fmt.Errorf("store: reopening active segment: %w", err)
 	}
-	w := &segWriter{seg: seg, hot: hot, val: val, hotCRC: scan.hotCRC, records: keep, valOff: valEnd}
+	w := &segWriter{seg: seg, hot: hot, val: val, hotCRC: scan.hotCRC, records: keep, hotOff: hotEnd, valOff: valEnd}
 	if valSize > valEnd {
 		if err := st.fs.Truncate(valPath, valEnd); err != nil {
 			w.closeFiles()
@@ -979,10 +989,11 @@ func (st *Store) loadTombstones() error {
 		}
 		st.health.TruncatedBytes += int64(len(data)) - tornAt
 	}
-	tomb, _, err := st.fs.OpenAppend(path)
+	tomb, tombOff, err := st.fs.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("store: opening tombstone log: %w", err)
 	}
+	st.tombOff = tombOff
 	if tornAt >= 0 {
 		if err := tomb.Sync(); err != nil {
 			tomb.Close()
@@ -1136,13 +1147,35 @@ func decodeRecord(p []byte, sketchW int) (*Record, error) {
 // then the hot record pointing at it. The active segment seals once it
 // reaches the configured record count. An Append is durable only after
 // the next Sync (or seal/compact); see the package durability contract.
+// A failed Append leaves both files as they were, so a retry appends
+// cleanly.
 func (st *Store) Append(rec Record) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if err := st.writable(); err != nil {
+		return err
+	}
+	return st.appendLocked(rec)
+}
+
+// writable reports why the store refuses writes: it is closed, or a
+// failed write left bytes it could not cut back.
+func (st *Store) writable() error {
 	if st.closed {
 		return ErrClosed
 	}
-	return st.appendLocked(rec)
+	return st.broken
+}
+
+// cutBack restores the file at path to size after a write into it failed,
+// since the write may have left part of its bytes; write handles append,
+// so they follow the cut. A cut that fails breaks the store. It returns
+// cause, the failure being undone.
+func (st *Store) cutBack(cause error, path string, size int64) error {
+	if err := st.fs.Truncate(path, size); err != nil && st.broken == nil {
+		st.broken = fmt.Errorf("store: a failed write left bytes that could not be cut back (reopen to recover): %w", err)
+	}
+	return cause
 }
 
 // appendLocked is Append's body; Compact re-appends live records
@@ -1165,11 +1198,10 @@ func (st *Store) appendLocked(rec Record) error {
 		vbuf = binary.LittleEndian.AppendUint64(vbuf, math.Float64bits(v))
 	}
 	vbuf = binary.LittleEndian.AppendUint32(vbuf, crc32.ChecksumIEEE(vbuf[4:4+8*rec.N]))
-	if _, err := w.val.Write(vbuf); err != nil {
-		return fmt.Errorf("store: appending values of %q: %w", rec.ID, err)
-	}
 	valOff := w.valOff
-	w.valOff += int64(len(vbuf))
+	if _, err := w.val.Write(vbuf); err != nil {
+		return st.cutBack(fmt.Errorf("store: appending values of %q: %w", rec.ID, err), st.segPath(w.seg, "val"), valOff)
+	}
 
 	payload := encodeRecord(&rec, valOff)
 	hbuf := make([]byte, 0, 4+len(payload)+4)
@@ -1177,8 +1209,11 @@ func (st *Store) appendLocked(rec Record) error {
 	hbuf = append(hbuf, payload...)
 	hbuf = binary.LittleEndian.AppendUint32(hbuf, crc32.ChecksumIEEE(payload))
 	if _, err := w.hot.Write(hbuf); err != nil {
-		return fmt.Errorf("store: appending record %q: %w", rec.ID, err)
+		err = st.cutBack(fmt.Errorf("store: appending record %q: %w", rec.ID, err), st.segPath(w.seg, "hot"), w.hotOff)
+		return st.cutBack(err, st.segPath(w.seg, "val"), valOff)
 	}
+	w.valOff += int64(len(vbuf))
+	w.hotOff += int64(len(hbuf))
 	w.hotCRC = crc32.Update(w.hotCRC, crc32.IEEETable, hbuf)
 	w.records++
 
@@ -1242,23 +1277,28 @@ func (st *Store) Sync() error {
 // Tombstone marks the record with the given insertion sequence dead (by
 // appending to the tombstone log and syncing it — a returned Tombstone
 // is durable). The ID is recorded for auditability; liveness keys on
-// Seq alone, so re-adding an ID later is safe.
+// Seq alone, so re-adding an ID later is safe. A failed Tombstone leaves
+// the log as it was, so the record stays live across a reopen and a
+// retry appends cleanly.
 func (st *Store) Tombstone(id string, seq uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
+	if err := st.writable(); err != nil {
+		return err
 	}
 	line, err := json.Marshal(tombstone{ID: id, Seq: seq})
 	if err != nil {
 		return fmt.Errorf("store: encoding tombstone: %w", err)
 	}
-	if _, err := st.tomb.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("store: appending tombstone for %q: %w", id, err)
+	line = append(line, '\n')
+	path := filepath.Join(st.dir, tombstonesName)
+	if _, err := st.tomb.Write(line); err != nil {
+		return st.cutBack(fmt.Errorf("store: appending tombstone for %q: %w", id, err), path, st.tombOff)
 	}
 	if err := st.tomb.Sync(); err != nil {
-		return fmt.Errorf("store: syncing tombstone for %q: %w", id, err)
+		return st.cutBack(fmt.Errorf("store: syncing tombstone for %q: %w", id, err), path, st.tombOff)
 	}
+	st.tombOff += int64(len(line))
 	st.dead[seq] = true
 	return nil
 }
@@ -1293,8 +1333,8 @@ func (st *Store) liveLocked() []*Record {
 func (st *Store) Compact() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
+	if err := st.writable(); err != nil {
+		return err
 	}
 	if len(st.man.Quarantined) > 0 {
 		return fmt.Errorf("store: compact would discard %d quarantined segments: %w", len(st.man.Quarantined), ErrQuarantined)
@@ -1357,6 +1397,7 @@ func (st *Store) Compact() error {
 	if err := st.fs.Truncate(filepath.Join(st.dir, tombstonesName), 0); err != nil {
 		return fmt.Errorf("store: truncating tombstone log: %w", err)
 	}
+	st.tombOff = 0
 	if err := st.tomb.Sync(); err != nil {
 		return fmt.Errorf("store: truncating tombstone log: %w", err)
 	}

@@ -14,9 +14,10 @@ type OsFS struct{}
 // OS returns the passthrough filesystem.
 func OS() FS { return OsFS{} }
 
-// Create implements FS.
+// Create implements FS. The handle appends, like OpenAppend's, so a
+// write after a Truncate lands at the new end instead of past a hole.
 func (OsFS) Create(name string) (File, error) {
-	return os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	return os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
 // Open implements FS.

@@ -31,8 +31,8 @@ type File interface {
 // Paths are plain strings; implementations do not interpret them beyond
 // directory separators.
 type FS interface {
-	// Create opens a fresh file for writing; it fails if the file
-	// already exists (O_CREATE|O_EXCL|O_WRONLY).
+	// Create opens a fresh file for appending; it fails if the file
+	// already exists (O_CREATE|O_EXCL|O_WRONLY|O_APPEND).
 	Create(name string) (File, error)
 	// Open opens an existing file for reading (ReadAt).
 	Open(name string) (File, error)

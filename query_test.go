@@ -32,6 +32,15 @@ func extractions(engines ...*Engine) int64 {
 	return n
 }
 
+// shardEngines lists a sharded engine index's per-shard engines.
+func shardEngines(si *ShardedIndex) []*Engine {
+	engines := make([]*Engine, len(si.shards))
+	for i := range si.shards {
+		engines[i] = si.shards[i].engine
+	}
+	return engines
+}
+
 // TestQueryIDNeverEntersCollectionCache: a query is not part of the
 // collection. Searching under an ID must not add a cache entry (unbounded
 // growth under a service), and a later query reusing that ID with other
@@ -52,7 +61,7 @@ func TestQueryIDNeverEntersCollectionCache(t *testing.T) {
 		return ix, si
 	}
 	ix, si := build()
-	flatCached, shardCached := cachedFeatureSets(ix.engine), cachedFeatureSets(si.engines...)
+	flatCached, shardCached := cachedFeatureSets(ix.engine), cachedFeatureSets(shardEngines(si)...)
 	for _, vals := range [][]float64{v1, v2} {
 		q := NewSeries("same-id", 0, vals)
 		freshIx, freshSi := build()
@@ -81,7 +90,7 @@ func TestQueryIDNeverEntersCollectionCache(t *testing.T) {
 	if got := cachedFeatureSets(ix.engine); got != flatCached {
 		t.Fatalf("flat index caches %d feature sets after searching, %d before", got, flatCached)
 	}
-	if got := cachedFeatureSets(si.engines...); got != shardCached {
+	if got := cachedFeatureSets(shardEngines(si)...); got != shardCached {
 		t.Fatalf("sharded index caches %d feature sets after searching, %d before", got, shardCached)
 	}
 }
@@ -118,12 +127,12 @@ func TestQueryExtractsOncePerSearch(t *testing.T) {
 		return answer{flatHits(ix, nbrs), stats}
 	}
 	sharded := func(q Series) answer {
-		before := extractions(si.engines...)
+		before := extractions(shardEngines(si)...)
 		hits, stats, err := si.Search(ctx, q, WithK(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := extractions(si.engines...) - before; n != 1 {
+		if n := extractions(shardEngines(si)...) - before; n != 1 {
 			t.Fatalf("4-shard search of %q ran %d feature extractions, want 1", q.ID, n)
 		}
 		return answer{hits, stats}
@@ -148,14 +157,14 @@ func TestQueryExtractsOncePerSearch(t *testing.T) {
 	}
 
 	// A member query reuses its cached features: no extraction at all.
-	before := extractions(ix.engine) + extractions(si.engines...)
+	before := extractions(ix.engine) + extractions(shardEngines(si)...)
 	if _, _, err := ix.Search(ctx, data[3], WithK(5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := si.Search(ctx, data[3], WithK(5)); err != nil {
 		t.Fatal(err)
 	}
-	if n := extractions(ix.engine) + extractions(si.engines...) - before; n != 0 {
+	if n := extractions(ix.engine) + extractions(shardEngines(si)...) - before; n != 0 {
 		t.Fatalf("member queries ran %d feature extractions, want 0 (read-only cache hits)", n)
 	}
 }
@@ -200,10 +209,10 @@ func TestNoAlignmentIndexExtractsNothing(t *testing.T) {
 			if got := int64(cachedFeatureSets(ix.engine)); got != want {
 				t.Errorf("%v flat, %s: %d cached feature sets, want %d", tc.opts.Strategy, when, got, want)
 			}
-			if got := extractions(si.engines...); got != want {
+			if got := extractions(shardEngines(si)...); got != want {
 				t.Errorf("%v sharded, %s: %d extractions, want %d", tc.opts.Strategy, when, got, want)
 			}
-			if got := int64(cachedFeatureSets(si.engines...)); got != want {
+			if got := int64(cachedFeatureSets(shardEngines(si)...)); got != want {
 				t.Errorf("%v sharded, %s: %d cached feature sets, want %d", tc.opts.Strategy, when, got, want)
 			}
 		}

@@ -93,9 +93,14 @@ type Step = dtw.Step
 // grid cells filled, and per-stage timings.
 type Result = core.Result
 
-// Options configures an Engine. The point cost is always the squared
-// difference (a−b)², the cost every lower bound of the Index cascade and
-// the Hub's prefilter assume.
+// Options configures an Engine, and through it an engine-backed Index or
+// ShardedIndex. The point cost is always the squared difference (a−b)²,
+// the cost every lower bound of the Index cascade and the Hub's prefilter
+// assume. Every field that changes a distance is in the configuration
+// fingerprint a segment store records; Workers and StoreSegmentRecords
+// are not. Salient features are always cached per series ID, and every
+// index runs the stage-0 sketch filter at DefaultSketchWidth (an opened
+// index at the width its store was written with).
 type Options struct {
 	// Strategy selects the band type. The zero value is FullGrid (exact
 	// DTW); use DefaultOptions for the paper's (ac,aw) configuration. A
@@ -133,44 +138,25 @@ type Options struct {
 	// KeepBand copies the constraint band into Result.Band (off by
 	// default to avoid a per-comparison allocation).
 	KeepBand bool
-	// DisableCache turns off per-series feature caching.
-	DisableCache bool
 	// Workers bounds the worker pool Index queries fan candidates out
 	// across. Zero means GOMAXPROCS; 1 forces sequential queries. It does
 	// not affect Engine, whose calls are parallelised by the caller.
 	Workers int
-	// SketchWidth is the coefficient count of the stage-0 LB_PAA sketch
-	// filter Index queries run before LB_Kim (per envelope side). Zero
-	// means DefaultSketchWidth; negative disables stage 0. The width
-	// never changes search results — LB_PAA is admissible at every width
-	// — so it is deliberately excluded from the configuration
-	// fingerprint: snapshots and stores load under any width.
-	SketchWidth int
 	// StoreSegmentRecords caps how many records each segment of a store
 	// written by SaveStore holds before it is sealed. Zero means the
-	// store's default. Like SketchWidth it never changes search results
-	// and is excluded from the configuration fingerprint — it only
-	// shapes the on-disk segment layout.
+	// store's default. It never changes search results and is excluded
+	// from the configuration fingerprint — it only shapes the on-disk
+	// segment layout.
 	StoreSegmentRecords int
 }
 
-// DefaultSketchWidth is the stage-0 sketch width used when
-// Options.SketchWidth is zero: 16 coefficients per envelope side keeps
-// the sketch pass under 1/8th of a full LB_Keogh scan for the UCR-scale
-// lengths the paper evaluates while still pruning most far candidates.
+// DefaultSketchWidth is the stage-0 sketch width of every index: 16
+// coefficients per envelope side keeps the sketch pass under 1/8th of a
+// full LB_Keogh scan for the UCR-scale lengths the paper evaluates while
+// still pruning most far candidates. The width never changes search
+// results — LB_PAA is admissible at every width — so it is not part of
+// the configuration fingerprint.
 const DefaultSketchWidth = 16
-
-// resolveSketchWidth lowers Options.SketchWidth onto the internal
-// convention (0 disables).
-func resolveSketchWidth(w int) int {
-	if w < 0 {
-		return 0
-	}
-	if w == 0 {
-		return DefaultSketchWidth
-	}
-	return w
-}
 
 // DefaultOptions returns the paper's headline configuration: adaptive
 // core & adaptive width with 64-bin descriptors.
@@ -214,7 +200,7 @@ func (o Options) toCore() core.Options {
 		Matcher:       matcher,
 		ComputePath:   o.ComputePath,
 		KeepBand:      o.KeepBand,
-		CacheFeatures: !o.DisableCache,
+		CacheFeatures: true,
 	}
 }
 

@@ -2,35 +2,49 @@ package sdtw
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
 
+	"sdtw/internal/lower"
 	"sdtw/internal/retrieve"
-	"sdtw/internal/shard"
 )
 
 // ShardedIndex is the horizontally partitioned form of Index, built for
-// serving: series are hash-routed by ID across N independent shards,
-// searches fan out across the shards concurrently and merge their top-k
-// through one shared best-so-far threshold (pruning compounds across
-// shards exactly as it does across the workers inside one search), and
-// every shard serves reads from copy-on-write snapshots — Add and Remove
-// publish a new shard state with one atomic store, so searches never
-// block behind mutations, and a mutation never blocks behind a slow
-// search.
+// serving. Series are hash-routed by ID (FNV-1a, modulo the shard count)
+// across N shards, each a retrieve.Core over its own backend, so feature
+// caches never contend across shards. Searches fan out across the shards
+// concurrently and merge their top-k through one shared best-so-far
+// threshold, so pruning compounds across shards exactly as it does
+// across the workers inside one search.
+//
+// Every shard serves reads from copy-on-write snapshots: Add and Remove
+// build a new core beside the published one and publish it with one
+// atomic store, so searches never block behind mutations, and a mutation
+// never blocks behind a slow search. On a store-backed index a mutation
+// is published only after its record or tombstone reached the store, so
+// no search ever sees a write that then fails.
 //
 // Sharded search is exact: for any shard count, Search returns hits
 // bit-identical (IDs and distances) to a single Index.Search over the
-// same collection, including distance-tie ordering. Unlike Index, a
-// ShardedIndex may be empty — a serving collection starts empty and
-// fills through Add, and any shard (or all of them) may drain through
-// Remove and refill; a drained index still exports with SaveStore and
-// reopens — and its results are identified by series ID: they carry Pos
-// -1, since sharding makes positions meaningless.
+// same collection, including distance-tie ordering — per-shard results
+// merge by (distance, insertion sequence), and within a shard positions
+// keep insertion order. Unlike Index, a ShardedIndex may be empty: a
+// serving collection starts empty and fills through Add, and any shard
+// (or all of them) may drain through Remove and refill. An empty shard is
+// an empty core, not a special state, and a drained index still exports
+// with SaveStore and reopens. Results are identified by series ID: they
+// carry Pos -1, since sharding makes positions meaningless.
 type ShardedIndex struct {
-	cluster *shard.Cluster
-	engines []*Engine // per-shard engines; nil for the windowed backend
-	family  backendFamily
-	shards  int
+	family backendFamily
+	shards []shardSlot
+	// nextSeq is the insertion sequence the next Add takes.
+	nextSeq atomic.Uint64
 
 	// Store-backed state (stores is non-nil only for indexes opened with
 	// OpenShardedIndex / OpenShardedWindowedIndex): one segment store per
@@ -42,20 +56,47 @@ type ShardedIndex struct {
 	segRecords int
 }
 
+// shardSlot is one shard: its backend, the published snapshot, and the
+// lock that serialises the shard's copy-on-write writers.
+type shardSlot struct {
+	backend retrieve.Backend
+	engine  *Engine // nil for the windowed family
+	mu      sync.Mutex
+	snap    atomic.Pointer[shardSnap]
+}
+
+// shardSnap is one shard's immutable published state. Readers load it
+// atomically and use it for a whole search; writers build the next one
+// beside it.
+type shardSnap struct {
+	core *retrieve.Core
+	// seqs[i] is the index-wide insertion sequence of the series at local
+	// position i — the tie-break order merged results use.
+	seqs []uint64
+}
+
 // Hit is Neighbor under the name the sharded surfaces use; a sharded
 // result is identified by its ID and carries Pos -1.
 type Hit = Neighbor
 
-// ErrNoID reports a series without an ID reaching a sharded surface:
-// hash routing (and Remove) key on non-empty IDs.
-var ErrNoID = shard.ErrNoID
+// ErrNoID reports a series without an ID reaching a surface that keys on
+// IDs: a sharded index routes by them, and a store keys removals on them.
+var ErrNoID = errors.New("sharded collections need non-empty series IDs")
+
+// route maps a series ID to its shard: FNV-1a over the ID, modulo the
+// shard count. A store root's shard directories are laid out by it.
+func route(id string, shards int) int {
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return int(h.Sum64() % uint64(shards))
+}
 
 // NewShardedIndex builds a sharded index over data (which may be nil or
 // empty) using the sDTW engine configured by opts, partitioned across
 // shards. Every series needs a non-empty, unique ID. Each shard owns its
 // own engine, so feature caches never contend across shards.
 func NewShardedIndex(data []Series, shards int, opts Options) (*ShardedIndex, error) {
-	return newShardedIndex(engineFamily(opts), data, shards, resolveSketchWidth(opts.SketchWidth), opts.StoreSegmentRecords)
+	return newShardedIndex(engineFamily(opts), data, shards, opts.StoreSegmentRecords)
 }
 
 // NewShardedWindowedIndex builds a sharded index answering exact
@@ -67,48 +108,89 @@ func NewShardedWindowedIndex(data []Series, shards, radius int) (*ShardedIndex, 
 	if err != nil {
 		return nil, err
 	}
-	return newShardedIndex(f, data, shards, DefaultSketchWidth, 0)
+	return newShardedIndex(f, data, shards, 0)
 }
 
 // newShardedIndex builds the in-RAM sharded index of a family over data.
-func newShardedIndex(f backendFamily, data []Series, shards, sketchW, segRecords int) (*ShardedIndex, error) {
-	cfg, engines := f.shardConfig(shards, sketchW)
-	cluster, err := shard.New(cfg, data)
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
+// The initial insertion sequence is the position in data, so a search
+// over the fresh index breaks distance ties exactly like an Index over
+// the same slice.
+func newShardedIndex(f backendFamily, data []Series, shards, segRecords int) (*ShardedIndex, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("sdtw: a sharded index needs at least one shard, got %d", shards)
 	}
-	return &ShardedIndex{cluster: cluster, engines: engines, family: f, shards: shards, segRecords: segRecords}, nil
+	parts := make([][]Series, shards)
+	seqs := make([][]uint64, shards)
+	seen := make(map[string]bool, len(data))
+	for i, s := range data {
+		if s.ID == "" {
+			return nil, fmt.Errorf("sdtw: series %d: %w", i, ErrNoID)
+		}
+		if seen[s.ID] {
+			return nil, fmt.Errorf("sdtw: %w: %q", ErrDuplicateID, s.ID)
+		}
+		seen[s.ID] = true
+		sh := route(s.ID, shards)
+		parts[sh] = append(parts[sh], s)
+		seqs[sh] = append(seqs[sh], uint64(i))
+	}
+	si, err := assemble(f, seqs, uint64(len(data)), func(i int, b retrieve.Backend) (*retrieve.Core, error) {
+		return newCore(b, parts[i], f.workers)
+	})
+	if err != nil {
+		return nil, err
+	}
+	si.segRecords = segRecords
+	return si, nil
 }
 
-// shardConfig is the one shard.Config: every shard gets its own backend
-// of the family. The returned engines (nil for the windowed family) fill
-// in as the cluster builds its backends.
-func (f backendFamily) shardConfig(shards, sketchW int) (shard.Config, []*Engine) {
-	var engines []*Engine
-	if f.kind == snapshotKindEngine {
-		// A bad shard count is shard's to refuse; it must not panic here first.
-		engines = make([]*Engine, max(shards, 0))
+// restoreShardedIndex builds a sharded index over per-shard cold series
+// (envelopes and sketches resident at sketchW, raw values lazy) with
+// their insertion sequences; empty shards are empty slices.
+func restoreShardedIndex(f backendFamily, sketchW int, parts [][]retrieve.ColdSeries, seqs [][]uint64, nextSeq uint64) (*ShardedIndex, error) {
+	if len(parts) < 1 || len(parts) != len(seqs) {
+		return nil, fmt.Errorf("sdtw: restoring %d shard parts with %d sequence lists: %w", len(parts), len(seqs), ErrConfigMismatch)
 	}
-	return shard.Config{
-		Shards: shards,
-		NewBackend: func(i int) (retrieve.Backend, error) {
-			b, engine, err := f.newBackend()
-			if engines != nil {
-				engines[i] = engine
-			}
-			return b, err
-		},
-		Workers:     f.workers,
-		SketchWidth: sketchW,
-	}, engines
+	return assemble(f, seqs, nextSeq, func(i int, b retrieve.Backend) (*retrieve.Core, error) {
+		return retrieve.RestoreCold(b, parts[i], sketchW, f.workers, true)
+	})
 }
+
+// assemble builds one shard per entry of seqs: a backend of the family,
+// and the core build constructs over it (an empty one for a shard holding
+// no series). It is the one construction path; building and restoring
+// differ only in the core constructor they pass.
+func assemble(f backendFamily, seqs [][]uint64, nextSeq uint64,
+	build func(shard int, b retrieve.Backend) (*retrieve.Core, error)) (*ShardedIndex, error) {
+	si := &ShardedIndex{family: f, shards: make([]shardSlot, len(seqs))}
+	si.nextSeq.Store(nextSeq)
+	for i := range si.shards {
+		sl := &si.shards[i]
+		var err error
+		if sl.backend, sl.engine, err = f.newBackend(); err != nil {
+			return nil, fmt.Errorf("sdtw: shard %d backend: %w", i, err)
+		}
+		core, err := build(i, sl.backend)
+		if err != nil {
+			return nil, fmt.Errorf("sdtw: shard %d: %w", i, err)
+		}
+		sl.snap.Store(&shardSnap{core: core, seqs: seqs[i]})
+	}
+	return si, nil
+}
+
+// slot returns the shard a series ID routes to.
+func (si *ShardedIndex) slot(id string) *shardSlot { return &si.shards[route(id, len(si.shards))] }
 
 // Search fans the query out across every non-empty shard and merges the
-// per-shard results into the exact cluster top-k, ordered by (distance,
-// insertion order). It accepts the same options as Index.Search except
-// WithExclude, whose positions are meaningless across shards (rely on
-// the ID-based self-exclusion instead). An empty index returns no hits
-// and no error.
+// per-shard results into the exact top-k, ordered by (distance,
+// insertion order). All shard searches read and tighten one shared
+// best-so-far threshold, so a tight k-th best found on one shard prunes
+// candidates on every other. It accepts the same options as Index.Search
+// except WithExclude, whose positions are meaningless across shards
+// (rely on the ID-based self-exclusion instead). An empty index validates
+// the query like a full one, then returns no hits and no error. A
+// cancelled ctx stops every shard search promptly.
 func (si *ShardedIndex) Search(ctx context.Context, query Series, opts ...SearchOption) ([]Hit, SearchStats, error) {
 	p, err := resolveSearch(opts)
 	if err != nil {
@@ -117,24 +199,140 @@ func (si *ShardedIndex) Search(ctx context.Context, query Series, opts ...Search
 	if p.Exclude != -1 {
 		return nil, SearchStats{}, fmt.Errorf("sdtw: WithExclude is positional and does not apply across shards; remove series by ID instead")
 	}
-	hits, stats, err := si.cluster.Search(ctx, query, p)
+	start := time.Now()
+	// The query is prepared once, not once per shard: all shards share
+	// one backend configuration, so the backend of the shard the query's
+	// ID routes to (where a member query finds its cached features)
+	// prepares it for all. That backend exists even when every shard is
+	// empty, so an empty index refuses a query a full one would.
+	q, err := retrieve.Prepare(si.slot(query.ID).backend, query)
 	if err != nil {
-		return nil, stats, fmt.Errorf("sdtw: %w", err)
+		return nil, SearchStats{}, fmt.Errorf("sdtw: %w", err)
 	}
+	snaps := make([]*shardSnap, 0, len(si.shards))
+	for i := range si.shards {
+		if snap := si.shards[i].snap.Load(); len(snap.seqs) > 0 {
+			snaps = append(snaps, snap)
+		}
+	}
+	stats := SearchStats{ExtractTime: q.ExtractTime}
+	if len(snaps) == 0 {
+		stats.WallTime = time.Since(start)
+		return nil, stats, nil
+	}
+
+	rp := p
+	rp.Shared = retrieve.NewSharedThreshold(p.EffectiveThreshold())
+	workers := rp.Workers
+	if workers <= 0 {
+		workers = si.family.workers
+	}
+	// Ceiling-divide the worker budget across shards (the batch idiom):
+	// every shard keeps at least one worker, small indexes keep full
+	// in-shard parallelism.
+	rp.Workers = max(1, (workers+len(snaps)-1)/len(snaps))
+
+	// seqHit is a merged result before the sequence tie-break is dropped.
+	type seqHit struct {
+		Hit
+		seq uint64
+	}
+	type shardOut struct {
+		hits []seqHit
+		st   SearchStats
+		err  error
+	}
+	outs := make([]shardOut, len(snaps))
+	var wg sync.WaitGroup
+	for i, snap := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nbrs, st, err := snap.core.SearchPrepared(ctx, q, rp)
+			out := shardOut{st: st, err: err}
+			if err == nil && len(nbrs) > 0 {
+				out.hits = make([]seqHit, len(nbrs))
+				for j, nb := range nbrs {
+					seq := snap.seqs[nb.Pos]
+					nb.Pos = -1 // shard-local, meaningless to the caller
+					out.hits[j] = seqHit{Hit: nb, seq: seq}
+				}
+			}
+			outs[i] = out
+		}()
+	}
+	wg.Wait()
+
+	merged := make([]seqHit, 0, len(snaps)*max(1, rp.K))
+	for _, out := range outs {
+		stats.Merge(out.st)
+		if out.err != nil {
+			stats.WallTime = time.Since(start)
+			return nil, stats, fmt.Errorf("sdtw: %w", out.err)
+		}
+		merged = append(merged, out.hits...)
+	}
+	sort.Slice(merged, func(a, b int) bool {
+		if merged[a].Distance != merged[b].Distance {
+			return merged[a].Distance < merged[b].Distance
+		}
+		return merged[a].seq < merged[b].seq
+	})
+	if rp.K > 0 && len(merged) > rp.K {
+		merged = merged[:rp.K]
+	}
+	hits := make([]Hit, len(merged))
+	for i, h := range merged {
+		hits[i] = h.Hit
+	}
+	stats.WallTime = time.Since(start)
 	return hits, stats, nil
 }
 
 // Add routes s to its shard and publishes a copy-on-write snapshot with
 // it admitted, paying its one-time costs (feature extraction, LB_Keogh
 // envelope) outside any search's path. The series needs a non-empty ID,
-// unique across the cluster.
+// unique across the index (equal IDs route to the same shard, so the
+// shard's duplicate check is the index-wide one). Searches already
+// running keep their pre-Add snapshot; searches starting after the
+// publish see s.
 func (si *ShardedIndex) Add(s Series) error {
 	if si.stores != nil {
-		return si.addStore(s)
+		return si.add(route(s.ID, len(si.shards)), s, func(persist func(uint64, lower.Envelope) error) error {
+			return si.admit(s, persist)
+		})
 	}
-	if _, err := si.cluster.Add(s); err != nil {
+	if err := si.admit(s, nil); err != nil {
 		return fmt.Errorf("sdtw: Add: %w", err)
 	}
+	return nil
+}
+
+// admit stages the snapshot of s's shard with s admitted, under the
+// shard's writer lock, then hands the staged insertion sequence and
+// envelope to persist (nil in RAM) and publishes only once persist
+// succeeds. A failed persist drops the staged core and has the backend
+// forget the series, so nothing of it stays visible.
+func (si *ShardedIndex) admit(s Series, persist func(seq uint64, env lower.Envelope) error) error {
+	if s.ID == "" {
+		return ErrNoID
+	}
+	sl := si.slot(s.ID)
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	cur := sl.snap.Load()
+	core, err := cur.core.CloneAdd(s)
+	if err != nil {
+		return err
+	}
+	seq := si.nextSeq.Add(1) - 1
+	if persist != nil {
+		if err := persist(seq, core.Envelope(core.Len()-1)); err != nil {
+			sl.backend.Forget(s)
+			return err
+		}
+	}
+	sl.snap.Store(&shardSnap{core: core, seqs: append(slices.Clip(cur.seqs), seq)})
 	return nil
 }
 
@@ -142,22 +340,60 @@ func (si *ShardedIndex) Add(s Series) error {
 // drain to empty; so may the whole index.
 func (si *ShardedIndex) Remove(id string) error {
 	if si.stores != nil {
-		return si.removeStore(id)
+		return si.remove(route(id, len(si.shards)), id, func(tombstone func(uint64) error) error {
+			return si.drop(id, tombstone)
+		})
 	}
-	if _, err := si.cluster.Remove(id); err != nil {
+	if err := si.drop(id, nil); err != nil {
 		return fmt.Errorf("sdtw: Remove: %w", err)
 	}
 	return nil
 }
 
+// drop stages the snapshot of id's shard without the series, under the
+// shard's writer lock, then hands the series' insertion sequence to
+// persist (nil in RAM) and publishes only once persist succeeds.
+func (si *ShardedIndex) drop(id string, persist func(seq uint64) error) error {
+	if id == "" {
+		return fmt.Errorf("Remove needs a non-empty ID: %w", ErrNoID)
+	}
+	sl := si.slot(id)
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	cur := sl.snap.Load()
+	core, pos, err := cur.core.CloneRemove(id)
+	if err != nil {
+		return err
+	}
+	if persist != nil {
+		if err := persist(cur.seqs[pos]); err != nil {
+			return err
+		}
+	}
+	sl.snap.Store(&shardSnap{core: core, seqs: slices.Delete(slices.Clone(cur.seqs), pos, pos+1)})
+	return nil
+}
+
 // Len returns the total number of indexed series across all shards.
-func (si *ShardedIndex) Len() int { return si.cluster.Len() }
+func (si *ShardedIndex) Len() int {
+	n := 0
+	for i := range si.shards {
+		n += len(si.shards[i].snap.Load().seqs)
+	}
+	return n
+}
 
 // Shards returns the shard count.
-func (si *ShardedIndex) Shards() int { return si.shards }
+func (si *ShardedIndex) Shards() int { return len(si.shards) }
 
 // ShardSizes returns the per-shard series counts (hash-routing balance).
-func (si *ShardedIndex) ShardSizes() []int { return si.cluster.Sizes() }
+func (si *ShardedIndex) ShardSizes() []int {
+	sizes := make([]int, len(si.shards))
+	for i := range si.shards {
+		sizes[i] = len(si.shards[i].snap.Load().seqs)
+	}
+	return sizes
+}
 
 // Radius returns the effective Sakoe-Chiba warping window in samples for
 // windowed sharded indexes, and -1 for engine-backed ones.

@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
-	"sdtw/internal/shard"
+	"sdtw/internal/retrieve"
+	"sdtw/internal/sketch"
 )
 
 // shardedTestOpts is the engine configuration of the "engine" backend in
@@ -214,7 +217,7 @@ func drainAndRefill(t *testing.T, label string, si *ShardedIndex, data []Series)
 		if err := si.Add(data[i]); err != nil {
 			t.Fatalf("%s: refilling: %v", label, err)
 		}
-		if shard.Route(data[i].ID, si.Shards()) == 0 {
+		if route(data[i].ID, si.Shards()) == 0 {
 			moved = append(moved, data[i])
 		} else {
 			kept = append(kept, data[i])
@@ -327,11 +330,11 @@ func TestShardedReAddUnderDrainedShardsLastID(t *testing.T) {
 	opts := DefaultOptions()
 	const shards = 4
 	old := d.Series[0]
-	sh := shard.Route(old.ID, shards)
+	sh := route(old.ID, shards)
 	// old is the only series of its shard.
 	data := []Series{old}
 	for _, s := range d.Series[1:] {
-		if shard.Route(s.ID, shards) != sh {
+		if route(s.ID, shards) != sh {
 			data = append(data, s)
 		}
 	}
@@ -346,7 +349,7 @@ func TestShardedReAddUnderDrainedShardsLastID(t *testing.T) {
 		t.Fatalf("shard %d holds %d series after removing its only one", sh, n)
 	}
 	// What the in-flight search's DP stage does to the cache.
-	if _, err := si.engines[sh].Features(old); err != nil {
+	if _, err := si.shards[sh].engine.Features(old); err != nil {
 		t.Fatal(err)
 	}
 	fresh := d.Series[d.Len()-1]
@@ -354,7 +357,7 @@ func TestShardedReAddUnderDrainedShardsLastID(t *testing.T) {
 	if err := si.Add(fresh); err != nil {
 		t.Fatal(err)
 	}
-	got, err := si.engines[sh].Features(fresh) // the cache entry searches read
+	got, err := si.shards[sh].engine.Features(fresh) // the cache entry searches read
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,10 +486,19 @@ func TestShardedEmptyAndGrow(t *testing.T) {
 }
 
 // TestShardedValidation pins the sharded surface's own validation:
-// IDs are mandatory, duplicates refused, WithExclude rejected.
+// at least one shard, IDs are mandatory, duplicates refused, WithExclude
+// rejected.
 func TestShardedValidation(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 5, SeriesPerClass: 2})
 	ctx := context.Background()
+	for _, shards := range []int{0, -1} {
+		if _, err := NewShardedIndex(d.Series, shards, DefaultOptions()); err == nil {
+			t.Fatalf("NewShardedIndex accepted %d shards", shards)
+		}
+		if _, err := NewShardedWindowedIndex(d.Series, shards, 4); err == nil {
+			t.Fatalf("NewShardedWindowedIndex accepted %d shards", shards)
+		}
+	}
 	if _, err := NewShardedIndex([]Series{{Values: []float64{1, 2, 3}}}, 2, DefaultOptions()); !IsErr(err, ErrNoID) {
 		t.Fatalf("unkeyed series: %v, want ErrNoID", err)
 	}
@@ -546,4 +558,413 @@ func TestShardedSearchConcurrentMutation(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestShardedEmptyIndexValidatesQueries: an index with no series refuses
+// the queries a full one refuses — empty, non-finite, and on the windowed
+// backend the wrong length — on both families, whether it never held a
+// series or drained to empty, in RAM and reopened from its store; a
+// valid query then answers with no hits and no error.
+func TestShardedEmptyIndexValidatesQueries(t *testing.T) {
+	d := TraceDataset(DatasetConfig{Seed: 17, SeriesPerClass: 2})
+	n := d.Series[0].Len()
+	withValue := func(v float64) Series {
+		vals := append([]float64(nil), d.Series[1].Values...)
+		vals[n/2] = v
+		return Series{Values: vals}
+	}
+	drain := func(si *ShardedIndex) *ShardedIndex {
+		for _, s := range d.Series {
+			if err := si.Remove(s.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return si
+	}
+	reopen := func(backend string, si *ShardedIndex) *ShardedIndex {
+		dir := filepath.Join(t.TempDir(), "root")
+		if err := si.SaveStore(dir); err != nil {
+			t.Fatal(err)
+		}
+		back := openSharded(t, backend, dir)
+		t.Cleanup(func() { back.CloseStore() })
+		return back
+	}
+	newEngine := func(data []Series) *ShardedIndex {
+		si, err := NewShardedIndex(data, 3, shardedTestOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return si
+	}
+	newWindowed := func() *ShardedIndex {
+		si, err := NewShardedWindowedIndex(d.Series, 3, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return si
+	}
+	indexes := map[string]*ShardedIndex{
+		"engine/never-filled":         newEngine(nil),
+		"engine/drained":              drain(newEngine(d.Series)),
+		"engine/never-filled/store":   reopen("engine", newEngine(nil)),
+		"windowed/drained":            drain(newWindowed()),
+		"windowed/never-filled/store": reopen("windowed", drain(newWindowed())),
+	}
+	ctx := context.Background()
+	for name, si := range indexes {
+		if si.Len() != 0 {
+			t.Fatalf("%s: holds %d series", name, si.Len())
+		}
+		refused := map[string]struct {
+			query Series
+			want  error
+		}{
+			"empty": {Series{ID: "q"}, ErrEmptySeries},
+			"NaN":   {withValue(math.NaN()), ErrNonFinite},
+			"+Inf":  {withValue(math.Inf(1)), ErrNonFinite},
+		}
+		if si.Radius() >= 0 {
+			refused["length 3"] = struct {
+				query Series
+				want  error
+			}{Series{Values: []float64{1, 2, 3}}, ErrLengthMismatch}
+		}
+		for label, tc := range refused {
+			if hits, _, err := si.Search(ctx, tc.query, WithK(3)); !IsErr(err, tc.want) {
+				t.Errorf("%s: %s query answered %v, %v; want %v", name, label, hits, err, tc.want)
+			}
+		}
+		if hits, _, err := si.Search(ctx, d.Series[0], WithK(3)); err != nil || len(hits) != 0 {
+			t.Errorf("%s: valid query answered %v, %v; want no hits and no error", name, hits, err)
+		}
+	}
+}
+
+// shardTestLength is the series length of shardTestData.
+const shardTestLength = 32
+
+// shardTestData returns n Gaussian-noise series of length
+// shardTestLength with IDs s-000, s-001, ….
+func shardTestData(n int, seed int64) []Series {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([]Series, n)
+	for i := range data {
+		vals := make([]float64, shardTestLength)
+		for j := range vals {
+			vals[j] = rng.NormFloat64()
+		}
+		data[i] = Series{ID: fmt.Sprintf("s-%03d", i), Label: i % 3, Values: vals}
+	}
+	return data
+}
+
+// newShardTestIndex is a windowed sharded index over data: the windowed
+// backend needs no engine options and exercises the full cascade.
+func newShardTestIndex(t *testing.T, data []Series, shards int) *ShardedIndex {
+	t.Helper()
+	si, err := NewShardedWindowedIndex(data, shards, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return si
+}
+
+// mustSearchK runs a k-nearest search that must succeed.
+func mustSearchK(t *testing.T, si *ShardedIndex, q Series, k int) []Hit {
+	t.Helper()
+	hits, _, err := si.Search(context.Background(), q, WithK(k))
+	if err != nil {
+		t.Fatalf("Search: %v", err)
+	}
+	return hits
+}
+
+// seqOf reports the insertion sequence the series with the given ID holds
+// in the published snapshot of its shard.
+func seqOf(si *ShardedIndex, id string) (uint64, bool) {
+	snap := si.slot(id).snap.Load()
+	pos, ok := snap.core.Pos(id)
+	if !ok {
+		return 0, false
+	}
+	return snap.seqs[pos], true
+}
+
+// TestShardRoute: routing is a pure function of (ID, shard count), in
+// range, and pinned — a store root's shard directories are laid out by
+// it, so a changed hash would strand every stored series in the wrong
+// shard.
+func TestShardRoute(t *testing.T) {
+	golden := map[string]int{"s-000": 3, "s-001": 0, "gun-0-01": 0, "": 1}
+	for id, want := range golden {
+		if got := route(id, 4); got != want {
+			t.Errorf("route(%q, 4) = %d, want %d", id, got, want)
+		}
+	}
+	seen := make(map[int]bool)
+	for _, s := range shardTestData(64, 1) {
+		sh := route(s.ID, 5)
+		if sh < 0 || sh >= 5 || sh != route(s.ID, 5) {
+			t.Fatalf("route(%q, 5) = %d, then %d", s.ID, sh, route(s.ID, 5))
+		}
+		seen[sh] = true
+		if route(s.ID, 1) != 0 {
+			t.Fatalf("route(%q, 1) != 0", s.ID)
+		}
+	}
+	if len(seen) != 5 {
+		t.Fatalf("64 IDs reached only shards %v of 5", seen)
+	}
+}
+
+// TestShardedConfigRefused: both internal construction paths refuse a
+// shard count below one, a restore whose per-shard parts do not match its
+// shard count, a duplicate ID and a series without one.
+func TestShardedConfigRefused(t *testing.T) {
+	data := shardTestData(4, 2)
+	f, err := windowedFamilyOver(data, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, -1} {
+		if _, err := newShardedIndex(f, data, shards, 0); err == nil {
+			t.Fatalf("newShardedIndex accepted %d shards", shards)
+		}
+	}
+	if _, err := restoreShardedIndex(f, DefaultSketchWidth, make([][]retrieve.ColdSeries, 3), make([][]uint64, 2), 0); !IsErr(err, ErrConfigMismatch) {
+		t.Fatalf("restore with 3 parts for 2 shards: %v, want ErrConfigMismatch", err)
+	}
+	if _, err := restoreShardedIndex(f, DefaultSketchWidth, nil, nil, 0); !IsErr(err, ErrConfigMismatch) {
+		t.Fatalf("restore with no shards: %v, want ErrConfigMismatch", err)
+	}
+	if _, err := newShardedIndex(f, append(data, data[0]), 2, 0); !IsErr(err, ErrDuplicateID) {
+		t.Fatalf("duplicate ID: %v, want ErrDuplicateID", err)
+	}
+	if _, err := newShardedIndex(f, []Series{{Values: data[0].Values}}, 2, 0); !IsErr(err, ErrNoID) {
+		t.Fatalf("missing ID: %v, want ErrNoID", err)
+	}
+}
+
+// TestShardedNewAndRestoreColdAgree: an index rebuilt from its own
+// per-shard snapshots — envelopes and sketches trusted, values behind
+// loaders — answers bit-identically to the one built from the raw data.
+func TestShardedNewAndRestoreColdAgree(t *testing.T) {
+	warm := newShardTestIndex(t, shardTestData(40, 3), 3)
+	parts := make([][]retrieve.ColdSeries, warm.Shards())
+	seqs := make([][]uint64, warm.Shards())
+	for i := range warm.shards {
+		snap := warm.shards[i].snap.Load()
+		part, envs := snap.core.Snapshot()
+		seqs[i] = snap.seqs
+		for j, s := range part {
+			sk, err := sketch.FromEnvelope(envs[j], DefaultSketchWidth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals := s.Values
+			parts[i] = append(parts[i], retrieve.ColdSeries{
+				ID: s.ID, Label: s.Label, N: len(vals), First: vals[0], Last: vals[len(vals)-1],
+				Envelope: envs[j], Sketch: sk,
+				Load: func() ([]float64, error) { return vals, nil },
+			})
+		}
+	}
+	cold, err := restoreShardedIndex(warm.family, DefaultSketchWidth, parts, seqs, warm.nextSeq.Load())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Len() != warm.Len() || cold.nextSeq.Load() != warm.nextSeq.Load() {
+		t.Fatalf("restored %d series / next seq %d, want %d / %d", cold.Len(), cold.nextSeq.Load(), warm.Len(), warm.nextSeq.Load())
+	}
+	for qi, q := range shardTestData(6, 4) {
+		q.ID = ""
+		for _, k := range []int{1, 5, 40} {
+			requireSameHits(t, fmt.Sprintf("query %d k=%d", qi, k), mustSearchK(t, warm, q, k), mustSearchK(t, cold, q, k))
+		}
+	}
+}
+
+// TestShardedSequences: Add hands out consecutive index-wide insertion
+// sequences, a refused Add consumes none, Remove drops the series and its
+// sequence, and a re-added ID gets a fresh sequence, not its old one.
+func TestShardedSequences(t *testing.T) {
+	data := shardTestData(10, 5)
+	si := newShardTestIndex(t, data[:6], 3)
+	for i, s := range data[:6] {
+		if seq, ok := seqOf(si, s.ID); !ok || seq != uint64(i) {
+			t.Fatalf("seq of %q = %d, %v; want %d", s.ID, seq, ok, i)
+		}
+	}
+	for i, s := range data[6:] {
+		if err := si.Add(s); err != nil {
+			t.Fatal(err)
+		}
+		if seq, ok := seqOf(si, s.ID); !ok || seq != uint64(6+i) {
+			t.Fatalf("Add(%q) took seq %d, %v; want %d", s.ID, seq, ok, 6+i)
+		}
+	}
+	if err := si.Add(data[7]); !IsErr(err, ErrDuplicateID) {
+		t.Fatalf("duplicate Add: %v, want ErrDuplicateID", err)
+	}
+	if si.nextSeq.Load() != 10 {
+		t.Fatalf("a refused Add consumed a sequence: next is %d", si.nextSeq.Load())
+	}
+	if err := si.Remove(data[8].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := si.Remove(data[8].ID); !IsErr(err, ErrUnknownID) {
+		t.Fatalf("second Remove: %v, want ErrUnknownID", err)
+	}
+	if _, ok := seqOf(si, data[8].ID); ok {
+		t.Fatal("a removed ID still holds a sequence")
+	}
+	if err := si.Remove(""); !IsErr(err, ErrNoID) {
+		t.Fatalf("Remove of the empty ID: %v, want ErrNoID", err)
+	}
+	if err := si.Add(data[8]); err != nil {
+		t.Fatal(err)
+	}
+	if seq, _ := seqOf(si, data[8].ID); seq != 10 {
+		t.Fatalf("re-Add took seq %d, want 10", seq)
+	}
+}
+
+// TestShardedDrainAndRefill: every shard may drain to empty — an empty
+// index answers with no hits and no error — and fills again through Add.
+// A drained shard is an empty core, not a missing one: every accessor
+// keeps answering, and an index restores over shards that hold nothing.
+func TestShardedDrainAndRefill(t *testing.T) {
+	data := shardTestData(12, 6)
+	si := newShardTestIndex(t, data, 3)
+	for _, s := range data {
+		if err := si.Remove(s.ID); err != nil {
+			t.Fatalf("Remove(%q): %v", s.ID, err)
+		}
+	}
+	if si.Len() != 0 {
+		t.Fatalf("drained index holds %d series", si.Len())
+	}
+	for i, n := range si.ShardSizes() {
+		snap := si.shards[i].snap.Load()
+		if part, envs := snap.core.Snapshot(); n != 0 || len(part)+len(envs)+len(snap.seqs) != 0 {
+			t.Fatalf("drained shard %d: size %d, snapshot %d/%d/%d", i, n, len(part), len(envs), len(snap.seqs))
+		}
+	}
+	if err := si.Remove(data[0].ID); !IsErr(err, ErrUnknownID) {
+		t.Fatalf("Remove on a drained shard: %v, want ErrUnknownID", err)
+	}
+	empty := make([][]retrieve.ColdSeries, 3)
+	restored, err := restoreShardedIndex(si.family, DefaultSketchWidth, empty, make([][]uint64, 3), si.nextSeq.Load())
+	if err != nil {
+		t.Fatalf("restoring over empty shards: %v", err)
+	}
+	if err := restored.Add(data[0]); err != nil || restored.Len() != 1 {
+		t.Fatalf("Add into a restored empty index: %v; holds %d", err, restored.Len())
+	}
+	if seq, _ := seqOf(restored, data[0].ID); seq != si.nextSeq.Load() {
+		t.Fatalf("Add into a restored empty index took seq %d, want %d", seq, si.nextSeq.Load())
+	}
+	q := Series{Values: data[0].Values}
+	if hits := mustSearchK(t, si, q, 3); len(hits) != 0 {
+		t.Fatalf("empty index answered %v", hits)
+	}
+	for i, s := range data {
+		if err := si.Add(s); err != nil {
+			t.Fatalf("refill Add(%q): %v", s.ID, err)
+		}
+		if seq, _ := seqOf(si, s.ID); seq != uint64(len(data)+i) {
+			t.Fatalf("refill Add(%q) took seq %d", s.ID, seq)
+		}
+	}
+	requireSameHits(t, "refilled", mustSearchK(t, newShardTestIndex(t, data, 3), q, 5), mustSearchK(t, si, q, 5))
+}
+
+// TestShardedMergeTieBreakBySequence: equal distances on different shards
+// merge in insertion order, whatever order the series were routed or the
+// shard searches finished in.
+func TestShardedMergeTieBreakBySequence(t *testing.T) {
+	vals := shardTestData(1, 7)[0].Values
+	const copies = 9
+	si, err := NewShardedIndex(nil, 4, shardedTestOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	shardsHit := make(map[int]bool)
+	// Insert in an order unrelated to the IDs' hash order.
+	for _, i := range rand.New(rand.NewSource(8)).Perm(copies) {
+		id := fmt.Sprintf("twin-%d", i)
+		if err := si.Add(Series{ID: id, Values: vals}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+		shardsHit[route(id, 4)] = true
+	}
+	if len(shardsHit) < 2 {
+		t.Fatalf("twins all routed to one shard: %v", shardsHit)
+	}
+	for _, k := range []int{copies, 4} {
+		hits := mustSearchK(t, si, Series{Values: vals}, k)
+		if len(hits) != k {
+			t.Fatalf("k=%d: %d hits", k, len(hits))
+		}
+		for i, h := range hits {
+			if h.Distance != 0 || h.ID != want[i] {
+				t.Fatalf("k=%d rank %d: %+v, want %q at distance 0", k, i, h, want[i])
+			}
+		}
+	}
+}
+
+// TestShardedConcurrentChurn runs Add, Remove and Search against each
+// other (meaningful under -race): searches never fail or see a
+// half-published shard, and the index ends holding exactly the series
+// never removed, with every sequence handed out once.
+func TestShardedConcurrentChurn(t *testing.T) {
+	base := shardTestData(24, 9)
+	churn := shardTestData(48, 10)
+	for i := range churn {
+		churn[i].ID = fmt.Sprintf("churn-%03d", i)
+	}
+	si := newShardTestIndex(t, base, 4)
+	var wg sync.WaitGroup
+	const writers = 4
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(churn); i += writers {
+				if err := si.Add(churn[i]); err != nil {
+					t.Errorf("Add(%q): %v", churn[i].ID, err)
+				}
+				if i%2 == 0 {
+					if err := si.Remove(churn[i].ID); err != nil {
+						t.Errorf("Remove(%q): %v", churn[i].ID, err)
+					}
+				}
+			}
+		}()
+	}
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				q := Series{Values: base[(r+i)%len(base)].Values}
+				hits, _, err := si.Search(context.Background(), q, WithK(3))
+				if err != nil || len(hits) != 3 || hits[0].Distance != 0 {
+					t.Errorf("search during churn: %v, %v", hits, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if want := len(base) + len(churn)/2; si.Len() != want {
+		t.Fatalf("index holds %d series after churn, want %d", si.Len(), want)
+	}
+	if next := si.nextSeq.Load(); next != uint64(len(base)+len(churn)) {
+		t.Fatalf("next seq %d after %d Adds", next, len(base)+len(churn))
+	}
 }

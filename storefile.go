@@ -9,7 +9,6 @@ import (
 
 	"sdtw/internal/lower"
 	"sdtw/internal/retrieve"
-	"sdtw/internal/shard"
 	"sdtw/internal/sketch"
 	"sdtw/internal/store"
 	"sdtw/internal/vfs"
@@ -186,54 +185,45 @@ func (ss *storeSet) StoreStats() (StoreStats, error) {
 	return out, nil
 }
 
-// add is the write-through Add both index types share: admit in RAM,
-// build the record from the envelope the core just computed, append it,
-// and roll the admission back if the record cannot be built or appended,
-// so RAM and disk keep agreeing. admit reports the insertion sequence it
-// assigned; rollback cannot meet the flat index's last-series refusal,
-// because the series went in on top of a non-empty collection.
-func (ss *storeSet) add(shard int, s Series, admit func() (uint64, lower.Envelope, error), rollback func()) error {
+// add is the write-through Add both index types share. Under storeMu,
+// admit stages s in RAM and calls persist with the insertion sequence and
+// envelope it staged; persist builds the record from them and appends it
+// to store i. What admit does around persist is the index's own: the
+// flat index admits in place and rolls back when persist fails, a
+// sharded index publishes only once persist has succeeded.
+func (ss *storeSet) add(i int, s Series, admit func(persist func(seq uint64, env lower.Envelope) error) error) error {
 	if s.ID == "" {
 		return fmt.Errorf("sdtw: Add: a store-backed index needs non-empty series IDs: %w", ErrNoID)
 	}
 	ss.storeMu.Lock()
 	defer ss.storeMu.Unlock()
-	seq, env, err := admit()
-	if err != nil {
-		return fmt.Errorf("sdtw: Add: %w", err)
-	}
-	st := ss.stores[shard]
-	rec, err := newRecord(s, env, st.SketchWidth())
-	if err == nil {
+	st := ss.stores[i]
+	err := admit(func(seq uint64, env lower.Envelope) error {
+		rec, err := newRecord(s, env, st.SketchWidth())
+		if err != nil {
+			return err
+		}
 		rec.Seq = seq
-		err = st.Append(rec)
-	}
+		return st.Append(rec)
+	})
 	if err != nil {
-		rollback()
 		return fmt.Errorf("sdtw: Add: %w", err)
 	}
 	return nil
 }
 
-// remove is the write-through Remove both index types share. The
-// tombstone is made durable first and the series unpublished from RAM
-// second: a failed tombstone write then leaves the series searchable and
-// a retry can succeed, where the reverse order would drop it from
-// searches, answer the retry with ErrUnknownID, and resurrect it at the
-// next open. lookup resolves the ID's insertion sequence and refuses an
-// ID that cannot be removed; storeMu serialises every store-backed
-// mutation, so nothing changes between lookup and unpublish.
-func (ss *storeSet) remove(shard int, id string, lookup func() (uint64, error), unpublish func() error) error {
+// remove is the write-through Remove both index types share. Under
+// storeMu, unpublish resolves the ID and calls tombstone with the
+// insertion sequence the series holds before it takes the series out of
+// RAM: the tombstone is made durable first, so a failed write leaves the
+// series searchable and a retry can succeed, where the reverse order
+// would drop it from searches, answer the retry with ErrUnknownID, and
+// resurrect it at the next open.
+func (ss *storeSet) remove(i int, id string, unpublish func(tombstone func(seq uint64) error) error) error {
 	ss.storeMu.Lock()
 	defer ss.storeMu.Unlock()
-	seq, err := lookup()
+	err := unpublish(func(seq uint64) error { return ss.stores[i].Tombstone(id, seq) })
 	if err != nil {
-		return fmt.Errorf("sdtw: Remove: %w", err)
-	}
-	if err := ss.stores[shard].Tombstone(id, seq); err != nil {
-		return fmt.Errorf("sdtw: Remove: %w", err)
-	}
-	if err := unpublish(); err != nil {
 		return fmt.Errorf("sdtw: Remove: %w", err)
 	}
 	return nil
@@ -292,14 +282,12 @@ func exportMeta(f backendFamily, nextSeq uint64) map[string]string {
 
 // exportStores is the one export routine behind both SaveStores: refuse
 // an index that already serves from a store (its series hold no values
-// to write), then create every store, write its records, close them all,
-// and on any failure remove root — but only if this call created it.
-func (ss *storeSet) exportStores(root, fingerprint string, sketchW, segRecords int, parts []storeExport) error {
+// to write), then create every store, write its records with sketches at
+// DefaultSketchWidth, close them all, and on any failure remove root —
+// but only if this call created it.
+func (ss *storeSet) exportStores(root, fingerprint string, segRecords int, parts []storeExport) error {
 	if ss.StoreBacked() {
 		return fmt.Errorf("sdtw: SaveStore: the index already serves from a segment store: %w", ErrStoreBacked)
-	}
-	if sketchW <= 0 {
-		sketchW = DefaultSketchWidth
 	}
 	_, statErr := os.Stat(root)
 	created := os.IsNotExist(statErr)
@@ -308,7 +296,7 @@ func (ss *storeSet) exportStores(root, fingerprint string, sketchW, segRecords i
 		for _, p := range parts {
 			st, err := store.Create(p.dir, store.Config{
 				Fingerprint:    fingerprint,
-				SketchWidth:    sketchW,
+				SketchWidth:    DefaultSketchWidth,
 				SegmentRecords: segRecords,
 				Meta:           p.meta,
 			})
@@ -317,7 +305,7 @@ func (ss *storeSet) exportStores(root, fingerprint string, sketchW, segRecords i
 			}
 			stores = append(stores, st)
 			for i, s := range p.data {
-				rec, err := newRecord(s, p.envs[i], sketchW)
+				rec, err := newRecord(s, p.envs[i], DefaultSketchWidth)
 				if err != nil {
 					return fmt.Errorf("series %d: %w", i, err)
 				}
@@ -356,7 +344,7 @@ func (ss *storeSet) exportStores(root, fingerprint string, sketchW, segRecords i
 // snapshot.
 func (ix *Index) SaveStore(dir string) error {
 	data, envs := ix.core.Snapshot()
-	return ix.exportStores(dir, ix.family.fingerprint, ix.core.SketchWidth(), ix.segRecords, []storeExport{{
+	return ix.exportStores(dir, ix.family.fingerprint, ix.segRecords, []storeExport{{
 		dir:  dir,
 		meta: exportMeta(ix.family, uint64(len(data))),
 		data: data,
@@ -366,25 +354,27 @@ func (ix *Index) SaveStore(dir string) error {
 
 // SaveStore exports the sharded index into a store root at dir: one
 // segment store per shard under shard-0000, shard-0001, …, each
-// carrying the shard count, its own shard number, and the cluster's
-// next insertion sequence, so OpenShardedIndex rebuilds the cluster —
+// carrying the shard count, its own shard number, and the index's
+// next insertion sequence, so OpenShardedIndex rebuilds the index —
 // including the cross-shard tie-break order — exactly.
 func (si *ShardedIndex) SaveStore(dir string) error {
-	parts := make([]storeExport, si.shards)
+	parts := make([]storeExport, len(si.shards))
 	for i := range parts {
+		snap := si.shards[i].snap.Load()
 		p := &parts[i]
 		p.dir = filepath.Join(dir, shardDirName(i))
-		p.data, p.envs, p.seqs = si.cluster.ShardSnapshot(i)
+		p.data, p.envs = snap.core.Snapshot()
+		p.seqs = snap.seqs
 	}
 	// Captured after the shards, so every captured sequence is below it.
-	nextSeq := si.cluster.NextSeq()
+	nextSeq := si.nextSeq.Load()
 	for i := range parts {
 		meta := exportMeta(si.family, nextSeq)
-		meta[storeMetaShards] = strconv.Itoa(si.shards)
+		meta[storeMetaShards] = strconv.Itoa(len(si.shards))
 		meta[storeMetaShard] = strconv.Itoa(i)
 		parts[i].meta = meta
 	}
-	return si.exportStores(dir, si.family.fingerprint, si.cluster.SketchWidth(), si.segRecords, parts)
+	return si.exportStores(dir, si.family.fingerprint, si.segRecords, parts)
 }
 
 // openStores opens the store(s) an index of the given kind was exported
@@ -579,34 +569,41 @@ func openIndex(dir, kind string, familyOf func(*store.Store) (backendFamily, err
 		storeSet: storeSet{stores: stores}, seqs: seqs, nextSeq: nextSeq}, nil
 }
 
-// addStore is the write-through Add of a store-backed Index.
+// addStore is the write-through Add of a store-backed Index: admit in
+// place, and roll the admission back if the record cannot be built or
+// appended. The rollback cannot meet the last-series refusal, because
+// the series went in on top of a non-empty collection.
 func (ix *Index) addStore(s Series) error {
-	return ix.add(0, s, func() (uint64, lower.Envelope, error) {
+	return ix.add(0, s, func(persist func(uint64, lower.Envelope) error) error {
 		if err := ix.core.Add(s); err != nil {
-			return 0, lower.Envelope{}, err
+			return err
 		}
 		seq := ix.nextSeq
 		ix.nextSeq++
+		if err := persist(seq, ix.core.Envelope(ix.core.Len()-1)); err != nil {
+			ix.core.Remove(s.ID)
+			return err
+		}
 		ix.seqs[s.ID] = seq
-		return seq, ix.core.Envelope(ix.core.Len() - 1), nil
-	}, func() {
-		ix.core.Remove(s.ID)
-		delete(ix.seqs, s.ID)
+		return nil
 	})
 }
 
 // removeStore is the write-through Remove of a store-backed Index.
+// storeMu serialises every store-backed mutation, so nothing changes
+// between the lookup and the removal.
 func (ix *Index) removeStore(id string) error {
-	return ix.remove(0, id, func() (uint64, error) {
+	return ix.remove(0, id, func(tombstone func(uint64) error) error {
 		seq, ok := ix.seqs[id]
 		if !ok {
-			return 0, fmt.Errorf("%w: %q", ErrUnknownID, id)
+			return fmt.Errorf("%w: %q", ErrUnknownID, id)
 		}
 		if ix.core.Len() == 1 {
-			return 0, fmt.Errorf("cannot remove the last series %q: %w", id, ErrEmptyCollection)
+			return fmt.Errorf("cannot remove the last series %q: %w", id, ErrEmptyCollection)
 		}
-		return seq, nil
-	}, func() error {
+		if err := tombstone(seq); err != nil {
+			return err
+		}
 		if err := ix.core.Remove(id); err != nil {
 			return err
 		}
@@ -633,7 +630,7 @@ func OpenShardedWindowedIndex(dir string, open ...OpenOption) (*ShardedIndex, er
 	return openShardedIndex(dir, snapshotKindWindowed, windowedStoreFamily, open)
 }
 
-// openShardedIndex rebuilds the cluster from the per-shard stores' live
+// openShardedIndex rebuilds the index from the per-shard stores' live
 // records.
 func openShardedIndex(dir, kind string, familyOf func(*store.Store) (backendFamily, error), open []OpenOption) (*ShardedIndex, error) {
 	stores, nextSeq, f, err := openStores(dir, true, kind, familyOf, open)
@@ -645,31 +642,11 @@ func openShardedIndex(dir, kind string, familyOf func(*store.Store) (backendFami
 	for i, st := range stores {
 		parts[i], seqs[i] = coldRecords(st.Live())
 	}
-	cfg, engines := f.shardConfig(len(stores), stores[0].SketchWidth())
-	cluster, err := shard.RestoreCold(cfg, parts, seqs, nextSeq)
+	si, err := restoreShardedIndex(f, stores[0].SketchWidth(), parts, seqs, nextSeq)
 	if err != nil {
 		closeStores(stores)
-		return nil, fmt.Errorf("sdtw: %w", err)
+		return nil, err
 	}
-	return &ShardedIndex{cluster: cluster, engines: engines, family: f, shards: len(stores),
-		storeSet: storeSet{stores: stores, sharded: true}}, nil
-}
-
-// addStore is the write-through Add of a store-backed ShardedIndex.
-func (si *ShardedIndex) addStore(s Series) error {
-	return si.add(shard.Route(s.ID, si.shards), s, func() (uint64, lower.Envelope, error) {
-		seq, err := si.cluster.Add(s)
-		if err != nil {
-			return 0, lower.Envelope{}, err
-		}
-		return seq, si.cluster.Envelope(s.ID), nil
-	}, func() { si.cluster.Remove(s.ID) })
-}
-
-// removeStore is the write-through Remove of a store-backed
-// ShardedIndex.
-func (si *ShardedIndex) removeStore(id string) error {
-	return si.remove(shard.Route(id, si.shards), id,
-		func() (uint64, error) { return si.cluster.Seq(id) },
-		func() error { _, err := si.cluster.Remove(id); return err })
+	si.storeSet = storeSet{stores: stores, sharded: true}
+	return si, nil
 }

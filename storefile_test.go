@@ -717,13 +717,13 @@ func TestOpenRefusesRemovedStrategyStore(t *testing.T) {
 	flat := filepath.Join(t.TempDir(), "flat")
 	engine := backendFamily{kind: snapshotKindEngine}
 	meta := exportMeta(engine, uint64(len(d.Series)))
-	if err := new(storeSet).exportStores(flat, fp, DefaultSketchWidth, 0, []storeExport{{dir: flat, meta: meta, data: d.Series, envs: envs}}); err != nil {
+	if err := new(storeSet).exportStores(flat, fp, 0, []storeExport{{dir: flat, meta: meta, data: d.Series, envs: envs}}); err != nil {
 		t.Fatal(err)
 	}
 	root := filepath.Join(t.TempDir(), "root")
 	meta = exportMeta(engine, uint64(len(d.Series)))
 	meta[storeMetaShards], meta[storeMetaShard] = "1", "0"
-	if err := new(storeSet).exportStores(root, fp, DefaultSketchWidth, 0,
+	if err := new(storeSet).exportStores(root, fp, 0,
 		[]storeExport{{dir: filepath.Join(root, shardDirName(0)), meta: meta, data: d.Series, envs: envs}}); err != nil {
 		t.Fatal(err)
 	}
@@ -906,4 +906,219 @@ func TestStoreBackedRemoveFailureKeepsSeries(t *testing.T) {
 			}
 		})
 	})
+}
+
+// failingWriteFS wraps a filesystem so that, once armed, its next write
+// runs during — a search racing the write — and then writes the first
+// half of its bytes and fails.
+type failingWriteFS struct {
+	vfs.FS
+	armed  bool
+	during func()
+}
+
+var errInjectedWrite = errors.New("injected short write")
+
+func (f *failingWriteFS) Create(name string) (vfs.File, error) {
+	h, err := f.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &failingWriteFile{File: h, fs: f}, nil
+}
+
+func (f *failingWriteFS) OpenAppend(name string) (vfs.File, int64, error) {
+	h, size, err := f.FS.OpenAppend(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &failingWriteFile{File: h, fs: f}, size, nil
+}
+
+type failingWriteFile struct {
+	vfs.File
+	fs *failingWriteFS
+}
+
+func (h *failingWriteFile) Write(p []byte) (int, error) {
+	if !h.fs.armed {
+		return h.File.Write(p)
+	}
+	h.fs.armed = false
+	if h.fs.during != nil {
+		h.fs.during()
+	}
+	n, _ := h.File.Write(p[:len(p)/2])
+	return n, errInjectedWrite
+}
+
+// TestStoreBackedAddFailure: an Add whose store append fails leaves the
+// index as it was — length, every search answer, the store's counters
+// and the engines' feature caches — and the series can be added again,
+// for good: the retry survives CloseStore and a reopen. On a sharded
+// index a search running while the append fails does not see the series
+// either, because a shard publishes an Add only after its record reached
+// the store. (The flat index admits in place and rolls back, so such a
+// search may see it.)
+func TestStoreBackedAddFailure(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 127, SeriesPerClass: 5})
+	base, extra := d.Series[:len(d.Series)-1], d.Series[len(d.Series)-1]
+	opts := DefaultOptions()
+	ctx := context.Background()
+
+	// index is the surface the two index types share for this property.
+	type index interface {
+		Add(s Series) error
+		Search(ctx context.Context, query Series, opts ...SearchOption) ([]Neighbor, SearchStats, error)
+		Len() int
+		StoreStats() (StoreStats, error)
+		SyncStore() error
+		CloseStore() error
+	}
+	type layout struct {
+		export  func(dir string) error
+		open    func(dir string, fs vfs.FS) (index, error)
+		engines func(index) []*Engine
+	}
+	layouts := map[string]layout{
+		"flat/engine": {
+			export: func(dir string) error {
+				ix, err := NewIndex(base, opts)
+				if err != nil {
+					return err
+				}
+				return ix.SaveStore(dir)
+			},
+			open:    func(dir string, fs vfs.FS) (index, error) { return OpenIndex(dir, opts, withStoreFS(fs)) },
+			engines: func(ix index) []*Engine { return []*Engine{ix.(*Index).engine} },
+		},
+		"flat/windowed": {
+			export: func(dir string) error {
+				ix, err := NewWindowedIndex(base, 12)
+				if err != nil {
+					return err
+				}
+				return ix.SaveStore(dir)
+			},
+			open: func(dir string, fs vfs.FS) (index, error) { return OpenWindowedIndex(dir, withStoreFS(fs)) },
+		},
+		"sharded/engine": {
+			export: func(dir string) error {
+				si, err := NewShardedIndex(base, 3, opts)
+				if err != nil {
+					return err
+				}
+				return si.SaveStore(dir)
+			},
+			open:    func(dir string, fs vfs.FS) (index, error) { return OpenShardedIndex(dir, opts, withStoreFS(fs)) },
+			engines: func(ix index) []*Engine { return shardEngines(ix.(*ShardedIndex)) },
+		},
+		"sharded/windowed": {
+			export: func(dir string) error {
+				si, err := NewShardedWindowedIndex(base, 3, 12)
+				if err != nil {
+					return err
+				}
+				return si.SaveStore(dir)
+			},
+			open: func(dir string, fs vfs.FS) (index, error) { return OpenShardedWindowedIndex(dir, withStoreFS(fs)) },
+		},
+	}
+	for name, l := range layouts {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			if err := l.export(dir); err != nil {
+				t.Fatal(err)
+			}
+			fs := &failingWriteFS{FS: faultFSFrom(t, dir)}
+			ix, err := l.open(dir, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := []Series{{Values: extra.Values}, base[1], base[6]}
+			answers := func() [][]Neighbor {
+				out := make([][]Neighbor, len(queries))
+				for i, q := range queries {
+					if out[i], _, err = ix.Search(ctx, q, WithK(4)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return out
+			}
+			nearest := func(ix index) string {
+				nbrs, _, err := ix.Search(ctx, Series{Values: extra.Values})
+				if err != nil || len(nbrs) != 1 {
+					t.Fatalf("search: %v, %v", nbrs, err)
+				}
+				return nbrs[0].ID
+			}
+			cached := func() int {
+				if l.engines == nil {
+					return 0
+				}
+				return cachedFeatureSets(l.engines(ix)...)
+			}
+			wantAnswers := answers()
+			wantStats, err := ix.StoreStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCached := cached()
+
+			// The first failing Add runs alone, so only its own admission
+			// could have touched the feature caches.
+			fs.armed = true
+			if err := ix.Add(extra); !errors.Is(err, errInjectedWrite) {
+				t.Fatalf("Add over a failing append: %v, want the injected fault", err)
+			}
+			if got := cached(); got != wantCached {
+				t.Fatalf("the failed Add left %d cached feature sets, want %d", got, wantCached)
+			}
+			sawIt := false
+			fs.armed, fs.during = true, func() { sawIt = nearest(ix) == extra.ID }
+			if err := ix.Add(extra); !errors.Is(err, errInjectedWrite) {
+				t.Fatalf("Add over a failing append: %v, want the injected fault", err)
+			}
+			if fs.armed {
+				t.Fatal("the Add wrote nothing")
+			}
+			if sawIt && strings.HasPrefix(name, "sharded") {
+				t.Fatal("a search during the failing append returned the series being added")
+			}
+
+			if ix.Len() != len(base) {
+				t.Fatalf("failed Adds left %d series, want %d", ix.Len(), len(base))
+			}
+			if got, err := ix.StoreStats(); err != nil || !reflect.DeepEqual(got, wantStats) {
+				t.Fatalf("store stats after failed Adds: %+v, %v; want %+v", got, err, wantStats)
+			}
+			for i, got := range answers() {
+				requireSameHits(t, fmt.Sprintf("query %d after failed Adds", i), wantAnswers[i], got)
+			}
+
+			if err := ix.Add(extra); err != nil {
+				t.Fatalf("retry after the fault: %v", err)
+			}
+			if got := nearest(ix); got != extra.ID || ix.Len() != len(base)+1 {
+				t.Fatalf("retried Add did not take: nearest %q, %d series", got, ix.Len())
+			}
+			if err := ix.SyncStore(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+			back, err := l.open(dir, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer back.CloseStore()
+			if got := nearest(back); got != extra.ID || back.Len() != len(base)+1 {
+				t.Fatalf("retried Add lost at reopen: nearest %q, %d series", got, back.Len())
+			}
+			if st, err := back.StoreStats(); err != nil || st.Health != (StoreHealth{}) {
+				t.Fatalf("reopen recovered something: %+v, %v", st.Health, err)
+			}
+		})
+	}
 }
