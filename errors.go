@@ -26,8 +26,9 @@ var (
 	// the windowed backend's equal-length requirement.
 	ErrLengthMismatch = retrieve.ErrLengthMismatch
 	// ErrNonFinite reports a series or query holding a NaN or ±Inf value:
-	// every index constructor, Add and Search refuse one, since no
-	// distance or bound over it means anything.
+	// every index constructor, Add and Search refuse one, and so do
+	// NewMonitor and Hub.AddQuery, since no distance or bound over it
+	// means anything.
 	ErrNonFinite = retrieve.ErrNonFinite
 	// ErrConfigMismatch reports a segment store whose kind or
 	// configuration fingerprint does not match the constructor and options

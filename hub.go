@@ -95,9 +95,11 @@ func NewHub(_ Options, hopts ...HubOption) *Hub {
 	})}
 }
 
-// AddQuery registers a standing query under id. The hub only streams
-// thresholded emissions, so WithMatchThreshold is required (WithBestOnly
-// does not apply); WithMinGap is honoured per stream. Existing streams
+// AddQuery registers a standing query under id. The query must be
+// non-empty and finite (a NaN or ±Inf value is refused with
+// ErrNonFinite). The hub only streams thresholded emissions, so
+// WithMatchThreshold is required (WithBestOnly does not apply);
+// WithMinGap is honoured per stream. Existing streams
 // pick the query up at their next processed point, and its matches carry
 // absolute stream positions.
 func (h *Hub) AddQuery(id string, query Series, mopts ...MonitorOption) error {

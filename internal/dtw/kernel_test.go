@@ -389,6 +389,53 @@ func BenchmarkSpringAppendKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkSpringAppendFiltered times one spring in the hub-live shape of
+// the benchmark module: a 128-point query amp·|sin| with amp in
+// [0.5, 3.5], threshold 0.25, over in-band noise (σ 0.05, runs of 1–48
+// points) with a slightly warped plant of the query as one chunk in 16.
+// No point is far enough out to skip, so "pruned" (AppendFiltered) times
+// the pruned column advance and "plain" (Append) the full one.
+func BenchmarkSpringAppendFiltered(b *testing.B) {
+	const n = 128
+	rng := rand.New(rand.NewSource(42))
+	amp := 0.5 + 3*rng.Float64()
+	phase := rng.Float64() * math.Pi
+	q := make([]float64, n)
+	for j := range q {
+		q[j] = amp * math.Abs(math.Sin(phase+math.Pi*float64(j)/float64(n-1)))
+	}
+	var stream []float64
+	for len(stream) < 1<<14 {
+		if rng.Intn(16) == 0 {
+			for _, v := range q {
+				stream = append(stream, v+0.01*rng.NormFloat64())
+				if rng.Intn(8) == 0 {
+					stream = append(stream, v) // warp: repeat a point
+				}
+			}
+			continue
+		}
+		for i := rng.Intn(48); i >= 0; i-- {
+			stream = append(stream, 0.05*rng.NormFloat64())
+		}
+	}
+	for _, bc := range []struct {
+		name   string
+		append func(*Spring, float64) (SubsequenceMatch, bool)
+	}{{"plain", (*Spring).Append}, {"pruned", (*Spring).AppendFiltered}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sp, err := NewSpring(q, SpringConfig{Threshold: 0.25, MinGap: n, Prefilter: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.append(sp, stream[i%len(stream)])
+			}
+		})
+	}
+}
+
 // TestNaNCellIsDead pins what "dead" means where a NaN sits at the edge
 // of the live range: two equal ramps but for a NaN at y[25], so column 25
 // is NaN in every row, under the full band and a budget of 1, which keeps

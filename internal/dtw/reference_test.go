@@ -124,22 +124,21 @@ func BandedGeneric(x, y []float64, b Band, budget float64, ws *Workspace) (float
 // appendGeneric is Append over advanceGeneric, the reference column
 // advance.
 func (sp *Spring) appendGeneric(v float64) (SubsequenceMatch, bool) {
-	t := sp.t
 	sp.advanceGeneric(v)
-	sp.cells += int64(len(sp.q))
-	sp.t = t + 1
-	return sp.confirm(t)
+	return sp.confirm()
 }
 
 // advanceGeneric is advanceSquared cell by cell: every predecessor is
 // re-read from the column instead of carried in registers, with the same
 // comparison order (vertical, then diagonal, then horizontal, each on
-// strict <) and the same start-pointer tie-breaks.
+// strict <) and the same start-pointer tie-breaks. Like advanceSquared it
+// fills every row, so every row may be live.
 func (sp *Spring) advanceGeneric(v float64) {
 	n := len(sp.q)
 	d, s := sp.d, sp.s
 	t := sp.t
 	inf := math.Inf(1)
+	sp.hi = n - 1
 
 	diagD, diagS := d[0], s[0]
 	if t < sp.nextStart {

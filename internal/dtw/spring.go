@@ -34,24 +34,27 @@ type Spring struct {
 	q         []float64
 	threshold float64
 	minGap    int
-	// filter arms the time-domain prefilter for AppendFiltered: only set
-	// for a finite threshold and a NaN-free query (see
-	// SpringConfig.Prefilter). qmin/qmax are the query's value range
+	// filter arms the time-domain prefilter and the row pruning of
+	// AppendFiltered: only set for a finite threshold and a NaN-free query
+	// (see SpringConfig.Prefilter). qmin/qmax are the query's value range
 	// — its radius-∞ envelope — so the cheapest possible alignment cost
 	// of an out-of-range stream point v is (v-qmax)² or (qmin-v)².
 	filter     bool
 	qmin, qmax float64
-	// dormant marks the DP column as logically +Inf after a dead point:
-	// every cell is provably above the threshold, so the stored values
-	// are stale and must be re-initialised before the next real advance.
-	dormant bool
 
 	// d[i] is the cost of the cheapest warp path consuming q[0..i] and
 	// ending at the newest stream point; s[i] is the stream position where
 	// that path entered row 0 (the "star padding" start pointer).
 	d []float64
 	s []int
-	t int // stream points consumed so far
+	// hi is the last row of the stored column that may hold a cell <=
+	// threshold; -1 when none may. Every row above hi is dead (> threshold
+	// or NaN), though its stored value may be stale: the pruned advance
+	// leaves dead rows alone. The plain advance fills every row and sets
+	// hi = n-1, so the invariant holds whichever entry point drives the
+	// spring.
+	hi int
+	t  int // stream points consumed so far
 
 	best    SubsequenceMatch
 	hasBest bool
@@ -76,15 +79,18 @@ type SpringConfig struct {
 	// MinGap is the minimum number of stream points between an emitted
 	// match's end and the next match's start.
 	MinGap int
-	// Prefilter arms the time-domain prefilter consumed through
-	// AppendFiltered: stream points whose cheapest possible alignment
-	// cost against any query element already exceeds Threshold skip the
-	// O(|q|) column advance entirely. The skip is admissible — emitted
-	// matches are bit-identical to plain Append — and only engages for a
-	// finite Threshold and a NaN-free query; otherwise AppendFiltered
-	// degrades to Append. Best is not
-	// maintained across skipped points (only supra-threshold optima are
-	// affected), so arm it only when thresholded emission is the output.
+	// Prefilter arms the two admissible cuts of AppendFiltered. Stream
+	// points whose cheapest possible alignment cost against any query
+	// element already exceeds Threshold skip the O(|q|) column advance
+	// entirely; the other points advance only the rows of the column that
+	// can still hold a cell <= Threshold. Emitted matches are
+	// bit-identical to plain Append's. Both cuts only engage for a finite
+	// Threshold and a NaN-free query; otherwise AppendFiltered degrades to
+	// Append. Best is exact only at or below Threshold: whenever either
+	// side's Best is <= Threshold, the filtered and the plain spring agree
+	// bit for bit, but above it the filtered Best may stop at an earlier
+	// optimum or hold a stale dead cell. Arm it only when thresholded
+	// emission is the output.
 	Prefilter bool
 }
 
@@ -162,6 +168,7 @@ func (t *SpringTemplate) Init(sp *Spring, d []float64, s []int) {
 		qmax:      t.qmax,
 		d:         d[:n:n],
 		s:         s[:n:n],
+		hi:        -1,
 		best:      SubsequenceMatch{Distance: inf},
 		dmin:      inf,
 	}
@@ -193,7 +200,7 @@ func (sp *Spring) Reset() {
 	sp.best, sp.hasBest = SubsequenceMatch{Distance: inf}, false
 	sp.dmin, sp.ts, sp.te = inf, 0, 0
 	sp.nextStart = 0
-	sp.dormant = false
+	sp.hi = -1
 	for i := range sp.d {
 		sp.d[i] = inf
 	}
@@ -206,65 +213,68 @@ func (sp *Spring) Reset() {
 //
 //sdtw:hotpath
 func (sp *Spring) Append(v float64) (SubsequenceMatch, bool) {
-	t := sp.t
 	sp.advanceSquared(v)
-	sp.cells += int64(len(sp.q))
-	sp.t = t + 1
-	return sp.confirm(t)
+	return sp.confirm()
 }
 
-// AppendFiltered is Append behind the time-domain prefilter. A stream
-// point outside the query's value range by more than √threshold is dead:
-// every warp path must align it with some query element at cost at least
-// (v−qmax)² (or (qmin−v)²), so after consuming it every DP cell would
-// exceed the threshold — no region containing the point can ever be
-// emitted, and cells above the threshold can never re-enter emission
+// AppendFiltered is Append behind two admissible cuts, the time-domain
+// prefilter and row pruning.
+//
+// A stream point outside the query's value range by more than √threshold
+// is dead: every warp path must align it with some query element at cost
+// at least (v−qmax)² (or (qmin−v)²), so after consuming it every DP cell
+// would exceed the threshold — no region containing the point can ever
+// be emitted, and cells above the threshold can never re-enter emission
 // (costs only accumulate). Dead points therefore skip the O(|q|) column
-// advance entirely: the column is marked dormant (logically all +Inf),
-// the pending match — which the supra-threshold column would confirm —
-// is reported, and the state resumes from scratch at the next live
-// point. Emitted matches are bit-identical to plain Append's; only Best
-// diverges (it stops tracking supra-threshold optima across skips).
+// advance entirely: the column is cleared to +Inf, the pending match —
+// which the supra-threshold column would confirm — is reported, and the
+// state resumes from scratch at the next live point.
+//
+// A live point advances only the rows that can still hold a cell <=
+// threshold (see advancePruned), so its cost follows the live rows, not
+// |q|. Emitted matches are bit-identical to plain Append's; Best agrees
+// with plain Append's whenever either is <= threshold (see
+// SpringConfig.Prefilter).
 //
 // With the filter disarmed (infinite threshold, NaN query — see
 // SpringConfig.Prefilter) this is exactly Append.
 //
 //sdtw:hotpath
 func (sp *Spring) AppendFiltered(v float64) (SubsequenceMatch, bool) {
-	if sp.filter {
-		if v > sp.qmax {
-			if dd := v - sp.qmax; dd*dd > sp.threshold {
-				return sp.skip()
-			}
-		} else if v < sp.qmin {
-			if dd := sp.qmin - v; dd*dd > sp.threshold {
-				return sp.skip()
-			}
+	if !sp.filter {
+		return sp.Append(v)
+	}
+	if v > sp.qmax {
+		if dd := v - sp.qmax; dd*dd > sp.threshold {
+			return sp.skip()
 		}
-		if sp.dormant {
-			// First live point after a dead stretch: the stored column is
-			// stale. Re-initialise it to the dormant truth (+Inf) so the
-			// ordinary advance restarts from fresh paths only.
-			inf := math.Inf(1)
-			for i := range sp.d {
-				sp.d[i] = inf
-			}
-			sp.dormant = false
+	} else if v < sp.qmin {
+		if dd := sp.qmin - v; dd*dd > sp.threshold {
+			return sp.skip()
 		}
 	}
-	return sp.Append(v)
+	sp.advancePruned(v)
+	return sp.confirm()
 }
 
-// skip consumes a dead stream point in O(1): no column advance, no cell
-// fills. The pending thresholded match, if any, is confirmed here — at
-// this point the advanced column would hold no cell below its distance —
-// exactly when plain Append would have reported it.
+// skip consumes a dead stream point without a column advance: it clears
+// the rows that may still be live (none after the first dead point of a
+// stretch) to the dead column's truth, +Inf. The pending thresholded
+// match, if any, is confirmed here — at this point the advanced column
+// would hold no cell below its distance — exactly when plain Append would
+// have reported it.
 //
 //sdtw:hotpath
 func (sp *Spring) skip() (SubsequenceMatch, bool) {
 	sp.t++
 	sp.skipped++
-	sp.dormant = true
+	if sp.hi >= 0 {
+		inf := math.Inf(1)
+		for i := range sp.d[:sp.hi+1] {
+			sp.d[i] = inf
+		}
+		sp.hi = -1
+	}
 	if !math.IsInf(sp.dmin, 1) {
 		out := SubsequenceMatch{Start: sp.ts, End: sp.te, Distance: sp.dmin}
 		sp.emitReset()
@@ -273,13 +283,17 @@ func (sp *Spring) skip() (SubsequenceMatch, bool) {
 	return SubsequenceMatch{}, false
 }
 
-// confirm runs the post-advance reporting logic for the column computed
-// at stream position t: global-best tracking, the SPRING report
-// condition, and pending-match capture.
+// confirm consumes the point whose column was just advanced, at stream
+// position t, and runs the post-advance reporting logic for that column:
+// global-best tracking, the SPRING report condition, and pending-match
+// capture.
 //
 //sdtw:hotpath
-func (sp *Spring) confirm(t int) (SubsequenceMatch, bool) {
+func (sp *Spring) confirm() (SubsequenceMatch, bool) {
+	t := sp.t
+	sp.t = t + 1
 	n := len(sp.q)
+	sp.cells += int64(n)
 	d, s := sp.d, sp.s
 
 	// Global best, the offline-equivalent answer: strict < keeps the
@@ -294,13 +308,15 @@ func (sp *Spring) confirm(t int) (SubsequenceMatch, bool) {
 	}
 
 	// SPRING report condition: the captured optimum is final once every
-	// still-open path either cannot beat it or starts after its end.
+	// still-open path either cannot beat it or starts after its end. Only
+	// rows 0..hi can hold a cell below dmin <= threshold.
 	var out SubsequenceMatch
 	emitted := false
 	if !math.IsInf(sp.dmin, 1) {
 		report := true
-		for i := 0; i < n; i++ {
-			if d[i] < sp.dmin && s[i] <= sp.te {
+		live := s[:sp.hi+1]
+		for i, start := range live {
+			if d[i] < sp.dmin && start <= sp.te {
 				report = false
 				break
 			}
@@ -320,23 +336,76 @@ func (sp *Spring) confirm(t int) (SubsequenceMatch, bool) {
 
 // advanceSquared advances every DP cell by one stream point.
 //
-// Row 0: the path may begin at the current point for free — unless the
-// point falls inside the non-overlap / MinGap window of an emitted match,
-// in which case no new path may start here. Rows 1..n-1 mirror the
-// offline DP cell for cell: the comparison order (vertical, then
-// diagonal, then horizontal, each on strict <) matches Subsequence
-// exactly, so values AND start-pointer tie-breaks are bit-identical to
-// the offline grid. The state slices are re-sliced to the query length so
-// the compiler drops the per-cell bounds checks, and the just-written cell
-// below (the vertical predecessor) is carried in registers instead of
-// re-loaded. Differential tests pin it to a reference that re-reads it.
-//
 //sdtw:hotpath
 func (sp *Spring) advanceSquared(v float64) {
+	n := len(sp.q)
+	sp.fill(v, n)
+	sp.hi = n - 1
+}
+
+// advancePruned advances the rows of the column that can still hold a
+// cell <= threshold, leaving every other row as it is.
+//
+// Rows 0..hi+1 (hi of the stored column) run the full recurrence. Past
+// row hi+1 the diagonal and horizontal predecessors are dead, so only the
+// vertical one can be live: the advance follows that chain while its cell
+// stays <= threshold and stops at the first dead one. The rows above the
+// stop keep their stored values, which are dead already.
+//
+// Why it is exact: costs are non-negative, so a cell <= threshold takes
+// its strict-< argmin from a predecessor <= threshold, and a dead
+// predecessor never wins against a live one. Every live cell therefore
+// gets plain Append's value and start pointer bit for bit, and emission
+// reads only live cells: the report test needs d < dmin <= threshold,
+// and capture needs d[n-1] <= threshold.
+//
+//sdtw:hotpath
+func (sp *Spring) advancePruned(v float64) {
 	q := sp.q
 	n := len(q)
 	d := sp.d[:n]
 	s := sp.s[:n]
+	thr := sp.threshold
+	m := min(sp.hi+2, n)
+	belowD, belowS := sp.fill(v, m)
+	hi := m - 1
+	if belowD <= thr {
+		for i := m; i < n; i++ {
+			dd := q[i] - v
+			x := belowD + float64(dd*dd)
+			if !(x <= thr) {
+				break
+			}
+			d[i], s[i] = x, belowS
+			belowD, hi = x, i
+		}
+	} else {
+		for hi >= 0 && !(d[hi] <= thr) {
+			hi--
+		}
+	}
+	sp.hi = hi
+}
+
+// fill runs the full recurrence over rows 0..m-1 of the column for one
+// stream point and returns row m-1's new cell and start pointer.
+//
+// Row 0: the path may begin at the current point for free — unless the
+// point falls inside the non-overlap / MinGap window of an emitted match,
+// in which case no new path may start here. Rows 1..m-1 mirror the
+// offline DP cell for cell: the comparison order (vertical, then
+// diagonal, then horizontal, each on strict <) matches Subsequence
+// exactly, so values AND start-pointer tie-breaks are bit-identical to
+// the offline grid. The state slices are re-sliced to m so the compiler
+// drops the per-cell bounds checks, and the just-written cell below (the
+// vertical predecessor) is carried in registers instead of re-loaded.
+// Differential tests pin it to a reference that re-reads it.
+//
+//sdtw:hotpath
+func (sp *Spring) fill(v float64, m int) (float64, int) {
+	q := sp.q[:m]
+	d := sp.d[:m]
+	s := sp.s[:m]
 	t := sp.t
 	inf := math.Inf(1)
 
@@ -349,7 +418,7 @@ func (sp *Spring) advanceSquared(v float64) {
 		belowD, belowS = sq(q[0], v), t
 	}
 	d[0], s[0] = belowD, belowS
-	for i := 1; i < n; i++ {
+	for i := 1; i < m; i++ {
 		best, from := belowD, belowS // vertical
 		if diagD < best {            // diagonal
 			best, from = diagD, diagS
@@ -369,18 +438,19 @@ func (sp *Spring) advanceSquared(v float64) {
 		d[i], s[i] = best, from
 		belowD, belowS = best, from
 	}
+	return belowD, belowS
 }
 
 // emitReset clears the captured match and invalidates every open path
 // that overlaps it (or starts inside the MinGap window), enforcing
-// non-overlapping emission.
+// non-overlapping emission. Rows above hi are dead already.
 //
 //sdtw:hotpath
 func (sp *Spring) emitReset() {
 	sp.nextStart = sp.te + 1 + sp.minGap
 	sp.dmin = math.Inf(1)
 	inf := math.Inf(1)
-	for i, start := range sp.s {
+	for i, start := range sp.s[:sp.hi+1] {
 		if start < sp.nextStart {
 			sp.d[i] = inf
 		}
@@ -404,12 +474,19 @@ func (sp *Spring) Flush() (SubsequenceMatch, bool) {
 // (Threshold = +Inf) it is bit-identical to the offline Subsequence over
 // the same points; with emission enabled, invalidation after each report
 // restricts the optimum to paths that do not overlap emitted matches.
+// With the prefilter armed, AppendFiltered keeps Best exact only at or
+// below Threshold: whenever this Best or plain Append's is <= Threshold,
+// the two agree bit for bit; above it, Best may miss an optimum the
+// filter never computed or hold a stale dead cell, and may report false
+// where plain Append reports a match.
 func (sp *Spring) Best() (SubsequenceMatch, bool) { return sp.best, sp.hasBest }
 
 // Points returns the number of stream points consumed.
 func (sp *Spring) Points() int { return sp.t }
 
-// Cells returns the total DP cells filled (|q| per Append).
+// Cells returns |q| per advanced point: the cells of the full column each
+// Append or AppendFiltered advance stands for, though AppendFiltered
+// computes only the rows that can still reach the threshold.
 func (sp *Spring) Cells() int64 { return sp.cells }
 
 // Skipped returns the stream points AppendFiltered consumed without

@@ -9,6 +9,9 @@ import (
 // filterRandomStream draws a stream that alternates between in-band
 // wandering and far excursions, so the time-domain prefilter sees both
 // live and dead stretches (and the boundary between them) on most draws.
+// About one point in 64 is NaN, +Inf or -Inf: an infinite point is dead,
+// a NaN one is not (it compares outside no range) and turns every cell it
+// reaches into NaN.
 func filterRandomStream(rng *rand.Rand, n float64Range, points int) []float64 {
 	v := make([]float64, points)
 	offset := 0.0
@@ -25,6 +28,9 @@ func filterRandomStream(rng *rand.Rand, n float64Range, points int) []float64 {
 			}
 		}
 		v[i] = n.lo + rng.Float64()*(n.hi-n.lo) + offset
+		if rng.Intn(64) == 0 {
+			v[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		}
 	}
 	return v
 }
@@ -42,10 +48,36 @@ func queryRange(q []float64) float64Range {
 	return r
 }
 
+// filterStats counts what one filtered-versus-plain run exercised.
+type filterStats struct {
+	skipped int64 // points the prefilter skipped
+	// rows counts the rows of every column the filtered spring advanced,
+	// pruned those of them above hi after the advance.
+	rows, pruned int64
+	// bestAbove counts the points after which the two Bests differed,
+	// both above the threshold.
+	bestAbove int64
+}
+
+func (a *filterStats) add(b filterStats) {
+	a.skipped += b.skipped
+	a.rows += b.rows
+	a.pruned += b.pruned
+	a.bestAbove += b.bestAbove
+}
+
+// sameMatch compares two matches bit for bit, NaN distances included.
+func sameMatch(a, b SubsequenceMatch) bool {
+	return a.Start == b.Start && a.End == b.End &&
+		math.Float64bits(a.Distance) == math.Float64bits(b.Distance)
+}
+
 // checkFilterDifferential feeds the same stream to a prefiltered and an
-// unfiltered spring and requires bit-identical emissions, point by point,
-// plus flush agreement. Returns the filtered spring's skip count.
-func checkFilterDifferential(t *testing.T, q, stream []float64, threshold float64, minGap int) int64 {
+// unfiltered spring and requires, point by point, bit-identical
+// emissions, the row invariant of the pruned column (checkRowInvariant)
+// and the Best contract: whenever either side's Best is <= threshold,
+// both agree bit for bit. Then it requires flush agreement.
+func checkFilterDifferential(t *testing.T, q, stream []float64, threshold float64, minGap int) filterStats {
 	t.Helper()
 	spF, err := NewSpring(q, SpringConfig{Threshold: threshold, MinGap: minGap, Prefilter: true})
 	if err != nil {
@@ -55,24 +87,78 @@ func checkFilterDifferential(t *testing.T, q, stream []float64, threshold float6
 	if err != nil {
 		t.Fatal(err)
 	}
+	var st filterStats
 	for i, v := range stream {
+		skipped := spF.Skipped()
 		mF, okF := spF.AppendFiltered(v)
 		mP, okP := spP.Append(v)
 		if okF != okP || mF != mP {
 			t.Fatalf("point %d (v=%v): emission divergence: filtered (%+v, %v) vs plain (%+v, %v)",
 				i, v, mF, okF, mP, okP)
 		}
+		checkRowInvariant(t, i, spF, spP)
+		if spF.Skipped() == skipped {
+			st.rows += int64(len(q))
+			st.pruned += int64(len(q) - 1 - spF.hi)
+		}
+		bF, okF := spF.Best()
+		bP, okP := spP.Best()
+		if okF != okP || !sameMatch(bF, bP) {
+			if (okF && bF.Distance <= threshold) || (okP && bP.Distance <= threshold) {
+				t.Fatalf("point %d (v=%v): Best at or below threshold %v diverged: filtered (%+v, %v) vs plain (%+v, %v)",
+					i, v, threshold, bF, okF, bP, okP)
+			}
+			st.bestAbove++
+		}
 	}
 	fF, okF := spF.Flush()
 	fP, okP := spP.Flush()
-	if okF != okP || math.Float64bits(fF.Distance) != math.Float64bits(fP.Distance) ||
-		fF.Start != fP.Start || fF.End != fP.End {
+	if okF != okP || !sameMatch(fF, fP) {
 		t.Fatalf("flush divergence: filtered (%+v, %v) vs plain (%+v, %v)", fF, okF, fP, okP)
 	}
 	if spF.Points() != spP.Points() {
 		t.Fatalf("points diverge: %d vs %d", spF.Points(), spP.Points())
 	}
-	return spF.Skipped()
+	st.skipped = spF.Skipped()
+	return st
+}
+
+// checkRowInvariant holds the pruned column of a filtered spring to the
+// column a plain spring fills after the same points: every plain cell
+// <= threshold sits at or below hi and equals the pruned cell bit for bit,
+// value and start pointer; every row above hi is dead (> threshold or NaN)
+// in both columns.
+func checkRowInvariant(t *testing.T, point int, pruned, plain *Spring) {
+	t.Helper()
+	thr := plain.threshold
+	for i, d := range plain.d {
+		if i > pruned.hi {
+			if d <= thr || pruned.d[i] <= thr {
+				t.Fatalf("point %d: row %d above hi=%d is live: plain %v, pruned %v (threshold %v)",
+					point, i, pruned.hi, d, pruned.d[i], thr)
+			}
+			continue
+		}
+		if d <= thr && (math.Float64bits(pruned.d[i]) != math.Float64bits(d) || pruned.s[i] != plain.s[i]) {
+			t.Fatalf("point %d: live row %d diverged: pruned (%v, start %d) vs plain (%v, start %d)",
+				point, i, pruned.d[i], pruned.s[i], d, plain.s[i])
+		}
+	}
+}
+
+// randomFilterThreshold draws a threshold from tight (mass skipping and
+// pruning) to loose (rare skipping), including exact zero.
+func randomFilterThreshold(rng *rand.Rand, sel, qlen int) float64 {
+	switch sel % 4 {
+	case 0:
+		return 0
+	case 1:
+		return rng.Float64() * 0.01
+	case 2:
+		return rng.Float64() * float64(qlen)
+	default:
+		return rng.Float64() * 100 * float64(qlen)
+	}
 }
 
 // TestSpringFilterBitIdentity is the prefilter admissibility property:
@@ -84,20 +170,8 @@ func TestSpringFilterBitIdentity(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		q := kernelRandomSeries(rng, rng.Intn(16)+1)
 		stream := filterRandomStream(rng, queryRange(q), rng.Intn(400)+1)
-		// Thresholds from tight (mass skipping) to loose (rare skipping),
-		// including exact zero.
-		var threshold float64
-		switch rng.Intn(4) {
-		case 0:
-			threshold = 0
-		case 1:
-			threshold = rng.Float64() * 0.01
-		case 2:
-			threshold = rng.Float64() * float64(len(q))
-		default:
-			threshold = rng.Float64() * 100 * float64(len(q))
-		}
-		skippedTotal += checkFilterDifferential(t, q, stream, threshold, rng.Intn(4))
+		threshold := randomFilterThreshold(rng, rng.Intn(4), len(q))
+		skippedTotal += checkFilterDifferential(t, q, stream, threshold, rng.Intn(4)).skipped
 		pointsTotal += int64(len(stream))
 	}
 	// The property is vacuous if the generator never exercises the skip
@@ -108,8 +182,97 @@ func TestSpringFilterBitIdentity(t *testing.T) {
 	}
 }
 
+// TestSpringPrunedRowInvariant pins the pruned column advance over 3000
+// random trials, non-finite stream points included: after every point
+// the pruned column holds plain Append's live cells bit for bit, every
+// row above hi is dead, and Best follows its contract (see
+// checkFilterDifferential). The floors keep it from passing vacuously:
+// a large share of the advanced rows must lie above hi, and the two
+// Bests must part above the threshold at least once.
+func TestSpringPrunedRowInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var total filterStats
+	for trial := 0; trial < 3000; trial++ {
+		q := kernelRandomSeries(rng, rng.Intn(16)+1)
+		stream := filterRandomStream(rng, queryRange(q), rng.Intn(200)+1)
+		threshold := randomFilterThreshold(rng, rng.Intn(4), len(q))
+		total.add(checkFilterDifferential(t, q, stream, threshold, rng.Intn(4)))
+	}
+	if total.pruned < total.rows*2/5 {
+		t.Fatalf("only %d of %d advanced rows lay above hi: the generator no longer exercises the pruning",
+			total.pruned, total.rows)
+	}
+	if total.bestAbove == 0 {
+		t.Fatal("Best never parted above the threshold: the contract's exception is not exercised")
+	}
+	t.Logf("%d of %d advanced rows above hi (%.1f%%), %d points with Bests parted above the threshold",
+		total.pruned, total.rows, 100*float64(total.pruned)/float64(total.rows), total.bestAbove)
+}
+
+// TestSpringMixedEntryPoints drives one prefiltered spring through Append
+// and AppendFiltered at random: the full advance sets hi to the last row,
+// so the row invariant and the emissions hold whichever entry point
+// advanced the stored column.
+func TestSpringMixedEntryPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 300; trial++ {
+		q := kernelRandomSeries(rng, rng.Intn(16)+1)
+		stream := filterRandomStream(rng, queryRange(q), rng.Intn(200)+1)
+		cfg := SpringConfig{Threshold: randomFilterThreshold(rng, rng.Intn(4), len(q)), MinGap: rng.Intn(4)}
+		spP, err := NewSpring(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Prefilter = true
+		spM, err := NewSpring(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range stream {
+			appendM := spM.AppendFiltered
+			if rng.Intn(2) == 0 {
+				appendM = spM.Append
+			}
+			mM, okM := appendM(v)
+			mP, okP := spP.Append(v)
+			if okM != okP || mM != mP {
+				t.Fatalf("trial %d point %d: emission divergence: mixed (%+v, %v) vs plain (%+v, %v)", trial, i, mM, okM, mP, okP)
+			}
+			checkRowInvariant(t, i, spM, spP)
+		}
+	}
+}
+
+// TestSpringPrunedChainAtThreshold pins the pruned chain's stop rule on
+// exact ties, which random draws almost never hit: a chain cell equal to
+// the threshold is live, is stored and captures the match. On the query
+// {0, 1} at threshold 1, the point 0 reaches row 1 through the chain at
+// exactly 1; at threshold 0, the query {0, 0, 0} chains a zero-distance
+// match up from row 0. The far point after each confirms the match.
+func TestSpringPrunedChainAtThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		q, stream []float64
+		threshold float64
+	}{
+		{[]float64{0, 1}, []float64{0, 9}, 1},
+		{[]float64{0, 0, 0}, []float64{0, 9}, 0},
+	} {
+		checkFilterDifferential(t, tc.q, tc.stream, tc.threshold, 0)
+		sp, err := NewSpring(tc.q, SpringConfig{Threshold: tc.threshold, Prefilter: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.AppendFiltered(tc.stream[0])
+		m, ok := sp.AppendFiltered(tc.stream[1])
+		if want := (SubsequenceMatch{Start: 0, End: 0, Distance: tc.threshold}); !ok || m != want {
+			t.Fatalf("q %v, threshold %v: (%+v, %v), want (%+v, true)", tc.q, tc.threshold, m, ok, want)
+		}
+	}
+}
+
 // FuzzSpringFilterDifferential lets the fuzzer drive the prefilter
-// bit-identity property of TestSpringFilterBitIdentity.
+// bit-identity property of TestSpringFilterBitIdentity, with the row
+// invariant and the Best contract of TestSpringPrunedRowInvariant.
 func FuzzSpringFilterDifferential(f *testing.F) {
 	f.Add(int64(7), uint8(8), uint8(64), uint8(1))
 	f.Add(int64(3), uint8(1), uint8(1), uint8(0))
@@ -118,18 +281,7 @@ func FuzzSpringFilterDifferential(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		q := kernelRandomSeries(rng, int(q8)%16+1)
 		stream := filterRandomStream(rng, queryRange(q), int(s8)%200+1)
-		var threshold float64
-		switch tsel % 4 {
-		case 0:
-			threshold = 0
-		case 1:
-			threshold = rng.Float64() * 0.01
-		case 2:
-			threshold = rng.Float64() * float64(len(q))
-		default:
-			threshold = rng.Float64() * 100 * float64(len(q))
-		}
-		checkFilterDifferential(t, q, stream, threshold, rng.Intn(4))
+		checkFilterDifferential(t, q, stream, randomFilterThreshold(rng, int(tsel), len(q)), rng.Intn(4))
 	})
 }
 
@@ -278,5 +430,38 @@ func TestSpringTemplateRecycle(t *testing.T) {
 		if gotPooled[i] != gotFresh[i] {
 			t.Fatalf("match %d diverged after recycling: %+v vs %+v", i, gotPooled[i], gotFresh[i])
 		}
+	}
+}
+
+// TestSpringFilterBestContract pins Best under an armed filter on a
+// two-row query at threshold 1. After the point 0 the plain spring's Best
+// is row 1's dead cell 25, which the pruned advance never computes, so
+// the filtered spring has no Best yet; once the point 5 completes a
+// zero-distance path, both report it bit for bit.
+func TestSpringFilterBestContract(t *testing.T) {
+	q := []float64{0, 5}
+	spF, err := NewSpring(q, SpringConfig{Threshold: 1, Prefilter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spP, err := NewSpring(q, SpringConfig{Threshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spF.AppendFiltered(0)
+	spP.Append(0)
+	if b, ok := spP.Best(); !ok || !sameMatch(b, SubsequenceMatch{Start: 0, End: 0, Distance: 25}) {
+		t.Fatalf("plain Best after 0: (%+v, %v), want ({0 0 25}, true)", b, ok)
+	}
+	if b, ok := spF.Best(); ok {
+		t.Fatalf("filtered Best after 0: (%+v, true), want none: row 1 stays unadvanced above the threshold", b)
+	}
+	spF.AppendFiltered(5)
+	spP.Append(5)
+	bF, okF := spF.Best()
+	bP, okP := spP.Best()
+	want := SubsequenceMatch{Start: 0, End: 1, Distance: 0}
+	if !okF || !okP || !sameMatch(bF, want) || !sameMatch(bP, want) {
+		t.Fatalf("Best after 0, 5: filtered (%+v, %v), plain (%+v, %v), want %+v on both", bF, okF, bP, okP, want)
 	}
 }

@@ -2,11 +2,14 @@
 // standing subsequence queries — the fleet-scale form of the one-stream
 // Monitor. Production monitoring runs thousands of sensor or audio
 // streams against hundreds of patterns in one process; what that costs
-// is per-stream×query SPRING state (O(|q|) each) and the O(Σ|q|) column
-// advances per point. The hub attacks both: state is slab-allocated from
-// per-query arenas and recycled on stream close, and the time-domain
-// prefilter (dtw.SpringConfig.Prefilter) skips the column advance
-// entirely for stream points provably outside every emittable match.
+// is per-stream×query SPRING state (O(|q|) each) and one SPRING column
+// advance per point per query. The hub attacks both: state is
+// slab-allocated from per-query arenas and recycled on stream close, and
+// every query advances behind dtw.SpringConfig.Prefilter, whose
+// time-domain prefilter skips the column advance entirely for stream
+// points provably outside every emittable match and whose row pruning
+// fills only the rows of a column that can still reach the threshold —
+// so a point costs the live rows of each column, not Σ|q| cells.
 //
 // Concurrency model:
 //
@@ -37,6 +40,7 @@ import (
 
 	"sdtw/internal/dtw"
 	"sdtw/internal/retrieve"
+	"sdtw/internal/series"
 )
 
 // Sentinel errors of the fleet surface.
@@ -71,7 +75,7 @@ type Match struct {
 type Query struct {
 	// ID labels emitted matches and keys RemoveQuery; required, unique.
 	ID string
-	// Values is the pattern; must be non-empty.
+	// Values is the pattern; must be non-empty and finite.
 	Values []float64
 	// Threshold is the emission threshold: regions at distance <=
 	// Threshold are reported once confirmed. Must be finite and >= 0.
@@ -300,6 +304,9 @@ func (h *Hub) AddQuery(q Query) error {
 	}
 	if math.IsNaN(q.Threshold) || math.IsInf(q.Threshold, 0) || q.Threshold < 0 {
 		return fmt.Errorf("hub: AddQuery %q: threshold must be finite and non-negative, got %v", q.ID, q.Threshold)
+	}
+	if err := series.Finite(q.Values); err != nil {
+		return fmt.Errorf("hub: AddQuery %q: %w", q.ID, err)
 	}
 	tpl, err := dtw.NewSpringTemplate(q.Values, dtw.SpringConfig{
 		Threshold: q.Threshold,

@@ -355,6 +355,11 @@ func TestHubErrors(t *testing.T) {
 	if err := h.AddQuery(Query{ID: "q", Values: []float64{1}, Threshold: math.Inf(1)}); err == nil {
 		t.Fatal("infinite threshold accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := h.AddQuery(Query{ID: "q", Values: []float64{1, v}, Threshold: 1}); !errors.Is(err, retrieve.ErrNonFinite) {
+			t.Fatalf("query value %v: %v, want ErrNonFinite", v, err)
+		}
+	}
 	if err := h.AddQuery(Query{ID: "q", Values: []float64{1}, Threshold: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -146,3 +146,33 @@ func TestNonFiniteSeriesRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStreamingNonFiniteQueryRefused: the streaming surfaces refuse a
+// query holding a NaN or ±Inf value with ErrNonFinite, like the index
+// surfaces — NewMonitor in best-only and thresholded mode, and
+// Hub.AddQuery, which registers nothing. A NaN query used to be accepted
+// and silently disarmed the hub's prefilter and row pruning.
+func TestStreamingNonFiniteQueryRefused(t *testing.T) {
+	valid := NewSeries("ok", 0, []float64{0, 1, 2, 1})
+	for _, v := range nonFiniteValues {
+		for _, pos := range []int{0, 2} {
+			q := withValue(valid, pos, v)
+			q.ID = "bad"
+			for _, mopts := range [][]MonitorOption{nil, {WithMatchThreshold(1)}} {
+				if m, err := NewMonitor([]Series{valid, q}, Options{}, mopts...); !IsErr(err, ErrNonFinite) || m != nil {
+					t.Fatalf("NewMonitor with %v at %d (%d options): %v, %v; want ErrNonFinite", v, pos, len(mopts), m, err)
+				}
+			}
+			h := NewHub(Options{})
+			if err := h.AddQuery("bad", q, WithMatchThreshold(1)); !IsErr(err, ErrNonFinite) {
+				t.Fatalf("Hub.AddQuery with %v at %d: %v; want ErrNonFinite", v, pos, err)
+			}
+			if st := h.Stats(); st.Queries != 0 {
+				t.Fatalf("Hub.AddQuery with %v at %d registered %d queries", v, pos, st.Queries)
+			}
+			if err := h.AddQuery("bad", valid, WithMatchThreshold(1)); err != nil {
+				t.Fatalf("finite query under the refused ID: %v", err)
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sdtw/internal/dtw"
+	"sdtw/internal/series"
 )
 
 // Match is one subsequence occurrence reported by a Monitor: the region
@@ -154,7 +155,8 @@ type Monitor struct {
 }
 
 // NewMonitor builds a streaming monitor over the given query patterns.
-// Every query must be non-empty and non-empty query IDs must be unique
+// Every query must be non-empty and finite (a NaN or ±Inf value is
+// refused with ErrNonFinite), and non-empty query IDs must be unique
 // (they label emitted matches). Of opts, the monitor uses Workers; band
 // options do not apply — open-begin subsequence
 // alignment runs the full per-point recurrence.
@@ -187,6 +189,9 @@ func NewMonitor(queries []Series, opts Options, mopts ...MonitorOption) (*Monito
 	for i, q := range queries {
 		if q.Len() == 0 {
 			return nil, fmt.Errorf("sdtw: NewMonitor: query %d: %w", i, ErrEmptySeries)
+		}
+		if err := series.Finite(q.Values); err != nil {
+			return nil, fmt.Errorf("sdtw: NewMonitor: query %d: %w", i, err)
 		}
 		if q.ID != "" {
 			if prev, dup := seen[q.ID]; dup {

@@ -154,10 +154,11 @@ func TestSubsequenceWrapperBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d: monitor %+v, offline %+v", trial, got, want)
 		}
 	}
-	// A NaN-poisoned query never compares below +Inf, so no best match
-	// exists: the monitor must report none, not panic.
-	if got := monitorOneShot(t, []float64{1, math.NaN()}, []float64{1, 2, 3}); len(got) != 0 {
-		t.Fatalf("NaN query: got %+v, want no match", got)
+	// A NaN-poisoned query has no best match to report: the monitor
+	// refuses it up front (TestStreamingNonFiniteQueryRefused covers the
+	// other non-finite values and the hub).
+	if _, err := NewMonitor([]Series{{Values: []float64{1, math.NaN()}}}, Options{}); !IsErr(err, ErrNonFinite) {
+		t.Fatalf("NaN query: NewMonitor error %v, want ErrNonFinite", err)
 	}
 }
 
