@@ -36,7 +36,7 @@ var (
 	// all (a Strategy outside the declared constants).
 	ErrConfigMismatch = retrieve.ErrConfigMismatch
 	// ErrDuplicateID reports two collection series sharing one non-empty
-	// ID (IDs key the feature cache and Remove).
+	// ID (IDs key Remove).
 	ErrDuplicateID = retrieve.ErrDuplicateID
 	// ErrUnknownID reports a Remove of an ID not in the collection.
 	ErrUnknownID = retrieve.ErrUnknownID

@@ -32,8 +32,8 @@ func main() {
 
 	// Two indexes over the same collection: the exact full-grid DTW
 	// reference and the sDTW (ac,aw) estimate. Building an index extracts
-	// and caches salient features once per series (the paper's one-time
-	// indexing cost).
+	// salient features once per series and keeps them beside it (the
+	// paper's one-time indexing cost).
 	exactIdx, err := sdtw.NewIndex(data.Series, sdtw.Options{Strategy: sdtw.FullGrid})
 	if err != nil {
 		log.Fatal(err)

@@ -78,8 +78,9 @@ type backendFamily struct {
 	// and the effective window; 0 and -1 for the engine family.
 	length, radius int
 	workers        int
-	// newBackend builds one backend — one per shard, so per-series caches
-	// never contend — with its engine (nil for the windowed family).
+	// newBackend builds the one backend of an index, flat or sharded,
+	// with its engine (nil for the windowed family). The backend holds no
+	// per-series state: each core keeps its series' features itself.
 	newBackend func() (retrieve.Backend, *Engine, error)
 }
 
@@ -151,8 +152,8 @@ func newIndex(f backendFamily, data []Series, segRecords int) (*Index, error) {
 
 // NewIndex builds an index over data using the sDTW engine configured by
 // opts. Every series must be non-empty; series IDs must be unique when
-// non-empty (they key the feature cache and Remove). Construction
-// extracts and caches the salient features of every series — unless the
+// non-empty (they key Remove). Construction extracts the salient features
+// of every series and keeps them in the index beside it — unless the
 // band strategy reads none (FullGrid, FixedCoreFixedWidth) — and
 // precomputes LB_Keogh envelopes at the radius admissible for the
 // strategy. A Strategy outside the declared six fails with
@@ -237,6 +238,9 @@ func (ix *Index) Series(i int) Series { return ix.core.Series(i) }
 
 // Engine exposes the index's engine for direct distance computations. It
 // is nil for windowed indexes, which have no salient-feature pipeline.
+// The engine's feature cache is its own: the index keeps its series'
+// features itself and never fills that cache, so a direct call over
+// indexed series extracts their features on first use.
 func (ix *Index) Engine() *Engine { return ix.engine }
 
 // Radius returns the effective Sakoe-Chiba warping window in samples for
@@ -259,7 +263,7 @@ func (ix *Index) Add(s Series) error {
 }
 
 // Remove deletes the series with the given non-empty ID, dropping its
-// envelope and cached features. Later series shift down one position.
+// envelope and features. Later series shift down one position.
 // Removing the last series fails: an index is never empty.
 func (ix *Index) Remove(id string) error {
 	if ix.stores != nil {

@@ -3,10 +3,12 @@
 // pruning (package match), locally relevant constraint construction
 // (package band), and band-constrained dynamic programming (package dtw).
 //
-// The Engine memoises per-series feature extraction — the paper's §3.4
-// observes extraction is a one-time, indexable cost — and reports per-stage
-// timings and grid-cell counts so the evaluation harness can reproduce the
-// paper's time-gain and cost-breakdown figures.
+// Feature extraction is a one-time, indexable cost (the paper's §3.4): an
+// index holds each series' features itself and hands them to
+// DistanceUnderFeatures, while the Engine memoises them by series ID for
+// direct calls. It reports per-stage timings and grid-cell counts so the
+// evaluation harness can reproduce the paper's time-gain and
+// cost-breakdown figures.
 package core
 
 import (
@@ -50,19 +52,15 @@ type Options struct {
 	// Off by default: the band is scratch storage reused across calls,
 	// and retaining it would force an allocation per comparison.
 	KeepBand bool
-	// CacheFeatures enables the per-series feature cache. Series are
-	// keyed by Series.ID; unkeyed ([]float64) inputs are never cached.
-	CacheFeatures bool
 }
 
 // DefaultOptions returns the configuration used by the paper's headline
 // algorithm, adaptive core & adaptive width.
 func DefaultOptions() Options {
 	return Options{
-		Band:          band.Config{Strategy: band.AdaptiveCoreAdaptiveWidth},
-		Features:      sift.DefaultConfig(),
-		Matcher:       match.DefaultConfig(),
-		CacheFeatures: true,
+		Band:     band.Config{Strategy: band.AdaptiveCoreAdaptiveWidth},
+		Features: sift.DefaultConfig(),
+		Matcher:  match.DefaultConfig(),
 	}
 }
 
@@ -102,8 +100,9 @@ type Result struct {
 	// requested, recovering the path (paper task c).
 	DPTime time.Duration
 	// ExtractTime is time spent extracting features *during this call*;
-	// zero on cache hits or for non-adaptive strategies. The paper
-	// excludes this one-time cost from per-pair comparisons.
+	// zero on cache hits, for features the caller supplied, or for
+	// non-adaptive strategies. The paper excludes this one-time cost from
+	// per-pair comparisons.
 	ExtractTime time.Duration
 }
 
@@ -120,6 +119,9 @@ func (r Result) CellsGain() float64 {
 type Engine struct {
 	opts Options
 
+	// cache holds the features of the ID-carrying series of direct calls
+	// (Features, Distance, Warm, Align); DistanceUnderFeatures never reads
+	// or fills it.
 	mu    sync.RWMutex
 	cache map[string][]sift.Feature
 
@@ -150,17 +152,22 @@ func NewEngine(opts Options) *Engine {
 func (e *Engine) Options() Options { return e.opts }
 
 // Features extracts (or recalls) the salient features of s, caching them
-// under s.ID: it is the collection-side entry, for series whose ID names
-// them for good. A one-off query goes through Prepare instead.
+// under a non-empty s.ID: the entry for direct calls over series whose ID
+// names them for good. An ID-less series is extracted on every call.
 func (e *Engine) Features(s series.Series) ([]sift.Feature, error) {
-	if f, ok := e.cached(s.ID); ok {
-		return f, nil
+	if s.ID != "" {
+		e.mu.RLock()
+		f, ok := e.cache[s.ID]
+		e.mu.RUnlock()
+		if ok {
+			return f, nil
+		}
 	}
-	f, err := e.extract(s)
+	f, err := e.Extract(s)
 	if err != nil {
 		return nil, err
 	}
-	if e.opts.CacheFeatures && s.ID != "" {
+	if s.ID != "" {
 		e.mu.Lock()
 		e.cache[s.ID] = f
 		e.mu.Unlock()
@@ -168,19 +175,9 @@ func (e *Engine) Features(s series.Series) ([]sift.Feature, error) {
 	return f, nil
 }
 
-// cached looks id up in the feature cache without filling it.
-func (e *Engine) cached(id string) ([]sift.Feature, bool) {
-	if !e.opts.CacheFeatures || id == "" {
-		return nil, false
-	}
-	e.mu.RLock()
-	f, ok := e.cache[id]
-	e.mu.RUnlock()
-	return f, ok
-}
-
-// extract runs one (counted) feature extraction, bypassing the cache.
-func (e *Engine) extract(s series.Series) ([]sift.Feature, error) {
+// Extract runs one counted feature extraction of s, bypassing the cache:
+// the entry of an index, which keeps the features beside the series.
+func (e *Engine) Extract(s series.Series) ([]sift.Feature, error) {
 	e.extractions.Add(1)
 	return sift.Extract(s.Values, e.opts.Features)
 }
@@ -189,19 +186,6 @@ func (e *Engine) extract(s series.Series) ([]sift.Feature, error) {
 // (cache hits excluded) — the one-time cost of §3.4, countable.
 func (e *Engine) Extractions() int64 { return e.extractions.Load() }
 
-// Query is a series prepared for comparison against many candidates: its
-// salient features are extracted once, held here for as long as the caller
-// keeps the Query, and handed to every DistanceUnderQuery — instead of
-// each comparison looking them up (or, for an ID-less series, extracting
-// them again) through the ID-keyed collection cache. A Query is immutable
-// and safe for concurrent use, with any engine of the same Options.
-type Query struct {
-	operand
-	// ExtractTime is what preparing cost: one extraction, or a cache
-	// lookup when the series is a cached member of the collection.
-	ExtractTime time.Duration
-}
-
 // operand is one side of a distance computation: a series and, when
 // ready, its features (nil features with ready set means the band needs
 // none).
@@ -209,29 +193,6 @@ type operand struct {
 	s     series.Series
 	feats []sift.Feature
 	ready bool
-}
-
-// Prepare readies s as a query. The collection cache is consulted
-// read-only — a query that is itself a cached member reuses its features —
-// and never written: a one-off query's ID must neither pin an entry in the
-// cache nor stand in for a different series that later arrives under the
-// same ID.
-func (e *Engine) Prepare(s series.Series) (*Query, error) {
-	q := &Query{operand: operand{s: s, ready: true}}
-	if !e.opts.Band.Strategy.NeedsAlignment() {
-		return q, nil
-	}
-	start := time.Now()
-	f, ok := e.cached(s.ID)
-	if !ok {
-		var err error
-		if f, err = e.extract(s); err != nil {
-			return nil, fmt.Errorf("core: extracting features of the query: %w", err)
-		}
-	}
-	q.feats = f
-	q.ExtractTime = time.Since(start)
-	return q, nil
 }
 
 // Warm pre-extracts and caches the features of every series, the paper's
@@ -255,18 +216,6 @@ func (e *Engine) CacheSize() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return len(e.cache)
-}
-
-// Evict drops the cached features of one series ID, if present. Mutable
-// indexes call it when a series leaves the collection so the cache does
-// not grow monotonically under churn.
-func (e *Engine) Evict(id string) {
-	if id == "" {
-		return
-	}
-	e.mu.Lock()
-	delete(e.cache, id)
-	e.mu.Unlock()
 }
 
 // Distance computes the constrained DTW distance between x and y.
@@ -310,10 +259,11 @@ func (e *Engine) DistanceUnderCtx(ctx context.Context, x, y series.Series, budge
 	return e.oriented(ctx, operand{s: x}, operand{s: y}, budget)
 }
 
-// DistanceUnderQuery is DistanceUnderCtx from a prepared query to the
-// candidate c, whose features come from the collection cache.
-func (e *Engine) DistanceUnderQuery(ctx context.Context, q *Query, c series.Series, budget float64) (Result, error) {
-	return e.oriented(ctx, q.operand, operand{s: c}, budget)
+// DistanceUnderFeatures is DistanceUnderCtx between x and y with the
+// features the caller holds for them (fx and fy; nil when the band reads
+// none), as Extract returned them. It neither reads nor fills the cache.
+func (e *Engine) DistanceUnderFeatures(ctx context.Context, x series.Series, fx []sift.Feature, y series.Series, fy []sift.Feature, budget float64) (Result, error) {
+	return e.oriented(ctx, operand{s: x, feats: fx, ready: true}, operand{s: y, feats: fy, ready: true}, budget)
 }
 
 // oriented puts x and y into canonical orientation when the band is
@@ -353,8 +303,8 @@ func canonicalLess(a, b series.Series) bool {
 	return false
 }
 
-// features returns o's features: the ones it carries, or the collection
-// cache's (extracting and caching on a miss).
+// features returns o's features: the ones it carries, or the cache's
+// (extracting and caching on a miss).
 func (e *Engine) features(o operand) ([]sift.Feature, error) {
 	if o.ready {
 		return o.feats, nil

@@ -35,10 +35,9 @@ func makePair(seed int64, n int, warpStrength float64) (series.Series, series.Se
 
 func optsFor(s band.Strategy) Options {
 	return Options{
-		Band:          band.Config{Strategy: s, WidthFrac: 0.10},
-		Features:      sift.DefaultConfig(),
-		Matcher:       match.DefaultConfig(),
-		CacheFeatures: true,
+		Band:     band.Config{Strategy: s, WidthFrac: 0.10},
+		Features: sift.DefaultConfig(),
+		Matcher:  match.DefaultConfig(),
 	}
 }
 
@@ -174,19 +173,6 @@ func TestEngineUncachedWithoutIDs(t *testing.T) {
 	}
 	if eng.CacheSize() != 0 {
 		t.Fatalf("unkeyed series cached: %d entries", eng.CacheSize())
-	}
-}
-
-func TestEngineCacheDisabled(t *testing.T) {
-	x, y := makePair(7, 150, 0.3)
-	opts := DefaultOptions()
-	opts.CacheFeatures = false
-	eng := NewEngine(opts)
-	if _, err := eng.Distance(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if eng.CacheSize() != 0 {
-		t.Fatal("cache filled although disabled")
 	}
 }
 
@@ -385,9 +371,6 @@ func TestDefaultOptions(t *testing.T) {
 	if opts.Band.Strategy != band.AdaptiveCoreAdaptiveWidth {
 		t.Fatalf("default strategy = %v", opts.Band.Strategy)
 	}
-	if !opts.CacheFeatures {
-		t.Fatal("default caching off")
-	}
 	eng := NewEngine(opts)
 	if eng.Options().Band.Strategy != band.AdaptiveCoreAdaptiveWidth {
 		t.Fatal("Options() does not round-trip")
@@ -501,9 +484,10 @@ func TestEngineDistanceUnderComputePath(t *testing.T) {
 	}
 }
 
-// TestPreparedQueryEqualsDistance: a prepared query answers every
-// candidate exactly as the ID-keyed path does — in either orientation of
-// a symmetric band — without ever entering the collection cache.
+// TestPreparedQueryEqualsDistance: a query whose features the caller
+// extracted and holds answers every candidate exactly as the ID-keyed
+// path does — in either orientation of a symmetric band — without ever
+// entering the cache.
 func TestPreparedQueryEqualsDistance(t *testing.T) {
 	for _, symmetric := range []bool{false, true} {
 		opts := optsFor(band.AdaptiveCoreAdaptiveWidth)
@@ -521,12 +505,16 @@ func TestPreparedQueryEqualsDistance(t *testing.T) {
 		cached := e.CacheSize()
 		for _, id := range []string{"", "one-off"} {
 			x.ID = id
-			q, err := e.Prepare(x)
+			fx, err := e.Extract(x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range cands {
-				got, err := e.DistanceUnderQuery(nil, q, c, math.Inf(1))
+				fc, err := e.Features(c) // warmed: a cache hit
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.DistanceUnderFeatures(nil, x, fx, c, fc, math.Inf(1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -545,7 +533,7 @@ func TestPreparedQueryEqualsDistance(t *testing.T) {
 			t.Fatalf("symmetric=%v: cache holds %d feature sets after prepared queries, %d before", symmetric, got, cached)
 		}
 		if got := e.Extractions(); got != int64(len(cands))+2 {
-			t.Fatalf("symmetric=%v: %d extractions, want %d (one per candidate, one per Prepare)", symmetric, got, len(cands)+2)
+			t.Fatalf("symmetric=%v: %d extractions, want %d (one per candidate, one per Extract)", symmetric, got, len(cands)+2)
 		}
 	}
 }

@@ -28,10 +28,9 @@ func NewAlgorithm(name string, bandCfg band.Config) Algorithm {
 	return Algorithm{
 		Name: name,
 		Opts: core.Options{
-			Band:          bandCfg,
-			Features:      sift.DefaultConfig(),
-			Matcher:       match.DefaultConfig(),
-			CacheFeatures: true,
+			Band:     bandCfg,
+			Features: sift.DefaultConfig(),
+			Matcher:  match.DefaultConfig(),
 		},
 	}
 }

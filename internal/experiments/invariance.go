@@ -54,10 +54,9 @@ func Invariance(seed int64) ([]InvarianceRow, error) {
 		matcher := match.DefaultConfig()
 		matcher.MaxAmplitudeDiff = s.tauA
 		engine := core.NewEngine(core.Options{
-			Band:          band.Config{Strategy: band.AdaptiveCoreAdaptiveWidth},
-			Features:      feat,
-			Matcher:       matcher,
-			CacheFeatures: true,
+			Band:     band.Config{Strategy: band.AdaptiveCoreAdaptiveWidth},
+			Features: feat,
+			Matcher:  matcher,
 		})
 		pairs, errSum, n := 0, 0.0, 0
 		for i := 0; i+1 < d.Len(); i += 2 {

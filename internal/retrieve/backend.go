@@ -10,6 +10,7 @@ import (
 	"sdtw/internal/core"
 	"sdtw/internal/dtw"
 	"sdtw/internal/series"
+	"sdtw/internal/sift"
 )
 
 // Result is the outcome of one backend distance computation, the
@@ -31,26 +32,26 @@ type Result struct {
 	MatchTime, DPTime time.Duration
 }
 
-// Query is a search's query as a backend prepared it: the series itself
-// plus whatever the backend derived from it once for the whole search
-// (the sDTW engine's salient features). Prepared queries carry over
-// between backends of equal Fingerprint, which is how a sharded search
+// Query is a search's query as a core prepared it: the series itself
+// plus what the backend derives from a series (the sDTW engine's salient
+// features), derived once for the whole search. A prepared query carries
+// over between cores of one backend, which is how a sharded search
 // prepares once and hands the same Query to every shard.
 type Query struct {
 	series.Series
 	// ExtractTime is what the preparation cost beyond validation.
 	ExtractTime time.Duration
-	// engine is the engine backend's prepared form; nil for backends that
-	// read nothing but the raw values.
-	engine *core.Query
+	// feats is what Admit derives from the query's values; nil for
+	// backends that read nothing but the raw values.
+	feats []sift.Feature
 }
 
 // Backend is the distance family behind an index: it owns the constraint
-// geometry (and any per-series caches) while the shared cascade in Core
-// owns candidate ordering, lower-bound pruning, the best-so-far
-// threshold, and the worker pool. Implementations must be safe for
-// concurrent Distance calls; Admit and Forget are only called under the
-// Core's write lock.
+// geometry while the shared cascade in Core owns the collection (with
+// what Admit derives from each series), candidate ordering, lower-bound
+// pruning, the best-so-far threshold, and the worker pool. A backend
+// holds no per-series state, so one serves any number of cores;
+// implementations must be safe for concurrent calls.
 //
 // Every backend's distance is banded DTW under the squared point cost, so
 // LB_Kim, LB_Keogh at EnvelopeRadius and the stage-0 LB_PAA sketch are
@@ -68,29 +69,30 @@ type Backend interface {
 	// two backends with equal fingerprints produce identical distances
 	// over identical data.
 	Fingerprint() string
-	// Admit validates a series joining the collection and warms any
-	// per-series caches (feature extraction, for the sDTW engine).
-	Admit(s series.Series) error
-	// Forget drops cached state held for a series leaving the collection.
-	Forget(s series.Series)
+	// Admit validates a series joining the collection and derives what
+	// Distance reads of it besides its values, the paper's one-time
+	// indexing cost (§3.4): the sDTW engine's salient features under an
+	// aligning strategy, nil otherwise. The core keeps the result beside
+	// the series.
+	Admit(s series.Series) ([]sift.Feature, error)
 	// Prepare validates a query against backend constraints (the windowed
-	// backend requires the indexed length) and does the per-query work
-	// every candidate's Distance would otherwise repeat. It must not leave
-	// state behind in the backend: a query is not part of the collection.
+	// backend requires the indexed length) and derives from it what Admit
+	// derives from a series, once for every candidate's Distance.
 	Prepare(q series.Series) (Query, error)
 	// EnvelopeRadius returns the warping radius at which an LB_Keogh
 	// envelope over a series of length m lower-bounds this backend's
 	// distance.
 	EnvelopeRadius(m int) int
 	// Distance computes the backend distance between a prepared query and
-	// a candidate with threshold-aware early abandonment against budget
-	// (+Inf never abandons). A cancelled ctx stops the computation
-	// mid-band with ctx.Err().
-	Distance(ctx context.Context, q Query, c series.Series, budget float64) (Result, error)
+	// a candidate, given what Admit derived from the candidate (cf), with
+	// threshold-aware early abandonment against budget (+Inf never
+	// abandons). A cancelled ctx stops the computation mid-band with
+	// ctx.Err().
+	Distance(ctx context.Context, q Query, c series.Series, cf []sift.Feature, budget float64) (Result, error)
 }
 
 // engineBackend serves sDTW banded distances through a shared core.Engine
-// (salient-feature caching, scratch pooling, symmetric canonicalisation).
+// (counted extraction, scratch pooling, symmetric canonicalisation).
 type engineBackend struct {
 	engine      *core.Engine
 	bandCfg     band.Config
@@ -114,30 +116,29 @@ func NewEngineBackend(engine *core.Engine, fingerprint string, _ bool) Backend {
 
 func (b *engineBackend) Fingerprint() string { return b.fingerprint }
 
-func (b *engineBackend) Admit(s series.Series) error {
+func (b *engineBackend) Admit(s series.Series) ([]sift.Feature, error) {
 	if !b.bandCfg.Strategy.NeedsAlignment() {
-		return nil
+		return nil, nil
 	}
-	// Pay the paper's one-time indexing cost (§3.4) up front: extract and
-	// cache the series' salient features so no query pays it.
-	_, err := b.engine.Features(s)
-	return err
+	return b.engine.Extract(s)
 }
 
-func (b *engineBackend) Forget(s series.Series) { b.engine.Evict(s.ID) }
-
 func (b *engineBackend) Prepare(q series.Series) (Query, error) {
-	eq, err := b.engine.Prepare(q)
-	if err != nil {
-		return Query{}, err
+	if !b.bandCfg.Strategy.NeedsAlignment() {
+		return Query{Series: q}, nil
 	}
-	return Query{Series: q, ExtractTime: eq.ExtractTime, engine: eq}, nil
+	start := time.Now()
+	f, err := b.engine.Extract(q)
+	if err != nil {
+		return Query{}, fmt.Errorf("core: extracting features of the query: %w", err)
+	}
+	return Query{Series: q, ExtractTime: time.Since(start), feats: f}, nil
 }
 
 func (b *engineBackend) EnvelopeRadius(m int) int { return band.EnvelopeRadius(b.bandCfg, m) }
 
-func (b *engineBackend) Distance(ctx context.Context, q Query, c series.Series, budget float64) (Result, error) {
-	res, err := b.engine.DistanceUnderQuery(ctx, q.engine, c, budget)
+func (b *engineBackend) Distance(ctx context.Context, q Query, c series.Series, cf []sift.Feature, budget float64) (Result, error) {
+	res, err := b.engine.DistanceUnderFeatures(ctx, q.Series, q.feats, c, cf, budget)
 	if err != nil {
 		return Result{}, err
 	}
@@ -194,12 +195,8 @@ func (b *windowedBackend) Fingerprint() string {
 	return fmt.Sprintf("windowed/v1|len=%d|radius=%d", b.length, b.radius)
 }
 
-func (b *windowedBackend) Admit(s series.Series) error {
-	if s.Len() != b.length {
-		return fmt.Errorf("series %q has length %d, want %d (windowed search needs equal lengths): %w",
-			s.ID, s.Len(), b.length, ErrLengthMismatch)
-	}
-	return nil
+func (b *windowedBackend) Admit(s series.Series) ([]sift.Feature, error) {
+	return nil, b.AdmitCold(s.ID, s.Len())
 }
 
 // AdmitCold is the length check for store-restored series: the metadata
@@ -212,8 +209,6 @@ func (b *windowedBackend) AdmitCold(id string, n int) error {
 	return nil
 }
 
-func (b *windowedBackend) Forget(series.Series) {}
-
 func (b *windowedBackend) Prepare(q series.Series) (Query, error) {
 	if q.Len() != b.length {
 		return Query{}, fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
@@ -223,7 +218,7 @@ func (b *windowedBackend) Prepare(q series.Series) (Query, error) {
 
 func (b *windowedBackend) EnvelopeRadius(int) int { return b.radius }
 
-func (b *windowedBackend) Distance(ctx context.Context, q Query, c series.Series, budget float64) (Result, error) {
+func (b *windowedBackend) Distance(ctx context.Context, q Query, c series.Series, _ []sift.Feature, budget float64) (Result, error) {
 	ws := b.scratch.Get().(*dtw.Workspace)
 	defer b.scratch.Put(ws)
 	dpStart := time.Now()

@@ -33,7 +33,7 @@ var (
 	// fingerprint does not match the options it is being loaded under.
 	ErrConfigMismatch = errors.New("index config mismatch")
 	// ErrDuplicateID reports two collection series sharing one non-empty
-	// ID (IDs key the feature cache and Remove).
+	// ID (IDs key Remove).
 	ErrDuplicateID = errors.New("duplicate series ID")
 	// ErrUnknownID reports a Remove of an ID not in the collection.
 	ErrUnknownID = errors.New("unknown series ID")

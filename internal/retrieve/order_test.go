@@ -26,7 +26,7 @@ import (
 // to.
 func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, error) {
 	var stats Stats
-	q, err := Prepare(c.backend, query)
+	q, err := c.Prepare(query)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -115,10 +115,12 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 			}
 		}
 		s := c.data[cd.pos]
-		if s.Values, err = c.Values(cd.pos); err != nil {
+		vals, f, err := c.entry(cd.pos)
+		if err != nil {
 			return nil, stats, err
 		}
-		res, err := c.backend.Distance(context.Background(), q, s, budget())
+		s.Values = vals
+		res, err := c.backend.Distance(context.Background(), q, s, f, budget())
 		if err != nil {
 			return nil, stats, err
 		}

@@ -36,6 +36,7 @@ import (
 
 	"sdtw/internal/lower"
 	"sdtw/internal/series"
+	"sdtw/internal/sift"
 	"sdtw/internal/sketch"
 )
 
@@ -145,6 +146,10 @@ type Core struct {
 	// sketches[i] is the stage-0 PAA sketch of envelopes[i]; nil unless
 	// sketchW > 0.
 	sketches []sketch.Sketch
+	// feats[i] is what the backend's Admit derived from data[i] (its
+	// salient features under the sDTW engine); nil when the backend
+	// derives nothing, or while cold[i] holds it.
+	feats [][]sift.Feature
 	// meta[i] is the hot per-series metadata (length, raw endpoints) the
 	// pre-DP stages read, so they never touch data[i].Values — which is
 	// nil for store-backed collections until a candidate survives the
@@ -165,21 +170,24 @@ type seriesMeta struct {
 	first, last float64
 }
 
-// coldSlot materialises one cold series' raw values at most once, no
-// matter how many concurrent searches reach its DP stage.
+// coldSlot materialises one cold series' raw values, and what the
+// backend's Admit derives from them, at most once — no matter how many
+// concurrent searches, on however many copy-on-write copies of the core,
+// reach its DP stage.
 type coldSlot struct {
-	once sync.Once
-	load func() ([]float64, error)
-	vals []float64
-	err  error
+	once  sync.Once
+	load  func() ([]float64, []sift.Feature, error)
+	vals  []float64
+	feats []sift.Feature
+	err   error
 }
 
-func (cs *coldSlot) get() ([]float64, error) {
+func (cs *coldSlot) get() ([]float64, []sift.Feature, error) {
 	cs.once.Do(func() {
-		cs.vals, cs.err = cs.load()
+		cs.vals, cs.feats, cs.err = cs.load()
 		cs.load = nil
 	})
-	return cs.vals, cs.err
+	return cs.vals, cs.feats, cs.err
 }
 
 // ColdSeries is one series restored from a segment store: everything the
@@ -193,24 +201,24 @@ type ColdSeries struct {
 	First, Last float64
 	Envelope    lower.Envelope
 	Sketch      sketch.Sketch
-	// Load reads the raw values (called at most once per series per
-	// core; the core caches the result).
+	// Load reads the raw values (called at most once per series, by the
+	// core or any copy of it; the core keeps the result).
 	Load func() ([]float64, error)
 }
 
 // ColdAdmitter is implemented by backends that can validate a series
 // joining the collection from its metadata alone (the windowed backend's
-// length check). Backends without it admit cold series unchecked —
-// their caches warm lazily on first Distance.
+// length check). Backends without it admit cold series unchecked; Admit
+// runs over a cold series' values when they first load.
 type ColdAdmitter interface {
 	AdmitCold(id string, n int) error
 }
 
 // RestoreCold builds a core over store-backed series (possibly none):
 // envelopes and sketches are trusted from the store, raw values load
-// lazily. sketchW enables stage 0 at that width (0 disables). Backend
-// caches are not warmed — the engine's feature cache fills read-through on
-// first evaluation, which computes the same features Admit would have.
+// lazily. sketchW enables stage 0 at that width (0 disables). A store
+// holds no features: the first touch of a series loads its values and
+// runs the backend's Admit over them, once, in the series' cold slot.
 //
 // The bool parameter is ignored (the DP always early-abandons, unless a
 // search sets Params.NoAbandon); it goes with the benchmark edit of
@@ -227,6 +235,7 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ boo
 		cold:      make([]*coldSlot, 0, len(cold)),
 		ids:       make(map[string]int, len(cold)),
 		envelopes: make([]lower.Envelope, 0, len(cold)),
+		feats:     make([][]sift.Feature, len(cold)),
 	}
 	if sketchW > 0 {
 		c.sketchW = sketchW
@@ -253,7 +262,14 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ boo
 		}
 		c.data = append(c.data, series.Series{ID: cs.ID, Label: cs.Label})
 		c.meta = append(c.meta, seriesMeta{n: cs.N, first: cs.First, last: cs.Last})
-		c.cold = append(c.cold, &coldSlot{load: cs.Load})
+		c.cold = append(c.cold, &coldSlot{load: func() ([]float64, []sift.Feature, error) {
+			vals, err := cs.Load()
+			if err != nil {
+				return nil, nil, err
+			}
+			f, err := backend.Admit(series.Series{ID: cs.ID, Label: cs.Label, Values: vals})
+			return vals, f, err
+		}})
 		if len(cs.Envelope.Upper) != cs.N {
 			return nil, fmt.Errorf("series %d (%q) has envelope length %d for %d values: %w",
 				i, cs.ID, len(cs.Envelope.Upper), cs.N, ErrConfigMismatch)
@@ -271,9 +287,9 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ boo
 }
 
 // New builds a core over data (possibly none), validating every series
-// and warming the backend's caches. workers bounds the query worker pool
-// (<= 0 means the caller should have defaulted it; it is clamped to 1).
-// The bool parameter is ignored, as in RestoreCold.
+// and keeping what the backend's Admit derives from it. workers bounds
+// the query worker pool (<= 0 means the caller should have defaulted it;
+// it is clamped to 1). The bool parameter is ignored, as in RestoreCold.
 func New(backend Backend, data []series.Series, workers int, _ bool) (*Core, error) {
 	// Validate the whole collection before paying any one-time costs, so
 	// structural errors (empty series, duplicate IDs) surface first.
@@ -298,6 +314,7 @@ func New(backend Backend, data []series.Series, workers int, _ bool) (*Core, err
 		data:      make([]series.Series, 0, len(data)),
 		ids:       make(map[string]int, len(data)),
 		envelopes: make([]lower.Envelope, 0, len(data)),
+		feats:     make([][]sift.Feature, 0, len(data)),
 	}
 	for i, s := range data {
 		if err := c.admitLocked(s); err != nil {
@@ -308,12 +325,8 @@ func New(backend Backend, data []series.Series, workers int, _ bool) (*Core, err
 }
 
 // admitLocked validates s (non-empty, every value finite, its ID new),
-// warms the backend, and appends it with its envelope. It first drops any
-// backend cache state already held under the series' ID: a removed
-// series' in-flight search may have re-derived its features into the
-// read-through cache, and admitting through that stale entry would
-// permanently serve another series' features. Callers hold the write
-// lock (or are constructing).
+// has the backend admit it, and appends it with what the backend derived
+// and its envelope. Callers hold the write lock (or are constructing).
 func (c *Core) admitLocked(s series.Series) error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
@@ -326,14 +339,15 @@ func (c *Core) admitLocked(s series.Series) error {
 			return fmt.Errorf("%w: %q", ErrDuplicateID, s.ID)
 		}
 	}
-	c.backend.Forget(s)
-	if err := c.backend.Admit(s); err != nil {
+	f, err := c.backend.Admit(s)
+	if err != nil {
 		return err
 	}
 	if s.ID != "" {
 		c.ids[s.ID] = len(c.data)
 	}
 	c.data = append(c.data, s)
+	c.feats = append(c.feats, f)
 	n := len(s.Values)
 	c.meta = append(c.meta, seriesMeta{n: n, first: s.Values[0], last: s.Values[n-1]})
 	if c.cold != nil {
@@ -400,24 +414,20 @@ func (c *Core) Envelope(i int) lower.Envelope {
 	return c.envelopes[i]
 }
 
-// Values returns the raw values of the series at position i,
-// materialising them from the store if cold.
-func (c *Core) Values(i int) ([]float64, error) {
-	c.mu.RLock()
-	s := c.data[i]
-	var slot *coldSlot
+// entry returns the raw values of the series at position pos and what the
+// backend derived from them, materialising both if the series is cold.
+// Callers hold (at least) the read lock.
+func (c *Core) entry(pos int) ([]float64, []sift.Feature, error) {
 	if c.cold != nil {
-		slot = c.cold[i]
+		if slot := c.cold[pos]; slot != nil {
+			return slot.get()
+		}
 	}
-	c.mu.RUnlock()
-	if slot == nil {
-		return s.Values, nil
-	}
-	return slot.get()
+	return c.data[pos].Values, c.feats[pos], nil
 }
 
-// Add appends a series to the collection: backend caches are warmed and
-// the LB_Keogh envelope computed incrementally, under the write lock, so
+// Add appends a series to the collection: the backend admits it and its
+// LB_Keogh envelope is computed incrementally, under the write lock, so
 // concurrent searches see either the old or the new collection.
 func (c *Core) Add(s series.Series) error {
 	c.mu.Lock()
@@ -426,10 +436,10 @@ func (c *Core) Add(s series.Series) error {
 }
 
 // Remove deletes the series with the given non-empty ID, dropping its
-// envelope and any backend cache entries. Later series shift down one
-// position. Removing the last series fails: Remove is the flat index's
-// mutator, and a flat index is never empty (check and removal are atomic
-// under the write lock).
+// envelope and features. Later series shift down one position. Removing
+// the last series fails: Remove is the flat index's mutator, and a flat
+// index is never empty (check and removal are atomic under the write
+// lock).
 func (c *Core) Remove(id string) error {
 	if id == "" {
 		return fmt.Errorf("Remove needs a non-empty ID")
@@ -447,13 +457,13 @@ func (c *Core) Remove(id string) error {
 	return nil
 }
 
-// dropLocked forgets the series at position pos in the backend, drops it
-// from every position-parallel slice and renumbers the IDs behind it.
-// Callers hold the write lock (or own an unpublished copy).
+// dropLocked drops the series at position pos from every
+// position-parallel slice and renumbers the IDs behind it. Callers hold
+// the write lock (or own an unpublished copy).
 func (c *Core) dropLocked(pos int) {
-	c.backend.Forget(c.data[pos])
 	delete(c.ids, c.data[pos].ID)
 	c.data = append(c.data[:pos], c.data[pos+1:]...)
+	c.feats = append(c.feats[:pos], c.feats[pos+1:]...)
 	c.meta = append(c.meta[:pos], c.meta[pos+1:]...)
 	if c.cold != nil {
 		c.cold = append(c.cold[:pos], c.cold[pos+1:]...)
@@ -482,13 +492,15 @@ func (c *Core) copyLocked() *Core {
 		meta:      make([]seriesMeta, len(c.meta)),
 		ids:       make(map[string]int, len(c.ids)+1),
 		envelopes: make([]lower.Envelope, len(c.envelopes)),
+		feats:     make([][]sift.Feature, len(c.feats)),
 	}
 	copy(nc.data, c.data)
+	copy(nc.feats, c.feats)
 	copy(nc.meta, c.meta)
 	copy(nc.envelopes, c.envelopes)
 	if c.cold != nil {
 		// Slots are shared, not copied: a materialisation on either core
-		// serves both (the values are immutable).
+		// serves both (values and features are immutable).
 		nc.cold = make([]*coldSlot, len(c.cold))
 		copy(nc.cold, c.cold)
 	}
@@ -506,9 +518,9 @@ func (c *Core) copyLocked() *Core {
 // unchanged and keeps serving. This is the copy-on-write seam the
 // sharded serving layer builds its snapshots from: readers holding the
 // old core never contend with the write, they simply keep seeing the old
-// collection. The backend is shared, so its per-series caches carry
-// over; the new series' one-time costs (feature extraction, envelope)
-// are paid here.
+// collection. The copy shares every other series' features, envelope and
+// cold slot; the new series' one-time costs (feature extraction,
+// envelope) are paid here.
 func (c *Core) CloneAdd(s series.Series) (*Core, error) {
 	c.mu.RLock()
 	nc := c.copyLocked()
@@ -524,11 +536,9 @@ func (c *Core) CloneAdd(s series.Series) (*Core, error) {
 // CloneRemove returns a copy of the core with the series of the given
 // non-empty ID removed, along with the position it occupied (so callers
 // maintaining position-parallel state can renumber the same way). The
-// receiver is unchanged. Unlike Remove it may take the last series: the
-// copy is then an empty core, which is what a drained shard holds. The
-// shared backend forgets the series' cached state — in-flight searches on
-// the old core may re-derive it on demand, which costs work, never
-// correctness (CloneAdd forgets again before it admits under that ID).
+// receiver is unchanged, and in-flight searches on it keep reading the
+// series and its features. Unlike Remove it may take the last series:
+// the copy is then an empty core, which is what a drained shard holds.
 func (c *Core) CloneRemove(id string) (*Core, int, error) {
 	if id == "" {
 		return nil, -1, fmt.Errorf("Remove needs a non-empty ID")
@@ -767,26 +777,57 @@ func (c *Core) Search(ctx context.Context, query series.Series, p Params) ([]Nei
 }
 
 // Prepare validates query — non-empty, every value finite — and prepares
-// it with backend, for SearchPrepared on any core of that backend
-// configuration. The sharded layer prepares a query once and searches
-// every shard with it.
-func Prepare(backend Backend, query series.Series) (Query, error) {
+// it for SearchPrepared on any core over the same backend. The sharded
+// layer prepares a query once, on the core of the shard its ID routes to,
+// and searches every shard with it.
+func (c *Core) Prepare(query series.Series) (Query, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.prepareLocked(query)
+}
+
+// prepareLocked is Prepare under a held read lock. A query carrying a
+// member's ID and that member's values, bit for bit, takes the member's
+// features instead of extracting them again; a query that only shares a
+// member's ID extracts its own.
+func (c *Core) prepareLocked(query series.Series) (Query, error) {
 	if len(query.Values) == 0 {
 		return Query{}, fmt.Errorf("query: %w", ErrEmptySeries)
 	}
 	if err := series.Finite(query.Values); err != nil {
 		return Query{}, fmt.Errorf("query: %w", err)
 	}
-	q, err := backend.Prepare(query)
+	if pos, ok := c.ids[query.ID]; ok {
+		// A member whose values fail to load is no shortcut: the query
+		// extracts its own features, and the member — excluded from this
+		// search — reports the load error when a search evaluates it.
+		if vals, f, err := c.entry(pos); err == nil && sameBits(vals, query.Values) {
+			return Query{Series: query, feats: f}, nil
+		}
+	}
+	q, err := c.backend.Prepare(query)
 	if err != nil {
 		return Query{}, fmt.Errorf("query: %w", err)
 	}
 	return q, nil
 }
 
-// SearchPrepared is Search over a query some core of the same backend
-// configuration already prepared. The preparation is the caller's to
-// account for: the returned Stats leave ExtractTime zero.
+// sameBits reports whether a and b hold the same float64s, bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// SearchPrepared is Search over a query a core over the same backend
+// already prepared. The preparation is the caller's to account for: the
+// returned Stats leave ExtractTime zero.
 func (c *Core) SearchPrepared(ctx context.Context, q Query, p Params) ([]Neighbor, Stats, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -798,7 +839,7 @@ func (c *Core) SearchPrepared(ctx context.Context, q Query, p Params) ([]Neighbo
 // cascade.
 func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Neighbor, Stats, error) {
 	start := time.Now()
-	q, err := Prepare(c.backend, query)
+	q, err := c.prepareLocked(query)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -1013,20 +1054,16 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 			}
 		}
 		// The candidate survived every bound: only now read its series,
-		// and materialise its raw values if they are still cold. The slot
-		// caches, so each series pays the disk read at most once per core
-		// lifetime.
+		// and materialise its raw values and features if they are still
+		// cold. The slot caches, so each series pays the disk read and the
+		// extraction at most once, across every copy of the core.
 		s := c.data[cd.pos]
-		if c.cold != nil {
-			if slot := c.cold[cd.pos]; slot != nil {
-				vals, err := slot.get()
-				if err != nil {
-					fail(fmt.Errorf("loading values of %q: %w", s.ID, err))
-					return
-				}
-				s.Values = vals
-			}
+		vals, f, err := c.entry(cd.pos)
+		if err != nil {
+			fail(fmt.Errorf("loading values of %q: %w", s.ID, err))
+			return
 		}
+		s.Values = vals
 		// Stage 3: the dynamic program itself, early-abandoning against
 		// the shared threshold. The threshold only ever decreases, so a
 		// stale read yields a looser budget — extra rows filled, never a
@@ -1036,7 +1073,7 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 		if abandon {
 			budget = threshold.Load()
 		}
-		res, err := c.backend.Distance(ctx, query, s, budget)
+		res, err := c.backend.Distance(ctx, query, s, f, budget)
 		if err != nil {
 			fail(fmt.Errorf("distance to %q: %w", s.ID, err))
 			return
@@ -1156,27 +1193,18 @@ func (c *Core) batch(ctx context.Context, queries []series.Series, p Params, exc
 		// A caller-supplied exclusion applies to every query of the
 		// batch; the leave-one-out self-batch overrides it per query.
 		q := queries[n]
+		var err error
 		if excludeSelf {
 			qp.Exclude = n
 			// The self-batch queries are the collection itself, whose
 			// values may be cold: materialise this query's before use.
-			if c.cold != nil {
-				if slot := c.cold[n]; slot != nil {
-					vals, err := slot.get()
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("query %d (%q): %w", n, q.ID, err)
-						}
-						mu.Unlock()
-						stop.Store(true)
-						return
-					}
-					q.Values = vals
-				}
-			}
+			q.Values, _, err = c.entry(n)
 		}
-		nbrs, qs, err := c.search(ctx, q, qp)
+		var nbrs []Neighbor
+		var qs Stats
+		if err == nil {
+			nbrs, qs, err = c.search(ctx, q, qp)
+		}
 		mu.Lock()
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("query %d (%q): %w", n, queries[n].ID, err)

@@ -466,7 +466,7 @@ func TestNonFiniteRefused(t *testing.T) {
 		if _, err := c.CloneAdd(bad); !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("CloneAdd with %v: %v, want ErrNonFinite", v, err)
 		}
-		if _, err := Prepare(backend, bad); !errors.Is(err, ErrNonFinite) {
+		if _, err := c.Prepare(bad); !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("Prepare with %v: %v, want ErrNonFinite", v, err)
 		}
 		if nbs, _, err := c.Search(context.Background(), bad, DefaultParams()); !errors.Is(err, ErrNonFinite) || nbs != nil {

@@ -43,8 +43,9 @@ type Stats struct {
 	// BoundTime is the time spent computing LB_Kim and LB_Keogh bounds.
 	BoundTime time.Duration
 	// ExtractTime is the time spent preparing the query — on the sDTW
-	// backend its one feature extraction per search (a cache lookup when
-	// the query is an indexed series); zero on the windowed backend.
+	// backend its one feature extraction per search (none when the query
+	// is an indexed series, values and all, whose features the index
+	// holds); zero on the windowed backend.
 	ExtractTime time.Duration
 	// MatchTime and DPTime are the summed backend stage durations of the
 	// evaluated candidates (the paper's tasks b and c).

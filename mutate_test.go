@@ -126,10 +126,10 @@ func TestIndexRemoveMatchesRebuild(t *testing.T) {
 }
 
 // TestIndexAddEvictsQueryCachedFeatures is the cache-poisoning
-// regression: the engine's feature cache is read-through and keyed by
-// series ID, and search queries populate it too. Adding a series whose ID
-// was previously seen as a *query* must re-extract features from the new
-// series' values, not adopt the stale query entry — otherwise the index
+// regression from when features lived in an ID-keyed, read-through cache
+// that search queries populated too. Adding a series whose ID was
+// previously seen as a *query* must extract features from the new
+// series' values, not adopt the query's — otherwise the index
 // permanently serves another series' features under that ID.
 func TestIndexAddEvictsQueryCachedFeatures(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 77, SeriesPerClass: 3})

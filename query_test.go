@@ -2,6 +2,8 @@ package sdtw
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -14,31 +16,16 @@ func queryFixture(t *testing.T) (data []Series, q1, q2 []float64) {
 	return d.Series[:n], d.Series[n].Values, d.Series[n+1].Values
 }
 
-// cachedFeatureSets sums the engines' collection-cache sizes.
-func cachedFeatureSets(engines ...*Engine) int {
-	n := 0
-	for _, e := range engines {
-		n += e.inner.CacheSize()
-	}
-	return n
-}
+// extractions is the engine's feature-extraction count.
+func extractions(e *Engine) int64 { return e.inner.Extractions() }
 
-// extractions sums the engines' feature-extraction counts.
-func extractions(engines ...*Engine) int64 {
-	var n int64
-	for _, e := range engines {
-		n += e.inner.Extractions()
+// requireNoCache fails unless the index engine's feature cache is empty:
+// an index keeps its series' features itself and never fills it.
+func requireNoCache(t *testing.T, what string, e *Engine) {
+	t.Helper()
+	if n := e.inner.CacheSize(); n != 0 {
+		t.Fatalf("%s: the index engine caches %d feature sets, want 0", what, n)
 	}
-	return n
-}
-
-// shardEngines lists a sharded engine index's per-shard engines.
-func shardEngines(si *ShardedIndex) []*Engine {
-	engines := make([]*Engine, len(si.shards))
-	for i := range si.shards {
-		engines[i] = si.shards[i].engine
-	}
-	return engines
 }
 
 // TestQueryIDNeverEntersCollectionCache: a query is not part of the
@@ -61,7 +48,8 @@ func TestQueryIDNeverEntersCollectionCache(t *testing.T) {
 		return ix, si
 	}
 	ix, si := build()
-	flatCached, shardCached := cachedFeatureSets(ix.engine), cachedFeatureSets(shardEngines(si)...)
+	requireNoCache(t, "flat, built", ix.engine)
+	requireNoCache(t, "sharded, built", si.engine)
 	for _, vals := range [][]float64{v1, v2} {
 		q := NewSeries("same-id", 0, vals)
 		freshIx, freshSi := build()
@@ -87,12 +75,8 @@ func TestQueryIDNeverEntersCollectionCache(t *testing.T) {
 		requireSameHits(t, "4 shards, reused query ID", wantHits, gotHits)
 		requireSameHits(t, "4 shards vs flat", flatHits(freshIx, want), gotHits)
 	}
-	if got := cachedFeatureSets(ix.engine); got != flatCached {
-		t.Fatalf("flat index caches %d feature sets after searching, %d before", got, flatCached)
-	}
-	if got := cachedFeatureSets(shardEngines(si)...); got != shardCached {
-		t.Fatalf("sharded index caches %d feature sets after searching, %d before", got, shardCached)
-	}
+	requireNoCache(t, "flat, after searching", ix.engine)
+	requireNoCache(t, "sharded, after searching", si.engine)
 }
 
 // TestQueryExtractsOncePerSearch: a search prepares its query once — not
@@ -127,12 +111,12 @@ func TestQueryExtractsOncePerSearch(t *testing.T) {
 		return answer{flatHits(ix, nbrs), stats}
 	}
 	sharded := func(q Series) answer {
-		before := extractions(shardEngines(si)...)
+		before := extractions(si.engine)
 		hits, stats, err := si.Search(ctx, q, WithK(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := extractions(shardEngines(si)...) - before; n != 1 {
+		if n := extractions(si.engine) - before; n != 1 {
 			t.Fatalf("4-shard search of %q ran %d feature extractions, want 1", q.ID, n)
 		}
 		return answer{hits, stats}
@@ -156,16 +140,17 @@ func TestQueryExtractsOncePerSearch(t *testing.T) {
 		t.Fatalf("4-shard candidate counts differ:\n   named %v\nID-less %v\n   flat %v", sa.stats, sb.stats, a.stats)
 	}
 
-	// A member query reuses its cached features: no extraction at all.
-	before := extractions(ix.engine) + extractions(shardEngines(si)...)
+	// A member query reuses the features the index holds: no extraction
+	// at all.
+	before := extractions(ix.engine) + extractions(si.engine)
 	if _, _, err := ix.Search(ctx, data[3], WithK(5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := si.Search(ctx, data[3], WithK(5)); err != nil {
 		t.Fatal(err)
 	}
-	if n := extractions(ix.engine) + extractions(shardEngines(si)...) - before; n != 0 {
-		t.Fatalf("member queries ran %d feature extractions, want 0 (read-only cache hits)", n)
+	if n := extractions(ix.engine) + extractions(si.engine) - before; n != 0 {
+		t.Fatalf("member queries ran %d feature extractions, want 0 (the members' own features)", n)
 	}
 }
 
@@ -206,15 +191,11 @@ func TestNoAlignmentIndexExtractsNothing(t *testing.T) {
 			if got := extractions(ix.engine); got != want {
 				t.Errorf("%v flat, %s: %d extractions, want %d", tc.opts.Strategy, when, got, want)
 			}
-			if got := int64(cachedFeatureSets(ix.engine)); got != want {
-				t.Errorf("%v flat, %s: %d cached feature sets, want %d", tc.opts.Strategy, when, got, want)
-			}
-			if got := extractions(shardEngines(si)...); got != want {
+			requireNoCache(t, fmt.Sprintf("%v flat, %s", tc.opts.Strategy, when), ix.engine)
+			if got := extractions(si.engine); got != want {
 				t.Errorf("%v sharded, %s: %d extractions, want %d", tc.opts.Strategy, when, got, want)
 			}
-			if got := int64(cachedFeatureSets(shardEngines(si)...)); got != want {
-				t.Errorf("%v sharded, %s: %d cached feature sets, want %d", tc.opts.Strategy, when, got, want)
-			}
+			requireNoCache(t, fmt.Sprintf("%v sharded, %s", tc.opts.Strategy, when), si.engine)
 		}
 		check("built", 10)
 		if err := ix.Add(extra); err != nil {
@@ -224,5 +205,196 @@ func TestNoAlignmentIndexExtractsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("after Add", 11)
+	}
+}
+
+// TestQueryUnderMemberIDWithOtherValues: a query carrying a member's ID
+// but other values is answered from its own features, not the member's.
+// The member is excluded by ID, so the answer equals that of the same
+// values under a fresh ID over the collection without the member, bit for
+// bit — flat and sharded.
+func TestQueryUnderMemberIDWithOtherValues(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 21, SeriesPerClass: 22})
+	n := len(d.Series) - 1
+	data, held := d.Series[:n], d.Series[n].Values
+	ctx := context.Background()
+	ix, err := NewIndex(data, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	si, err := NewShardedIndex(data, 4, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewIndex(data[1:], DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbrs, _, err := ref.Search(ctx, NewSeries("fresh", 0, held), WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := flatHits(ref, nbrs)
+
+	q := NewSeries(data[0].ID, 0, held)
+	nbrs, _, err = ix.Search(ctx, q, WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameHits(t, "flat, member ID with other values", want, flatHits(ix, nbrs))
+	hits, _, err := si.Search(ctx, q, WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameHits(t, "4 shards, member ID with other values", want, hits)
+}
+
+// TestRestoredFeaturesExtractOnce: a store holds no features, so a
+// restored index extracts each series' on first touch — once, however
+// many concurrent searches reach it and across the copy-on-write copies
+// an Add and a Remove make. Every search evaluates every candidate, so
+// apart from the query preparations and the one Add the engine extracts
+// exactly Len() feature sets; and every answer equals a fresh index's,
+// bit for bit.
+func TestRestoredFeaturesExtractOnce(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 29, SeriesPerClass: 8})
+	n := len(d.Series) - 3
+	data, extra := d.Series[:n], d.Series[n]
+	removed := data[5].ID
+	var after []Series
+	for _, s := range data {
+		if s.ID != removed {
+			after = append(after, s)
+		}
+	}
+	after = append(after, extra)
+	// Two held-out queries prepare their own features; a member query
+	// takes its member's.
+	queries := []Series{data[2]}
+	for _, s := range d.Series[n+1:] {
+		queries = append(queries, NewSeries("query-"+s.ID, 0, s.Values))
+	}
+	const clients = 4
+	ctx := context.Background()
+	opts := DefaultOptions()
+
+	type index interface {
+		Search(ctx context.Context, query Series, opts ...SearchOption) ([]Neighbor, SearchStats, error)
+		Add(s Series) error
+		Remove(id string) error
+		Len() int
+		CloseStore() error
+	}
+	layouts := map[string]struct {
+		export func(dir string) error
+		open   func(dir string) (index, *Engine, error)
+		hits   func(ix index, nbrs []Neighbor) []Hit
+	}{
+		"flat": {
+			export: func(dir string) error {
+				ix, err := NewIndex(data, opts)
+				if err != nil {
+					return err
+				}
+				return ix.SaveStore(dir)
+			},
+			open: func(dir string) (index, *Engine, error) {
+				ix, err := OpenIndex(dir, opts)
+				if err != nil {
+					return nil, nil, err
+				}
+				return ix, ix.engine, nil
+			},
+			hits: func(ix index, nbrs []Neighbor) []Hit { return flatHits(ix.(*Index), nbrs) },
+		},
+		"sharded": {
+			export: func(dir string) error {
+				si, err := NewShardedIndex(data, 3, opts)
+				if err != nil {
+					return err
+				}
+				return si.SaveStore(dir)
+			},
+			open: func(dir string) (index, *Engine, error) {
+				si, err := OpenShardedIndex(dir, opts)
+				if err != nil {
+					return nil, nil, err
+				}
+				return si, si.engine, nil
+			},
+			hits: func(_ index, nbrs []Neighbor) []Hit { return nbrs },
+		},
+	}
+	for name, l := range layouts {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := l.export(dir); err != nil {
+				t.Fatal(err)
+			}
+			ix, engine, err := l.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.CloseStore()
+			restored := int64(ix.Len())
+			preparations := int64(0)
+			// round searches every query from every client at once and
+			// checks each answer against a fresh index over coll.
+			round := func(label string, coll []Series) {
+				t.Helper()
+				ref, err := NewIndex(coll, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := WithK(len(coll))
+				want := make([][]Hit, len(queries))
+				for i, q := range queries {
+					nbrs, _, err := ref.Search(ctx, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[i] = flatHits(ref, nbrs)
+				}
+				got := make([][][]Hit, clients)
+				errs := make([]error, clients)
+				var wg sync.WaitGroup
+				for c := range clients {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for _, q := range queries {
+							nbrs, _, err := ix.Search(ctx, q, k)
+							if err != nil {
+								errs[c] = err
+								return
+							}
+							got[c] = append(got[c], l.hits(ix, nbrs))
+						}
+					}()
+				}
+				wg.Wait()
+				for c := range clients {
+					if errs[c] != nil {
+						t.Fatalf("%s, client %d: %v", label, c, errs[c])
+					}
+					for i := range queries {
+						requireSameHits(t, fmt.Sprintf("%s, client %d, query %q", label, c, queries[i].ID), want[i], got[c][i])
+					}
+				}
+				preparations += clients * int64(len(queries)-1)
+			}
+			round("restored", data)
+			if err := ix.Add(extra); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Remove(removed); err != nil {
+				t.Fatal(err)
+			}
+			round("after Add and Remove", after)
+			if got := engine.inner.Extractions() - preparations - 1; got != restored {
+				t.Fatalf("%d extractions of restored series, want %d: one per series", got, restored)
+			}
+			requireNoCache(t, name, engine)
+		})
 	}
 }

@@ -38,6 +38,13 @@ constructors=$(grep -cE '^func (New|Open)[A-Za-z]*Index\(' <<<"$doc")
 # calls pin (ROADMAP 2c's benchmark edit takes them to 0).
 pointcost=$(git ls-files '*.go' | grep -v '_test\.go$' | grep -v '^benchmark/' |
 	xargs grep -hwE 'PointDistance' | grep -cvE '^[[:space:]]*//' || true)
+# Methods of the retrieve.Backend interface, the seam every distance
+# family implements (ROADMAP item 7 reduces it).
+backend=$(awk '
+	/^type Backend interface/ { in_iface = 1; next }
+	in_iface && /^}/ { exit }
+	in_iface && /^\t[A-Z][A-Za-z0-9]*\(/ { n++ }
+	END { print n }' internal/retrieve/backend.go)
 internal=$(find internal -mindepth 1 -maxdepth 1 -type d | wc -l)
 examples=$(find examples -mindepth 1 -maxdepth 1 -type d | wc -l)
 
@@ -49,3 +56,4 @@ printf 'internal/ packages:                   %d\n' "$internal"
 printf 'examples:                             %d\n' "$examples"
 printf 'root index constructors:              %d\n' "$constructors"
 printf 'PointDistance code lines:             %d\n' "$pointcost"
+printf 'retrieve.Backend methods:             %d\n' "$backend"

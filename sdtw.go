@@ -73,8 +73,8 @@ const (
 // Series is a univariate time series with identity and label metadata.
 type Series = series.Series
 
-// NewSeries wraps values with an identifier and class label. Series with
-// non-empty IDs participate in the engine's feature cache.
+// NewSeries wraps values with an identifier and class label. A non-empty
+// ID keys an Engine's feature cache and an index's Remove.
 func NewSeries(id string, label int, values []float64) Series {
 	return series.New(id, label, values)
 }
@@ -98,7 +98,7 @@ type Result = core.Result
 // the cost every lower bound of the Index cascade and the Hub's prefilter
 // assume. Every field that changes a distance is in the configuration
 // fingerprint a segment store records; Workers and StoreSegmentRecords
-// are not. Salient features are always cached per series ID, and every
+// are not. An Engine caches salient features per series ID, and every
 // index runs the stage-0 sketch filter at DefaultSketchWidth (an opened
 // index at the width its store was written with).
 type Options struct {
@@ -196,11 +196,10 @@ func (o Options) toCore() core.Options {
 			NeighborRadius: o.NeighborRadius,
 			Symmetric:      o.Symmetric,
 		},
-		Features:      feat,
-		Matcher:       matcher,
-		ComputePath:   o.ComputePath,
-		KeepBand:      o.KeepBand,
-		CacheFeatures: true,
+		Features:    feat,
+		Matcher:     matcher,
+		ComputePath: o.ComputePath,
+		KeepBand:    o.KeepBand,
 	}
 }
 

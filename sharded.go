@@ -17,8 +17,8 @@ import (
 
 // ShardedIndex is the horizontally partitioned form of Index, built for
 // serving. Series are hash-routed by ID (FNV-1a, modulo the shard count)
-// across N shards, each a retrieve.Core over its own backend, so feature
-// caches never contend across shards. Searches fan out across the shards
+// across N shards, each a retrieve.Core holding its series' features and
+// envelopes, all over one backend. Searches fan out across the shards
 // concurrently and merge their top-k through one shared best-so-far
 // threshold, so pruning compounds across shards exactly as it does
 // across the workers inside one search.
@@ -42,6 +42,9 @@ import (
 // carry Pos -1, since sharding makes positions meaningless.
 type ShardedIndex struct {
 	family backendFamily
+	// engine is the one engine every shard computes through; nil for the
+	// windowed family.
+	engine *Engine
 	shards []shardSlot
 	// nextSeq is the insertion sequence the next Add takes.
 	nextSeq atomic.Uint64
@@ -56,13 +59,11 @@ type ShardedIndex struct {
 	segRecords int
 }
 
-// shardSlot is one shard: its backend, the published snapshot, and the
-// lock that serialises the shard's copy-on-write writers.
+// shardSlot is one shard: the published snapshot, and the lock that
+// serialises the shard's copy-on-write writers.
 type shardSlot struct {
-	backend retrieve.Backend
-	engine  *Engine // nil for the windowed family
-	mu      sync.Mutex
-	snap    atomic.Pointer[shardSnap]
+	mu   sync.Mutex
+	snap atomic.Pointer[shardSnap]
 }
 
 // shardSnap is one shard's immutable published state. Readers load it
@@ -93,8 +94,9 @@ func route(id string, shards int) int {
 
 // NewShardedIndex builds a sharded index over data (which may be nil or
 // empty) using the sDTW engine configured by opts, partitioned across
-// shards. Every series needs a non-empty, unique ID. Each shard owns its
-// own engine, so feature caches never contend across shards.
+// shards. Every series needs a non-empty, unique ID. Construction pays
+// every series' one-time costs (feature extraction, LB_Keogh envelope)
+// and each shard's core holds the results beside its series.
 func NewShardedIndex(data []Series, shards int, opts Options) (*ShardedIndex, error) {
 	return newShardedIndex(engineFamily(opts), data, shards, opts.StoreSegmentRecords)
 }
@@ -156,25 +158,24 @@ func restoreShardedIndex(f backendFamily, sketchW int, parts [][]retrieve.ColdSe
 	})
 }
 
-// assemble builds one shard per entry of seqs: a backend of the family,
-// and the core build constructs over it (an empty one for a shard holding
-// no series). It is the one construction path; building and restoring
-// differ only in the core constructor they pass.
+// assemble builds the family's one backend and one shard per entry of
+// seqs: the core build constructs over that backend (an empty one for a
+// shard holding no series). It is the one construction path; building
+// and restoring differ only in the core constructor they pass.
 func assemble(f backendFamily, seqs [][]uint64, nextSeq uint64,
 	build func(shard int, b retrieve.Backend) (*retrieve.Core, error)) (*ShardedIndex, error) {
-	si := &ShardedIndex{family: f, shards: make([]shardSlot, len(seqs))}
+	backend, engine, err := f.newBackend()
+	if err != nil {
+		return nil, fmt.Errorf("sdtw: %w", err)
+	}
+	si := &ShardedIndex{family: f, engine: engine, shards: make([]shardSlot, len(seqs))}
 	si.nextSeq.Store(nextSeq)
 	for i := range si.shards {
-		sl := &si.shards[i]
-		var err error
-		if sl.backend, sl.engine, err = f.newBackend(); err != nil {
-			return nil, fmt.Errorf("sdtw: shard %d backend: %w", i, err)
-		}
-		core, err := build(i, sl.backend)
+		core, err := build(i, backend)
 		if err != nil {
 			return nil, fmt.Errorf("sdtw: shard %d: %w", i, err)
 		}
-		sl.snap.Store(&shardSnap{core: core, seqs: seqs[i]})
+		si.shards[i].snap.Store(&shardSnap{core: core, seqs: seqs[i]})
 	}
 	return si, nil
 }
@@ -200,12 +201,12 @@ func (si *ShardedIndex) Search(ctx context.Context, query Series, opts ...Search
 		return nil, SearchStats{}, fmt.Errorf("sdtw: WithExclude is positional and does not apply across shards; remove series by ID instead")
 	}
 	start := time.Now()
-	// The query is prepared once, not once per shard: all shards share
-	// one backend configuration, so the backend of the shard the query's
-	// ID routes to (where a member query finds its cached features)
-	// prepares it for all. That backend exists even when every shard is
-	// empty, so an empty index refuses a query a full one would.
-	q, err := retrieve.Prepare(si.slot(query.ID).backend, query)
+	// The query is prepared once, not once per shard: every shard's core
+	// computes through the one backend, so the core of the shard the
+	// query's ID routes to (where a member query finds its features)
+	// prepares it for all. That core exists even when it is empty, so an
+	// empty index refuses a query a full one would.
+	q, err := si.slot(query.ID).snap.Load().core.Prepare(query)
 	if err != nil {
 		return nil, SearchStats{}, fmt.Errorf("sdtw: %w", err)
 	}
@@ -311,8 +312,8 @@ func (si *ShardedIndex) Add(s Series) error {
 // admit stages the snapshot of s's shard with s admitted, under the
 // shard's writer lock, then hands the staged insertion sequence and
 // envelope to persist (nil in RAM) and publishes only once persist
-// succeeds. A failed persist drops the staged core and has the backend
-// forget the series, so nothing of it stays visible.
+// succeeds. A failed persist drops the staged core, and with it
+// everything admission derived, so nothing of the series stays visible.
 func (si *ShardedIndex) admit(s Series, persist func(seq uint64, env lower.Envelope) error) error {
 	if s.ID == "" {
 		return ErrNoID
@@ -328,7 +329,6 @@ func (si *ShardedIndex) admit(s Series, persist func(seq uint64, env lower.Envel
 	seq := si.nextSeq.Add(1) - 1
 	if persist != nil {
 		if err := persist(seq, core.Envelope(core.Len()-1)); err != nil {
-			sl.backend.Forget(s)
 			return err
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -319,15 +318,15 @@ func TestShardedSearchExactness(t *testing.T) {
 }
 
 // TestShardedReAddUnderDrainedShardsLastID is the stale-feature
-// regression: a shard's last series is removed, a search still running on
-// the pre-Remove snapshot re-derives that series' features into the shard
-// engine's read-through cache, and a different series is then added under
-// the same ID. The refill must extract from the new values — admission
-// into an empty shard forgets the ID first, like any other — or the shard
-// serves the removed series' features under that ID for good.
+// regression: a shard's last series is removed while a search still runs
+// on the pre-Remove snapshot and evaluates it, and a different series is
+// then added under the same ID. The refill must serve features extracted
+// from the new values, or the shard answers with the removed series'
+// features under that ID for good.
 func TestShardedReAddUnderDrainedShardsLastID(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 41, SeriesPerClass: 4})
 	opts := DefaultOptions()
+	ctx := context.Background()
 	const shards = 4
 	old := d.Series[0]
 	sh := route(old.ID, shards)
@@ -342,40 +341,37 @@ func TestShardedReAddUnderDrainedShardsLastID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pre := si.shards[sh].snap.Load()
 	if err := si.Remove(old.ID); err != nil {
 		t.Fatal(err)
 	}
 	if n := si.ShardSizes()[sh]; n != 0 {
 		t.Fatalf("shard %d holds %d series after removing its only one", sh, n)
 	}
-	// What the in-flight search's DP stage does to the cache.
-	if _, err := si.shards[sh].engine.Features(old); err != nil {
-		t.Fatal(err)
+	// The in-flight search: it evaluates old on the pre-Remove snapshot.
+	inFlight := old
+	inFlight.ID = "in-flight"
+	nbrs, _, err := pre.core.Search(ctx, inFlight, retrieve.DefaultParams())
+	if err != nil || len(nbrs) != 1 || nbrs[0].ID != old.ID || nbrs[0].Distance != 0 {
+		t.Fatalf("search on the pre-Remove snapshot: %v, %v; want %q at distance 0", nbrs, err, old.ID)
 	}
 	fresh := d.Series[d.Len()-1]
 	fresh.ID = old.ID
 	if err := si.Add(fresh); err != nil {
 		t.Fatal(err)
 	}
-	got, err := si.shards[sh].engine.Features(fresh) // the cache entry searches read
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ExtractFeatures(fresh.Values, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("shard serves %d cached features under %q, a fresh extraction of its values gives %d",
-			len(got), fresh.ID, len(want))
-	}
 	rebuilt, err := NewShardedIndex(append(data[1:len(data):len(data)], fresh), shards, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	// The first probe is the refilled series itself: a member query takes
+	// the features its shard holds for it.
+	probes := []Series{fresh}
 	for _, probe := range d.Series[1:4] {
 		probe.ID = "probe"
+		probes = append(probes, probe)
+	}
+	for _, probe := range probes {
 		gotHits, _, err := si.Search(ctx, probe, WithK(si.Len()))
 		if err != nil {
 			t.Fatal(err)
@@ -384,7 +380,7 @@ func TestShardedReAddUnderDrainedShardsLastID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameHits(t, "refilled vs rebuilt", wantHits, gotHits)
+		requireSameHits(t, "refilled vs rebuilt, probe "+probe.ID, wantHits, gotHits)
 	}
 }
 
