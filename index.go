@@ -156,8 +156,10 @@ func newIndex(f backendFamily, data []Series, segRecords int) (*Index, error) {
 // of every series and keeps them in the index beside it — unless the
 // band strategy reads none (FullGrid, FixedCoreFixedWidth) — and
 // precomputes LB_Keogh envelopes at the radius admissible for the
-// strategy. A Strategy outside the declared six fails with
-// ErrConfigMismatch.
+// strategy. That per-series work runs on the index's worker pool
+// (Options.Workers) and builds the index a sequential build would,
+// reporting the lowest-positioned bad series. A Strategy outside the
+// declared six fails with ErrConfigMismatch.
 func NewIndex(data []Series, opts Options) (*Index, error) {
 	return newIndex(engineFamily(opts), data, opts.StoreSegmentRecords)
 }

@@ -218,7 +218,8 @@ type ColdAdmitter interface {
 // envelopes and sketches are trusted from the store, raw values load
 // lazily. sketchW enables stage 0 at that width (0 disables). A store
 // holds no features: the first touch of a series loads its values and
-// runs the backend's Admit over them, once, in the series' cold slot.
+// derives from them, once, in the series' cold slot — refusing values
+// that are not finite, as admission does.
 //
 // The bool parameter is ignored (the DP always early-abandons, unless a
 // search sets Params.NoAbandon); it goes with the benchmark edit of
@@ -267,8 +268,10 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ boo
 			if err != nil {
 				return nil, nil, err
 			}
-			f, err := backend.Admit(series.Series{ID: cs.ID, Label: cs.Label, Values: vals})
-			return vals, f, err
+			// The store holds the series' bounds; its values are checked and
+			// admitted here, as an in-RAM series' are when it joins a core.
+			d, err := derive(backend, series.Series{ID: cs.ID, Label: cs.Label, Values: vals}, false, 0)
+			return vals, d.feats, err
 		}})
 		if len(cs.Envelope.Upper) != cs.N {
 			return nil, fmt.Errorf("series %d (%q) has envelope length %d for %d values: %w",
@@ -288,8 +291,11 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ boo
 
 // New builds a core over data (possibly none), validating every series
 // and keeping what the backend's Admit derives from it. workers bounds
-// the query worker pool (<= 0 means the caller should have defaulted it;
-// it is clamped to 1). The bool parameter is ignored, as in RestoreCold.
+// the worker pool (<= 0 means the caller should have defaulted it; it is
+// clamped to 1). Construction runs on that pool too: every series'
+// one-time data is derived across it, and the core is the one a serial
+// build makes, down to which bad series an error names — the lowest
+// position. The bool parameter is ignored, as in RestoreCold.
 func New(backend Backend, data []series.Series, workers int, _ bool) (*Core, error) {
 	// Validate the whole collection before paying any one-time costs, so
 	// structural errors (empty series, duplicate IDs) surface first.
@@ -308,6 +314,13 @@ func New(backend Backend, data []series.Series, workers int, _ bool) (*Core, err
 	if workers <= 0 {
 		workers = 1
 	}
+	derived := make([]derivation, len(data))
+	if i, err := lowestFailure(workers, len(data), func(i int) (err error) {
+		derived[i], err = derive(backend, data[i], true, 0)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("series %d: %w", i, err)
+	}
 	c := &Core{
 		backend:   backend,
 		workers:   workers,
@@ -317,56 +330,118 @@ func New(backend Backend, data []series.Series, workers int, _ bool) (*Core, err
 		feats:     make([][]sift.Feature, 0, len(data)),
 	}
 	for i, s := range data {
-		if err := c.admitLocked(s); err != nil {
-			return nil, fmt.Errorf("series %d: %w", i, err)
-		}
+		c.appendLocked(s, derived[i])
 	}
 	return c, nil
 }
 
-// admitLocked validates s (non-empty, every value finite, its ID new),
-// has the backend admit it, and appends it with what the backend derived
-// and its envelope. Callers hold the write lock (or are constructing).
+// derivation is one series' one-time data: what the backend's Admit
+// derived from it, its LB_Keogh envelope, and its stage-0 sketch.
+type derivation struct {
+	feats  []sift.Feature
+	env    lower.Envelope
+	sketch sketch.Sketch
+}
+
+// derive is the one-time work of a series joining a core — the paper's
+// indexing cost (§3.4): it checks every value is finite, has the backend
+// admit the series, and with bounds set computes the LB_Keogh envelope at
+// the backend's radius and, when sketchW > 0, the width-sketchW sketch
+// of it. A cold series derives without bounds (its store holds them).
+// derive reads no core state, so New runs it on many series at once.
+func derive(b Backend, s series.Series, bounds bool, sketchW int) (derivation, error) {
+	var d derivation
+	if err := series.Finite(s.Values); err != nil {
+		return d, fmt.Errorf("series %q: %w", s.ID, err)
+	}
+	var err error
+	if d.feats, err = b.Admit(s); err != nil {
+		return d, err
+	}
+	if !bounds {
+		return d, nil
+	}
+	d.env = lower.NewEnvelope(s.Values, b.EnvelopeRadius(len(s.Values)))
+	if sketchW > 0 {
+		if d.sketch, err = sketch.FromEnvelope(d.env, sketchW); err != nil {
+			return d, fmt.Errorf("series %q: %w", s.ID, err)
+		}
+	}
+	return d, nil
+}
+
+// lowestFailure runs fn over [0, n) across at most workers goroutines and
+// returns the lowest index whose fn failed, with its error — what a
+// serial loop stopping at the first failure reports, whatever the
+// schedule. Indices above a known failure are skipped; none below it is
+// (parallelFor's stop flag could skip one already claimed, so it is never
+// set). It returns (n, nil) when every call succeeds.
+func lowestFailure(workers, n int, fn func(i int) error) (int, error) {
+	var (
+		mu      sync.Mutex
+		lowest  atomic.Int64
+		failErr error
+	)
+	lowest.Store(int64(n))
+	parallelFor(nil, workers, n, new(atomic.Bool), func(i int) {
+		if int64(i) > lowest.Load() {
+			return
+		}
+		if err := fn(i); err != nil {
+			mu.Lock()
+			if int64(i) < lowest.Load() {
+				lowest.Store(int64(i))
+				failErr = err
+			}
+			mu.Unlock()
+		}
+	})
+	return int(lowest.Load()), failErr
+}
+
+// admitLocked validates s (non-empty, its ID new, every value finite),
+// derives its one-time data and appends both. Callers hold the write
+// lock (or own an unpublished core).
 func (c *Core) admitLocked(s series.Series) error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
-	}
-	if err := series.Finite(s.Values); err != nil {
-		return fmt.Errorf("series %q: %w", s.ID, err)
 	}
 	if s.ID != "" {
 		if _, dup := c.ids[s.ID]; dup {
 			return fmt.Errorf("%w: %q", ErrDuplicateID, s.ID)
 		}
 	}
-	f, err := c.backend.Admit(s)
+	d, err := derive(c.backend, s, true, c.sketchW)
 	if err != nil {
 		return err
 	}
+	c.appendLocked(s, d)
+	return nil
+}
+
+// appendLocked appends a resident series and its derivation to every
+// position-parallel slice. Callers hold the write lock (or own an
+// unpublished core).
+func (c *Core) appendLocked(s series.Series, d derivation) {
 	if s.ID != "" {
 		c.ids[s.ID] = len(c.data)
 	}
 	c.data = append(c.data, s)
-	c.feats = append(c.feats, f)
+	c.feats = append(c.feats, d.feats)
 	n := len(s.Values)
 	c.meta = append(c.meta, seriesMeta{n: n, first: s.Values[0], last: s.Values[n-1]})
 	if c.cold != nil {
 		c.cold = append(c.cold, nil) // values are resident
 	}
-	env := lower.NewEnvelope(s.Values, c.backend.EnvelopeRadius(n))
-	c.envelopes = append(c.envelopes, env)
+	c.envelopes = append(c.envelopes, d.env)
 	if c.sketchW > 0 {
-		sk, err := sketch.FromEnvelope(env, c.sketchW)
-		if err != nil {
-			return fmt.Errorf("series %q: %w", s.ID, err)
-		}
-		c.sketches = append(c.sketches, sk)
+		c.sketches = append(c.sketches, d.sketch)
 	}
-	return nil
 }
 
 // EnableSketches switches the stage-0 LB_PAA filter on, computing a
-// width-w sketch for every indexed series from its existing envelope.
+// width-w sketch for every indexed series from its existing envelope, on
+// the core's worker pool.
 // It is a no-op when sketches at that width are already on.
 // Callers use it right after construction; it takes the write lock, so
 // it is safe (if wasteful) later too.
@@ -380,12 +455,11 @@ func (c *Core) EnableSketches(w int) error {
 		return nil
 	}
 	sketches := make([]sketch.Sketch, len(c.envelopes))
-	for i, env := range c.envelopes {
-		sk, err := sketch.FromEnvelope(env, w)
-		if err != nil {
-			return fmt.Errorf("series %q: %w", c.data[i].ID, err)
-		}
-		sketches[i] = sk
+	if i, err := lowestFailure(c.workers, len(sketches), func(i int) (err error) {
+		sketches[i], err = sketch.FromEnvelope(c.envelopes[i], w)
+		return err
+	}); err != nil {
+		return fmt.Errorf("series %q: %w", c.data[i].ID, err)
 	}
 	c.sketchW = w
 	c.sketches = sketches

@@ -5,6 +5,9 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"sdtw/internal/lower"
+	"sdtw/internal/store"
 )
 
 // withValue returns a copy of s whose value at position i is v.
@@ -174,5 +177,102 @@ func TestStreamingNonFiniteQueryRefused(t *testing.T) {
 				t.Fatalf("finite query under the refused ID: %v", err)
 			}
 		}
+	}
+}
+
+// TestStoredNonFiniteSeriesRefused: a store record holding a NaN value —
+// written before admission refused one, or by any other writer — opens,
+// and the first search that reaches its values fails with ErrNonFinite
+// instead of answering it at distance NaN. This holds for flat and
+// sharded, engine and windowed stores; removing the record lets the
+// index serve again.
+func TestStoredNonFiniteSeriesRefused(t *testing.T) {
+	flat, sharded, d := nonFiniteIndexes(t)
+	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
+	bad := withValue(d.Series[0], 30, math.NaN())
+	bad.ID = "bad"
+	// appendBad writes bad straight into the store at dir, past the
+	// index's admission checks.
+	appendBad := func(t *testing.T, dir string) {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := newRecord(bad, lower.NewEnvelope(bad.Values, 12), st.SketchWidth())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Seq = st.NextSeq()
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := d.Series[1].Clone()
+	q.ID = "query"
+	ctx := context.Background()
+	for _, kind := range []string{"engine", "windowed"} {
+		t.Run("flat/"+kind, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			if err := flat[kind].SaveStore(dir); err != nil {
+				t.Fatal(err)
+			}
+			appendBad(t, dir)
+			var ix *Index
+			var err error
+			if kind == "engine" {
+				ix, err = OpenIndex(dir, opts)
+			} else {
+				ix, err = OpenWindowedIndex(dir)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.CloseStore()
+			// k above the collection size keeps every candidate in play,
+			// so the search reaches the NaN series' values.
+			if nbrs, _, err := ix.Search(ctx, q, WithK(ix.Len()+1)); !IsErr(err, ErrNonFinite) {
+				t.Fatalf("Search = %v, %v; want ErrNonFinite", nbrs, err)
+			}
+			if err := ix.Remove("bad"); err != nil {
+				t.Fatal(err)
+			}
+			if nbrs, _, err := ix.Search(ctx, q, WithK(ix.Len())); err != nil || len(nbrs) != d.Len() {
+				t.Fatalf("after removing the series: %d hits, %v; want %d", len(nbrs), err, d.Len())
+			}
+		})
+		t.Run("sharded/"+kind, func(t *testing.T) {
+			root := filepath.Join(t.TempDir(), "root")
+			if err := sharded[kind].SaveStore(root); err != nil {
+				t.Fatal(err)
+			}
+			appendBad(t, filepath.Join(root, shardDirName(route(bad.ID, 3))))
+			var si *ShardedIndex
+			var err error
+			if kind == "engine" {
+				si, err = OpenShardedIndex(root, opts)
+			} else {
+				si, err = OpenShardedWindowedIndex(root)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer si.CloseStore()
+			if hits, _, err := si.Search(ctx, q, WithK(si.Len()+1)); !IsErr(err, ErrNonFinite) {
+				t.Fatalf("Search = %v, %v; want ErrNonFinite", hits, err)
+			}
+			if err := si.Remove("bad"); err != nil {
+				t.Fatal(err)
+			}
+			if hits, _, err := si.Search(ctx, q, WithK(si.Len())); err != nil || len(hits) != d.Len() {
+				t.Fatalf("after removing the series: %d hits, %v; want %d", len(hits), err, d.Len())
+			}
+		})
 	}
 }

@@ -139,8 +139,10 @@ type Options struct {
 	// default to avoid a per-comparison allocation).
 	KeepBand bool
 	// Workers bounds the worker pool Index queries fan candidates out
-	// across. Zero means GOMAXPROCS; 1 forces sequential queries. It does
-	// not affect Engine, whose calls are parallelised by the caller.
+	// across — the pool that also builds an index, deriving every
+	// series' features and envelope in parallel. Zero means GOMAXPROCS;
+	// 1 forces sequential queries and a sequential build. It does not
+	// affect Engine, whose calls are parallelised by the caller.
 	Workers int
 	// StoreSegmentRecords caps how many records each segment of a store
 	// written by SaveStore holds before it is sealed. Zero means the

@@ -96,7 +96,9 @@ func route(id string, shards int) int {
 // empty) using the sDTW engine configured by opts, partitioned across
 // shards. Every series needs a non-empty, unique ID. Construction pays
 // every series' one-time costs (feature extraction, LB_Keogh envelope)
-// and each shard's core holds the results beside its series.
+// and each shard's core holds the results beside its series. Shards are
+// built one after another, each on the index's whole worker pool
+// (Options.Workers).
 func NewShardedIndex(data []Series, shards int, opts Options) (*ShardedIndex, error) {
 	return newShardedIndex(engineFamily(opts), data, shards, opts.StoreSegmentRecords)
 }
