@@ -66,17 +66,6 @@ func (b Band) Cells() int {
 	return total
 }
 
-// maxWidth returns the cell count of the band's widest row: the row
-// buffer the dynamic programs need, and what decides whether a band is
-// wide enough for strips and pruning (see pruneMinWidth).
-func (b Band) maxWidth() int {
-	w := 0
-	for i := range b.Lo {
-		w = max(w, b.Hi[i]-b.Lo[i]+1)
-	}
-	return w
-}
-
 // Clone returns a deep copy of the band.
 func (b Band) Clone() Band {
 	lo := make([]int, len(b.Lo))
@@ -90,21 +79,33 @@ func (b Band) Clone() Band {
 // n-by-m grid or when some row interval is out of range. It does not check
 // connectivity; Normalize establishes that.
 func (b Band) Validate() error {
+	_, err := b.widest()
+	return err
+}
+
+// widest is Validate and, for a valid band, the cell count of its widest
+// row — the row buffer the dynamic programs need, and what decides
+// whether a band is wide enough for strips and pruning (see
+// pruneMinWidth) — in one pass over the rows.
+func (b Band) widest() (int, error) {
 	if len(b.Lo) != len(b.Hi) {
-		return fmt.Errorf("dtw: band Lo/Hi length mismatch: %d vs %d", len(b.Lo), len(b.Hi))
+		return 0, fmt.Errorf("dtw: band Lo/Hi length mismatch: %d vs %d", len(b.Lo), len(b.Hi))
 	}
 	if len(b.Lo) == 0 {
-		return fmt.Errorf("dtw: empty band")
+		return 0, fmt.Errorf("dtw: empty band")
 	}
 	if b.M <= 0 {
-		return fmt.Errorf("dtw: band M=%d must be positive", b.M)
+		return 0, fmt.Errorf("dtw: band M=%d must be positive", b.M)
 	}
-	for i := range b.Lo {
-		if b.Lo[i] < 0 || b.Hi[i] >= b.M || b.Lo[i] > b.Hi[i] {
-			return fmt.Errorf("dtw: band row %d has invalid interval [%d,%d] for M=%d", i, b.Lo[i], b.Hi[i], b.M)
+	w := 0
+	hi := b.Hi[:len(b.Lo)]
+	for i, lo := range b.Lo {
+		if lo < 0 || hi[i] >= b.M || lo > hi[i] {
+			return 0, fmt.Errorf("dtw: band row %d has invalid interval [%d,%d] for M=%d", i, lo, hi[i], b.M)
 		}
+		w = max(w, hi[i]-lo+1)
 	}
-	return nil
+	return w, nil
 }
 
 // Normalize repairs the band in place so that the constrained DP is

@@ -72,7 +72,7 @@ func Distance(x, y []float64, _ series.PointDistance) (float64, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, fmt.Errorf("dtw: empty input (len(x)=%d len(y)=%d): %w", len(x), len(y), series.ErrEmptySeries)
 	}
-	d, _, _, err := bandedAbandonSquared(nil, x, y, FullBand(len(x), len(y)), math.Inf(1), nil)
+	d, _, _, err := bandedAbandonSquared(nil, x, y, FullBand(len(x), len(y)), len(y), math.Inf(1), nil)
 	if err != nil {
 		d = math.Inf(1)
 	}
@@ -160,7 +160,13 @@ func BandedWS(x, y []float64, b Band, ws *Workspace) (float64, int, error) {
 // budget — every warp path crosses every row — and, having run every
 // row, when the corner cell itself is over budget. Bands whose widest row
 // is under 12 cells (the radius-3 window) are filled in whole rows:
-// there is too little to prune to pay for finding it.
+// there is too little to prune to pay for finding it. Each such row that
+// lies under the row above (every row but the first of a square
+// Sakoe-Chiba band) runs a branchless loop, whose minimum differs from
+// the < cascade's only on a NaN; a row that comes out holding one is
+// filled again by the cascade, as is every row after it, so NaN and
+// infinite inputs need no scan beforehand and get the bits the cascade
+// gives them.
 //
 // The budget is exclusive: abandoned means the banded distance is
 // strictly greater than budget, so a candidate whose true distance ties
@@ -197,10 +203,11 @@ const cancelCheckRows = 8
 // and errors.Is(err, context.DeadlineExceeded) hold). A nil ctx disables
 // the polling and behaves exactly like BandedAbandonWS.
 func BandedAbandonCtx(ctx context.Context, x, y []float64, b Band, budget float64, ws *Workspace) (float64, int, bool, error) {
-	if err := checkInputs(x, y, b); err != nil {
+	maxWidth, err := checkInputs(x, y, b)
+	if err != nil {
 		return 0, 0, false, err
 	}
-	return bandedAbandonSquared(ctx, x, y, b, budget, ws)
+	return bandedAbandonSquared(ctx, x, y, b, maxWidth, budget, ws)
 }
 
 // errNoWarpPath is the constrained-grid infeasibility error of the banded
@@ -214,7 +221,7 @@ func errNoWarpPath() error {
 // band's cell count, not N*M: all rows live in one flat backing array
 // (one allocation, not one per row — pinned by a regression test).
 func BandedWithPath(x, y []float64, b Band) (PathResult, error) {
-	if err := checkInputs(x, y, b); err != nil {
+	if _, err := checkInputs(x, y, b); err != nil {
 		return PathResult{}, err
 	}
 	n, m := len(x), len(y)
@@ -282,15 +289,17 @@ func BandedWithPath(x, y []float64, b Band) (PathResult, error) {
 	return PathResult{Distance: d, Path: path, Cells: cells}, nil
 }
 
-func checkInputs(x, y []float64, b Band) error {
+// checkInputs validates a banded dynamic program's inputs and returns
+// the cell count of the band's widest row (see Band.widest).
+func checkInputs(x, y []float64, b Band) (int, error) {
 	if len(x) == 0 || len(y) == 0 {
-		return fmt.Errorf("dtw: empty input (len(x)=%d len(y)=%d): %w", len(x), len(y), series.ErrEmptySeries)
+		return 0, fmt.Errorf("dtw: empty input (len(x)=%d len(y)=%d): %w", len(x), len(y), series.ErrEmptySeries)
 	}
 	if len(b.Lo) != len(x) {
-		return fmt.Errorf("dtw: band has %d rows, series has %d points: %w", len(b.Lo), len(x), series.ErrLengthMismatch)
+		return 0, fmt.Errorf("dtw: band has %d rows, series has %d points: %w", len(b.Lo), len(x), series.ErrLengthMismatch)
 	}
 	if b.M != len(y) {
-		return fmt.Errorf("dtw: band constrains %d columns, series has %d points: %w", b.M, len(y), series.ErrLengthMismatch)
+		return 0, fmt.Errorf("dtw: band constrains %d columns, series has %d points: %w", b.M, len(y), series.ErrLengthMismatch)
 	}
-	return b.Validate()
+	return b.widest()
 }

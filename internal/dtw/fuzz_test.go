@@ -15,7 +15,8 @@ import (
 // FuzzBandedKernelDifferential holds the early-abandoning banded kernel to
 // the row-at-a-time reference (checkKernelAgainstGeneric) on
 // fuzzer-chosen shapes (up to 320×320, so
-// strips by the dozen and every n mod 4), StripBand shapes, budgets (as a
+// strips by the dozen and every n mod 4), StripBand shapes (the narrow
+// one included), budgets (as a
 // fraction of the true distance, which steers the abandoning row through
 // every position of a strip) and planted non-finite values.
 func FuzzBandedKernelDifferential(f *testing.F) {
@@ -23,7 +24,7 @@ func FuzzBandedKernelDifferential(f *testing.F) {
 	f.Add(int64(42), uint16(31), uint16(16), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(7), uint16(47), uint16(2), uint8(0), uint8(100), uint8(0))
 	f.Add(int64(99), uint16(0), uint16(0), uint8(0), uint8(200), uint8(0))
-	for kind := 1; kind < StripBandKinds; kind++ { // the strip shapes at 256+ rows, every n mod 4
+	for kind := 1; kind < NarrowBandKind; kind++ { // the strip shapes at 256+ rows, every n mod 4
 		f.Add(int64(200+kind), uint16(255+kind), uint16(299-7*kind), uint8(kind), uint8(30*kind), uint8(0))
 	}
 	f.Add(int64(300), uint16(63), uint16(11), uint8(4), uint8(120), uint8(0)) // 64×12 full band: joint range exactly the strip threshold
@@ -44,6 +45,15 @@ func FuzzBandedKernelDifferential(f *testing.F) {
 	for special := uint8(4); special < NonFiniteKinds; special++ {
 		f.Add(int64(400)+int64(special), uint16(96), uint16(80), uint8(1), uint8(180), special)
 		f.Add(int64(410)+int64(special), uint16(33), uint16(33), uint8(4), uint8(255), special)
+	}
+	// Every planted kind on the narrow kind's square grids, at a +Inf budget
+	// and at a tight one: rows of the narrow-band loop, and the refill of
+	// the first of them to hold a NaN.
+	for special := uint8(1); special < NonFiniteKinds; special++ {
+		for seed := int64(0); seed < 3; seed++ {
+			f.Add(int64(500)+10*int64(special)+seed, uint16(127), uint16(127), uint8(NarrowBandKind), uint8(255), special)
+			f.Add(int64(600)+10*int64(special)+seed, uint16(40+seed), uint16(40+seed), uint8(NarrowBandKind), uint8(150), special)
+		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n16, m16 uint16, kind, bsel, special uint8) {
 		n := int(n16)%320 + 1

@@ -13,14 +13,18 @@ package dtw
 // alone is one serial chain — and, written as the < cascade, three
 // data-dependent branches per cell — while four rows skewed one column
 // apart are four independent chains the core overlaps, with a branchless
-// builtin min. Rows that do not make a strip — a narrow band such as the
-// radius-3 window, the first row, a leftover of n mod 4, rows around an
-// interval jump, any input holding a NaN or an infinity — are filled one
-// at a time by fillRowSquared, which is also what fills the ends of a
-// strip's rows left and right of the skewed loop. Under a budget the rows
-// of a band wide enough for a strip are pruned to the live range of the
-// row above (liveRange), strips included. Which rows run how is read off
-// the band's own intervals and that range, never set by a caller.
+// builtin min. A band too narrow for a strip, such as the radius-3
+// window, fills each row that lies under the row above in one branchless
+// loop over the whole row (fillNarrowSquared), and refills a row that
+// comes out holding a NaN by the < cascade. Rows that do neither — the
+// first row, a leftover of n mod 4, rows around an interval jump, a
+// narrow row that jumps ahead or steps back, every row of a wide band
+// over an input holding a NaN or an infinity — are filled one at a time
+// by fillRowSquared, which is also what fills the ends of a strip's rows
+// left and right of the skewed loop. Under a budget the rows of a band
+// wide enough for a strip are pruned to the live range of the row above
+// (liveRange), strips included. Which rows run how is read off the
+// band's own intervals and that range, never set by a caller.
 //
 // Bit-identity contract: every kernel returns what the row-at-a-time
 // reference loops of the tests (reference_test.go) return, bit for bit —
@@ -188,6 +192,47 @@ func fillRowSquared(xi float64, y []float64, lo int, prev []float64, prevLo, pre
 	return rowMin, to
 }
 
+// fillNarrowSquared fills the whole of band row [lo, hi] into the padded
+// buffer curr, given the padded buffer prev of the row above, whose first
+// column is prevLo. The row must lie where every cell's diagonal and
+// vertical predecessors are cells of prev's buffer, pads included:
+// lo >= prevLo and hi <= prevHi+1, which every row of a square
+// Sakoe-Chiba band after row 0 meets. It returns the bits of the row's minimum and whether
+// the row holds no NaN.
+//
+// Each cell is one minimum and one add on the chain through its left
+// neighbour, with the builtin min (branchless) where fillRowSquared runs
+// the < cascade, its segment split and its cut test. On costs that are
+// not NaN the two pick the same operand (see fillStripSquared); where an
+// operand is NaN the cascade may skip it and min does not, so the cell
+// is NaN either way or here only. min passes a NaN on to every cell
+// right of it, so the row holds one exactly when its last cell is NaN;
+// a row without is the one fillRowSquared fills, bit for bit, and any
+// other must be filled again by it.
+//
+//sdtw:hotpath
+func fillNarrowSquared(xi float64, y []float64, lo, hi int, prev []float64, prevLo int, curr []float64) (rowMin uint64, ok bool) {
+	w := hi - lo + 1
+	yd := y[lo : hi+1 : hi+1]
+	pd := prev[lo-prevLo:] // cell lo-1 of the row above: the diagonal
+	pd = pd[:w]
+	pv := prev[lo-prevLo+1:] // cell lo: the vertical
+	pv = pv[:w]
+	cw := curr[: w+2 : w+2]
+	inf := math.Inf(1)
+	cw[0], cw[w+1] = inf, inf
+	cw = cw[1 : w+1]
+	rowMin = infBits
+	h := inf
+	for k := range yd {
+		d := xi - yd[k]
+		h = min(min(pd[k], pv[k]), h) + float64(d*d)
+		cw[k] = h
+		rowMin = min(rowMin, math.Float64bits(h))
+	}
+	return rowMin, h == h
+}
+
 // liveRange narrows a filled row — padded buffer row, cells lo..hi, at
 // least one of them within budget — to its live range, the first and the
 // last cell within budget, and returns it as a padded buffer of its own:
@@ -228,7 +273,8 @@ const stripMinSteps = 8
 // program tracks the live column range (see bandedAbandonSquared): the
 // narrowest band that can hold a strip. A band under it — the radius-3
 // window — has rows of a handful of cells, where finding the range costs
-// more than the few cells it would save, and is filled whole.
+// more than the few cells it would save, and is filled in whole rows,
+// by fillNarrowSquared wherever a row lies under the row above.
 const pruneMinWidth = stripMinSteps + stripRows
 
 // stripRange reports whether rows i..i+stripRows-1 of b run as a strip
@@ -372,7 +418,9 @@ func finite(v []float64) bool {
 // and, under a budget, the live range above them; a band too narrow for
 // any strip (the radius-3 window) never even scans its inputs for the
 // non-finite values the strip cannot take, nor its rows for their live
-// range. Inputs were validated by the caller.
+// range: its own row loop (fillNarrowSquared) finds a NaN in the row it
+// made. Inputs were validated by the caller, which passes the cell count
+// of the band's widest row.
 //
 // Under a budget a wide band's rows are pruned (Herrmann & Webb's early
 // abandoning and pruning): prev is the live range of the row above, the
@@ -388,9 +436,8 @@ func finite(v []float64) bool {
 // path, so a cell within budget has a predecessor within budget, filled
 // and exact by induction, and gets the bits the whole band would give it;
 // a dead cell may cost more than it would there, and is dead either way.
-func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, budget float64, ws *Workspace) (float64, int, bool, error) {
+func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, maxWidth int, budget float64, ws *Workspace) (float64, int, bool, error) {
 	n, m := len(x), len(y)
-	maxWidth := b.maxWidth()
 	if ws == nil {
 		ws = &Workspace{}
 	}
@@ -416,9 +463,16 @@ func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, budget fl
 		// Rows narrower than a joint range plus the skew hold no strip
 		// (unless the band drifts left, which narrow bands are not worth
 		// checking for) and too few cells to prune: whole rows, one at a
-		// time, abandoning on the row minimum. This loop is all per-row
-		// overhead, seven cells a row on the radius-3 window, and carries
-		// none of the strip's or the live range's state.
+		// time, abandoning on the row minimum, and none of the strip's or
+		// the live range's state. A row that lies under the row above —
+		// every row after row 0 of a square Sakoe-Chiba band — is filled
+		// by fillNarrowSquared, the others (row 0, a row that jumps ahead
+		// or steps back, as the stretched diagonal of an n×m grid does) by
+		// fillRowSquared. No input is scanned for NaN beforehand: the
+		// first row fillNarrowSquared fills with one is filled again by
+		// fillRowSquared from the same row above, exact by induction, and
+		// so is every row after it.
+		narrow := true
 		for i := 0; i < n; i++ {
 			if ctx != nil && i%cancelCheckRows == 0 {
 				if err := ctx.Err(); err != nil {
@@ -426,7 +480,15 @@ func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, budget fl
 				}
 			}
 			lo, hi := b.Lo[i], b.Hi[i]
-			rowMin, _ := fillRowSquared(x[i], y, lo, prev, prevLo, prevHi, rows[0], lo, hi, math.Inf(1))
+			var rowMin uint64
+			filled := false
+			if narrow && lo >= prevLo && hi <= prevHi+1 {
+				rowMin, filled = fillNarrowSquared(x[i], y, lo, hi, prev, prevLo, rows[0])
+				narrow = filled
+			}
+			if !filled {
+				rowMin, _ = fillRowSquared(x[i], y, lo, prev, prevLo, prevHi, rows[0], lo, hi, math.Inf(1))
+			}
 			cells += hi - lo + 1
 			if math.Float64frombits(rowMin) > budget {
 				return over, cells, true, nil

@@ -381,7 +381,7 @@ func FuzzOracleDifferential(f *testing.F) {
 	}
 	f.Add(int64(99), uint16(0), uint16(47), uint8(4), true)   // 1×48
 	f.Add(int64(100), uint16(47), uint16(0), uint8(7), false) // 48×1
-	for kind := 1; kind < dtw.StripBandKinds; kind++ {        // the strip shapes at 256+ rows, every n mod 4
+	for kind := 1; kind < dtw.NarrowBandKind; kind++ {        // the strip shapes at 256+ rows, every n mod 4
 		f.Add(int64(200+kind), uint16(255+kind), uint16(299-7*kind), uint8(len(oracleStrategies)+kind), kind%2 == 0)
 	}
 	full := uint8(len(oracleStrategies) + 4)
@@ -389,6 +389,10 @@ func FuzzOracleDifferential(f *testing.F) {
 	f.Add(int64(301), uint16(63), uint16(10), full, false) // 64×11: one below
 	for n := uint16(0); n < 5; n++ {                       // 1..5 rows: no strip until the fifth
 		f.Add(int64(310)+int64(n), n, uint16(39), full, true)
+	}
+	narrow := uint8(len(oracleStrategies) + dtw.NarrowBandKind)
+	for seed := int64(0); seed < 6; seed++ { // the narrow kind, whose non-finite cases reach the narrow-band loop
+		f.Add(int64(320)+seed, uint16(127-seed), uint16(127), narrow, false)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n16, m16 uint16, sel uint8, symmetric bool) {
 		n, m := unequal(n16, m16)

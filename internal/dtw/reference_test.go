@@ -21,7 +21,7 @@ import (
 // kernel's wherever no strip can run, which makes it the whole reference
 // on non-finite inputs.
 func BandedGeneric(x, y []float64, b Band, budget float64, ws *Workspace) (float64, int, bool, error) {
-	if err := checkInputs(x, y, b); err != nil {
+	if _, err := checkInputs(x, y, b); err != nil {
 		return 0, 0, false, err
 	}
 	n, m := len(x), len(y)
@@ -119,6 +119,15 @@ func BandedGeneric(x, y []float64, b Band, budget float64, ws *Workspace) (float
 		return 0, cells, false, errNoWarpPath()
 	}
 	return d, cells, false, nil
+}
+
+// maxWidth returns the cell count of the band's widest row.
+func (b Band) maxWidth() int {
+	w := 0
+	for i := range b.Lo {
+		w = max(w, b.Hi[i]-b.Lo[i]+1)
+	}
+	return w
 }
 
 // appendGeneric is Append over advanceGeneric, the reference column

@@ -13,7 +13,11 @@ import (
 // so on its own it leaves fillStripSquared nearly unreached.
 
 // StripBandKinds is the number of shapes StripBand builds.
-const StripBandKinds = 8
+const StripBandKinds = 9
+
+// NarrowBandKind is StripBand's one shape aimed away from the strip: the
+// narrow-band row loop's (see fillNarrowSquared).
+const NarrowBandKind = 8
 
 // PruneMinWidth is pruneMinWidth for the oracle: under a finite budget a
 // band whose widest row is at least this wide is pruned to its live
@@ -35,6 +39,11 @@ const PruneMinWidth = pruneMinWidth
 //	7  wide, stepping back: every dozenth row or so ends left of the
 //	   diagonal, so under a tight budget Hi falls left of the live range
 //	   the rows above carried down (Normalize promises no monotone Hi)
+//	8  narrow (NarrowBandKind): Sakoe-Chiba, radius 0..5, and in one band
+//	   of two every eighth row or so shifted one column right or one or
+//	   two left, so rows jump ahead of the row above or step back of it;
+//	   every row is under pruneMinWidth wherever the diagonal climbs at
+//	   most a column or two a row
 func StripBand(rng *rand.Rand, n, m, kind int) Band {
 	b := Band{Lo: make([]int, n), Hi: make([]int, n), M: m}
 	switch kind % StripBandKinds {
@@ -91,6 +100,15 @@ func StripBand(rng *rand.Rand, n, m, kind int) Band {
 			if rng.Intn(12) == 0 {
 				b.Hi[i] = c - r + rng.Intn(r)
 			}
+		}
+	case 8:
+		r, shifted := rng.Intn(6), rng.Intn(2) == 0
+		for i := range b.Lo {
+			c := diagonalColumn(i, n, m)
+			if shifted && rng.Intn(8) == 0 {
+				c += []int{-2, -1, 1}[rng.Intn(3)]
+			}
+			b.Lo[i], b.Hi[i] = c-r, c+r
 		}
 	}
 	return b.Normalize()
@@ -173,13 +191,14 @@ func StripRowsOf(b Band) int {
 }
 
 // TestStripCasesReachTheStrip pins that the generators do what they are
-// for: every shape but the random one runs a good share of its rows in
-// strips, the full band
+// for: every shape but the random and the narrow one runs a good share of
+// its rows in strips, the narrow one on a square grid none and every row
+// under pruneMinWidth, the full band
 // sits exactly on the threshold at m = 12 and one below it at m = 11, and
 // no grid of fewer than five rows holds a strip.
 func TestStripCasesReachTheStrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for kind := 1; kind < StripBandKinds; kind++ {
+	for kind := 1; kind < NarrowBandKind; kind++ {
 		rows, total := 0, 0
 		for trial := 0; trial < 20; trial++ {
 			n, m := 40+rng.Intn(260), 40+rng.Intn(260)
@@ -194,6 +213,12 @@ func TestStripCasesReachTheStrip(t *testing.T) {
 		// kind 5 straddles the threshold.
 		if rows*5 < total {
 			t.Errorf("kind %d: only %d of %d rows run in strips", kind, rows, total)
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(300)
+		if b := StripBand(rng, n, n, NarrowBandKind); b.maxWidth() >= pruneMinWidth || StripRowsOf(b) != 0 {
+			t.Fatalf("narrow kind over %dx%d: widest row %d, %d rows in strips", n, n, b.maxWidth(), StripRowsOf(b))
 		}
 	}
 	for _, n := range []int{5, 6, 7, 8, 9, 64} {
