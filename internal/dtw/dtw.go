@@ -164,9 +164,8 @@ func BandedWS(x, y []float64, b Band, ws *Workspace) (float64, int, error) {
 // lies under the row above (every row but the first of a square
 // Sakoe-Chiba band) runs a branchless loop, whose minimum differs from
 // the < cascade's only on a NaN; a row that comes out holding one is
-// filled again by the cascade, as is every row after it, so NaN and
-// infinite inputs need no scan beforehand and get the bits the cascade
-// gives them.
+// filled again by the cascade, so NaN and infinite inputs need no scan
+// beforehand and get the bits the cascade gives them.
 //
 // The budget is exclusive: abandoned means the banded distance is
 // strictly greater than budget, so a candidate whose true distance ties

@@ -16,7 +16,7 @@ import (
 // the row-at-a-time reference (checkKernelAgainstGeneric) on
 // fuzzer-chosen shapes (up to 320×320, so
 // strips by the dozen and every n mod 4), StripBand shapes (the narrow
-// one included), budgets (as a
+// ones included), budgets (as a
 // fraction of the true distance, which steers the abandoning row through
 // every position of a strip) and planted non-finite values.
 func FuzzBandedKernelDifferential(f *testing.F) {
@@ -46,13 +46,13 @@ func FuzzBandedKernelDifferential(f *testing.F) {
 		f.Add(int64(400)+int64(special), uint16(96), uint16(80), uint8(1), uint8(180), special)
 		f.Add(int64(410)+int64(special), uint16(33), uint16(33), uint8(4), uint8(255), special)
 	}
-	// Every planted kind on the narrow kind's square grids, at a +Inf budget
-	// and at a tight one: rows of the narrow-band loop, and the refill of
-	// the first of them to hold a NaN.
+	// Every planted kind on the narrow kinds' square grids, at a +Inf
+	// budget and at a tight one: rows of the narrow-band loop, and the
+	// refill of those that hold a NaN.
 	for special := uint8(1); special < NonFiniteKinds; special++ {
 		for seed := int64(0); seed < 3; seed++ {
-			f.Add(int64(500)+10*int64(special)+seed, uint16(127), uint16(127), uint8(NarrowBandKind), uint8(255), special)
-			f.Add(int64(600)+10*int64(special)+seed, uint16(40+seed), uint16(40+seed), uint8(NarrowBandKind), uint8(150), special)
+			f.Add(int64(500)+10*int64(special)+seed, uint16(127), uint16(127), uint8(NarrowBandKind+seed%2), uint8(255), special)
+			f.Add(int64(600)+10*int64(special)+seed, uint16(40+seed), uint16(40+seed), uint8(NarrowBandKind+(seed+1)%2), uint8(150), special)
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n16, m16 uint16, kind, bsel, special uint8) {

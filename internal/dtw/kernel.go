@@ -197,8 +197,8 @@ func fillRowSquared(xi float64, y []float64, lo int, prev []float64, prevLo, pre
 // column is prevLo. The row must lie where every cell's diagonal and
 // vertical predecessors are cells of prev's buffer, pads included:
 // lo >= prevLo and hi <= prevHi+1, which every row of a square
-// Sakoe-Chiba band after row 0 meets. It returns the bits of the row's minimum and whether
-// the row holds no NaN.
+// Sakoe-Chiba band after row 0 meets. It returns the bits of the row's
+// minimum and whether the row holds no NaN.
 //
 // Each cell is one minimum and one add on the chain through its left
 // neighbour, with the builtin min (branchless) where fillRowSquared runs
@@ -468,11 +468,9 @@ func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, maxWidth 
 		// every row after row 0 of a square Sakoe-Chiba band — is filled
 		// by fillNarrowSquared, the others (row 0, a row that jumps ahead
 		// or steps back, as the stretched diagonal of an n×m grid does) by
-		// fillRowSquared. No input is scanned for NaN beforehand: the
-		// first row fillNarrowSquared fills with one is filled again by
-		// fillRowSquared from the same row above, exact by induction, and
-		// so is every row after it.
-		narrow := true
+		// fillRowSquared. No input is scanned for NaN beforehand: a row
+		// fillNarrowSquared fills with one is filled again by
+		// fillRowSquared from the same row above, exact by induction.
 		for i := 0; i < n; i++ {
 			if ctx != nil && i%cancelCheckRows == 0 {
 				if err := ctx.Err(); err != nil {
@@ -482,9 +480,8 @@ func bandedAbandonSquared(ctx context.Context, x, y []float64, b Band, maxWidth 
 			lo, hi := b.Lo[i], b.Hi[i]
 			var rowMin uint64
 			filled := false
-			if narrow && lo >= prevLo && hi <= prevHi+1 {
+			if lo >= prevLo && hi <= prevHi+1 {
 				rowMin, filled = fillNarrowSquared(x[i], y, lo, hi, prev, prevLo, rows[0])
-				narrow = filled
 			}
 			if !filled {
 				rowMin, _ = fillRowSquared(x[i], y, lo, prev, prevLo, prevHi, rows[0], lo, hi, math.Inf(1))

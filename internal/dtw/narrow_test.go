@@ -59,8 +59,9 @@ func jumpRows(b Band) int {
 // row-at-a-time reference, BandedGeneric — distance bits, abandoned flag
 // and cells, which are equal on a band under pruneMinWidth — on
 // Sakoe-Chiba bands of radius 0..5 at n = m ∈ {1, 2, 7, 128} and on
-// StripBand's narrow kind, whose rows jump ahead or step back of the row
-// above and so run fillRowSquared between rows of fillNarrowSquared. Each
+// StripBand's two narrow kinds, the second of whose rows jump ahead or
+// step back of the row above and so run fillRowSquared between rows of
+// fillNarrowSquared. Each
 // pair runs clean and with a NaN, ±Inf or ±MaxFloat64 planted at row 0,
 // a middle row and the last row — in x, in y at the same column, or in
 // both, where infinities of one sign make the NaN of Inf-Inf — under a
@@ -79,7 +80,7 @@ func TestNarrowBandDifferential(t *testing.T) {
 	jumps := 0
 	for trial := 0; trial < 12; trial++ {
 		n := 16 + rng.Intn(100)
-		b := StripBand(rng, n, n, NarrowBandKind)
+		b := StripBand(rng, n, n, NarrowBandKind+trial%2)
 		jumps += jumpRows(b)
 		bands = append(bands, b)
 	}
@@ -119,6 +120,6 @@ func TestNarrowBandDifferential(t *testing.T) {
 		}
 	}
 	if jumps == 0 {
-		t.Fatal("no row of the narrow kind jumps ahead or steps back: fillRowSquared never runs between narrow rows")
+		t.Fatal("no row of the narrow kinds jumps ahead or steps back: fillRowSquared never runs between narrow rows")
 	}
 }

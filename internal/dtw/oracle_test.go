@@ -390,9 +390,9 @@ func FuzzOracleDifferential(f *testing.F) {
 	for n := uint16(0); n < 5; n++ {                       // 1..5 rows: no strip until the fifth
 		f.Add(int64(310)+int64(n), n, uint16(39), full, true)
 	}
-	narrow := uint8(len(oracleStrategies) + dtw.NarrowBandKind)
-	for seed := int64(0); seed < 6; seed++ { // the narrow kind, whose non-finite cases reach the narrow-band loop
-		f.Add(int64(320)+seed, uint16(127-seed), uint16(127), narrow, false)
+	narrow := len(oracleStrategies) + dtw.NarrowBandKind
+	for seed := int64(0); seed < 6; seed++ { // the narrow kinds, whose non-finite cases reach the narrow-band loop
+		f.Add(int64(320)+seed, uint16(127-seed), uint16(127), uint8(narrow+int(seed%2)), false)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n16, m16 uint16, sel uint8, symmetric bool) {
 		n, m := unequal(n16, m16)

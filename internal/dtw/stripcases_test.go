@@ -12,10 +12,16 @@ import (
 // file. kernelRandomBand's rows are mostly narrower than any joint range,
 // so on its own it leaves fillStripSquared nearly unreached.
 
-// StripBandKinds is the number of shapes StripBand builds.
-const StripBandKinds = 9
+// StripBandKinds is the number of shapes StripBand builds. It stays prime
+// to 3: the trial-indexed suites draw kind trial mod StripBandKinds (the
+// oracle's, mod len(oracleStrategies)+StripBandKinds, that length a
+// multiple of 3) and plant non-finite values, or pick the symmetric case,
+// on every third trial, which a multiple of 3 would tie to a third of the
+// kinds (TestStripCasesReachTheStrip pins it).
+const StripBandKinds = 10
 
-// NarrowBandKind is StripBand's one shape aimed away from the strip: the
+// NarrowBandKind is the first of StripBand's two shapes aimed away from
+// the strip, NarrowBandKind and NarrowBandKind+1, the last it builds: the
 // narrow-band row loop's (see fillNarrowSquared).
 const NarrowBandKind = 8
 
@@ -39,11 +45,14 @@ const PruneMinWidth = pruneMinWidth
 //	7  wide, stepping back: every dozenth row or so ends left of the
 //	   diagonal, so under a tight budget Hi falls left of the live range
 //	   the rows above carried down (Normalize promises no monotone Hi)
-//	8  narrow (NarrowBandKind): Sakoe-Chiba, radius 0..5, and in one band
-//	   of two every eighth row or so shifted one column right or one or
-//	   two left, so rows jump ahead of the row above or step back of it;
-//	   every row is under pruneMinWidth wherever the diagonal climbs at
-//	   most a column or two a row
+//	8  narrow (NarrowBandKind): Sakoe-Chiba, radius 0..5; on a square
+//	   grid every row after row 0 lies under the row above
+//	9  narrow, jumping: kind 8 with every eighth row or so shifted one
+//	   column right or one or two left, so rows jump ahead of the row
+//	   above or step back of it
+//
+// Both narrow kinds keep every row under pruneMinWidth wherever the
+// diagonal climbs at most a column or two a row.
 func StripBand(rng *rand.Rand, n, m, kind int) Band {
 	b := Band{Lo: make([]int, n), Hi: make([]int, n), M: m}
 	switch kind % StripBandKinds {
@@ -101,11 +110,11 @@ func StripBand(rng *rand.Rand, n, m, kind int) Band {
 				b.Hi[i] = c - r + rng.Intn(r)
 			}
 		}
-	case 8:
-		r, shifted := rng.Intn(6), rng.Intn(2) == 0
+	case 8, 9:
+		r := rng.Intn(6)
 		for i := range b.Lo {
 			c := diagonalColumn(i, n, m)
-			if shifted && rng.Intn(8) == 0 {
+			if kind%StripBandKinds == 9 && rng.Intn(8) == 0 {
 				c += []int{-2, -1, 1}[rng.Intn(3)]
 			}
 			b.Lo[i], b.Hi[i] = c-r, c+r
@@ -191,9 +200,9 @@ func StripRowsOf(b Band) int {
 }
 
 // TestStripCasesReachTheStrip pins that the generators do what they are
-// for: every shape but the random and the narrow one runs a good share of
-// its rows in strips, the narrow one on a square grid none and every row
-// under pruneMinWidth, the full band
+// for: every shape but the random and the narrow ones runs a good share
+// of its rows in strips, the narrow ones on a square grid none and every
+// row under pruneMinWidth, the full band
 // sits exactly on the threshold at m = 12 and one below it at m = 11, and
 // no grid of fewer than five rows holds a strip.
 func TestStripCasesReachTheStrip(t *testing.T) {
@@ -215,11 +224,14 @@ func TestStripCasesReachTheStrip(t *testing.T) {
 			t.Errorf("kind %d: only %d of %d rows run in strips", kind, rows, total)
 		}
 	}
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(300)
-		if b := StripBand(rng, n, n, NarrowBandKind); b.maxWidth() >= pruneMinWidth || StripRowsOf(b) != 0 {
-			t.Fatalf("narrow kind over %dx%d: widest row %d, %d rows in strips", n, n, b.maxWidth(), StripRowsOf(b))
+	for trial := 0; trial < 40; trial++ {
+		n, kind := 1+rng.Intn(300), NarrowBandKind+trial%2
+		if b := StripBand(rng, n, n, kind); b.maxWidth() >= pruneMinWidth || StripRowsOf(b) != 0 {
+			t.Fatalf("narrow kind %d over %dx%d: widest row %d, %d rows in strips", kind, n, n, b.maxWidth(), StripRowsOf(b))
 		}
+	}
+	if StripBandKinds%3 == 0 {
+		t.Errorf("StripBandKinds = %d, a multiple of 3: the every-third-trial cases of the trial-indexed suites fall on a third of the kinds", StripBandKinds)
 	}
 	for _, n := range []int{5, 6, 7, 8, 9, 64} {
 		if got, want := StripRowsOf(FullBand(n, stripMinSteps+stripRows)), (n-1)/stripRows*stripRows; got != want {
