@@ -107,7 +107,7 @@ func TestAbandonPartialIsLowerBound(t *testing.T) {
 		for trial := 0; trial < 12; trial++ {
 			x := d.Series[trial%d.Len()]
 			y := d.Series[(trial*7+3)%d.Len()]
-			full, err := engine.DistanceSeries(x, y)
+			full, err := engine.DistanceUnderSeries(x, y, math.Inf(1))
 			if err != nil {
 				t.Fatal(err)
 			}

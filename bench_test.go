@@ -8,6 +8,7 @@ package sdtw
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"sdtw/internal/band"
@@ -165,13 +166,14 @@ func BenchmarkEngineDistance(b *testing.B) {
 			opts.Band.Strategy = s
 			opts.Band.WidthFrac = 0.10
 			engine := core.NewEngine(opts)
-			if _, err := engine.Warm([]Series{x, y}); err != nil {
+			feats, _, err := engine.Warm([]Series{x, y})
+			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			gain := 0.0
 			for i := 0; i < b.N; i++ {
-				res, err := engine.Distance(x, y)
+				res, err := engine.DistanceUnderFeatures(nil, x, feats[0], y, feats[1], math.Inf(1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -438,13 +440,14 @@ func BenchmarkAblationNeighborRadius(b *testing.B) {
 			opts.Band.Strategy = band.AdaptiveCoreAdaptiveWidthAvg
 			opts.Band.NeighborRadius = r
 			engine := core.NewEngine(opts)
-			if _, err := engine.Warm([]Series{x, y}); err != nil {
+			feats, _, err := engine.Warm([]Series{x, y})
+			if err != nil {
 				b.Fatal(err)
 			}
 			var res core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = engine.Distance(x, y)
+				res, err = engine.DistanceUnderFeatures(nil, x, feats[0], y, feats[1], math.Inf(1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -466,13 +469,14 @@ func BenchmarkAblationSymmetricBand(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.Band.Symmetric = sym
 			engine := core.NewEngine(opts)
-			if _, err := engine.Warm([]Series{x, y}); err != nil {
+			feats, _, err := engine.Warm([]Series{x, y})
+			if err != nil {
 				b.Fatal(err)
 			}
 			var res core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = engine.Distance(x, y)
+				res, err = engine.DistanceUnderFeatures(nil, x, feats[0], y, feats[1], math.Inf(1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -491,13 +495,14 @@ func BenchmarkAblationFeatureCap(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.Features.MaxFeatures = cap
 			engine := core.NewEngine(opts)
-			if _, err := engine.Warm([]Series{x, y}); err != nil {
+			feats, _, err := engine.Warm([]Series{x, y})
+			if err != nil {
 				b.Fatal(err)
 			}
 			var res core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = engine.Distance(x, y)
+				res, err = engine.DistanceUnderFeatures(nil, x, feats[0], y, feats[1], math.Inf(1))
 				if err != nil {
 					b.Fatal(err)
 				}

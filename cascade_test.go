@@ -70,7 +70,7 @@ func bruteTopK(t *testing.T, ix *Index, query Series, k int) []Neighbor {
 		if s.ID != "" && s.ID == query.ID {
 			continue
 		}
-		res, err := ix.Engine().DistanceSeries(query, s)
+		res, err := ix.Engine().inner.Distance(query, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestCascadeAdmissibility(t *testing.T) {
 		for trial := 0; trial < 30; trial++ {
 			x := data[rng.Intn(len(data))]
 			y := data[rng.Intn(len(data))]
-			res, err := engine.DistanceSeries(x, y)
+			res, err := engine.inner.Distance(x, y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,8 +255,8 @@ func TestQueryStatsAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// (A member query's preparation is a cache lookup, too short to
-		// demand a non-zero reading of.)
+		// (A member query reuses the features the index holds for it, too
+		// quick a preparation to demand a non-zero reading of.)
 		if st.MatchTime <= 0 || (q.ID == heldOut.ID && st.ExtractTime <= 0) {
 			t.Fatalf("query %q: missing stage timings: extract %v match %v", q.ID, st.ExtractTime, st.MatchTime)
 		}

@@ -140,7 +140,7 @@ func runPair(data *sdtw.Dataset, i, j int, opts sdtw.Options) error {
 		return err
 	}
 	eng := sdtw.NewEngine(opts)
-	res, err := eng.DistanceSeries(data.Series[i], data.Series[j])
+	res, err := eng.Distance(data.Series[i].Values, data.Series[j].Values)
 	if err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		shards       = flag.Int("shards", 4, "shard count for a fresh index (ignored with -store)")
-		workers      = flag.Int("workers", 0, "DP worker budget per search (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "DP worker budget per search (0 = GOMAXPROCS; -backend engine only)")
 		backend      = flag.String("backend", "engine", "index backend: engine | windowed")
 		storeDir     = flag.String("store", "", "serve a sharded segment store directory (ShardedIndex.SaveStore format)")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent searches (0 = GOMAXPROCS)")
@@ -101,6 +101,8 @@ func buildIndex(backend, storeDir string, shards, workers int, quarantine bool) 
 		return nil, fmt.Errorf("unknown -backend %q (want engine or windowed)", backend)
 	case storeDir == "" && backend == "windowed":
 		return nil, fmt.Errorf("-backend windowed needs -store: the stored series length fixes the window geometry")
+	case backend == "windowed" && workers != 0:
+		return nil, fmt.Errorf("-workers %d applies to -backend engine only: a windowed store searches on GOMAXPROCS workers", workers)
 	case storeDir == "":
 		return sdtw.NewShardedIndex(nil, shards, opts)
 	case backend == "windowed":

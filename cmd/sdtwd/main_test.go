@@ -58,6 +58,7 @@ func TestBuildIndex(t *testing.T) {
 		backend    string
 		store      string
 		shards     int
+		workers    int
 		quarantine bool
 
 		wantErr    string // substring of the refusal; "" means the build succeeds
@@ -68,15 +69,17 @@ func TestBuildIndex(t *testing.T) {
 		wantRadius int
 		degraded   bool
 	}{
-		{name: "fresh engine cluster", backend: "engine", shards: 5, wantShards: 5, wantRadius: -1},
+		{name: "fresh engine cluster", backend: "engine", shards: 5, workers: 2, wantShards: 5, wantRadius: -1},
 		{name: "fresh cluster needs a shard", backend: "engine", shards: 0, wantErr: "at least one shard"},
 		{name: "windowed without a store", backend: "windowed", shards: 4, wantErr: "-store"},
 		{name: "unknown backend", backend: "fastdtw", shards: 4, wantErr: `unknown -backend "fastdtw"`},
 		{name: "unknown backend over a store", backend: "fastdtw", store: engineRoot, wantErr: `unknown -backend "fastdtw"`},
-		{name: "engine store", backend: "engine", store: engineRoot, shards: 9,
+		{name: "engine store", backend: "engine", store: engineRoot, shards: 9, workers: 2,
 			wantShards: 3, wantLen: len(d.Series), wantStore: true, wantRadius: -1},
 		{name: "windowed store", backend: "windowed", store: windowedRoot,
 			wantShards: 2, wantLen: len(d.Series), wantStore: true, wantRadius: 10},
+		{name: "workers flag over a windowed store", backend: "windowed", store: windowedRoot, workers: 1,
+			wantErr: "-workers 1 applies to -backend engine only"},
 		{name: "engine flag over a windowed store", backend: "engine", store: windowedRoot, wantIs: sdtw.ErrConfigMismatch},
 		{name: "windowed flag over an engine store", backend: "windowed", store: engineRoot, wantIs: sdtw.ErrConfigMismatch},
 		{name: "missing store", backend: "engine", store: filepath.Join(t.TempDir(), "nope"), wantIs: sdtw.ErrCorruptManifest},
@@ -86,7 +89,7 @@ func TestBuildIndex(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ix, err := buildIndex(tc.backend, tc.store, tc.shards, 2, tc.quarantine)
+			ix, err := buildIndex(tc.backend, tc.store, tc.shards, tc.workers, tc.quarantine)
 			if tc.wantErr != "" || tc.wantIs != nil {
 				if err == nil {
 					ix.CloseStore()

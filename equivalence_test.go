@@ -23,7 +23,7 @@ func legacyEngineTopK(t *testing.T, ix *Index, query Series, k int) []Neighbor {
 		if s.ID != "" && s.ID == query.ID {
 			continue
 		}
-		res, err := ix.Engine().DistanceSeries(query, s)
+		res, err := ix.Engine().inner.Distance(query, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func ExampleEngine() {
 	eng := sdtw.NewEngine(sdtw.DefaultOptions())
 	// Series[0] and Series[1] are two gun-class recordings: structurally
 	// alike, temporally deformed.
-	res, err := eng.DistanceSeries(data.Series[0], data.Series[1])
+	res, err := eng.Distance(data.Series[0].Values, data.Series[1].Values)
 	if err != nil {
 		panic(err)
 	}

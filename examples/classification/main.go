@@ -67,7 +67,7 @@ func leaveOneOut(data *sdtw.Dataset, opts sdtw.Options, k int) (acc, gain float6
 			}
 		}
 	}
-	res, err := idx.Engine().DistanceSeries(data.Series[0], data.Series[1])
+	res, err := idx.Engine().Distance(data.Series[0].Values, data.Series[1].Values)
 	if err != nil {
 		return 0, 0, err
 	}

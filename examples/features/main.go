@@ -63,7 +63,7 @@ func main() {
 	fmt.Println("\nDTW grid under (ac,aw) constraints ('#' band, '*' optimal path):")
 	opts := sdtw.DefaultOptions()
 	opts.KeepBand = true
-	res, err := sdtw.NewEngine(opts).DistanceSeries(x, y)
+	res, err := sdtw.NewEngine(opts).Distance(x.Values, y.Values)
 	if err != nil {
 		log.Fatal(err)
 	}

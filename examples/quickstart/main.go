@@ -67,20 +67,6 @@ func main() {
 		fmt.Printf("  (over-estimation %.2f%%)", 100*(fixed-exact)/exact)
 	}
 	fmt.Println()
-
-	// Engines cache salient features per series ID, so repeated
-	// comparisons against the same series skip extraction.
-	eng := sdtw.NewEngine(sdtw.DefaultOptions())
-	sx := sdtw.NewSeries("x", 0, x)
-	sy := sdtw.NewSeries("y", 0, y)
-	if _, err := eng.DistanceSeries(sx, sy); err != nil {
-		log.Fatal(err)
-	}
-	res2, err := eng.DistanceSeries(sx, sy) // cache hit: no extraction
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("cached recomputation:       %.6f (extraction %v)\n", res2.Distance, res2.ExtractTime)
 }
 
 func gauss(t, c, sd float64) float64 {

@@ -240,9 +240,8 @@ func (ix *Index) Series(i int) Series { return ix.core.Series(i) }
 
 // Engine exposes the index's engine for direct distance computations. It
 // is nil for windowed indexes, which have no salient-feature pipeline.
-// The engine's feature cache is its own: the index keeps its series'
-// features itself and never fills that cache, so a direct call over
-// indexed series extracts their features on first use.
+// The index keeps its series' features itself; a direct Engine call
+// extracts both sides' features again.
 func (ix *Index) Engine() *Engine { return ix.engine }
 
 // Radius returns the effective Sakoe-Chiba warping window in samples for

@@ -114,7 +114,7 @@ func TestNeighborsNameTheirSeriesUnderMutation(t *testing.T) {
 		if !ok || nb.ID == q.ID || nb.Pos < 0 {
 			return fmt.Errorf("query %q: neighbour %+v names no candidate series", q.ID, nb)
 		}
-		res, err := ref.DistanceSeries(q, s)
+		res, err := ref.inner.Distance(q, s)
 		if err != nil {
 			return err
 		}

@@ -3,12 +3,12 @@
 // pruning (package match), locally relevant constraint construction
 // (package band), and band-constrained dynamic programming (package dtw).
 //
-// Feature extraction is a one-time, indexable cost (the paper's §3.4): an
-// index holds each series' features itself and hands them to
-// DistanceUnderFeatures, while the Engine memoises them by series ID for
-// direct calls. It reports per-stage timings and grid-cell counts so the
-// evaluation harness can reproduce the paper's time-gain and
-// cost-breakdown figures.
+// Feature extraction is a one-time, indexable cost (the paper's §3.4): the
+// caller extracts each series' features once (Extract, Warm), holds them
+// and hands them to DistanceUnderFeatures, as every index does; Distance
+// and its variants extract both sides on every call. The engine reports
+// per-stage timings and grid-cell counts so the evaluation harness can
+// reproduce the paper's time-gain and cost-breakdown figures.
 package core
 
 import (
@@ -99,9 +99,9 @@ type Result struct {
 	// DPTime is the time spent filling the constrained grid and, when
 	// requested, recovering the path (paper task c).
 	DPTime time.Duration
-	// ExtractTime is time spent extracting features *during this call*;
-	// zero on cache hits, for features the caller supplied, or for
-	// non-adaptive strategies. The paper excludes this one-time cost from
+	// ExtractTime is the time this call spent extracting features; zero
+	// when the caller supplied them (DistanceUnderFeatures) or the
+	// strategy reads none. The paper excludes this one-time cost from
 	// per-pair comparisons.
 	ExtractTime time.Duration
 }
@@ -118,12 +118,6 @@ func (r Result) CellsGain() float64 {
 // Engine computes sDTW distances. It is safe for concurrent use.
 type Engine struct {
 	opts Options
-
-	// cache holds the features of the ID-carrying series of direct calls
-	// (Features, Distance, Warm, Align); DistanceUnderFeatures never reads
-	// or fills it.
-	mu    sync.RWMutex
-	cache map[string][]sift.Feature
 
 	// extractions counts the sift.Extract runs this engine has paid for.
 	extractions atomic.Int64
@@ -143,7 +137,7 @@ type workspace struct {
 
 // NewEngine returns an engine with the given options.
 func NewEngine(opts Options) *Engine {
-	e := &Engine{opts: opts, cache: make(map[string][]sift.Feature)}
+	e := &Engine{opts: opts}
 	e.scratch.New = func() any { return new(workspace) }
 	return e
 }
@@ -151,71 +145,36 @@ func NewEngine(opts Options) *Engine {
 // Options returns a copy of the engine's options.
 func (e *Engine) Options() Options { return e.opts }
 
-// Features extracts (or recalls) the salient features of s, caching them
-// under a non-empty s.ID: the entry for direct calls over series whose ID
-// names them for good. An ID-less series is extracted on every call.
-func (e *Engine) Features(s series.Series) ([]sift.Feature, error) {
-	if s.ID != "" {
-		e.mu.RLock()
-		f, ok := e.cache[s.ID]
-		e.mu.RUnlock()
-		if ok {
-			return f, nil
-		}
-	}
-	f, err := e.Extract(s)
-	if err != nil {
-		return nil, err
-	}
-	if s.ID != "" {
-		e.mu.Lock()
-		e.cache[s.ID] = f
-		e.mu.Unlock()
-	}
-	return f, nil
-}
-
-// Extract runs one counted feature extraction of s, bypassing the cache:
-// the entry of an index, which keeps the features beside the series.
+// Extract runs one counted feature extraction of s. The caller holds the
+// result for the life of the series, as an index keeps it beside the
+// series, and hands it to DistanceUnderFeatures.
 func (e *Engine) Extract(s series.Series) ([]sift.Feature, error) {
 	e.extractions.Add(1)
 	return sift.Extract(s.Values, e.opts.Features)
 }
 
-// Extractions reports how many feature extractions the engine has run
-// (cache hits excluded) — the one-time cost of §3.4, countable.
+// Extractions reports how many feature extractions the engine has run —
+// the one-time cost of §3.4, countable.
 func (e *Engine) Extractions() int64 { return e.extractions.Load() }
 
-// operand is one side of a distance computation: a series and, when
-// ready, its features (nil features with ready set means the band needs
-// none).
-type operand struct {
-	s     series.Series
-	feats []sift.Feature
-	ready bool
-}
-
-// Warm pre-extracts and caches the features of every series, the paper's
-// offline indexing step. It returns the total extraction time: zero, with
-// nothing extracted, when the band strategy consumes no alignment.
-func (e *Engine) Warm(data []series.Series) (time.Duration, error) {
+// Warm extracts the features of every series, the paper's offline
+// indexing step, and returns them in the order of data with the total
+// extraction time. Under a strategy whose band reads no features every
+// slice is nil and nothing is extracted.
+func (e *Engine) Warm(data []series.Series) ([][]sift.Feature, time.Duration, error) {
+	feats := make([][]sift.Feature, len(data))
 	if !e.opts.Band.Strategy.NeedsAlignment() {
-		return 0, nil
+		return feats, 0, nil
 	}
 	start := time.Now()
-	for _, s := range data {
-		if _, err := e.Features(s); err != nil {
-			return time.Since(start), fmt.Errorf("core: warming %q: %w", s.ID, err)
+	for i, s := range data {
+		f, err := e.Extract(s)
+		if err != nil {
+			return nil, time.Since(start), fmt.Errorf("core: warming %q: %w", s.ID, err)
 		}
+		feats[i] = f
 	}
-	return time.Since(start), nil
-}
-
-// CacheSize reports the number of cached feature sets.
-func (e *Engine) CacheSize() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.cache)
+	return feats, time.Since(start), nil
 }
 
 // Distance computes the constrained DTW distance between x and y.
@@ -255,22 +214,36 @@ func (e *Engine) DistanceUnder(x, y series.Series, budget float64) (Result, erro
 // consulted inside the path-recovering DP when Options.ComputePath is
 // set: that branch runs its band to completion, so cancellation is only
 // observed between computations.
+//
+// It extracts the features of both sides on every call (only when the
+// strategy reads them) and reports that time as Result.ExtractTime; a
+// caller comparing the same series repeatedly extracts them once and
+// calls DistanceUnderFeatures.
 func (e *Engine) DistanceUnderCtx(ctx context.Context, x, y series.Series, budget float64) (Result, error) {
-	return e.oriented(ctx, operand{s: x}, operand{s: y}, budget)
+	var fx, fy []sift.Feature
+	var extract time.Duration
+	if e.opts.Band.Strategy.NeedsAlignment() && x.Len() > 0 && y.Len() > 0 {
+		start := time.Now()
+		var err error
+		if fx, err = e.Extract(x); err != nil {
+			return Result{}, fmt.Errorf("core: extracting features of x: %w", err)
+		}
+		if fy, err = e.Extract(y); err != nil {
+			return Result{}, fmt.Errorf("core: extracting features of y: %w", err)
+		}
+		extract = time.Since(start)
+	}
+	res, err := e.DistanceUnderFeatures(ctx, x, fx, y, fy, budget)
+	res.ExtractTime = extract
+	return res, err
 }
 
 // DistanceUnderFeatures is DistanceUnderCtx between x and y with the
 // features the caller holds for them (fx and fy; nil when the band reads
-// none), as Extract returned them. It neither reads nor fills the cache.
+// none), as Extract returned them. It extracts nothing.
 func (e *Engine) DistanceUnderFeatures(ctx context.Context, x series.Series, fx []sift.Feature, y series.Series, fy []sift.Feature, budget float64) (Result, error) {
-	return e.oriented(ctx, operand{s: x, feats: fx, ready: true}, operand{s: y, feats: fy, ready: true}, budget)
-}
-
-// oriented puts x and y into canonical orientation when the band is
-// symmetric, runs the computation, and maps the result back.
-func (e *Engine) oriented(ctx context.Context, x, y operand, budget float64) (Result, error) {
-	if e.opts.Band.Symmetric && canonicalLess(y.s, x.s) {
-		res, err := e.distance(ctx, y, x, budget)
+	if e.opts.Band.Symmetric && canonicalLess(y, x) {
+		res, err := e.distance(ctx, y, fy, x, fx, budget)
 		if err != nil {
 			return res, err
 		}
@@ -282,7 +255,7 @@ func (e *Engine) oriented(ctx context.Context, x, y operand, budget float64) (Re
 		}
 		return res, nil
 	}
-	return e.distance(ctx, x, y, budget)
+	return e.distance(ctx, x, fx, y, fy, budget)
 }
 
 // canonicalLess is a deterministic total preorder on series used to pick
@@ -303,17 +276,7 @@ func canonicalLess(a, b series.Series) bool {
 	return false
 }
 
-// features returns o's features: the ones it carries, or the cache's
-// (extracting and caching on a miss).
-func (e *Engine) features(o operand) ([]sift.Feature, error) {
-	if o.ready {
-		return o.feats, nil
-	}
-	return e.Features(o.s)
-}
-
-func (e *Engine) distance(ctx context.Context, xo, yo operand, budget float64) (Result, error) {
-	x, y := xo.s, yo.s
+func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Feature, y series.Series, fy []sift.Feature, budget float64) (Result, error) {
 	nx, ny := x.Len(), y.Len()
 	if nx == 0 || ny == 0 {
 		return Result{}, fmt.Errorf("core: empty series (len(x)=%d len(y)=%d)", nx, ny)
@@ -324,18 +287,8 @@ func (e *Engine) distance(ctx context.Context, xo, yo operand, budget float64) (
 
 	var al *match.Alignment
 	if e.opts.Band.Strategy.NeedsAlignment() {
-		extractStart := time.Now()
-		fx, err := e.features(xo)
-		if err != nil {
-			return res, fmt.Errorf("core: extracting features of x: %w", err)
-		}
-		fy, err := e.features(yo)
-		if err != nil {
-			return res, fmt.Errorf("core: extracting features of y: %w", err)
-		}
-		res.ExtractTime = time.Since(extractStart)
-
 		matchStart := time.Now()
+		var err error
 		al, err = match.MatchWS(fx, fy, nx, ny, e.opts.Matcher, &ws.match)
 		if err != nil {
 			return res, fmt.Errorf("core: matching: %w", err)
@@ -404,11 +357,11 @@ func (e *Engine) Subsequence(query, stream []float64) (dtw.SubsequenceMatch, err
 // and interval partition) without running the dynamic program, for
 // visualisation and diagnostics.
 func (e *Engine) Align(x, y series.Series) (*match.Alignment, error) {
-	fx, err := e.Features(x)
+	fx, err := e.Extract(x)
 	if err != nil {
 		return nil, err
 	}
-	fy, err := e.Features(y)
+	fy, err := e.Extract(y)
 	if err != nil {
 		return nil, err
 	}

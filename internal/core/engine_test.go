@@ -27,8 +27,7 @@ func makePair(seed int64, n int, warpStrength float64) (series.Series, series.Se
 	}
 	warped := series.ApplyWarp(base, series.RandomWarp(rng, 4, warpStrength), n)
 	warped = series.AddNoise(rng, warped, 0.01)
-	// IDs key the engine's feature cache, so they must be unique per
-	// generated pair even when one engine serves many pairs.
+	// IDs are unique per generated pair.
 	return series.New(fmt.Sprintf("x-%d-%d", seed, n), 0, base),
 		series.New(fmt.Sprintf("y-%d-%d", seed, n), 0, warped)
 }
@@ -142,59 +141,47 @@ func TestEngineEmptyInputRejected(t *testing.T) {
 	}
 }
 
-func TestEngineCaching(t *testing.T) {
-	x, y := makePair(5, 150, 0.3)
-	eng := NewEngine(DefaultOptions())
-	if eng.CacheSize() != 0 {
-		t.Fatal("cache not empty initially")
-	}
-	if _, err := eng.Distance(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if eng.CacheSize() != 2 {
-		t.Fatalf("cache size = %d, want 2", eng.CacheSize())
-	}
-	// Second call hits the cache: ExtractTime must be ~0.
-	res, err := eng.Distance(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExtractTime > res.DPTime*100 && res.ExtractTime.Microseconds() > 500 {
-		t.Fatalf("cache miss on second call: extract=%v", res.ExtractTime)
-	}
-}
-
-func TestEngineUncachedWithoutIDs(t *testing.T) {
-	x, y := makePair(6, 150, 0.3)
-	x.ID, y.ID = "", ""
-	eng := NewEngine(DefaultOptions())
-	if _, err := eng.Distance(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if eng.CacheSize() != 0 {
-		t.Fatalf("unkeyed series cached: %d entries", eng.CacheSize())
-	}
-}
-
 func TestEngineWarm(t *testing.T) {
 	x, y := makePair(8, 150, 0.3)
 	eng := NewEngine(DefaultOptions())
-	d, err := eng.Warm([]series.Series{x, y})
+	feats, d, err := eng.Warm([]series.Series{x, y})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d <= 0 {
 		t.Fatal("warm reported zero duration")
 	}
-	if eng.CacheSize() != 2 {
-		t.Fatalf("warm cached %d series, want 2", eng.CacheSize())
+	if len(feats) != 2 || len(feats[0]) == 0 || len(feats[1]) == 0 {
+		t.Fatalf("warm returned %d feature sets, want 2 non-empty", len(feats))
 	}
-	res, err := eng.Distance(x, y)
+	if got := eng.Extractions(); got != 2 {
+		t.Fatalf("warm ran %d extractions, want 2", got)
+	}
+	held, err := eng.DistanceUnderFeatures(nil, x, feats[0], y, feats[1], math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ExtractTime.Milliseconds() > 50 {
-		t.Fatalf("warmed engine still extracting: %v", res.ExtractTime)
+	if held.ExtractTime != 0 || eng.Extractions() != 2 {
+		t.Fatalf("held features still extracted: %v, %d extractions", held.ExtractTime, eng.Extractions())
+	}
+	direct, err := eng.Distance(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(held.Distance) != math.Float64bits(direct.Distance) {
+		t.Fatalf("held features give %v, direct call %v", held.Distance, direct.Distance)
+	}
+	if direct.ExtractTime <= 0 || eng.Extractions() != 4 {
+		t.Fatalf("direct call: extract time %v, %d extractions, want > 0 and 4", direct.ExtractTime, eng.Extractions())
+	}
+
+	fixed := NewEngine(optsFor(band.FixedCoreFixedWidth))
+	feats, d, err = fixed.Warm([]series.Series{x, y})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(feats) != 2 || feats[0] != nil || feats[1] != nil || d != 0 || fixed.Extractions() != 0 {
+		t.Fatalf("(fc,fw) warm: %d sets, %v, %d extractions; want 2 nil sets, nothing extracted", len(feats), d, fixed.Extractions())
 	}
 }
 
@@ -485,9 +472,8 @@ func TestEngineDistanceUnderComputePath(t *testing.T) {
 }
 
 // TestPreparedQueryEqualsDistance: a query whose features the caller
-// extracted and holds answers every candidate exactly as the ID-keyed
-// path does — in either orientation of a symmetric band — without ever
-// entering the cache.
+// extracted and holds answers every candidate exactly as Distance does —
+// in either orientation of a symmetric band — whatever its ID.
 func TestPreparedQueryEqualsDistance(t *testing.T) {
 	for _, symmetric := range []bool{false, true} {
 		opts := optsFor(band.AdaptiveCoreAdaptiveWidth)
@@ -499,22 +485,18 @@ func TestPreparedQueryEqualsDistance(t *testing.T) {
 			_, y := makePair(seed, 150+int(seed), 0.3) // shorter and longer than x
 			cands = append(cands, y)
 		}
-		if _, err := e.Warm(cands); err != nil {
+		feats, _, err := e.Warm(cands)
+		if err != nil {
 			t.Fatal(err)
 		}
-		cached := e.CacheSize()
 		for _, id := range []string{"", "one-off"} {
 			x.ID = id
 			fx, err := e.Extract(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range cands {
-				fc, err := e.Features(c) // warmed: a cache hit
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := e.DistanceUnderFeatures(nil, x, fx, c, fc, math.Inf(1))
+			for i, c := range cands {
+				got, err := e.DistanceUnderFeatures(nil, x, fx, c, feats[i], math.Inf(1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -528,9 +510,6 @@ func TestPreparedQueryEqualsDistance(t *testing.T) {
 						symmetric, id, c.ID, got.Distance, got.CellsFilled, got.Pairs, want.Distance, want.CellsFilled, want.Pairs)
 				}
 			}
-		}
-		if got := e.CacheSize(); got != cached {
-			t.Fatalf("symmetric=%v: cache holds %d feature sets after prepared queries, %d before", symmetric, got, cached)
 		}
 		if got := e.Extractions(); got != int64(len(cands))+2 {
 			t.Fatalf("symmetric=%v: %d extractions, want %d (one per candidate, one per Extract)", symmetric, got, len(cands)+2)

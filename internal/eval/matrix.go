@@ -10,6 +10,7 @@ import (
 	"sdtw/internal/core"
 	"sdtw/internal/dtw"
 	"sdtw/internal/series"
+	"sdtw/internal/sift"
 )
 
 // PairStats aggregates the per-pair accounting of a distance matrix
@@ -96,12 +97,13 @@ func FullDTWMatrix(data []series.Series) (*Matrix, error) {
 }
 
 // EngineMatrix computes pairwise constrained distances with the given
-// engine, parallelised across pairs. Feature extraction should be warmed
-// beforehand (engine.Warm) so per-pair times reflect tasks (b) and (c)
-// only, matching the paper's timing protocol. When the engine's band is
-// asymmetric the matrix stores the X-driven value in both triangles (the
-// paper's experiments likewise evaluate one direction per pair).
-func EngineMatrix(engine *core.Engine, data []series.Series) (*Matrix, error) {
+// engine, parallelised across pairs. feats holds each series' features in
+// the order of data, as engine.Warm returns them, so per-pair times
+// reflect tasks (b) and (c) only, matching the paper's timing protocol.
+// When the engine's band is asymmetric the matrix stores the X-driven
+// value in both triangles (the paper's experiments likewise evaluate one
+// direction per pair).
+func EngineMatrix(engine *core.Engine, data []series.Series, feats [][]sift.Feature) (*Matrix, error) {
 	n := len(data)
 	if n == 0 {
 		return nil, fmt.Errorf("eval: empty data set")
@@ -119,7 +121,7 @@ func EngineMatrix(engine *core.Engine, data []series.Series) (*Matrix, error) {
 			defer wg.Done()
 			for jb := range jobs {
 				start := time.Now()
-				res, err := engine.Distance(data[jb.i], data[jb.j])
+				res, err := engine.DistanceUnderFeatures(nil, data[jb.i], feats[jb.i], data[jb.j], feats[jb.j], math.Inf(1))
 				elapsed := time.Since(start)
 				mu.Lock()
 				if err != nil && firstErr == nil {
@@ -179,10 +181,11 @@ func (t Timing) MatchShare() float64 {
 }
 
 // TimePairs sequentially times full DTW against the engine's constrained
-// distance over at most maxPairs deterministically sampled pairs. The
-// engine's feature cache should be warm so per-pair times cover only the
-// paper's tasks (b) matching and (c) constrained DP.
-func TimePairs(engine *core.Engine, data []series.Series, maxPairs int) (Timing, error) {
+// distance over at most maxPairs deterministically sampled pairs. feats
+// holds each series' features in the order of data, as engine.Warm
+// returns them, so per-pair times cover only the paper's tasks (b)
+// matching and (c) constrained DP.
+func TimePairs(engine *core.Engine, data []series.Series, feats [][]sift.Feature, maxPairs int) (Timing, error) {
 	n := len(data)
 	if n < 2 {
 		return Timing{}, fmt.Errorf("eval: timing needs at least 2 series, got %d", n)
@@ -205,7 +208,7 @@ func TimePairs(engine *core.Engine, data []series.Series, maxPairs int) (Timing,
 			}
 			t.RefTime += time.Since(start)
 			start = time.Now()
-			res, err := engine.Distance(data[i], data[j])
+			res, err := engine.DistanceUnderFeatures(nil, data[i], feats[i], data[j], feats[j], math.Inf(1))
 			if err != nil {
 				return t, fmt.Errorf("eval: timing engine (%d,%d): %w", i, j, err)
 			}

@@ -67,10 +67,11 @@ func TestEngineMatrixDominatesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := core.NewEngine(core.DefaultOptions())
-	if _, err := engine.Warm(d.Series); err != nil {
+	feats, _, err := engine.Warm(d.Series)
+	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EngineMatrix(engine, d.Series)
+	est, err := EngineMatrix(engine, d.Series, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,12 @@ func TestMatrixMetricsDegradeWithNarrowBand(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.Band.Strategy = 1 // FixedCoreFixedWidth
 		opts.Band.WidthFrac = widthFrac
-		est, err := EngineMatrix(core.NewEngine(opts), d.Series)
+		engine := core.NewEngine(opts)
+		feats, _, err := engine.Warm(d.Series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := EngineMatrix(engine, d.Series, feats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +147,7 @@ func TestEmptyDataRejected(t *testing.T) {
 	if _, err := FullDTWMatrix(nil); err == nil {
 		t.Fatal("empty data accepted by FullDTWMatrix")
 	}
-	if _, err := EngineMatrix(core.NewEngine(core.DefaultOptions()), nil); err == nil {
+	if _, err := EngineMatrix(core.NewEngine(core.DefaultOptions()), nil, nil); err == nil {
 		t.Fatal("empty data accepted by EngineMatrix")
 	}
 }
@@ -149,12 +155,16 @@ func TestEmptyDataRejected(t *testing.T) {
 func TestTimePairs(t *testing.T) {
 	d := smallDataset(t)
 	engine := core.NewEngine(core.DefaultOptions())
-	if _, err := engine.Warm(d.Series); err != nil {
-		t.Fatal(err)
-	}
-	timing, err := TimePairs(engine, d.Series, 10)
+	feats, _, err := engine.Warm(d.Series)
 	if err != nil {
 		t.Fatal(err)
+	}
+	timing, err := TimePairs(engine, d.Series, feats, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := engine.Extractions(); n != int64(len(d.Series)) {
+		t.Fatalf("%d extractions for %d series: timing extracted again", n, len(d.Series))
 	}
 	if timing.Pairs == 0 || timing.Pairs > 10+4 {
 		t.Fatalf("timed %d pairs, want ≈10", timing.Pairs)
@@ -172,7 +182,7 @@ func TestTimePairs(t *testing.T) {
 
 func TestTimePairsTooFewSeries(t *testing.T) {
 	engine := core.NewEngine(core.DefaultOptions())
-	if _, err := TimePairs(engine, []series.Series{{Values: []float64{1}}}, 5); err == nil {
+	if _, err := TimePairs(engine, []series.Series{{Values: []float64{1}}}, nil, 5); err == nil {
 		t.Fatal("single series accepted")
 	}
 }

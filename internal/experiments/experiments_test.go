@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"sdtw/internal/band"
+	"sdtw/internal/core"
 )
 
 // All experiment tests run at Small scale: the point is to verify the
@@ -250,5 +253,33 @@ func TestNewWorkloadSharesReference(t *testing.T) {
 	}
 	if len(w.Ref.D) != w.Data.Len() {
 		t.Fatalf("reference matrix size %d, data %d", len(w.Ref.D), w.Data.Len())
+	}
+}
+
+// TestEvaluateExtractsEachSeriesOnce: feature extraction is §3.4's
+// one-time cost, so one evaluation extracts every series exactly once
+// under an aligning strategy — the matrix, the timing pass and the pair
+// count all reuse those features — and never under a band that reads
+// none.
+func TestEvaluateExtractsEachSeriesOnce(t *testing.T) {
+	w, err := NewWorkload("Gun", Small, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		algo Algorithm
+		want int64
+	}{
+		{NewAlgorithm("ac,aw", band.Config{Strategy: band.AdaptiveCoreAdaptiveWidth}), int64(w.Data.Len())},
+		{NewAlgorithm("fc,fw 10%", band.Config{Strategy: band.FixedCoreFixedWidth, WidthFrac: 0.10}), 0},
+		{NewAlgorithm("full", band.Config{Strategy: band.FullGrid}), 0},
+	} {
+		engine := core.NewEngine(tc.algo.Opts)
+		if _, err := evaluate(engine, w, tc.algo); err != nil {
+			t.Fatal(err)
+		}
+		if got := engine.Extractions(); got != tc.want {
+			t.Errorf("%s: one evaluation ran %d extractions, want %d", tc.algo.Name, got, tc.want)
+		}
 	}
 }

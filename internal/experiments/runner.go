@@ -7,7 +7,9 @@ import (
 	"sdtw/internal/core"
 	"sdtw/internal/datasets"
 	"sdtw/internal/eval"
+	"sdtw/internal/match"
 	"sdtw/internal/series"
+	"sdtw/internal/sift"
 )
 
 // Scale trims workload sizes so experiments finish quickly in benchmarks
@@ -108,24 +110,24 @@ type AlgoResult struct {
 	Stats eval.PairStats
 }
 
-// Evaluate runs one algorithm over the workload: warms the feature cache
-// (outside the timed region, matching the paper's protocol), computes the
-// constrained matrix, and derives every §4.2 measure against the
-// reference.
+// Evaluate runs one algorithm over the workload: extracts every series'
+// features once (outside the timed region, matching the paper's
+// protocol), computes the constrained matrix over the held features, and
+// derives every §4.2 measure against the reference.
 func Evaluate(w *Workload, algo Algorithm) (AlgoResult, error) {
-	engine := core.NewEngine(algo.Opts)
+	return evaluate(core.NewEngine(algo.Opts), w, algo)
+}
+
+// evaluate is Evaluate on the given engine, built from algo.Opts.
+func evaluate(engine *core.Engine, w *Workload, algo Algorithm) (AlgoResult, error) {
 	res := AlgoResult{Algorithm: algo.Name, Dataset: w.Data.Name}
-
-	needsFeatures := algo.Opts.Band.Strategy.NeedsAlignment()
-	if needsFeatures {
-		warm, err := engine.Warm(w.Data.Series)
-		if err != nil {
-			return res, err
-		}
-		res.ExtractTime = warm
+	feats, warm, err := engine.Warm(w.Data.Series)
+	if err != nil {
+		return res, err
 	}
+	res.ExtractTime = warm
 
-	est, err := eval.EngineMatrix(engine, w.Data.Series)
+	est, err := eval.EngineMatrix(engine, w.Data.Series, feats)
 	if err != nil {
 		return res, err
 	}
@@ -142,22 +144,23 @@ func Evaluate(w *Workload, algo Algorithm) (AlgoResult, error) {
 	// Time gains come from a separate sequential pass: per-pair wall
 	// times measured inside a parallel matrix computation carry scheduler
 	// noise that swamps the signal.
-	timing, err := eval.TimePairs(engine, w.Data.Series, 200)
+	timing, err := eval.TimePairs(engine, w.Data.Series, feats, 200)
 	if err != nil {
 		return res, err
 	}
 	res.Timing = timing
 	res.TimeGain = timing.Gain()
 	res.MatchShare = timing.MatchShare()
-	if needsFeatures && est.Stats.Pairs > 0 {
-		res.AvgPairs = avgConsistentPairs(engine, w.Data.Series)
+	if algo.Opts.Band.Strategy.NeedsAlignment() && est.Stats.Pairs > 0 {
+		res.AvgPairs = avgConsistentPairs(algo.Opts.Matcher, w.Data.Series, feats)
 	}
 	return res, nil
 }
 
 // avgConsistentPairs samples alignments across the data set to report the
-// mean number of surviving salient pairs per comparison.
-func avgConsistentPairs(engine *core.Engine, data []series.Series) float64 {
+// mean number of surviving salient pairs per comparison, matching the held
+// features as Engine.Align does.
+func avgConsistentPairs(cfg match.Config, data []series.Series, feats [][]sift.Feature) float64 {
 	if len(data) < 2 {
 		return 0
 	}
@@ -168,7 +171,7 @@ func avgConsistentPairs(engine *core.Engine, data []series.Series) float64 {
 		if j == i {
 			continue
 		}
-		al, err := engine.Align(data[i], data[j])
+		al, err := match.Match(feats[i], feats[j], data[i].Len(), data[j].Len(), cfg)
 		if err != nil {
 			continue
 		}

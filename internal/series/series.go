@@ -15,8 +15,8 @@ import (
 // Series is a univariate time series with optional identity metadata.
 // The zero value is an empty, unlabeled series.
 type Series struct {
-	// ID identifies the series within a data set. It is used as a cache
-	// key by the sDTW engine when non-empty.
+	// ID identifies the series within a data set: an index's Remove and
+	// search results name series by it.
 	ID string
 	// Label is the class label used by classification experiments.
 	// Negative means unlabeled.

@@ -138,7 +138,7 @@ func TestIndexAddEvictsQueryCachedFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// A query under the ID "q" plants its features in the cache.
+	// A query under the ID "q" planted its features in that cache.
 	poison := d.Series[d.Len()-2]
 	poison.ID = "q"
 	if _, _, err := ix.Search(ctx, poison, WithK(2)); err != nil {

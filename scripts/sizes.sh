@@ -45,6 +45,8 @@ backend=$(awk '
 	in_iface && /^}/ { exit }
 	in_iface && /^\t[A-Z][A-Za-z0-9]*\(/ { n++ }
 	END { print n }' internal/retrieve/backend.go)
+# Exported methods of the public Engine, as go doc lists them.
+engine=$(grep -cE '^func \([a-z]+ \*Engine\) [A-Z]' <<<"$doc")
 internal=$(find internal -mindepth 1 -maxdepth 1 -type d | wc -l)
 examples=$(find examples -mindepth 1 -maxdepth 1 -type d | wc -l)
 
@@ -57,3 +59,4 @@ printf 'examples:                             %d\n' "$examples"
 printf 'root index constructors:              %d\n' "$constructors"
 printf 'PointDistance code lines:             %d\n' "$pointcost"
 printf 'retrieve.Backend methods:             %d\n' "$backend"
+printf 'public Engine methods:                %d\n' "$engine"

@@ -8,10 +8,11 @@
 //
 //   - one-shot helpers (DTW, DTWPath, Distance) for ad-hoc
 //     comparisons;
-//   - Engine for repeated comparisons with feature caching and full
-//     per-stage accounting;
+//   - Engine for comparisons with full per-stage accounting (it extracts
+//     both series' salient features on every call);
 //   - Index for retrieval and k-nearest-neighbour classification over a
-//     mutable collection of series, with pluggable distance backends:
+//     mutable collection of series, paying each series' feature
+//     extraction once, with pluggable distance backends:
 //     NewIndex serves the sDTW banded distance, NewWindowedIndex serves
 //     exact (optionally Sakoe-Chiba-windowed) DTW, and both answer
 //     through the same Search(ctx, query, ...SearchOption) surface;
@@ -74,7 +75,7 @@ const (
 type Series = series.Series
 
 // NewSeries wraps values with an identifier and class label. A non-empty
-// ID keys an Engine's feature cache and an index's Remove.
+// ID names the series in an index: its Remove and its search results.
 func NewSeries(id string, label int, values []float64) Series {
 	return series.New(id, label, values)
 }
@@ -98,9 +99,9 @@ type Result = core.Result
 // the cost every lower bound of the Index cascade and the Hub's prefilter
 // assume. Every field that changes a distance is in the configuration
 // fingerprint a segment store records; Workers and StoreSegmentRecords
-// are not. An Engine caches salient features per series ID, and every
-// index runs the stage-0 sketch filter at DefaultSketchWidth (an opened
-// index at the width its store was written with).
+// are not. Every index runs the stage-0 sketch filter at
+// DefaultSketchWidth (an opened index at the width its store was written
+// with).
 type Options struct {
 	// Strategy selects the band type. The zero value is FullGrid (exact
 	// DTW); use DefaultOptions for the paper's (ac,aw) configuration. A
@@ -205,8 +206,11 @@ func (o Options) toCore() core.Options {
 	}
 }
 
-// Engine computes sDTW distances with feature caching. It is safe for
-// concurrent use.
+// Engine computes sDTW distances. It keeps no per-series state: every
+// call extracts the salient features of both sides when the strategy
+// reads them. To compare repeatedly over a collection, build an Index,
+// which extracts each series' features once. It is safe for concurrent
+// use.
 type Engine struct {
 	inner *core.Engine
 }
@@ -216,17 +220,10 @@ func NewEngine(opts Options) *Engine {
 	return &Engine{inner: core.NewEngine(opts.toCore())}
 }
 
-// Distance computes the constrained DTW distance between two raw series.
-// Unkeyed inputs bypass the feature cache; use DistanceSeries with
-// ID-carrying Series for cached, repeated comparisons.
+// Distance computes the constrained DTW distance between two series,
+// extracting both sides' salient features (Result.ExtractTime).
 func (e *Engine) Distance(x, y []float64) (Result, error) {
 	return e.inner.Distance(Series{Values: x}, Series{Values: y})
-}
-
-// DistanceSeries computes the constrained DTW distance between two Series,
-// caching salient features under their IDs.
-func (e *Engine) DistanceSeries(x, y Series) (Result, error) {
-	return e.inner.Distance(x, y)
 }
 
 // DistanceUnder computes the constrained distance under a pruning budget:
@@ -243,15 +240,18 @@ func (e *Engine) DistanceUnder(x, y []float64, budget float64) (Result, error) {
 	return e.inner.DistanceUnder(Series{Values: x}, Series{Values: y}, budget)
 }
 
-// DistanceUnderSeries is DistanceUnder for ID-carrying Series, caching
-// salient features under their IDs.
+// DistanceUnderSeries is DistanceUnder over Series. Under a Symmetric
+// band the IDs take part in choosing the orientation; nothing is kept
+// between calls. It goes with the benchmark edit of ROADMAP item 2c: the
+// nested benchmark module calls it, and DistanceUnder covers it.
 func (e *Engine) DistanceUnderSeries(x, y Series, budget float64) (Result, error) {
 	return e.inner.DistanceUnder(x, y, budget)
 }
 
-// Features extracts (or recalls from cache) the salient features of s.
+// Features extracts the salient features of s. Nothing is kept: a caller
+// that needs them again holds the result.
 func (e *Engine) Features(s Series) ([]Feature, error) {
-	return e.inner.Features(s)
+	return e.inner.Extract(s)
 }
 
 // Subsequence finds the contiguous region of stream whose DTW distance to
@@ -282,11 +282,14 @@ func (e *Engine) Align(x, y Series) (Alignment, error) {
 	return Alignment{Pairs: len(al.Pairs), BoundsX: al.BoundsX, BoundsY: al.BoundsY}, nil
 }
 
-// Warm pre-extracts and caches the features of every series (the paper's
-// one-time indexing cost, §3.4). It does nothing under a strategy whose
-// band reads no features (FullGrid, FixedCoreFixedWidth).
+// Warm extracts the features of every series once and reports the first
+// failure; it keeps nothing, so it only checks that every series yields
+// features. It does nothing under a strategy whose band reads no features
+// (FullGrid, FixedCoreFixedWidth). It goes with the benchmark edit of
+// ROADMAP item 2c: the nested benchmark module calls it. Index is the
+// type that holds a collection's features (§3.4's one-time cost).
 func (e *Engine) Warm(data []Series) error {
-	_, err := e.inner.Warm(data)
+	_, _, err := e.inner.Warm(data)
 	return err
 }
 
@@ -306,7 +309,8 @@ func DTWPath(x, y []float64) (float64, Path, error) {
 }
 
 // Distance is a one-shot sDTW computation with the given options. For
-// repeated comparisons build an Engine so salient features are reused.
+// repeated comparisons over a collection build an Index, which extracts
+// each series' salient features once.
 func Distance(x, y []float64, opts Options) (Result, error) {
 	return NewEngine(opts).Distance(x, y)
 }

@@ -3,6 +3,7 @@ package sdtw
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -73,7 +74,7 @@ func TestEngineStrategies(t *testing.T) {
 	for _, s := range []Strategy{FullGrid, FixedCoreFixedWidth, FixedCoreAdaptiveWidth,
 		AdaptiveCoreFixedWidth, AdaptiveCoreAdaptiveWidth, AdaptiveCoreAdaptiveWidthAvg} {
 		eng := NewEngine(Options{Strategy: s, WidthFrac: 0.1})
-		res, err := eng.DistanceSeries(x, y)
+		res, err := eng.Distance(x.Values, y.Values)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -154,7 +155,7 @@ func TestEngineComputePathOption(t *testing.T) {
 	x, y := warpedPair(t)
 	opts := DefaultOptions()
 	opts.ComputePath = true
-	res, err := NewEngine(opts).DistanceSeries(x, y)
+	res, err := NewEngine(opts).Distance(x.Values, y.Values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +193,55 @@ func TestEngineWarmAndFeatures(t *testing.T) {
 	}
 }
 
+// TestEngineReusedIDSeesNewValues: an Engine keeps nothing between
+// calls, so a series ID reused with other values answers from those
+// values, bit for bit as a fresh engine does.
+func TestEngineReusedIDSeesNewValues(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 21, SeriesPerClass: 4})
+	first := NewSeries("q", 0, d.Series[0].Values)
+	second := NewSeries("q", 0, d.Series[5].Values)
+	y := NewSeries("y", 0, d.Series[2].Values)
+	eng := NewEngine(DefaultOptions())
+	if _, err := eng.DistanceUnderSeries(first, y, math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Features(first); err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.DistanceUnderSeries(second, y, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEngine(DefaultOptions()).DistanceUnderSeries(second, y, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Distance) != math.Float64bits(want.Distance) {
+		t.Fatalf("reused ID answers %v, a fresh engine %v", got.Distance, want.Distance)
+	}
+	feats, err := eng.Features(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFeats, err := ExtractFeatures(second.Values, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(feats, wantFeats) {
+		t.Fatalf("Features of the reused ID: %d features, want the new series' %d", len(feats), len(wantFeats))
+	}
+}
+
 func TestSymmetricOptionMakesDistanceSymmetric(t *testing.T) {
 	x, y := warpedPair(t)
 	opts := DefaultOptions()
 	opts.Symmetric = true
 	eng := NewEngine(opts)
-	dxy, err := eng.DistanceSeries(x, y)
+	dxy, err := eng.Distance(x.Values, y.Values)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyx, err := eng.DistanceSeries(y, x)
+	dyx, err := eng.Distance(y.Values, x.Values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +260,7 @@ func TestPropertyEstimateNeverBelowFull(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := eng.DistanceSeries(d.Series[i], d.Series[j])
+		res, err := eng.Distance(d.Series[i].Values, d.Series[j].Values)
 		if err != nil {
 			return false
 		}
