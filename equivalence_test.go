@@ -133,7 +133,10 @@ func TestSearchEquivalentToPreRedesignWindowedTopK(t *testing.T) {
 		"Trace": TraceDataset(DatasetConfig{Seed: 84, SeriesPerClass: 3}),
 	}
 	for dsName, d := range datasets {
-		for _, radius := range []int{-1, 5, 20} {
+		length := d.Series[0].Len()
+		// 0 is the diagonal, len−1 the widest band and len the switch to
+		// the unconstrained grid.
+		for _, radius := range []int{-1, 0, 1, 5, 20, length - 1, length} {
 			name := fmt.Sprintf("%s/radius=%d", dsName, radius)
 			d := d
 			radius := radius

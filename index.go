@@ -13,17 +13,18 @@ import (
 )
 
 // Index supports retrieval and k-nearest-neighbour classification over a
-// mutable collection of series through one query surface, backed by a
-// pluggable distance family:
+// mutable collection of series through one query surface, backed by one
+// of two distance families of the same engine:
 //
 //   - NewIndex builds it over the sDTW engine (salient-feature banded
-//     DTW, the paper's pipeline);
+//     DTW, the paper's pipeline) under the band strategy of its Options;
 //   - NewWindowedIndex builds it over exact, optionally
 //     Sakoe-Chiba-windowed DTW (Keogh's exact-indexing pipeline, the
-//     paper's reference [7]).
+//     paper's reference [7]): the engine's fixed-core, fixed-width band
+//     at a radius in samples, over series of one length.
 //
 // Both constructors pay the one-time indexing costs up front (salient
-// feature extraction for the engine backend; LB_Keogh upper/lower
+// feature extraction under an aligning band; LB_Keogh upper/lower
 // envelopes for both) and both serve queries through the same shared
 // cascade: candidates ordered by the cheap LB_Kim bound are discarded
 // against a best-so-far threshold — first by LB_Kim, then by envelope
@@ -37,7 +38,7 @@ import (
 // queries between mutations.
 type Index struct {
 	core   *retrieve.Core
-	engine *Engine // nil for the windowed backend
+	engine *Engine // nil for the windowed family
 	family backendFamily
 
 	// Store-backed state (stores is non-nil, holding one store, only for
@@ -62,7 +63,7 @@ type Neighbor = retrieve.Neighbor
 
 // SearchStats accounts for the work one search (or batch) did and, more
 // importantly, avoided: per-stage prune counts, abandonment and grid-cell
-// accounting, and per-stage timings. It is shared by both backends.
+// accounting, and per-stage timings. It is shared by both families.
 type SearchStats = retrieve.Stats
 
 // backendFamily is one of the two distance families an index is built
@@ -103,7 +104,8 @@ func engineFamily(opts Options) backendFamily {
 }
 
 // windowedFamily is the windowed exact-DTW family for series of the
-// given length.
+// given length: the engine backend at a fixed band of radius samples.
+// Its engine is not exposed, since Options cannot express that band.
 func windowedFamily(length, radius int) (backendFamily, error) {
 	probe, eff, err := retrieve.NewWindowedBackend(length, radius)
 	if err != nil {
@@ -239,7 +241,8 @@ func (ix *Index) Len() int { return ix.core.Len() }
 func (ix *Index) Series(i int) Series { return ix.core.Series(i) }
 
 // Engine exposes the index's engine for direct distance computations. It
-// is nil for windowed indexes, which have no salient-feature pipeline.
+// is nil for windowed indexes, whose band is sized in samples, which
+// Options cannot express.
 // The index keeps its series' features itself; a direct Engine call
 // extracts both sides' features again.
 func (ix *Index) Engine() *Engine { return ix.engine }

@@ -112,6 +112,20 @@ type Config struct {
 	// built with the roles of X and Y switched (§3.3.3), making the
 	// resulting distance symmetric.
 	Symmetric bool
+
+	// window is 1 + the (fc,fw) radius in samples that Window sets, which
+	// then sizes the band in place of WidthFrac; 0 leaves it to WidthFrac.
+	window int
+}
+
+// Window returns the (fc,fw) configuration whose band is the Sakoe-Chiba
+// window of radius r samples around the scaled diagonal
+// (dtw.SakoeChibaRadius), and whose EnvelopeRadius is exactly r: the
+// constraint of exact windowed-DTW retrieval, where an envelope one
+// column narrower than the band would drop true neighbours. r = 0 is the
+// diagonal; a negative r means 0.
+func Window(r int) Config {
+	return Config{Strategy: FixedCoreFixedWidth, window: max(r, 0) + 1}
 }
 
 func (c Config) withDefaults() Config {
@@ -183,6 +197,9 @@ func (bu *Builder) Build(al *match.Alignment, cfg Config) (dtw.Band, error) {
 	case FullGrid:
 		return dtw.FullBand(n, m), nil
 	case FixedCoreFixedWidth:
+		if cfg.window > 0 {
+			return dtw.SakoeChibaRadius(n, m, cfg.window-1), nil
+		}
 		return dtw.SakoeChiba(n, m, cfg.WidthFrac), nil
 	}
 	b, err := bu.buildAdaptive(al, cfg)
@@ -365,6 +382,10 @@ func EnvelopeRadius(cfg Config, m int) int {
 	cfg = cfg.withDefaults()
 	switch cfg.Strategy {
 	case FixedCoreFixedWidth:
+		if cfg.window > 0 {
+			// Window's radius is the band's, column for column.
+			return cfg.window - 1
+		}
 		// dtw.SakoeChiba places ceil(w*m/2) columns on each side of the
 		// scaled diagonal.
 		return int(math.Ceil(cfg.WidthFrac*float64(m)/2)) + 1

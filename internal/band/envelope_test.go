@@ -20,6 +20,8 @@ func TestEnvelopeRadiusCoversBuiltBands(t *testing.T) {
 		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10},
 		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.20},
 		{Strategy: FixedCoreFixedWidth, WidthFrac: 1},
+		Window(0),
+		Window(3),
 		{Strategy: FixedCoreAdaptiveWidth},
 		{Strategy: FixedCoreAdaptiveWidth, MaxWidthFrac: 0.10},
 		{Strategy: FixedCoreAdaptiveWidth, MaxWidthFrac: 0.30},
@@ -53,6 +55,16 @@ func TestEnvelopeRadiusCoversBuiltBands(t *testing.T) {
 				}
 			}
 		}
+	}
+	// A window's envelope is its radius, with no column added, and a
+	// negative radius is the diagonal.
+	for _, r := range []int{0, 3, 12} {
+		if got := EnvelopeRadius(Window(r), 100); got != r {
+			t.Fatalf("Window(%d) envelope radius %d, want %d", r, got, r)
+		}
+	}
+	if got := EnvelopeRadius(Window(-2), 100); got != 0 {
+		t.Fatalf("Window(-2) envelope radius %d, want 0", got)
 	}
 	// Adaptive-core strategies must get the full-grid radius: their band
 	// can legitimately reach any cell.

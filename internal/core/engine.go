@@ -133,6 +133,28 @@ type workspace struct {
 	match   match.Workspace
 	builder band.Builder
 	dp      dtw.Workspace
+
+	// fixed is the last band built under a strategy that reads no
+	// alignment (FullGrid, fc,fw), for the fixed.N()-by-fixed.M grid, and
+	// fixedCells its cell count: such a band is a function of the grid
+	// alone, so it is built once per (n, m) and not once per candidate.
+	fixed      dtw.Band
+	fixedCells int
+}
+
+// fixedBand returns the band of cfg, a strategy that reads no alignment,
+// for an n-by-m grid with its cell count, building it only when the last
+// one was for another grid. The builder it builds with serves this
+// strategy alone, so the band outlives its next call.
+func (ws *workspace) fixedBand(n, m int, cfg band.Config) (dtw.Band, int, error) {
+	if ws.fixed.N() != n || ws.fixed.M != m {
+		b, err := ws.builder.Build(&match.Alignment{NX: n, NY: m}, cfg)
+		if err != nil {
+			return dtw.Band{}, 0, err
+		}
+		ws.fixed, ws.fixedCells = b, b.Cells()
+	}
+	return ws.fixed, ws.fixedCells, nil
 }
 
 // NewEngine returns an engine with the given options.
@@ -285,11 +307,10 @@ func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Featur
 	ws := e.scratch.Get().(*workspace)
 	defer e.scratch.Put(ws)
 
-	var al *match.Alignment
+	var b dtw.Band
 	if e.opts.Band.Strategy.NeedsAlignment() {
 		matchStart := time.Now()
-		var err error
-		al, err = match.MatchWS(fx, fy, nx, ny, e.opts.Matcher, &ws.match)
+		al, err := match.MatchWS(fx, fy, nx, ny, e.opts.Matcher, &ws.match)
 		if err != nil {
 			return res, fmt.Errorf("core: matching: %w", err)
 		}
@@ -306,18 +327,19 @@ func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Featur
 			al = &match.Alignment{NX: nx, NY: ny}
 			res.Pairs = 0
 		}
+		if b, err = ws.builder.Build(al, e.opts.Band); err != nil {
+			return res, fmt.Errorf("core: building band: %w", err)
+		}
+		res.BandCells = b.Cells()
 	} else {
-		al = &match.Alignment{NX: nx, NY: ny}
-	}
-
-	b, err := ws.builder.Build(al, e.opts.Band)
-	if err != nil {
-		return res, fmt.Errorf("core: building band: %w", err)
+		var err error
+		if b, res.BandCells, err = ws.fixedBand(nx, ny, e.opts.Band); err != nil {
+			return res, fmt.Errorf("core: building band: %w", err)
+		}
 	}
 	if e.opts.KeepBand {
 		res.Band = b.Clone()
 	}
-	res.BandCells = b.Cells()
 
 	dpStart := time.Now()
 	if e.opts.ComputePath {

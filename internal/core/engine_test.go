@@ -516,3 +516,68 @@ func TestPreparedQueryEqualsDistance(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineFixedBandPerGrid pins the fixed-band path: under FullGrid and
+// (fc,fw), sized by a fraction or by a window, DistanceUnderFeatures
+// allocates nothing per call once its workspace holds the band of the
+// grid, and a workspace that meets grids of alternating shapes answers
+// each bit for bit as a band built fresh for that grid does.
+func TestEngineFixedBandPerGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	walk := func(n int) series.Series {
+		v := make([]float64, n)
+		for i := 1; i < n; i++ {
+			v[i] = v[i-1] + rng.NormFloat64()
+		}
+		return series.New("", 0, v)
+	}
+	grids := [][2]int{{128, 128}, {96, 128}, {128, 96}, {40, 200}, {128, 128}, {7, 7}}
+	for _, cfg := range []band.Config{
+		{Strategy: band.FullGrid},
+		{Strategy: band.FixedCoreFixedWidth, WidthFrac: 0.10},
+		band.Window(3),
+	} {
+		eng := NewEngine(Options{Band: cfg})
+		x, y := walk(128), walk(128)
+		call := func() {
+			if _, err := eng.DistanceUnderFeatures(nil, x, nil, y, nil, math.Inf(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call()
+		if allocs := testing.AllocsPerRun(100, call); allocs != 0 && !raceEnabled {
+			t.Errorf("%v: %v allocs per call at n = m = 128, want 0", cfg.Strategy, allocs)
+		}
+
+		var ws dtw.Workspace
+		for round := 0; round < 3; round++ {
+			for _, g := range grids {
+				x, y := walk(g[0]), walk(g[1])
+				b, err := band.Build(&match.Alignment{NX: g[0], NY: g[1]}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, _, _, err := dtw.BandedAbandonWS(x.Values, y.Values, b, nil, math.Inf(1), &ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, budget := range []float64{math.Inf(1), full / 2} {
+					want, cells, abandoned, err := dtw.BandedAbandonWS(x.Values, y.Values, b, nil, budget, &ws)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := eng.DistanceUnderFeatures(nil, x, nil, y, nil, budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got.Distance) != math.Float64bits(want) || got.CellsFilled != cells ||
+						got.Abandoned != abandoned || got.BandCells != b.Cells() {
+						t.Fatalf("%v %dx%d budget %v: engine (%v, %d cells, abandoned %v, band %d), fresh band (%v, %d, %v, %d)",
+							cfg.Strategy, g[0], g[1], budget, got.Distance, got.CellsFilled, got.Abandoned, got.BandCells,
+							want, cells, abandoned, b.Cells())
+					}
+				}
+			}
+		}
+	}
+}

@@ -233,30 +233,12 @@ func (b Band) Transpose() Band {
 
 // SakoeChiba returns the classical fixed-core, fixed-width band for an
 // n-by-m grid. widthFrac is the fraction (0,1] of the second series each
-// point of the first may be compared against, the paper's "w%": the window
-// holds ceil(widthFrac*m) columns centred on the scaled diagonal. The
+// point of the first may be compared against, the paper's "w%": the band
+// is SakoeChibaRadius at radius ceil(widthFrac*m/2), at least 1. The
 // result is normalized.
 func SakoeChiba(n, m int, widthFrac float64) Band {
-	if n <= 0 || m <= 0 {
-		panic("dtw: SakoeChiba needs positive grid dimensions")
-	}
-	if widthFrac <= 0 {
-		widthFrac = 1.0 / float64(m)
-	}
-	if widthFrac > 1 {
-		widthFrac = 1
-	}
-	radius := int(math.Ceil(widthFrac * float64(m) / 2))
-	if radius < 1 {
-		radius = 1
-	}
-	b := Band{Lo: make([]int, n), Hi: make([]int, n), M: m}
-	for i := 0; i < n; i++ {
-		center := diagonalColumn(i, n, m)
-		b.Lo[i] = center - radius
-		b.Hi[i] = center + radius
-	}
-	return b.Normalize()
+	widthFrac = min(widthFrac, 1)
+	return SakoeChibaRadius(n, m, max(1, int(math.Ceil(widthFrac*float64(m)/2))))
 }
 
 // SakoeChibaRadius returns the Sakoe-Chiba band for an n-by-m grid with

@@ -3,12 +3,10 @@ package retrieve
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"sdtw/internal/band"
 	"sdtw/internal/core"
-	"sdtw/internal/dtw"
 	"sdtw/internal/series"
 	"sdtw/internal/sift"
 )
@@ -59,11 +57,10 @@ type Query struct {
 // against the best-so-far threshold: the cascade runs whole for every
 // backend.
 //
-// The two in-tree implementations are the sDTW engine (salient-feature
-// banded DTW) and the Sakoe-Chiba windowed exact-DTW pipeline; the
-// interface is deliberately small so further distance/constraint families
-// (amerced DTW penalties, GPU-batched sDTW) can slot in without touching
-// the cascade.
+// The one implementation runs a core.Engine: NewEngineBackend under any
+// band strategy, NewWindowedBackend at the engine's fixed band sized in
+// samples. A further constraint (an amerced-DTW penalty, say) is a band
+// strategy of that engine, not a second Backend.
 type Backend interface {
 	// Fingerprint identifies the backend configuration for persistence:
 	// two backends with equal fingerprints produce identical distances
@@ -75,7 +72,7 @@ type Backend interface {
 	// aligning strategy, nil otherwise. The core keeps the result beside
 	// the series.
 	Admit(s series.Series) ([]sift.Feature, error)
-	// Prepare validates a query against backend constraints (the windowed
+	// Prepare validates a query against backend constraints (a windowed
 	// backend requires the indexed length) and derives from it what Admit
 	// derives from a series, once for every candidate's Distance.
 	Prepare(q series.Series) (Query, error)
@@ -91,12 +88,17 @@ type Backend interface {
 	Distance(ctx context.Context, q Query, c series.Series, cf []sift.Feature, budget float64) (Result, error)
 }
 
-// engineBackend serves sDTW banded distances through a shared core.Engine
-// (counted extraction, scratch pooling, symmetric canonicalisation).
+// engineBackend serves banded distances through a shared core.Engine
+// (counted extraction, scratch pooling, symmetric canonicalisation):
+// the sDTW band of NewEngineBackend, or the Sakoe-Chiba window of
+// NewWindowedBackend over series of one length.
 type engineBackend struct {
 	engine      *core.Engine
 	bandCfg     band.Config
 	fingerprint string
+	// length is the one series length the backend admits, as windowed
+	// search needs; 0 admits any.
+	length int
 }
 
 // NewEngineBackend wraps an sDTW engine as a cascade backend. fingerprint
@@ -114,16 +116,57 @@ func NewEngineBackend(engine *core.Engine, fingerprint string, _ bool) Backend {
 	}
 }
 
+// NewWindowedBackend builds the windowed exact-DTW backend for series of
+// the given length: Keogh's exact-indexing pipeline (the paper's
+// reference [7]), which is the engine's fixed band at a radius in
+// samples, band.Window(radius), over an equal-length collection.
+// radius < 0 (or >= length) selects unconstrained DTW, FullGrid, with
+// full-width envelopes. The effective radius is returned alongside the
+// backend.
+func NewWindowedBackend(length, radius int) (Backend, int, error) {
+	if length <= 0 {
+		return nil, 0, fmt.Errorf("windowed backend needs a positive series length, got %d: %w", length, ErrEmptySeries)
+	}
+	cfg := band.Config{Strategy: band.FullGrid}
+	if radius < 0 || radius >= length {
+		radius = length // unconstrained
+	} else {
+		cfg = band.Window(radius)
+	}
+	return &engineBackend{
+		engine:      core.NewEngine(core.Options{Band: cfg}),
+		bandCfg:     cfg,
+		fingerprint: fmt.Sprintf("windowed/v1|len=%d|radius=%d", length, radius),
+		length:      length,
+	}, radius, nil
+}
+
 func (b *engineBackend) Fingerprint() string { return b.fingerprint }
 
 func (b *engineBackend) Admit(s series.Series) ([]sift.Feature, error) {
+	if err := b.AdmitCold(s.ID, s.Len()); err != nil {
+		return nil, err
+	}
 	if !b.bandCfg.Strategy.NeedsAlignment() {
 		return nil, nil
 	}
 	return b.engine.Extract(s)
 }
 
+// AdmitCold is the length check for store-restored series: the metadata
+// alone decides admissibility, so cold values stay on disk.
+func (b *engineBackend) AdmitCold(id string, n int) error {
+	if b.length > 0 && n != b.length {
+		return fmt.Errorf("series %q has length %d, want %d (windowed search needs equal lengths): %w",
+			id, n, b.length, ErrLengthMismatch)
+	}
+	return nil
+}
+
 func (b *engineBackend) Prepare(q series.Series) (Query, error) {
+	if b.length > 0 && q.Len() != b.length {
+		return Query{}, fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
+	}
 	if !b.bandCfg.Strategy.NeedsAlignment() {
 		return Query{Series: q}, nil
 	}
@@ -149,88 +192,5 @@ func (b *engineBackend) Distance(ctx context.Context, q Query, c series.Series, 
 		BandCells:   res.BandCells,
 		MatchTime:   res.MatchTime,
 		DPTime:      res.DPTime,
-	}, nil
-}
-
-// windowedBackend serves exact (optionally Sakoe-Chiba-windowed) DTW over
-// an equal-length collection: the classical pipeline of Keogh's exact
-// indexing (the paper's reference [7]). The band is built once at exactly
-// the envelope radius, which is what keeps LB_Keogh admissible for the
-// windowed distance.
-type windowedBackend struct {
-	length    int
-	radius    int // effective: length when unconstrained
-	band      dtw.Band
-	bandCells int
-	scratch   sync.Pool // *dtw.Workspace, one per concurrent Distance
-}
-
-// NewWindowedBackend builds the windowed exact-DTW backend for series of
-// the given length. radius is the Sakoe-Chiba warping window in samples;
-// radius < 0 (or >= length) selects unconstrained DTW with full-width
-// envelopes. The effective radius is returned alongside the backend.
-func NewWindowedBackend(length, radius int) (Backend, int, error) {
-	if length <= 0 {
-		return nil, 0, fmt.Errorf("windowed backend needs a positive series length, got %d: %w", length, ErrEmptySeries)
-	}
-	if radius < 0 || radius >= length {
-		radius = length // unconstrained
-	}
-	b := &windowedBackend{length: length, radius: radius}
-	if radius < length {
-		// The band must sit at exactly the envelope radius: LB_Keogh at
-		// radius r does not lower-bound windowed DTW at radius r+1, and
-		// deriving the band from a width fraction (whose ceil rounding
-		// yields radius r+1) silently drops true nearest neighbours.
-		b.band = dtw.SakoeChibaRadius(length, length, radius)
-	} else {
-		b.band = dtw.FullBand(length, length)
-	}
-	b.bandCells = b.band.Cells()
-	b.scratch.New = func() any { return new(dtw.Workspace) }
-	return b, radius, nil
-}
-
-func (b *windowedBackend) Fingerprint() string {
-	return fmt.Sprintf("windowed/v1|len=%d|radius=%d", b.length, b.radius)
-}
-
-func (b *windowedBackend) Admit(s series.Series) ([]sift.Feature, error) {
-	return nil, b.AdmitCold(s.ID, s.Len())
-}
-
-// AdmitCold is the length check for store-restored series: the metadata
-// alone decides admissibility, so cold values stay on disk.
-func (b *windowedBackend) AdmitCold(id string, n int) error {
-	if n != b.length {
-		return fmt.Errorf("series %q has length %d, want %d (windowed search needs equal lengths): %w",
-			id, n, b.length, ErrLengthMismatch)
-	}
-	return nil
-}
-
-func (b *windowedBackend) Prepare(q series.Series) (Query, error) {
-	if q.Len() != b.length {
-		return Query{}, fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
-	}
-	return Query{Series: q}, nil
-}
-
-func (b *windowedBackend) EnvelopeRadius(int) int { return b.radius }
-
-func (b *windowedBackend) Distance(ctx context.Context, q Query, c series.Series, _ []sift.Feature, budget float64) (Result, error) {
-	ws := b.scratch.Get().(*dtw.Workspace)
-	defer b.scratch.Put(ws)
-	dpStart := time.Now()
-	d, cells, abandoned, err := dtw.BandedAbandonCtx(ctx, q.Values, c.Values, b.band, budget, ws)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Distance:    d,
-		Abandoned:   abandoned,
-		CellsFilled: cells,
-		BandCells:   b.bandCells,
-		DPTime:      time.Since(dpStart),
 	}, nil
 }

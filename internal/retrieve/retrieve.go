@@ -4,8 +4,8 @@
 // sketch, LB_Kim and LB_Keogh pruning against a shared best-so-far
 // threshold, and threshold-aware early-abandoning DTW fanned out across
 // a bounded worker pool — parameterised by a small Backend
-// interface supplying the actual distance family (the sDTW banded engine
-// or the Sakoe-Chiba windowed exact-DTW pipeline).
+// interface supplying the actual distance family (the sDTW engine under
+// a band strategy, Sakoe-Chiba windowed exact DTW among them).
 //
 // The cascade is exact: LB_Kim, the stage-0 LB_PAA sketch and LB_Keogh (at
 // the backend's envelope radius) never exceed the backend distance, and an
@@ -207,9 +207,10 @@ type ColdSeries struct {
 }
 
 // ColdAdmitter is implemented by backends that can validate a series
-// joining the collection from its metadata alone (the windowed backend's
-// length check). Backends without it admit cold series unchecked; Admit
-// runs over a cold series' values when they first load.
+// joining the collection from its metadata alone (a windowed backend's
+// length check; the engine backend passes any length otherwise). Backends
+// without it admit cold series unchecked; Admit runs over a cold series'
+// values when they first load.
 type ColdAdmitter interface {
 	AdmitCold(id string, n int) error
 }
@@ -842,7 +843,7 @@ func (t *SharedThreshold) Tighten(v float64) {
 const kimCheckEvery = 1024
 
 // Search runs the cascaded top-k search. Query validation (emptiness,
-// backend length constraints) happens here, uniformly for both backends;
+// backend length constraints) happens here, uniformly for every backend;
 // K is validated by the public layer, which owns the option surface.
 func (c *Core) Search(ctx context.Context, query series.Series, p Params) ([]Neighbor, Stats, error) {
 	c.mu.RLock()

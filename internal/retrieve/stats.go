@@ -9,7 +9,7 @@ import (
 // and, more importantly, avoided: how far each candidate got through the
 // lower-bound cascade, how many DTW grid cells were filled, and where the
 // time went. It is the superset of the per-backend stats the pre-unified
-// indexes reported and is shared by both backends, so dashboards compare
+// indexes reported and is shared by every index, so dashboards compare
 // sDTW and windowed retrieval on the same axes.
 type Stats struct {
 	// Candidates is the collection size examined (after self-exclusion).
@@ -42,10 +42,10 @@ type Stats struct {
 	GridCells int
 	// BoundTime is the time spent computing LB_Kim and LB_Keogh bounds.
 	BoundTime time.Duration
-	// ExtractTime is the time spent preparing the query — on the sDTW
-	// backend its one feature extraction per search (none when the query
-	// is an indexed series, values and all, whose features the index
-	// holds); zero on the windowed backend.
+	// ExtractTime is the time spent preparing the query — under an
+	// aligning band its one feature extraction per search (none when the
+	// query is an indexed series, values and all, whose features the index
+	// holds); zero under a fixed band, windowed indexes included.
 	ExtractTime time.Duration
 	// MatchTime and DPTime are the summed backend stage durations of the
 	// evaluated candidates (the paper's tasks b and c).

@@ -45,6 +45,11 @@ backend=$(awk '
 	in_iface && /^}/ { exit }
 	in_iface && /^\t[A-Z][A-Za-z0-9]*\(/ { n++ }
 	END { print n }' internal/retrieve/backend.go)
+# Types implementing retrieve.Backend outside tests, counted by the
+# interface's Distance method (ROADMAP item 7 took them to one).
+backends=$(git ls-files '*.go' | grep -v '_test\.go$' | grep -v '^benchmark/' |
+	xargs grep -hE '^func \([a-z]+ \*?[A-Za-z]+\) Distance\(ctx context\.Context, q (retrieve\.)?Query, ' |
+	wc -l)
 # Exported methods of the public Engine, as go doc lists them.
 engine=$(grep -cE '^func \([a-z]+ \*Engine\) [A-Z]' <<<"$doc")
 internal=$(find internal -mindepth 1 -maxdepth 1 -type d | wc -l)
@@ -59,4 +64,5 @@ printf 'examples:                             %d\n' "$examples"
 printf 'root index constructors:              %d\n' "$constructors"
 printf 'PointDistance code lines:             %d\n' "$pointcost"
 printf 'retrieve.Backend methods:             %d\n' "$backend"
+printf 'retrieve.Backend implementations:     %d\n' "$backends"
 printf 'public Engine methods:                %d\n' "$engine"

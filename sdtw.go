@@ -12,9 +12,9 @@
 //     both series' salient features on every call);
 //   - Index for retrieval and k-nearest-neighbour classification over a
 //     mutable collection of series, paying each series' feature
-//     extraction once, with pluggable distance backends:
-//     NewIndex serves the sDTW banded distance, NewWindowedIndex serves
-//     exact (optionally Sakoe-Chiba-windowed) DTW, and both answer
+//     extraction once: NewIndex serves the sDTW banded distance and
+//     NewWindowedIndex exact (optionally Sakoe-Chiba-windowed) DTW, the
+//     same engine at a fixed band sized in samples, and both answer
 //     through the same Search(ctx, query, ...SearchOption) surface;
 //   - Monitor for streaming subsequence matching: NewMonitor watches an
 //     unbounded stream for occurrences of a set of query patterns via

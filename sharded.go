@@ -106,7 +106,7 @@ func NewShardedIndex(data []Series, shards int, opts Options) (*ShardedIndex, er
 // NewShardedWindowedIndex builds a sharded index answering exact
 // (optionally Sakoe-Chiba-windowed) DTW queries over an equal-length
 // collection. Unlike the engine variant it needs at least one series:
-// the windowed backend's geometry is fixed by the series length.
+// the windowed family's geometry is fixed by the series length.
 func NewShardedWindowedIndex(data []Series, shards, radius int) (*ShardedIndex, error) {
 	f, err := windowedFamilyOver(data, radius)
 	if err != nil {

@@ -703,6 +703,30 @@ func TestEngineFingerprintGolden(t *testing.T) {
 	}
 }
 
+// TestWindowedFingerprintGolden holds the windowed family's fingerprint to
+// the literal every windowed store has been written under: a negative
+// radius, or one at or past the length, is recorded as the length.
+func TestWindowedFingerprintGolden(t *testing.T) {
+	for _, tc := range []struct {
+		radius int
+		want   string
+	}{
+		{-1, "windowed/v1|len=150|radius=150"},
+		{0, "windowed/v1|len=150|radius=0"},
+		{3, "windowed/v1|len=150|radius=3"},
+		{150, "windowed/v1|len=150|radius=150"},
+		{151, "windowed/v1|len=150|radius=150"},
+	} {
+		f, err := windowedFamily(150, tc.radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.fingerprint != tc.want {
+			t.Errorf("fingerprint at radius %d:\n got %s\nwant %s", tc.radius, f.fingerprint, tc.want)
+		}
+	}
+}
+
 // TestOpenRefusesRemovedStrategyStore: a store exported under the removed
 // seventh strategy says strategy=6 in its manifest. No Options may open it —
 // Options{Strategy: 6} reproduces the fingerprint, and must still be
