@@ -267,6 +267,41 @@ func TestQueryStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestStageTimingsWithinWall: the per-stage clocks, read at each stage
+// boundary, stay non-zero on searches that reach the DP — LB_Keogh's
+// time inside BoundTime and the DP's in DPTime on a windowed index, and
+// matching's in MatchTime on an engine index — and at one worker, where
+// the stages run back to back, they sum to no more than the wall time.
+func TestStageTimingsWithinWall(t *testing.T) {
+	d := TraceDataset(DatasetConfig{Seed: 5, SeriesPerClass: 6})
+	windowed, err := NewWindowedIndex(d.Series, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := NewIndex(d.Series, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*Index{"windowed": windowed, "engine": engine} {
+		for _, q := range d.Series[:6] {
+			_, st, err := ix.Search(context.Background(), q, WithK(3), WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Evaluated == 0 {
+				t.Fatalf("%s query %q: no candidate reached the DP: %v", name, q.ID, st)
+			}
+			if st.BoundTime <= 0 || st.DPTime <= 0 || (name == "engine") != (st.MatchTime > 0) {
+				t.Fatalf("%s query %q: stage timings bound %v, match %v, dp %v", name, q.ID, st.BoundTime, st.MatchTime, st.DPTime)
+			}
+			if sum := st.BoundTime + st.ExtractTime + st.MatchTime + st.DPTime; sum > st.WallTime {
+				t.Fatalf("%s query %q: stages sum to %v (bound %v + extract %v + match %v + dp %v), over the %v wall",
+					name, q.ID, sum, st.BoundTime, st.ExtractTime, st.MatchTime, st.DPTime, st.WallTime)
+			}
+		}
+	}
+}
+
 // TestSearchBatchMatchesSingle checks the batch entry point returns exactly
 // the per-query results and that LabelsAll agrees with Labels.
 func TestSearchBatchMatchesSingle(t *testing.T) {

@@ -18,6 +18,7 @@ var fmaKernelPackages = map[string]bool{
 	"sdtw/internal/match":  true,
 	"sdtw/internal/series": true,
 	"sdtw/internal/sift":   true,
+	"sdtw/internal/sketch": true,
 }
 
 // Fmaround flags float64 multiply-add shapes (a + b*c, a - b*c, a += b*c)

@@ -138,6 +138,8 @@ type workspace struct {
 	// alignment (FullGrid, fc,fw), for the fixed.N()-by-fixed.M grid, and
 	// fixedCells its cell count: such a band is a function of the grid
 	// alone, so it is built once per (n, m) and not once per candidate.
+	// It is dtw.Band.Validated, so it carries its widest row too, and the
+	// DP does not scan its rows on every call.
 	fixed      dtw.Band
 	fixedCells int
 }
@@ -148,7 +150,13 @@ type workspace struct {
 // strategy alone, so the band outlives its next call.
 func (ws *workspace) fixedBand(n, m int, cfg band.Config) (dtw.Band, int, error) {
 	if ws.fixed.N() != n || ws.fixed.M != m {
+		// Build rewrites the buffers the last band lies in: drop it first,
+		// so a failed build leaves no band with a stale width behind.
+		ws.fixed, ws.fixedCells = dtw.Band{}, 0
 		b, err := ws.builder.Build(&match.Alignment{NX: n, NY: m}, cfg)
+		if err == nil {
+			b, err = b.Validated()
+		}
 		if err != nil {
 			return dtw.Band{}, 0, err
 		}
@@ -309,12 +317,12 @@ func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Featur
 
 	var b dtw.Band
 	if e.opts.Band.Strategy.NeedsAlignment() {
-		matchStart := time.Now()
+		matchStart := monotonic()
 		al, err := match.MatchWS(fx, fy, nx, ny, e.opts.Matcher, &ws.match)
 		if err != nil {
 			return res, fmt.Errorf("core: matching: %w", err)
 		}
-		res.MatchTime = time.Since(matchStart)
+		res.MatchTime = monotonic() - matchStart
 		res.Pairs = len(al.Pairs)
 		minPairs := e.opts.MinPairs
 		if minPairs == 0 {
@@ -341,7 +349,7 @@ func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Featur
 		res.Band = b.Clone()
 	}
 
-	dpStart := time.Now()
+	dpStart := monotonic()
 	if e.opts.ComputePath {
 		pr, err := dtw.BandedWithPath(x.Values, y.Values, b)
 		if err != nil {
@@ -355,9 +363,18 @@ func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Featur
 		}
 		res.Distance, res.CellsFilled, res.Abandoned = d, cells, abandoned
 	}
-	res.DPTime = time.Since(dpStart)
+	res.DPTime = monotonic() - dpStart
 	return res, nil
 }
+
+// epoch anchors monotonic.
+var epoch = time.Now()
+
+// monotonic reads the monotonic clock as the time since a package-level
+// epoch: the difference of two readings is the elapsed time, as with
+// time.Since, but each reading is one clock read where time.Now reads the
+// wall clock too. distance takes two or four per candidate pair.
+func monotonic() time.Duration { return time.Since(epoch) }
 
 // Subsequence finds the contiguous region of stream whose DTW distance
 // to query is minimal (open-begin, open-end alignment), using the

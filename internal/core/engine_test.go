@@ -581,3 +581,79 @@ func TestEngineFixedBandPerGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptiveBandRebuiltInPlace: an adaptive band is rebuilt for every
+// pair into the same builder buffers of the engine's pooled workspace,
+// with rows of other widths each time. The DP must read each band's own
+// rows, never a width an earlier band left behind: pair by pair, in
+// rounds, the engine's distance, cells and abandoned flag equal the DP
+// over a band built afresh from the same alignment.
+func TestAdaptiveBandRebuiltInPlace(t *testing.T) {
+	opts := optsFor(band.AdaptiveCoreAdaptiveWidth)
+	eng := NewEngine(opts)
+	type pair struct {
+		x, y   series.Series
+		fx, fy []sift.Feature
+	}
+	var pairs []pair
+	for i, warp := range []float64{0.05, 0.45, 0.2, 0.6, 0.3} {
+		x, y := makePair(int64(30+i), 128, warp)
+		if i == 3 {
+			x, y = makePair(int64(30+i), 96, warp) // another grid between two 128² ones
+		}
+		fx, err := eng.Extract(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fy, err := eng.Extract(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, pair{x, y, fx, fy})
+	}
+	var ws dtw.Workspace
+	widths := map[int]bool{}
+	for round := 0; round < 3; round++ {
+		for i, p := range pairs {
+			al, err := match.Match(p.fx, p.fy, p.x.Len(), p.y.Len(), opts.Matcher)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(al.Pairs) < 2 {
+				al = &match.Alignment{NX: p.x.Len(), NY: p.y.Len()}
+			}
+			b, err := band.Build(al, opts.Band)
+			if err != nil {
+				t.Fatal(err)
+			}
+			widest := 0
+			for r := range b.Lo {
+				widest = max(widest, b.Hi[r]-b.Lo[r]+1)
+			}
+			widths[widest] = true
+			full, _, _, err := dtw.BandedAbandonWS(p.x.Values, p.y.Values, b, nil, math.Inf(1), &ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, budget := range []float64{math.Inf(1), full / 2} {
+				want, cells, abandoned, err := dtw.BandedAbandonWS(p.x.Values, p.y.Values, b, nil, budget, &ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.DistanceUnderFeatures(nil, p.x, p.fx, p.y, p.fy, budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got.Distance) != math.Float64bits(want) || got.CellsFilled != cells ||
+					got.Abandoned != abandoned || got.BandCells != b.Cells() {
+					t.Fatalf("round %d pair %d budget %v: engine (%v, %d cells, abandoned %v, band %d), fresh band (%v, %d, %v, %d)",
+						round, i, budget, got.Distance, got.CellsFilled, got.Abandoned, got.BandCells,
+						want, cells, abandoned, b.Cells())
+				}
+			}
+		}
+	}
+	if len(widths) < 3 {
+		t.Fatalf("the pairs' bands have %d distinct widest rows, want >= 3 for the rebuild to change widths", len(widths))
+	}
+}

@@ -23,6 +23,10 @@ type Band struct {
 	Lo, Hi []int
 	// M is the number of columns of the grid the band constrains.
 	M int
+
+	// width is the cell count of the widest row of a band Validated
+	// returned, and 0 for any other band.
+	width int
 }
 
 // NewBand allocates an empty band for an n-by-m grid with all rows set to
@@ -81,6 +85,22 @@ func (b Band) Clone() Band {
 func (b Band) Validate() error {
 	_, err := b.widest()
 	return err
+}
+
+// Validated is Validate for a band that many dynamic programs will run
+// over: it returns the band carrying the cell count of its widest row,
+// which the banded dynamic programs then take instead of scanning every
+// row again on each call. The returned band's rows must not change
+// afterwards, or the width it carries goes stale. A band rebuilt into
+// the same buffers (band.Builder reuses its own) comes back as a new
+// Band value that carries no width, and is checked on every call.
+func (b Band) Validated() (Band, error) {
+	w, err := b.widest()
+	if err != nil {
+		return Band{}, err
+	}
+	b.width = w
+	return b, nil
 }
 
 // widest is Validate and, for a valid band, the cell count of its widest

@@ -61,7 +61,52 @@ func TestValidateErrors(t *testing.T) {
 			if err := tc.b.Validate(); err == nil {
 				t.Fatal("invalid band accepted")
 			}
+			if _, err := tc.b.Validated(); err == nil {
+				t.Fatal("invalid band accepted by Validated")
+			}
 		})
+	}
+}
+
+// TestValidatedBandMatchesUnchecked: a Validated band carries its widest
+// row and runs every banded dynamic program to the bits, cells and
+// abandoned flag the same rows give unchecked, on every strip-case shape.
+func TestValidatedBandMatchesUnchecked(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var ws Workspace
+	for trial := 0; trial < 200; trial++ {
+		n, m := 1+rng.Intn(60), 1+rng.Intn(60)
+		b := StripBand(rng, n, m, trial%StripBandKinds)
+		vb, err := b.Validated()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := b.widest(); vb.width != w || b.width != 0 {
+			t.Fatalf("trial %d: Validated carries width %d, widest row %d (receiver %d)", trial, vb.width, w, b.width)
+		}
+		x, y := randomSeries(rng, n), randomSeries(rng, m)
+		full, _, err := Banded(x, y, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []float64{math.Inf(1), full, full / 2} {
+			want, wantCells, wantAb, err := BandedAbandonCtx(nil, x, y, b, budget, &ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, cells, ab, err := BandedAbandonCtx(nil, x, y, vb, budget, &ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) || cells != wantCells || ab != wantAb {
+				t.Fatalf("trial %d budget %v: validated (%v, %d, %v), unchecked (%v, %d, %v)",
+					trial, budget, got, cells, ab, want, wantCells, wantAb)
+			}
+		}
+		// The carried width does not excuse a length mismatch.
+		if _, _, _, err := BandedAbandonCtx(nil, append(x, 0), y, vb, math.Inf(1), &ws); err == nil {
+			t.Fatalf("trial %d: a validated band accepted %d rows of x for its %d", trial, n+1, n)
+		}
 	}
 }
 

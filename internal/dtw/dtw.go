@@ -289,7 +289,8 @@ func BandedWithPath(x, y []float64, b Band) (PathResult, error) {
 }
 
 // checkInputs validates a banded dynamic program's inputs and returns
-// the cell count of the band's widest row (see Band.widest).
+// the cell count of the band's widest row (see Band.widest): the one a
+// Validated band carries, or else one pass over its rows.
 func checkInputs(x, y []float64, b Band) (int, error) {
 	if len(x) == 0 || len(y) == 0 {
 		return 0, fmt.Errorf("dtw: empty input (len(x)=%d len(y)=%d): %w", len(x), len(y), series.ErrEmptySeries)
@@ -299,6 +300,9 @@ func checkInputs(x, y []float64, b Band) (int, error) {
 	}
 	if b.M != len(y) {
 		return 0, fmt.Errorf("dtw: band constrains %d columns, series has %d points: %w", b.M, len(y), series.ErrLengthMismatch)
+	}
+	if b.width > 0 {
+		return b.width, nil
 	}
 	return b.widest()
 }

@@ -38,7 +38,7 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 			return nil, stats, err
 		}
 	}
-	var cands []candidate
+	var cands []refCandidate
 	for i, s := range c.data {
 		if i == p.Exclude || (s.ID != "" && s.ID == q.ID) {
 			continue
@@ -50,7 +50,7 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 		if err != nil {
 			return nil, stats, err
 		}
-		cd := candidate{pos: i, bound: kim, kim: kim}
+		cd := refCandidate{pos: i, bound: kim, kim: kim}
 		if useSketch && m.n == len(q.Values) {
 			cd.bound = sketch.LBPAA(qmean, c.sketches[i], m.n)
 			cd.paa = true
@@ -153,6 +153,31 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 		return out[a].Pos < out[b].Pos
 	})
 	return out, stats, nil
+}
+
+// refCandidate is the cascade work item as sortedSearch keeps it: the
+// ordering bound and the LB_Kim bound as floats, and whether the ordering
+// bound is the sketch's.
+type refCandidate struct {
+	pos        int
+	bound, kim float64
+	paa        bool
+}
+
+// beforeFloat is the visit order over float bounds: the smaller bound
+// first, a NaN bound after every number, equal bounds (or two NaNs) by
+// position. candidate.before over visit keys is held to it.
+func beforeFloat(a, b refCandidate) bool {
+	if a.bound < b.bound {
+		return true
+	}
+	if a.bound > b.bound {
+		return false
+	}
+	if an, bn := math.IsNaN(a.bound), math.IsNaN(b.bound); an != bn {
+		return bn
+	}
+	return a.pos < b.pos
 }
 
 // countsOf projects the work counts of a Stats record, dropping the
@@ -357,30 +382,70 @@ func TestLazyOrderNaNBoundsVisited(t *testing.T) {
 	}
 }
 
-// TestCandQueueOrder: popping the heap yields exactly the sorted order of
-// before — ascending bound, NaN after every number, ties by position.
-func TestCandQueueOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	bounds := []float64{0, 1, 1, 2.5, math.Inf(1), math.NaN()}
-	for iter := 0; iter < 200; iter++ {
-		n := rng.Intn(64)
-		cands := make([]candidate, n)
-		for i := range cands {
-			cands[i] = candidate{pos: i, bound: bounds[rng.Intn(len(bounds))]}
-			if rng.Intn(2) == 0 {
-				cands[i].bound = rng.Float64()
+// edgeBounds are the floats whose order the visit key must keep: both
+// zeros, the subnormal extremes, ordinary values, the largest finite,
+// +Inf, NaNs of either sign bit and payload, and — though no bound is
+// negative — negative values down to −Inf.
+var edgeBounds = []float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+	0x1p-1022 - math.SmallestNonzeroFloat64, 0x1p-1022, 0.5, 1, 1, math.Nextafter(1, 2), 2.5,
+	math.MaxFloat64, math.Inf(1), math.NaN(), math.Copysign(math.NaN(), -1),
+	math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000001),
+	-math.SmallestNonzeroFloat64, -1, -math.MaxFloat64, math.Inf(-1),
+}
+
+// TestVisitKeyOrdersAsFloats: on every pair of edge floats, at equal and
+// unequal positions, candidate.before over visit keys answers what the
+// float order beforeFloat answers, and exceeds(key, t) is bound > t.
+func TestVisitKeyOrdersAsFloats(t *testing.T) {
+	for i, a := range edgeBounds {
+		for j, b := range edgeBounds {
+			for _, pos := range [][2]int{{1, 2}, {2, 1}} {
+				ra, rb := refCandidate{pos: pos[0], bound: a}, refCandidate{pos: pos[1], bound: b}
+				ka, kb := candidate{key: visitKey(a), pos: pos[0]}, candidate{key: visitKey(b), pos: pos[1]}
+				if got, want := ka.before(&kb), beforeFloat(ra, rb); got != want {
+					t.Errorf("edge %d (%v, pos %d) before edge %d (%v, pos %d): keys say %v, floats %v",
+						i, a, pos[0], j, b, pos[1], got, want)
+				}
+			}
+			if got, want := exceeds(visitKey(a), b), a > b; got != want {
+				t.Errorf("exceeds(%v, %v) = %v, want %v", a, b, got, want)
 			}
 		}
-		rng.Shuffle(n, func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
-		want := append([]candidate(nil), cands...)
-		sort.Slice(want, func(a, b int) bool { return want[a].before(&want[b]) })
+	}
+	if visitKey(math.Copysign(0, -1)) != visitKey(0) {
+		t.Errorf("-0 keys as %#x, +0 as %#x", visitKey(math.Copysign(0, -1)), visitKey(0))
+	}
+}
+
+// TestCandQueueOrder: popping the heap yields exactly the sorted order of
+// the float bounds — ascending bound, NaN after every number, ties by
+// position.
+func TestCandQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bounds := append([]float64{1, 2.5}, edgeBounds...)
+	for iter := 0; iter < 200; iter++ {
+		n := rng.Intn(64)
+		refs := make([]refCandidate, n)
+		for i := range refs {
+			refs[i] = refCandidate{pos: i, bound: bounds[rng.Intn(len(bounds))]}
+			if rng.Intn(2) == 0 {
+				refs[i].bound = rng.Float64()
+			}
+		}
+		rng.Shuffle(n, func(a, b int) { refs[a], refs[b] = refs[b], refs[a] })
+		cands := make([]candidate, n)
+		for i, r := range refs {
+			cands[i] = candidate{key: visitKey(r.bound), pos: r.pos}
+		}
+		sort.Slice(refs, func(a, b int) bool { return beforeFloat(refs[a], refs[b]) })
 		queue := candQueue(cands)
 		queue.init()
-		for i := range want {
+		for i := range refs {
 			got := queue.pop()
-			if got.pos != want[i].pos {
-				t.Fatalf("iter %d pop %d: position %d (bound %v), want %d (bound %v)",
-					iter, i, got.pos, got.bound, want[i].pos, want[i].bound)
+			if got.pos != refs[i].pos {
+				t.Fatalf("iter %d pop %d: position %d (key %#x), want %d (bound %v)",
+					iter, i, got.pos, got.key, refs[i].pos, refs[i].bound)
 			}
 		}
 		if len(queue) != 0 {

@@ -665,34 +665,50 @@ func (c *Core) Snapshot() ([]series.Series, []lower.Envelope) {
 	return data, envs
 }
 
-// candidate is one cascade work item: a collection position, its
-// ordering bound, and its LB_Kim bound. bound is the stage-0 LB_PAA
-// sketch bound when paa is set (an equal-length candidate of a
-// sketch-enabled search); otherwise it equals kim. A search visits its
-// candidates in ascending (bound, pos) order — a NaN bound after every
-// number — by popping them off a candQueue.
+// candidate is one cascade work item: a collection position and the
+// visit key of its ordering bound. The bound is the stage-0 LB_PAA sketch
+// bound of an equal-length candidate of a sketch-enabled search and the
+// LB_Kim bound of any other; which one is read off the candidate's
+// length, and the Kim bound of a sketch-ordered candidate is derived
+// again from its hot metadata at the visit. That keeps the record at two
+// words — the ordering pass writes one per candidate of the collection.
+// A search visits its candidates in ascending (key, pos) order, which is
+// ascending (bound, pos) with a NaN bound after every number, by popping
+// them off a candQueue.
 type candidate struct {
-	pos   int
-	bound float64
-	kim   float64
-	paa   bool
+	key uint64
+	pos int
 }
 
-// before reports whether a is visited before b: the smaller bound first,
-// a NaN bound after every number, equal bounds (or two NaNs) by position.
-// Positions are distinct, so this is a strict total order and the visit
-// order is fully determined.
+// nanKey is the visit key of a NaN bound: after every number's.
+const nanKey = math.MaxUint64
+
+// visitKey maps a bound to an integer that orders as the bound does, with
+// a NaN after every number and −0 equal to +0. The bounds are sums of
+// rounded squares starting at +0, so neither −0 nor a negative bound
+// arises; the key orders them as the float comparison does all the same.
+func visitKey(bound float64) uint64 {
+	if bound != bound {
+		return nanKey
+	}
+	bits := math.Float64bits(bound + 0) // −0 + 0 is +0
+	if bits>>63 != 0 {
+		return ^bits // negative: the larger magnitude first
+	}
+	return bits | 1<<63
+}
+
+// exceeds reports whether the bound keyed key is greater than t, as the
+// float comparison bound > t would: never for a NaN bound or a NaN t.
+func exceeds(key uint64, t float64) bool {
+	return key != nanKey && key > visitKey(t)
+}
+
+// before reports whether a is visited before b: the smaller key first,
+// equal keys by position. Positions are distinct, so this is a strict
+// total order and the visit order is fully determined.
 func (a *candidate) before(b *candidate) bool {
-	if a.bound < b.bound {
-		return true
-	}
-	if a.bound > b.bound {
-		return false
-	}
-	if an, bn := math.IsNaN(a.bound), math.IsNaN(b.bound); an != bn {
-		return bn
-	}
-	return a.pos < b.pos
+	return a.key < b.key || (a.key == b.key && a.pos < b.pos)
 }
 
 // candQueue is a binary min-heap of candidates under before, built in
@@ -747,6 +763,67 @@ func (h *candQueue) pop() candidate {
 	}
 	return top
 }
+
+// searchScratch is the working set of one search that grows with the
+// collection: the candidate heap's buffer, and what the ordering pass
+// keeps per query — the sketch means and segment weights, and the block
+// of sketch-ordered candidates whose LB_PAA bounds it computes together.
+type searchScratch struct {
+	cands          []candidate
+	means, weights []float64
+	block          [4]sketch.Sketch
+	at             [4]int // where in cands block[j]'s candidate sits
+	bounds         [4]float64
+}
+
+// scratchPool recycles searchScratch across every search of every core.
+// It is package-level, not per core: a copy-on-write clone (every
+// sharded write makes one) would start with an empty pool of its own. A
+// search takes one for its whole run and puts it back on return, after
+// its workers are done; a buffer too small for the collection is
+// replaced by one of the collection's size.
+var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// release returns sc to the pool, holding no core's sketches.
+func (sc *searchScratch) release() {
+	sc.block = [4]sketch.Sketch{}
+	scratchPool.Put(sc)
+}
+
+// flush sets the keys of the first size candidates of sc's block — the
+// entries of cands that sc.at names — from their LB_PAA bounds, and
+// returns how many of those bounds are NaN.
+//
+//sdtw:hotpath
+func (sc *searchScratch) flush(cands []candidate, size int) (nans int) {
+	sketch.LBPAABlock(sc.means, sc.weights, sc.block[:size], sc.bounds[:size])
+	for j, b := range sc.bounds[:size] {
+		cands[sc.at[j]].key = visitKey(b)
+		if b != b {
+			nans++
+		}
+	}
+	return nans
+}
+
+// kimBound is LB_Kim between q and a series known by its hot metadata:
+// LB_Kim sees only the first and last points, so the two-point stand-in
+// (one point when the series has one) reproduces lower.Kim over the full
+// values bit for bit, without reading them.
+func kimBound(q []float64, m seriesMeta) (float64, error) {
+	ends := [2]float64{m.first, m.last}
+	return lower.Kim(q, ends[:min(m.n, 2)], nil)
+}
+
+// epoch anchors monotonic.
+var epoch = time.Now()
+
+// monotonic reads the monotonic clock as the time since a package-level
+// epoch. The difference of two readings is an elapsed time, as with
+// time.Since, but each reading is one clock read where time.Now reads
+// the wall clock too — the cascade takes two per candidate that reaches
+// LB_Keogh.
+func monotonic() time.Duration { return time.Since(epoch) }
 
 // bestK is the best-so-far heap: a max-heap on (distance, position)
 // holding at most k neighbours, so the root is the current k-th best and
@@ -937,6 +1014,13 @@ func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Nei
 // visit of each would have made it. A NaN bound is never below a
 // threshold and is ordered last, so a search holding one visits
 // everything.
+//
+// The heap holds one two-word candidate per collection series, keyed by
+// an integer that orders as the bound (visitKey). Its buffer, and the
+// query's sketch means and segment weights, come from a package-level
+// pool and go back when the search returns, so a search allocates the
+// same few bytes whatever the collection's size; concurrent searches
+// (a batch, a sharded fan-out) each take their own.
 func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Neighbor, Stats, error) {
 	var stats Stats
 	start := time.Now()
@@ -944,67 +1028,77 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 		return nil, stats, err
 	}
 	limit := p.EffectiveThreshold()
+	qn := len(query.Values)
 
-	// Ordering pass: a cheap bound for every candidate. O(1) per
-	// candidate for LB_Kim, O(W) for the stage-0 sketch bound — both read
-	// only hot metadata (endpoints, sketches), never the possibly-cold raw
-	// values — so this stays sequential; the bounds fix the visit order
-	// that lets the k-heap threshold tighten fast.
-	boundStart := time.Now()
+	// Ordering pass: a cheap bound for every candidate — the stage-0
+	// sketch bound where it applies, four candidates at a time, and LB_Kim
+	// for the rest. Both read only hot metadata (endpoints, sketches),
+	// never the possibly-cold raw values, so this stays sequential; the
+	// bounds fix the visit order that lets the k-heap threshold tighten
+	// fast.
+	boundStart := monotonic()
+	sc := scratchPool.Get().(*searchScratch)
+	defer sc.release()
+	// Stage 0 applies under the same equal-length contract as the Keogh
+	// stage; other candidates keep their Kim ordering.
 	useSketch := c.sketchW > 0 && !p.NoSketch
-	var qmean []float64
 	if useSketch {
 		var err error
-		qmean, err = sketch.Means(query.Values, c.sketchW, nil)
-		if err != nil {
+		if sc.means, err = sketch.Means(query.Values, c.sketchW, sc.means); err != nil {
 			return nil, stats, fmt.Errorf("query sketch: %w", err)
 		}
+		sc.weights = sketch.Weights(qn, c.sketchW, sc.weights)
 	}
-	cands := make([]candidate, 0, len(c.data))
+	if cap(sc.cands) < len(c.data) {
+		sc.cands = make([]candidate, 0, len(c.data))
+	}
+	cands := sc.cands[:0]
+	// The query's own entry, when it is an indexed series: non-empty IDs
+	// are unique, so it is the one series sharing the query's ID.
+	self := -1
+	if pos, ok := c.ids[query.ID]; ok {
+		self = pos
+	}
 	// paaLeft counts the queued candidates carrying a sketch bound, so a
 	// bulk-pruned tail splits into stage-0 and Kim prunes; nans counts the
-	// NaN bounds, which forbid the bulk prune.
-	var paaLeft, nans int
-	var kimVals [2]float64
-	for i, s := range c.data {
+	// NaN bounds, which forbid the bulk prune. pending sketch-ordered
+	// candidates wait in sc's block for their bounds.
+	var paaLeft, nans, pending int
+	for i, m := range c.meta {
 		if i%kimCheckEvery == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return nil, stats, err
 			}
 		}
 		// Skip self-matches when the query is an indexed series.
-		if i == p.Exclude || (s.ID != "" && s.ID == query.ID) {
+		if i == p.Exclude || i == self {
 			continue
 		}
-		m := c.meta[i]
-		stats.GridCells += len(query.Values) * m.n
-		// LB_Kim sees only the first/last endpoints, so the hot two-point
-		// stand-in reproduces lower.Kim over the full values bit for bit
-		// (one point when the series has one).
-		kimVals[0], kimVals[1] = m.first, m.last
-		endpoints := kimVals[:2]
-		if m.n == 1 {
-			endpoints = kimVals[:1]
-		}
-		kim, err := lower.Kim(query.Values, endpoints, nil)
-		if err != nil {
-			return nil, stats, fmt.Errorf("LB_Kim to %q: %w", s.ID, err)
-		}
-		cd := candidate{pos: i, bound: kim, kim: kim}
-		// Stage 0 applies under the same equal-length contract as the
-		// Keogh stage; other candidates keep their Kim ordering.
-		if useSketch && m.n == len(query.Values) {
-			cd.bound = sketch.LBPAA(qmean, c.sketches[i], m.n)
-			cd.paa = true
+		stats.GridCells += qn * m.n
+		if useSketch && m.n == qn {
+			sc.block[pending], sc.at[pending] = c.sketches[i], len(cands)
+			cands = append(cands, candidate{pos: i})
 			paaLeft++
+			if pending++; pending == len(sc.block) {
+				nans += sc.flush(cands, pending)
+				pending = 0
+			}
+			continue
 		}
-		if math.IsNaN(cd.bound) {
+		kim, err := kimBound(query.Values, m)
+		if err != nil {
+			return nil, stats, fmt.Errorf("LB_Kim to %q: %w", c.data[i].ID, err)
+		}
+		if kim != kim {
 			nans++
 		}
-		cands = append(cands, cd)
+		cands = append(cands, candidate{key: visitKey(kim), pos: i})
+	}
+	if pending > 0 {
+		nans += sc.flush(cands, pending)
 	}
 	stats.Candidates = len(cands)
-	stats.BoundTime += time.Since(boundStart)
+	stats.BoundTime += monotonic() - boundStart
 	k := p.K
 	if k <= 0 || k > len(cands) {
 		k = len(cands)
@@ -1067,27 +1161,28 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	// over: the queue is empty, or its least bound exceeds the threshold
 	// and the whole tail is counted as pruned by its ordering bound (see
 	// searchPrepared). With a NaN bound queued the tail is never counted:
-	// NaNs sit at its end and must be visited.
-	next := func() (candidate, bool) {
+	// NaNs sit at its end and must be visited. paa reports that the
+	// candidate is ordered by its sketch bound.
+	next := func() (cd candidate, paa, ok bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		if len(queue) == 0 {
-			return candidate{}, false
+			return candidate{}, false, false
 		}
-		if nans == 0 && queue[0].bound > threshold.Load() {
+		if nans == 0 && exceeds(queue[0].key, threshold.Load()) {
 			prunedSketch.Add(int64(paaLeft))
 			prunedKim.Add(int64(len(queue) - paaLeft))
 			queue = queue[:0]
-			return candidate{}, false
+			return candidate{}, false, false
 		}
-		cd := queue.pop()
-		if cd.paa {
+		cd = queue.pop()
+		if paa = useSketch && c.meta[cd.pos].n == qn; paa {
 			paaLeft--
 		}
-		return cd, true
+		return cd, paa, true
 	}
 	parallelFor(ctx, workers, len(cands), &stop, func(int) {
-		cd, ok := next()
+		cd, paa, ok := next()
 		if !ok {
 			stop.Store(true)
 			return
@@ -1095,12 +1190,25 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 		// Stage 0: the precomputed LB_PAA sketch bound, checked before
 		// LB_Kim. Pruning here costs O(1) and touches neither the raw
 		// values nor the full envelope.
-		if cd.paa && cd.bound > threshold.Load() {
-			prunedSketch.Add(1)
-			return
-		}
-		if cd.kim > threshold.Load() {
-			prunedKim.Add(1)
+		if paa {
+			if exceeds(cd.key, threshold.Load()) {
+				prunedSketch.Add(1)
+				return
+			}
+			// The ordering pass computed no LB_Kim for a sketch-ordered
+			// candidate; the same call on the same metadata gives the bits
+			// it would have.
+			kim, err := kimBound(query.Values, c.meta[cd.pos])
+			if err != nil {
+				fail(fmt.Errorf("LB_Kim to %q: %w", c.data[cd.pos].ID, err))
+				return
+			}
+			if kim > threshold.Load() {
+				prunedKim.Add(1)
+				return
+			}
+		} else if exceeds(cd.key, threshold.Load()) {
+			prunedKim.Add(1) // the ordering bound is LB_Kim
 			return
 		}
 		if env := c.envelopes[cd.pos]; len(env.Upper) == len(query.Values) {
@@ -1116,9 +1224,9 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 			if abandon {
 				kgBudget = threshold.Load()
 			}
-			kgStart := time.Now()
+			kgStart := monotonic()
 			kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, kgBudget, nil)
-			boundNS.Add(int64(time.Since(kgStart)))
+			boundNS.Add(int64(monotonic() - kgStart))
 			if err != nil {
 				fail(fmt.Errorf("LB_Keogh to %q: %w", c.data[cd.pos].ID, err))
 				return

@@ -135,6 +135,26 @@ func Means(q []float64, w int, out []float64) ([]float64, error) {
 	return out, nil
 }
 
+// Weights computes the length of each of the w segments of a length-n
+// series as a float64 — the factor LBPAA scales segment k's squared
+// deviation by, and 0 for the empty segments of n < w. The lengths depend
+// on (n, w) alone, so a search computes them once per query beside its
+// Means instead of walking the segments again for every candidate. out
+// is reused when it has capacity w. The caller guarantees n >= 1 and
+// w >= 1 (Means checks both).
+func Weights(n, w int, out []float64) []float64 {
+	if cap(out) < w {
+		out = make([]float64, w)
+	}
+	out = out[:w]
+	seg := newSegments(n, w)
+	for k := range out {
+		lo, hi := seg.next()
+		out[k] = float64(hi - lo)
+	}
+	return out
+}
+
 // LBPAA returns the stage-0 lower bound between a query summarised by
 // qmean (its Means at the sketch's width) and a candidate of length n
 // summarised by sk: for each segment, the squared deviation of the
@@ -142,9 +162,12 @@ func Means(q []float64, w int, out []float64) ([]float64, error) {
 // segment length. The caller guarantees len(qmean) == sk.Width() and
 // that the query length equals n (the same equal-length contract
 // LB_Keogh has; unequal lengths skip stage 0 exactly as they skip the
-// Keogh stage). Squared deviations round through an explicit float64
-// conversion like the Keogh kernel's, so fused multiply-add cannot
-// inflate the bound past its unfused evaluation.
+// Keogh stage). Squared deviations, and each term, round through an
+// explicit float64 conversion like the Keogh kernel's, so fused
+// multiply-add cannot inflate the bound past its unfused evaluation.
+//
+// LBPAA is the reference form, one candidate at a time; a search runs
+// LBPAABlock, which returns the same bits.
 //
 //sdtw:hotpath
 func LBPAA(qmean []float64, sk Sketch, n int) float64 {
@@ -168,7 +191,73 @@ func LBPAA(qmean []float64, sk Sketch, n int) float64 {
 		} else {
 			continue
 		}
-		sum += float64(segHi-segLo) * float64(d*d)
+		sum += float64(float64(segHi-segLo) * float64(d*d))
 	}
 	return sum
+}
+
+// LBPAABlock writes to out[j] the LBPAA bound of sks[j], for up to four
+// candidates of one query at once: qmean is the query's Means and
+// weights its Weights at the sketches' width, and every candidate has the
+// query's length. The four sums are independent, so their adds overlap
+// instead of forming one serial chain, and the query's coefficient and
+// segment length are loaded once for all four. Each sum still adds
+// weights[k]·d² for k = 0…w−1 in order, under LBPAA's m > u / m < l
+// cascade, skipping the empty segments LBPAA skips — so out[j] is
+// LBPAA(qmean, sks[j], n), bit for bit, NaN and infinite coefficients
+// included. A block of fewer than four is padded with its first sketch
+// and the padding's bounds dropped. len(out) must be at least len(sks),
+// and len(sks) in 1…4.
+//
+//sdtw:hotpath
+func LBPAABlock(qmean, weights []float64, sks []Sketch, out []float64) {
+	if len(sks) == 4 {
+		lbpaa4(qmean, weights, (*[4]Sketch)(sks), (*[4]float64)(out[:4]))
+		return
+	}
+	blk := [4]Sketch{sks[0], sks[0], sks[0], sks[0]}
+	copy(blk[:], sks)
+	var sums [4]float64
+	lbpaa4(qmean, weights, &blk, &sums)
+	copy(out[:len(sks)], sums[:])
+}
+
+// lbpaa4 is LBPAABlock for a full block of four.
+//
+//sdtw:hotpath
+func lbpaa4(qmean, weights []float64, sks *[4]Sketch, out *[4]float64) {
+	w := len(weights)
+	qm := qmean[:w:w]
+	u0, l0 := sks[0].Upper[:w:w], sks[0].Lower[:w:w]
+	u1, l1 := sks[1].Upper[:w:w], sks[1].Lower[:w:w]
+	u2, l2 := sks[2].Upper[:w:w], sks[2].Lower[:w:w]
+	u3, l3 := sks[3].Upper[:w:w], sks[3].Lower[:w:w]
+	var s0, s1, s2, s3 float64
+	for k, wk := range weights {
+		if wk == 0 {
+			continue // empty segment (n < w)
+		}
+		m := qm[k]
+		if d := m - u0[k]; m > u0[k] {
+			s0 += float64(wk * float64(d*d))
+		} else if d := m - l0[k]; m < l0[k] {
+			s0 += float64(wk * float64(d*d))
+		}
+		if d := m - u1[k]; m > u1[k] {
+			s1 += float64(wk * float64(d*d))
+		} else if d := m - l1[k]; m < l1[k] {
+			s1 += float64(wk * float64(d*d))
+		}
+		if d := m - u2[k]; m > u2[k] {
+			s2 += float64(wk * float64(d*d))
+		} else if d := m - l2[k]; m < l2[k] {
+			s2 += float64(wk * float64(d*d))
+		}
+		if d := m - u3[k]; m > u3[k] {
+			s3 += float64(wk * float64(d*d))
+		} else if d := m - l3[k]; m < l3[k] {
+			s3 += float64(wk * float64(d*d))
+		}
+	}
+	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sdtw/internal/datasets"
 	"sdtw/internal/dtw"
 	"sdtw/internal/lower"
 )
@@ -135,7 +136,8 @@ func TestMeansReusesScratch(t *testing.T) {
 }
 
 // TestLBPAAZeroAlloc pins the hot per-candidate bound at zero
-// allocations, matching the lower.Kim pattern.
+// allocations, matching the lower.Kim pattern: LBPAA, and LBPAABlock on a
+// full block and on a tail.
 func TestLBPAAZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := randomValues(rng, 128)
@@ -156,11 +158,24 @@ func TestLBPAAZeroAlloc(t *testing.T) {
 		t.Fatalf("LBPAA allocates %v times per run, want 0", allocs)
 	}
 	_ = sink
+	weights := Weights(len(q), 16, nil)
+	sks := []Sketch{sk, sk, sk, sk}
+	out := make([]float64, 4)
+	for _, size := range []int{4, 3} {
+		allocs = testing.AllocsPerRun(100, func() {
+			LBPAABlock(qm, weights, sks[:size], out)
+		})
+		if allocs != 0 {
+			t.Fatalf("LBPAABlock over %d allocates %v times per run, want 0", size, allocs)
+		}
+	}
 }
 
 // FuzzLBPAAAdmissible fuzzes the stage-0 contract differentially, like
 // the existing bound fuzzers: LB_PAA must never exceed LB_Keogh at the
 // same radius, nor the Sakoe-Chiba DTW distance the envelope assumes.
+// The blocked form a search runs must return LBPAA's bits, on the clean
+// sketch and with NaN and infinite coefficients planted.
 func FuzzLBPAAAdmissible(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(2), uint8(16))
 	f.Add(int64(9), uint8(1), uint8(0), uint8(1))
@@ -184,7 +199,54 @@ func FuzzLBPAAAdmissible(f *testing.F) {
 		if err := lower.ValidateBound(paa, exact); err != nil {
 			t.Errorf("LB_PAA not admissible (n=%d r=%d w=%d): %v", n, r, w, err)
 		}
+		qm, err := Means(q, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sks := make([]Sketch, 1+rng.Intn(4))
+		for j := range sks {
+			sks[j], err = FromEnvelope(lower.NewEnvelope(randomValues(rng, n), r), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkBlock(t, "fuzz clean", qm, sks, n)
+		for j := range sks {
+			plantNonFinite(rng, sks[j].Upper)
+			plantNonFinite(rng, sks[j].Lower)
+		}
+		plantNonFinite(rng, qm)
+		checkBlock(t, "fuzz non-finite", qm, sks, n)
 	})
+}
+
+// nonFinite is what plantNonFinite writes: every non-finite float64 a
+// coefficient could hold, and the finite extremes next to them.
+var nonFinite = []float64{math.NaN(), math.Copysign(math.NaN(), -1), math.Inf(1), math.Inf(-1),
+	math.MaxFloat64, -math.MaxFloat64, 0, math.Copysign(0, -1)}
+
+// plantNonFinite overwrites about a quarter of v with values of nonFinite.
+func plantNonFinite(rng *rand.Rand, v []float64) {
+	for i := range v {
+		if rng.Intn(4) == 0 {
+			v[i] = nonFinite[rng.Intn(len(nonFinite))]
+		}
+	}
+}
+
+// checkBlock holds LBPAABlock over sks — a block of one to four — to
+// LBPAA on each sketch, bit for bit.
+func checkBlock(t *testing.T, name string, qm []float64, sks []Sketch, n int) {
+	t.Helper()
+	weights := Weights(n, len(qm), nil)
+	out := make([]float64, len(sks))
+	LBPAABlock(qm, weights, sks, out)
+	for j, sk := range sks {
+		if got, want := out[j], LBPAA(qm, sk, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s (n=%d w=%d, block of %d): candidate %d: LBPAABlock %v (%#x), LBPAA %v (%#x)",
+				name, n, len(qm), len(sks), j, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
 }
 
 // TestSegmentsMatchDivision pins the carried-remainder walker to the
@@ -259,14 +321,24 @@ func lbpaaDivision(qmean []float64, sk Sketch, n int) float64 {
 		default:
 			continue
 		}
-		sum += float64(hi-lo) * float64(d*d)
+		sum += float64(float64(hi-lo) * float64(d*d))
 	}
 	return sum
 }
 
-// TestSketchMatchesDivisionForms holds FromEnvelope, Means and LBPAA to
-// their division forms bit for bit, across lengths below, at and above
-// the width.
+func weightsDivision(n, w int) []float64 {
+	out := make([]float64, w)
+	for k := range out {
+		out[k] = float64((k+1)*n/w - k*n/w)
+	}
+	return out
+}
+
+// TestSketchMatchesDivisionForms holds FromEnvelope, Means, Weights and
+// LBPAA to their division forms bit for bit, across lengths below, at and
+// above the width, and LBPAABlock to LBPAA on blocks of one to four
+// (every tail a search can leave), with and without NaN and infinite
+// coefficients planted in the sketches and the query means.
 func TestSketchMatchesDivisionForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	same := func(a, b []float64) bool {
@@ -301,31 +373,104 @@ func TestSketchMatchesDivisionForms(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("n=%d w=%d: LBPAA %v, division form %v", n, w, got, want)
 		}
+		if !same(Weights(n, w, nil), weightsDivision(n, w)) {
+			t.Fatalf("n=%d w=%d: Weights differs from the division form", n, w)
+		}
+		sks := []Sketch{sk}
+		for j := rng.Intn(4); j > 0; j-- {
+			other, err := FromEnvelope(lower.NewEnvelope(randomValues(rng, n), rng.Intn(8)), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sks = append(sks, other)
+		}
+		checkBlock(t, "clean", qm, sks, n)
+		if iter%2 == 1 {
+			for j := range sks {
+				plantNonFinite(rng, sks[j].Upper)
+				plantNonFinite(rng, sks[j].Lower)
+			}
+			plantNonFinite(rng, qm)
+			checkBlock(t, "non-finite", qm, sks, n)
+			for j, sk := range sks {
+				if got, want := LBPAA(qm, sk, n), lbpaaDivision(qm, sk, n); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d w=%d, non-finite candidate %d: LBPAA %v, division form %v", n, w, j, got, want)
+				}
+			}
+		}
 	}
 }
 
-// BenchmarkLBPAA is the per-candidate stage-0 bound at the index's
-// default geometry: length 128, width 16.
+// BenchmarkLBPAA is the per-candidate stage-0 bound. random128 is the
+// index's default geometry over random walks: length 128, width 16.
+// trace128-r3 is the knn-bounds shape — 4 000 Trace-shaped series of
+// length 128, their radius-3 envelopes sketched at width 16 — in the
+// reference form (LBPAA, one candidate at a time, walking the segments)
+// and the blocked form a search runs (LBPAABlock, four at a time over the
+// query's segment weights); both report ns/candidate.
 func BenchmarkLBPAA(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const n, w, count = 128, 16, 1024
-	sks := make([]Sketch, count)
+	b.Run("random128", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(5))
+		const n, w, count = 128, 16, 1024
+		sks := make([]Sketch, count)
+		for i := range sks {
+			sk, err := FromEnvelope(lower.NewEnvelope(randomValues(rng, n), 3), w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sks[i] = sk
+		}
+		qm, err := Means(randomValues(rng, n), w, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			sink += LBPAA(qm, sks[i%count], n)
+		}
+		_ = sink
+	})
+	const n, w = 128, 16
+	d := datasets.Trace(datasets.Config{Seed: 5, SeriesPerClass: 1000, Length: n})
+	sks := make([]Sketch, len(d.Series)-1)
 	for i := range sks {
-		sk, err := FromEnvelope(lower.NewEnvelope(randomValues(rng, n), 3), w)
+		sk, err := FromEnvelope(lower.NewEnvelope(d.Series[i].Values, 3), w)
 		if err != nil {
 			b.Fatal(err)
 		}
 		sks[i] = sk
 	}
-	qm, err := Means(randomValues(rng, n), w, nil)
+	qm, err := Means(d.Series[len(d.Series)-1].Values, w, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += LBPAA(qm, sks[i%count], n)
+	perCandidate := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sks)), "ns/candidate")
 	}
-	_ = sink
+	b.Run("trace128-r3/reference", func(b *testing.B) {
+		b.ReportAllocs()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			for _, sk := range sks {
+				sink += LBPAA(qm, sk, n)
+			}
+		}
+		perCandidate(b)
+		_ = sink
+	})
+	b.Run("trace128-r3/block", func(b *testing.B) {
+		b.ReportAllocs()
+		weights := Weights(n, w, nil)
+		out := make([]float64, len(sks))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < len(sks); j += 4 {
+				end := min(j+4, len(sks))
+				LBPAABlock(qm, weights, sks[j:end], out[j:end])
+			}
+		}
+		perCandidate(b)
+	})
 }
