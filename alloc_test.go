@@ -11,16 +11,16 @@ import (
 // allocates over a windowed index (the knn-bounds shape: Trace series of
 // length 128, radius 3, top 5, one worker): the same bytes whatever the
 // collection's size, within 1 KB, at most 4 KB over 20 000 series, and
-// no more allocations than the 34 a search made while it still
-// allocated its candidate queue per call. The queue, the query's sketch
-// means and its segment weights are pooled across searches, so only what
-// a search returns and its per-search bookkeeping remain. The garbage
-// collector is off while it measures, so the pool stays warm.
+// at most 15 allocations (a search made 34 while it allocated its
+// candidate queue per call, and 31 while the visit's shared state was
+// captured by its closures). The queue, the query's sketch means and
+// segment weights and the visit's state are pooled across searches, so
+// little more than what a search returns remains.
 func TestSearchAllocatesIndependentOfN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers and instruments allocations")
 	}
-	const length, radius, maxAllocs, maxBytes = 128, 3, 34, 4096
+	const length, radius, maxAllocs, maxBytes = 128, 3, 15, 4096
 	d := TraceDataset(DatasetConfig{Seed: 42, SeriesPerClass: 5004, Length: length})
 	queries, all := d.Series[:16], d.Series[16:]
 	perSearch := func(n int) (bytes, allocs float64) {
@@ -28,7 +28,11 @@ func TestSearchAllocatesIndependentOfN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The garbage collector is off and there is one processor while
+		// it measures, so a buffer a search puts back in a pool is the one
+		// the next search takes.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		search := func(q Series) {
 			if _, _, err := ix.Search(context.Background(), q, WithK(5), WithWorkers(1)); err != nil {
 				t.Fatal(err)

@@ -25,11 +25,12 @@
 package retrieve
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -774,6 +775,9 @@ type searchScratch struct {
 	block          [4]sketch.Sketch
 	at             [4]int // where in cands block[j]'s candidate sits
 	bounds         [4]float64
+	visit          visitState
+	// step is visit.step, bound once per scratch rather than per search.
+	step func(int)
 }
 
 // scratchPool recycles searchScratch across every search of every core.
@@ -784,9 +788,11 @@ type searchScratch struct {
 // replaced by one of the collection's size.
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// release returns sc to the pool, holding no core's sketches.
+// release returns sc to the pool, holding no core's sketches and nothing
+// of the search's visit.
 func (sc *searchScratch) release() {
 	sc.block = [4]sketch.Sketch{}
+	sc.visit = visitState{}
 	scratchPool.Put(sc)
 }
 
@@ -840,6 +846,7 @@ func (h bestK) Less(a, b int) bool {
 func (h bestK) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
 func (h *bestK) Push(x any)   { *h = append(*h, x.(Neighbor)) }
 func (h *bestK) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
 func (h bestK) worseThan(nb Neighbor) bool {
 	w := h[0]
 	return nb.Distance < w.Distance || (nb.Distance == w.Distance && nb.Pos < w.Pos)
@@ -1016,11 +1023,11 @@ func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Nei
 // everything.
 //
 // The heap holds one two-word candidate per collection series, keyed by
-// an integer that orders as the bound (visitKey). Its buffer, and the
-// query's sketch means and segment weights, come from a package-level
-// pool and go back when the search returns, so a search allocates the
-// same few bytes whatever the collection's size; concurrent searches
-// (a batch, a sharded fan-out) each take their own.
+// an integer that orders as the bound (visitKey). Its buffer, the
+// query's sketch means and segment weights, and the visit's shared state
+// come from a package-level pool and go back when the search returns, so
+// a search allocates the same few bytes whatever the collection's size;
+// concurrent searches (a batch, a sharded fan-out) each take their own.
 func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Neighbor, Stats, error) {
 	var stats Stats
 	start := time.Now()
@@ -1107,6 +1114,14 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 		stats.WallTime = time.Since(start)
 		return nil, stats, nil
 	}
+	// Stages 0-3, fanned out: sketch check, LB_Kim check, LB_Keogh check,
+	// full DTW. The visit's shared state lives in sc, so its workers
+	// capture one pointer and a search allocates none of it.
+	v := &sc.visit
+	v.c, v.ctx, v.query, v.limit = c, ctx, query, limit
+	v.best = make(bestK, 0, k+1)
+	v.queue, v.paaLeft, v.nans = candQueue(cands), paaLeft, nans
+	v.useSketch, v.abandon = useSketch, !p.NoAbandon
 	// tightenAt is the heap occupancy at which the k-th best becomes an
 	// admissible pruning threshold. Private search: the (possibly
 	// truncated) heap capacity — by the time the heap is that full, its
@@ -1115,215 +1130,249 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	// tightening the siblings' shared budget with fewer than K real
 	// distances would prune their true neighbours (and K <= 0 — a range
 	// search — must never tighten past the caller's limit at all).
-	tightenAt := k
-	if p.Shared != nil {
-		tightenAt = p.K // <= 0 or > len(cands): never reached
-	}
-
-	// Stages 0-3, fanned out: sketch check, LB_Kim check, LB_Keogh check,
-	// full DTW. The mutex is held only to pop a candidate and to update
-	// the k-heap; per-candidate accounting uses atomic counters. The
-	// pruning threshold is the tighter of the k-th best distance and the
-	// caller's range limit.
-	best := make(bestK, 0, k+1)
-	var mu sync.Mutex // guards best, firstErr, queue and paaLeft
-	var firstErr error
-	// stop ends the visit: raised on the first error, and once the queue
-	// is drained or its tail counted.
-	var stop atomic.Bool
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
+	v.k, v.tightenAt = k, k
 	// The pruning threshold is private to this search unless the caller
 	// supplied a shared one (sharded serving), in which case every
 	// concurrent shard search reads and tightens the same value.
-	threshold := p.Shared
-	if threshold == nil {
-		threshold = NewSharedThreshold(limit)
+	if v.threshold = p.Shared; v.threshold == nil {
+		v.private.bits.Store(math.Float64bits(limit))
+		v.threshold = &v.private
 	} else {
-		threshold.Tighten(limit)
+		v.tightenAt = p.K // <= 0 or > len(cands): never reached
+		v.threshold.Tighten(limit)
 	}
-	abandon := !p.NoAbandon
-	var prunedSketch, prunedKim, prunedKeogh, evaluated, abandoned, cells, cellsSaved atomic.Int64
-	var boundNS, matchNS, dpNS atomic.Int64
 	workers := c.workers
 	if p.Workers > 0 {
 		workers = p.Workers
 	}
-	queue := candQueue(cands)
-	queue.init()
-	// next pops the next candidate in visit order, or reports the visit
-	// over: the queue is empty, or its least bound exceeds the threshold
-	// and the whole tail is counted as pruned by its ordering bound (see
-	// searchPrepared). With a NaN bound queued the tail is never counted:
-	// NaNs sit at its end and must be visited. paa reports that the
-	// candidate is ordered by its sketch bound.
-	next := func() (cd candidate, paa, ok bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(queue) == 0 {
-			return candidate{}, false, false
-		}
-		if nans == 0 && exceeds(queue[0].key, threshold.Load()) {
-			prunedSketch.Add(int64(paaLeft))
-			prunedKim.Add(int64(len(queue) - paaLeft))
-			queue = queue[:0]
-			return candidate{}, false, false
-		}
-		cd = queue.pop()
-		if paa = useSketch && c.meta[cd.pos].n == qn; paa {
-			paaLeft--
-		}
-		return cd, paa, true
+	v.queue.init()
+	if sc.step == nil {
+		sc.step = v.step
 	}
-	parallelFor(ctx, workers, len(cands), &stop, func(int) {
-		cd, paa, ok := next()
-		if !ok {
-			stop.Store(true)
-			return
-		}
-		// Stage 0: the precomputed LB_PAA sketch bound, checked before
-		// LB_Kim. Pruning here costs O(1) and touches neither the raw
-		// values nor the full envelope.
-		if paa {
-			if exceeds(cd.key, threshold.Load()) {
-				prunedSketch.Add(1)
-				return
-			}
-			// The ordering pass computed no LB_Kim for a sketch-ordered
-			// candidate; the same call on the same metadata gives the bits
-			// it would have.
-			kim, err := kimBound(query.Values, c.meta[cd.pos])
-			if err != nil {
-				fail(fmt.Errorf("LB_Kim to %q: %w", c.data[cd.pos].ID, err))
-				return
-			}
-			if kim > threshold.Load() {
-				prunedKim.Add(1)
-				return
-			}
-		} else if exceeds(cd.key, threshold.Load()) {
-			prunedKim.Add(1) // the ordering bound is LB_Kim
-			return
-		}
-		if env := c.envelopes[cd.pos]; len(env.Upper) == len(query.Values) {
-			// The active threshold rides into the bound itself: the partial
-			// Keogh sum is a valid lower bound, so summation abandons the
-			// moment it proves the candidate prunable. Abandonment implies
-			// the partial sum exceeded a threshold no looser than the
-			// current one (it only tightens), so the skip decision matches
-			// the full evaluation's. The A/B switch that disables DP
-			// abandonment disables this too, so the baseline leg measures
-			// full bound evaluation.
-			kgBudget := math.Inf(1)
-			if abandon {
-				kgBudget = threshold.Load()
-			}
-			kgStart := monotonic()
-			kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, kgBudget, nil)
-			boundNS.Add(int64(monotonic() - kgStart))
-			if err != nil {
-				fail(fmt.Errorf("LB_Keogh to %q: %w", c.data[cd.pos].ID, err))
-				return
-			}
-			if kgAbandoned || kg > threshold.Load() {
-				prunedKeogh.Add(1)
-				return
-			}
-		}
-		// The candidate survived every bound: only now read its series,
-		// and materialise its raw values and features if they are still
-		// cold. The slot caches, so each series pays the disk read and the
-		// extraction at most once, across every copy of the core.
-		s := c.data[cd.pos]
-		vals, f, err := c.entry(cd.pos)
-		if err != nil {
-			fail(fmt.Errorf("loading values of %q: %w", s.ID, err))
-			return
-		}
-		s.Values = vals
-		// Stage 3: the dynamic program itself, early-abandoning against
-		// the shared threshold. The threshold only ever decreases, so a
-		// stale read yields a looser budget — extra rows filled, never a
-		// wrong result. Abandonment is strict (> budget), so a candidate
-		// tying the k-th distance is always evaluated fully.
-		budget := math.Inf(1)
-		if abandon {
-			budget = threshold.Load()
-		}
-		res, err := c.backend.Distance(ctx, query, s, f, budget)
-		if err != nil {
-			fail(fmt.Errorf("distance to %q: %w", s.ID, err))
-			return
-		}
-		evaluated.Add(1)
-		cells.Add(int64(res.CellsFilled))
-		matchNS.Add(int64(res.MatchTime))
-		dpNS.Add(int64(res.DPTime))
-		if res.Abandoned {
-			// The partial cost already exceeds the pruning threshold (and
-			// the threshold can only have tightened since), so the
-			// candidate cannot enter the heap.
-			abandoned.Add(1)
-			cellsSaved.Add(int64(res.BandCells - res.CellsFilled))
-			return
-		}
-		if res.Distance > limit {
-			// Outside the caller's range limit; not a result.
-			return
-		}
-
-		nb := Neighbor{Pos: cd.pos, ID: s.ID, Label: s.Label, Distance: res.Distance}
-		mu.Lock()
-		if len(best) < k {
-			heap.Push(&best, nb)
-		} else if best.worseThan(nb) {
-			best[0] = nb
-			heap.Fix(&best, 0)
-		}
-		if tightenAt > 0 && len(best) == tightenAt {
-			// tightenAt fully-evaluated distances bound the k-th best from
-			// above — for this collection, and (when tightenAt is the full
-			// requested K) for any union of shards, so a shared threshold
-			// tightens admissibly across shards too.
-			threshold.Tighten(best[0].Distance)
-		}
-		mu.Unlock()
-	})
-	stats.PrunedSketch = int(prunedSketch.Load())
-	stats.PrunedKim = int(prunedKim.Load())
-	stats.PrunedKeogh = int(prunedKeogh.Load())
-	stats.Evaluated = int(evaluated.Load())
-	stats.AbandonedDTW = int(abandoned.Load())
-	stats.CellsSaved = int(cellsSaved.Load())
-	stats.Cells = int(cells.Load())
-	stats.BoundTime += time.Duration(boundNS.Load())
-	stats.MatchTime = time.Duration(matchNS.Load())
-	stats.DPTime = time.Duration(dpNS.Load())
+	parallelFor(ctx, workers, len(cands), &v.stop, sc.step)
+	stats.PrunedSketch = int(v.prunedSketch.Load())
+	stats.PrunedKim = int(v.prunedKim.Load())
+	stats.PrunedKeogh = int(v.prunedKeogh.Load())
+	stats.Evaluated = int(v.evaluated.Load())
+	stats.AbandonedDTW = int(v.abandoned.Load())
+	stats.CellsSaved = int(v.cellsSaved.Load())
+	stats.Cells = int(v.cells.Load())
+	stats.BoundTime += time.Duration(v.boundNS.Load())
+	stats.MatchTime = time.Duration(v.matchNS.Load())
+	stats.DPTime = time.Duration(v.dpNS.Load())
 	stats.WallTime = time.Since(start)
 	// A cancelled context outranks the per-candidate errors it provoked:
 	// the caller asked the search to stop, and that is the answer.
 	if err := ctxErr(ctx); err != nil {
 		return nil, stats, err
 	}
-	if firstErr != nil {
-		return nil, stats, firstErr
+	if v.firstErr != nil {
+		return nil, stats, v.firstErr
 	}
 
-	out := []Neighbor(best)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Distance != out[b].Distance {
-			return out[a].Distance < out[b].Distance
+	out := []Neighbor(v.best)
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		if a.Distance != b.Distance {
+			if a.Distance < b.Distance {
+				return -1
+			}
+			return 1
 		}
-		return out[a].Pos < out[b].Pos
+		return cmp.Compare(a.Pos, b.Pos)
 	})
 	stats.WallTime = time.Since(start)
 	return out, stats, nil
+}
+
+// visitState is what the workers of one search's visit share: the
+// candidate queue and the k-heap under mu (held only to pop a candidate
+// and to update the heap), the per-stage counters, the first error and
+// the stop flag, the pruning threshold — the tighter of the k-th best
+// distance and the caller's range limit — and the search's read-only
+// inputs. It lives in the pooled searchScratch, so the visit's workers
+// share one pointer and nothing of it is allocated per search.
+type visitState struct {
+	mu       sync.Mutex // guards best, firstErr, queue and paaLeft
+	best     bestK
+	firstErr error
+	queue    candQueue
+	// paaLeft counts the queued candidates carrying a sketch bound; nans
+	// counts the NaN bounds, which forbid the bulk prune.
+	paaLeft, nans int
+	// stop ends the visit: raised on the first error, and once the queue
+	// is drained or its tail counted.
+	stop atomic.Bool
+	// The per-stage counts and stage times, added to without the lock.
+	prunedSketch, prunedKim, prunedKeogh, evaluated, abandoned atomic.Int64
+	cells, cellsSaved, boundNS, matchNS, dpNS                  atomic.Int64
+	// threshold is the pruning threshold: the caller's shared one, or
+	// private.
+	threshold *SharedThreshold
+	private   SharedThreshold
+
+	// The search's read-only inputs.
+	c                  *Core
+	ctx                context.Context
+	query              Query
+	limit              float64
+	k, tightenAt       int
+	useSketch, abandon bool
+}
+
+// fail records err as the visit's error, if it is the first, and stops
+// the visit.
+func (v *visitState) fail(err error) {
+	v.mu.Lock()
+	if v.firstErr == nil {
+		v.firstErr = err
+	}
+	v.mu.Unlock()
+	v.stop.Store(true)
+}
+
+// next pops the next candidate in visit order, or reports the visit
+// over: the queue is empty, or its least bound exceeds the threshold and
+// the whole tail is counted as pruned by its ordering bound (see
+// searchPrepared). With a NaN bound queued the tail is never counted:
+// NaNs sit at its end and must be visited. paa reports that the
+// candidate is ordered by its sketch bound.
+func (v *visitState) next() (cd candidate, paa, ok bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.queue) == 0 {
+		return candidate{}, false, false
+	}
+	if v.nans == 0 && exceeds(v.queue[0].key, v.threshold.Load()) {
+		v.prunedSketch.Add(int64(v.paaLeft))
+		v.prunedKim.Add(int64(len(v.queue) - v.paaLeft))
+		v.queue = v.queue[:0]
+		return candidate{}, false, false
+	}
+	cd = v.queue.pop()
+	if paa = v.useSketch && v.c.meta[cd.pos].n == len(v.query.Values); paa {
+		v.paaLeft--
+	}
+	return cd, paa, true
+}
+
+// step visits the next candidate: it runs the cascade's stages on it and
+// offers a survivor's distance to the k-heap.
+func (v *visitState) step(int) {
+	c, query, threshold := v.c, v.query, v.threshold
+	cd, paa, ok := v.next()
+	if !ok {
+		v.stop.Store(true)
+		return
+	}
+	// Stage 0: the precomputed LB_PAA sketch bound, checked before
+	// LB_Kim. Pruning here costs O(1) and touches neither the raw
+	// values nor the full envelope.
+	if paa {
+		if exceeds(cd.key, threshold.Load()) {
+			v.prunedSketch.Add(1)
+			return
+		}
+		// The ordering pass computed no LB_Kim for a sketch-ordered
+		// candidate; the same call on the same metadata gives the bits
+		// it would have.
+		kim, err := kimBound(query.Values, c.meta[cd.pos])
+		if err != nil {
+			v.fail(fmt.Errorf("LB_Kim to %q: %w", c.data[cd.pos].ID, err))
+			return
+		}
+		if kim > threshold.Load() {
+			v.prunedKim.Add(1)
+			return
+		}
+	} else if exceeds(cd.key, threshold.Load()) {
+		v.prunedKim.Add(1) // the ordering bound is LB_Kim
+		return
+	}
+	if env := c.envelopes[cd.pos]; len(env.Upper) == len(query.Values) {
+		// The active threshold rides into the bound itself: the partial
+		// Keogh sum is a valid lower bound, so summation abandons the
+		// moment it proves the candidate prunable. Abandonment implies
+		// the partial sum exceeded a threshold no looser than the
+		// current one (it only tightens), so the skip decision matches
+		// the full evaluation's. The A/B switch that disables DP
+		// abandonment disables this too, so the baseline leg measures
+		// full bound evaluation.
+		kgBudget := math.Inf(1)
+		if v.abandon {
+			kgBudget = threshold.Load()
+		}
+		kgStart := monotonic()
+		kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, kgBudget, nil)
+		v.boundNS.Add(int64(monotonic() - kgStart))
+		if err != nil {
+			v.fail(fmt.Errorf("LB_Keogh to %q: %w", c.data[cd.pos].ID, err))
+			return
+		}
+		if kgAbandoned || kg > threshold.Load() {
+			v.prunedKeogh.Add(1)
+			return
+		}
+	}
+	// The candidate survived every bound: only now read its series,
+	// and materialise its raw values and features if they are still
+	// cold. The slot caches, so each series pays the disk read and the
+	// extraction at most once, across every copy of the core.
+	s := c.data[cd.pos]
+	vals, f, err := c.entry(cd.pos)
+	if err != nil {
+		v.fail(fmt.Errorf("loading values of %q: %w", s.ID, err))
+		return
+	}
+	s.Values = vals
+	// Stage 3: the dynamic program itself, early-abandoning against
+	// the shared threshold. The threshold only ever decreases, so a
+	// stale read yields a looser budget — extra rows filled, never a
+	// wrong result. Abandonment is strict (> budget), so a candidate
+	// tying the k-th distance is always evaluated fully.
+	budget := math.Inf(1)
+	if v.abandon {
+		budget = threshold.Load()
+	}
+	res, err := c.backend.Distance(v.ctx, query, s, f, budget)
+	if err != nil {
+		v.fail(fmt.Errorf("distance to %q: %w", s.ID, err))
+		return
+	}
+	v.evaluated.Add(1)
+	v.cells.Add(int64(res.CellsFilled))
+	v.matchNS.Add(int64(res.MatchTime))
+	v.dpNS.Add(int64(res.DPTime))
+	if res.Abandoned {
+		// The partial cost already exceeds the pruning threshold (and
+		// the threshold can only have tightened since), so the
+		// candidate cannot enter the heap.
+		v.abandoned.Add(1)
+		v.cellsSaved.Add(int64(res.BandCells - res.CellsFilled))
+		return
+	}
+	if res.Distance > v.limit {
+		// Outside the caller's range limit; not a result.
+		return
+	}
+
+	nb := Neighbor{Pos: cd.pos, ID: s.ID, Label: s.Label, Distance: res.Distance}
+	v.mu.Lock()
+	if len(v.best) < v.k {
+		// heap.Push without boxing nb: Fix at the last index sifts up.
+		v.best = append(v.best, nb)
+		heap.Fix(&v.best, len(v.best)-1)
+	} else if v.best.worseThan(nb) {
+		v.best[0] = nb
+		heap.Fix(&v.best, 0)
+	}
+	if v.tightenAt > 0 && len(v.best) == v.tightenAt {
+		// tightenAt fully-evaluated distances bound the k-th best from
+		// above — for this collection, and (when tightenAt is the full
+		// requested K) for any union of shards, so a shared threshold
+		// tightens admissibly across shards too.
+		threshold.Tighten(v.best[0].Distance)
+	}
+	v.mu.Unlock()
 }
 
 // SearchBatch answers one search per entry of queries, parallelising

@@ -95,7 +95,7 @@ func TestSmoothReducesVariance(t *testing.T) {
 		}
 		return ss / float64(len(u))
 	}
-	s := Smooth(v, 3)
+	s := Convolve(v, Kernel(3))
 	if variance(s) >= variance(v) {
 		t.Fatalf("smoothing did not reduce variance: %v vs %v", variance(s), variance(v))
 	}
@@ -103,7 +103,7 @@ func TestSmoothReducesVariance(t *testing.T) {
 
 func TestSmoothZeroSigmaCopies(t *testing.T) {
 	v := []float64{1, 2, 3}
-	s := Smooth(v, 0)
+	s := Convolve(v, Kernel(0))
 	for i := range v {
 		if s[i] != v[i] {
 			t.Fatalf("zero-σ smooth altered input")
@@ -122,7 +122,7 @@ func TestSmoothPreservesMeanApproximately(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		s := Smooth(v, 2)
+		s := Convolve(v, Kernel(2))
 		var mv, ms float64
 		for i := range v {
 			mv += v[i]
@@ -137,20 +137,39 @@ func TestSmoothPreservesMeanApproximately(t *testing.T) {
 	}
 }
 
+// TestDownsample checks that each octave after the first is smoothed
+// from every second sample of its predecessor's level s, an odd length
+// keeping its last sample.
 func TestDownsample(t *testing.T) {
-	v := []float64{0, 1, 2, 3, 4, 5, 6}
-	d := Downsample(v)
-	want := []float64{0, 2, 4, 6}
-	if len(d) != len(want) {
-		t.Fatalf("Downsample length = %d, want %d", len(d), len(want))
+	v := make([]float64, 29)
+	for i := range v {
+		v[i] = math.Sin(float64(i) / 3)
+	}
+	p, err := Build(v, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Octaves) < 2 {
+		t.Fatalf("%d octaves, want at least 2", len(p.Octaves))
+	}
+	prev, next := p.Octaves[0], p.Octaves[1]
+	if next.Stride != 2 {
+		t.Fatalf("octave 1 stride = %d, want 2", next.Stride)
+	}
+	fine := prev.Gauss[p.Cfg.Levels].Values
+	base := make([]float64, 15)
+	for i := range base {
+		base[i] = fine[2*i]
+	}
+	want := Convolve(base, Kernel(p.Cfg.BaseSigma))
+	got := next.Gauss[0].Values
+	if len(got) != len(want) {
+		t.Fatalf("octave 1 has %d samples, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("Downsample = %v, want %v", d, want)
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("octave 1 sample %d = %v, want %v", i, got[i], want[i])
 		}
-	}
-	if len(Downsample([]float64{9})) != 1 {
-		t.Fatal("single-sample downsample wrong")
 	}
 }
 

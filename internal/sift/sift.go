@@ -12,9 +12,11 @@
 package sift
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"sdtw/internal/scalespace"
 )
@@ -191,16 +193,26 @@ func (c Config) withDefaults() (Config, error) {
 
 // Extract detects salient features on v and computes their descriptors.
 // Features are returned sorted by temporal position.
+//
+// The scale-space pyramid is built in a pooled workspace, so a call
+// allocates only what it returns: the features and their descriptor
+// block.
 func Extract(v []float64, cfg Config) ([]Feature, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	pyr, err := scalespace.Build(v, cfg.ScaleSpace)
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	pyr, err := ws.pyramid.Build(v, cfg.ScaleSpace)
 	if err != nil {
 		return nil, err
 	}
-	return ExtractFromPyramid(v, pyr, cfg)
+	// cfg is defaulted a second time, as ExtractFromPyramid does to the
+	// configuration Extract hands it: a negative Epsilon, defaulted to 0
+	// above, becomes the default 0.10 here.
+	cfg, _ = cfg.withDefaults()
+	return ws.extract(v, pyr, cfg), nil
 }
 
 // ExtractFromPyramid runs detection and description over an existing
@@ -211,9 +223,30 @@ func ExtractFromPyramid(v []float64, pyr *scalespace.Pyramid, cfg Config) ([]Fea
 	if err != nil {
 		return nil, err
 	}
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return ws.extract(v, pyr, cfg), nil
+}
+
+// workspace is the scratch of one extraction: the pyramid's buffers, the
+// detected keypoints before the cap, and the descriptor window's
+// Gaussian weights.
+type workspace struct {
+	pyramid scalespace.Workspace
+	feats   []Feature
+	weights []float64
+}
+
+// workspaces recycles extraction scratch across calls and goroutines.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// extract runs detection and description over pyr under the defaulted
+// cfg. The features and their descriptor block are fresh allocations;
+// everything else is ws's.
+func (ws *workspace) extract(v []float64, pyr *scalespace.Pyramid, cfg Config) []Feature {
 	maxResp := maxAbsDoG(pyr)
 	minResp := cfg.ContrastThreshold * maxResp
-	var feats []Feature
+	feats := ws.feats[:0]
 	for _, oct := range pyr.Octaves {
 		// Interior DoG levels have scale neighbours on both sides.
 		for l := 1; l+1 < len(oct.DoG); l++ {
@@ -236,65 +269,76 @@ func ExtractFromPyramid(v []float64, pyr *scalespace.Pyramid, cfg Config) ([]Fea
 					Response: val,
 				}
 				f.Scope = 3 * f.Sigma
-				f.Amplitude = scopeAmplitude(v, f)
 				feats = append(feats, f)
 			}
 		}
 	}
-	feats = capFeatures(feats, cfg.MaxFeatures)
-	sort.Slice(feats, func(a, b int) bool {
-		if feats[a].X != feats[b].X {
-			return feats[a].X < feats[b].X
-		}
-		return feats[a].Sigma < feats[b].Sigma
-	})
-	// Describe only the survivors, in their final order, into one block:
-	// one allocation per series instead of one per detected keypoint, and
-	// the layout the matcher's blocked distance kernel reads sequentially.
-	bins := cfg.DescriptorBins
-	block := make([]float64, len(feats)*bins)
-	for k := range feats {
-		f := &feats[k]
-		oct := &pyr.Octaves[f.Octave] // Octaves[o].Index == o by construction
-		f.Descriptor = block[k*bins : (k+1)*bins : (k+1)*bins]
-		describe(f.Descriptor, oct.Gauss[f.Level].Values, f.X/oct.Stride, cfg)
+	ws.feats = feats
+	if len(feats) == 0 {
+		return nil
 	}
-	return feats, nil
+	feats = capFeatures(feats, cfg.MaxFeatures)
+	slices.SortFunc(feats, func(a, b Feature) int {
+		if a.X != b.X {
+			return cmp.Compare(a.X, b.X)
+		}
+		return compareLess(a.Sigma, b.Sigma)
+	})
+	// Measure and describe only the survivors, in their final order, with
+	// the descriptors in one block: one allocation per series instead of
+	// one per detected keypoint, and the layout the matcher's blocked
+	// distance kernel reads sequentially.
+	bins := cfg.DescriptorBins
+	out := make([]Feature, len(feats))
+	block := make([]float64, len(feats)*bins)
+	weights := ws.windowWeights(cfg)
+	for k, f := range feats {
+		oct := &pyr.Octaves[f.Octave] // Octaves[o].Index == o by construction
+		f.Amplitude = scopeAmplitude(v, f)
+		f.Descriptor = block[k*bins : (k+1)*bins : (k+1)*bins]
+		describe(f.Descriptor, oct.Gauss[f.Level].Values, f.X/oct.Stride, weights, cfg)
+		out[k] = f
+	}
+	return out
+}
+
+// compareLess orders a before b exactly when a < b, and otherwise
+// reports them equal: the order of a less function on floats, NaN
+// included, as a three-way comparison.
+func compareLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // capFeatures keeps at most limit features, allocating each octave a share
 // proportional to its detected population (at least one per non-empty
-// octave) and keeping the strongest |Response| within each octave.
+// octave) and keeping the strongest |Response| within each octave. The
+// features arrive grouped by octave in ascending order, as detection
+// emits them; each group is ranked in place and its kept head moved down
+// over the dropped tails before it.
 func capFeatures(feats []Feature, limit int) []Feature {
 	if limit <= 0 || len(feats) <= limit {
 		return feats
 	}
-	byOct := make(map[int][]Feature)
-	maxOct := 0
-	for _, f := range feats {
-		byOct[f.Octave] = append(byOct[f.Octave], f)
-		if f.Octave > maxOct {
-			maxOct = f.Octave
-		}
-	}
 	total := len(feats)
 	kept := feats[:0]
-	for oct := 0; oct <= maxOct; oct++ {
-		group := byOct[oct]
-		if len(group) == 0 {
-			continue
+	for start := 0; start < total; {
+		end := start + 1
+		for end < total && feats[end].Octave == feats[start].Octave {
+			end++
 		}
-		quota := limit * len(group) / total
-		if quota < 1 {
-			quota = 1
-		}
-		if quota > len(group) {
-			quota = len(group)
-		}
-		sort.Slice(group, func(a, b int) bool {
-			return math.Abs(group[a].Response) > math.Abs(group[b].Response)
+		group := feats[start:end]
+		quota := min(max(limit*len(group)/total, 1), len(group))
+		slices.SortFunc(group, func(a, b Feature) int {
+			return compareLess(math.Abs(b.Response), math.Abs(a.Response))
 		})
 		kept = append(kept, group[:quota]...)
+		start = end
 	}
 	return kept
 }
@@ -304,75 +348,75 @@ func capFeatures(feats []Feature, limit int) []Feature {
 // when it is a maximum (or, symmetrically, a minimum) relative to all eight
 // neighbours up to the (1−ε) slack.
 func isRelaxedExtremum(val float64, i int, d, below, above []float64, eps float64) bool {
-	slack := 1 - eps
-	isMax, isMin := true, true
-	check := func(nb float64) {
-		// Maximum test with slack: val must be >= slack·nb for positive
-		// neighbours, and simply >= nb when the neighbour is negative
-		// (slack would make the test easier in the wrong direction).
-		if nb > 0 {
-			if val < slack*nb {
-				isMax = false
-			}
-		} else if val < nb {
-			isMax = false
-		}
-		// Minimum test, mirrored.
-		if nb < 0 {
-			if val > slack*nb {
-				isMin = false
-			}
-		} else if val > nb {
-			isMin = false
-		}
+	if val == 0 || math.IsNaN(val) {
+		return false // neither a peak nor a dip
 	}
-	for off := -1; off <= 1; off++ {
+	slack := 1 - eps
+	ok := true
+	for off := -1; off <= 1 && ok; off++ {
 		j := i + off
 		if off != 0 {
-			check(d[j])
+			ok = extremumAgainst(val, d[j], slack)
 		}
-		if j >= 0 && j < len(below) {
-			check(below[j])
+		if ok && j >= 0 && j < len(below) {
+			ok = extremumAgainst(val, below[j], slack)
 		}
-		if j >= 0 && j < len(above) {
-			check(above[j])
+		if ok && j >= 0 && j < len(above) {
+			ok = extremumAgainst(val, above[j], slack)
 		}
 	}
+	return ok
+}
+
+// extremumAgainst reports whether val, positive or negative, passes the
+// relaxed test against one neighbour nb: a positive val must be at least
+// slack·nb when nb is positive, and simply at least nb otherwise (slack
+// would make the test easier in the wrong direction); a negative val is
+// tested as the mirrored minimum.
+func extremumAgainst(val, nb, slack float64) bool {
 	if val > 0 {
-		return isMax
+		if nb > 0 {
+			return !(val < slack*nb)
+		}
+		return !(val < nb)
 	}
-	if val < 0 {
-		return isMin
+	if nb < 0 {
+		return !(val > slack*nb)
 	}
-	return false
+	return !(val > nb)
+}
+
+// windowWeights returns the Gaussian weight of each of the window's
+// samples under cfg, window offset t at index t+half: the expression
+// describe evaluated per sample, evaluated once per call.
+func (ws *workspace) windowWeights(cfg Config) []float64 {
+	window := cfg.DescriptorBins / 2 * cfg.CellWidth
+	half := window / 2
+	// Gaussian weighting with σ = half the window, as in SIFT.
+	wSigma := float64(window) / 2
+	w := slices.Grow(ws.weights[:0], window)[:window]
+	for t := -half; t < window-half; t++ {
+		w[t+half] = math.Exp(-0.5 * float64(t*t) / (wSigma * wSigma))
+	}
+	ws.weights = w
+	return w
 }
 
 // describe builds, into the zeroed desc (len = DescriptorBins), the
 // gradient-histogram descriptor around sample i of the octave-resolution
 // smoothed series g (paper §3.1.2 step 2, Fig 5b).
 // The window spans cells·CellWidth samples centred at i; each cell
-// accumulates Gaussian-weighted positive gradient magnitude into its first
-// bin and negative magnitude into its second.
-func describe(desc, g []float64, i int, cfg Config) {
-	cells := cfg.DescriptorBins / 2
-	window := cells * cfg.CellWidth
-	half := window / 2
+// accumulates Gaussian-weighted (weights, see windowWeights) positive
+// gradient magnitude into its first bin and negative magnitude into its
+// second.
+func describe(desc, g []float64, i int, weights []float64, cfg Config) {
 	if len(g) < 3 {
 		return
 	}
-	// Gaussian weighting with σ = half the window, as in SIFT.
-	wSigma := float64(window) / 2
-	for t := -half; t < window-half; t++ {
-		pos := i + t
-		grad := gradientAt(g, pos)
-		w := math.Exp(-0.5 * float64(t*t) / (wSigma * wSigma))
-		cell := (t + half) / cfg.CellWidth
-		if cell < 0 {
-			cell = 0
-		}
-		if cell >= cells {
-			cell = cells - 1
-		}
+	lo := i - len(weights)/2 // the window's first sample
+	for u, w := range weights {
+		grad := gradientAt(g, lo+u)
+		cell := u / cfg.CellWidth
 		if grad >= 0 {
 			desc[2*cell] += float64(w * grad)
 		} else {
