@@ -35,7 +35,9 @@ type HubOption func(*hubConfig)
 
 // WithStreamBuffer sets the per-stream pending-point capacity: a
 // PushBatch that would exceed it reports ErrHubBackpressure and consumes
-// nothing. n <= 0 keeps the default (4096 points).
+// nothing. The buffers grow on demand up to it, so a stream holds memory
+// for the points it actually has pending. n <= 0 keeps the default (4096
+// points).
 func WithStreamBuffer(n int) HubOption {
 	return func(c *hubConfig) { c.streamBuffer = n }
 }

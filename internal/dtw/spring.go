@@ -90,7 +90,10 @@ type SpringConfig struct {
 	// side's Best is <= Threshold, the filtered and the plain spring agree
 	// bit for bit, but above it the filtered Best may stop at an earlier
 	// optimum or hold a stale dead cell. Arm it only when thresholded
-	// emission is the output.
+	// emission is the output. A caller that has proved a run of points
+	// dead without looking at each one per spring — a fleet hub, from
+	// its queries' joint value range and largest threshold — consumes
+	// the run with SkipRun, one call for the whole run.
 	Prefilter bool
 }
 
@@ -492,3 +495,32 @@ func (sp *Spring) Cells() int64 { return sp.cells }
 // Skipped returns the stream points AppendFiltered consumed without
 // advancing the column — the time-domain prefilter's O(|q|)→O(1) wins.
 func (sp *Spring) Skipped() int64 { return sp.skipped }
+
+// SkipRun consumes a run of n >= 1 stream points that the caller has
+// proved dead for this spring — points AppendFiltered would each skip —
+// in one call: it is exactly n skip steps. The first clears the live
+// rows and confirms the pending match, if any (returned here, as the
+// first skipped AppendFiltered would return it); after it the column is
+// all-dead and nothing is pending, so the other n−1 steps only count the
+// points.
+//
+// A fleet hub proves a run dead for many springs at once from their
+// joint value range and largest threshold (see internal/hub), so a dead
+// stretch costs one call per spring instead of one per point.
+//
+//sdtw:hotpath
+func (sp *Spring) SkipRun(n int) (SubsequenceMatch, bool) {
+	m, ok := sp.skip()
+	sp.t += n - 1
+	sp.skipped += int64(n - 1)
+	return m, ok
+}
+
+// Prefilter reports the constants of the time-domain prefilter: the
+// query's value range [qmin, qmax] and the threshold a point's cheapest
+// alignment cost must exceed to be skipped. armed is false when
+// AppendFiltered degrades to Append (see SpringConfig.Prefilter); the
+// other results are then meaningless.
+func (t *SpringTemplate) Prefilter() (qmin, qmax, threshold float64, armed bool) {
+	return t.qmin, t.qmax, t.threshold, t.filter
+}

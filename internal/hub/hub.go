@@ -9,7 +9,11 @@
 // time-domain prefilter skips the column advance entirely for stream
 // points provably outside every emittable match and whose row pruning
 // fills only the rows of a column that can still reach the threshold —
-// so a point costs the live rows of each column, not Σ|q| cells.
+// so a point costs the live rows of each column, not Σ|q| cells. A run
+// of points dead for every query at once — outside the fleet's joint
+// value range by more than its largest threshold (see fleetRange) — is
+// found by one scan of each stolen chunk and costs one step per query,
+// not one per point per query.
 //
 // Concurrency model:
 //
@@ -34,7 +38,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -124,7 +128,8 @@ type Stats struct {
 // Config parameterises a Hub. The zero value selects the defaults.
 type Config struct {
 	// StreamBuffer is the per-stream pending-point capacity before
-	// PushBatch reports ErrHubBackpressure. Zero means 4096.
+	// PushBatch reports ErrHubBackpressure. The pending and worker-side
+	// buffers start empty and grow on demand up to it. Zero means 4096.
 	StreamBuffer int
 	// MatchBuffer is the Matches channel capacity. Zero means 1024.
 	MatchBuffer int
@@ -190,6 +195,70 @@ func (q *query) put(sp *dtw.Spring) {
 	q.arena.mu.Unlock()
 }
 
+// fleetRange holds the prefilter constants of every registered query at
+// once: lo is the least query minimum, hi the greatest query maximum and
+// theta the greatest threshold. A point v is fleet-dead when
+//
+//	v > hi && (v−hi)² > theta   or   v < lo && (lo−v)² > theta,
+//
+// and a fleet-dead point is dead for every query, so each query's
+// AppendFiltered would skip it. Take v > hi (the other side mirrors it)
+// and a query with range [qmin, qmax] and threshold θ: v > hi >= qmax,
+// so the query takes the same v > qmax branch; floating-point
+// subtraction rounds monotonically, so v−qmax >= v−hi >= 0 as computed,
+// and so does squaring a non-negative value, so (v−qmax)² >= (v−hi)² >
+// theta >= θ as computed — exactly the query's own test, passed. ±Inf
+// points are fleet-dead, NaN points never are (they compare false). The
+// argument needs every query's filter armed; the hub refuses infinite
+// thresholds and non-finite values, so it always is, and armed is false
+// (no point is fleet-dead) only for an empty query set.
+type fleetRange struct {
+	lo, hi, theta float64
+	armed         bool
+}
+
+// fleetRangeOf builds the fleet range of a query set.
+func fleetRangeOf(queries []*query) fleetRange {
+	var r fleetRange
+	for i, q := range queries {
+		qmin, qmax, thr, armed := q.tpl.Prefilter()
+		if !armed {
+			return fleetRange{}
+		}
+		if i == 0 {
+			r = fleetRange{lo: qmin, hi: qmax, theta: thr, armed: true}
+			continue
+		}
+		r.lo, r.hi, r.theta = min(r.lo, qmin), max(r.hi, qmax), max(r.theta, thr)
+	}
+	return r
+}
+
+// dead reports whether v is fleet-dead.
+//
+//sdtw:hotpath
+func (r *fleetRange) dead(v float64) bool {
+	if v > r.hi {
+		dd := v - r.hi
+		return dd*dd > r.theta
+	}
+	if v < r.lo {
+		dd := r.lo - v
+		return dd*dd > r.theta
+	}
+	return false
+}
+
+// deadRun is a maximal run chunk[start:end] of fleet-dead points.
+type deadRun struct{ start, end int }
+
+// emission is one buffered match and its query's addition sequence, the
+// tie-break deliver orders by.
+type emission struct {
+	Match
+	seq int
+}
+
 // qslot binds one stream to one query's state.
 type qslot struct {
 	q  *query
@@ -205,7 +274,7 @@ type stream struct {
 	id string
 
 	mu        sync.Mutex // guards buf, scheduled, closing, finalized
-	buf       []float64  // pending points, capacity = Config.StreamBuffer
+	buf       []float64  // pending points, at most Config.StreamBuffer
 	proc      []float64  // worker-side buffer, swapped with buf on steal
 	scheduled bool
 	closing   bool
@@ -215,8 +284,9 @@ type stream struct {
 	// paths holding the hub closed), never concurrently.
 	version uint64
 	states  []qslot
-	emit    []Match
-	pos     int // absolute stream position = points fully processed
+	emit    []emission
+	runs    []deadRun // fleet-dead runs of the chunk being processed
+	pos     int       // absolute stream position = points fully processed
 
 	processed atomic.Int64
 }
@@ -226,6 +296,7 @@ type state struct {
 	version uint64
 	streams map[string]*stream
 	queries []*query
+	fleet   fleetRange // of queries, rebuilt with them
 }
 
 // Hub is the multi-stream engine. See the package comment for the
@@ -328,13 +399,9 @@ func (h *Hub) AddQuery(q Query) error {
 		}
 	}
 	h.qseq++
-	next := &state{
-		version: old.version + 1,
-		streams: old.streams,
-		queries: append(append(make([]*query, 0, len(old.queries)+1), old.queries...),
-			&query{id: q.ID, seq: h.qseq, tpl: tpl}),
-	}
-	h.state.Store(next)
+	queries := append(append(make([]*query, 0, len(old.queries)+1), old.queries...),
+		&query{id: q.ID, seq: h.qseq, tpl: tpl})
+	h.state.Store(&state{version: old.version + 1, streams: old.streams, queries: queries, fleet: fleetRangeOf(queries)})
 	return nil
 }
 
@@ -361,12 +428,13 @@ func (h *Hub) RemoveQuery(id string) error {
 	queries := make([]*query, 0, len(old.queries)-1)
 	queries = append(queries, old.queries[:at]...)
 	queries = append(queries, old.queries[at+1:]...)
-	h.state.Store(&state{version: old.version + 1, streams: old.streams, queries: queries})
+	h.state.Store(&state{version: old.version + 1, streams: old.streams, queries: queries, fleet: fleetRangeOf(queries)})
 	return nil
 }
 
 // AddStream registers a stream and pre-warms its per-query state from
-// the arenas, so the first pushed point allocates nothing.
+// the arenas. Its point buffers start empty and grow on demand up to
+// Config.StreamBuffer, so an idle or lightly loaded stream holds little.
 func (h *Hub) AddStream(id string) error {
 	if id == "" {
 		return fmt.Errorf("hub: AddStream: empty stream ID: %w", retrieve.ErrDuplicateID)
@@ -380,18 +448,14 @@ func (h *Hub) AddStream(id string) error {
 	if _, dup := old.streams[id]; dup {
 		return fmt.Errorf("hub: AddStream: stream %q already registered: %w", id, retrieve.ErrDuplicateID)
 	}
-	st := &stream{
-		id:   id,
-		buf:  make([]float64, 0, h.cfg.StreamBuffer),
-		proc: make([]float64, 0, h.cfg.StreamBuffer),
-	}
+	st := &stream{id: id}
 	st.attach(old)
 	streams := make(map[string]*stream, len(old.streams)+1)
 	for k, v := range old.streams {
 		streams[k] = v
 	}
 	streams[id] = st
-	h.state.Store(&state{version: old.version, streams: streams, queries: old.queries})
+	h.state.Store(&state{version: old.version, streams: streams, queries: old.queries, fleet: old.fleet})
 	h.live.Add(1)
 	return nil
 }
@@ -449,7 +513,7 @@ func (h *Hub) CloseStream(id string) error {
 			streams[k] = v
 		}
 	}
-	h.state.Store(&state{version: old.version, streams: streams, queries: old.queries})
+	h.state.Store(&state{version: old.version, streams: streams, queries: old.queries, fleet: old.fleet})
 	running := h.running.Load()
 	h.admin.Unlock()
 
@@ -507,7 +571,7 @@ func (h *Hub) PushBatch(streamID string, values []float64) error {
 		st.mu.Unlock()
 		return h.errUnknown(streamID)
 	}
-	if len(st.buf)+len(values) > cap(st.buf) {
+	if len(st.buf)+len(values) > h.cfg.StreamBuffer {
 		pending := len(st.buf)
 		st.mu.Unlock()
 		h.rejected.Add(int64(len(values)))
@@ -673,6 +737,12 @@ func (h *Hub) service(ctx context.Context, st *stream) {
 // process advances every query state of st over one stolen chunk and
 // delivers the confirmed matches. Owner-only (see service).
 //
+// One scan of the chunk first collects its maximal runs of fleet-dead
+// points (see fleetRange). Each query state then consumes a run with one
+// SkipRun — the skips AppendFiltered would have taken point by point,
+// with the same emissions and counts — and the other points through
+// AppendFiltered.
+//
 //sdtw:hotpath
 func (h *Hub) process(ctx context.Context, st *stream, chunk []float64) {
 	snap := h.state.Load()
@@ -680,19 +750,41 @@ func (h *Hub) process(ctx context.Context, st *stream, chunk []float64) {
 		st.attach(snap)
 	}
 	st.emit = st.emit[:0]
+	st.runs = st.runs[:0]
+	if fleet := &snap.fleet; fleet.armed {
+		for i := 0; i < len(chunk); i++ {
+			if !fleet.dead(chunk[i]) {
+				continue
+			}
+			j := i + 1
+			for j < len(chunk) && fleet.dead(chunk[j]) {
+				j++
+			}
+			st.runs = append(st.runs, deadRun{i, j})
+			i = j
+		}
+	}
 	for si := range st.states {
 		slot := &st.states[si]
 		sp := slot.sp
 		appends0 := sp.Points() - int(sp.Skipped())
 		skipped0 := sp.Skipped()
 		emitted0 := len(st.emit)
-		for _, v := range chunk {
+		live := 0
+		for _, r := range st.runs {
+			for _, v := range chunk[live:r.start] {
+				if m, ok := sp.AppendFiltered(v); ok {
+					st.record(slot, m)
+				}
+			}
+			if m, ok := sp.SkipRun(r.end - r.start); ok {
+				st.record(slot, m)
+			}
+			live = r.end
+		}
+		for _, v := range chunk[live:] {
 			if m, ok := sp.AppendFiltered(v); ok {
-				st.emit = append(st.emit, Match{
-					Stream: st.id, Query: slot.q.id,
-					Start: m.Start + slot.base, End: m.End + slot.base,
-					Distance: m.Distance,
-				})
+				st.record(slot, m)
 			}
 		}
 		skipDelta := sp.Skipped() - skipped0
@@ -708,46 +800,46 @@ func (h *Hub) process(ctx context.Context, st *stream, chunk []float64) {
 	h.deliver(ctx, st)
 }
 
+// record buffers one match of slot's query, offset back to absolute
+// stream positions. Owner-only.
+func (st *stream) record(slot *qslot, m dtw.SubsequenceMatch) {
+	st.emit = append(st.emit, emission{
+		Match: Match{
+			Stream: st.id, Query: slot.q.id,
+			Start: m.Start + slot.base, End: m.End + slot.base,
+			Distance: m.Distance,
+		},
+		seq: slot.q.seq,
+	})
+}
+
 // deliver sends the stream's buffered emissions in Monitor order (end
-// position, then query addition order, then start). A cancelled ctx
+// position, then query addition order, then start). The keys are unique:
+// a query confirms at most one match per end position. A cancelled ctx
 // drops the remainder — the hub is shutting down.
 func (h *Hub) deliver(ctx context.Context, st *stream) {
 	if len(st.emit) == 0 {
 		return
 	}
 	ms := st.emit
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].End != ms[j].End {
-			return ms[i].End < ms[j].End
+	slices.SortFunc(ms, func(a, b emission) int {
+		if a.End != b.End {
+			return a.End - b.End
 		}
-		if ms[i].Query != ms[j].Query {
-			return queryLess(st, ms[i].Query, ms[j].Query)
+		if a.seq != b.seq {
+			return a.seq - b.seq
 		}
-		return ms[i].Start < ms[j].Start
+		return a.Start - b.Start
 	})
 	done := ctxDone(ctx)
-	for _, m := range ms {
+	for i := range ms {
 		select {
-		case h.out <- m:
+		case h.out <- ms[i].Match:
 			h.matches.Add(1)
 		case <-done:
 			return
 		}
 	}
-}
-
-// queryLess orders two query IDs by their addition sequence.
-func queryLess(st *stream, a, b string) bool {
-	sa, sb := 0, 0
-	for i := range st.states {
-		if st.states[i].q.id == a {
-			sa = st.states[i].q.seq
-		}
-		if st.states[i].q.id == b {
-			sb = st.states[i].q.seq
-		}
-	}
-	return sa < sb
 }
 
 // finalize confirms st's pending matches (the end-of-stream flush),
@@ -757,11 +849,7 @@ func (h *Hub) finalize(ctx context.Context, st *stream) {
 	for si := range st.states {
 		slot := &st.states[si]
 		if m, ok := slot.sp.Flush(); ok {
-			st.emit = append(st.emit, Match{
-				Stream: st.id, Query: slot.q.id,
-				Start: m.Start + slot.base, End: m.End + slot.base,
-				Distance: m.Distance,
-			})
+			st.record(slot, m)
 			slot.q.matches.Add(1)
 		}
 	}
@@ -798,7 +886,7 @@ func (h *Hub) Flush(ctx context.Context) error {
 	h.flushed = true
 	h.closed.Store(true)
 	snap := h.state.Load()
-	h.state.Store(&state{version: snap.version, streams: map[string]*stream{}, queries: snap.queries})
+	h.state.Store(&state{version: snap.version, streams: map[string]*stream{}, queries: snap.queries, fleet: snap.fleet})
 	h.admin.Unlock()
 
 	// Mark every stream closing and schedule any that are idle.

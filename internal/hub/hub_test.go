@@ -263,6 +263,35 @@ func TestHubPerStreamOrder(t *testing.T) {
 	}
 }
 
+// TestHubOrderAdditionBeforeStart: two matches ending at one position
+// arrive in query addition order even when the later query's match
+// starts first — the order a Monitor sorts its emissions in.
+func TestHubOrderAdditionBeforeStart(t *testing.T) {
+	h := New(Config{})
+	for _, q := range []Query{
+		{ID: "short", Values: []float64{1, 0}, Threshold: 0.01},
+		{ID: "long", Values: []float64{0, 1, 0}, Threshold: 0.01},
+	} {
+		if err := h.AddQuery(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.AddStream("s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.PushBatch("s", []float64{9, 0, 1, 0, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Flush(nil); err != nil {
+		t.Fatal(err)
+	}
+	got := drainAll(t, h)
+	if len(got) != 2 || got[0].Query != "short" || got[1].Query != "long" ||
+		got[0].End != 3 || got[1].End != 3 || got[0].Start != 2 || got[1].Start != 1 {
+		t.Fatalf("got %+v, want short [2,3] then long [1,3]", got)
+	}
+}
+
 // TestHubMidStreamAddQuery: a query added mid-stream starts matching at
 // its addition point and emits absolute stream positions.
 func TestHubMidStreamAddQuery(t *testing.T) {

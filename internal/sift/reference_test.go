@@ -18,11 +18,11 @@ import (
 // weight per sample, over a pyramid from scalespace.Build (which
 // scalespace's TestBuildMatchesReference holds to its own reference).
 
-// refExtract runs the defaults twice, as Extract has always done: once
-// itself and once in ExtractFromPyramid.
+// refExtract builds the pyramid and hands the configuration as given to
+// refExtractFromPyramid, which defaults it once — so a negative Epsilon
+// means strict extrema on both entry points.
 func refExtract(v []float64, cfg Config) ([]Feature, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
+	if _, err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
 	pyr, err := scalespace.Build(v, cfg.ScaleSpace)

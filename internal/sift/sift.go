@@ -208,10 +208,6 @@ func Extract(v []float64, cfg Config) ([]Feature, error) {
 	if err != nil {
 		return nil, err
 	}
-	// cfg is defaulted a second time, as ExtractFromPyramid does to the
-	// configuration Extract hands it: a negative Epsilon, defaulted to 0
-	// above, becomes the default 0.10 here.
-	cfg, _ = cfg.withDefaults()
 	return ws.extract(v, pyr, cfg), nil
 }
 

@@ -125,8 +125,9 @@ type Options struct {
 	// DescriptorBins is the salient descriptor length (even, the paper
 	// sweeps 4–128). Zero means 64.
 	DescriptorBins int
-	// Epsilon is the relaxed-extremum slack ε (§3.1.2). Zero means
-	// 0.0096, the paper's setting.
+	// Epsilon is the relaxed-extremum slack ε (§3.1.2). Zero means the
+	// calibrated default 0.10 (the paper's 0.0096 must be set
+	// explicitly); negative means strict extrema.
 	Epsilon float64
 	// Octaves / Levels control the scale space; zero means the paper's
 	// o = ⌊log2 N⌋ − 6 and s = 2.
