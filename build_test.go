@@ -113,7 +113,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a, b := extractions(serial.engine), extractions(parallel.engine); a != b || a != int64(d.Len()) {
+		if a, b := extractions(serial.family.engine), extractions(parallel.family.engine); a != b || a != int64(d.Len()) {
 			t.Fatalf("extractions %d (serial), %d (parallel); want %d", a, b, d.Len())
 		}
 		for i := range serial.shards {

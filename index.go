@@ -34,11 +34,11 @@ import (
 // a brute-force scan under the same distance would.
 //
 // An Index is safe for concurrent use. Searches run under a read lock;
-// Add and Remove take the write lock, so a mutating index keeps serving
-// queries between mutations.
+// Add and Remove take the write lock only to change the collection (Add
+// derives a series' one-time data before it), so a mutating index keeps
+// serving queries between mutations.
 type Index struct {
 	core   *retrieve.Core
-	engine *Engine // nil for the windowed family
 	family backendFamily
 
 	// Store-backed state (stores is non-nil, holding one store, only for
@@ -67,60 +67,56 @@ type Neighbor = retrieve.Neighbor
 type SearchStats = retrieve.Stats
 
 // backendFamily is one of the two distance families an index is built
-// over — the sDTW engine or windowed exact DTW — reduced to what
-// constructing or opening an index (flat or sharded) needs to know.
+// over — the sDTW engine or windowed exact DTW, both one retrieve.Backend
+// — reduced to what constructing or opening an index (flat or sharded)
+// needs to know. The backend is built once, with the family: it holds no
+// per-series state (each core keeps its series' features itself), so
+// every core of an index, flat or sharded, computes through it.
 type backendFamily struct {
 	// kind is the family's name in a store manifest.
 	kind string
-	// fingerprint identifies the configuration a store must have been
-	// written under.
-	fingerprint string
+	// backend is the index's one distance family; its Fingerprint is the
+	// configuration a store must have been written under.
+	backend *retrieve.Backend
+	// engine is the public face of the backend's engine; nil for the
+	// windowed family, whose band Options cannot express.
+	engine *Engine
 	// length and radius are the windowed geometry — the one series length
 	// and the effective window; 0 and -1 for the engine family.
 	length, radius int
 	workers        int
-	// newBackend builds the one backend of an index, flat or sharded,
-	// with its engine (nil for the windowed family). The backend holds no
-	// per-series state: each core keeps its series' features itself.
-	newBackend func() (retrieve.Backend, *Engine, error)
 }
 
-// engineFamily is the sDTW engine family configured by opts.
-func engineFamily(opts Options) backendFamily {
-	fp := engineFingerprint(opts)
-	return backendFamily{
-		kind:        snapshotKindEngine,
-		fingerprint: fp,
-		radius:      -1,
-		workers:     resolveWorkers(opts.Workers),
-		newBackend: func() (retrieve.Backend, *Engine, error) {
-			if opts.Strategy < FullGrid || opts.Strategy > AdaptiveCoreAdaptiveWidthAvg {
-				return nil, nil, fmt.Errorf("unknown band strategy %v: %w", opts.Strategy, ErrConfigMismatch)
-			}
-			engine := NewEngine(opts)
-			return retrieve.NewEngineBackend(engine.inner, fp, false), engine, nil
-		},
+// engineFamily is the sDTW engine family configured by opts. A Strategy
+// outside the declared six fails with ErrConfigMismatch.
+func engineFamily(opts Options) (backendFamily, error) {
+	if opts.Strategy < FullGrid || opts.Strategy > AdaptiveCoreAdaptiveWidthAvg {
+		return backendFamily{}, fmt.Errorf("sdtw: unknown band strategy %v: %w", opts.Strategy, ErrConfigMismatch)
 	}
+	engine := NewEngine(opts)
+	return backendFamily{
+		kind:    snapshotKindEngine,
+		backend: retrieve.NewEngineBackend(engine.inner, engineFingerprint(opts), false),
+		engine:  engine,
+		radius:  -1,
+		workers: resolveWorkers(opts.Workers),
+	}, nil
 }
 
 // windowedFamily is the windowed exact-DTW family for series of the
 // given length: the engine backend at a fixed band of radius samples.
 // Its engine is not exposed, since Options cannot express that band.
 func windowedFamily(length, radius int) (backendFamily, error) {
-	probe, eff, err := retrieve.NewWindowedBackend(length, radius)
+	backend, eff, err := retrieve.NewWindowedBackend(length, radius)
 	if err != nil {
 		return backendFamily{}, fmt.Errorf("sdtw: %w", err)
 	}
 	return backendFamily{
-		kind:        snapshotKindWindowed,
-		fingerprint: probe.Fingerprint(),
-		length:      length,
-		radius:      eff,
-		workers:     resolveWorkers(0),
-		newBackend: func() (retrieve.Backend, *Engine, error) {
-			b, _, err := retrieve.NewWindowedBackend(length, radius)
-			return b, nil, err
-		},
+		kind:    snapshotKindWindowed,
+		backend: backend,
+		length:  length,
+		radius:  eff,
+		workers: resolveWorkers(0),
 	}, nil
 }
 
@@ -141,15 +137,11 @@ func newIndex(f backendFamily, data []Series, segRecords int) (*Index, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("sdtw: cannot index: %w", ErrEmptyCollection)
 	}
-	backend, engine, err := f.newBackend()
+	core, err := newCore(f.backend, data, f.workers)
 	if err != nil {
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
-	core, err := newCore(backend, data, f.workers)
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	return &Index{core: core, engine: engine, family: f, segRecords: segRecords}, nil
+	return &Index{core: core, family: f, segRecords: segRecords}, nil
 }
 
 // NewIndex builds an index over data using the sDTW engine configured by
@@ -163,7 +155,11 @@ func newIndex(f backendFamily, data []Series, segRecords int) (*Index, error) {
 // reporting the lowest-positioned bad series. A Strategy outside the
 // declared six fails with ErrConfigMismatch.
 func NewIndex(data []Series, opts Options) (*Index, error) {
-	return newIndex(engineFamily(opts), data, opts.StoreSegmentRecords)
+	f, err := engineFamily(opts)
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(f, data, opts.StoreSegmentRecords)
 }
 
 // NewWindowedIndex builds an index answering exact top-k DTW queries over
@@ -186,7 +182,7 @@ func NewWindowedIndex(data []Series, radius int) (*Index, error) {
 
 // newCore builds an in-RAM core over data with the stage-0 sketch filter
 // on, the one way both index types build one.
-func newCore(backend retrieve.Backend, data []Series, workers int) (*retrieve.Core, error) {
+func newCore(backend *retrieve.Backend, data []Series, workers int) (*retrieve.Core, error) {
 	core, err := retrieve.New(backend, data, workers, true)
 	if err != nil {
 		return nil, err
@@ -245,7 +241,7 @@ func (ix *Index) Series(i int) Series { return ix.core.Series(i) }
 // Options cannot express.
 // The index keeps its series' features itself; a direct Engine call
 // extracts both sides' features again.
-func (ix *Index) Engine() *Engine { return ix.engine }
+func (ix *Index) Engine() *Engine { return ix.family.engine }
 
 // Radius returns the effective Sakoe-Chiba warping window in samples for
 // windowed indexes, and -1 for engine-backed indexes.
@@ -253,14 +249,15 @@ func (ix *Index) Radius() int { return ix.family.radius }
 
 // Add appends a series to the collection, incrementally paying its
 // one-time costs (feature extraction on the engine backend, LB_Keogh
-// envelope on both) under the index's write lock. The series must be
-// non-empty, its non-empty ID unique, and — on windowed indexes — its
-// length equal to the indexed length.
+// envelope on both) before it takes the index's write lock, so searches
+// keep running meanwhile. The series must be non-empty, its non-empty ID
+// unique, and — on windowed indexes — its length equal to the indexed
+// length.
 func (ix *Index) Add(s Series) error {
 	if ix.stores != nil {
 		return ix.addStore(s)
 	}
-	if err := ix.core.Add(s); err != nil {
+	if err := ix.core.Add(s, nil); err != nil {
 		return fmt.Errorf("sdtw: Add: %w", err)
 	}
 	return nil

@@ -28,9 +28,10 @@ var dpEntryPoints = map[string]map[string]bool{
 		"NewEnvelope": true,
 	},
 	"sdtw/internal/core": {
-		"Distance":         true,
-		"DistanceUnder":    true,
-		"DistanceUnderCtx": true,
+		"Distance":              true,
+		"DistanceUnder":         true,
+		"DistanceUnderFeatures": true,
+		"Extract":               true,
 	},
 	"sdtw/internal/retrieve": {
 		"Search":      true,

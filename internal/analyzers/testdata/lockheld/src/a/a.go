@@ -1,14 +1,17 @@
 package a
 
 import (
+	"context"
 	"sync"
 
+	"sdtw/internal/core"
 	"sdtw/internal/dtw"
 )
 
 type index struct {
-	mu   sync.RWMutex
-	data [][]float64
+	mu     sync.RWMutex
+	data   [][]float64
+	engine *core.Engine
 }
 
 // BadSearch runs the DP while holding the write lock, serializing every
@@ -42,4 +45,38 @@ func (ix *index) Mutate(q []float64, extra []float64) {
 	ix.data = append(ix.data, extra)
 	ix.mu.Unlock()
 	_ = dtw.Distance(q, extra)
+}
+
+// BadAdd extracts the new series' features while holding the write
+// lock, stalling every search behind the extraction.
+func (ix *index) BadAdd(s []float64) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	_ = ix.engine.Extract(s) // want `core.Extract .* exclusively locked`
+	ix.data = append(ix.data, s)
+}
+
+// BadCandidate runs the cascade's per-candidate distance under the
+// write lock.
+func (ix *index) BadCandidate(ctx context.Context, q, fq []float64, budget float64) float64 {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.engine.DistanceUnderFeatures(ctx, q, fq, ix.data[0], nil, budget) // want `core.DistanceUnderFeatures .* exclusively locked`
+}
+
+// StagedAdd extracts before it locks and only appends under the lock:
+// stage, then publish.
+func (ix *index) StagedAdd(s []float64) {
+	f := ix.engine.Extract(s)
+	ix.mu.Lock()
+	ix.data = append(ix.data, s, f)
+	ix.mu.Unlock()
+}
+
+// ReadCandidate runs the per-candidate distance under RLock, as a
+// search does.
+func (ix *index) ReadCandidate(ctx context.Context, q, fq []float64, budget float64) float64 {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.engine.DistanceUnderFeatures(ctx, q, fq, ix.data[0], nil, budget)
 }

@@ -232,24 +232,12 @@ func (e *Engine) Distance(x, y series.Series) (Result, error) {
 //
 // When Options.ComputePath is set (the path needs the full band) the
 // budget is ignored.
-func (e *Engine) DistanceUnder(x, y series.Series, budget float64) (Result, error) {
-	return e.DistanceUnderCtx(nil, x, y, budget)
-}
-
-// DistanceUnderCtx is DistanceUnder threaded with a context: the banded
-// dynamic program polls ctx every few rows and a cancelled context stops
-// the computation mid-band with ctx.Err(). A nil ctx disables the polling
-// (retrieval hot loops pass nil from their non-cancellable entry points so
-// the DP inner loop stays identical). Like the budget, the ctx is not
-// consulted inside the path-recovering DP when Options.ComputePath is
-// set: that branch runs its band to completion, so cancellation is only
-// observed between computations.
 //
 // It extracts the features of both sides on every call (only when the
 // strategy reads them) and reports that time as Result.ExtractTime; a
 // caller comparing the same series repeatedly extracts them once and
 // calls DistanceUnderFeatures.
-func (e *Engine) DistanceUnderCtx(ctx context.Context, x, y series.Series, budget float64) (Result, error) {
+func (e *Engine) DistanceUnder(x, y series.Series, budget float64) (Result, error) {
 	var fx, fy []sift.Feature
 	var extract time.Duration
 	if e.opts.Band.Strategy.NeedsAlignment() && x.Len() > 0 && y.Len() > 0 {
@@ -263,14 +251,21 @@ func (e *Engine) DistanceUnderCtx(ctx context.Context, x, y series.Series, budge
 		}
 		extract = time.Since(start)
 	}
-	res, err := e.DistanceUnderFeatures(ctx, x, fx, y, fy, budget)
+	res, err := e.DistanceUnderFeatures(nil, x, fx, y, fy, budget)
 	res.ExtractTime = extract
 	return res, err
 }
 
-// DistanceUnderFeatures is DistanceUnderCtx between x and y with the
+// DistanceUnderFeatures is DistanceUnder between x and y with the
 // features the caller holds for them (fx and fy; nil when the band reads
-// none), as Extract returned them. It extracts nothing.
+// none), as Extract returned them. It extracts nothing. It is threaded
+// with a context: the banded dynamic program polls ctx every few rows
+// and a cancelled context stops the computation mid-band with ctx.Err().
+// A nil ctx disables the polling (non-cancellable entry points pass nil
+// so the DP inner loop stays identical). Like the budget, the ctx is not
+// consulted inside the path-recovering DP when Options.ComputePath is
+// set: that branch runs its band to completion, so cancellation is only
+// observed between computations.
 func (e *Engine) DistanceUnderFeatures(ctx context.Context, x series.Series, fx []sift.Feature, y series.Series, fy []sift.Feature, budget float64) (Result, error) {
 	if e.opts.Band.Symmetric && canonicalLess(y, x) {
 		res, err := e.distance(ctx, y, fy, x, fx, budget)

@@ -1,7 +1,6 @@
 package retrieve
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -10,25 +9,6 @@ import (
 	"sdtw/internal/series"
 	"sdtw/internal/sift"
 )
-
-// Result is the outcome of one backend distance computation, the
-// per-candidate accounting the cascade folds into Stats.
-type Result struct {
-	// Distance is the backend's distance — or, when Abandoned, the
-	// smallest float64 above the caller's budget: a valid lower bound on
-	// the distance, and all that is known of it.
-	Distance float64
-	// Abandoned reports that the distance exceeds the caller's budget,
-	// whether the computation stopped at a row with no cell within it or
-	// ran every row and ended over it.
-	Abandoned bool
-	// CellsFilled is the number of DTW grid cells evaluated; BandCells is
-	// the constraint band's total, so BandCells − CellsFilled is the work
-	// the budget saved, by abandoning and by pruning.
-	CellsFilled, BandCells int
-	// MatchTime and DPTime are the backend's per-stage durations.
-	MatchTime, DPTime time.Duration
-}
 
 // Query is a search's query as a core prepared it: the series itself
 // plus what the backend derives from a series (the sDTW engine's salient
@@ -39,60 +19,27 @@ type Query struct {
 	series.Series
 	// ExtractTime is what the preparation cost beyond validation.
 	ExtractTime time.Duration
-	// feats is what Admit derives from the query's values; nil for
-	// backends that read nothing but the raw values.
+	// feats is what admit derives from the query's values; nil under a
+	// band that reads nothing but the raw values.
 	feats []sift.Feature
 }
 
-// Backend is the distance family behind an index: it owns the constraint
-// geometry while the shared cascade in Core owns the collection (with
-// what Admit derives from each series), candidate ordering, lower-bound
-// pruning, the best-so-far threshold, and the worker pool. A backend
-// holds no per-series state, so one serves any number of cores;
-// implementations must be safe for concurrent calls.
+// Backend is the distance family behind an index: banded DTW under the
+// squared point cost, computed by one core.Engine under one band
+// configuration. The paper's four constraint families are band
+// strategies of that engine (NewEngineBackend), and so is Keogh's
+// windowed exact DTW (NewWindowedBackend: the engine's fixed band at a
+// radius in samples, over series of one length); a further constraint
+// would be one more band strategy, not a second kind of backend.
 //
-// Every backend's distance is banded DTW under the squared point cost, so
-// LB_Kim, LB_Keogh at EnvelopeRadius and the stage-0 LB_PAA sketch are
-// admissible lower bounds of it and its dynamic program may abandon
-// against the best-so-far threshold: the cascade runs whole for every
-// backend.
-//
-// The one implementation runs a core.Engine: NewEngineBackend under any
-// band strategy, NewWindowedBackend at the engine's fixed band sized in
-// samples. A further constraint (an amerced-DTW penalty, say) is a band
-// strategy of that engine, not a second Backend.
-type Backend interface {
-	// Fingerprint identifies the backend configuration for persistence:
-	// two backends with equal fingerprints produce identical distances
-	// over identical data.
-	Fingerprint() string
-	// Admit validates a series joining the collection and derives what
-	// Distance reads of it besides its values, the paper's one-time
-	// indexing cost (§3.4): the sDTW engine's salient features under an
-	// aligning strategy, nil otherwise. The core keeps the result beside
-	// the series.
-	Admit(s series.Series) ([]sift.Feature, error)
-	// Prepare validates a query against backend constraints (a windowed
-	// backend requires the indexed length) and derives from it what Admit
-	// derives from a series, once for every candidate's Distance.
-	Prepare(q series.Series) (Query, error)
-	// EnvelopeRadius returns the warping radius at which an LB_Keogh
-	// envelope over a series of length m lower-bounds this backend's
-	// distance.
-	EnvelopeRadius(m int) int
-	// Distance computes the backend distance between a prepared query and
-	// a candidate, given what Admit derived from the candidate (cf), with
-	// threshold-aware early abandonment against budget (+Inf never
-	// abandons). A cancelled ctx stops the computation mid-band with
-	// ctx.Err().
-	Distance(ctx context.Context, q Query, c series.Series, cf []sift.Feature, budget float64) (Result, error)
-}
-
-// engineBackend serves banded distances through a shared core.Engine
-// (counted extraction, scratch pooling, symmetric canonicalisation):
-// the sDTW band of NewEngineBackend, or the Sakoe-Chiba window of
-// NewWindowedBackend over series of one length.
-type engineBackend struct {
+// A Backend owns the constraint geometry while the cascade in Core owns
+// the collection (with what admit derives from each series), candidate
+// ordering, lower-bound pruning, the best-so-far threshold, and the
+// worker pool. It holds no per-series state, so one serves any number
+// of cores, concurrently. LB_Kim, LB_Keogh at EnvelopeRadius and the
+// stage-0 LB_PAA sketch are admissible lower bounds of its distance,
+// and its dynamic program abandons against the best-so-far threshold.
+type Backend struct {
 	engine      *core.Engine
 	bandCfg     band.Config
 	fingerprint string
@@ -108,8 +55,8 @@ type engineBackend struct {
 // The bool parameter is ignored; it goes with the benchmark edit of
 // ROADMAP item 2c: the nested benchmark module calls NewEngineBackend with
 // false.
-func NewEngineBackend(engine *core.Engine, fingerprint string, _ bool) Backend {
-	return &engineBackend{
+func NewEngineBackend(engine *core.Engine, fingerprint string, _ bool) *Backend {
+	return &Backend{
 		engine:      engine,
 		bandCfg:     engine.Options().Band,
 		fingerprint: fingerprint,
@@ -123,7 +70,7 @@ func NewEngineBackend(engine *core.Engine, fingerprint string, _ bool) Backend {
 // radius < 0 (or >= length) selects unconstrained DTW, FullGrid, with
 // full-width envelopes. The effective radius is returned alongside the
 // backend.
-func NewWindowedBackend(length, radius int) (Backend, int, error) {
+func NewWindowedBackend(length, radius int) (*Backend, int, error) {
 	if length <= 0 {
 		return nil, 0, fmt.Errorf("windowed backend needs a positive series length, got %d: %w", length, ErrEmptySeries)
 	}
@@ -133,7 +80,7 @@ func NewWindowedBackend(length, radius int) (Backend, int, error) {
 	} else {
 		cfg = band.Window(radius)
 	}
-	return &engineBackend{
+	return &Backend{
 		engine:      core.NewEngine(core.Options{Band: cfg}),
 		bandCfg:     cfg,
 		fingerprint: fmt.Sprintf("windowed/v1|len=%d|radius=%d", length, radius),
@@ -141,10 +88,22 @@ func NewWindowedBackend(length, radius int) (Backend, int, error) {
 	}, radius, nil
 }
 
-func (b *engineBackend) Fingerprint() string { return b.fingerprint }
+// Fingerprint identifies the backend configuration for persistence: two
+// backends with equal fingerprints produce identical distances over
+// identical data.
+func (b *Backend) Fingerprint() string { return b.fingerprint }
 
-func (b *engineBackend) Admit(s series.Series) ([]sift.Feature, error) {
-	if err := b.AdmitCold(s.ID, s.Len()); err != nil {
+// EnvelopeRadius returns the warping radius at which an LB_Keogh
+// envelope over a series of length m lower-bounds the backend's
+// distance.
+func (b *Backend) EnvelopeRadius(m int) int { return band.EnvelopeRadius(b.bandCfg, m) }
+
+// admit validates a series joining the collection and derives what the
+// distance reads of it besides its values, the paper's one-time
+// indexing cost (§3.4): its salient features under an aligning band,
+// nil otherwise.
+func (b *Backend) admit(s series.Series) ([]sift.Feature, error) {
+	if err := b.admitCold(s.ID, s.Len()); err != nil {
 		return nil, err
 	}
 	if !b.bandCfg.Strategy.NeedsAlignment() {
@@ -153,9 +112,10 @@ func (b *engineBackend) Admit(s series.Series) ([]sift.Feature, error) {
 	return b.engine.Extract(s)
 }
 
-// AdmitCold is the length check for store-restored series: the metadata
-// alone decides admissibility, so cold values stay on disk.
-func (b *engineBackend) AdmitCold(id string, n int) error {
+// admitCold is the length check alone, which is all a store-restored
+// series can be checked against before its values load: a store is
+// input from outside the program.
+func (b *Backend) admitCold(id string, n int) error {
 	if b.length > 0 && n != b.length {
 		return fmt.Errorf("series %q has length %d, want %d (windowed search needs equal lengths): %w",
 			id, n, b.length, ErrLengthMismatch)
@@ -163,7 +123,10 @@ func (b *engineBackend) AdmitCold(id string, n int) error {
 	return nil
 }
 
-func (b *engineBackend) Prepare(q series.Series) (Query, error) {
+// prepare validates a query against the backend's constraints (a
+// windowed backend requires the indexed length) and derives from it what
+// admit derives from a series, once for every candidate's distance.
+func (b *Backend) prepare(q series.Series) (Query, error) {
 	if b.length > 0 && q.Len() != b.length {
 		return Query{}, fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
 	}
@@ -176,21 +139,4 @@ func (b *engineBackend) Prepare(q series.Series) (Query, error) {
 		return Query{}, fmt.Errorf("core: extracting features of the query: %w", err)
 	}
 	return Query{Series: q, ExtractTime: time.Since(start), feats: f}, nil
-}
-
-func (b *engineBackend) EnvelopeRadius(m int) int { return band.EnvelopeRadius(b.bandCfg, m) }
-
-func (b *engineBackend) Distance(ctx context.Context, q Query, c series.Series, cf []sift.Feature, budget float64) (Result, error) {
-	res, err := b.engine.DistanceUnderFeatures(ctx, q.Series, q.feats, c, cf, budget)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Distance:    res.Distance,
-		Abandoned:   res.Abandoned,
-		CellsFilled: res.CellsFilled,
-		BandCells:   res.BandCells,
-		MatchTime:   res.MatchTime,
-		DPTime:      res.DPTime,
-	}, nil
 }

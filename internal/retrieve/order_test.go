@@ -120,7 +120,7 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 			return nil, stats, err
 		}
 		s.Values = vals
-		res, err := c.backend.Distance(context.Background(), q, s, f, budget())
+		res, err := c.backend.engine.DistanceUnderFeatures(context.Background(), q.Series, q.feats, s, f, budget())
 		if err != nil {
 			return nil, stats, err
 		}
@@ -231,7 +231,7 @@ func randomWalks(rng *rand.Rand, n, dups int, lengths []int) []series.Series {
 func orderCores(t testing.TB, rng *rand.Rand, n int) map[string]*Core {
 	t.Helper()
 	cores := map[string]*Core{}
-	build := func(name string, b Backend, data []series.Series) {
+	build := func(name string, b *Backend, data []series.Series) {
 		c, err := New(b, data, 4, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -465,7 +465,7 @@ func FuzzCascadeOrderDifferential(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(n8)%96 + 1
 		lengths := []int{24}
-		var b Backend
+		var b *Backend
 		if mode%2 == 0 {
 			wb, _, err := NewWindowedBackend(24, int(mode/2)%5)
 			if err != nil {

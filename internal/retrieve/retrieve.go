@@ -3,9 +3,9 @@
 // visited lazily in order of their stage-0 LB_PAA (or LB_Kim) bound,
 // sketch, LB_Kim and LB_Keogh pruning against a shared best-so-far
 // threshold, and threshold-aware early-abandoning DTW fanned out across
-// a bounded worker pool — parameterised by a small Backend
-// interface supplying the actual distance family (the sDTW engine under
-// a band strategy, Sakoe-Chiba windowed exact DTW among them).
+// a bounded worker pool — over one Backend: a core.Engine under one band
+// configuration (an sDTW band strategy, or the Sakoe-Chiba window of
+// windowed exact DTW).
 //
 // The cascade is exact: LB_Kim, the stage-0 LB_PAA sketch and LB_Keogh (at
 // the backend's envelope radius) never exceed the backend distance, and an
@@ -133,7 +133,7 @@ func (p Params) EffectiveThreshold() float64 {
 
 // Core is the shared cascade over one collection and one backend.
 type Core struct {
-	backend Backend
+	backend *Backend
 	workers int
 
 	// sketchW is the stage-0 PAA sketch width; 0 disables stage 0.
@@ -147,7 +147,7 @@ type Core struct {
 	// sketches[i] is the stage-0 PAA sketch of envelopes[i]; nil unless
 	// sketchW > 0.
 	sketches []sketch.Sketch
-	// feats[i] is what the backend's Admit derived from data[i] (its
+	// feats[i] is what the backend's admit derived from data[i] (its
 	// salient features under the sDTW engine); nil when the backend
 	// derives nothing, or while cold[i] holds it.
 	feats [][]sift.Feature
@@ -172,7 +172,7 @@ type seriesMeta struct {
 }
 
 // coldSlot materialises one cold series' raw values, and what the
-// backend's Admit derives from them, at most once — no matter how many
+// backend's admit derives from them, at most once — no matter how many
 // concurrent searches, on however many copy-on-write copies of the core,
 // reach its DP stage.
 type coldSlot struct {
@@ -207,15 +207,6 @@ type ColdSeries struct {
 	Load func() ([]float64, error)
 }
 
-// ColdAdmitter is implemented by backends that can validate a series
-// joining the collection from its metadata alone (a windowed backend's
-// length check; the engine backend passes any length otherwise). Backends
-// without it admit cold series unchecked; Admit runs over a cold series'
-// values when they first load.
-type ColdAdmitter interface {
-	AdmitCold(id string, n int) error
-}
-
 // RestoreCold builds a core over store-backed series (possibly none):
 // envelopes and sketches are trusted from the store, raw values load
 // lazily. sketchW enables stage 0 at that width (0 disables). A store
@@ -226,7 +217,7 @@ type ColdAdmitter interface {
 // The bool parameter is ignored (the DP always early-abandons, unless a
 // search sets Params.NoAbandon); it goes with the benchmark edit of
 // ROADMAP item 2c: the nested benchmark module passes true.
-func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ bool) (*Core, error) {
+func RestoreCold(backend *Backend, cold []ColdSeries, sketchW, workers int, _ bool) (*Core, error) {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -244,7 +235,6 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ boo
 		c.sketchW = sketchW
 		c.sketches = make([]sketch.Sketch, 0, len(cold))
 	}
-	admitter, _ := backend.(ColdAdmitter)
 	for i, cs := range cold {
 		if cs.N <= 0 {
 			return nil, fmt.Errorf("series %d (%q): %w", i, cs.ID, ErrEmptySeries)
@@ -258,10 +248,8 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ boo
 			}
 			c.ids[cs.ID] = i
 		}
-		if admitter != nil {
-			if err := admitter.AdmitCold(cs.ID, cs.N); err != nil {
-				return nil, fmt.Errorf("series %d: %w", i, err)
-			}
+		if err := backend.admitCold(cs.ID, cs.N); err != nil {
+			return nil, fmt.Errorf("series %d: %w", i, err)
 		}
 		c.data = append(c.data, series.Series{ID: cs.ID, Label: cs.Label})
 		c.meta = append(c.meta, seriesMeta{n: cs.N, first: cs.First, last: cs.Last})
@@ -292,13 +280,13 @@ func RestoreCold(backend Backend, cold []ColdSeries, sketchW, workers int, _ boo
 }
 
 // New builds a core over data (possibly none), validating every series
-// and keeping what the backend's Admit derives from it. workers bounds
+// and keeping what the backend's admit derives from it. workers bounds
 // the worker pool (<= 0 means the caller should have defaulted it; it is
 // clamped to 1). Construction runs on that pool too: every series'
 // one-time data is derived across it, and the core is the one a serial
 // build makes, down to which bad series an error names — the lowest
 // position. The bool parameter is ignored, as in RestoreCold.
-func New(backend Backend, data []series.Series, workers int, _ bool) (*Core, error) {
+func New(backend *Backend, data []series.Series, workers int, _ bool) (*Core, error) {
 	// Validate the whole collection before paying any one-time costs, so
 	// structural errors (empty series, duplicate IDs) surface first.
 	seen := make(map[string]bool, len(data))
@@ -337,7 +325,7 @@ func New(backend Backend, data []series.Series, workers int, _ bool) (*Core, err
 	return c, nil
 }
 
-// derivation is one series' one-time data: what the backend's Admit
+// derivation is one series' one-time data: what the backend's admit
 // derived from it, its LB_Keogh envelope, and its stage-0 sketch.
 type derivation struct {
 	feats  []sift.Feature
@@ -351,13 +339,13 @@ type derivation struct {
 // the backend's radius and, when sketchW > 0, the width-sketchW sketch
 // of it. A cold series derives without bounds (its store holds them).
 // derive reads no core state, so New runs it on many series at once.
-func derive(b Backend, s series.Series, bounds bool, sketchW int) (derivation, error) {
+func derive(b *Backend, s series.Series, bounds bool, sketchW int) (derivation, error) {
 	var d derivation
 	if err := series.Finite(s.Values); err != nil {
 		return d, fmt.Errorf("series %q: %w", s.ID, err)
 	}
 	var err error
-	if d.feats, err = b.Admit(s); err != nil {
+	if d.feats, err = b.admit(s); err != nil {
 		return d, err
 	}
 	if !bounds {
@@ -401,10 +389,9 @@ func lowestFailure(workers, n int, fn func(i int) error) (int, error) {
 	return int(lowest.Load()), failErr
 }
 
-// admitLocked validates s (non-empty, its ID new, every value finite),
-// derives its one-time data and appends both. Callers hold the write
-// lock (or own an unpublished core).
-func (c *Core) admitLocked(s series.Series) error {
+// checkNewLocked refuses an empty series and one whose non-empty ID the
+// collection already holds. Callers hold (at least) the read lock.
+func (c *Core) checkNewLocked(s series.Series) error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("series %q: %w", s.ID, ErrEmptySeries)
 	}
@@ -413,11 +400,6 @@ func (c *Core) admitLocked(s series.Series) error {
 			return fmt.Errorf("%w: %q", ErrDuplicateID, s.ID)
 		}
 	}
-	d, err := derive(c.backend, s, true, c.sketchW)
-	if err != nil {
-		return err
-	}
-	c.appendLocked(s, d)
 	return nil
 }
 
@@ -502,13 +484,45 @@ func (c *Core) entry(pos int) ([]float64, []sift.Feature, error) {
 	return c.data[pos].Values, c.feats[pos], nil
 }
 
-// Add appends a series to the collection: the backend admits it and its
-// LB_Keogh envelope is computed incrementally, under the write lock, so
-// concurrent searches see either the old or the new collection.
-func (c *Core) Add(s series.Series) error {
+// Add appends a series to the collection: stage, persist, publish. It
+// derives the series' one-time data (features, LB_Keogh envelope,
+// sketch) outside the write lock, hands the envelope to persist (nil
+// for a collection that lives in RAM only), and only once persist
+// succeeds takes the write lock to append. So no search sees a series
+// whose persist failed, and extraction never holds the write lock
+// against searches. The ID and the sketch width are checked again
+// under the lock; a caller that persists serialises its Adds, so the
+// ID re-check never refuses a series persist already wrote.
+func (c *Core) Add(s series.Series, persist func(env lower.Envelope) error) error {
+	c.mu.RLock()
+	err := c.checkNewLocked(s)
+	w := c.sketchW
+	c.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	d, err := derive(c.backend, s, true, w)
+	if err != nil {
+		return err
+	}
+	if persist != nil {
+		if err := persist(d.env); err != nil {
+			return err
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.admitLocked(s)
+	if err := c.checkNewLocked(s); err != nil {
+		return err
+	}
+	if c.sketchW != w {
+		// EnableSketches ran meanwhile; it only ever sets a width >= 1.
+		if d.sketch, err = sketch.FromEnvelope(d.env, c.sketchW); err != nil {
+			return fmt.Errorf("series %q: %w", s.ID, err)
+		}
+	}
+	c.appendLocked(s, d)
+	return nil
 }
 
 // Remove deletes the series with the given non-empty ID, dropping its
@@ -601,9 +615,8 @@ func (c *Core) CloneAdd(s series.Series) (*Core, error) {
 	c.mu.RLock()
 	nc := c.copyLocked()
 	c.mu.RUnlock()
-	// nc is unpublished: no lock needed, but admitLocked's contract holds
-	// (no concurrent access).
-	if err := nc.admitLocked(s); err != nil {
+	// nc is unpublished, so its locks are uncontended.
+	if err := nc.Add(s, nil); err != nil {
 		return nil, err
 	}
 	return nc, nil
@@ -927,8 +940,8 @@ func (t *SharedThreshold) Tighten(v float64) {
 const kimCheckEvery = 1024
 
 // Search runs the cascaded top-k search. Query validation (emptiness,
-// backend length constraints) happens here, uniformly for every backend;
-// K is validated by the public layer, which owns the option surface.
+// the windowed length constraint) happens here, uniformly for every
+// band; K is validated by the public layer, which owns the option surface.
 func (c *Core) Search(ctx context.Context, query series.Series, p Params) ([]Neighbor, Stats, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -964,7 +977,7 @@ func (c *Core) prepareLocked(query series.Series) (Query, error) {
 			return Query{Series: query, feats: f}, nil
 		}
 	}
-	q, err := c.backend.Prepare(query)
+	q, err := c.backend.prepare(query)
 	if err != nil {
 		return Query{}, fmt.Errorf("query: %w", err)
 	}
@@ -1333,7 +1346,7 @@ func (v *visitState) step(int) {
 	if v.abandon {
 		budget = threshold.Load()
 	}
-	res, err := c.backend.Distance(v.ctx, query, s, f, budget)
+	res, err := c.backend.engine.DistanceUnderFeatures(v.ctx, query.Series, query.feats, s, f, budget)
 	if err != nil {
 		v.fail(fmt.Errorf("distance to %q: %w", s.ID, err))
 		return

@@ -5,12 +5,16 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"sdtw/internal/lower"
 	"sdtw/internal/series"
+	"sdtw/internal/sketch"
 )
 
 // testCore builds a windowed-backend core over n equal-length series with
@@ -460,7 +464,7 @@ func TestNonFiniteRefused(t *testing.T) {
 		if _, err := New(backend, []series.Series{c.Series(1), bad}, 1, true); !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("New with %v: %v, want ErrNonFinite", v, err)
 		}
-		if err := c.Add(bad); !errors.Is(err, ErrNonFinite) || c.Len() != 6 {
+		if err := c.Add(bad, nil); !errors.Is(err, ErrNonFinite) || c.Len() != 6 {
 			t.Fatalf("Add with %v: %v (len %d), want ErrNonFinite", v, err, c.Len())
 		}
 		if _, err := c.CloneAdd(bad); !errors.Is(err, ErrNonFinite) {
@@ -472,6 +476,78 @@ func TestNonFiniteRefused(t *testing.T) {
 		if nbs, _, err := c.Search(context.Background(), bad, DefaultParams()); !errors.Is(err, ErrNonFinite) || nbs != nil {
 			t.Fatalf("Search with %v: %v, %v; want ErrNonFinite", v, nbs, err)
 		}
+	}
+	checkIDsConsistent(t, c)
+}
+
+// TestRestoreColdRefusesWrongLength: a store is input from outside the
+// program, so RestoreCold checks a cold series' recorded length against
+// a windowed backend's before any value loads, and names the series.
+func TestRestoreColdRefusesWrongLength(t *testing.T) {
+	backend, _, err := NewWindowedBackend(48, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, 47)
+	cold := []ColdSeries{{
+		ID:       "short",
+		N:        len(vals),
+		Envelope: lower.NewEnvelope(vals, 3),
+		Load: func() ([]float64, error) {
+			t.Error("RestoreCold loaded the values of a series it refuses")
+			return vals, nil
+		},
+	}}
+	c, err := RestoreCold(backend, cold, 0, 1, true)
+	if !errors.Is(err, ErrLengthMismatch) || !strings.Contains(err.Error(), `"short"`) || c != nil {
+		t.Fatalf("RestoreCold over a 47-sample series at length 48: %v, %v; want ErrLengthMismatch naming \"short\"", c, err)
+	}
+}
+
+// TestAddPersistsBeforePublishing pins Add's stage, persist, publish
+// order: persist runs with no lock held (a search inside it proceeds and
+// does not see the series), gets the envelope the core then keeps, and a
+// failing persist leaves the core as it was, free to take the series on
+// a retry. Sketches switched on between staging and publishing still
+// reach the new series.
+func TestAddPersistsBeforePublishing(t *testing.T) {
+	c := testCore(t, 6, 40)
+	s := series.Series{ID: "new", Values: append([]float64(nil), c.Series(0).Values...)}
+	s.Values[3] += 0.5
+	ctx := context.Background()
+	injected := errors.New("injected persist failure")
+	var staged lower.Envelope
+	err := c.Add(s, func(env lower.Envelope) error {
+		staged = env
+		nbrs, _, err := c.Search(ctx, series.Series{Values: s.Values}, DefaultParams())
+		if err != nil || len(nbrs) != 1 || nbrs[0].ID == s.ID {
+			t.Errorf("search during persist: %v, %v; want one neighbour other than %q", nbrs, err, s.ID)
+		}
+		return injected
+	})
+	if !errors.Is(err, injected) || c.Len() != 6 {
+		t.Fatalf("Add over a failing persist: %v (len %d), want the injected error and 6 series", err, c.Len())
+	}
+	if _, ok := c.Pos(s.ID); ok {
+		t.Fatal("a failed Add left its ID behind")
+	}
+	calls := 0
+	if err := c.Add(s, func(env lower.Envelope) error { calls++; return c.EnableSketches(8) }); err != nil || calls != 1 {
+		t.Fatalf("retried Add: %v after %d persist calls", err, calls)
+	}
+	if got := c.Envelope(c.Len() - 1); !slices.Equal(got.Upper, staged.Upper) || !slices.Equal(got.Lower, staged.Lower) {
+		t.Fatal("the core keeps an envelope other than the one persist was given")
+	}
+	want, err := sketch.FromEnvelope(staged, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Sketch(c.Len() - 1); !slices.Equal(got.Upper, want.Upper) || !slices.Equal(got.Lower, want.Lower) {
+		t.Fatalf("sketch of the series added while sketches came on: width %d, want the width-8 sketch of its envelope", got.Width())
+	}
+	nbrs, _, err := c.Search(ctx, series.Series{Values: s.Values}, DefaultParams())
+	if err != nil || len(nbrs) != 1 || nbrs[0].ID != s.ID || nbrs[0].Distance != 0 {
+		t.Fatalf("search after the retried Add: %v, %v", nbrs, err)
 	}
 	checkIDsConsistent(t, c)
 }

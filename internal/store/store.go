@@ -513,19 +513,9 @@ func OpenWith(dir string, opts OpenOptions) (*Store, error) {
 	if fsys == nil {
 		fsys = vfs.OS()
 	}
-	data, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	man, err := readManifest(fsys, dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: %s: %v: %w", dir, err, ErrCorruptManifest)
-	}
-	var man manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("store: %s: %v: %w", dir, err, ErrCorruptManifest)
-	}
-	if man.Version != formatVersion {
-		return nil, fmt.Errorf("store: %s: manifest version %d, want %d: %w", dir, man.Version, formatVersion, ErrCorruptManifest)
-	}
-	if man.SketchWidth < 1 || man.Active < 1 || man.SegmentRecords < 1 {
-		return nil, fmt.Errorf("store: %s: manifest fields out of range: %w", dir, ErrCorruptManifest)
+		return nil, fmt.Errorf("store: %s: %w", dir, err)
 	}
 	if len(man.Quarantined) > 0 && !opts.AllowQuarantine {
 		return nil, fmt.Errorf("store: %s: %d quarantined segments (reopen with AllowQuarantine, or repair): %w", dir, len(man.Quarantined), ErrQuarantined)
@@ -582,43 +572,76 @@ func OpenWith(dir string, opts OpenOptions) (*Store, error) {
 	return st, nil
 }
 
-// sweepOrphans removes segment files the manifest does not reference —
-// the residue of a compact that crashed between its manifest commit and
-// its cleanup — plus any stale manifest temp file. Quarantined files
-// are never swept.
+// readManifest reads and validates the manifest of the store in dir;
+// every failure wraps ErrCorruptManifest. Open and Verify both read the
+// manifest through it.
+func readManifest(fsys vfs.FS, dir string) (manifest, error) {
+	var man manifest
+	data, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		return man, fmt.Errorf("reading manifest: %v: %w", err, ErrCorruptManifest)
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		return man, fmt.Errorf("parsing manifest: %v: %w", err, ErrCorruptManifest)
+	}
+	if man.Version != formatVersion {
+		return man, fmt.Errorf("manifest version %d, want %d: %w", man.Version, formatVersion, ErrCorruptManifest)
+	}
+	if man.SketchWidth < 1 || man.Active < 1 || man.SegmentRecords < 1 {
+		return man, fmt.Errorf("manifest fields out of range: %w", ErrCorruptManifest)
+	}
+	return man, nil
+}
+
+// orphans returns the entries of a store directory listing that the
+// manifest does not reference and a crash can leave behind: segment
+// files (the residue of a compact that crashed between its manifest
+// commit and its cleanup) and a stale manifest temp file. Quarantined
+// files are never orphans. Open sweeps what it returns; Verify reports
+// it.
+func (man *manifest) orphans(names []string) []string {
+	keep := map[string]bool{}
+	mark := func(seg int) {
+		keep[segName(seg, "hot")] = true
+		keep[segName(seg, "val")] = true
+	}
+	for _, s := range man.Sealed {
+		mark(s.Seg)
+	}
+	mark(man.Active)
+	var out []string
+	for _, name := range names {
+		if !keep[name] && (isSegFile(name) || name == manifestName+".tmp") {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// isSegFile reports whether a directory entry is named like a live
+// segment file (a quarantined one carries a further extension).
+func isSegFile(name string) bool {
+	return strings.HasPrefix(name, "seg-") &&
+		(strings.HasSuffix(name, ".hot") || strings.HasSuffix(name, ".val"))
+}
+
+// sweepOrphans removes the files orphans names and counts the segment
+// files among them in Health.
 func (st *Store) sweepOrphans() error {
 	names, err := st.fs.ReadDir(st.dir)
 	if err != nil {
 		return fmt.Errorf("store: listing %s: %w", st.dir, err)
 	}
-	keep := map[string]bool{manifestName: true, tombstonesName: true}
-	mark := func(seg int) {
-		keep[segName(seg, "hot")] = true
-		keep[segName(seg, "val")] = true
-	}
-	for _, s := range st.man.Sealed {
-		mark(s.Seg)
-	}
-	mark(st.man.Active)
-	dirty := false
-	for _, name := range names {
-		if keep[name] {
-			continue
-		}
-		segFile := strings.HasPrefix(name, "seg-") &&
-			(strings.HasSuffix(name, ".hot") || strings.HasSuffix(name, ".val"))
-		if !segFile && name != manifestName+".tmp" {
-			continue
-		}
+	orphans := st.man.orphans(names)
+	for _, name := range orphans {
 		if err := st.fs.Remove(filepath.Join(st.dir, name)); err != nil {
 			return fmt.Errorf("store: sweeping orphan %s: %w", name, err)
 		}
-		dirty = true
-		if segFile {
+		if isSegFile(name) {
 			st.health.OrphansSwept++
 		}
 	}
-	if dirty {
+	if len(orphans) > 0 {
 		if err := st.fs.SyncDir(st.dir); err != nil {
 			return fmt.Errorf("store: sweeping orphans: %w", err)
 		}
@@ -950,23 +973,19 @@ func valBlockOK(f vfs.File, rec *Record) bool {
 	return crc32.ChecksumIEEE(buf[:8*rec.N]) == binary.LittleEndian.Uint32(buf[8*rec.N:])
 }
 
-// loadTombstones reads the tombstone log, opens it for appending, and
-// truncates a torn final entry (the residue of a crash mid-Tombstone,
-// necessarily unacknowledged — complete entries all survive).
-func (st *Store) loadTombstones() error {
-	path := filepath.Join(st.dir, tombstonesName)
-	data, err := st.fs.ReadFile(path)
-	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
-		return fmt.Errorf("store: reading tombstone log: %w", err)
-	}
-	tornAt := int64(-1)
+// parseTombstones parses the tombstone log: the sequence of every
+// complete entry, and the offset of a torn final entry (-1 when there
+// is none) — the residue of a crash mid-Tombstone, necessarily
+// unacknowledged, since complete entries all survive. An entry that
+// does not parse before the last line is corruption (ErrCorruptManifest).
+// Open and Verify both read the log through it.
+func parseTombstones(data []byte) (seqs []uint64, tornAt int, err error) {
 	off := 0
 	for off < len(data) {
 		nl := indexByte(data[off:], '\n')
 		if nl < 0 {
 			// No terminating newline: the final append was torn.
-			tornAt = int64(off)
-			break
+			return seqs, off, nil
 		}
 		var tb tombstone
 		if err := json.Unmarshal(data[off:off+nl], &tb); err != nil {
@@ -975,19 +994,36 @@ func (st *Store) loadTombstones() error {
 				// still crash residue (the newline survived, bytes
 				// before it did not); anything earlier is real
 				// corruption.
-				tornAt = int64(off)
-				break
+				return seqs, off, nil
 			}
-			return fmt.Errorf("store: tombstone log: %v: %w", err, ErrCorruptManifest)
+			return nil, -1, fmt.Errorf("tombstone log: %v: %w", err, ErrCorruptManifest)
 		}
-		st.dead[tb.Seq] = true
+		seqs = append(seqs, tb.Seq)
 		off += nl + 1
 	}
+	return seqs, -1, nil
+}
+
+// loadTombstones reads the tombstone log, opens it for appending, and
+// truncates a torn final entry.
+func (st *Store) loadTombstones() error {
+	path := filepath.Join(st.dir, tombstonesName)
+	data, err := st.fs.ReadFile(path)
+	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		return fmt.Errorf("store: reading tombstone log: %w", err)
+	}
+	seqs, tornAt, err := parseTombstones(data)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, seq := range seqs {
+		st.dead[seq] = true
+	}
 	if tornAt >= 0 {
-		if err := st.fs.Truncate(path, tornAt); err != nil {
+		if err := st.fs.Truncate(path, int64(tornAt)); err != nil {
 			return fmt.Errorf("store: truncating torn tombstone log: %w", err)
 		}
-		st.health.TruncatedBytes += int64(len(data)) - tornAt
+		st.health.TruncatedBytes += int64(len(data) - tornAt)
 	}
 	tomb, tombOff, err := st.fs.OpenAppend(path)
 	if err != nil {

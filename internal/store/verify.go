@@ -6,12 +6,10 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	iofs "io/fs"
 	"path/filepath"
-	"strings"
 
 	"sdtw/internal/vfs"
 )
@@ -65,18 +63,9 @@ func Verify(dir string, fsys vfs.FS) (*Report, error) {
 	found := func(path string, repairable bool, err error) {
 		rep.Issues = append(rep.Issues, Issue{Path: path, Repairable: repairable, Err: err})
 	}
-	data, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	man, err := readManifest(fsys, dir)
 	if err != nil {
-		found(manifestName, false, fmt.Errorf("reading manifest: %v: %w", err, ErrCorruptManifest))
-		return rep, nil
-	}
-	var man manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		found(manifestName, false, fmt.Errorf("parsing manifest: %v: %w", err, ErrCorruptManifest))
-		return rep, nil
-	}
-	if man.Version != formatVersion || man.SketchWidth < 1 || man.Active < 1 || man.SegmentRecords < 1 {
-		found(manifestName, false, fmt.Errorf("manifest fields out of range: %w", ErrCorruptManifest))
+		found(manifestName, false, err)
 		return rep, nil
 	}
 	// Scratch store: reuses the loading code without opening anything
@@ -162,7 +151,7 @@ func verifyValBlocks(fsys vfs.FS, valPath string, recs []*Record) int {
 }
 
 // verifyTombstones checks the tombstone log the way loadTombstones
-// would, reporting a torn final entry as repairable and anything
+// reads it, reporting a torn final entry as repairable and anything
 // earlier as corruption.
 func verifyTombstones(fsys vfs.FS, dir string, found func(string, bool, error)) error {
 	data, err := fsys.ReadFile(filepath.Join(dir, tombstonesName))
@@ -172,57 +161,25 @@ func verifyTombstones(fsys vfs.FS, dir string, found func(string, bool, error)) 
 		}
 		return fmt.Errorf("store: reading tombstone log: %w", err)
 	}
-	off := 0
-	for off < len(data) {
-		nl := indexByte(data[off:], '\n')
-		if nl < 0 {
-			found(tombstonesName, true,
-				fmt.Errorf("torn final tombstone entry (%d bytes): %w", len(data)-off, ErrTornTail))
-			return nil
-		}
-		var tb tombstone
-		if err := json.Unmarshal(data[off:off+nl], &tb); err != nil {
-			if off+nl+1 == len(data) {
-				found(tombstonesName, true,
-					fmt.Errorf("torn final tombstone entry (%d bytes): %w", len(data)-off, ErrTornTail))
-				return nil
-			}
-			found(tombstonesName, false, fmt.Errorf("tombstone log: %v: %w", err, ErrCorruptManifest))
-			return nil
-		}
-		off += nl + 1
+	_, tornAt, err := parseTombstones(data)
+	switch {
+	case err != nil:
+		found(tombstonesName, false, err)
+	case tornAt >= 0:
+		found(tombstonesName, true,
+			fmt.Errorf("torn final tombstone entry (%d bytes): %w", len(data)-tornAt, ErrTornTail))
 	}
 	return nil
 }
 
-// verifyOrphans reports segment files no manifest entry references.
+// verifyOrphans reports the files an Open would sweep as orphans.
 func verifyOrphans(fsys vfs.FS, dir string, man *manifest, found func(string, bool, error)) error {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("store: listing %s: %w", dir, err)
 	}
-	keep := map[string]bool{manifestName: true, tombstonesName: true}
-	mark := func(seg int) {
-		keep[segName(seg, "hot")] = true
-		keep[segName(seg, "val")] = true
-	}
-	for _, s := range man.Sealed {
-		mark(s.Seg)
-	}
-	mark(man.Active)
-	for _, q := range man.Quarantined {
-		keep[segName(q.Seg, "hot")+quarantineExt] = true
-		keep[segName(q.Seg, "val")+quarantineExt] = true
-	}
-	for _, name := range names {
-		if keep[name] {
-			continue
-		}
-		segFile := strings.HasPrefix(name, "seg-") &&
-			(strings.HasSuffix(name, ".hot") || strings.HasSuffix(name, ".val"))
-		if segFile || name == manifestName+".tmp" {
-			found(name, true, fmt.Errorf("unreferenced file (crashed compact or commit residue)"))
-		}
+	for _, name := range man.orphans(names) {
+		found(name, true, fmt.Errorf("unreferenced file (crashed compact or commit residue)"))
 	}
 	return nil
 }

@@ -86,23 +86,23 @@ func TestQueryExtractsOncePerSearch(t *testing.T) {
 		stats SearchStats
 	}
 	flat := func(q Series) answer {
-		before := extractions(ix.engine)
+		before := extractions(ix.family.engine)
 		nbrs, stats, err := ix.Search(ctx, q, WithK(5), WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := extractions(ix.engine) - before; n != 1 {
+		if n := extractions(ix.family.engine) - before; n != 1 {
 			t.Fatalf("flat search of %q ran %d feature extractions, want 1", q.ID, n)
 		}
 		return answer{flatHits(ix, nbrs), stats}
 	}
 	sharded := func(q Series) answer {
-		before := extractions(si.engine)
+		before := extractions(si.family.engine)
 		hits, stats, err := si.Search(ctx, q, WithK(5))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := extractions(si.engine) - before; n != 1 {
+		if n := extractions(si.family.engine) - before; n != 1 {
 			t.Fatalf("4-shard search of %q ran %d feature extractions, want 1", q.ID, n)
 		}
 		return answer{hits, stats}
@@ -128,14 +128,14 @@ func TestQueryExtractsOncePerSearch(t *testing.T) {
 
 	// A member query reuses the features the index holds: no extraction
 	// at all.
-	before := extractions(ix.engine) + extractions(si.engine)
+	before := extractions(ix.family.engine) + extractions(si.family.engine)
 	if _, _, err := ix.Search(ctx, data[3], WithK(5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := si.Search(ctx, data[3], WithK(5)); err != nil {
 		t.Fatal(err)
 	}
-	if n := extractions(ix.engine) + extractions(si.engine) - before; n != 0 {
+	if n := extractions(ix.family.engine) + extractions(si.family.engine) - before; n != 0 {
 		t.Fatalf("member queries ran %d feature extractions, want 0 (the members' own features)", n)
 	}
 }
@@ -174,10 +174,10 @@ func TestNoAlignmentIndexExtractsNothing(t *testing.T) {
 		check := func(when string, admitted int64) {
 			t.Helper()
 			want := tc.per * admitted
-			if got := extractions(ix.engine); got != want {
+			if got := extractions(ix.family.engine); got != want {
 				t.Errorf("%v flat, %s: %d extractions, want %d", tc.opts.Strategy, when, got, want)
 			}
-			if got := extractions(si.engine); got != want {
+			if got := extractions(si.family.engine); got != want {
 				t.Errorf("%v sharded, %s: %d extractions, want %d", tc.opts.Strategy, when, got, want)
 			}
 		}
@@ -287,7 +287,7 @@ func TestRestoredFeaturesExtractOnce(t *testing.T) {
 				if err != nil {
 					return nil, nil, err
 				}
-				return ix, ix.engine, nil
+				return ix, ix.family.engine, nil
 			},
 			hits: func(ix index, nbrs []Neighbor) []Hit { return flatHits(ix.(*Index), nbrs) },
 		},
@@ -304,7 +304,7 @@ func TestRestoredFeaturesExtractOnce(t *testing.T) {
 				if err != nil {
 					return nil, nil, err
 				}
-				return si, si.engine, nil
+				return si, si.family.engine, nil
 			},
 			hits: func(_ index, nbrs []Neighbor) []Hit { return nbrs },
 		},

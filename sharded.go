@@ -41,10 +41,9 @@ import (
 // with SaveStore and reopens. Results are identified by series ID: they
 // carry Pos -1, since sharding makes positions meaningless.
 type ShardedIndex struct {
+	// family holds the one backend (and engine) every shard computes
+	// through.
 	family backendFamily
-	// engine is the one engine every shard computes through; nil for the
-	// windowed family.
-	engine *Engine
 	shards []shardSlot
 	// nextSeq is the insertion sequence the next Add takes.
 	nextSeq atomic.Uint64
@@ -100,7 +99,11 @@ func route(id string, shards int) int {
 // built one after another, each on the index's whole worker pool
 // (Options.Workers).
 func NewShardedIndex(data []Series, shards int, opts Options) (*ShardedIndex, error) {
-	return newShardedIndex(engineFamily(opts), data, shards, opts.StoreSegmentRecords)
+	f, err := engineFamily(opts)
+	if err != nil {
+		return nil, err
+	}
+	return newShardedIndex(f, data, shards, opts.StoreSegmentRecords)
 }
 
 // NewShardedWindowedIndex builds a sharded index answering exact
@@ -138,8 +141,8 @@ func newShardedIndex(f backendFamily, data []Series, shards, segRecords int) (*S
 		parts[sh] = append(parts[sh], s)
 		seqs[sh] = append(seqs[sh], uint64(i))
 	}
-	si, err := assemble(f, seqs, uint64(len(data)), func(i int, b retrieve.Backend) (*retrieve.Core, error) {
-		return newCore(b, parts[i], f.workers)
+	si, err := assemble(f, seqs, uint64(len(data)), func(i int) (*retrieve.Core, error) {
+		return newCore(f.backend, parts[i], f.workers)
 	})
 	if err != nil {
 		return nil, err
@@ -155,25 +158,21 @@ func restoreShardedIndex(f backendFamily, sketchW int, parts [][]retrieve.ColdSe
 	if len(parts) < 1 || len(parts) != len(seqs) {
 		return nil, fmt.Errorf("sdtw: restoring %d shard parts with %d sequence lists: %w", len(parts), len(seqs), ErrConfigMismatch)
 	}
-	return assemble(f, seqs, nextSeq, func(i int, b retrieve.Backend) (*retrieve.Core, error) {
-		return retrieve.RestoreCold(b, parts[i], sketchW, f.workers, true)
+	return assemble(f, seqs, nextSeq, func(i int) (*retrieve.Core, error) {
+		return retrieve.RestoreCold(f.backend, parts[i], sketchW, f.workers, true)
 	})
 }
 
-// assemble builds the family's one backend and one shard per entry of
-// seqs: the core build constructs over that backend (an empty one for a
-// shard holding no series). It is the one construction path; building
-// and restoring differ only in the core constructor they pass.
+// assemble builds one shard per entry of seqs: build constructs the
+// shard's core over the family's backend (an empty one for a shard
+// holding no series). It is the one construction path; building and
+// restoring differ only in the core constructor they pass.
 func assemble(f backendFamily, seqs [][]uint64, nextSeq uint64,
-	build func(shard int, b retrieve.Backend) (*retrieve.Core, error)) (*ShardedIndex, error) {
-	backend, engine, err := f.newBackend()
-	if err != nil {
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
-	si := &ShardedIndex{family: f, engine: engine, shards: make([]shardSlot, len(seqs))}
+	build func(shard int) (*retrieve.Core, error)) (*ShardedIndex, error) {
+	si := &ShardedIndex{family: f, shards: make([]shardSlot, len(seqs))}
 	si.nextSeq.Store(nextSeq)
 	for i := range si.shards {
-		core, err := build(i, backend)
+		core, err := build(i)
 		if err != nil {
 			return nil, fmt.Errorf("sdtw: shard %d: %w", i, err)
 		}

@@ -188,9 +188,9 @@ func (ss *storeSet) StoreStats() (StoreStats, error) {
 // add is the write-through Add both index types share. Under storeMu,
 // admit stages s in RAM and calls persist with the insertion sequence and
 // envelope it staged; persist builds the record from them and appends it
-// to store i. What admit does around persist is the index's own: the
-// flat index admits in place and rolls back when persist fails, a
-// sharded index publishes only once persist has succeeded.
+// to store i. Both index types publish s only once persist has
+// succeeded: the flat index's core appends after it, a sharded index
+// stores the snapshot it staged.
 func (ss *storeSet) add(i int, s Series, admit func(persist func(seq uint64, env lower.Envelope) error) error) error {
 	if s.ID == "" {
 		return fmt.Errorf("sdtw: Add: a store-backed index needs non-empty series IDs: %w", ErrNoID)
@@ -344,7 +344,7 @@ func (ss *storeSet) exportStores(root, fingerprint string, segRecords int, parts
 // snapshot.
 func (ix *Index) SaveStore(dir string) error {
 	data, envs := ix.core.Snapshot()
-	return ix.exportStores(dir, ix.family.fingerprint, ix.segRecords, []storeExport{{
+	return ix.exportStores(dir, ix.family.backend.Fingerprint(), ix.segRecords, []storeExport{{
 		dir:  dir,
 		meta: exportMeta(ix.family, uint64(len(data))),
 		data: data,
@@ -374,7 +374,7 @@ func (si *ShardedIndex) SaveStore(dir string) error {
 		meta[storeMetaShard] = strconv.Itoa(i)
 		parts[i].meta = meta
 	}
-	return si.exportStores(dir, si.family.fingerprint, si.segRecords, parts)
+	return si.exportStores(dir, si.family.backend.Fingerprint(), si.segRecords, parts)
 }
 
 // openStores opens the store(s) an index of the given kind was exported
@@ -429,9 +429,9 @@ func openStores(dir string, sharded bool, kind string, familyOf func(*store.Stor
 	if err != nil {
 		return fail(err)
 	}
-	if f.fingerprint != st0.Fingerprint() {
+	if fp := f.backend.Fingerprint(); fp != st0.Fingerprint() {
 		return fail(fmt.Errorf("sdtw: store written under %q, opening under %q: %w",
-			st0.Fingerprint(), f.fingerprint, ErrConfigMismatch))
+			st0.Fingerprint(), fp, ErrConfigMismatch))
 	}
 	var nextSeq uint64
 	for i, st := range stores {
@@ -478,7 +478,7 @@ func closeStores(stores []*store.Store) {
 // engineStoreFamily is the familyOf of the engine Open*: the family comes
 // from the caller's options, the store only has to match it.
 func engineStoreFamily(opts Options) func(*store.Store) (backendFamily, error) {
-	return func(*store.Store) (backendFamily, error) { return engineFamily(opts), nil }
+	return func(*store.Store) (backendFamily, error) { return engineFamily(opts) }
 }
 
 // windowedStoreFamily is the familyOf of the windowed Open*: length and
@@ -546,13 +546,8 @@ func openIndex(dir, kind string, familyOf func(*store.Store) (backendFamily, err
 	if err != nil {
 		return nil, err
 	}
-	backend, engine, err := f.newBackend()
-	if err != nil {
-		closeStores(stores)
-		return nil, fmt.Errorf("sdtw: %w", err)
-	}
 	cold, seqList := coldRecords(stores[0].Live())
-	core, err := retrieve.RestoreCold(backend, cold, stores[0].SketchWidth(), f.workers, true)
+	core, err := retrieve.RestoreCold(f.backend, cold, stores[0].SketchWidth(), f.workers, true)
 	if err == nil && len(cold) == 0 {
 		// A flat index is never empty; a sharded root may open over nothing.
 		err = fmt.Errorf("cannot index: %w", ErrEmptyCollection)
@@ -565,23 +560,22 @@ func openIndex(dir, kind string, familyOf func(*store.Store) (backendFamily, err
 	for i, cs := range cold {
 		seqs[cs.ID] = seqList[i]
 	}
-	return &Index{core: core, engine: engine, family: f,
+	return &Index{core: core, family: f,
 		storeSet: storeSet{stores: stores}, seqs: seqs, nextSeq: nextSeq}, nil
 }
 
-// addStore is the write-through Add of a store-backed Index: admit in
-// place, and roll the admission back if the record cannot be built or
-// appended. The rollback cannot meet the last-series refusal, because
-// the series went in on top of a non-empty collection.
+// addStore is the write-through Add of a store-backed Index: the core
+// stages s, persist appends its record, and only then does the core
+// publish it, so a failed append leaves nothing of s to roll back and no
+// search ever returns it.
 func (ix *Index) addStore(s Series) error {
 	return ix.add(0, s, func(persist func(uint64, lower.Envelope) error) error {
-		if err := ix.core.Add(s); err != nil {
-			return err
-		}
 		seq := ix.nextSeq
-		ix.nextSeq++
-		if err := persist(seq, ix.core.Envelope(ix.core.Len()-1)); err != nil {
-			ix.core.Remove(s.ID)
+		err := ix.core.Add(s, func(env lower.Envelope) error {
+			ix.nextSeq++
+			return persist(seq, env)
+		})
+		if err != nil {
 			return err
 		}
 		ix.seqs[s.ID] = seq
