@@ -38,13 +38,6 @@ type Options struct {
 	Features sift.Config
 	// Matcher configures dominant-pair selection and pruning.
 	Matcher match.Config
-	// MinPairs is the minimum number of consistent salient pairs required
-	// before adaptive constraints trust the alignment; below it the band
-	// falls back to the conservative default (diagonal core, full-width
-	// adaptive intervals). A single surviving pair is too easily a
-	// spurious match and would anchor the whole core. Zero means 2;
-	// negative disables the floor.
-	MinPairs int
 	// ComputePath, when true, makes Distance also recover the warp path
 	// (costs O(band cells) extra memory).
 	ComputePath bool
@@ -53,6 +46,13 @@ type Options struct {
 	// and retaining it would force an allocation per comparison.
 	KeepBand bool
 }
+
+// minPairs is the minimum number of consistent salient pairs required
+// before adaptive constraints trust the alignment; below it the band
+// falls back to the conservative default (diagonal core, full-width
+// adaptive intervals). A single surviving pair is too easily a spurious
+// match and would anchor the whole core.
+const minPairs = 2
 
 // DefaultOptions returns the configuration used by the paper's headline
 // algorithm, adaptive core & adaptive width.
@@ -319,11 +319,7 @@ func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Featur
 		}
 		res.MatchTime = monotonic() - matchStart
 		res.Pairs = len(al.Pairs)
-		minPairs := e.opts.MinPairs
-		if minPairs == 0 {
-			minPairs = 2
-		}
-		if minPairs > 0 && len(al.Pairs) < minPairs {
+		if len(al.Pairs) < minPairs {
 			// Too little evidence to trust the alignment: fall back to an
 			// unpartitioned alignment (diagonal core; adaptive widths
 			// degrade to the full interval, i.e. a conservative band).

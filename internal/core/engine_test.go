@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -232,24 +233,49 @@ func TestEngineKeepBand(t *testing.T) {
 }
 
 func TestEngineMinPairsFallback(t *testing.T) {
-	// Pure noise series yield no reliable matches; the engine must fall
-	// back (Pairs=0 reported) and still return a valid distance.
-	rng := rand.New(rand.NewSource(11))
-	x := series.New("nx", 0, make([]float64, 120))
-	y := series.New("ny", 0, make([]float64, 120))
+	// Pure noise yields few reliable matches: at seed 4 the raw alignment
+	// keeps exactly one pair, below the minPairs floor, so the engine
+	// must fall back to the unpartitioned alignment's band (Pairs=0
+	// reported) and still return a valid distance.
+	const n = 120
+	rng := rand.New(rand.NewSource(4))
+	x := series.New("nx", 0, make([]float64, n))
+	y := series.New("ny", 0, make([]float64, n))
 	for i := range x.Values {
 		x.Values[i] = rng.NormFloat64()
 		y.Values[i] = rng.NormFloat64()
 	}
 	opts := optsFor(band.AdaptiveCoreAdaptiveWidth)
-	opts.MinPairs = 1000000 // force the fallback
+	opts.KeepBand = true
 	eng := NewEngine(opts)
+	fx, err := eng.Extract(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fy, err := eng.Extract(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := match.Match(fx, fy, n, n, opts.Matcher)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Pairs) != 1 {
+		t.Fatalf("raw alignment keeps %d pairs, want 1", len(raw.Pairs))
+	}
 	res, err := eng.Distance(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Pairs != 0 {
 		t.Fatalf("fallback did not reset pairs: %d", res.Pairs)
+	}
+	want, err := band.Build(&match.Alignment{NX: n, NY: n}, opts.Band)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Band, want) {
+		t.Fatalf("band is not the unpartitioned alignment's: %d cells, want %d", res.Band.Cells(), want.Cells())
 	}
 	full, err := dtw.Distance(x.Values, y.Values, nil)
 	if err != nil {

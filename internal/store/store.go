@@ -22,6 +22,18 @@
 // before a compaction keep reading values through their original (now
 // unlinked) file handles, so copy-on-write readers are never invalidated.
 //
+// # Layout
+//
+// format.go holds the one encoder and one decoder of each segment file
+// structure, so a format revision starts there and at
+// TestStoreFormatGolden, which pins every file's bytes: the hot header
+// (hotHeader, checked by hotFrames); the hot-record frame of payload
+// length, payload and CRC-32 (encodeFrame, frameReader.next, and
+// encodeRecord/decodeRecord for the payload); the value file's magic
+// (openValFile); and its value blocks of count, float64 bits and CRC-32
+// (encodeValBlock, readValBlock). createSynced starts each file with
+// its header or magic.
+//
 // # Durability
 //
 // All filesystem access goes through the vfs seam, so every crash path
@@ -45,13 +57,12 @@
 package store
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	iofs "io/fs"
-	"math"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -91,8 +102,6 @@ var (
 const (
 	manifestName   = "MANIFEST.json"
 	tombstonesName = "tombstones.log"
-	hotMagic       = "SDTWHOT1"
-	valMagic       = "SDTWVAL1"
 	formatVersion  = 1
 
 	// quarantineExt is appended to a corrupt sealed segment's file names
@@ -201,27 +210,11 @@ func (r *Record) LoadValues() ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening values of %q: %w", r.ID, err)
 	}
-	var hdr [4]byte
-	if _, err := f.ReadAt(hdr[:], r.off); err != nil {
-		return nil, fmt.Errorf("store: reading value block of %q: %v: %w", r.ID, err, ErrCorruptSegment)
+	body, err := readValBlock(f, r.off, r.N)
+	if err != nil {
+		return nil, fmt.Errorf("store: value block of %q: %w", r.ID, err)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n != r.N {
-		return nil, fmt.Errorf("store: value block of %q holds %d values, hot record says %d: %w", r.ID, n, r.N, ErrCorruptSegment)
-	}
-	buf := make([]byte, 8*n+4)
-	if _, err := f.ReadAt(buf, r.off+4); err != nil {
-		return nil, fmt.Errorf("store: reading value block of %q: %v: %w", r.ID, err, ErrCorruptSegment)
-	}
-	body, sum := buf[:8*n], binary.LittleEndian.Uint32(buf[8*n:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("store: value block of %q fails its checksum: %w", r.ID, ErrCorruptSegment)
-	}
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	return vals, nil
+	return decodeFloats(body), nil
 }
 
 // valSource is one segment's lazily opened value file. It outlives
@@ -337,6 +330,25 @@ type segWriter struct {
 	hotOff, valOff int64
 }
 
+// newStore returns a Store over dir holding no manifest or records yet;
+// a nil fsys means the real filesystem.
+func newStore(dir string, fsys vfs.FS) *Store {
+	if fsys == nil {
+		fsys = vfs.OS()
+	}
+	return &Store{dir: dir, fs: fsys, dead: make(map[uint64]bool), sources: make(map[int]*valSource)}
+}
+
+// source returns segment seg's value source, creating it on first use.
+func (st *Store) source(seg int) *valSource {
+	src, ok := st.sources[seg]
+	if !ok {
+		src = &valSource{fs: st.fs, path: st.segPath(seg, "val")}
+		st.sources[seg] = src
+	}
+	return src
+}
+
 func segName(seg int, ext string) string { return fmt.Sprintf("seg-%08d.%s", seg, ext) }
 
 func (st *Store) segPath(seg int, ext string) string {
@@ -352,32 +364,23 @@ func Create(dir string, cfg Config) (*Store, error) {
 	if cfg.SegmentRecords <= 0 {
 		cfg.SegmentRecords = DefaultSegmentRecords
 	}
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = vfs.OS()
+	st := newStore(dir, cfg.FS)
+	st.man = manifest{
+		Version:        formatVersion,
+		Fingerprint:    cfg.Fingerprint,
+		SketchWidth:    cfg.SketchWidth,
+		SegmentRecords: cfg.SegmentRecords,
+		Meta:           cfg.Meta,
+		NextSegment:    2,
+		Active:         1,
 	}
-	if err := fsys.MkdirAll(dir); err != nil {
+	if err := st.fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	if fsys.Exists(filepath.Join(dir, manifestName)) {
+	if st.fs.Exists(filepath.Join(dir, manifestName)) {
 		return nil, fmt.Errorf("store: %s: %w", dir, ErrStoreExists)
 	}
-	st := &Store{
-		dir: dir,
-		fs:  fsys,
-		man: manifest{
-			Version:        formatVersion,
-			Fingerprint:    cfg.Fingerprint,
-			SketchWidth:    cfg.SketchWidth,
-			SegmentRecords: cfg.SegmentRecords,
-			Meta:           cfg.Meta,
-			NextSegment:    2,
-			Active:         1,
-		},
-		dead:    make(map[uint64]bool),
-		sources: make(map[int]*valSource),
-	}
-	tomb, tombOff, err := fsys.OpenAppend(filepath.Join(dir, tombstonesName))
+	tomb, tombOff, err := st.fs.OpenAppend(filepath.Join(dir, tombstonesName))
 	if err != nil {
 		return nil, fmt.Errorf("store: creating tombstone log: %w", err)
 	}
@@ -398,63 +401,49 @@ func Create(dir string, cfg Config) (*Store, error) {
 // newSegment opens a fresh active segment and writes (and syncs) its
 // headers.
 func (st *Store) newSegment(seg int) (*segWriter, error) {
-	hotPath := st.segPath(seg, "hot")
-	valPath := st.segPath(seg, "val")
-	hot, err := st.fs.Create(hotPath)
+	hotHdr := st.hotHeader()
+	hot, err := st.createSynced(st.segPath(seg, "hot"), hotHdr)
 	if err != nil {
 		return nil, fmt.Errorf("store: creating segment %d: %w", seg, err)
 	}
-	val, err := st.fs.Create(valPath)
+	val, err := st.createSynced(st.segPath(seg, "val"), []byte(valMagic))
 	if err != nil {
 		hot.Close()
 		return nil, fmt.Errorf("store: creating segment %d: %w", seg, err)
 	}
-	w := &segWriter{seg: seg, hot: hot, val: val}
-	hotHdr := st.hotHeader()
-	if _, err := hot.Write(hotHdr); err != nil {
-		w.closeFiles()
-		return nil, fmt.Errorf("store: writing segment %d header: %w", seg, err)
+	return &segWriter{seg: seg, hot: hot, val: val, hotCRC: crc32.ChecksumIEEE(hotHdr),
+		hotOff: int64(len(hotHdr)), valOff: int64(len(valMagic))}, nil
+}
+
+// createSynced creates the file at path holding head (a segment file's
+// header or magic), synced, and returns it open for appending.
+func (st *Store) createSynced(path string, head []byte) (vfs.File, error) {
+	f, err := st.fs.Create(path)
+	if err != nil {
+		return nil, err
 	}
-	w.hotCRC = crc32.ChecksumIEEE(hotHdr)
-	w.hotOff = int64(len(hotHdr))
-	if _, err := val.Write([]byte(valMagic)); err != nil {
-		w.closeFiles()
-		return nil, fmt.Errorf("store: writing segment %d header: %w", seg, err)
+	if _, err := f.Write(head); err != nil {
+		f.Close()
+		return nil, err
 	}
-	w.valOff = int64(len(valMagic))
-	if err := hot.Sync(); err != nil {
-		w.closeFiles()
-		return nil, fmt.Errorf("store: syncing segment %d header: %w", seg, err)
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return nil, err
 	}
-	if err := val.Sync(); err != nil {
-		w.closeFiles()
-		return nil, fmt.Errorf("store: syncing segment %d header: %w", seg, err)
+	return f, nil
+}
+
+// sync makes every append to the segment so far durable.
+func (w *segWriter) sync() error {
+	if err := w.hot.Sync(); err != nil {
+		return err
 	}
-	st.sources[seg] = &valSource{fs: st.fs, path: valPath}
-	return w, nil
+	return w.val.Sync()
 }
 
 func (w *segWriter) closeFiles() {
-	if w.hot != nil {
-		w.hot.Close()
-	}
-	if w.val != nil {
-		w.val.Close()
-	}
-}
-
-// hotHeader encodes the per-segment config header: magic, version, and
-// the config fingerprint (so a segment file found on its own still
-// names the configuration it was written under).
-func (st *Store) hotHeader() []byte {
-	fp := []byte(st.man.Fingerprint)
-	buf := make([]byte, 0, len(hotMagic)+8+len(fp)+4)
-	buf = append(buf, hotMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.man.SketchWidth))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fp)))
-	buf = append(buf, fp...)
-	return buf
+	w.hot.Close()
+	w.val.Close()
 }
 
 // writeManifest commits the manifest durably: synced temp file, rename
@@ -509,23 +498,13 @@ func Open(dir string) (*Store, error) { return OpenWith(dir, OpenOptions{}) }
 // ErrCorruptSegment — or quarantines the segment under
 // OpenOptions.AllowQuarantine.
 func OpenWith(dir string, opts OpenOptions) (*Store, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = vfs.OS()
-	}
-	man, err := readManifest(fsys, dir)
-	if err != nil {
+	st := newStore(dir, opts.FS)
+	var err error
+	if st.man, err = readManifest(st.fs, dir); err != nil {
 		return nil, fmt.Errorf("store: %s: %w", dir, err)
 	}
-	if len(man.Quarantined) > 0 && !opts.AllowQuarantine {
-		return nil, fmt.Errorf("store: %s: %d quarantined segments (reopen with AllowQuarantine, or repair): %w", dir, len(man.Quarantined), ErrQuarantined)
-	}
-	st := &Store{
-		dir:     dir,
-		fs:      fsys,
-		man:     man,
-		dead:    make(map[uint64]bool),
-		sources: make(map[int]*valSource),
+	if n := len(st.man.Quarantined); n > 0 && !opts.AllowQuarantine {
+		return nil, fmt.Errorf("store: %s: %d quarantined segments (reopen with AllowQuarantine, or repair): %w", dir, n, ErrQuarantined)
 	}
 	ok := false
 	defer func() {
@@ -564,7 +543,6 @@ func OpenWith(dir string, opts OpenOptions) (*Store, error) {
 		}
 	}
 	st.health.Quarantined = len(st.man.Quarantined)
-	st.health.QuarantinedRecords = 0
 	for _, q := range st.man.Quarantined {
 		st.health.QuarantinedRecords += q.Records
 	}
@@ -684,41 +662,20 @@ func (st *Store) loadSealed(sealed sealedSegment) error {
 	if crc32.ChecksumIEEE(data) != sealed.HotCRC {
 		return fmt.Errorf("store: segment %d fails its checksum: %w", seg, ErrCorruptSegment)
 	}
-	header := st.hotHeader()
-	if len(data) < len(header) || string(data[:len(header)]) != string(header) {
-		return fmt.Errorf("store: segment %d header does not match the manifest configuration: %w", seg, ErrCorruptSegment)
+	fr, err := st.hotFrames(seg, data)
+	if err != nil {
+		return err
 	}
-	src, ok := st.sources[seg]
-	if !ok {
-		src = &valSource{fs: st.fs, path: st.segPath(seg, "val")}
-		st.sources[seg] = src
-	}
-	rest := data[len(header):]
-	count := 0
-	for len(rest) > 0 {
-		if len(rest) < 4 {
-			return fmt.Errorf("store: segment %d: torn record length: %w", seg, ErrCorruptSegment)
-		}
-		plen := int(binary.LittleEndian.Uint32(rest))
-		if plen < 0 || len(rest) < 4+plen+4 {
-			return fmt.Errorf("store: segment %d: torn record: %w", seg, ErrCorruptSegment)
-		}
-		payload := rest[4 : 4+plen]
-		sum := binary.LittleEndian.Uint32(rest[4+plen:])
-		if crc32.ChecksumIEEE(payload) != sum {
-			return fmt.Errorf("store: segment %d record %d fails its checksum: %w", seg, count, ErrCorruptSegment)
-		}
-		rec, err := decodeRecord(payload, st.man.SketchWidth)
-		if err != nil {
-			return fmt.Errorf("store: segment %d record %d: %v: %w", seg, count, err, ErrCorruptSegment)
-		}
+	src := st.source(seg)
+	for rec := fr.next(); rec != nil; rec = fr.next() {
 		rec.src = src
 		st.records = append(st.records, rec)
-		rest = rest[4+plen+4:]
-		count++
 	}
-	if count != sealed.Records {
-		return fmt.Errorf("store: segment %d holds %d records, manifest says %d: %w", seg, count, sealed.Records, ErrCorruptSegment)
+	if fr.err != nil {
+		return fmt.Errorf("store: segment %d: %v: %w", seg, fr.err, ErrCorruptSegment)
+	}
+	if fr.n != sealed.Records {
+		return fmt.Errorf("store: segment %d holds %d records, manifest says %d: %w", seg, fr.n, sealed.Records, ErrCorruptSegment)
 	}
 	return nil
 }
@@ -755,66 +712,38 @@ func (s *activeScan) intact() bool {
 // match the manifest configuration — is an error; every crash shape is
 // a scan result.
 func (st *Store) scanActive(seg int) (*activeScan, error) {
-	hotPath := st.segPath(seg, "hot")
 	valPath := st.segPath(seg, "val")
-	header := st.hotHeader()
-	data, err := st.fs.ReadFile(hotPath)
-	if err != nil {
-		if !errors.Is(err, iofs.ErrNotExist) {
-			return nil, fmt.Errorf("store: segment %d: %v: %w", seg, err, ErrCorruptSegment)
-		}
-		data = nil
+	data, err := st.fs.ReadFile(st.segPath(seg, "hot"))
+	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		return nil, fmt.Errorf("store: segment %d: %v: %w", seg, err, ErrCorruptSegment)
 	}
-	if len(data) < len(header) {
-		if string(data) != string(header[:len(data)]) {
-			return nil, fmt.Errorf("store: segment %d header does not match the manifest configuration: %w", seg, ErrCorruptSegment)
-		}
+	fr, err := st.hotFrames(seg, data)
+	if err != nil {
+		return nil, err
+	}
+	if fr.err == errTornHeader {
 		return &activeScan{headerTorn: true, tornBytes: int64(len(data))}, nil
 	}
-	if string(data[:len(header)]) != string(header) {
-		return nil, fmt.Errorf("store: segment %d header does not match the manifest configuration: %w", seg, ErrCorruptSegment)
-	}
-	scan := &activeScan{hotSize: int64(len(data))}
+	scan := &activeScan{hotSize: int64(len(data)), hotEnd: int64(fr.off), valEnd: int64(len(valMagic))}
 
-	// Pass 1: parse hot records up to the first tear or checksum
-	// failure.
+	// Pass 1: parse hot records up to the first bad frame, the tear.
 	var ends []int
-	off := len(header)
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < 4 {
-			break
-		}
-		plen := int(binary.LittleEndian.Uint32(rest))
-		if plen < 0 || len(rest) < 4+plen+4 {
-			break
-		}
-		payload := rest[4 : 4+plen]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4+plen:]) {
-			break
-		}
-		rec, err := decodeRecord(payload, st.man.SketchWidth)
-		if err != nil {
-			break
-		}
+	for rec := fr.next(); rec != nil; rec = fr.next() {
 		scan.recs = append(scan.recs, rec)
-		off += 4 + plen + 4
-		ends = append(ends, off)
+		ends = append(ends, fr.off)
 	}
 
 	// Pass 2: hot and val are synced independently, so a durable hot
 	// record may reference a dropped or torn value block — verify each
 	// block and keep only the prefix whose values are intact.
-	if vr, err := st.fs.Open(valPath); err == nil {
-		var magic [len(valMagic)]byte
-		if _, err := vr.ReadAt(magic[:], 0); err == nil && string(magic[:]) == valMagic {
-			scan.magicOK = true
-			scan.keep = len(scan.recs)
-			for i, rec := range scan.recs {
-				if !valBlockOK(vr, rec) {
-					scan.keep = i
+	vr, magicOK, err := openValFile(st.fs, valPath)
+	if err == nil {
+		if scan.magicOK = magicOK; magicOK {
+			for _, rec := range scan.recs {
+				if _, err := readValBlock(vr, rec.off, rec.N); err != nil {
 					break
 				}
+				scan.keep++
 			}
 		}
 		vr.Close()
@@ -825,12 +754,10 @@ func (st *Store) scanActive(seg int) (*activeScan, error) {
 		return nil, fmt.Errorf("store: segment %d values: %v: %w", seg, err, ErrCorruptSegment)
 	}
 
-	scan.hotEnd = int64(len(header))
-	scan.valEnd = int64(len(valMagic))
 	if scan.keep > 0 {
 		scan.hotEnd = int64(ends[scan.keep-1])
 		last := scan.recs[scan.keep-1]
-		scan.valEnd = last.off + 4 + 8*int64(last.N) + 4
+		scan.valEnd = last.off + valBlockLen(last.N)
 	}
 	scan.hotCRC = crc32.ChecksumIEEE(data[:scan.hotEnd])
 	return scan, nil
@@ -841,20 +768,15 @@ func (st *Store) scanActive(seg int) (*activeScan, error) {
 // unsynced, therefore unacknowledged, suffix — is truncated away. A
 // missing or header-torn active segment is recreated empty.
 func (st *Store) openActive(seg int) (*segWriter, error) {
-	hotPath := st.segPath(seg, "hot")
-	valPath := st.segPath(seg, "val")
 	scan, err := st.scanActive(seg)
 	if err != nil {
 		return nil, err
 	}
 	if scan.headerTorn {
-		return st.recreateActive(seg, hotPath, valPath, scan.tornBytes)
+		return st.recreateActive(seg, scan.tornBytes)
 	}
-	src, ok := st.sources[seg]
-	if !ok {
-		src = &valSource{fs: st.fs, path: valPath}
-		st.sources[seg] = src
-	}
+	src := st.source(seg)
+	hotPath, valPath := st.segPath(seg, "hot"), src.path
 	recs, keep := scan.recs, scan.keep
 	for _, rec := range recs[:keep] {
 		rec.src = src
@@ -876,16 +798,8 @@ func (st *Store) openActive(seg int) (*segWriter, error) {
 				return nil, fmt.Errorf("store: recovering segment %d: %w", seg, err)
 			}
 		}
-		vw, err := st.fs.Create(valPath)
+		vw, err := st.createSynced(valPath, []byte(valMagic))
 		if err != nil {
-			return nil, fmt.Errorf("store: recovering segment %d: %w", seg, err)
-		}
-		if _, err := vw.Write([]byte(valMagic)); err != nil {
-			vw.Close()
-			return nil, fmt.Errorf("store: recovering segment %d: %w", seg, err)
-		}
-		if err := vw.Sync(); err != nil {
-			vw.Close()
 			return nil, fmt.Errorf("store: recovering segment %d: %w", seg, err)
 		}
 		vw.Close()
@@ -916,11 +830,7 @@ func (st *Store) openActive(seg int) (*segWriter, error) {
 	if truncated {
 		// Make the repaired shape durable so the cut tail cannot
 		// resurface after a later crash.
-		if err := w.hot.Sync(); err != nil {
-			w.closeFiles()
-			return nil, fmt.Errorf("store: recovering segment %d: %w", seg, err)
-		}
-		if err := w.val.Sync(); err != nil {
+		if err := w.sync(); err != nil {
 			w.closeFiles()
 			return nil, fmt.Errorf("store: recovering segment %d: %w", seg, err)
 		}
@@ -933,8 +843,8 @@ func (st *Store) openActive(seg int) (*segWriter, error) {
 // recreateActive replaces an active segment whose durable prefix never
 // reached a full header (or whose files are missing entirely) with a
 // fresh empty one.
-func (st *Store) recreateActive(seg int, hotPath, valPath string, tornBytes int64) (*segWriter, error) {
-	for _, p := range []string{hotPath, valPath} {
+func (st *Store) recreateActive(seg int, tornBytes int64) (*segWriter, error) {
+	for _, p := range []string{st.segPath(seg, "hot"), st.segPath(seg, "val")} {
 		if st.fs.Exists(p) {
 			if err := st.fs.Remove(p); err != nil {
 				return nil, fmt.Errorf("store: recovering segment %d: %w", seg, err)
@@ -950,27 +860,8 @@ func (st *Store) recreateActive(seg int, hotPath, valPath string, tornBytes int6
 		w.closeFiles()
 		return nil, fmt.Errorf("store: recovering segment %d: %w", seg, err)
 	}
-	if tornBytes > 0 {
-		st.health.TruncatedBytes += tornBytes
-	}
+	st.health.TruncatedBytes += tornBytes
 	return w, nil
-}
-
-// valBlockOK verifies one value block (length prefix, count match and
-// CRC) through an open read handle.
-func valBlockOK(f vfs.File, rec *Record) bool {
-	var hdr [4]byte
-	if _, err := f.ReadAt(hdr[:], rec.off); err != nil {
-		return false
-	}
-	if int(binary.LittleEndian.Uint32(hdr[:])) != rec.N {
-		return false
-	}
-	buf := make([]byte, 8*rec.N+4)
-	if _, err := f.ReadAt(buf, rec.off+4); err != nil {
-		return false
-	}
-	return crc32.ChecksumIEEE(buf[:8*rec.N]) == binary.LittleEndian.Uint32(buf[8*rec.N:])
 }
 
 // parseTombstones parses the tombstone log: the sequence of every
@@ -982,7 +873,7 @@ func valBlockOK(f vfs.File, rec *Record) bool {
 func parseTombstones(data []byte) (seqs []uint64, tornAt int, err error) {
 	off := 0
 	for off < len(data) {
-		nl := indexByte(data[off:], '\n')
+		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
 			// No terminating newline: the final append was torn.
 			return seqs, off, nil
@@ -1040,144 +931,6 @@ func (st *Store) loadTombstones() error {
 	return nil
 }
 
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// encodeRecord serialises the hot payload of rec (values live in the
-// val file at valOff).
-func encodeRecord(rec *Record, valOff int64) []byte {
-	id := []byte(rec.ID)
-	w := len(rec.Sketch.Upper)
-	n := len(rec.Envelope.Upper)
-	buf := make([]byte, 0, 4+len(id)+8+8+4+16+16*w+4+16*n+8)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(id)))
-	buf = append(buf, id...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(rec.Label)))
-	buf = binary.LittleEndian.AppendUint64(buf, rec.Seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.N))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.First))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.Last))
-	for _, v := range rec.Sketch.Upper {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	for _, v := range rec.Sketch.Lower {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.Envelope.Radius))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	for _, v := range rec.Envelope.Upper {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	for _, v := range rec.Envelope.Lower {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(valOff))
-	return buf
-}
-
-// decodeRecord parses a hot payload. sketchW is the store-wide sketch
-// width every record must carry.
-func decodeRecord(p []byte, sketchW int) (*Record, error) {
-	rec := &Record{}
-	u32 := func() (uint32, error) {
-		if len(p) < 4 {
-			return 0, errors.New("short payload")
-		}
-		v := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		return v, nil
-	}
-	u64 := func() (uint64, error) {
-		if len(p) < 8 {
-			return 0, errors.New("short payload")
-		}
-		v := binary.LittleEndian.Uint64(p)
-		p = p[8:]
-		return v, nil
-	}
-	f64s := func(n int) ([]float64, error) {
-		if len(p) < 8*n {
-			return nil, errors.New("short payload")
-		}
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-		}
-		p = p[8*n:]
-		return out, nil
-	}
-	idLen, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(idLen) > len(p) {
-		return nil, errors.New("short payload")
-	}
-	rec.ID = string(p[:idLen])
-	p = p[idLen:]
-	label, err := u64()
-	if err != nil {
-		return nil, err
-	}
-	rec.Label = int(int64(label))
-	if rec.Seq, err = u64(); err != nil {
-		return nil, err
-	}
-	n32, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	rec.N = int(n32)
-	first, err := u64()
-	if err != nil {
-		return nil, err
-	}
-	last, err := u64()
-	if err != nil {
-		return nil, err
-	}
-	rec.First, rec.Last = math.Float64frombits(first), math.Float64frombits(last)
-	if rec.Sketch.Upper, err = f64s(sketchW); err != nil {
-		return nil, err
-	}
-	if rec.Sketch.Lower, err = f64s(sketchW); err != nil {
-		return nil, err
-	}
-	radius, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	envN, err := u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(envN) != rec.N {
-		return nil, fmt.Errorf("envelope length %d != series length %d", envN, rec.N)
-	}
-	rec.Envelope.Radius = int(int32(radius))
-	if rec.Envelope.Upper, err = f64s(rec.N); err != nil {
-		return nil, err
-	}
-	if rec.Envelope.Lower, err = f64s(rec.N); err != nil {
-		return nil, err
-	}
-	off, err := u64()
-	if err != nil {
-		return nil, err
-	}
-	rec.off = int64(off)
-	if len(p) != 0 {
-		return nil, errors.New("trailing bytes in record payload")
-	}
-	return rec, nil
-}
-
 // Append persists rec (which must carry Values, a Sketch at the store's
 // width, and its Envelope) to the active segment: the value block first,
 // then the hot record pointing at it. The active segment seals once it
@@ -1228,22 +981,13 @@ func (st *Store) appendLocked(rec Record) error {
 	}
 	w := st.active
 
-	vbuf := make([]byte, 0, 4+8*rec.N+4)
-	vbuf = binary.LittleEndian.AppendUint32(vbuf, uint32(rec.N))
-	for _, v := range rec.Values {
-		vbuf = binary.LittleEndian.AppendUint64(vbuf, math.Float64bits(v))
-	}
-	vbuf = binary.LittleEndian.AppendUint32(vbuf, crc32.ChecksumIEEE(vbuf[4:4+8*rec.N]))
+	vbuf := encodeValBlock(rec.Values)
 	valOff := w.valOff
 	if _, err := w.val.Write(vbuf); err != nil {
 		return st.cutBack(fmt.Errorf("store: appending values of %q: %w", rec.ID, err), st.segPath(w.seg, "val"), valOff)
 	}
 
-	payload := encodeRecord(&rec, valOff)
-	hbuf := make([]byte, 0, 4+len(payload)+4)
-	hbuf = binary.LittleEndian.AppendUint32(hbuf, uint32(len(payload)))
-	hbuf = append(hbuf, payload...)
-	hbuf = binary.LittleEndian.AppendUint32(hbuf, crc32.ChecksumIEEE(payload))
+	hbuf := encodeFrame(&rec, valOff)
 	if _, err := w.hot.Write(hbuf); err != nil {
 		err = st.cutBack(fmt.Errorf("store: appending record %q: %w", rec.ID, err), st.segPath(w.seg, "hot"), w.hotOff)
 		return st.cutBack(err, st.segPath(w.seg, "val"), valOff)
@@ -1255,7 +999,7 @@ func (st *Store) appendLocked(rec Record) error {
 
 	stored := rec
 	stored.Values = nil
-	stored.src = st.sources[w.seg]
+	stored.src = st.source(w.seg)
 	stored.off = valOff
 	st.records = append(st.records, &stored)
 
@@ -1270,10 +1014,7 @@ func (st *Store) appendLocked(rec Record) error {
 // deferred the commit to its own single final one).
 func (st *Store) sealLocked() error {
 	w := st.active
-	if err := w.hot.Sync(); err != nil {
-		return fmt.Errorf("store: sealing segment %d: %w", w.seg, err)
-	}
-	if err := w.val.Sync(); err != nil {
+	if err := w.sync(); err != nil {
 		return fmt.Errorf("store: sealing segment %d: %w", w.seg, err)
 	}
 	w.closeFiles()
@@ -1301,10 +1042,7 @@ func (st *Store) Sync() error {
 	if st.closed {
 		return ErrClosed
 	}
-	if err := st.active.hot.Sync(); err != nil {
-		return fmt.Errorf("store: syncing active segment: %w", err)
-	}
-	if err := st.active.val.Sync(); err != nil {
+	if err := st.active.sync(); err != nil {
 		return fmt.Errorf("store: syncing active segment: %w", err)
 	}
 	return nil
@@ -1419,10 +1157,7 @@ func (st *Store) Compact() error {
 	}
 	// Every re-appended record must be durable before the manifest
 	// stops referencing the segments it came from.
-	if err := st.active.hot.Sync(); err != nil {
-		return fmt.Errorf("store: compact: syncing active segment: %w", err)
-	}
-	if err := st.active.val.Sync(); err != nil {
+	if err := st.active.sync(); err != nil {
 		return fmt.Errorf("store: compact: syncing active segment: %w", err)
 	}
 	if err := st.writeManifest(); err != nil {

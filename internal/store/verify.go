@@ -56,26 +56,20 @@ func (r *Report) Repairable() bool {
 // the active segment's crash state, the tombstone log, and leftover
 // orphan files. A nil fsys means the real filesystem.
 func Verify(dir string, fsys vfs.FS) (*Report, error) {
-	if fsys == nil {
-		fsys = vfs.OS()
-	}
 	rep := &Report{}
 	found := func(path string, repairable bool, err error) {
 		rep.Issues = append(rep.Issues, Issue{Path: path, Repairable: repairable, Err: err})
 	}
-	man, err := readManifest(fsys, dir)
+	// Scratch store: reuses the loading code without opening anything
+	// for writing.
+	st := newStore(dir, fsys)
+	man, err := readManifest(st.fs, dir)
 	if err != nil {
 		found(manifestName, false, err)
 		return rep, nil
 	}
-	// Scratch store: reuses the loading code without opening anything
-	// for writing.
-	st := &Store{dir: dir, fs: fsys, man: man, dead: make(map[uint64]bool), sources: make(map[int]*valSource)}
-	defer func() {
-		for _, src := range st.sources {
-			src.close()
-		}
-	}()
+	st.man = man
+	defer st.Close()
 
 	for _, q := range man.Quarantined {
 		found(segName(q.Seg, "hot")+quarantineExt, true,
@@ -95,7 +89,7 @@ func Verify(dir string, fsys vfs.FS) (*Report, error) {
 		// Not repairable: the open path never reads sealed value blocks,
 		// so Repair would not quarantine this — the operator chooses
 		// (restore the segment, or quarantine it by hand).
-		badBlocks := verifyValBlocks(fsys, st.segPath(sealed.Seg, "val"), st.records[mark:])
+		badBlocks := st.badValBlocks(sealed.Seg, st.records[mark:])
 		if badBlocks > 0 {
 			found(segName(sealed.Seg, "val"), false,
 				fmt.Errorf("segment %d: %d value blocks fail their checksums: %w", sealed.Seg, badBlocks, ErrCorruptSegment))
@@ -121,29 +115,29 @@ func Verify(dir string, fsys vfs.FS) (*Report, error) {
 		rep.Records += scan.keep
 	}
 
-	if err := verifyTombstones(fsys, dir, found); err != nil {
+	if err := st.verifyTombstones(found); err != nil {
 		return nil, err
 	}
-	if err := verifyOrphans(fsys, dir, &man, found); err != nil {
+	if err := st.verifyOrphans(found); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// verifyValBlocks counts records whose value blocks fail verification.
-func verifyValBlocks(fsys vfs.FS, valPath string, recs []*Record) int {
-	f, err := fsys.Open(valPath)
+// badValBlocks counts the records of segment seg whose value blocks
+// fail verification.
+func (st *Store) badValBlocks(seg int, recs []*Record) int {
+	f, magicOK, err := openValFile(st.fs, st.segPath(seg, "val"))
 	if err != nil {
 		return len(recs)
 	}
 	defer f.Close()
-	var magic [len(valMagic)]byte
-	if _, err := f.ReadAt(magic[:], 0); err != nil || string(magic[:]) != valMagic {
+	if !magicOK {
 		return len(recs)
 	}
 	bad := 0
 	for _, rec := range recs {
-		if !valBlockOK(f, rec) {
+		if _, err := readValBlock(f, rec.off, rec.N); err != nil {
 			bad++
 		}
 	}
@@ -153,8 +147,8 @@ func verifyValBlocks(fsys vfs.FS, valPath string, recs []*Record) int {
 // verifyTombstones checks the tombstone log the way loadTombstones
 // reads it, reporting a torn final entry as repairable and anything
 // earlier as corruption.
-func verifyTombstones(fsys vfs.FS, dir string, found func(string, bool, error)) error {
-	data, err := fsys.ReadFile(filepath.Join(dir, tombstonesName))
+func (st *Store) verifyTombstones(found func(string, bool, error)) error {
+	data, err := st.fs.ReadFile(filepath.Join(st.dir, tombstonesName))
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
 			return nil
@@ -173,12 +167,12 @@ func verifyTombstones(fsys vfs.FS, dir string, found func(string, bool, error)) 
 }
 
 // verifyOrphans reports the files an Open would sweep as orphans.
-func verifyOrphans(fsys vfs.FS, dir string, man *manifest, found func(string, bool, error)) error {
-	names, err := fsys.ReadDir(dir)
+func (st *Store) verifyOrphans(found func(string, bool, error)) error {
+	names, err := st.fs.ReadDir(st.dir)
 	if err != nil {
-		return fmt.Errorf("store: listing %s: %w", dir, err)
+		return fmt.Errorf("store: listing %s: %w", st.dir, err)
 	}
-	for _, name := range man.orphans(names) {
+	for _, name := range st.man.orphans(names) {
 		found(name, true, fmt.Errorf("unreferenced file (crashed compact or commit residue)"))
 	}
 	return nil
