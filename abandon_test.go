@@ -28,9 +28,6 @@ func TestTopKAbandonInvariance(t *testing.T) {
 			if opts.Symmetric {
 				name += "+sym"
 			}
-			if opts.MaxWidthFrac > 0 {
-				name += "+maxw"
-			}
 			if opts.Strategy == FixedCoreFixedWidth {
 				name += fmt.Sprintf("+w=%g", opts.WidthFrac)
 			}

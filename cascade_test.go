@@ -29,7 +29,6 @@ func cascadeConfigs() []Options {
 		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10},
 		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.20},
 		{Strategy: FixedCoreAdaptiveWidth},
-		{Strategy: FixedCoreAdaptiveWidth, MaxWidthFrac: 0.30},
 		{Strategy: AdaptiveCoreFixedWidth, WidthFrac: 0.10},
 		{Strategy: AdaptiveCoreAdaptiveWidth},
 		{Strategy: AdaptiveCoreAdaptiveWidth, Symmetric: true},
@@ -102,9 +101,6 @@ func TestCascadeMatchesBruteForce(t *testing.T) {
 			name := fmt.Sprintf("%s/%v", collName, opts.Strategy)
 			if opts.Symmetric {
 				name += "+sym"
-			}
-			if opts.MaxWidthFrac > 0 {
-				name += "+maxw"
 			}
 			if opts.Strategy == FixedCoreFixedWidth {
 				name += fmt.Sprintf("+w=%g", opts.WidthFrac)

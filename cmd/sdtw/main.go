@@ -90,7 +90,7 @@ func runClassic() {
 
 	switch {
 	case *features >= 0:
-		if err := printFeatures(data, *features, opts); err != nil {
+		if err := printFeatures(data, *features); err != nil {
 			fatal(err)
 		}
 	case *query >= 0:
@@ -185,11 +185,11 @@ func runQuery(data *sdtw.Dataset, q, k int, opts sdtw.Options) error {
 	return nil
 }
 
-func printFeatures(data *sdtw.Dataset, idx int, opts sdtw.Options) error {
+func printFeatures(data *sdtw.Dataset, idx int) error {
 	if err := checkIndex(data, idx); err != nil {
 		return err
 	}
-	feats, err := sdtw.ExtractFeatures(data.Series[idx].Values, opts)
+	feats, err := sdtw.ExtractFeatures(data.Series[idx].Values)
 	if err != nil {
 		return err
 	}

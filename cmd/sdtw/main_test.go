@@ -63,7 +63,7 @@ func TestRunPairAndQueryEndToEnd(t *testing.T) {
 	if err := runQuery(d, 0, 2, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := printFeatures(d, 0, opts); err != nil {
+	if err := printFeatures(d, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := runPair(d, 0, 99, opts); err == nil {

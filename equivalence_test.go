@@ -86,9 +86,6 @@ func TestSearchEquivalentToPreRedesignEngineTopK(t *testing.T) {
 			if opts.Symmetric {
 				name += "+sym"
 			}
-			if opts.MaxWidthFrac > 0 {
-				name += "+maxw"
-			}
 			if opts.Strategy == FixedCoreFixedWidth {
 				name += fmt.Sprintf("+w=%g", opts.WidthFrac)
 			}

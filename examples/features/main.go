@@ -27,7 +27,7 @@ func main() {
 
 	// Salient features: scale-space extrema with scopes (3σ) and
 	// gradient descriptors.
-	feats, err := sdtw.ExtractFeatures(x.Values, sdtw.Options{})
+	feats, err := sdtw.ExtractFeatures(x.Values)
 	if err != nil {
 		log.Fatal(err)
 	}

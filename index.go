@@ -170,8 +170,7 @@ func NewIndex(data []Series, opts Options) (*Index, error) {
 // full-width envelopes.
 //
 // Validation is shared with NewIndex — in particular non-empty series IDs
-// must be unique (they key Remove), which the pre-unification
-// NewBoundedIndex did not require.
+// must be unique (they key Remove).
 func NewWindowedIndex(data []Series, radius int) (*Index, error) {
 	f, err := windowedFamilyOver(data, radius)
 	if err != nil {
@@ -208,23 +207,15 @@ func engineFingerprint(o Options) string {
 	f := func(k string, v any) { fmt.Fprintf(&b, "|%s=%v", k, v) }
 	f("strategy", int(o.Strategy))
 	f("w", strconv.FormatFloat(o.WidthFrac, 'g', -1, 64))
-	f("minw", strconv.FormatFloat(o.MinWidthFrac, 'g', -1, 64))
-	f("maxw", strconv.FormatFloat(o.MaxWidthFrac, 'g', -1, 64))
-	f("nr", o.NeighborRadius)
-	// The slope bound of the removed Itakura strategy: the literal keeps
-	// every store written without it opening unchanged.
-	b.WriteString("|slope=0")
+	// The adaptive-width bounds and the ac2 radius, removed from Options
+	// with their knobs, and the slope bound of the removed Itakura
+	// strategy: every store written without them holds these zeros.
+	b.WriteString("|minw=0|maxw=0|nr=0|slope=0")
 	f("sym", o.Symmetric)
-	f("bins", o.DescriptorBins)
-	f("eps", strconv.FormatFloat(o.Epsilon, 'g', -1, 64))
-	f("oct", o.Octaves)
-	f("lev", o.Levels)
-	f("amp", strconv.FormatFloat(o.MaxAmplitudeDiff, 'g', -1, 64))
-	f("scale", strconv.FormatFloat(o.MaxScaleRatio, 'g', -1, 64))
-	f("dom", strconv.FormatFloat(o.DominanceRatio, 'g', -1, 64))
-	// The custom point cost, removed with the option that set it: no store
-	// was ever exported under one, so every store holds "false".
-	b.WriteString("|pd=false")
+	// The extraction and matching knobs, removed from Options (the
+	// paper's settings are fixed), and the custom point cost, removed
+	// with the option that set it: every store holds these literals.
+	b.WriteString("|bins=0|eps=0|oct=0|lev=0|amp=0|scale=0|dom=0|pd=false")
 	return b.String()
 }
 
@@ -381,9 +372,7 @@ func resolveSearch(opts []SearchOption) (retrieve.Params, error) {
 //
 // ctx cancellation stops the search promptly — the worker pool stops
 // dispatching and the dynamic programs stop mid-band — and Search returns
-// ctx.Err(), so errors.Is(err, context.Canceled) holds. (With
-// Options.ComputePath set the path-recovering DP runs each candidate's
-// band to completion; cancellation is then observed between candidates.)
+// ctx.Err(), so errors.Is(err, context.Canceled) holds.
 // Validation is uniform across backends: an empty query reports
 // ErrEmptySeries, a bad k ErrBadK, and a wrong-length query on a windowed
 // index ErrLengthMismatch.

@@ -38,9 +38,6 @@ type Options struct {
 	Features sift.Config
 	// Matcher configures dominant-pair selection and pruning.
 	Matcher match.Config
-	// ComputePath, when true, makes Distance also recover the warp path
-	// (costs O(band cells) extra memory).
-	ComputePath bool
 	// KeepBand, when true, copies the constraint band into Result.Band.
 	// Off by default: the band is scratch storage reused across calls,
 	// and retaining it would force an allocation per comparison.
@@ -69,8 +66,6 @@ func DefaultOptions() Options {
 type Result struct {
 	// Distance is the (estimated) DTW distance under the constraints.
 	Distance float64
-	// Path is the optimal in-band warp path; nil unless ComputePath.
-	Path dtw.Path
 	// Band is the constraint actually used; zero unless Options.KeepBand.
 	Band dtw.Band
 	// CellsFilled is the number of DTW grid cells evaluated: all of the
@@ -96,8 +91,8 @@ type Result struct {
 	// MatchTime is the time spent matching features and pruning
 	// inconsistencies (paper task b); zero for non-adaptive strategies.
 	MatchTime time.Duration
-	// DPTime is the time spent filling the constrained grid and, when
-	// requested, recovering the path (paper task c).
+	// DPTime is the time spent filling the constrained grid (paper
+	// task c).
 	DPTime time.Duration
 	// ExtractTime is the time this call spent extracting features; zero
 	// when the caller supplied them (DistanceUnderFeatures) or the
@@ -230,9 +225,6 @@ func (e *Engine) Distance(x, y series.Series) (Result, error) {
 // part of the band around their path. A budget of +Inf makes the call
 // identical to Distance.
 //
-// When Options.ComputePath is set (the path needs the full band) the
-// budget is ignored.
-//
 // It extracts the features of both sides on every call (only when the
 // strategy reads them) and reports that time as Result.ExtractTime; a
 // caller comparing the same series repeatedly extracts them once and
@@ -262,18 +254,12 @@ func (e *Engine) DistanceUnder(x, y series.Series, budget float64) (Result, erro
 // with a context: the banded dynamic program polls ctx every few rows
 // and a cancelled context stops the computation mid-band with ctx.Err().
 // A nil ctx disables the polling (non-cancellable entry points pass nil
-// so the DP inner loop stays identical). Like the budget, the ctx is not
-// consulted inside the path-recovering DP when Options.ComputePath is
-// set: that branch runs its band to completion, so cancellation is only
-// observed between computations.
+// so the DP inner loop stays identical).
 func (e *Engine) DistanceUnderFeatures(ctx context.Context, x series.Series, fx []sift.Feature, y series.Series, fy []sift.Feature, budget float64) (Result, error) {
 	if e.opts.Band.Symmetric && canonicalLess(y, x) {
 		res, err := e.distance(ctx, y, fy, x, fx, budget)
 		if err != nil {
 			return res, err
-		}
-		for k := range res.Path {
-			res.Path[k].I, res.Path[k].J = res.Path[k].J, res.Path[k].I
 		}
 		if e.opts.KeepBand && res.Band.N() > 0 {
 			res.Band = res.Band.Transpose().Normalize()
@@ -341,19 +327,11 @@ func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Featur
 	}
 
 	dpStart := monotonic()
-	if e.opts.ComputePath {
-		pr, err := dtw.BandedWithPath(x.Values, y.Values, b)
-		if err != nil {
-			return res, fmt.Errorf("core: constrained DTW: %w", err)
-		}
-		res.Distance, res.Path, res.CellsFilled = pr.Distance, pr.Path, pr.Cells
-	} else {
-		d, cells, abandoned, err := dtw.BandedAbandonCtx(ctx, x.Values, y.Values, b, budget, &ws.dp)
-		if err != nil {
-			return res, fmt.Errorf("core: constrained DTW: %w", err)
-		}
-		res.Distance, res.CellsFilled, res.Abandoned = d, cells, abandoned
+	d, cells, abandoned, err := dtw.BandedAbandonCtx(ctx, x.Values, y.Values, b, budget, &ws.dp)
+	if err != nil {
+		return res, fmt.Errorf("core: constrained DTW: %w", err)
 	}
+	res.Distance, res.CellsFilled, res.Abandoned = d, cells, abandoned
 	res.DPTime = monotonic() - dpStart
 	return res, nil
 }

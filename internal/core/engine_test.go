@@ -186,26 +186,6 @@ func TestEngineWarm(t *testing.T) {
 	}
 }
 
-func TestEngineComputePath(t *testing.T) {
-	x, y := makePair(9, 150, 0.3)
-	opts := optsFor(band.AdaptiveCoreAdaptiveWidth)
-	opts.ComputePath = true
-	eng := NewEngine(opts)
-	res, err := eng.Distance(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Path == nil {
-		t.Fatal("no path computed")
-	}
-	if err := res.Path.Validate(x.Len(), y.Len()); err != nil {
-		t.Fatal(err)
-	}
-	if c := res.Path.Cost(x.Values, y.Values); math.Abs(c-res.Distance) > 1e-9 {
-		t.Fatalf("path cost %v != distance %v", c, res.Distance)
-	}
-}
-
 func TestEngineKeepBand(t *testing.T) {
 	x, y := makePair(10, 150, 0.3)
 	opts := optsFor(band.AdaptiveCoreAdaptiveWidth)
@@ -472,28 +452,6 @@ func TestEngineDistanceUnderSymmetric(t *testing.T) {
 		if a.Distance != b.Distance || a.Abandoned != b.Abandoned || a.CellsFilled != b.CellsFilled {
 			t.Fatalf("budget %v: orientations diverge: %+v vs %+v", budget, a, b)
 		}
-	}
-}
-
-// TestEngineDistanceUnderComputePath: path recovery needs the full band,
-// so the budget is ignored rather than producing a pathless partial.
-func TestEngineDistanceUnderComputePath(t *testing.T) {
-	x, y := makePair(11, 120, 0.3)
-	opts := optsFor(band.FixedCoreFixedWidth)
-	opts.ComputePath = true
-	eng := NewEngine(opts)
-	res, err := eng.DistanceUnder(x, y, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Abandoned {
-		t.Fatal("ComputePath run abandoned")
-	}
-	if len(res.Path) == 0 {
-		t.Fatal("no path recovered")
-	}
-	if err := res.Path.Validate(x.Len(), y.Len()); err != nil {
-		t.Fatal(err)
 	}
 }
 

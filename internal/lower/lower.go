@@ -11,13 +11,14 @@
 // never underestimates the unconstrained distance, so
 // LB(x,y) <= DTW(x,y) <= sDTW(x,y) holds throughout.
 //
-// The public Index builds its k-NN query cascade on these bounds: LB_Kim
-// orders and pre-filters candidates, and per-series envelopes (at a
-// radius the index derives from the engine's band options so the chain
-// above holds) power the LB_Keogh stage. BoundedIndex runs the same
-// Kim-first cascade for exact windowed-DTW retrieval. Both finish with
-// early-abandoning DTW: the partial row minimum of an abandoned dynamic
-// program is one more lower bound in the same chain.
+// The public Index builds its k-NN query cascade on these bounds, for
+// the sDTW engine and the windowed exact-DTW family alike: LB_Kim orders
+// and pre-filters candidates, and per-series envelopes (at a radius the
+// index derives from the band configuration so the chain above holds)
+// power the LB_Keogh stage. The cascade finishes with early-abandoning
+// DTW, which bounds an abandoned candidate only by the budget it
+// exceeded: the cells a pruned dynamic program fills may have lost their
+// cheapest predecessor, so no row minimum of one is a lower bound.
 package lower
 
 import (

@@ -223,23 +223,20 @@ func encodeValBlock(vals []float64) []byte {
 // valBlockLen is the length of the value block of n values.
 func valBlockLen(n int) int64 { return 4 + 8*int64(n) + 4 }
 
-// readValBlock reads the value block at off through f and checks it:
-// its count must be n and its CRC must match. It returns the values'
-// bytes; every failure wraps ErrCorruptSegment.
+// readValBlock reads the value block at off through f in one read, as
+// the hot record sizes it, and checks it: its count must be n and its CRC
+// must match. It returns the values' bytes; every failure wraps
+// ErrCorruptSegment.
 func readValBlock(f vfs.File, off int64, n int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
+	buf := make([]byte, valBlockLen(n))
+	if _, err := f.ReadAt(buf, off); err != nil {
 		return nil, fmt.Errorf("reading: %v: %w", err, ErrCorruptSegment)
 	}
-	if got := int(binary.LittleEndian.Uint32(hdr[:])); got != n {
+	if got := int(binary.LittleEndian.Uint32(buf)); got != n {
 		return nil, fmt.Errorf("holds %d values, hot record says %d: %w", got, n, ErrCorruptSegment)
 	}
-	buf := make([]byte, 8*n+4)
-	if _, err := f.ReadAt(buf, off+4); err != nil {
-		return nil, fmt.Errorf("reading: %v: %w", err, ErrCorruptSegment)
-	}
-	body := buf[:8*n]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[8*n:]) {
+	body := buf[4 : 4+8*n]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(buf[4+8*n:]) {
 		return nil, fmt.Errorf("fails its checksum: %w", ErrCorruptSegment)
 	}
 	return body, nil

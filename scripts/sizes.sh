@@ -18,14 +18,25 @@ symbols=$(awk '
 	block && /^\t[A-Z][A-Za-z0-9_]*( |$)/ { n++ }
 	END { print n }' <<<"$doc")
 
-# Fields of the Options struct ("A, B int" declares two).
-fields=$(awk '
+# Fields of the Options struct, one name a line ("A, B int" declares two).
+field_names=$(awk '
 	/^type Options struct/ { in_struct = 1; next }
 	in_struct && /^}/ { exit }
 	in_struct && match($0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) {
-		n += split(substr($0, RSTART, RLENGTH), names, ",")
-	}
-	END { print n }' sdtw.go)
+		n = split(substr($0, RSTART, RLENGTH), names, ",")
+		for (i = 1; i <= n; i++) { gsub(/[ \t]/, "", names[i]); print names[i] }
+	}' sdtw.go)
+fields=$(wc -l <<<"$field_names")
+
+# Options fields that no non-test Go file under cmd/, examples/ or
+# benchmark/ names: knobs no program sets (ROADMAP item 3f makes them
+# constants).
+program_files=$(git ls-files 'cmd/*.go' 'examples/*.go' 'benchmark/*.go' | grep -v '_test\.go$')
+unset_fields=0
+for name in $field_names; do
+	# shellcheck disable=SC2086 # one path a word
+	grep -qw -- "$name" $program_files || unset_fields=$((unset_fields + 1))
+done
 
 options=$(grep -cE '^func With(out)?[A-Z]' <<<"$doc")
 
@@ -52,6 +63,7 @@ examples=$(find examples -mindepth 1 -maxdepth 1 -type d | wc -l)
 printf 'non-test Go lines outside benchmark/: %d\n' "$lines"
 printf 'root exported symbols:                %d\n' "$symbols"
 printf 'Options fields:                       %d\n' "$fields"
+printf 'Options fields no command, example or benchmark names: %d\n' "$unset_fields"
 printf 'root With*/Without* options:          %d\n' "$options"
 printf 'internal/ packages:                   %d\n' "$internal"
 printf 'examples:                             %d\n' "$examples"

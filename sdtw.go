@@ -95,13 +95,15 @@ type Step = dtw.Step
 type Result = core.Result
 
 // Options configures an Engine, and through it an engine-backed Index or
-// ShardedIndex. The point cost is always the squared difference (a−b)²,
-// the cost every lower bound of the Index cascade and the Hub's prefilter
-// assume. Every field that changes a distance is in the configuration
-// fingerprint a segment store records; Workers and StoreSegmentRecords
-// are not. Every index runs the stage-0 sketch filter at
-// DefaultSketchWidth (an opened index at the width its store was written
-// with).
+// ShardedIndex. Salient features are extracted and matched with fixed
+// settings: ε = 0.10 (calibrated; §3.1.2), 64-bin descriptors, and
+// τa = 0.5, τs = 2.5, τd = 1.25 (§3.2). The point cost is always the
+// squared difference (a−b)², the cost every lower bound of the Index
+// cascade and the Hub's prefilter assume. Every field that changes a
+// distance is in the configuration fingerprint a segment store records;
+// Workers and StoreSegmentRecords are not. Every index runs the stage-0
+// sketch filter at DefaultSketchWidth (an opened index at the width its
+// store was written with).
 type Options struct {
 	// Strategy selects the band type. The zero value is FullGrid (exact
 	// DTW); use DefaultOptions for the paper's (ac,aw) configuration. A
@@ -112,31 +114,9 @@ type Options struct {
 	// fraction of the second series' length (paper values: 0.06, 0.10,
 	// 0.20). Zero means 0.10.
 	WidthFrac float64
-	// MinWidthFrac / MaxWidthFrac bound adaptive widths (§3.3.1 notes
-	// adaptive widths combine naturally with domain bounds). Zero
-	// MinWidthFrac means 0.20 for FixedCoreAdaptiveWidth (as in §4.3)
-	// and no bound otherwise.
-	MinWidthFrac, MaxWidthFrac float64
-	// NeighborRadius is r for the ac2 width averaging. Zero means 1.
-	NeighborRadius int
 	// Symmetric unions the X-driven and Y-driven bands so the distance is
 	// symmetric (§3.3.3).
 	Symmetric bool
-	// DescriptorBins is the salient descriptor length (even, the paper
-	// sweeps 4–128). Zero means 64.
-	DescriptorBins int
-	// Epsilon is the relaxed-extremum slack ε (§3.1.2). Zero means the
-	// calibrated default 0.10 (the paper's 0.0096 must be set
-	// explicitly); negative means strict extrema.
-	Epsilon float64
-	// Octaves / Levels control the scale space; zero means the paper's
-	// o = ⌊log2 N⌋ − 6 and s = 2.
-	Octaves, Levels int
-	// MaxAmplitudeDiff (τa), MaxScaleRatio (τs) and DominanceRatio (τd)
-	// control feature matching; zeros select defaults (0.5, 2.5, 1.25).
-	MaxAmplitudeDiff, MaxScaleRatio, DominanceRatio float64
-	// ComputePath makes Distance recover the warp path.
-	ComputePath bool
 	// KeepBand copies the constraint band into Result.Band (off by
 	// default to avoid a per-comparison allocation).
 	KeepBand bool
@@ -168,42 +148,14 @@ func DefaultOptions() Options {
 	return Options{Strategy: AdaptiveCoreAdaptiveWidth}
 }
 
-// toCore lowers the public options onto the internal pipeline options.
+// toCore lowers the public options onto the internal pipeline options,
+// with the paper's extraction and matching settings.
 func (o Options) toCore() core.Options {
-	feat := sift.DefaultConfig()
-	if o.DescriptorBins != 0 {
-		feat.DescriptorBins = o.DescriptorBins
-	}
-	if o.Epsilon != 0 {
-		feat.Epsilon = o.Epsilon
-	}
-	feat.ScaleSpace.Octaves = o.Octaves
-	feat.ScaleSpace.Levels = o.Levels
-
-	matcher := match.DefaultConfig()
-	if o.MaxAmplitudeDiff != 0 {
-		matcher.MaxAmplitudeDiff = o.MaxAmplitudeDiff
-	}
-	if o.MaxScaleRatio != 0 {
-		matcher.MaxScaleRatio = o.MaxScaleRatio
-	}
-	if o.DominanceRatio != 0 {
-		matcher.DominanceRatio = o.DominanceRatio
-	}
-
 	return core.Options{
-		Band: band.Config{
-			Strategy:       o.Strategy,
-			WidthFrac:      o.WidthFrac,
-			MinWidthFrac:   o.MinWidthFrac,
-			MaxWidthFrac:   o.MaxWidthFrac,
-			NeighborRadius: o.NeighborRadius,
-			Symmetric:      o.Symmetric,
-		},
-		Features:    feat,
-		Matcher:     matcher,
-		ComputePath: o.ComputePath,
-		KeepBand:    o.KeepBand,
+		Band:     band.Config{Strategy: o.Strategy, WidthFrac: o.WidthFrac, Symmetric: o.Symmetric},
+		Features: sift.DefaultConfig(),
+		Matcher:  match.DefaultConfig(),
+		KeepBand: o.KeepBand,
 	}
 }
 
@@ -327,11 +279,10 @@ func SakoeChibaDTW(x, y []float64, widthFrac float64) (float64, error) {
 	return d, err
 }
 
-// ExtractFeatures detects salient features on v with the paper's default
-// extraction settings, overridden by the relevant fields of opts.
-func ExtractFeatures(v []float64, opts Options) ([]Feature, error) {
-	cfg := opts.toCore().Features
-	return sift.Extract(v, cfg)
+// ExtractFeatures detects salient features on v with the paper's
+// extraction settings, the ones every Engine and Index uses.
+func ExtractFeatures(v []float64) ([]Feature, error) {
+	return sift.Extract(v, sift.DefaultConfig())
 }
 
 // SubsequenceMatch locates the best-matching region of a long series.

@@ -121,49 +121,31 @@ func TestDistanceOneShot(t *testing.T) {
 	}
 }
 
+// TestOptionsPlumbing: every Options extracts with the paper's settings,
+// the ones ExtractFeatures uses — 64-bin descriptors, whatever the
+// strategy.
 func TestOptionsPlumbing(t *testing.T) {
 	x, _ := warpedPair(t)
-	// Descriptor bins reach the extractor.
-	for _, bins := range []int{8, 32} {
-		feats, err := ExtractFeatures(x.Values, Options{DescriptorBins: bins})
+	want, err := ExtractFeatures(x.Values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("no features")
+	}
+	for _, f := range want {
+		if len(f.Descriptor) != 64 {
+			t.Fatalf("descriptor length %d, want 64", len(f.Descriptor))
+		}
+	}
+	for _, opts := range []Options{{}, DefaultOptions(), {Strategy: AdaptiveCoreFixedWidth, WidthFrac: 0.20, Symmetric: true}} {
+		got, err := NewEngine(opts).Features(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(feats) == 0 {
-			t.Fatal("no features")
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: Engine.Features differs from ExtractFeatures", opts)
 		}
-		for _, f := range feats {
-			if len(f.Descriptor) != bins {
-				t.Fatalf("descriptor length %d, want %d", len(f.Descriptor), bins)
-			}
-		}
-	}
-	// Octave override reaches the scale space: a single octave yields
-	// only fine features.
-	feats, err := ExtractFeatures(x.Values, Options{Octaves: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range feats {
-		if f.Octave != 0 {
-			t.Fatalf("octave override ignored: feature at octave %d", f.Octave)
-		}
-	}
-}
-
-func TestEngineComputePathOption(t *testing.T) {
-	x, y := warpedPair(t)
-	opts := DefaultOptions()
-	opts.ComputePath = true
-	res, err := NewEngine(opts).Distance(x.Values, y.Values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Path == nil {
-		t.Fatal("path missing")
-	}
-	if err := res.Path.Validate(x.Len(), y.Len()); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -223,7 +205,7 @@ func TestEngineReusedIDSeesNewValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFeats, err := ExtractFeatures(second.Values, DefaultOptions())
+	wantFeats, err := ExtractFeatures(second.Values)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,7 +359,7 @@ func TestOpenIndexValidation(t *testing.T) {
 	// Every option that changes distances or cascade geometry refuses.
 	for _, bad := range []Options{
 		{Strategy: AdaptiveCoreAdaptiveWidth, Symmetric: true},
-		{Strategy: AdaptiveCoreAdaptiveWidth, DescriptorBins: 8},
+		{Strategy: AdaptiveCoreAdaptiveWidthAvg},
 		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.20},
 	} {
 		if _, err := OpenIndex(dir, bad); !errors.Is(err, ErrConfigMismatch) {
