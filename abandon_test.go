@@ -2,7 +2,6 @@ package sdtw
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -24,18 +23,12 @@ func TestTopKAbandonInvariance(t *testing.T) {
 	}
 	for collName, data := range collections {
 		for _, opts := range cascadeConfigs() {
-			name := fmt.Sprintf("%s/%v", collName, opts.Strategy)
-			if opts.Symmetric {
-				name += "+sym"
-			}
-			if opts.Strategy == FixedCoreFixedWidth {
-				name += fmt.Sprintf("+w=%g", opts.WidthFrac)
-			}
+			name := collName + "/" + opts.name()
 			opts := opts
 			data := data
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				ix, err := NewIndex(data, opts)
+				ix, err := opts.index(data)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +93,7 @@ func TestTopKAbandonInvariance(t *testing.T) {
 func TestAbandonPartialIsLowerBound(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 17, SeriesPerClass: 4})
 	for _, opts := range cascadeConfigs() {
-		engine := NewEngine(opts)
+		engine := opts.engine()
 		for trial := 0; trial < 12; trial++ {
 			x := d.Series[trial%d.Len()]
 			y := d.Series[(trial*7+3)%d.Len()]

@@ -82,18 +82,12 @@ func TestSearchEquivalentToPreRedesignEngineTopK(t *testing.T) {
 	}
 	for dsName, d := range datasets {
 		for _, opts := range cascadeConfigs() {
-			name := fmt.Sprintf("%s/%v", dsName, opts.Strategy)
-			if opts.Symmetric {
-				name += "+sym"
-			}
-			if opts.Strategy == FixedCoreFixedWidth {
-				name += fmt.Sprintf("+w=%g", opts.WidthFrac)
-			}
+			name := dsName + "/" + opts.name()
 			opts := opts
 			d := d
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				ix, err := NewIndex(d.Series, opts)
+				ix, err := opts.index(d.Series)
 				if err != nil {
 					t.Fatal(err)
 				}
