@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,11 +12,26 @@ import (
 	"sdtw/internal/lower"
 )
 
+// referenceLeg is the search every cascade test holds the pruning one
+// to: WithK(ix.Len()) never tightens its threshold, because the heap
+// fills only with the last candidate, so it prunes nothing and abandons
+// nothing and ranks every candidate by its full distance
+// (TestReferenceLegPrunesNothing pins that). Its first k neighbours are
+// what a WithK(k) search must return.
+func referenceLeg(t *testing.T, ix *Index, q Series, k int, opts ...SearchOption) ([]Neighbor, SearchStats) {
+	t.Helper()
+	all, stats, err := ix.Search(context.Background(), q, append([]SearchOption{WithK(ix.Len())}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all[:min(k, len(all))], stats
+}
+
 // TestTopKAbandonInvariance is the tentpole property: early abandonment
 // and pruning must never change retrieval results, only skip grid work.
 // Across every band strategy and both equal- and unequal-length
-// collections, Search and LabelsAll with abandonment enabled are
-// bit-identical to the same queries with abandonment disabled.
+// collections, Search and LabelsAll are bit-identical to the reference
+// leg, which prunes and abandons nothing.
 func TestTopKAbandonInvariance(t *testing.T) {
 	collections := map[string][]Series{
 		"equal-length":   randomWalkSeries(rand.New(rand.NewSource(21)), 16, 64, 0),
@@ -39,21 +55,18 @@ func TestTopKAbandonInvariance(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, wantStats, err := ix.Search(ctx, q, WithK(k), WithoutAbandon())
-						if err != nil {
-							t.Fatal(err)
-						}
+						want, wantStats := referenceLeg(t, ix, q, k)
 						if len(got) != len(want) {
-							t.Fatalf("k=%d: %d neighbours with abandonment, %d without", k, len(got), len(want))
+							t.Fatalf("k=%d: %d neighbours, %d in the reference leg", k, len(got), len(want))
 						}
 						for i := range got {
 							if got[i] != want[i] {
-								t.Fatalf("k=%d rank %d: %+v with abandonment, %+v without (on=%v off=%v)",
+								t.Fatalf("k=%d rank %d: %+v, %+v in the reference leg (search %v, reference %v)",
 									k, i, got[i], want[i], gotStats, wantStats)
 							}
 						}
 						if wantStats.AbandonedDTW != 0 || wantStats.CellsSaved != 0 {
-							t.Fatalf("WithoutAbandon search reported abandonment: %v", wantStats)
+							t.Fatalf("the reference leg reported abandonment: %v", wantStats)
 						}
 						if gotStats.AbandonedDTW > gotStats.Evaluated {
 							t.Fatalf("abandoned exceeds evaluated: %v", gotStats)
@@ -63,25 +76,89 @@ func TestTopKAbandonInvariance(t *testing.T) {
 						}
 					}
 				}
-				onLabels, _, err := ix.LabelsAll(ctx, WithK(3))
+				labels, _, err := ix.LabelsAll(ctx, WithK(3))
 				if err != nil {
 					t.Fatal(err)
 				}
-				offLabels, _, err := ix.LabelsAll(ctx, WithK(3), WithoutAbandon())
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range onLabels {
-					if len(onLabels[i]) != len(offLabels[i]) {
-						t.Fatalf("series %d: ClassifyAll %v with abandonment, %v without", i, onLabels[i], offLabels[i])
-					}
-					for j := range onLabels[i] {
-						if onLabels[i][j] != offLabels[i][j] {
-							t.Fatalf("series %d: ClassifyAll %v with abandonment, %v without", i, onLabels[i], offLabels[i])
-						}
+				for i := range labels {
+					nbrs, _ := referenceLeg(t, ix, data[i], 3, WithExclude(i))
+					if want := vote(nbrs); !slices.Equal(labels[i], want) {
+						t.Fatalf("series %d: LabelsAll %v, %v from the reference leg", i, labels[i], want)
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestReferenceLegPrunesNothing pins the property the cascade tests'
+// reference leg rests on: a WithK(Len()) search — its threshold tightens
+// only once the last candidate is in — prunes no candidate at any stage,
+// abandons no DP and evaluates every candidate, on a flat engine index
+// (equal and unequal lengths), a flat windowed one and a 3-shard one,
+// for indexed and outside queries, at one worker and at several.
+func TestReferenceLegPrunesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	equal := randomWalkSeries(rng, 24, 64, 0)
+	unequal := randomWalkSeries(rng, 18, 60, 6)
+	outside := randomWalkSeries(rng, 1, 64, 0)[0]
+	outside.ID = "outside"
+	engine, err := NewIndex(equal, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := NewIndex(unequal, Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowed, err := NewWindowedIndex(equal, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewShardedIndex(equal, 3, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type searcher func(q Series, opts ...SearchOption) (int, SearchStats, error)
+	flat := func(ix *Index) searcher {
+		return func(q Series, opts ...SearchOption) (int, SearchStats, error) {
+			nbrs, stats, err := ix.Search(context.Background(), q, opts...)
+			return len(nbrs), stats, err
+		}
+	}
+	cases := []struct {
+		name    string
+		n       int
+		search  searcher
+		queries []Series
+	}{
+		{"engine", engine.Len(), flat(engine), []Series{equal[0], equal[13], outside}},
+		{"engine-unequal", mixed.Len(), flat(mixed), []Series{unequal[0], unequal[9], outside}},
+		{"windowed", windowed.Len(), flat(windowed), []Series{equal[0], equal[13], outside}},
+		{"sharded", sharded.Len(), func(q Series, opts ...SearchOption) (int, SearchStats, error) {
+			hits, stats, err := sharded.Search(context.Background(), q, opts...)
+			return len(hits), stats, err
+		}, []Series{equal[0], equal[13], outside}},
+	}
+	for _, tc := range cases {
+		for qi, q := range tc.queries {
+			for _, workers := range []int{1, 4} {
+				hits, s, err := tc.search(q, WithK(tc.n), WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := tc.n
+				if q.ID != "outside" {
+					want-- // the query's own entry is excluded
+				}
+				if s.Candidates != want || hits != want {
+					t.Fatalf("%s q%d workers=%d: %d candidates, %d hits; want %d of each", tc.name, qi, workers, s.Candidates, hits, want)
+				}
+				if s.PrunedSketch != 0 || s.PrunedKim != 0 || s.PrunedKeogh != 0 || s.AbandonedDTW != 0 ||
+					s.CellsSaved != 0 || s.Evaluated != s.Candidates {
+					t.Fatalf("%s q%d workers=%d: the reference leg skipped work: %v", tc.name, qi, workers, s)
+				}
+			}
 		}
 	}
 }
@@ -123,8 +200,9 @@ func TestAbandonPartialIsLowerBound(t *testing.T) {
 }
 
 // TestAbandonSavesWorkOnTrace pins the acceptance bar: on the Trace
-// retrieval workload, early abandonment fires and measurably reduces the
-// cells filled relative to the same queries without it.
+// retrieval workload, early abandonment fires and the cascade fills
+// fewer cells than the reference leg, which evaluates every candidate in
+// full.
 func TestAbandonSavesWorkOnTrace(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 42, SeriesPerClass: 12})
 	for _, cfg := range []struct {
@@ -143,7 +221,7 @@ func TestAbandonSavesWorkOnTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, offStats, err := ix.SearchBatch(context.Background(), d.Series, WithK(5), WithoutAbandon())
+			_, refStats, err := ix.SearchBatch(context.Background(), d.Series, WithK(ix.Len()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,8 +231,8 @@ func TestAbandonSavesWorkOnTrace(t *testing.T) {
 			if onStats.CellsSaved == 0 {
 				t.Fatalf("no cells saved: %v", onStats)
 			}
-			if onStats.Cells >= offStats.Cells {
-				t.Fatalf("abandonment filled %d cells, disabled filled %d", onStats.Cells, offStats.Cells)
+			if onStats.Cells >= refStats.Cells {
+				t.Fatalf("the cascade filled %d cells, the reference leg %d", onStats.Cells, refStats.Cells)
 			}
 			if onStats.AbandonRate() <= 0 {
 				t.Fatalf("abandon rate %v", onStats.AbandonRate())
@@ -164,9 +242,8 @@ func TestAbandonSavesWorkOnTrace(t *testing.T) {
 }
 
 // TestWindowedIndexAbandonInvariance mirrors the invariance property for
-// the windowed exact index: abandonment on and off (per search, via
-// WithoutAbandon) return identical neighbours, and on a structured
-// workload abandonment actually fires.
+// the windowed exact index: the cascade returns the reference leg's
+// neighbours, and on a structured workload abandonment actually fires.
 func TestWindowedIndexAbandonInvariance(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 33, SeriesPerClass: 8})
 	ctx := context.Background()
@@ -182,21 +259,18 @@ func TestWindowedIndexAbandonInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantStats, err := ix.Search(ctx, d.Series[q], WithK(k), WithoutAbandon())
-				if err != nil {
-					t.Fatal(err)
-				}
+				want, wantStats := referenceLeg(t, ix, d.Series[q], k)
 				if len(got) != len(want) {
 					t.Fatalf("radius=%d q=%d k=%d: %d vs %d neighbours", radius, q, k, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("radius=%d q=%d k=%d rank %d: %+v with abandonment, %+v without",
+						t.Fatalf("radius=%d q=%d k=%d rank %d: %+v, %+v in the reference leg",
 							radius, q, k, i, got[i], want[i])
 					}
 				}
 				if wantStats.AbandonedDTW != 0 {
-					t.Fatalf("WithoutAbandon search abandoned: %+v", wantStats)
+					t.Fatalf("the reference leg abandoned: %+v", wantStats)
 				}
 				totalAbandoned += gotStats.AbandonedDTW
 				if gotStats.Evaluated+gotStats.PrunedSketch+gotStats.PrunedKim+gotStats.PrunedKeogh != gotStats.Candidates {
@@ -210,15 +284,16 @@ func TestWindowedIndexAbandonInvariance(t *testing.T) {
 	}
 }
 
-// TestBudgetNeverFillsMoreCells pins the direction of the saving at the
-// retrieval level. At one worker the cascade visits the same candidates
-// in the same order under the same thresholds whether or not the dynamic
-// program is handed the budget (an abandoned candidate would not have
-// entered the heap either), so the hits and the evaluated count are
-// identical and every candidate fills at most the cells it fills without
-// the budget — on the sDTW backend, whose wide bands are pruned as well
-// as abandoned, and on the windowed one. (With more workers the set of
-// candidates that reach the DP depends on timing, and so does the sum.)
+// TestBudgetNeverFillsMoreCells pins the direction of the saving. Per
+// DP: on the sDTW engine, whose wide bands are pruned as well as
+// abandoned, every candidate of every query fills at most the cells it
+// fills without a budget, under the budgets a top-k search hands it (the
+// k-th best distance, and half of it), and a DP that completes under one
+// returns the unbudgeted distance. Per search, on that engine and on the
+// windowed backend at one worker: the hits are the reference leg's, and
+// the cells the cascade filled plus those abandonment saved never exceed
+// what the reference leg fills (every candidate's whole band), and fall
+// short of it over the workload.
 func TestBudgetNeverFillsMoreCells(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 33, SeriesPerClass: 8})
 	engine, err := NewIndex(d.Series, DefaultOptions())
@@ -238,28 +313,49 @@ func TestBudgetNeverFillsMoreCells(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantStats, err := ix.Search(ctx, d.Series[q], WithK(k), WithWorkers(1), WithoutAbandon())
-				if err != nil {
-					t.Fatal(err)
-				}
+				want, wantStats := referenceLeg(t, ix, d.Series[q], k, WithWorkers(1))
 				if len(got) != len(want) {
 					t.Fatalf("%s q=%d k=%d: %d vs %d neighbours", name, q, k, len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%s q=%d k=%d rank %d: %+v under the budget, %+v without", name, q, k, i, got[i], want[i])
+						t.Fatalf("%s q=%d k=%d rank %d: %+v under the budget, %+v in the reference leg", name, q, k, i, got[i], want[i])
 					}
 				}
-				if gotStats.Evaluated != wantStats.Evaluated || gotStats.Cells > wantStats.Cells {
-					t.Fatalf("%s q=%d k=%d: %d candidates filled %d cells under the budget, %d filled %d without",
-						name, q, k, gotStats.Evaluated, gotStats.Cells, wantStats.Evaluated, wantStats.Cells)
+				if gotStats.Cells+gotStats.CellsSaved > wantStats.Cells {
+					t.Fatalf("%s q=%d k=%d: %d cells filled and %d saved under the budget, %d in the reference leg",
+						name, q, k, gotStats.Cells, gotStats.CellsSaved, wantStats.Cells)
 				}
 				under += gotStats.Cells
 				whole += wantStats.Cells
+				if ix.Engine() == nil {
+					continue
+				}
+				kth := want[len(want)-1].Distance
+				for pos := 0; pos < ix.Len(); pos++ {
+					if pos == q {
+						continue
+					}
+					x, y := d.Series[q], ix.Series(pos)
+					full, err := ix.Engine().DistanceUnderSeries(x, y, math.Inf(1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, budget := range []float64{kth, kth / 2} {
+						res, err := ix.Engine().DistanceUnderSeries(x, y, budget)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.CellsFilled > full.CellsFilled || (!res.Abandoned && res.Distance != full.Distance) {
+							t.Fatalf("%s q=%d vs %d, budget %v: %d cells (abandoned %v, distance %v); %d cells and distance %v without a budget",
+								name, q, pos, budget, res.CellsFilled, res.Abandoned, res.Distance, full.CellsFilled, full.Distance)
+						}
+					}
+				}
 			}
 		}
 		if under >= whole {
-			t.Fatalf("%s: the budget saved nothing: %d cells under it, %d without", name, under, whole)
+			t.Fatalf("%s: the budget saved nothing: %d cells under it, %d in the reference leg", name, under, whole)
 		}
 	}
 }

@@ -67,10 +67,10 @@ func TestSearchCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		// WithoutAbandon keeps every DP filling its whole band, so the
-		// cancellation poll inside the DP — not abandonment — is what has
-		// to stop the work.
-		_, _, err := ix.SearchBatch(ctx, data, WithK(5), WithoutAbandon())
+		// K = the collection size never tightens the threshold, so every
+		// DP fills its whole band and the cancellation poll inside the DP
+		// — not abandonment — is what has to stop the work.
+		_, _, err := ix.SearchBatch(ctx, data, WithK(len(data)))
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -122,7 +122,7 @@ func TestSearchDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
-	_, _, err = ix.SearchBatch(ctx, data, WithK(5), WithoutAbandon())
+	_, _, err = ix.SearchBatch(ctx, data, WithK(len(data)))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"sdtw/internal/band"
 	"sdtw/internal/retrieve"
 )
 
@@ -137,7 +138,7 @@ func newIndex(f backendFamily, data []Series, segRecords int) (*Index, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("sdtw: cannot index: %w", ErrEmptyCollection)
 	}
-	core, err := newCore(f.backend, data, f.workers)
+	core, err := retrieve.New(f.backend, data, f.workers, true)
 	if err != nil {
 		return nil, fmt.Errorf("sdtw: %w", err)
 	}
@@ -179,16 +180,6 @@ func NewWindowedIndex(data []Series, radius int) (*Index, error) {
 	return newIndex(f, data, 0)
 }
 
-// newCore builds an in-RAM core over data with the stage-0 sketch filter
-// on, the one way both index types build one.
-func newCore(backend *retrieve.Backend, data []Series, workers int) (*retrieve.Core, error) {
-	core, err := retrieve.New(backend, data, workers, true)
-	if err != nil {
-		return nil, err
-	}
-	return core, core.EnableSketches(DefaultSketchWidth)
-}
-
 // resolveWorkers resolves a worker-pool width (an index's or a monitor's):
 // <= 0 means GOMAXPROCS.
 func resolveWorkers(w int) int {
@@ -217,6 +208,32 @@ func engineFingerprint(o Options) string {
 	// with the option that set it: every store holds these literals.
 	b.WriteString("|bins=0|eps=0|oct=0|lev=0|amp=0|scale=0|dom=0|pd=false")
 	return b.String()
+}
+
+// canonicalFingerprint resolves the width of an engine fingerprint as
+// the band builder resolves it (band.Config.ResolvedWidth), so two
+// configurations that give the same distances compare equal: a width at
+// or below 0 is 0.1, one above 1 is 1, and a strategy that reads no
+// width drops it. A store keeps the fingerprint it was written under;
+// only the comparison at open reads this form. Any other fingerprint — a
+// windowed one, or one that does not parse — is returned as it is.
+func canonicalFingerprint(fp string) string {
+	fields := strings.Split(fp, "|")
+	if len(fields) < 3 || fields[0] != "sdtw/v1" {
+		return fp
+	}
+	sv, sok := strings.CutPrefix(fields[1], "strategy=")
+	wv, wok := strings.CutPrefix(fields[2], "w=")
+	strategy, serr := strconv.Atoi(sv)
+	w, werr := strconv.ParseFloat(wv, 64)
+	if !sok || !wok || serr != nil || werr != nil {
+		return fp
+	}
+	fields[2] = "w="
+	if w, ok := (band.Config{Strategy: Strategy(strategy), WidthFrac: w}).ResolvedWidth(); ok {
+		fields[2] += strconv.FormatFloat(w, 'g', -1, 64)
+	}
+	return strings.Join(fields, "|")
 }
 
 // Len returns the number of indexed series.
@@ -275,8 +292,6 @@ type searchConfig struct {
 	exclude      int
 	threshold    float64
 	thresholdSet bool
-	noAbandon    bool
-	noSketch     bool
 }
 
 // SearchOption configures one Search, SearchBatch, Labels or LabelsAll
@@ -314,23 +329,6 @@ func WithThreshold(d float64) SearchOption {
 	return func(c *searchConfig) { c.threshold, c.thresholdSet = d, true }
 }
 
-// WithoutAbandon disables threshold-aware early abandonment inside the
-// dynamic program for this search. Abandonment never changes results —
-// only the grid work spent refuting hopeless candidates — so the switch
-// exists for A/B verification and measurement.
-func WithoutAbandon() SearchOption {
-	return func(c *searchConfig) { c.noAbandon = true }
-}
-
-// WithoutSketch disables the stage-0 LB_PAA sketch filter for this
-// search, leaving LB_Kim as the first cascade stage. Like abandonment,
-// the sketch stage never changes results — only which stage discards a
-// hopeless candidate — so the switch exists for A/B verification and
-// measurement.
-func WithoutSketch() SearchOption {
-	return func(c *searchConfig) { c.noSketch = true }
-}
-
 // resolve validates and lowers a SearchOption list onto retrieve.Params.
 func resolveSearch(opts []SearchOption) (retrieve.Params, error) {
 	cfg := searchConfig{exclude: -1, threshold: math.Inf(1)}
@@ -359,8 +357,6 @@ func resolveSearch(opts []SearchOption) (retrieve.Params, error) {
 	p.Exclude = cfg.exclude
 	p.Threshold = cfg.threshold
 	p.ThresholdSet = cfg.thresholdSet
-	p.NoAbandon = cfg.noAbandon
-	p.NoSketch = cfg.noSketch
 	return p, nil
 }
 
@@ -368,7 +364,8 @@ func resolveSearch(opts []SearchOption) (retrieve.Params, error) {
 // distance, ascending (ties broken by position), through the exact
 // lower-bound cascade. Options select the neighbour count (WithK), a
 // distance cutoff (WithThreshold), leave-one-out exclusion (WithExclude)
-// and per-call tuning (WithWorkers, WithoutAbandon).
+// and the worker count (WithWorkers); every search runs every stage of
+// the cascade, and the DP always abandons against the threshold.
 //
 // ctx cancellation stops the search promptly — the worker pool stops
 // dispatching and the dynamic programs stop mid-band — and Search returns

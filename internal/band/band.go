@@ -144,6 +144,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// ResolvedWidth returns the width fraction the builders read under c —
+// WidthFrac as withDefaults resolves it — and false for a strategy that
+// reads none (FullGrid and the adaptive-width strategies). Two configs
+// equal but for WidthFrac build the same bands exactly when their
+// ResolvedWidth results are equal.
+func (c Config) ResolvedWidth() (float64, bool) {
+	if c.Strategy == FullGrid || c.Strategy.AdaptiveWidth() {
+		return 0, false
+	}
+	return c.withDefaults().WidthFrac, true
+}
+
 // Builder constructs bands, reusing internal scratch buffers across calls.
 // The zero value is ready to use. A Builder must not be used concurrently;
 // use one per goroutine (they are cheap).

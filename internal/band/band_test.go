@@ -3,6 +3,7 @@ package band
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -415,5 +416,57 @@ func TestDefaultsApplied(t *testing.T) {
 	acaw := Config{Strategy: AdaptiveCoreAdaptiveWidth}.withDefaults()
 	if acaw.MinWidthFrac != 0 {
 		t.Errorf("(ac,aw) should have no default lower bound, got %v", acaw.MinWidthFrac)
+	}
+}
+
+// TestResolvedWidthDecidesTheBand: two configs equal but for WidthFrac
+// whose ResolvedWidth agree build the same band on every alignment and
+// have the same EnvelopeRadius — what lets a store written under one
+// open under the other — and a fixed-width strategy does tell 0.1 from
+// 0.2 apart.
+func TestResolvedWidthDecidesTheBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	widths := []float64{-1, 0, 0.05, 0.1, 0.2, 1, 1.5, 3}
+	for trial := 0; trial < 20; trial++ {
+		nx, ny := 20+rng.Intn(60), 20+rng.Intn(60)
+		var bx, by []int
+		for px, py := 3+rng.Intn(8), 3+rng.Intn(8); px < nx-1 && py < ny-1; px, py = px+3+rng.Intn(8), py+3+rng.Intn(8) {
+			bx, by = append(bx, px), append(by, py)
+		}
+		al := alignmentWith(nx, ny, bx, by)
+		for s := FullGrid; s <= AdaptiveCoreAdaptiveWidthAvg; s++ {
+			for _, sym := range []bool{false, true} {
+				for _, w1 := range widths {
+					for _, w2 := range widths {
+						c1 := Config{Strategy: s, WidthFrac: w1, Symmetric: sym}
+						c2 := Config{Strategy: s, WidthFrac: w2, Symmetric: sym}
+						r1, ok1 := c1.ResolvedWidth()
+						r2, ok2 := c2.ResolvedWidth()
+						if ok1 != ok2 || r1 != r2 {
+							continue
+						}
+						b1, err1 := Build(al, c1)
+						b2, err2 := Build(al, c2)
+						if err1 != nil || err2 != nil {
+							t.Fatalf("%v sym=%v: %v, %v", s, sym, err1, err2)
+						}
+						if !slices.Equal(b1.Lo, b2.Lo) || !slices.Equal(b1.Hi, b2.Hi) || b1.M != b2.M {
+							t.Fatalf("%v sym=%v: widths %v and %v resolve alike but build different bands", s, sym, w1, w2)
+						}
+						if EnvelopeRadius(c1, ny) != EnvelopeRadius(c2, ny) {
+							t.Fatalf("%v: widths %v and %v resolve alike but have envelope radii %d and %d",
+								s, w1, w2, EnvelopeRadius(c1, ny), EnvelopeRadius(c2, ny))
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, s := range []Strategy{FixedCoreFixedWidth, AdaptiveCoreFixedWidth} {
+		r1, _ := Config{Strategy: s, WidthFrac: 0.1}.ResolvedWidth()
+		r2, _ := Config{Strategy: s, WidthFrac: 0.2}.ResolvedWidth()
+		if r1 == r2 {
+			t.Fatalf("%v: widths 0.1 and 0.2 both resolve to %v", s, r1)
+		}
 	}
 }

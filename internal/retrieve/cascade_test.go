@@ -21,9 +21,11 @@ import (
 // envelope radius below the series length, so the Keogh stage prunes
 // against a narrow envelope built from the band geometry. On random walks
 // of equal and unequal lengths and on the Gun and Trace generators, every
-// search — with and without early abandoning — returns the brute-force
-// ranking of the engine's distances bit for bit, and LB_Kim, LB_Keogh at
-// the backend's envelope radius and exact DTW bound each banded distance.
+// search — k of 1 and 3, which prune and abandon, and k above the
+// collection size, which never tightens its threshold — returns the
+// brute-force ranking of the engine's distances bit for bit, and LB_Kim,
+// LB_Keogh at the backend's envelope radius and exact DTW bound each
+// banded distance.
 func TestEngineCascadeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	collections := map[string][]series.Series{
@@ -47,27 +49,22 @@ func TestEngineCascadeMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.EnableSketches(16); err != nil {
-				t.Fatal(err)
-			}
 			external := randomWalks(rand.New(rand.NewSource(99)), 1, 0, []int{len(data[0].Values)})[0]
 			external.ID = "external"
 			for _, q := range []series.Series{data[0], data[len(data)/2], data[len(data)-1], external} {
 				for _, k := range []int{1, 3, 100} {
 					want := bruteTopK(t, engine, data, q, k)
-					for _, noAbandon := range []bool{false, true} {
-						p := DefaultParams()
-						p.K, p.NoAbandon = k, noAbandon
-						got, stats, err := c.Search(context.Background(), q, p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sameNeighbors(got, want) {
-							t.Fatalf("query %s k=%d noAbandon=%v: got %+v, want %+v (stats %v)", q.ID, k, noAbandon, got, want, stats)
-						}
-						if total := stats.PrunedSketch + stats.PrunedKim + stats.PrunedKeogh + stats.Evaluated; total != stats.Candidates {
-							t.Fatalf("stats do not partition candidates: %v", stats)
-						}
+					p := DefaultParams()
+					p.K = k
+					got, stats, err := c.Search(context.Background(), q, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameNeighbors(got, want) {
+						t.Fatalf("query %s k=%d: got %+v, want %+v (stats %v)", q.ID, k, got, want, stats)
+					}
+					if total := stats.PrunedSketch + stats.PrunedKim + stats.PrunedKeogh + stats.Evaluated; total != stats.Candidates {
+						t.Fatalf("stats do not partition candidates: %v", stats)
 					}
 				}
 				for _, y := range data {

@@ -31,12 +31,9 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 		return nil, stats, err
 	}
 	limit := p.EffectiveThreshold()
-	useSketch := c.sketchW > 0 && !p.NoSketch
-	var qmean []float64
-	if useSketch {
-		if qmean, err = sketch.Means(q.Values, c.sketchW, nil); err != nil {
-			return nil, stats, err
-		}
+	qmean, err := sketch.Means(q.Values, c.sketchW, nil)
+	if err != nil {
+		return nil, stats, err
 	}
 	var cands []refCandidate
 	for i, s := range c.data {
@@ -51,7 +48,7 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 			return nil, stats, err
 		}
 		cd := refCandidate{pos: i, bound: kim, kim: kim}
-		if useSketch && m.n == len(q.Values) {
+		if m.n == len(q.Values) {
 			cd.bound = sketch.LBPAA(qmean, c.sketches[i], m.n)
 			cd.paa = true
 		}
@@ -87,13 +84,6 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 	} else {
 		threshold.Tighten(limit)
 	}
-	abandon := !p.NoAbandon
-	budget := func() float64 {
-		if abandon {
-			return threshold.Load()
-		}
-		return math.Inf(1)
-	}
 	best := make(bestK, 0, k+1)
 	for _, cd := range cands {
 		if cd.paa && cd.bound > threshold.Load() {
@@ -105,7 +95,7 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 			continue
 		}
 		if env := c.envelopes[cd.pos]; len(env.Upper) == len(q.Values) {
-			kg, kgAbandoned, err := lower.KeoghUnder(q.Values, env, budget(), nil)
+			kg, kgAbandoned, err := lower.KeoghUnder(q.Values, env, threshold.Load(), nil)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -120,7 +110,7 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 			return nil, stats, err
 		}
 		s.Values = vals
-		res, err := c.backend.engine.DistanceUnderFeatures(context.Background(), q.Series, q.feats, s, f, budget())
+		res, err := c.backend.engine.DistanceUnderFeatures(context.Background(), q.Series, q.feats, s, f, threshold.Load())
 		if err != nil {
 			return nil, stats, err
 		}
@@ -227,7 +217,8 @@ func randomWalks(rng *rand.Rand, n, dups int, lengths []int) []series.Series {
 // backend over equal lengths, and two engine backends over mixed lengths
 // (so Kim-ordered and LB_PAA-ordered candidates mix in one queue) — the
 // Sakoe-Chiba strategy, which reads no features, and the default
-// adaptive one. Every core has sketches on; duplicates tie bounds.
+// adaptive one. Every core's sketches are at width 8, not the default;
+// duplicates tie bounds.
 func orderCores(t testing.TB, rng *rand.Rand, n int) map[string]*Core {
 	t.Helper()
 	cores := map[string]*Core{}
@@ -255,8 +246,8 @@ func orderCores(t testing.TB, rng *rand.Rand, n int) map[string]*Core {
 }
 
 // orderParams is the parameter grid of the differential: K of 1, 5, the
-// whole collection and a range search; the sketch on and off; a
-// positional exclusion; a pre-tightened shared threshold.
+// whole collection, a range search and K within a range; a positional
+// exclusion; a pre-tightened shared threshold.
 func orderParams(t testing.TB, c *Core, q series.Series, rng *rand.Rand) map[string]func() Params {
 	t.Helper()
 	// A distance near the middle of the collection's, for range searches
@@ -281,9 +272,8 @@ func orderParams(t testing.TB, c *Core, q series.Series, rng *rand.Rand) map[str
 		"k=5":       with(func(p *Params) { p.K = 5 }),
 		"k=len":     with(func(p *Params) { p.K = c.Len() }),
 		"range":     with(func(p *Params) { p.K, p.Threshold, p.ThresholdSet = 0, mid, true }),
-		"nosketch":  with(func(p *Params) { p.K, p.NoSketch = 5, true }),
+		"k=3+range": with(func(p *Params) { p.K, p.Threshold, p.ThresholdSet = 3, mid, true }),
 		"exclude":   with(func(p *Params) { p.K, p.Exclude = 3, exclude }),
-		"noabandon": with(func(p *Params) { p.K, p.NoAbandon = 3, true }),
 		// A fresh pre-tightened budget per call: the two runs must not
 		// share one, or the first would tighten the second's.
 		"shared": with(func(p *Params) { p.K, p.Shared = 4, NewSharedThreshold(mid) }),
@@ -348,36 +338,63 @@ func TestLazyOrderMatchesSortedCascade(t *testing.T) {
 	}
 }
 
-// TestLazyOrderNaNBoundsVisited: a NaN ordering bound — reachable only
+// TestLazyOrderNaNBoundsVisited: a NaN LB_Kim bound — reachable only
 // through a restored series whose stored endpoints are NaN — is ordered
 // after every number and never counted in the pruned tail, so the
-// candidate still reaches the stages after Kim.
+// candidate still reaches the stages after Kim. A sketch bound over
+// finite query means is never NaN, so the NaN reaches the visit order
+// only through a candidate of another length than the query's: the
+// engine core mixes lengths, the windowed one meets its NaN at the Kim
+// check after stage 0.
 func TestLazyOrderNaNBoundsVisited(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	const length = 48
-	data := randomWalks(rng, 40, 0, []int{length})
-	backend, _, err := NewWindowedBackend(length, 3)
+	const length, width = 48, 8
+	wb, _, err := NewWindowedBackend(length, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := make([]ColdSeries, len(data))
-	for i, s := range data {
-		vals := s.Values
-		cold[i] = ColdSeries{ID: s.ID, Label: s.Label, N: length, First: vals[0], Last: vals[length-1],
-			Envelope: lower.NewEnvelope(vals, 3), Load: func() ([]float64, error) { return vals, nil }}
-		if i%7 == 3 {
-			cold[i].First = math.NaN()
+	fcfw := core.DefaultOptions()
+	fcfw.Band = band.Config{Strategy: band.FixedCoreFixedWidth, WidthFrac: 0.2}
+	for _, coll := range []struct {
+		name    string
+		backend *Backend
+		lengths []int
+	}{
+		{"windowed", wb, []int{length}},
+		{"engine-fcfw", NewEngineBackend(core.NewEngine(fcfw), "fcfw", false), []int{40, length, 56}},
+	} {
+		data := randomWalks(rng, 40, 0, coll.lengths)
+		cold := make([]ColdSeries, len(data))
+		nanOrdered := 0
+		for i, s := range data {
+			vals, n := s.Values, len(s.Values)
+			env := lower.NewEnvelope(vals, coll.backend.EnvelopeRadius(n))
+			sk, err := sketch.FromEnvelope(env, width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold[i] = ColdSeries{ID: s.ID, Label: s.Label, N: n, First: vals[0], Last: vals[n-1],
+				Envelope: env, Sketch: sk, Load: func() ([]float64, error) { return vals, nil }}
+			if i%7 == 3 {
+				cold[i].First = math.NaN()
+				if n != length {
+					nanOrdered++
+				}
+			}
 		}
-	}
-	c, err := RestoreCold(backend, cold, 0, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := 0; qi < 5; qi++ {
-		q := series.Series{Values: randomWalks(rng, 1, 0, []int{length})[0].Values}
-		for _, k := range []int{1, 3} {
-			params := func() Params { p := DefaultParams(); p.K = k; return p }
-			checkOrder(t, fmt.Sprintf("q%d/k=%d", qi, k), c, q, params)
+		if (nanOrdered == 0) != (coll.name == "windowed") {
+			t.Fatalf("%s: %d NaN endpoints on series of another length than the query's", coll.name, nanOrdered)
+		}
+		c, err := RestoreCold(coll.backend, cold, width, 4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := 0; qi < 5; qi++ {
+			q := series.Series{Values: randomWalks(rng, 1, 0, []int{length})[0].Values}
+			for _, k := range []int{1, 3} {
+				params := func() Params { p := DefaultParams(); p.K = k; return p }
+				checkOrder(t, fmt.Sprintf("%s/q%d/k=%d", coll.name, qi, k), c, q, params)
+			}
 		}
 	}
 }
@@ -482,6 +499,8 @@ func FuzzCascadeOrderDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Half the modes keep the default sketch width; the rest pick one
+		// from 1 to 12.
 		if mode%4 < 2 {
 			if err := c.EnableSketches(int(mode/4)%12 + 1); err != nil {
 				t.Fatal(err)

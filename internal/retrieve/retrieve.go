@@ -60,7 +60,8 @@ type Neighbor struct {
 }
 
 // Params carries the resolved knobs of one search. The public layer
-// translates its functional options into this struct.
+// translates its functional options into this struct; none of them
+// turns a cascade stage off.
 //
 // The zero value is usable but two fields have surprising zeroes —
 // Exclude: 0 names collection position 0, and Threshold: 0 is a real
@@ -89,14 +90,6 @@ type Params struct {
 	// ThresholdSet marks Threshold as deliberately chosen, letting an
 	// explicit 0 (exact-match range search) survive the zero-value guard.
 	ThresholdSet bool
-	// NoAbandon disables threshold-aware early abandonment inside the
-	// dynamic program for this search (A/B measurement; never changes
-	// results).
-	NoAbandon bool
-	// NoSketch disables the stage-0 LB_PAA sketch filter for this search
-	// (A/B measurement and the exactness property tests; never changes
-	// results — the bound is admissible, it only avoids work).
-	NoSketch bool
 	// Shared, when non-nil, replaces the search's private best-so-far
 	// threshold, so pruning compounds across concurrent searches over
 	// disjoint collection shards: each shard's k-th best tightens the
@@ -136,7 +129,7 @@ type Core struct {
 	backend *Backend
 	workers int
 
-	// sketchW is the stage-0 PAA sketch width; 0 disables stage 0.
+	// sketchW is the stage-0 PAA sketch width, at least 1.
 	sketchW int
 
 	mu   sync.RWMutex
@@ -144,8 +137,8 @@ type Core struct {
 	// envelopes[i] is the LB_Keogh envelope of data[i] at the backend's
 	// admissible radius.
 	envelopes []lower.Envelope
-	// sketches[i] is the stage-0 PAA sketch of envelopes[i]; nil unless
-	// sketchW > 0.
+	// sketches[i] is the width-sketchW stage-0 PAA sketch of
+	// envelopes[i].
 	sketches []sketch.Sketch
 	// feats[i] is what the backend's admit derived from data[i] (its
 	// salient features under the sDTW engine); nil when the backend
@@ -209,31 +202,32 @@ type ColdSeries struct {
 
 // RestoreCold builds a core over store-backed series (possibly none):
 // envelopes and sketches are trusted from the store, raw values load
-// lazily. sketchW enables stage 0 at that width (0 disables). A store
-// holds no features: the first touch of a series loads its values and
-// derives from them, once, in the series' cold slot — refusing values
-// that are not finite, as admission does.
+// lazily. sketchW is the width every stored sketch has, at least 1. A
+// store holds no features: the first touch of a series loads its values
+// and derives from them, once, in the series' cold slot — refusing
+// values that are not finite, as admission does.
 //
-// The bool parameter is ignored (the DP always early-abandons, unless a
-// search sets Params.NoAbandon); it goes with the benchmark edit of
-// ROADMAP item 2c: the nested benchmark module passes true.
+// The bool parameter is ignored (the DP always early-abandons); it goes
+// with the benchmark edit of ROADMAP item 2c: the nested benchmark
+// module passes true.
 func RestoreCold(backend *Backend, cold []ColdSeries, sketchW, workers int, _ bool) (*Core, error) {
+	if sketchW < 1 {
+		return nil, fmt.Errorf("sketch width must be >= 1, got %d", sketchW)
+	}
 	if workers <= 0 {
 		workers = 1
 	}
 	c := &Core{
 		backend:   backend,
 		workers:   workers,
+		sketchW:   sketchW,
 		data:      make([]series.Series, 0, len(cold)),
 		meta:      make([]seriesMeta, 0, len(cold)),
 		cold:      make([]*coldSlot, 0, len(cold)),
 		ids:       make(map[string]int, len(cold)),
 		envelopes: make([]lower.Envelope, 0, len(cold)),
+		sketches:  make([]sketch.Sketch, 0, len(cold)),
 		feats:     make([][]sift.Feature, len(cold)),
-	}
-	if sketchW > 0 {
-		c.sketchW = sketchW
-		c.sketches = make([]sketch.Sketch, 0, len(cold))
 	}
 	for i, cs := range cold {
 		if cs.N <= 0 {
@@ -260,32 +254,31 @@ func RestoreCold(backend *Backend, cold []ColdSeries, sketchW, workers int, _ bo
 			}
 			// The store holds the series' bounds; its values are checked and
 			// admitted here, as an in-RAM series' are when it joins a core.
-			d, err := derive(backend, series.Series{ID: cs.ID, Label: cs.Label, Values: vals}, false, 0)
-			return vals, d.feats, err
+			feats, err := admitValues(backend, series.Series{ID: cs.ID, Label: cs.Label, Values: vals})
+			return vals, feats, err
 		}})
 		if len(cs.Envelope.Upper) != cs.N {
 			return nil, fmt.Errorf("series %d (%q) has envelope length %d for %d values: %w",
 				i, cs.ID, len(cs.Envelope.Upper), cs.N, ErrConfigMismatch)
 		}
-		c.envelopes = append(c.envelopes, cs.Envelope)
-		if c.sketchW > 0 {
-			if cs.Sketch.Width() != c.sketchW {
-				return nil, fmt.Errorf("series %d (%q) has sketch width %d, want %d: %w",
-					i, cs.ID, cs.Sketch.Width(), c.sketchW, ErrConfigMismatch)
-			}
-			c.sketches = append(c.sketches, cs.Sketch)
+		if cs.Sketch.Width() != sketchW {
+			return nil, fmt.Errorf("series %d (%q) has sketch width %d, want %d: %w",
+				i, cs.ID, cs.Sketch.Width(), sketchW, ErrConfigMismatch)
 		}
+		c.envelopes = append(c.envelopes, cs.Envelope)
+		c.sketches = append(c.sketches, cs.Sketch)
 	}
 	return c, nil
 }
 
 // New builds a core over data (possibly none), validating every series
-// and keeping what the backend's admit derives from it. workers bounds
-// the worker pool (<= 0 means the caller should have defaulted it; it is
-// clamped to 1). Construction runs on that pool too: every series'
-// one-time data is derived across it, and the core is the one a serial
-// build makes, down to which bad series an error names — the lowest
-// position. The bool parameter is ignored, as in RestoreCold.
+// and keeping what the backend's admit derives from it, its envelope and
+// its sketch at sketch.DefaultWidth. workers bounds the worker pool (<= 0
+// means the caller should have defaulted it; it is clamped to 1).
+// Construction runs on that pool too: every series' one-time data is
+// derived across it, and the core is the one a serial build makes, down
+// to which bad series an error names — the lowest position. The bool
+// parameter is ignored, as in RestoreCold.
 func New(backend *Backend, data []series.Series, workers int, _ bool) (*Core, error) {
 	// Validate the whole collection before paying any one-time costs, so
 	// structural errors (empty series, duplicate IDs) surface first.
@@ -306,7 +299,7 @@ func New(backend *Backend, data []series.Series, workers int, _ bool) (*Core, er
 	}
 	derived := make([]derivation, len(data))
 	if i, err := lowestFailure(workers, len(data), func(i int) (err error) {
-		derived[i], err = derive(backend, data[i], true, 0)
+		derived[i], err = derive(backend, data[i], sketch.DefaultWidth)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("series %d: %w", i, err)
@@ -314,9 +307,11 @@ func New(backend *Backend, data []series.Series, workers int, _ bool) (*Core, er
 	c := &Core{
 		backend:   backend,
 		workers:   workers,
+		sketchW:   sketch.DefaultWidth,
 		data:      make([]series.Series, 0, len(data)),
 		ids:       make(map[string]int, len(data)),
 		envelopes: make([]lower.Envelope, 0, len(data)),
+		sketches:  make([]sketch.Sketch, 0, len(data)),
 		feats:     make([][]sift.Feature, 0, len(data)),
 	}
 	for i, s := range data {
@@ -334,30 +329,30 @@ type derivation struct {
 }
 
 // derive is the one-time work of a series joining a core — the paper's
-// indexing cost (§3.4): it checks every value is finite, has the backend
-// admit the series, and with bounds set computes the LB_Keogh envelope at
-// the backend's radius and, when sketchW > 0, the width-sketchW sketch
-// of it. A cold series derives without bounds (its store holds them).
-// derive reads no core state, so New runs it on many series at once.
-func derive(b *Backend, s series.Series, bounds bool, sketchW int) (derivation, error) {
+// indexing cost (§3.4): admitValues, then the LB_Keogh envelope at the
+// backend's radius and the width-sketchW sketch of it. derive reads no
+// core state, so New runs it on many series at once.
+func derive(b *Backend, s series.Series, sketchW int) (derivation, error) {
 	var d derivation
-	if err := series.Finite(s.Values); err != nil {
-		return d, fmt.Errorf("series %q: %w", s.ID, err)
-	}
 	var err error
-	if d.feats, err = b.admit(s); err != nil {
+	if d.feats, err = admitValues(b, s); err != nil {
 		return d, err
 	}
-	if !bounds {
-		return d, nil
-	}
 	d.env = lower.NewEnvelope(s.Values, b.EnvelopeRadius(len(s.Values)))
-	if sketchW > 0 {
-		if d.sketch, err = sketch.FromEnvelope(d.env, sketchW); err != nil {
-			return d, fmt.Errorf("series %q: %w", s.ID, err)
-		}
+	if d.sketch, err = sketch.FromEnvelope(d.env, sketchW); err != nil {
+		return d, fmt.Errorf("series %q: %w", s.ID, err)
 	}
 	return d, nil
+}
+
+// admitValues checks every value of s is finite and has the backend admit
+// it, returning what the admit derived. A cold series stops here: its
+// store holds its bounds.
+func admitValues(b *Backend, s series.Series) ([]sift.Feature, error) {
+	if err := series.Finite(s.Values); err != nil {
+		return nil, fmt.Errorf("series %q: %w", s.ID, err)
+	}
+	return b.admit(s)
 }
 
 // lowestFailure runs fn over [0, n) across at most workers goroutines and
@@ -418,17 +413,16 @@ func (c *Core) appendLocked(s series.Series, d derivation) {
 		c.cold = append(c.cold, nil) // values are resident
 	}
 	c.envelopes = append(c.envelopes, d.env)
-	if c.sketchW > 0 {
-		c.sketches = append(c.sketches, d.sketch)
-	}
+	c.sketches = append(c.sketches, d.sketch)
 }
 
-// EnableSketches switches the stage-0 LB_PAA filter on, computing a
+// EnableSketches changes the stage-0 sketch width to w, computing a
 // width-w sketch for every indexed series from its existing envelope, on
-// the core's worker pool.
-// It is a no-op when sketches at that width are already on.
-// Callers use it right after construction; it takes the write lock, so
-// it is safe (if wasteful) later too.
+// the core's worker pool. Every core already has sketches (New builds
+// them at sketch.DefaultWidth), so this only changes their width, and it
+// is a no-op at the current one. Callers use it right after
+// construction; it takes the write lock, so it is safe (if wasteful)
+// later too.
 func (c *Core) EnableSketches(w int) error {
 	if w <= 0 {
 		return fmt.Errorf("sketch width must be >= 1, got %d", w)
@@ -450,15 +444,14 @@ func (c *Core) EnableSketches(w int) error {
 	return nil
 }
 
-// SketchWidth returns the active stage-0 sketch width (0 when disabled).
+// SketchWidth returns the stage-0 sketch width.
 func (c *Core) SketchWidth() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.sketchW
 }
 
-// Sketch returns the stage-0 sketch of the series at position i (only
-// meaningful when SketchWidth > 0).
+// Sketch returns the stage-0 sketch of the series at position i.
 func (c *Core) Sketch(i int) sketch.Sketch {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -501,7 +494,7 @@ func (c *Core) Add(s series.Series, persist func(env lower.Envelope) error) erro
 	if err != nil {
 		return err
 	}
-	d, err := derive(c.backend, s, true, w)
+	d, err := derive(c.backend, s, w)
 	if err != nil {
 		return err
 	}
@@ -516,7 +509,7 @@ func (c *Core) Add(s series.Series, persist func(env lower.Envelope) error) erro
 		return err
 	}
 	if c.sketchW != w {
-		// EnableSketches ran meanwhile; it only ever sets a width >= 1.
+		// EnableSketches changed the width meanwhile.
 		if d.sketch, err = sketch.FromEnvelope(d.env, c.sketchW); err != nil {
 			return fmt.Errorf("series %q: %w", s.ID, err)
 		}
@@ -559,9 +552,7 @@ func (c *Core) dropLocked(pos int) {
 		c.cold = append(c.cold[:pos], c.cold[pos+1:]...)
 	}
 	c.envelopes = append(c.envelopes[:pos], c.envelopes[pos+1:]...)
-	if c.sketchW > 0 {
-		c.sketches = append(c.sketches[:pos], c.sketches[pos+1:]...)
-	}
+	c.sketches = append(c.sketches[:pos], c.sketches[pos+1:]...)
 	for sid, p := range c.ids {
 		if p > pos {
 			c.ids[sid] = p - 1
@@ -582,21 +573,19 @@ func (c *Core) copyLocked() *Core {
 		meta:      make([]seriesMeta, len(c.meta)),
 		ids:       make(map[string]int, len(c.ids)+1),
 		envelopes: make([]lower.Envelope, len(c.envelopes)),
+		sketches:  make([]sketch.Sketch, len(c.sketches)),
 		feats:     make([][]sift.Feature, len(c.feats)),
 	}
 	copy(nc.data, c.data)
 	copy(nc.feats, c.feats)
 	copy(nc.meta, c.meta)
 	copy(nc.envelopes, c.envelopes)
+	copy(nc.sketches, c.sketches)
 	if c.cold != nil {
 		// Slots are shared, not copied: a materialisation on either core
 		// serves both (values and features are immutable).
 		nc.cold = make([]*coldSlot, len(c.cold))
 		copy(nc.cold, c.cold)
-	}
-	if c.sketchW > 0 {
-		nc.sketches = make([]sketch.Sketch, len(c.sketches))
-		copy(nc.sketches, c.sketches)
 	}
 	for id, pos := range c.ids {
 		nc.ids[id] = pos
@@ -681,8 +670,8 @@ func (c *Core) Snapshot() ([]series.Series, []lower.Envelope) {
 
 // candidate is one cascade work item: a collection position and the
 // visit key of its ordering bound. The bound is the stage-0 LB_PAA sketch
-// bound of an equal-length candidate of a sketch-enabled search and the
-// LB_Kim bound of any other; which one is read off the candidate's
+// bound of a candidate of the query's length and the LB_Kim bound of any
+// other; which one is read off the candidate's
 // length, and the Kim bound of a sketch-ordered candidate is derived
 // again from its hot metadata at the visit. That keeps the record at two
 // words — the ordering pass writes one per candidate of the collection.
@@ -1061,14 +1050,11 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	defer sc.release()
 	// Stage 0 applies under the same equal-length contract as the Keogh
 	// stage; other candidates keep their Kim ordering.
-	useSketch := c.sketchW > 0 && !p.NoSketch
-	if useSketch {
-		var err error
-		if sc.means, err = sketch.Means(query.Values, c.sketchW, sc.means); err != nil {
-			return nil, stats, fmt.Errorf("query sketch: %w", err)
-		}
-		sc.weights = sketch.Weights(qn, c.sketchW, sc.weights)
+	var err error
+	if sc.means, err = sketch.Means(query.Values, c.sketchW, sc.means); err != nil {
+		return nil, stats, fmt.Errorf("query sketch: %w", err)
 	}
+	sc.weights = sketch.Weights(qn, c.sketchW, sc.weights)
 	if cap(sc.cands) < len(c.data) {
 		sc.cands = make([]candidate, 0, len(c.data))
 	}
@@ -1095,7 +1081,7 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 			continue
 		}
 		stats.GridCells += qn * m.n
-		if useSketch && m.n == qn {
+		if m.n == qn {
 			sc.block[pending], sc.at[pending] = c.sketches[i], len(cands)
 			cands = append(cands, candidate{pos: i})
 			paaLeft++
@@ -1134,7 +1120,6 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	v.c, v.ctx, v.query, v.limit = c, ctx, query, limit
 	v.best = make(bestK, 0, k+1)
 	v.queue, v.paaLeft, v.nans = candQueue(cands), paaLeft, nans
-	v.useSketch, v.abandon = useSketch, !p.NoAbandon
 	// tightenAt is the heap occupancy at which the k-th best becomes an
 	// admissible pruning threshold. Private search: the (possibly
 	// truncated) heap capacity — by the time the heap is that full, its
@@ -1224,12 +1209,11 @@ type visitState struct {
 	private   SharedThreshold
 
 	// The search's read-only inputs.
-	c                  *Core
-	ctx                context.Context
-	query              Query
-	limit              float64
-	k, tightenAt       int
-	useSketch, abandon bool
+	c            *Core
+	ctx          context.Context
+	query        Query
+	limit        float64
+	k, tightenAt int
 }
 
 // fail records err as the visit's error, if it is the first, and stops
@@ -1262,7 +1246,7 @@ func (v *visitState) next() (cd candidate, paa, ok bool) {
 		return candidate{}, false, false
 	}
 	cd = v.queue.pop()
-	if paa = v.useSketch && v.c.meta[cd.pos].n == len(v.query.Values); paa {
+	if paa = v.c.meta[cd.pos].n == len(v.query.Values); paa {
 		v.paaLeft--
 	}
 	return cd, paa, true
@@ -1307,15 +1291,9 @@ func (v *visitState) step(int) {
 		// moment it proves the candidate prunable. Abandonment implies
 		// the partial sum exceeded a threshold no looser than the
 		// current one (it only tightens), so the skip decision matches
-		// the full evaluation's. The A/B switch that disables DP
-		// abandonment disables this too, so the baseline leg measures
-		// full bound evaluation.
-		kgBudget := math.Inf(1)
-		if v.abandon {
-			kgBudget = threshold.Load()
-		}
+		// the full evaluation's.
 		kgStart := monotonic()
-		kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, kgBudget, nil)
+		kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, threshold.Load(), nil)
 		v.boundNS.Add(int64(monotonic() - kgStart))
 		if err != nil {
 			v.fail(fmt.Errorf("LB_Keogh to %q: %w", c.data[cd.pos].ID, err))
@@ -1342,11 +1320,7 @@ func (v *visitState) step(int) {
 	// stale read yields a looser budget — extra rows filled, never a
 	// wrong result. Abandonment is strict (> budget), so a candidate
 	// tying the k-th distance is always evaluated fully.
-	budget := math.Inf(1)
-	if v.abandon {
-		budget = threshold.Load()
-	}
-	res, err := c.backend.engine.DistanceUnderFeatures(v.ctx, query.Series, query.feats, s, f, budget)
+	res, err := c.backend.engine.DistanceUnderFeatures(v.ctx, query.Series, query.feats, s, f, threshold.Load())
 	if err != nil {
 		v.fail(fmt.Errorf("distance to %q: %w", s.ID, err))
 		return

@@ -489,18 +489,59 @@ func TestRestoreColdRefusesWrongLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := make([]float64, 47)
+	env := lower.NewEnvelope(vals, 3)
+	sk, err := sketch.FromEnvelope(env, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cold := []ColdSeries{{
 		ID:       "short",
 		N:        len(vals),
-		Envelope: lower.NewEnvelope(vals, 3),
+		Envelope: env,
+		Sketch:   sk,
 		Load: func() ([]float64, error) {
 			t.Error("RestoreCold loaded the values of a series it refuses")
 			return vals, nil
 		},
 	}}
-	c, err := RestoreCold(backend, cold, 0, 1, true)
+	c, err := RestoreCold(backend, cold, 8, 1, true)
 	if !errors.Is(err, ErrLengthMismatch) || !strings.Contains(err.Error(), `"short"`) || c != nil {
 		t.Fatalf("RestoreCold over a 47-sample series at length 48: %v, %v; want ErrLengthMismatch naming \"short\"", c, err)
+	}
+}
+
+// TestEveryCoreHasSketches: New builds every series' sketch at
+// sketch.DefaultWidth from its envelope, an Add or CloneAdd gets one at
+// the core's width, and RestoreCold refuses a width below 1 — a core
+// without stage 0 does not exist.
+func TestEveryCoreHasSketches(t *testing.T) {
+	c := testCore(t, 6, 40)
+	if c.SketchWidth() != sketch.DefaultWidth {
+		t.Fatalf("New's core has sketch width %d, want %d", c.SketchWidth(), sketch.DefaultWidth)
+	}
+	s := series.Series{ID: "new", Values: append([]float64(nil), c.Series(0).Values...)}
+	s.Values[0] += 1
+	nc, err := c.CloneAdd(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nc.Len(); i++ {
+		want, err := sketch.FromEnvelope(nc.Envelope(i), sketch.DefaultWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := nc.Sketch(i); !slices.Equal(got.Upper, want.Upper) || !slices.Equal(got.Lower, want.Lower) {
+			t.Fatalf("series %d: sketch of width %d is not the default-width sketch of its envelope", i, got.Width())
+		}
+	}
+	backend, _, err := NewWindowedBackend(40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{0, -1} {
+		if rc, err := RestoreCold(backend, nil, w, 1, true); err == nil || rc != nil {
+			t.Fatalf("RestoreCold at sketch width %d: %v, %v; want an error", w, rc, err)
+		}
 	}
 }
 
@@ -508,8 +549,8 @@ func TestRestoreColdRefusesWrongLength(t *testing.T) {
 // order: persist runs with no lock held (a search inside it proceeds and
 // does not see the series), gets the envelope the core then keeps, and a
 // failing persist leaves the core as it was, free to take the series on
-// a retry. Sketches switched on between staging and publishing still
-// reach the new series.
+// a retry. A sketch width changed between staging and publishing still
+// reaches the new series.
 func TestAddPersistsBeforePublishing(t *testing.T) {
 	c := testCore(t, 6, 40)
 	s := series.Series{ID: "new", Values: append([]float64(nil), c.Series(0).Values...)}
@@ -543,7 +584,7 @@ func TestAddPersistsBeforePublishing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := c.Sketch(c.Len() - 1); !slices.Equal(got.Upper, want.Upper) || !slices.Equal(got.Lower, want.Lower) {
-		t.Fatalf("sketch of the series added while sketches came on: width %d, want the width-8 sketch of its envelope", got.Width())
+		t.Fatalf("sketch of the series added while the width changed: width %d, want the width-8 sketch of its envelope", got.Width())
 	}
 	nbrs, _, err := c.Search(ctx, series.Series{Values: s.Values}, DefaultParams())
 	if err != nil || len(nbrs) != 1 || nbrs[0].ID != s.ID || nbrs[0].Distance != 0 {

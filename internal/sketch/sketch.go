@@ -30,6 +30,13 @@ import (
 	"sdtw/internal/lower"
 )
 
+// DefaultWidth is the sketch width of every in-RAM index: 16
+// coefficients per envelope side keeps the sketch pass under 1/8th of a
+// full LB_Keogh scan for the UCR-scale lengths the paper evaluates while
+// still pruning most far candidates. LB_PAA is admissible at every width,
+// so the width never changes a search's results.
+const DefaultWidth = 16
+
 // Sketch is the W-coefficient stage-0 summary of one indexed series:
 // per-segment extrema of its LB_Keogh envelope. Upper and Lower have
 // equal length (the sketch width). A sketch is built once per series

@@ -40,6 +40,15 @@ done
 
 options=$(grep -cE '^func With(out)?[A-Z]' <<<"$doc")
 
+# Fields of retrieve.Params, the knobs one search resolves to.
+params=$(awk '
+	/^type Params struct/ { in_struct = 1; next }
+	in_struct && /^}/ { exit }
+	in_struct && match($0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) {
+		n += split(substr($0, RSTART, RLENGTH), names, ",")
+	}
+	END { print n + 0 }' internal/retrieve/retrieve.go)
+
 # Root index constructors, New*Index and Open*Index (ROADMAP 6c's target
 # is one New and one Open).
 constructors=$(grep -cE '^func (New|Open)[A-Za-z]*Index\(' <<<"$doc")
@@ -65,6 +74,7 @@ printf 'root exported symbols:                %d\n' "$symbols"
 printf 'Options fields:                       %d\n' "$fields"
 printf 'Options fields no command, example or benchmark names: %d\n' "$unset_fields"
 printf 'root With*/Without* options:          %d\n' "$options"
+printf 'retrieve.Params fields:               %d\n' "$params"
 printf 'internal/ packages:                   %d\n' "$internal"
 printf 'examples:                             %d\n' "$examples"
 printf 'root index constructors:              %d\n' "$constructors"

@@ -54,6 +54,7 @@ import (
 	"sdtw/internal/match"
 	"sdtw/internal/series"
 	"sdtw/internal/sift"
+	"sdtw/internal/sketch"
 )
 
 // Strategy selects how the DTW search band is shaped, mirroring the
@@ -140,7 +141,7 @@ type Options struct {
 // still pruning most far candidates. The width never changes search
 // results — LB_PAA is admissible at every width — so it is not part of
 // the configuration fingerprint.
-const DefaultSketchWidth = 16
+const DefaultSketchWidth = sketch.DefaultWidth
 
 // DefaultOptions returns the paper's headline configuration: adaptive
 // core & adaptive width with 64-bin descriptors.

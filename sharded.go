@@ -142,7 +142,7 @@ func newShardedIndex(f backendFamily, data []Series, shards, segRecords int) (*S
 		seqs[sh] = append(seqs[sh], uint64(i))
 	}
 	si, err := assemble(f, seqs, uint64(len(data)), func(i int) (*retrieve.Core, error) {
-		return newCore(f.backend, parts[i], f.workers)
+		return retrieve.New(f.backend, parts[i], f.workers, true)
 	})
 	if err != nil {
 		return nil, err

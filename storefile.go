@@ -420,7 +420,10 @@ func openStores(dir string, sharded bool, kind string, familyOf func(*store.Stor
 	// The one kind and fingerprint check behind every Open*: the store
 	// must hold the family of index the constructor serves, written under
 	// the configuration it is being opened under — its envelopes and
-	// sketches would bound a different distance otherwise.
+	// sketches would bound a different distance otherwise. Fingerprints
+	// compare in canonical form, so a width the band builder resolves to
+	// the same band (0 and 0.1, or any width under a strategy that reads
+	// none) is the same configuration.
 	st0 := stores[0]
 	if got := st0.Meta()[storeMetaKind]; got != kind {
 		return fail(fmt.Errorf("sdtw: store holds a %q index, want %q: %w", got, kind, ErrConfigMismatch))
@@ -429,7 +432,8 @@ func openStores(dir string, sharded bool, kind string, familyOf func(*store.Stor
 	if err != nil {
 		return fail(err)
 	}
-	if fp := f.backend.Fingerprint(); fp != st0.Fingerprint() {
+	fp0 := canonicalFingerprint(st0.Fingerprint())
+	if fp := f.backend.Fingerprint(); canonicalFingerprint(fp) != fp0 {
 		return fail(fmt.Errorf("sdtw: store written under %q, opening under %q: %w",
 			st0.Fingerprint(), fp, ErrConfigMismatch))
 	}
@@ -439,7 +443,7 @@ func openStores(dir string, sharded bool, kind string, familyOf func(*store.Stor
 		// mixed-config directory (shards written by different indexes, or
 		// a shard swapped in from elsewhere) must refuse to open rather
 		// than serve merged results two configurations disagree on.
-		if st.Fingerprint() != st0.Fingerprint() {
+		if canonicalFingerprint(st.Fingerprint()) != fp0 {
 			return fail(fmt.Errorf("sdtw: shard %d written under %q, shard 0 under %q: %w",
 				i, st.Fingerprint(), st0.Fingerprint(), ErrConfigMismatch))
 		}
@@ -524,7 +528,8 @@ func coldRecords(live []*store.Record) ([]retrieve.ColdSeries, []uint64) {
 // endpoints load eagerly, raw values stay on disk until a candidate
 // survives the lower-bound cascade. opts must describe the same engine
 // configuration the store was written under (ErrConfigMismatch
-// otherwise). Add and Remove write through to the store. Crash residue
+// otherwise); a WidthFrac that resolves to the same band counts as the
+// same. Add and Remove write through to the store. Crash residue
 // (a torn active-segment tail, orphaned segment files) is repaired on
 // the way in; AllowQuarantine additionally opts into serving around
 // corrupt sealed segments.

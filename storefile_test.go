@@ -75,7 +75,8 @@ func requireSameNeighbors(t *testing.T, label string, want, got []Neighbor) {
 // property: a store-backed index — hot sketches and envelopes, cold raw
 // values — answers bit-identically to the in-RAM index it was exported
 // from, on both backends, across band strategies, k and threshold
-// modes, and with the stage-0 sketch filter both on and off.
+// modes, and for k = the collection size, which prunes nothing and so
+// loads every series' values.
 func TestStoreBackedSearchExactness(t *testing.T) {
 	d := GunDataset(DatasetConfig{Seed: 71, SeriesPerClass: 8})
 	engineOpts := []Options{
@@ -96,7 +97,7 @@ func TestStoreBackedSearchExactness(t *testing.T) {
 		{"k5", []SearchOption{WithK(5)}},
 		{"threshold", []SearchOption{WithThreshold(4.0)}},
 		{"k3+threshold", []SearchOption{WithK(3), WithThreshold(6.0)}},
-		{"k5+nosketch", []SearchOption{WithK(5), WithoutSketch()}},
+		{"k=len", []SearchOption{WithK(d.Len())}},
 	}
 	run := func(t *testing.T, flat, cold *Index) {
 		for qi, q := range queries {
@@ -105,14 +106,11 @@ func TestStoreBackedSearchExactness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, stats, err := cold.Search(ctx, q, mode.opts...)
+				got, _, err := cold.Search(ctx, q, mode.opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				requireSameNeighbors(t, fmt.Sprintf("query %d %s", qi, mode.label), want, got)
-				if strings.Contains(mode.label, "nosketch") && stats.PrunedSketch != 0 {
-					t.Fatalf("query %d %s: sketch stage ran despite WithoutSketch: %+v", qi, mode.label, stats)
-				}
 			}
 		}
 	}
@@ -391,6 +389,86 @@ func TestOpenIndexValidation(t *testing.T) {
 	}
 	if _, err := OpenIndex(garbage, opts); !errors.Is(err, ErrCorruptManifest) {
 		t.Fatalf("open over a garbage manifest: %v, want ErrCorruptManifest", err)
+	}
+}
+
+// TestOpenUnderEquivalentWidth: a store opens under any options whose
+// width the band builder resolves to the one it was written under — 0
+// and 0.10 under (fc,fw), any width under (ac,aw), which reads none, 1.5
+// and 1 — flat and sharded, and answers as the index it was exported
+// from; a width that changes the band still refuses. Opening rewrites no
+// fingerprint: the store reopens under its own options afterwards.
+func TestOpenUnderEquivalentWidth(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 91, SeriesPerClass: 4})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name          string
+		written, open Options
+	}{
+		{"fc,fw w=0 as 0.10", Options{Strategy: FixedCoreFixedWidth}, Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}},
+		{"fc,fw w=0.10 as -1", Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}, Options{Strategy: FixedCoreFixedWidth, WidthFrac: -1}},
+		{"fc,fw w=1.5 as 1", Options{Strategy: FixedCoreFixedWidth, WidthFrac: 1.5}, Options{Strategy: FixedCoreFixedWidth, WidthFrac: 1}},
+		{"ac,aw any width", Options{Strategy: AdaptiveCoreAdaptiveWidth}, Options{Strategy: AdaptiveCoreAdaptiveWidth, WidthFrac: 0.35}},
+		{"dtw any width", Options{Strategy: FullGrid, WidthFrac: 0.2}, Options{Strategy: FullGrid}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flat, err := NewIndex(d.Series, tc.written)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(t.TempDir(), "flat")
+			if err := flat.SaveStore(dir); err != nil {
+				t.Fatal(err)
+			}
+			cold, err := OpenIndex(dir, tc.open)
+			if err != nil {
+				t.Fatalf("opening a store written under %+v with %+v: %v", tc.written, tc.open, err)
+			}
+			for qi, q := range []Series{d.Series[0], d.Series[5]} {
+				want, _, err := flat.Search(ctx, q, WithK(3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := cold.Search(ctx, q, WithK(3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameNeighbors(t, fmt.Sprintf("query %d", qi), want, got)
+			}
+			if err := cold.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := OpenIndex(dir, tc.written)
+			if err != nil {
+				t.Fatalf("reopening under the options it was written with: %v", err)
+			}
+			again.CloseStore()
+
+			sharded, err := NewShardedIndex(d.Series, 2, tc.written)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sdir := filepath.Join(t.TempDir(), "sharded")
+			if err := sharded.SaveStore(sdir); err != nil {
+				t.Fatal(err)
+			}
+			si, err := OpenShardedIndex(sdir, tc.open)
+			if err != nil {
+				t.Fatalf("opening a sharded store written under %+v with %+v: %v", tc.written, tc.open, err)
+			}
+			si.CloseStore()
+		})
+	}
+	flat, err := NewIndex(d.Series, Options{Strategy: FixedCoreFixedWidth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := flat.SaveStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenIndex(dir, Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.20}); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("(fc,fw) store written at 0.10 opened at 0.20: %v, want ErrConfigMismatch", err)
 	}
 }
 
