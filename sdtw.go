@@ -25,11 +25,12 @@
 //
 // Index searches run a shared lower-bound cascade (Keogh's exact-indexing
 // pipeline, the paper's reference [7]): candidates are ordered by the
-// cheap LB_Kim bound and discarded against a shared best-so-far threshold
-// — first by LB_Kim, then by LB_Keogh on envelopes precomputed at
-// indexing time — before any DTW grid work, with the survivors fanned out
-// across a bounded worker pool running early-abandoning DTW against the
-// same threshold. The cascade is exact for the backend's distance, every
+// stage-0 LB_PAA sketch bound (those of the query's length) or the cheap
+// LB_Kim bound (the rest) and discarded against a shared best-so-far
+// threshold — by those bounds, then by LB_Keogh on envelopes precomputed
+// at indexing time — before any DTW grid work, with the survivors fanned
+// out across a bounded worker pool running early-abandoning DTW against
+// the same threshold. The cascade is exact for the backend's distance, every
 // search reports a SearchStats record (per-stage prune counts, grid cells
 // filled and saved, per-stage times), and a cancelled context stops the
 // search mid-band. SearchBatch and LabelsAll run whole-dataset workloads
