@@ -117,7 +117,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			t.Fatalf("extractions %d (serial), %d (parallel); want %d", a, b, d.Len())
 		}
 		for i := range serial.shards {
-			sameCore(t, "shard", serial.shards[i].snap.Load().core, parallel.shards[i].snap.Load().core, queries)
+			sameCore(t, "shard", serial.shards[i].snap.Load().Core, parallel.shards[i].snap.Load().Core, queries)
 		}
 		for _, q := range queries {
 			a, _, err := serial.Search(context.Background(), q, WithK(3))

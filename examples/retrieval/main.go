@@ -86,11 +86,12 @@ func main() {
 	fmt.Printf("\nmean top-%d retrieval accuracy (accret): %.3f\n", k, overlapSum/float64(len(queries)))
 
 	// The work the last query's cascade avoided: candidates discarded by
-	// LB_Kim and LB_Keogh never touched the DTW grid, and the survivors
-	// ran an early-abandoning DP that stops once the partial cost exceeds
-	// the k-th best distance.
-	fmt.Printf("cascade on the last query: %d candidates, %d pruned by LB_Kim, %d by LB_Keogh, %d evaluated (%d abandoned mid-grid)\n",
-		cascade.Candidates, cascade.PrunedKim, cascade.PrunedKeogh, cascade.Evaluated, cascade.AbandonedDTW)
+	// the stage-0 sketch bound, LB_Kim and LB_Keogh never touched the DTW
+	// grid, and the survivors ran an early-abandoning DP that stops once
+	// the partial cost exceeds the k-th best distance. The four counts sum
+	// to the candidates.
+	fmt.Printf("cascade on the last query: %d candidates, %d pruned by the sketch, %d by LB_Kim, %d by LB_Keogh, %d evaluated (%d abandoned mid-grid)\n",
+		cascade.Candidates, cascade.PrunedSketch, cascade.PrunedKim, cascade.PrunedKeogh, cascade.Evaluated, cascade.AbandonedDTW)
 	fmt.Printf("DP work avoided: %d of %d grid cells filled (%.1f%% saved, bounds+band+abandonment combined; %d cells saved by abandonment alone)\n",
 		cascade.Cells, cascade.GridCells, 100*cascade.CellsGain(), cascade.CellsSaved)
 

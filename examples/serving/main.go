@@ -3,11 +3,10 @@
 // it over JSON, mutate it while searches keep flowing, and drain it
 // gracefully the way SIGTERM does in production.
 //
-// The service shards the collection by hashing series IDs, fans every
-// search out across the shards under one shared best-so-far threshold
-// (so pruning compounds across shards exactly as it does across workers
-// inside one search), and serves reads from copy-on-write snapshots —
-// an Add or Remove never blocks a search. Results are bit-identical to
+// The service shards the collection by hashing series IDs, runs every
+// search as one cascade over all the shards' snapshots (one candidate
+// queue, one best-so-far threshold, one worker pool), and serves reads
+// from copy-on-write snapshots — an Add or Remove never blocks a search. Results are bit-identical to
 // a single unsharded Index over the same collection.
 //
 // Run with:

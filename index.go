@@ -309,7 +309,9 @@ func WithK(k int) SearchOption {
 }
 
 // WithWorkers overrides the index's worker-pool width for this search.
-// n <= 0 leaves the index default; 1 forces a sequential cascade.
+// n <= 0 leaves the index default; 1 forces a sequential cascade, on a
+// ShardedIndex as on an Index: one goroutine visits every shard's
+// candidates.
 func WithWorkers(n int) SearchOption {
 	return func(c *searchConfig) { c.workers = n }
 }

@@ -36,6 +36,8 @@ var dpEntryPoints = map[string]map[string]bool{
 	"sdtw/internal/retrieve": {
 		"Search":      true,
 		"SearchBatch": true,
+		"SearchSelf":  true,
+		"SearchParts": true,
 	},
 }
 

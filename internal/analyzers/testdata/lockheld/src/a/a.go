@@ -6,6 +6,7 @@ import (
 
 	"sdtw/internal/core"
 	"sdtw/internal/dtw"
+	"sdtw/internal/retrieve"
 )
 
 type index struct {
@@ -79,4 +80,12 @@ func (ix *index) ReadCandidate(ctx context.Context, q, fq []float64, budget floa
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.engine.DistanceUnderFeatures(ctx, q, fq, ix.data[0], nil, budget)
+}
+
+// BadShardedSearch runs the multi-part cascade under the write lock,
+// serializing every reader behind it.
+func (ix *index) BadShardedSearch(ctx context.Context, parts []retrieve.Part) int {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return retrieve.SearchParts(ctx, parts) // want `retrieve.SearchParts .* exclusively locked`
 }

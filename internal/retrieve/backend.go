@@ -13,8 +13,8 @@ import (
 // Query is a search's query as a core prepared it: the series itself
 // plus what the backend derives from a series (the sDTW engine's salient
 // features), derived once for the whole search. A prepared query carries
-// over between cores of one backend, which is how a sharded search
-// prepares once and hands the same Query to every shard.
+// over between cores of one backend: a multi-part search prepares it on
+// one part and searches every part with it.
 type Query struct {
 	series.Series
 	// ExtractTime is what the preparation cost beyond validation.

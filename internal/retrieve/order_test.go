@@ -23,10 +23,11 @@ import (
 // tightens. The sort places NaN bounds after every number — the placement the lazy
 // order defines; the old sort left them wherever pdqsort put them. It is
 // the reference Core.Search's heap order and bulk-counted tail are held
-// to.
+// to, and SearchParts' over any split of c whose sequences ascend with
+// c's positions.
 func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, error) {
 	var stats Stats
-	q, err := c.Prepare(query)
+	q, err := c.prepareLocked(query)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -74,16 +75,8 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 	if k == 0 {
 		return nil, stats, nil
 	}
-	tightenAt := k
-	if p.Shared != nil {
-		tightenAt = p.K
-	}
-	threshold := p.Shared
-	if threshold == nil {
-		threshold = NewSharedThreshold(limit)
-	} else {
-		threshold.Tighten(limit)
-	}
+	var threshold sharedThreshold
+	threshold.seed(limit)
 	best := make(bestK, 0, k+1)
 	for _, cd := range cands {
 		if cd.paa && cd.bound > threshold.Load() {
@@ -131,7 +124,7 @@ func sortedSearch(c *Core, query series.Series, p Params) ([]Neighbor, Stats, er
 			best[0] = nb
 			heap.Fix(&best, 0)
 		}
-		if tightenAt > 0 && len(best) == tightenAt {
+		if len(best) == k {
 			threshold.Tighten(best[0].Distance)
 		}
 	}
@@ -247,11 +240,10 @@ func orderCores(t testing.TB, rng *rand.Rand, n int) map[string]*Core {
 
 // orderParams is the parameter grid of the differential: K of 1, 5, the
 // whole collection, a range search and K within a range; a positional
-// exclusion; a pre-tightened shared threshold.
+// exclusion.
 func orderParams(t testing.TB, c *Core, q series.Series, rng *rand.Rand) map[string]func() Params {
 	t.Helper()
-	// A distance near the middle of the collection's, for range searches
-	// and the shared budget.
+	// A distance near the middle of the collection's, for range searches.
 	rank := DefaultParams()
 	rank.K = c.Len()
 	all, _, err := sortedSearch(c, q, rank)
@@ -274,9 +266,6 @@ func orderParams(t testing.TB, c *Core, q series.Series, rng *rand.Rand) map[str
 		"range":     with(func(p *Params) { p.K, p.Threshold, p.ThresholdSet = 0, mid, true }),
 		"k=3+range": with(func(p *Params) { p.K, p.Threshold, p.ThresholdSet = 3, mid, true }),
 		"exclude":   with(func(p *Params) { p.K, p.Exclude = 3, exclude }),
-		// A fresh pre-tightened budget per call: the two runs must not
-		// share one, or the first would tighten the second's.
-		"shared": with(func(p *Params) { p.K, p.Shared = 4, NewSharedThreshold(mid) }),
 	}
 }
 
@@ -285,13 +274,48 @@ func orderParams(t testing.TB, c *Core, q series.Series, rng *rand.Rand) map[str
 // neighbours and counts that partition the candidates.
 func checkOrder(t testing.TB, name string, c *Core, q series.Series, params func() Params) {
 	t.Helper()
+	checkAgainstSorted(t, name, c, q, params, func(p Params) ([]Neighbor, Stats, error) {
+		return c.Search(context.Background(), q, p)
+	})
+}
+
+// checkParts is checkOrder for one search over parts, a split of c
+// (splitParts): the query is prepared on the part holding its ID, as a
+// sharded index prepares it, and the neighbours carry Pos -1.
+func checkParts(t testing.TB, name string, c *Core, parts []Part, q series.Series, params func() Params) {
+	t.Helper()
+	home := 0
+	for i, pt := range parts {
+		if _, ok := pt.Core.Pos(q.ID); ok {
+			home = i
+		}
+	}
+	checkAgainstSorted(t, name, c, q, params, func(p Params) ([]Neighbor, Stats, error) {
+		nbrs, stats, err := SearchParts(context.Background(), q, parts, home, p)
+		for i := range nbrs {
+			if nbrs[i].Pos != -1 {
+				t.Fatalf("%s: neighbour %+v of a multi-part search has a position", name, nbrs[i])
+			}
+			pos, _ := c.Pos(nbrs[i].ID)
+			nbrs[i].Pos = pos
+		}
+		return nbrs, stats, err
+	})
+}
+
+// checkAgainstSorted holds search to sortedSearch over c: at one worker,
+// identical neighbours and counts; at four, identical neighbours and
+// counts that partition the candidates.
+func checkAgainstSorted(t testing.TB, name string, c *Core, q series.Series, params func() Params,
+	search func(Params) ([]Neighbor, Stats, error)) {
+	t.Helper()
 	want, wantStats, err := sortedSearch(c, q, params())
 	if err != nil {
 		t.Fatalf("%s: reference: %v", name, err)
 	}
 	p := params()
 	p.Workers = 1
-	got, gotStats, err := c.Search(context.Background(), q, p)
+	got, gotStats, err := search(p)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -303,7 +327,7 @@ func checkOrder(t testing.TB, name string, c *Core, q series.Series, params func
 	}
 	p = params()
 	p.Workers = 4
-	got, gotStats, err = c.Search(context.Background(), q, p)
+	got, gotStats, err = search(p)
 	if err != nil {
 		t.Fatalf("%s, 4 workers: %v", name, err)
 	}
@@ -315,14 +339,49 @@ func checkOrder(t testing.TB, name string, c *Core, q series.Series, params func
 	}
 }
 
+// splitParts splits c's collection into n parts for SearchParts: each
+// series goes to a random part, under a sequence that ascends with its
+// position in c by a random step, so the parts' sequences interleave and
+// rank the candidates as c's positions do — and sortedSearch over c is
+// the reference ordered by (bound, sequence). Each part's core is built
+// over c's backend at c's sketch width; some may be empty.
+func splitParts(t testing.TB, rng *rand.Rand, c *Core, n int) []Part {
+	t.Helper()
+	data := make([][]series.Series, n)
+	parts := make([]Part, n)
+	var seq uint64
+	for i := 0; i < c.Len(); i++ {
+		seq += uint64(1 + rng.Intn(3))
+		j := rng.Intn(n)
+		data[j] = append(data[j], c.Series(i))
+		parts[j].Seqs = append(parts[j].Seqs, seq)
+	}
+	for j := range parts {
+		pc, err := New(c.backend, data[j], 4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pc.EnableSketches(c.SketchWidth()); err != nil {
+			t.Fatal(err)
+		}
+		parts[j].Core = pc
+	}
+	return parts
+}
+
 // TestLazyOrderMatchesSortedCascade holds the lazy visit — heap order,
 // threshold stop and bulk-counted tail — to the sort-everything cascade
-// it replaced, bit for bit at one worker.
+// it replaced, bit for bit at one worker; and so one search over the
+// collection split into 1 to 4 parts with interleaved sequences.
 func TestLazyOrderMatchesSortedCascade(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cores := orderCores(t, rng, 96)
 	for _, name := range []string{"windowed", "engine-fcfw", "engine-acaw"} {
 		c := cores[name]
+		splits := make([][]Part, 4)
+		for n := range splits {
+			splits[n] = splitParts(t, rng, c, n+1)
+		}
 		for qi := 0; qi < 4; qi++ {
 			// Indexed series (self-excluded by ID) and fresh, ID-less
 			// queries of the collection's lengths.
@@ -332,7 +391,11 @@ func TestLazyOrderMatchesSortedCascade(t *testing.T) {
 				q = series.Series{Values: fresh.Values}
 			}
 			for pname, params := range orderParams(t, c, q, rng) {
-				checkOrder(t, fmt.Sprintf("%s/q%d/%s", name, qi, pname), c, q, params)
+				label := fmt.Sprintf("%s/q%d/%s", name, qi, pname)
+				checkOrder(t, label, c, q, params)
+				for _, parts := range splits {
+					checkParts(t, fmt.Sprintf("%s/%d parts", label, len(parts)), c, parts, q, params)
+				}
 			}
 		}
 	}
@@ -419,7 +482,7 @@ func TestVisitKeyOrdersAsFloats(t *testing.T) {
 		for j, b := range edgeBounds {
 			for _, pos := range [][2]int{{1, 2}, {2, 1}} {
 				ra, rb := refCandidate{pos: pos[0], bound: a}, refCandidate{pos: pos[1], bound: b}
-				ka, kb := candidate{key: visitKey(a), pos: pos[0]}, candidate{key: visitKey(b), pos: pos[1]}
+				ka, kb := candidate{key: visitKey(a), rank: pos[0]}, candidate{key: visitKey(b), rank: pos[1]}
 				if got, want := ka.before(&kb), beforeFloat(ra, rb); got != want {
 					t.Errorf("edge %d (%v, pos %d) before edge %d (%v, pos %d): keys say %v, floats %v",
 						i, a, pos[0], j, b, pos[1], got, want)
@@ -453,16 +516,16 @@ func TestCandQueueOrder(t *testing.T) {
 		rng.Shuffle(n, func(a, b int) { refs[a], refs[b] = refs[b], refs[a] })
 		cands := make([]candidate, n)
 		for i, r := range refs {
-			cands[i] = candidate{key: visitKey(r.bound), pos: r.pos}
+			cands[i] = candidate{key: visitKey(r.bound), rank: r.pos}
 		}
 		sort.Slice(refs, func(a, b int) bool { return beforeFloat(refs[a], refs[b]) })
 		queue := candQueue(cands)
 		queue.init()
 		for i := range refs {
 			got := queue.pop()
-			if got.pos != refs[i].pos {
-				t.Fatalf("iter %d pop %d: position %d (key %#x), want %d (bound %v)",
-					iter, i, got.pos, got.key, refs[i].pos, refs[i].bound)
+			if got.rank != refs[i].pos {
+				t.Fatalf("iter %d pop %d: rank %d (key %#x), want %d (bound %v)",
+					iter, i, got.rank, got.key, refs[i].pos, refs[i].bound)
 			}
 		}
 		if len(queue) != 0 {
@@ -472,12 +535,16 @@ func TestCandQueueOrder(t *testing.T) {
 }
 
 // FuzzCascadeOrderDifferential is TestLazyOrderMatchesSortedCascade over
-// fuzzed collections and parameters: the lazy visit must equal the
+// fuzzed collections and parameters: the lazy visit, and one search over
+// the collection split into 1 to 4 parts (mode/16%4 + 1), must equal the
 // sorted reference at one worker and partition the candidates at four.
 func FuzzCascadeOrderDifferential(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(5), uint8(0))
 	f.Add(int64(7), uint8(3), uint8(0), uint8(1))
 	f.Add(int64(42), uint8(90), uint8(1), uint8(6))
+	f.Add(int64(5), uint8(60), uint8(4), uint8(0x17))
+	f.Add(int64(9), uint8(33), uint8(2), uint8(0x2c))
+	f.Add(int64(11), uint8(80), uint8(7), uint8(0x31))
 	f.Fuzz(func(t *testing.T, seed int64, n8, k8, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(n8)%96 + 1
@@ -519,10 +586,12 @@ func FuzzCascadeOrderDifferential(f *testing.F) {
 		if mode%16 >= 8 {
 			exclude = rng.Intn(n)
 		}
-		checkOrder(t, "fuzz", c, q, func() Params {
+		params := func() Params {
 			p := DefaultParams()
 			p.K, p.Exclude, p.Threshold, p.ThresholdSet = k, exclude, limit, k <= 0
 			return p
-		})
+		}
+		checkOrder(t, "fuzz", c, q, params)
+		checkParts(t, "fuzz/parts", c, splitParts(t, rng, c, int(mode/16)%4+1), q, params)
 	})
 }

@@ -48,8 +48,9 @@ import (
 // renumbers positions before the caller looks.
 type Neighbor struct {
 	// Pos is the position of the neighbour in the indexed collection (as
-	// of the search; Add/Remove renumber positions). A sharded search
-	// reports -1: positions are per shard and mean nothing across them.
+	// of the search; Add/Remove renumber positions). A multi-part search
+	// (SearchParts, a sharded index's) reports -1: positions are per part
+	// and mean nothing across them.
 	Pos int
 	// ID is the matched series' ID (empty when it has none).
 	ID string
@@ -75,9 +76,9 @@ type Params struct {
 	// Workers overrides the core's worker-pool width when positive.
 	Workers int
 	// Exclude drops the candidate at that collection position (for
-	// leave-one-out workloads whose series may lack IDs); -1 excludes
-	// none. Candidates sharing the query's non-empty ID are always
-	// excluded.
+	// leave-one-out workloads whose series may lack IDs) — in a
+	// multi-part search, at that rank; -1 excludes none. Candidates
+	// sharing the query's non-empty ID are always excluded.
 	Exclude int
 	// Threshold, when finite, restricts results to neighbours at distance
 	// <= Threshold and seeds the pruning threshold, so hopeless
@@ -90,13 +91,6 @@ type Params struct {
 	// ThresholdSet marks Threshold as deliberately chosen, letting an
 	// explicit 0 (exact-match range search) survive the zero-value guard.
 	ThresholdSet bool
-	// Shared, when non-nil, replaces the search's private best-so-far
-	// threshold, so pruning compounds across concurrent searches over
-	// disjoint collection shards: each shard's k-th best tightens the
-	// others' budgets exactly as workers tighten each other's inside one
-	// search. Admissible because any k fully-evaluated distances bound
-	// the global k-th best from above.
-	Shared *SharedThreshold
 }
 
 // DefaultParams returns the safe starting point for a Params value:
@@ -668,19 +662,19 @@ func (c *Core) Snapshot() ([]series.Series, []lower.Envelope) {
 	return data, envs
 }
 
-// candidate is one cascade work item: a collection position and the
-// visit key of its ordering bound. The bound is the stage-0 LB_PAA sketch
-// bound of a candidate of the query's length and the LB_Kim bound of any
-// other; which one is read off the candidate's
-// length, and the Kim bound of a sketch-ordered candidate is derived
-// again from its hot metadata at the visit. That keeps the record at two
-// words — the ordering pass writes one per candidate of the collection.
-// A search visits its candidates in ascending (key, pos) order, which is
-// ascending (bound, pos) with a NaN bound after every number, by popping
-// them off a candQueue.
+// candidate is one cascade work item: the candidate's rank in insertion
+// order (its position, in a one-part search) and the visit key of its
+// ordering bound. The bound is the stage-0 LB_PAA sketch bound of a
+// candidate of the query's length and the LB_Kim bound of any other;
+// which one is read off the candidate's length, and the Kim bound of a
+// sketch-ordered candidate is derived again from its hot metadata at the
+// visit. That keeps the record at two words — the ordering pass writes
+// one per candidate. A search visits its candidates in ascending (key,
+// rank) order, which is ascending (bound, sequence) with a NaN bound
+// after every number, by popping them off a candQueue.
 type candidate struct {
-	key uint64
-	pos int
+	key  uint64
+	rank int
 }
 
 // nanKey is the visit key of a NaN bound: after every number's.
@@ -708,10 +702,10 @@ func exceeds(key uint64, t float64) bool {
 }
 
 // before reports whether a is visited before b: the smaller key first,
-// equal keys by position. Positions are distinct, so this is a strict
-// total order and the visit order is fully determined.
+// equal keys by rank. Ranks are distinct, so this is a strict total
+// order and the visit order is fully determined.
 func (a *candidate) before(b *candidate) bool {
-	return a.key < b.key || (a.key == b.key && a.pos < b.pos)
+	return a.key < b.key || (a.key == b.key && a.rank < b.rank)
 }
 
 // candQueue is a binary min-heap of candidates under before, built in
@@ -768,11 +762,15 @@ func (h *candQueue) pop() candidate {
 }
 
 // searchScratch is the working set of one search that grows with the
-// collection: the candidate heap's buffer, and what the ordering pass
-// keeps per query — the sketch means and segment weights, and the block
-// of sketch-ordered candidates whose LB_PAA bounds it computes together.
+// collection: the candidate heap's buffer, a multi-part search's rank
+// table and merge, and what the ordering pass keeps per query — the
+// sketch means and segment weights, and the block of sketch-ordered
+// candidates whose LB_PAA bounds it computes together.
 type searchScratch struct {
 	cands          []candidate
+	locs           []loc
+	heads          candQueue
+	next           []int
 	means, weights []float64
 	block          [4]sketch.Sketch
 	at             [4]int // where in cands block[j]'s candidate sits
@@ -790,12 +788,58 @@ type searchScratch struct {
 // replaced by one of the collection's size.
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
-// release returns sc to the pool, holding no core's sketches and nothing
-// of the search's visit.
+// release returns sc to the pool, holding no core — neither sketches nor
+// rank-table entries — and nothing of the search's visit.
 func (sc *searchScratch) release() {
 	sc.block = [4]sketch.Sketch{}
+	clear(sc.locs)
+	sc.locs = sc.locs[:0]
 	sc.visit = visitState{}
 	scratchPool.Put(sc)
+}
+
+// loc is where the candidate of one rank of a multi-part search lives.
+type loc struct {
+	c   *Core
+	pos int
+}
+
+// rank fills sc.locs, a multi-part search's rank table, with every
+// series of parts in ascending sequence: a k-way merge on a candidate
+// queue keyed by each part's next sequence, ranked by the part's index.
+// It returns the table's length and the rank of the series whose
+// non-empty ID is id (-1 when no part holds one).
+func (sc *searchScratch) rank(parts []Part, id string) (total, self int) {
+	heads, next, locs := sc.heads[:0], sc.next[:0], sc.locs[:0]
+	self = -1
+	var selfSeq uint64
+	hasSelf := false
+	for i, pt := range parts {
+		next = append(next, 0)
+		if len(pt.Seqs) > 0 {
+			heads = append(heads, candidate{key: pt.Seqs[0], rank: i})
+		}
+		if pos, ok := pt.Core.ids[id]; ok {
+			selfSeq, hasSelf = pt.Seqs[pos], true
+		}
+	}
+	heads.init()
+	for len(heads) > 0 {
+		i := heads[0].rank
+		pt := parts[i]
+		if hasSelf && heads[0].key == selfSeq {
+			self = len(locs)
+		}
+		locs = append(locs, loc{c: pt.Core, pos: next[i]})
+		if next[i]++; next[i] < len(pt.Seqs) {
+			heads[0].key = pt.Seqs[next[i]]
+			heads.down(0)
+		} else {
+			heads.pop()
+		}
+	}
+	sc.heads, sc.next, sc.locs = heads, next, locs
+	return len(locs), self
 }
 
 // flush sets the keys of the first size candidates of sc's block — the
@@ -833,9 +877,9 @@ var epoch = time.Now()
 // LB_Keogh.
 func monotonic() time.Duration { return time.Since(epoch) }
 
-// bestK is the best-so-far heap: a max-heap on (distance, position)
-// holding at most k neighbours, so the root is the current k-th best and
-// the pruning threshold.
+// bestK is the best-so-far heap: a max-heap on (distance, rank), the
+// rank in Pos, holding at most k neighbours, so the root is the current
+// k-th best and the pruning threshold.
 type bestK []Neighbor
 
 func (h bestK) Len() int { return len(h) }
@@ -889,27 +933,22 @@ func parallelFor(ctx context.Context, workers, n int, stop *atomic.Bool, fn func
 	wg.Wait()
 }
 
-// SharedThreshold shares a best-so-far pruning threshold across workers —
-// and, through Params.Shared, across concurrent searches over disjoint
-// shards of one collection. It is monotone: Tighten only ever lowers it,
-// so a stale read yields a looser threshold, which costs a bound
-// evaluation but never correctness.
-type SharedThreshold struct{ bits atomic.Uint64 }
+// sharedThreshold shares a search's best-so-far pruning threshold across
+// its workers. It is monotone: Tighten only ever lowers it, so a stale
+// read yields a looser threshold, which costs a bound evaluation but
+// never correctness.
+type sharedThreshold struct{ bits atomic.Uint64 }
 
-// NewSharedThreshold returns a threshold seeded at limit (+Inf for an
-// unbounded top-k).
-func NewSharedThreshold(limit float64) *SharedThreshold {
-	t := &SharedThreshold{}
-	t.bits.Store(math.Float64bits(limit))
-	return t
-}
+// seed sets the threshold to limit (+Inf for an unbounded top-k) before
+// the search's workers start.
+func (t *sharedThreshold) seed(limit float64) { t.bits.Store(math.Float64bits(limit)) }
 
 // Load returns the current threshold.
-func (t *SharedThreshold) Load() float64 { return math.Float64frombits(t.bits.Load()) }
+func (t *sharedThreshold) Load() float64 { return math.Float64frombits(t.bits.Load()) }
 
 // Tighten lowers the threshold to v if v is smaller; larger values are
 // ignored, keeping the threshold monotone under concurrent updates.
-func (t *SharedThreshold) Tighten(v float64) {
+func (t *sharedThreshold) Tighten(v float64) {
 	nb := math.Float64bits(v)
 	for {
 		ob := t.bits.Load()
@@ -934,23 +973,14 @@ const kimCheckEvery = 1024
 func (c *Core) Search(ctx context.Context, query series.Series, p Params) ([]Neighbor, Stats, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.search(ctx, query, p)
+	return searchLocked(ctx, query, []Part{{Core: c}}, 0, p)
 }
 
-// Prepare validates query — non-empty, every value finite — and prepares
-// it for SearchPrepared on any core over the same backend. The sharded
-// layer prepares a query once, on the core of the shard its ID routes to,
-// and searches every shard with it.
-func (c *Core) Prepare(query series.Series) (Query, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.prepareLocked(query)
-}
-
-// prepareLocked is Prepare under a held read lock. A query carrying a
-// member's ID and that member's values, bit for bit, takes the member's
-// features instead of extracting them again; a query that only shares a
-// member's ID extracts its own.
+// prepareLocked validates query — non-empty, every value finite — and
+// prepares it for a search over cores of c's backend. Callers hold (at
+// least) the read lock. A query carrying a member's ID and that member's
+// values, bit for bit, takes the member's features instead of extracting
+// them again; a query that only shares a member's ID extracts its own.
 func (c *Core) prepareLocked(query series.Series) (Query, error) {
 	if len(query.Values) == 0 {
 		return Query{}, fmt.Errorf("query: %w", ErrEmptySeries)
@@ -986,34 +1016,62 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// SearchPrepared is Search over a query a core over the same backend
-// already prepared. The preparation is the caller's to account for: the
-// returned Stats leave ExtractTime zero.
-func (c *Core) SearchPrepared(ctx context.Context, q Query, p Params) ([]Neighbor, Stats, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.searchPrepared(ctx, q, p)
+// Part is one collection of a multi-part search: a core, and the
+// insertion sequence of each of its positions. Seqs ascend with position,
+// and no sequence repeats across the parts of one search. A sharded index
+// keeps one Part per shard.
+type Part struct {
+	Core *Core
+	Seqs []uint64
 }
 
-// search is Search under a held read lock (batch calls it directly so a
-// whole batch sees one consistent collection): one preparation, then the
-// cascade.
-func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Neighbor, Stats, error) {
+// SearchParts is Search over the union of parts — one ordering pass,
+// candidate queue, k-heap, threshold and worker pool (p.Workers, or the
+// first core's) — with candidates ranked by sequence where Search ranks
+// them by position; p.Exclude names a rank. The query is prepared on
+// parts[home]'s core, where a member query finds its features.
+// Neighbours report Pos -1. The cores, distinct and of one backend and
+// sketch width, are read-locked in order for the whole search; non-empty
+// IDs must be unique across them.
+func SearchParts(ctx context.Context, query series.Series, parts []Part, home int, p Params) ([]Neighbor, Stats, error) {
+	for _, pt := range parts {
+		pt.Core.mu.RLock()
+		defer pt.Core.mu.RUnlock()
+	}
+	first := parts[0].Core
+	for i, pt := range parts {
+		if c := pt.Core; c.backend != first.backend || c.sketchW != first.sketchW || len(pt.Seqs) != len(c.data) {
+			return nil, Stats{}, fmt.Errorf("part %d of %d: %w", i, len(parts), ErrConfigMismatch)
+		}
+	}
+	nbrs, stats, err := searchLocked(ctx, query, parts, home, p)
+	for i := range nbrs {
+		nbrs[i].Pos = -1
+	}
+	return nbrs, stats, err
+}
+
+// searchLocked prepares query on parts[home]'s core, then runs the
+// cascade over parts, whose read locks the caller holds (batch holds one
+// across a whole batch, so it sees one consistent collection).
+func searchLocked(ctx context.Context, query series.Series, parts []Part, home int, p Params) ([]Neighbor, Stats, error) {
 	start := time.Now()
-	q, err := c.prepareLocked(query)
+	q, err := parts[home].Core.prepareLocked(query)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	nbrs, stats, err := c.searchPrepared(ctx, q, p)
+	nbrs, stats, err := cascade(ctx, q, parts, p)
 	stats.ExtractTime = q.ExtractTime
 	stats.WallTime = time.Since(start)
 	return nbrs, stats, err
 }
 
-// searchPrepared is the cascade itself, under a held read lock.
+// cascade is the search itself, over parts whose read locks are held.
+// One part's candidates rank by position (its Seqs are not read);
+// several parts' by the rank table searchScratch.rank builds.
 //
-// Candidates are visited in ascending (bound, pos) order, popped one at a
-// time off a heap under the search's mutex — the same path for one
+// Candidates are visited in ascending (bound, rank) order, popped one at
+// a time off a heap under the search's mutex — the same path for one
 // worker or many. Once the least bound left exceeds the pruning
 // threshold, the visit stops: every bound still queued is at least that
 // large and the threshold only tightens, so each of those candidates
@@ -1025,12 +1083,13 @@ func (c *Core) search(ctx context.Context, query series.Series, p Params) ([]Nei
 // everything.
 //
 // The heap holds one two-word candidate per collection series, keyed by
-// an integer that orders as the bound (visitKey). Its buffer, the
-// query's sketch means and segment weights, and the visit's shared state
-// come from a package-level pool and go back when the search returns, so
-// a search allocates the same few bytes whatever the collection's size;
-// concurrent searches (a batch, a sharded fan-out) each take their own.
-func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Neighbor, Stats, error) {
+// an integer that orders as the bound (visitKey). Its buffer, the rank
+// table, the query's sketch means and segment weights, and the visit's
+// shared state come from a package-level pool and go back when the
+// search returns, so a search allocates the same few bytes whatever the
+// collection's size; concurrent searches (a batch, several callers) each
+// take their own.
+func cascade(ctx context.Context, query Query, parts []Part, p Params) ([]Neighbor, Stats, error) {
 	var stats Stats
 	start := time.Now()
 	if err := ctxErr(ctx); err != nil {
@@ -1038,6 +1097,7 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	}
 	limit := p.EffectiveThreshold()
 	qn := len(query.Values)
+	first := parts[0].Core
 
 	// Ordering pass: a cheap bound for every candidate — the stage-0
 	// sketch bound where it applies, four candidates at a time, and LB_Kim
@@ -1048,42 +1108,49 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	boundStart := monotonic()
 	sc := scratchPool.Get().(*searchScratch)
 	defer sc.release()
+	v := &sc.visit
+	v.one = first
+	// The query's own entry, when it is an indexed series: non-empty IDs
+	// are unique, so it is the one series sharing the query's ID.
+	total, self := len(first.data), -1
+	if len(parts) > 1 {
+		total, self = sc.rank(parts, query.ID)
+		v.locs = sc.locs
+	} else if pos, ok := first.ids[query.ID]; ok {
+		self = pos
+	}
 	// Stage 0 applies under the same equal-length contract as the Keogh
 	// stage; other candidates keep their Kim ordering.
 	var err error
-	if sc.means, err = sketch.Means(query.Values, c.sketchW, sc.means); err != nil {
+	if sc.means, err = sketch.Means(query.Values, first.sketchW, sc.means); err != nil {
 		return nil, stats, fmt.Errorf("query sketch: %w", err)
 	}
-	sc.weights = sketch.Weights(qn, c.sketchW, sc.weights)
-	if cap(sc.cands) < len(c.data) {
-		sc.cands = make([]candidate, 0, len(c.data))
+	sc.weights = sketch.Weights(qn, first.sketchW, sc.weights)
+	if cap(sc.cands) < total {
+		sc.cands = make([]candidate, 0, total)
 	}
 	cands := sc.cands[:0]
-	// The query's own entry, when it is an indexed series: non-empty IDs
-	// are unique, so it is the one series sharing the query's ID.
-	self := -1
-	if pos, ok := c.ids[query.ID]; ok {
-		self = pos
-	}
 	// paaLeft counts the queued candidates carrying a sketch bound, so a
 	// bulk-pruned tail splits into stage-0 and Kim prunes; nans counts the
 	// NaN bounds, which forbid the bulk prune. pending sketch-ordered
 	// candidates wait in sc's block for their bounds.
 	var paaLeft, nans, pending int
-	for i, m := range c.meta {
-		if i%kimCheckEvery == 0 {
+	for r := 0; r < total; r++ {
+		if r%kimCheckEvery == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return nil, stats, err
 			}
 		}
 		// Skip self-matches when the query is an indexed series.
-		if i == p.Exclude || i == self {
+		if r == p.Exclude || r == self {
 			continue
 		}
+		c, i := v.locate(r)
+		m := c.meta[i]
 		stats.GridCells += qn * m.n
 		if m.n == qn {
 			sc.block[pending], sc.at[pending] = c.sketches[i], len(cands)
-			cands = append(cands, candidate{pos: i})
+			cands = append(cands, candidate{rank: r})
 			paaLeft++
 			if pending++; pending == len(sc.block) {
 				nans += sc.flush(cands, pending)
@@ -1098,7 +1165,7 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 		if kim != kim {
 			nans++
 		}
-		cands = append(cands, candidate{key: visitKey(kim), pos: i})
+		cands = append(cands, candidate{key: visitKey(kim), rank: r})
 	}
 	if pending > 0 {
 		nans += sc.flush(cands, pending)
@@ -1116,30 +1183,11 @@ func (c *Core) searchPrepared(ctx context.Context, query Query, p Params) ([]Nei
 	// Stages 0-3, fanned out: sketch check, LB_Kim check, LB_Keogh check,
 	// full DTW. The visit's shared state lives in sc, so its workers
 	// capture one pointer and a search allocates none of it.
-	v := &sc.visit
-	v.c, v.ctx, v.query, v.limit = c, ctx, query, limit
+	v.ctx, v.query, v.limit, v.k = ctx, query, limit, k
 	v.best = make(bestK, 0, k+1)
 	v.queue, v.paaLeft, v.nans = candQueue(cands), paaLeft, nans
-	// tightenAt is the heap occupancy at which the k-th best becomes an
-	// admissible pruning threshold. Private search: the (possibly
-	// truncated) heap capacity — by the time the heap is that full, its
-	// root bounds everything still wanted. Shared search: strictly the
-	// requested K — this shard may hold fewer than K candidates, and
-	// tightening the siblings' shared budget with fewer than K real
-	// distances would prune their true neighbours (and K <= 0 — a range
-	// search — must never tighten past the caller's limit at all).
-	v.k, v.tightenAt = k, k
-	// The pruning threshold is private to this search unless the caller
-	// supplied a shared one (sharded serving), in which case every
-	// concurrent shard search reads and tightens the same value.
-	if v.threshold = p.Shared; v.threshold == nil {
-		v.private.bits.Store(math.Float64bits(limit))
-		v.threshold = &v.private
-	} else {
-		v.tightenAt = p.K // <= 0 or > len(cands): never reached
-		v.threshold.Tighten(limit)
-	}
-	workers := c.workers
+	v.threshold.seed(limit)
+	workers := first.workers
 	if p.Workers > 0 {
 		workers = p.Workers
 	}
@@ -1203,17 +1251,27 @@ type visitState struct {
 	// The per-stage counts and stage times, added to without the lock.
 	prunedSketch, prunedKim, prunedKeogh, evaluated, abandoned atomic.Int64
 	cells, cellsSaved, boundNS, matchNS, dpNS                  atomic.Int64
-	// threshold is the pruning threshold: the caller's shared one, or
-	// private.
-	threshold *SharedThreshold
-	private   SharedThreshold
 
-	// The search's read-only inputs.
-	c            *Core
-	ctx          context.Context
-	query        Query
-	limit        float64
-	k, tightenAt int
+	// threshold is the pruning threshold, private to the search.
+	threshold sharedThreshold
+
+	// The search's read-only inputs: the first part's core (one), and the
+	// rank table of a multi-part search (locs, nil for one part).
+	one   *Core
+	locs  []loc
+	ctx   context.Context
+	query Query
+	limit float64
+	k     int
+}
+
+// locate returns the core and position of the candidate of rank r.
+func (v *visitState) locate(r int) (*Core, int) {
+	if v.locs == nil {
+		return v.one, r
+	}
+	l := v.locs[r]
+	return l.c, l.pos
 }
 
 // fail records err as the visit's error, if it is the first, and stops
@@ -1230,9 +1288,9 @@ func (v *visitState) fail(err error) {
 // next pops the next candidate in visit order, or reports the visit
 // over: the queue is empty, or its least bound exceeds the threshold and
 // the whole tail is counted as pruned by its ordering bound (see
-// searchPrepared). With a NaN bound queued the tail is never counted:
-// NaNs sit at its end and must be visited. paa reports that the
-// candidate is ordered by its sketch bound.
+// cascade). With a NaN bound queued the tail is never counted: NaNs sit
+// at its end and must be visited. paa reports that the candidate is
+// ordered by its sketch bound.
 func (v *visitState) next() (cd candidate, paa, ok bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -1246,7 +1304,8 @@ func (v *visitState) next() (cd candidate, paa, ok bool) {
 		return candidate{}, false, false
 	}
 	cd = v.queue.pop()
-	if paa = v.c.meta[cd.pos].n == len(v.query.Values); paa {
+	c, pos := v.locate(cd.rank)
+	if paa = c.meta[pos].n == len(v.query.Values); paa {
 		v.paaLeft--
 	}
 	return cd, paa, true
@@ -1255,12 +1314,13 @@ func (v *visitState) next() (cd candidate, paa, ok bool) {
 // step visits the next candidate: it runs the cascade's stages on it and
 // offers a survivor's distance to the k-heap.
 func (v *visitState) step(int) {
-	c, query, threshold := v.c, v.query, v.threshold
+	query, threshold := v.query, &v.threshold
 	cd, paa, ok := v.next()
 	if !ok {
 		v.stop.Store(true)
 		return
 	}
+	c, pos := v.locate(cd.rank)
 	// Stage 0: the precomputed LB_PAA sketch bound, checked before
 	// LB_Kim. Pruning here costs O(1) and touches neither the raw
 	// values nor the full envelope.
@@ -1272,9 +1332,9 @@ func (v *visitState) step(int) {
 		// The ordering pass computed no LB_Kim for a sketch-ordered
 		// candidate; the same call on the same metadata gives the bits
 		// it would have.
-		kim, err := kimBound(query.Values, c.meta[cd.pos])
+		kim, err := kimBound(query.Values, c.meta[pos])
 		if err != nil {
-			v.fail(fmt.Errorf("LB_Kim to %q: %w", c.data[cd.pos].ID, err))
+			v.fail(fmt.Errorf("LB_Kim to %q: %w", c.data[pos].ID, err))
 			return
 		}
 		if kim > threshold.Load() {
@@ -1285,7 +1345,7 @@ func (v *visitState) step(int) {
 		v.prunedKim.Add(1) // the ordering bound is LB_Kim
 		return
 	}
-	if env := c.envelopes[cd.pos]; len(env.Upper) == len(query.Values) {
+	if env := c.envelopes[pos]; len(env.Upper) == len(query.Values) {
 		// The active threshold rides into the bound itself: the partial
 		// Keogh sum is a valid lower bound, so summation abandons the
 		// moment it proves the candidate prunable. Abandonment implies
@@ -1296,7 +1356,7 @@ func (v *visitState) step(int) {
 		kg, kgAbandoned, err := lower.KeoghUnder(query.Values, env, threshold.Load(), nil)
 		v.boundNS.Add(int64(monotonic() - kgStart))
 		if err != nil {
-			v.fail(fmt.Errorf("LB_Keogh to %q: %w", c.data[cd.pos].ID, err))
+			v.fail(fmt.Errorf("LB_Keogh to %q: %w", c.data[pos].ID, err))
 			return
 		}
 		if kgAbandoned || kg > threshold.Load() {
@@ -1308,8 +1368,8 @@ func (v *visitState) step(int) {
 	// and materialise its raw values and features if they are still
 	// cold. The slot caches, so each series pays the disk read and the
 	// extraction at most once, across every copy of the core.
-	s := c.data[cd.pos]
-	vals, f, err := c.entry(cd.pos)
+	s := c.data[pos]
+	vals, f, err := c.entry(pos)
 	if err != nil {
 		v.fail(fmt.Errorf("loading values of %q: %w", s.ID, err))
 		return
@@ -1342,7 +1402,7 @@ func (v *visitState) step(int) {
 		return
 	}
 
-	nb := Neighbor{Pos: cd.pos, ID: s.ID, Label: s.Label, Distance: res.Distance}
+	nb := Neighbor{Pos: cd.rank, ID: s.ID, Label: s.Label, Distance: res.Distance}
 	v.mu.Lock()
 	if len(v.best) < v.k {
 		// heap.Push without boxing nb: Fix at the last index sifts up.
@@ -1352,11 +1412,8 @@ func (v *visitState) step(int) {
 		v.best[0] = nb
 		heap.Fix(&v.best, 0)
 	}
-	if v.tightenAt > 0 && len(v.best) == v.tightenAt {
-		// tightenAt fully-evaluated distances bound the k-th best from
-		// above — for this collection, and (when tightenAt is the full
-		// requested K) for any union of shards, so a shared threshold
-		// tightens admissibly across shards too.
+	if len(v.best) == v.k {
+		// k fully-evaluated distances bound the k-th best from above.
 		threshold.Tighten(v.best[0].Distance)
 	}
 	v.mu.Unlock()
@@ -1422,7 +1479,7 @@ func (c *Core) batch(ctx context.Context, queries []series.Series, p Params, exc
 		var nbrs []Neighbor
 		var qs Stats
 		if err == nil {
-			nbrs, qs, err = c.search(ctx, q, qp)
+			nbrs, qs, err = searchLocked(ctx, q, []Part{{Core: c}}, 0, qp)
 		}
 		mu.Lock()
 		if err != nil && firstErr == nil {

@@ -226,7 +226,8 @@ func TestParallelForWaitsForInflight(t *testing.T) {
 }
 
 func TestSharedThresholdMonotone(t *testing.T) {
-	th := NewSharedThreshold(math.Inf(1))
+	th := new(sharedThreshold)
+	th.seed(math.Inf(1))
 	if !math.IsInf(th.Load(), 1) {
 		t.Fatalf("fresh threshold = %v, want +Inf", th.Load())
 	}
@@ -244,7 +245,8 @@ func TestSharedThresholdMonotone(t *testing.T) {
 	}
 
 	// Concurrent tightening converges to the minimum.
-	th = NewSharedThreshold(math.Inf(1))
+	th = new(sharedThreshold)
+	th.seed(math.Inf(1))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -450,8 +452,8 @@ func TestSearchNilContext(t *testing.T) {
 }
 
 // TestNonFiniteRefused pins ErrNonFinite at the core's four entry
-// points: New, Add and CloneAdd admit no NaN or ±Inf value, and Prepare
-// (hence Search and every SearchPrepared) refuses such a query.
+// points: New, Add and CloneAdd admit no NaN or ±Inf value, and Search
+// refuses such a query.
 func TestNonFiniteRefused(t *testing.T) {
 	c := testCore(t, 6, 40)
 	backend, _, err := NewWindowedBackend(40, 5)
@@ -469,9 +471,6 @@ func TestNonFiniteRefused(t *testing.T) {
 		}
 		if _, err := c.CloneAdd(bad); !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("CloneAdd with %v: %v, want ErrNonFinite", v, err)
-		}
-		if _, err := c.Prepare(bad); !errors.Is(err, ErrNonFinite) {
-			t.Fatalf("Prepare with %v: %v, want ErrNonFinite", v, err)
 		}
 		if nbs, _, err := c.Search(context.Background(), bad, DefaultParams()); !errors.Is(err, ErrNonFinite) || nbs != nil {
 			t.Fatalf("Search with %v: %v, %v; want ErrNonFinite", v, nbs, err)

@@ -119,8 +119,8 @@ func TestQueryExtractsOncePerSearch(t *testing.T) {
 	sa, sb := sharded(named), sharded(anonymous)
 	requireSameHits(t, "4 shards, ID-less query", sa.hits, sb.hits)
 	requireSameHits(t, "4 shards vs flat", a.hits, sb.hits)
-	// Shards race on the shared threshold, so only the counts fixed
-	// before the fan-out repeat exactly.
+	// The workers race on the threshold, so only the counts fixed
+	// before the visit repeat exactly.
 	if sa.stats.Candidates != sb.stats.Candidates || sa.stats.GridCells != sb.stats.GridCells ||
 		sa.stats.Candidates != a.stats.Candidates {
 		t.Fatalf("4-shard candidate counts differ:\n   named %v\nID-less %v\n   flat %v", sa.stats, sb.stats, a.stats)

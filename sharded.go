@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sdtw/internal/lower"
 	"sdtw/internal/retrieve"
@@ -18,10 +16,7 @@ import (
 // ShardedIndex is the horizontally partitioned form of Index, built for
 // serving. Series are hash-routed by ID (FNV-1a, modulo the shard count)
 // across N shards, each a retrieve.Core holding its series' features and
-// envelopes, all over one backend. Searches fan out across the shards
-// concurrently and merge their top-k through one shared best-so-far
-// threshold, so pruning compounds across shards exactly as it does
-// across the workers inside one search.
+// envelopes, all over one backend.
 //
 // Every shard serves reads from copy-on-write snapshots: Add and Remove
 // build a new core beside the published one and publish it with one
@@ -30,16 +25,17 @@ import (
 // is published only after its record or tombstone reached the store, so
 // no search ever sees a write that then fails.
 //
-// Sharded search is exact: for any shard count, Search returns hits
-// bit-identical (IDs and distances) to a single Index.Search over the
-// same collection, including distance-tie ordering — per-shard results
-// merge by (distance, insertion sequence), and within a shard positions
-// keep insertion order. Unlike Index, a ShardedIndex may be empty: a
-// serving collection starts empty and fills through Add, and any shard
-// (or all of them) may drain through Remove and refill. An empty shard is
-// an empty core, not a special state, and a drained index still exports
-// with SaveStore and reopens. Results are identified by series ID: they
-// carry Pos -1, since sharding makes positions meaningless.
+// A search is the flat search over the union of the shards: one cascade
+// whose candidates rank by insertion sequence, as a flat index's do by
+// position. So for any shard count Search returns hits bit-identical
+// (IDs and distances, ties included) to a single Index.Search over the
+// same collection, and at one worker the same SearchStats work counts.
+// Unlike Index, a ShardedIndex may be empty: a serving collection starts
+// empty and fills through Add, and any shard (or all of them) may drain
+// through Remove and refill. An empty shard is an empty core, not a
+// special state, and a drained index still exports with SaveStore and
+// reopens. Results are identified by series ID: they carry Pos -1, since
+// sharding makes positions meaningless.
 type ShardedIndex struct {
 	// family holds the one backend (and engine) every shard computes
 	// through.
@@ -59,20 +55,14 @@ type ShardedIndex struct {
 }
 
 // shardSlot is one shard: the published snapshot, and the lock that
-// serialises the shard's copy-on-write writers.
+// serialises the shard's copy-on-write writers. A snapshot is immutable:
+// its core, and in Seqs the index-wide insertion sequence of the series
+// at each of the core's positions — the order a search breaks ties by.
+// Readers load it atomically and use it for a whole search; writers
+// build the next one beside it.
 type shardSlot struct {
 	mu   sync.Mutex
-	snap atomic.Pointer[shardSnap]
-}
-
-// shardSnap is one shard's immutable published state. Readers load it
-// atomically and use it for a whole search; writers build the next one
-// beside it.
-type shardSnap struct {
-	core *retrieve.Core
-	// seqs[i] is the index-wide insertion sequence of the series at local
-	// position i — the tie-break order merged results use.
-	seqs []uint64
+	snap atomic.Pointer[retrieve.Part]
 }
 
 // Hit is Neighbor under the name the sharded surfaces use; a sharded
@@ -176,7 +166,7 @@ func assemble(f backendFamily, seqs [][]uint64, nextSeq uint64,
 		if err != nil {
 			return nil, fmt.Errorf("sdtw: shard %d: %w", i, err)
 		}
-		si.shards[i].snap.Store(&shardSnap{core: core, seqs: seqs[i]})
+		si.shards[i].snap.Store(&retrieve.Part{Core: core, Seqs: seqs[i]})
 	}
 	return si, nil
 }
@@ -184,15 +174,13 @@ func assemble(f backendFamily, seqs [][]uint64, nextSeq uint64,
 // slot returns the shard a series ID routes to.
 func (si *ShardedIndex) slot(id string) *shardSlot { return &si.shards[route(id, len(si.shards))] }
 
-// Search fans the query out across every non-empty shard and merges the
-// per-shard results into the exact top-k, ordered by (distance,
-// insertion order). All shard searches read and tighten one shared
-// best-so-far threshold, so a tight k-th best found on one shard prunes
-// candidates on every other. It accepts the same options as Index.Search
-// except WithExclude, whose positions are meaningless across shards
-// (rely on the ID-based self-exclusion instead). An empty index validates
-// the query like a full one, then returns no hits and no error. A
-// cancelled ctx stops every shard search promptly.
+// Search runs one cascade over every shard's snapshot
+// (retrieve.SearchParts): the flat search over the union, returning the
+// hits and SearchStats an Index over the same collection would. It
+// accepts the same options as Index.Search except WithExclude, whose
+// positions are meaningless across shards (rely on the ID-based
+// self-exclusion instead). An empty index validates the query like a
+// full one, then returns no hits and no error.
 func (si *ShardedIndex) Search(ctx context.Context, query Series, opts ...SearchOption) ([]Hit, SearchStats, error) {
 	p, err := resolveSearch(opts)
 	if err != nil {
@@ -201,93 +189,17 @@ func (si *ShardedIndex) Search(ctx context.Context, query Series, opts ...Search
 	if p.Exclude != -1 {
 		return nil, SearchStats{}, fmt.Errorf("sdtw: WithExclude is positional and does not apply across shards; remove series by ID instead")
 	}
-	start := time.Now()
-	// The query is prepared once, not once per shard: every shard's core
-	// computes through the one backend, so the core of the shard the
-	// query's ID routes to (where a member query finds its features)
-	// prepares it for all. That core exists even when it is empty, so an
-	// empty index refuses a query a full one would.
-	q, err := si.slot(query.ID).snap.Load().core.Prepare(query)
-	if err != nil {
-		return nil, SearchStats{}, fmt.Errorf("sdtw: %w", err)
-	}
-	snaps := make([]*shardSnap, 0, len(si.shards))
+	parts := make([]retrieve.Part, len(si.shards))
 	for i := range si.shards {
-		if snap := si.shards[i].snap.Load(); len(snap.seqs) > 0 {
-			snaps = append(snaps, snap)
-		}
+		parts[i] = *si.shards[i].snap.Load()
 	}
-	stats := SearchStats{ExtractTime: q.ExtractTime}
-	if len(snaps) == 0 {
-		stats.WallTime = time.Since(start)
-		return nil, stats, nil
+	// The shard the query's ID routes to (where a member query finds its
+	// features) prepares it. It exists even when empty, so an empty index
+	// refuses a query a full one would.
+	hits, stats, err := retrieve.SearchParts(ctx, query, parts, route(query.ID, len(si.shards)), p)
+	if err != nil {
+		return nil, stats, fmt.Errorf("sdtw: %w", err)
 	}
-
-	rp := p
-	rp.Shared = retrieve.NewSharedThreshold(p.EffectiveThreshold())
-	workers := rp.Workers
-	if workers <= 0 {
-		workers = si.family.workers
-	}
-	// Ceiling-divide the worker budget across shards (the batch idiom):
-	// every shard keeps at least one worker, small indexes keep full
-	// in-shard parallelism.
-	rp.Workers = max(1, (workers+len(snaps)-1)/len(snaps))
-
-	// seqHit is a merged result before the sequence tie-break is dropped.
-	type seqHit struct {
-		Hit
-		seq uint64
-	}
-	type shardOut struct {
-		hits []seqHit
-		st   SearchStats
-		err  error
-	}
-	outs := make([]shardOut, len(snaps))
-	var wg sync.WaitGroup
-	for i, snap := range snaps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nbrs, st, err := snap.core.SearchPrepared(ctx, q, rp)
-			out := shardOut{st: st, err: err}
-			if err == nil && len(nbrs) > 0 {
-				out.hits = make([]seqHit, len(nbrs))
-				for j, nb := range nbrs {
-					seq := snap.seqs[nb.Pos]
-					nb.Pos = -1 // shard-local, meaningless to the caller
-					out.hits[j] = seqHit{Hit: nb, seq: seq}
-				}
-			}
-			outs[i] = out
-		}()
-	}
-	wg.Wait()
-
-	merged := make([]seqHit, 0, len(snaps)*max(1, rp.K))
-	for _, out := range outs {
-		stats.Merge(out.st)
-		if out.err != nil {
-			stats.WallTime = time.Since(start)
-			return nil, stats, fmt.Errorf("sdtw: %w", out.err)
-		}
-		merged = append(merged, out.hits...)
-	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].Distance != merged[b].Distance {
-			return merged[a].Distance < merged[b].Distance
-		}
-		return merged[a].seq < merged[b].seq
-	})
-	if rp.K > 0 && len(merged) > rp.K {
-		merged = merged[:rp.K]
-	}
-	hits := make([]Hit, len(merged))
-	for i, h := range merged {
-		hits[i] = h.Hit
-	}
-	stats.WallTime = time.Since(start)
 	return hits, stats, nil
 }
 
@@ -323,7 +235,7 @@ func (si *ShardedIndex) admit(s Series, persist func(seq uint64, env lower.Envel
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	cur := sl.snap.Load()
-	core, err := cur.core.CloneAdd(s)
+	core, err := cur.Core.CloneAdd(s)
 	if err != nil {
 		return err
 	}
@@ -333,7 +245,7 @@ func (si *ShardedIndex) admit(s Series, persist func(seq uint64, env lower.Envel
 			return err
 		}
 	}
-	sl.snap.Store(&shardSnap{core: core, seqs: append(slices.Clip(cur.seqs), seq)})
+	sl.snap.Store(&retrieve.Part{Core: core, Seqs: append(slices.Clip(cur.Seqs), seq)})
 	return nil
 }
 
@@ -362,16 +274,16 @@ func (si *ShardedIndex) drop(id string, persist func(seq uint64) error) error {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	cur := sl.snap.Load()
-	core, pos, err := cur.core.CloneRemove(id)
+	core, pos, err := cur.Core.CloneRemove(id)
 	if err != nil {
 		return err
 	}
 	if persist != nil {
-		if err := persist(cur.seqs[pos]); err != nil {
+		if err := persist(cur.Seqs[pos]); err != nil {
 			return err
 		}
 	}
-	sl.snap.Store(&shardSnap{core: core, seqs: slices.Delete(slices.Clone(cur.seqs), pos, pos+1)})
+	sl.snap.Store(&retrieve.Part{Core: core, Seqs: slices.Delete(slices.Clone(cur.Seqs), pos, pos+1)})
 	return nil
 }
 
@@ -379,7 +291,7 @@ func (si *ShardedIndex) drop(id string, persist func(seq uint64) error) error {
 func (si *ShardedIndex) Len() int {
 	n := 0
 	for i := range si.shards {
-		n += len(si.shards[i].snap.Load().seqs)
+		n += len(si.shards[i].snap.Load().Seqs)
 	}
 	return n
 }
@@ -391,7 +303,7 @@ func (si *ShardedIndex) Shards() int { return len(si.shards) }
 func (si *ShardedIndex) ShardSizes() []int {
 	sizes := make([]int, len(si.shards))
 	for i := range si.shards {
-		sizes[i] = len(si.shards[i].snap.Load().seqs)
+		sizes[i] = len(si.shards[i].snap.Load().Seqs)
 	}
 	return sizes
 }

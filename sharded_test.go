@@ -351,7 +351,7 @@ func TestShardedReAddUnderDrainedShardsLastID(t *testing.T) {
 	// The in-flight search: it evaluates old on the pre-Remove snapshot.
 	inFlight := old
 	inFlight.ID = "in-flight"
-	nbrs, _, err := pre.core.Search(ctx, inFlight, retrieve.DefaultParams())
+	nbrs, _, err := pre.Core.Search(ctx, inFlight, retrieve.DefaultParams())
 	if err != nil || len(nbrs) != 1 || nbrs[0].ID != old.ID || nbrs[0].Distance != 0 {
 		t.Fatalf("search on the pre-Remove snapshot: %v, %v; want %q at distance 0", nbrs, err, old.ID)
 	}
@@ -680,11 +680,11 @@ func mustSearchK(t *testing.T, si *ShardedIndex, q Series, k int) []Hit {
 // in the published snapshot of its shard.
 func seqOf(si *ShardedIndex, id string) (uint64, bool) {
 	snap := si.slot(id).snap.Load()
-	pos, ok := snap.core.Pos(id)
+	pos, ok := snap.Core.Pos(id)
 	if !ok {
 		return 0, false
 	}
-	return snap.seqs[pos], true
+	return snap.Seqs[pos], true
 }
 
 // TestShardRoute: routing is a pure function of (ID, shard count), in
@@ -751,8 +751,8 @@ func TestShardedNewAndRestoreColdAgree(t *testing.T) {
 	seqs := make([][]uint64, warm.Shards())
 	for i := range warm.shards {
 		snap := warm.shards[i].snap.Load()
-		part, envs := snap.core.Snapshot()
-		seqs[i] = snap.seqs
+		part, envs := snap.Core.Snapshot()
+		seqs[i] = snap.Seqs
 		for j, s := range part {
 			sk, err := sketch.FromEnvelope(envs[j], DefaultSketchWidth)
 			if err != nil {
@@ -843,8 +843,8 @@ func TestShardedDrainAndRefill(t *testing.T) {
 	}
 	for i, n := range si.ShardSizes() {
 		snap := si.shards[i].snap.Load()
-		if part, envs := snap.core.Snapshot(); n != 0 || len(part)+len(envs)+len(snap.seqs) != 0 {
-			t.Fatalf("drained shard %d: size %d, snapshot %d/%d/%d", i, n, len(part), len(envs), len(snap.seqs))
+		if part, envs := snap.Core.Snapshot(); n != 0 || len(part)+len(envs)+len(snap.Seqs) != 0 {
+			t.Fatalf("drained shard %d: size %d, snapshot %d/%d/%d", i, n, len(part), len(envs), len(snap.Seqs))
 		}
 	}
 	if err := si.Remove(data[0].ID); !IsErr(err, ErrUnknownID) {
@@ -877,8 +877,7 @@ func TestShardedDrainAndRefill(t *testing.T) {
 }
 
 // TestShardedMergeTieBreakBySequence: equal distances on different shards
-// merge in insertion order, whatever order the series were routed or the
-// shard searches finished in.
+// rank in insertion order, whatever order the series were routed in.
 func TestShardedMergeTieBreakBySequence(t *testing.T) {
 	vals := shardTestData(1, 7)[0].Values
 	const copies = 9
@@ -908,6 +907,56 @@ func TestShardedMergeTieBreakBySequence(t *testing.T) {
 		for i, h := range hits {
 			if h.Distance != 0 || h.ID != want[i] {
 				t.Fatalf("k=%d rank %d: %+v, want %q at distance 0", k, i, h, want[i])
+			}
+		}
+	}
+}
+
+// TestShardedStatsEqualFlat: a sharded search is the flat search over its
+// snapshots. At one worker every work count of its SearchStats equals
+// the flat Index's over the same collection, and a second run repeats it
+// exactly — for 1, 2, 4 and 7 shards, on both backends, in RAM and
+// reopened from a store root, for indexed and outside queries.
+func TestShardedStatsEqualFlat(t *testing.T) {
+	d := TraceDataset(DatasetConfig{Seed: 17, SeriesPerClass: 6})
+	data, outside := d.Series[:d.Len()-3], d.Series[d.Len()-3:]
+	queries := append([]Series{data[0], data[len(data)/2], data[len(data)-1]}, outside...)
+	ctx := context.Background()
+	shardCounts := []int{1, 2, 4, 7}
+	for _, backend := range []string{"engine", "windowed"} {
+		sharded, flat := shardedAndFlat(t, backend, data, shardCounts)
+		for _, n := range shardCounts {
+			dir := filepath.Join(t.TempDir(), "root")
+			if err := sharded[n].SaveStore(dir); err != nil {
+				t.Fatal(err)
+			}
+			reopened := openSharded(t, backend, dir)
+			for _, form := range []struct {
+				name string
+				si   *ShardedIndex
+			}{{"ram", sharded[n]}, {"store", reopened}} {
+				for qi, q := range queries {
+					for _, k := range []int{1, 5} {
+						label := fmt.Sprintf("%s/%d shards/%s/query %d/k=%d", backend, n, form.name, qi, k)
+						_, want, err := flat.Search(ctx, q, WithK(k), WithWorkers(1))
+						if err != nil {
+							t.Fatalf("%s: flat: %v", label, err)
+						}
+						for run := 0; run < 2; run++ {
+							_, got, err := form.si.Search(ctx, q, WithK(k), WithWorkers(1))
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if !sameStageCounts(got, want) {
+								t.Fatalf("%s, run %d: counts %v (cells %d), flat %v (cells %d)",
+									label, run, got, got.Cells, want, want.Cells)
+							}
+						}
+					}
+				}
+			}
+			if err := reopened.CloseStore(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -363,8 +363,8 @@ func (si *ShardedIndex) SaveStore(dir string) error {
 		snap := si.shards[i].snap.Load()
 		p := &parts[i]
 		p.dir = filepath.Join(dir, shardDirName(i))
-		p.data, p.envs = snap.core.Snapshot()
-		p.seqs = snap.seqs
+		p.data, p.envs = snap.Core.Snapshot()
+		p.seqs = snap.Seqs
 	}
 	// Captured after the shards, so every captured sequence is below it.
 	nextSeq := si.nextSeq.Load()
