@@ -10,12 +10,12 @@ import (
 	"sdtw/internal/sift"
 )
 
-// Query is a search's query as a core prepared it: the series itself
+// prepared is a search's query as a core prepared it: the series itself
 // plus what the backend derives from a series (the sDTW engine's salient
 // features), derived once for the whole search. A prepared query carries
 // over between cores of one backend: a multi-part search prepares it on
 // one part and searches every part with it.
-type Query struct {
+type prepared struct {
 	series.Series
 	// ExtractTime is what the preparation cost beyond validation.
 	ExtractTime time.Duration
@@ -126,17 +126,17 @@ func (b *Backend) admitCold(id string, n int) error {
 // prepare validates a query against the backend's constraints (a
 // windowed backend requires the indexed length) and derives from it what
 // admit derives from a series, once for every candidate's distance.
-func (b *Backend) prepare(q series.Series) (Query, error) {
+func (b *Backend) prepare(q series.Series) (prepared, error) {
 	if b.length > 0 && q.Len() != b.length {
-		return Query{}, fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
+		return prepared{}, fmt.Errorf("query length %d != indexed length %d: %w", q.Len(), b.length, ErrLengthMismatch)
 	}
 	if !b.bandCfg.Strategy.NeedsAlignment() {
-		return Query{Series: q}, nil
+		return prepared{Series: q}, nil
 	}
 	start := time.Now()
 	f, err := b.engine.Extract(q)
 	if err != nil {
-		return Query{}, fmt.Errorf("core: extracting features of the query: %w", err)
+		return prepared{}, fmt.Errorf("core: extracting features of the query: %w", err)
 	}
-	return Query{Series: q, ExtractTime: time.Since(start), feats: f}, nil
+	return prepared{Series: q, ExtractTime: time.Since(start), feats: f}, nil
 }

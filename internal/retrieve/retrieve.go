@@ -981,24 +981,24 @@ func (c *Core) Search(ctx context.Context, query series.Series, p Params) ([]Nei
 // least) the read lock. A query carrying a member's ID and that member's
 // values, bit for bit, takes the member's features instead of extracting
 // them again; a query that only shares a member's ID extracts its own.
-func (c *Core) prepareLocked(query series.Series) (Query, error) {
+func (c *Core) prepareLocked(query series.Series) (prepared, error) {
 	if len(query.Values) == 0 {
-		return Query{}, fmt.Errorf("query: %w", ErrEmptySeries)
+		return prepared{}, fmt.Errorf("query: %w", ErrEmptySeries)
 	}
 	if err := series.Finite(query.Values); err != nil {
-		return Query{}, fmt.Errorf("query: %w", err)
+		return prepared{}, fmt.Errorf("query: %w", err)
 	}
 	if pos, ok := c.ids[query.ID]; ok {
 		// A member whose values fail to load is no shortcut: the query
 		// extracts its own features, and the member — excluded from this
 		// search — reports the load error when a search evaluates it.
 		if vals, f, err := c.entry(pos); err == nil && sameBits(vals, query.Values) {
-			return Query{Series: query, feats: f}, nil
+			return prepared{Series: query, feats: f}, nil
 		}
 	}
 	q, err := c.backend.prepare(query)
 	if err != nil {
-		return Query{}, fmt.Errorf("query: %w", err)
+		return prepared{}, fmt.Errorf("query: %w", err)
 	}
 	return q, nil
 }
@@ -1089,7 +1089,7 @@ func searchLocked(ctx context.Context, query series.Series, parts []Part, home i
 // search returns, so a search allocates the same few bytes whatever the
 // collection's size; concurrent searches (a batch, several callers) each
 // take their own.
-func cascade(ctx context.Context, query Query, parts []Part, p Params) ([]Neighbor, Stats, error) {
+func cascade(ctx context.Context, query prepared, parts []Part, p Params) ([]Neighbor, Stats, error) {
 	var stats Stats
 	start := time.Now()
 	if err := ctxErr(ctx); err != nil {
@@ -1260,7 +1260,7 @@ type visitState struct {
 	one   *Core
 	locs  []loc
 	ctx   context.Context
-	query Query
+	query prepared
 	limit float64
 	k     int
 }
