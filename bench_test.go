@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"sdtw/internal/band"
@@ -153,17 +154,40 @@ func BenchmarkBandConstruction(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineDistance times one warmed distance per strategy on a
+// Trace pair, and the fallback leg on a pair of noise of the Trace length
+// whose matching keeps no pair, so (ac,aw) builds its 20 % fallback band.
+// bandcells is the band's cell count, the DP's work before abandoning.
+// BenchmarkEngineDistance times one warmed distance per strategy on a
+// Trace pair, and on a pair of noise of the Trace length whose matching
+// keeps no pair, so (ac,aw) builds its 20 % fallback band. bandcells/op is
+// the band's cell count, the DP's work when nothing abandons.
 func BenchmarkEngineDistance(b *testing.B) {
-	strategies := []band.Strategy{
+	type leg struct {
+		name     string
+		s        band.Strategy
+		fallback bool // the noise pair, not the Trace pair
+	}
+	var legs []leg
+	for _, s := range []band.Strategy{
 		band.FixedCoreFixedWidth, band.FixedCoreAdaptiveWidth,
 		band.AdaptiveCoreFixedWidth, band.AdaptiveCoreAdaptiveWidth,
 		band.AdaptiveCoreAdaptiveWidthAvg,
+	} {
+		legs = append(legs, leg{s.String(), s, false})
 	}
-	for _, s := range strategies {
-		b.Run(s.String(), func(b *testing.B) {
+	legs = append(legs, leg{"ac,aw/fallback", band.AdaptiveCoreAdaptiveWidth, true})
+	for _, l := range legs {
+		b.Run(l.name, func(b *testing.B) {
 			x, y := benchPair(b, "Trace")
+			if l.fallback {
+				rng := rand.New(rand.NewSource(5))
+				for i := range x.Values {
+					x.Values[i], y.Values[i] = rng.NormFloat64(), rng.NormFloat64()
+				}
+			}
 			opts := core.DefaultOptions()
-			opts.Band.Strategy = s
+			opts.Band.Strategy = l.s
 			opts.Band.WidthFrac = 0.10
 			engine := core.NewEngine(opts)
 			feats, _, err := engine.Warm([]Series{x, y})
@@ -171,15 +195,17 @@ func BenchmarkEngineDistance(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
-			gain := 0.0
+			var res core.Result
 			for i := 0; i < b.N; i++ {
-				res, err := engine.DistanceUnderFeatures(nil, x, feats[0], y, feats[1], math.Inf(1))
-				if err != nil {
+				if res, err = engine.DistanceUnderFeatures(nil, x, feats[0], y, feats[1], math.Inf(1)); err != nil {
 					b.Fatal(err)
 				}
-				gain = res.CellsGain()
 			}
-			b.ReportMetric(gain, "cellsgain")
+			if l.fallback && res.Pairs != 0 {
+				b.Fatalf("the noise pair keeps %d salient pairs: it does not fall back", res.Pairs)
+			}
+			b.ReportMetric(res.CellsGain(), "cellsgain")
+			b.ReportMetric(float64(res.BandCells), "bandcells/op")
 		})
 	}
 }

@@ -53,10 +53,10 @@ func TestDistanceGolden(t *testing.T) {
 		"sdtw/v1|strategy=3|w=0.2|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail:   "278fba994a6478c5",
 		"sdtw/v1|strategy=3|w=0|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail:    "61a31dca5d504972",
 		"sdtw/v1|strategy=3|w=0|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail:     "01a8549905a3a6bd",
-		"sdtw/v1|strategy=4|w=0|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail:    "8ebf5c5748ef8cc6",
-		"sdtw/v1|strategy=4|w=0|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail:     "36e1831d7f3e1edf",
-		"sdtw/v1|strategy=5|w=0|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail:    "9f2388a6e1fbc4d7",
-		"sdtw/v1|strategy=5|w=0|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail:     "20a213a025e0228c",
+		"sdtw/v2|strategy=4|w=0|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail:    "1b3b7f3eb17a60d1",
+		"sdtw/v2|strategy=4|w=0|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail:     "678bd357276cd3c5",
+		"sdtw/v2|strategy=5|w=0|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail:    "cd88f82f82c41be9",
+		"sdtw/v2|strategy=5|w=0|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail:     "9c35dea873fbb505",
 		"windowed/v1|len=150|radius=150":                                        "02771e3aeccb5e20",
 		"windowed/v1|len=150|radius=3":                                          "57ffd32fa26ffcbc",
 		"windowed/v1|len=275|radius=275":                                        "1b5efa761944c1aa",

@@ -195,7 +195,13 @@ func resolveWorkers(w int) int {
 // open under options that would change its answers.
 func engineFingerprint(o Options) string {
 	var b strings.Builder
-	b.WriteString("sdtw/v1")
+	if o.Strategy == AdaptiveCoreAdaptiveWidth || o.Strategy == AdaptiveCoreAdaptiveWidthAvg {
+		// v2: (ac,aw) and (ac2,aw) took a 20 % width floor and a 20 %
+		// fallback band, which moved their distances.
+		b.WriteString("sdtw/v2")
+	} else {
+		b.WriteString("sdtw/v1")
+	}
 	f := func(k string, v any) { fmt.Fprintf(&b, "|%s=%v", k, v) }
 	f("strategy", int(o.Strategy))
 	f("w", strconv.FormatFloat(o.WidthFrac, 'g', -1, 64))
@@ -220,7 +226,7 @@ func engineFingerprint(o Options) string {
 // windowed one, or one that does not parse — is returned as it is.
 func canonicalFingerprint(fp string) string {
 	fields := strings.Split(fp, "|")
-	if len(fields) < 3 || fields[0] != "sdtw/v1" {
+	if len(fields) < 3 || (fields[0] != "sdtw/v1" && fields[0] != "sdtw/v2") {
 		return fp
 	}
 	sv, sok := strings.CutPrefix(fields[1], "strategy=")

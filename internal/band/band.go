@@ -96,10 +96,11 @@ type Config struct {
 	// compared against WidthFrac·M points of Y (the paper sweeps 6%, 10%,
 	// 20%). Zero means 0.10.
 	WidthFrac float64
-	// MinWidthFrac lower-bounds adaptive widths as a fraction of M. The
-	// paper's (fc,aw) runs used a 20% lower bound; adaptive-core runs
-	// used none. Negative means none; zero means none for adaptive-core
-	// strategies and 0.20 for FixedCoreAdaptiveWidth, matching §4.3.
+	// MinWidthFrac lower-bounds adaptive widths as a fraction of M.
+	// Negative means none; zero means 0.20, the lower bound of the
+	// paper's (fc,aw) runs (§4.3), for every adaptive-width strategy.
+	// Without it a row between two close boundaries of an adaptive core
+	// is a few columns wide and pins the warp path to the anchor.
 	MinWidthFrac float64
 	// MaxWidthFrac upper-bounds adaptive widths as a fraction of M.
 	// Zero or >= 1 means no upper bound.
@@ -128,6 +129,12 @@ func Window(r int) Config {
 	return Config{Strategy: FixedCoreFixedWidth, window: max(r, 0) + 1}
 }
 
+// minWidthFrac is the paper's §4.3 lower bound on adaptive widths, 20 %
+// of M. It is the default MinWidthFrac of the adaptive-width strategies
+// and the width of the band the adaptive-core, adaptive-width strategies
+// fall back to (see fallsBack).
+const minWidthFrac = 0.20
+
 func (c Config) withDefaults() Config {
 	if c.WidthFrac <= 0 {
 		c.WidthFrac = 0.10
@@ -135,13 +142,24 @@ func (c Config) withDefaults() Config {
 	if c.WidthFrac > 1 {
 		c.WidthFrac = 1
 	}
-	if c.MinWidthFrac == 0 && c.Strategy == FixedCoreAdaptiveWidth {
-		c.MinWidthFrac = 0.20
+	if c.MinWidthFrac == 0 && c.Strategy.AdaptiveWidth() {
+		c.MinWidthFrac = minWidthFrac
 	}
 	if c.NeighborRadius <= 0 {
 		c.NeighborRadius = 1
 	}
 	return c
+}
+
+// fallsBack reports whether c builds the fallback band, not its own,
+// for an alignment with no boundaries: the adaptive-core, adaptive-width
+// strategies do. With nothing matched, their core is the diagonal and
+// their one interval the whole grid, so their own band would be the
+// full grid. (ac,fw) keeps its diagonal band at its own width, and
+// (fc,aw) its full-interval one, whose width a MaxWidthFrac bounds and
+// its EnvelopeRadius with it: a 20 % band need not stay inside that.
+func (c Config) fallsBack() bool {
+	return c.Strategy.AdaptiveCore() && c.Strategy.AdaptiveWidth()
 }
 
 // ResolvedWidth returns the width fraction the builders read under c —
@@ -176,9 +194,11 @@ func (bu *Builder) ints(buf *[]int, n int) []int {
 
 // Build computes the band for an alignment of X (rows, length al.NX) and Y
 // (columns, length al.NY). Strategies with fixed cores and widths ignore
-// the alignment (which may be nil for them). The returned band is
-// normalized and therefore always admits a warp path. This convenience
-// wrapper allocates; hot loops should hold a Builder.
+// the alignment (which may be nil for them). Under (ac,aw) and (ac2,aw)
+// an alignment with no boundaries builds dtw.SakoeChiba(n, m, 0.20), the
+// fallback band of a pair whose matching found nothing to trust. The
+// returned band is normalized and therefore always admits a warp path.
+// This convenience wrapper allocates; hot loops should hold a Builder.
 func Build(al *match.Alignment, cfg Config) (dtw.Band, error) {
 	var bu Builder
 	b, err := bu.Build(al, cfg)
@@ -214,6 +234,11 @@ func (bu *Builder) Build(al *match.Alignment, cfg Config) (dtw.Band, error) {
 		}
 		return dtw.SakoeChiba(n, m, cfg.WidthFrac), nil
 	}
+	if len(al.BoundsX) == 0 && cfg.fallsBack() {
+		// Like the (fc,fw) band it is, the fallback takes no symmetric
+		// union.
+		return bu.fallback(n, m), nil
+	}
 	b, err := bu.buildAdaptive(al, cfg)
 	if err != nil {
 		return dtw.Band{}, err
@@ -231,6 +256,19 @@ func (bu *Builder) Build(al *match.Alignment, cfg Config) (dtw.Band, error) {
 		b.Normalize()
 	}
 	return b, nil
+}
+
+// fallback builds the fallback band of an n-by-m grid, the (fc,fw) band
+// at minWidthFrac, in the builder's scratch: dtw.SakoeChiba(n, m,
+// minWidthFrac), bit for bit, without allocating.
+func (bu *Builder) fallback(n, m int) dtw.Band {
+	radius := max(1, int(math.Ceil(minWidthFrac*float64(m)/2)))
+	b := dtw.Band{Lo: bu.ints(&bu.lo, n), Hi: bu.ints(&bu.hi, n), M: m}
+	for i := range n {
+		c := dtw.DiagonalColumn(i, n, m)
+		b.Lo[i], b.Hi[i] = c-radius, c+radius
+	}
+	return b.Normalize()
 }
 
 // buildAdaptive constructs the band for the strategies that use the

@@ -413,9 +413,66 @@ func TestDefaultsApplied(t *testing.T) {
 	if fcaw.MinWidthFrac != 0.20 {
 		t.Errorf("(fc,aw) default lower bound = %v, want 0.20", fcaw.MinWidthFrac)
 	}
-	acaw := Config{Strategy: AdaptiveCoreAdaptiveWidth}.withDefaults()
-	if acaw.MinWidthFrac != 0 {
-		t.Errorf("(ac,aw) should have no default lower bound, got %v", acaw.MinWidthFrac)
+	for _, s := range []Strategy{AdaptiveCoreAdaptiveWidth, AdaptiveCoreAdaptiveWidthAvg} {
+		if got := (Config{Strategy: s}).withDefaults().MinWidthFrac; got != 0.20 {
+			t.Errorf("%v default lower bound = %v, want 0.20", s, got)
+		}
+		if got := (Config{Strategy: s, MinWidthFrac: -1}).withDefaults().MinWidthFrac; got != -1 {
+			t.Errorf("%v with no lower bound asked for = %v, want -1", s, got)
+		}
+	}
+}
+
+// TestFallbackBand: under (ac,aw) and (ac2,aw) an alignment with no
+// boundaries builds dtw.SakoeChiba(n, m, 0.20) bit for bit, on square and
+// uneven grids, symmetric or not, from a fresh Builder and from one whose
+// scratch an adaptive band left wider; (ac,fw) and (fc,aw) keep their
+// own diagonal-core bands at their own widths.
+func TestFallbackBand(t *testing.T) {
+	grids := [][2]int{{1, 1}, {2, 9}, {8, 8}, {22, 22}, {97, 97}, {150, 150}, {40, 200}, {200, 40}, {96, 128}}
+	var warm Builder
+	for _, g := range grids {
+		n, m := g[0], g[1]
+		plain := &match.Alignment{NX: n, NY: m}
+		want := dtw.SakoeChiba(n, m, 0.20)
+		for _, s := range []Strategy{AdaptiveCoreAdaptiveWidth, AdaptiveCoreAdaptiveWidthAvg} {
+			for _, sym := range []bool{false, true} {
+				cfg := Config{Strategy: s, Symmetric: sym}
+				got, err := Build(plain, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := warm.Build(alignmentWith(300, 300, []int{30, 200}, []int{150, 220}), cfg); err != nil {
+					t.Fatal(err)
+				}
+				inPlace, err := warm.Build(plain, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range []dtw.Band{got, inPlace} {
+					if b.M != want.M || !slices.Equal(b.Lo, want.Lo) || !slices.Equal(b.Hi, want.Hi) {
+						t.Fatalf("%v sym=%v %dx%d: fallback band %v/%v, want dtw.SakoeChiba %v/%v", s, sym, n, m, b.Lo, b.Hi, want.Lo, want.Hi)
+					}
+				}
+			}
+		}
+		for _, cfg := range []Config{{Strategy: AdaptiveCoreFixedWidth}, {Strategy: FixedCoreAdaptiveWidth}} {
+			var bu Builder
+			half := max(bu.rowWidths(plain, cfg.withDefaults())[0]/2, 1)
+			lo, hi := make([]int, n), make([]int, n)
+			for i := range n {
+				c := dtw.DiagonalColumn(i, n, m)
+				lo[i], hi[i] = c-half, c+half
+			}
+			wantOwn := dtw.Band{Lo: lo, Hi: hi, M: m}.Normalize()
+			got, err := Build(plain, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Lo, wantOwn.Lo) || !slices.Equal(got.Hi, wantOwn.Hi) {
+				t.Fatalf("%v %dx%d: band %v/%v, want its own diagonal band %v/%v", cfg.Strategy, n, m, got.Lo, got.Hi, wantOwn.Lo, wantOwn.Hi)
+			}
+		}
 	}
 }
 

@@ -25,9 +25,14 @@ func TestEnvelopeRadiusCoversBuiltBands(t *testing.T) {
 		{Strategy: FixedCoreAdaptiveWidth},
 		{Strategy: FixedCoreAdaptiveWidth, MaxWidthFrac: 0.10},
 		{Strategy: FixedCoreAdaptiveWidth, MaxWidthFrac: 0.30},
+		{Strategy: AdaptiveCoreFixedWidth},
+		{Strategy: AdaptiveCoreAdaptiveWidth},
+		{Strategy: AdaptiveCoreAdaptiveWidth, MaxWidthFrac: 0.10},
+		{Strategy: AdaptiveCoreAdaptiveWidthAvg, Symmetric: true},
 	}
-	// Alignments to build against: the unpartitioned one every fixed-core
-	// strategy uses, plus a skewed partition so adaptive widths vary.
+	// Alignments to build against: the boundary-free one, which every
+	// fixed-core strategy uses and (ac,aw) and (ac2,aw) build their 20 %
+	// fallback band from, plus a skewed partition so adaptive widths vary.
 	alignments := func(m int) []*match.Alignment {
 		plain := &match.Alignment{NX: m, NY: m}
 		skew := &match.Alignment{

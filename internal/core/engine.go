@@ -45,10 +45,11 @@ type Options struct {
 }
 
 // minPairs is the minimum number of consistent salient pairs required
-// before adaptive constraints trust the alignment; below it the band
-// falls back to the conservative default (diagonal core, full-width
-// adaptive intervals). A single surviving pair is too easily a spurious
-// match and would anchor the whole core.
+// before adaptive constraints trust the alignment; below it the band is
+// built from an alignment with no boundaries. That is the (fc,fw) band at
+// 20 % under (ac,aw) and (ac2,aw), and the diagonal core at the
+// strategy's own width under (ac,fw) and (fc,aw). A single surviving
+// pair is too easily a spurious match and would anchor the whole core.
 const minPairs = 2
 
 // DefaultOptions returns the configuration used by the paper's headline
@@ -306,10 +307,10 @@ func (e *Engine) distance(ctx context.Context, x series.Series, fx []sift.Featur
 		res.MatchTime = monotonic() - matchStart
 		res.Pairs = len(al.Pairs)
 		if len(al.Pairs) < minPairs {
-			// Too little evidence to trust the alignment: fall back to an
-			// unpartitioned alignment (diagonal core; adaptive widths
-			// degrade to the full interval, i.e. a conservative band).
-			al = &match.Alignment{NX: nx, NY: ny}
+			// Too little evidence to trust the alignment: reset it to the
+			// unpartitioned grid, whose band (see minPairs) the builder
+			// fills in its scratch.
+			*al = match.Alignment{NX: nx, NY: ny}
 			res.Pairs = 0
 		}
 		if b, err = ws.builder.Build(al, e.opts.Band); err != nil {

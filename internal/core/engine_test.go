@@ -212,11 +212,10 @@ func TestEngineKeepBand(t *testing.T) {
 	}
 }
 
-func TestEngineMinPairsFallback(t *testing.T) {
-	// Pure noise yields few reliable matches: at seed 4 the raw alignment
-	// keeps exactly one pair, below the minPairs floor, so the engine
-	// must fall back to the unpartitioned alignment's band (Pairs=0
-	// reported) and still return a valid distance.
+// noisePair returns two series of pure noise, 120 points each. Noise
+// yields few reliable matches: at this seed the raw alignment keeps
+// exactly one pair, below the minPairs floor.
+func noisePair() (series.Series, series.Series) {
 	const n = 120
 	rng := rand.New(rand.NewSource(4))
 	x := series.New("nx", 0, make([]float64, n))
@@ -225,6 +224,15 @@ func TestEngineMinPairsFallback(t *testing.T) {
 		x.Values[i] = rng.NormFloat64()
 		y.Values[i] = rng.NormFloat64()
 	}
+	return x, y
+}
+
+func TestEngineMinPairsFallback(t *testing.T) {
+	// The noise pair keeps one pair, so the engine must fall back to the
+	// unpartitioned alignment's band — under (ac,aw), the (fc,fw) band at
+	// 20 % — report Pairs=0 and still return a valid distance.
+	x, y := noisePair()
+	n := x.Len()
 	opts := optsFor(band.AdaptiveCoreAdaptiveWidth)
 	opts.KeepBand = true
 	eng := NewEngine(opts)
@@ -263,6 +271,52 @@ func TestEngineMinPairsFallback(t *testing.T) {
 	}
 	if res.Distance < full-1e-9 {
 		t.Fatal("fallback underestimates")
+	}
+}
+
+// TestEngineFallbackAllocatesNothing: under (ac,aw) and (ac2,aw),
+// symmetric or not, a warmed distance on a pair that falls back to the
+// 20 % band allocates nothing beyond what matching allocates for the
+// alignment it returns: the band is filled in the pooled builder's
+// scratch, and no stand-in alignment is made.
+func TestEngineFallbackAllocatesNothing(t *testing.T) {
+	x, y := noisePair()
+	for _, s := range []band.Strategy{band.AdaptiveCoreAdaptiveWidth, band.AdaptiveCoreAdaptiveWidthAvg} {
+		for _, sym := range []bool{false, true} {
+			opts := optsFor(s)
+			opts.Band.Symmetric = sym
+			eng := NewEngine(opts)
+			fx, err := eng.Extract(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fy, err := eng.Extract(y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.DistanceUnderFeatures(nil, x, fx, y, fy, math.Inf(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := dtw.SakoeChiba(x.Len(), y.Len(), 0.20).Cells(); res.Pairs != 0 || res.BandCells != want {
+				t.Fatalf("%v sym=%v: %d pairs, %d band cells, want the fallback's 0 and %d", s, sym, res.Pairs, res.BandCells, want)
+			}
+			var mws match.Workspace
+			matching := testing.AllocsPerRun(100, func() {
+				if _, err := match.MatchWS(fx, fy, x.Len(), y.Len(), opts.Matcher, &mws); err != nil {
+					t.Fatal(err)
+				}
+			})
+			distance := testing.AllocsPerRun(100, func() {
+				if _, err := eng.DistanceUnderFeatures(nil, x, fx, y, fy, math.Inf(1)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if distance != matching && !raceEnabled {
+				t.Errorf("%v sym=%v: %v allocs per distance, %v of them matching's: the fallback allocates %v, want 0",
+					s, sym, distance, matching, distance-matching)
+			}
+		}
 	}
 }
 
@@ -568,10 +622,13 @@ func TestEngineFixedBandPerGrid(t *testing.T) {
 
 // TestAdaptiveBandRebuiltInPlace: an adaptive band is rebuilt for every
 // pair into the same builder buffers of the engine's pooled workspace,
-// with rows of other widths each time. The DP must read each band's own
-// rows, never a width an earlier band left behind: pair by pair, in
-// rounds, the engine's distance, cells and abandoned flag equal the DP
-// over a band built afresh from the same alignment.
+// with rows of other widths each time, and the fallback band of a pair
+// whose matching found too little is filled into the same buffers. The
+// DP must read each band's own rows, never a width an earlier band left
+// behind: pair by pair, in rounds, the engine's distance, cells and
+// abandoned flag equal the DP over a band built afresh from the same
+// alignment. Under the 20 % width floor every row of these matched pairs
+// is at the floor, so their widest rows differ by grid.
 func TestAdaptiveBandRebuiltInPlace(t *testing.T) {
 	opts := optsFor(band.AdaptiveCoreAdaptiveWidth)
 	eng := NewEngine(opts)
@@ -580,10 +637,14 @@ func TestAdaptiveBandRebuiltInPlace(t *testing.T) {
 		fx, fy []sift.Feature
 	}
 	var pairs []pair
-	for i, warp := range []float64{0.05, 0.45, 0.2, 0.6, 0.3} {
-		x, y := makePair(int64(30+i), 128, warp)
-		if i == 3 {
-			x, y = makePair(int64(30+i), 96, warp) // another grid between two 128² ones
+	for _, g := range []struct {
+		seed int64
+		n    int // 0: the noise pair, which falls back, on a 120² grid
+		warp float64
+	}{{30, 128, 0.05}, {31, 128, 0.45}, {32, 200, 0.2}, {33, 96, 0.6}, {}, {35, 128, 0.3}} {
+		x, y := noisePair()
+		if g.n > 0 {
+			x, y = makePair(g.seed, g.n, g.warp)
 		}
 		fx, err := eng.Extract(x)
 		if err != nil {
@@ -597,12 +658,14 @@ func TestAdaptiveBandRebuiltInPlace(t *testing.T) {
 	}
 	var ws dtw.Workspace
 	widths := map[int]bool{}
+	fellBack := map[bool]bool{}
 	for round := 0; round < 3; round++ {
 		for i, p := range pairs {
 			al, err := match.Match(p.fx, p.fy, p.x.Len(), p.y.Len(), opts.Matcher)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fellBack[len(al.Pairs) < 2] = true
 			if len(al.Pairs) < 2 {
 				al = &match.Alignment{NX: p.x.Len(), NY: p.y.Len()}
 			}
@@ -639,5 +702,8 @@ func TestAdaptiveBandRebuiltInPlace(t *testing.T) {
 	}
 	if len(widths) < 3 {
 		t.Fatalf("the pairs' bands have %d distinct widest rows, want >= 3 for the rebuild to change widths", len(widths))
+	}
+	if !fellBack[true] || !fellBack[false] {
+		t.Fatalf("fallback seen %v, want both a pair that falls back and one that does not", fellBack)
 	}
 }

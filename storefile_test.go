@@ -761,7 +761,9 @@ func TestOpenShardedMixedConfig(t *testing.T) {
 // TestEngineFingerprintGolden holds the fingerprint to the strings the
 // release that still had a seventh strategy produced (slope=0 is that
 // strategy's knob, unset): every store written then under a configuration
-// still expressible must keep opening.
+// still expressible must keep opening, but for (ac,aw) and (ac2,aw), whose
+// distances the 20 % width floor and fallback band moved, and which write
+// sdtw/v2 since (TestOpenRefusesPreFloorAdaptiveStore).
 func TestEngineFingerprintGolden(t *testing.T) {
 	const tail = "|bins=0|eps=0|oct=0|lev=0|amp=0|scale=0|dom=0|pd=false"
 	for _, tc := range []struct {
@@ -769,11 +771,11 @@ func TestEngineFingerprintGolden(t *testing.T) {
 		want string
 	}{
 		{DefaultOptions(),
-			"sdtw/v1|strategy=4|w=0|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail},
+			"sdtw/v2|strategy=4|w=0|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail},
 		{Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10},
 			"sdtw/v1|strategy=1|w=0.1|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail},
 		{Options{Strategy: AdaptiveCoreAdaptiveWidthAvg, Symmetric: true},
-			"sdtw/v1|strategy=5|w=0|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail},
+			"sdtw/v2|strategy=5|w=0|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail},
 	} {
 		if got := engineFingerprint(tc.opts); got != tc.want {
 			t.Errorf("fingerprint of %+v:\n got %s\nwant %s", tc.opts, got, tc.want)
@@ -836,6 +838,71 @@ func TestOpenRefusesRemovedStrategyStore(t *testing.T) {
 		if _, err := OpenShardedIndex(root, opts); !errors.Is(err, ErrConfigMismatch) {
 			t.Errorf("OpenShardedIndex under %v: %v, want ErrConfigMismatch", opts.Strategy, err)
 		}
+	}
+}
+
+// TestOpenRefusesPreFloorAdaptiveStore: a store written under (ac,aw) or
+// (ac2,aw) before their 20 % width floor and fallback band carries an
+// sdtw/v1 fingerprint over distances those strategies no longer give, so
+// it refuses under every width; a v1 store of a strategy whose band did
+// not move, (fc,fw), still opens and answers as a fresh index does.
+func TestOpenRefusesPreFloorAdaptiveStore(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 113, SeriesPerClass: 3})
+	const tail = "|bins=0|eps=0|oct=0|lev=0|amp=0|scale=0|dom=0|pd=false"
+	export := func(fp string, opts Options) string {
+		t.Helper()
+		f, err := engineFamily(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs := make([]lower.Envelope, len(d.Series))
+		for i, s := range d.Series {
+			envs[i] = lower.NewEnvelope(s.Values, f.backend.EnvelopeRadius(s.Len()))
+		}
+		dir := filepath.Join(t.TempDir(), "flat")
+		meta := exportMeta(f, uint64(len(d.Series)))
+		if err := new(storeSet).exportStores(dir, fp, 0, []storeExport{{dir: dir, meta: meta, data: d.Series, envs: envs}}); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	for _, tc := range []struct {
+		fp   string
+		opts []Options
+	}{
+		{"sdtw/v1|strategy=4|w=0|minw=0|maxw=0|nr=0|slope=0|sym=false" + tail,
+			[]Options{DefaultOptions(), {Strategy: AdaptiveCoreAdaptiveWidth, WidthFrac: 0.35}}},
+		{"sdtw/v1|strategy=5|w=0|minw=0|maxw=0|nr=0|slope=0|sym=true" + tail,
+			[]Options{{Strategy: AdaptiveCoreAdaptiveWidthAvg, Symmetric: true}}},
+	} {
+		dir := export(tc.fp, tc.opts[0])
+		for _, opts := range tc.opts {
+			if _, err := OpenIndex(dir, opts); !errors.Is(err, ErrConfigMismatch) {
+				t.Errorf("OpenIndex of a %s store under %+v: %v, want ErrConfigMismatch", tc.fp, opts, err)
+			}
+		}
+	}
+
+	fcfw := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
+	cold, err := OpenIndex(export("sdtw/v1|strategy=1|w=0.1|minw=0|maxw=0|nr=0|slope=0|sym=false"+tail, fcfw), fcfw)
+	if err != nil {
+		t.Fatalf("OpenIndex of a v1 (fc,fw) store: %v", err)
+	}
+	defer cold.CloseStore()
+	flat, err := NewIndex(d.Series, fcfw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range []Series{d.Series[0], d.Series[4]} {
+		want, _, err := flat.Search(context.Background(), q, WithK(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := cold.Search(context.Background(), q, WithK(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameNeighbors(t, fmt.Sprintf("query %d", qi), want, got)
 	}
 }
 
