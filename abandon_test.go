@@ -39,12 +39,12 @@ func TestTopKAbandonInvariance(t *testing.T) {
 	}
 	for collName, data := range collections {
 		for _, opts := range cascadeConfigs() {
-			name := collName + "/" + opts.name()
+			name := collName + "/" + cascadeName(opts)
 			opts := opts
 			data := data
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				ix, err := opts.index(data)
+				ix, err := NewIndex(data, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,7 +170,7 @@ func TestReferenceLegPrunesNothing(t *testing.T) {
 func TestAbandonPartialIsLowerBound(t *testing.T) {
 	d := TraceDataset(DatasetConfig{Seed: 17, SeriesPerClass: 4})
 	for _, opts := range cascadeConfigs() {
-		engine := opts.engine()
+		engine := NewEngine(opts)
 		for trial := 0; trial < 12; trial++ {
 			x := d.Series[trial%d.Len()]
 			y := d.Series[(trial*7+3)%d.Len()]

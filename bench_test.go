@@ -155,10 +155,6 @@ func BenchmarkBandConstruction(b *testing.B) {
 }
 
 // BenchmarkEngineDistance times one warmed distance per strategy on a
-// Trace pair, and the fallback leg on a pair of noise of the Trace length
-// whose matching keeps no pair, so (ac,aw) builds its 20 % fallback band.
-// bandcells is the band's cell count, the DP's work before abandoning.
-// BenchmarkEngineDistance times one warmed distance per strategy on a
 // Trace pair, and on a pair of noise of the Trace length whose matching
 // keeps no pair, so (ac,aw) builds its 20 % fallback band. bandcells/op is
 // the band's cell count, the DP's work when nothing abandons.
@@ -452,40 +448,6 @@ func benchSearches(b *testing.B, ix *Index, queries []Series, opts ...SearchOpti
 	b.ReportMetric(stats.AbandonRate(), "abandonrate")
 }
 
-// BenchmarkAblationNeighborRadius varies the ac2 width-averaging radius,
-// the design choice behind the paper's (ac2,aw) variant.
-func BenchmarkAblationNeighborRadius(b *testing.B) {
-	x, y := benchPair(b, "Trace")
-	full, err := dtw.Distance(x.Values, y.Values, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Band.Strategy = band.AdaptiveCoreAdaptiveWidthAvg
-			opts.Band.NeighborRadius = r
-			engine := core.NewEngine(opts)
-			feats, _, err := engine.Warm([]Series{x, y})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var res core.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = engine.DistanceUnderFeatures(nil, x, feats[0], y, feats[1], math.Inf(1))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if full > 0 {
-				b.ReportMetric((res.Distance-full)/full, "disterr")
-			}
-			b.ReportMetric(res.CellsGain(), "cellsgain")
-		})
-	}
-}
-
 // BenchmarkAblationSymmetricBand measures the cost of the §3.3.3
 // symmetric band union against the default asymmetric band.
 func BenchmarkAblationSymmetricBand(b *testing.B) {
@@ -508,56 +470,6 @@ func BenchmarkAblationSymmetricBand(b *testing.B) {
 				}
 			}
 			b.ReportMetric(res.CellsGain(), "cellsgain")
-		})
-	}
-}
-
-// BenchmarkAblationFeatureCap varies the per-series feature cap, the
-// knob that keeps matching cheap relative to the grid fill (§3.4).
-func BenchmarkAblationFeatureCap(b *testing.B) {
-	for _, cap := range []int{16, 48, 128} {
-		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
-			x, y := benchPair(b, "50Words")
-			opts := core.DefaultOptions()
-			opts.Features.MaxFeatures = cap
-			engine := core.NewEngine(opts)
-			feats, _, err := engine.Warm([]Series{x, y})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var res core.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = engine.DistanceUnderFeatures(nil, x, feats[0], y, feats[1], math.Inf(1))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Pairs), "pairs")
-			b.ReportMetric(res.CellsGain(), "cellsgain")
-		})
-	}
-}
-
-// BenchmarkAblationEpsilon varies the relaxed-extremum slack ε, the
-// detector's sensitivity knob (§3.1.2; see the calibration note in
-// internal/sift).
-func BenchmarkAblationEpsilon(b *testing.B) {
-	for _, eps := range []float64{0.0096, 0.10, 0.30} {
-		b.Run(fmt.Sprintf("eps=%v", eps), func(b *testing.B) {
-			x, _ := benchPair(b, "Gun")
-			cfg := sift.DefaultConfig()
-			cfg.Epsilon = eps
-			cfg.MaxFeatures = -1
-			count := 0
-			for i := 0; i < b.N; i++ {
-				feats, err := sift.Extract(x.Values, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				count = len(feats)
-			}
-			b.ReportMetric(float64(count), "features")
 		})
 	}
 }

@@ -9,90 +9,45 @@ import (
 	"testing"
 
 	"sdtw/internal/band"
-	"sdtw/internal/core"
 	"sdtw/internal/lower"
-	"sdtw/internal/retrieve"
 )
 
-// cascadeConfig is one band configuration the cascade properties run
-// under: public Options, plus the adaptive-width cap Options cannot
-// express.
-type cascadeConfig struct {
-	Options
-	// maxWidthFrac caps adaptive widths as a fraction of the length
-	// (band.Config.MaxWidthFrac); zero means no cap.
-	maxWidthFrac float64
-}
-
-// name is the configuration's subtest name: the strategy, then +sym,
-// +maxw and the fixed width where they apply.
-func (c cascadeConfig) name() string {
-	name := c.Strategy.String()
-	if c.Symmetric {
+// cascadeName is a configuration's subtest name: the strategy, then +sym
+// and the fixed width where they apply.
+func cascadeName(o Options) string {
+	name := o.Strategy.String()
+	if o.Symmetric {
 		name += "+sym"
 	}
-	if c.maxWidthFrac > 0 {
-		name += "+maxw"
-	}
-	if c.Strategy == FixedCoreFixedWidth {
-		name += fmt.Sprintf("+w=%g", c.WidthFrac)
+	if o.Strategy == FixedCoreFixedWidth {
+		name += fmt.Sprintf("+w=%g", o.WidthFrac)
 	}
 	return name
 }
 
-// toCore lowers the configuration as Options.toCore does, with the cap.
-func (c cascadeConfig) toCore() core.Options {
-	o := c.Options.toCore()
-	o.Band.MaxWidthFrac = c.maxWidthFrac
-	return o
-}
-
-// engine is the configuration's sDTW engine.
-func (c cascadeConfig) engine() *Engine {
-	return &Engine{inner: core.NewEngine(c.toCore())}
-}
-
-// index builds an engine-backed index over data: through NewIndex when
-// Options express the configuration, otherwise over its engine the way
-// engineFamily builds one.
-func (c cascadeConfig) index(data []Series) (*Index, error) {
-	if c.maxWidthFrac == 0 {
-		return NewIndex(data, c.Options)
-	}
-	engine := c.engine()
-	return newIndex(backendFamily{
-		kind:    snapshotKindEngine,
-		backend: retrieve.NewEngineBackend(engine.inner, engineFingerprint(c.Options)+"|maxw="+fmt.Sprint(c.maxWidthFrac), false),
-		engine:  engine,
-		radius:  -1,
-		workers: resolveWorkers(c.Workers),
-	}, data, 0)
-}
-
 // envelopeRadius derives the admissible LB_Keogh envelope radius the same
 // way NewIndex does: from the lowered band config via band.EnvelopeRadius.
-func envelopeRadius(c cascadeConfig, m int) int {
-	return band.EnvelopeRadius(c.toCore().Band, m)
+func envelopeRadius(o Options, m int) int {
+	return band.EnvelopeRadius(o.toCore().Band, m)
 }
 
-// cascadeConfigs spans every band strategy (plus the width, width-cap and
-// symmetry settings that change the band geometry) so the exactness and
+// cascadeConfigs spans every band strategy (plus the width and symmetry
+// settings that change the band geometry) so the exactness and
 // admissibility properties are exercised against each envelope radius
-// derivation. Fixed-core adaptive widths capped at 0.30 of the length is
-// the one configuration that reads salient features and still has an
-// LB_Keogh envelope radius below the series length.
-func cascadeConfigs() []cascadeConfig {
-	return []cascadeConfig{
-		{Options: Options{Strategy: FullGrid}},
-		{Options: Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.06}},
-		{Options: Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}},
-		{Options: Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.20}},
-		{Options: Options{Strategy: FixedCoreAdaptiveWidth}},
-		{Options: Options{Strategy: FixedCoreAdaptiveWidth}, maxWidthFrac: 0.30},
-		{Options: Options{Strategy: AdaptiveCoreFixedWidth, WidthFrac: 0.10}},
-		{Options: Options{Strategy: AdaptiveCoreAdaptiveWidth}},
-		{Options: Options{Strategy: AdaptiveCoreAdaptiveWidth, Symmetric: true}},
-		{Options: Options{Strategy: AdaptiveCoreAdaptiveWidthAvg}},
+// derivation. The fixed widths are the configurations whose LB_Keogh
+// envelope radius is below the series length.
+func cascadeConfigs() []Options {
+	return []Options{
+		{Strategy: FullGrid},
+		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.06},
+		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10},
+		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.20},
+		{Strategy: FixedCoreFixedWidth, WidthFrac: 0.30},
+		{Strategy: FixedCoreAdaptiveWidth},
+		{Strategy: AdaptiveCoreFixedWidth, WidthFrac: 0.10},
+		{Strategy: AdaptiveCoreAdaptiveWidth},
+		{Strategy: AdaptiveCoreAdaptiveWidth, Symmetric: true},
+		{Strategy: AdaptiveCoreAdaptiveWidthAvg},
 	}
 }
 
@@ -158,12 +113,12 @@ func TestCascadeMatchesBruteForce(t *testing.T) {
 	}
 	for collName, data := range collections {
 		for _, opts := range cascadeConfigs() {
-			name := collName + "/" + opts.name()
+			name := collName + "/" + cascadeName(opts)
 			opts := opts
 			data := data
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				ix, err := opts.index(data)
+				ix, err := NewIndex(data, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +160,7 @@ func TestCascadeAdmissibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := randomWalkSeries(rng, 12, 80, 0)
 	for _, opts := range cascadeConfigs() {
-		engine := opts.engine()
+		engine := NewEngine(opts)
 		for trial := 0; trial < 30; trial++ {
 			x := data[rng.Intn(len(data))]
 			y := data[rng.Intn(len(data))]

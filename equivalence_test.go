@@ -82,12 +82,12 @@ func TestSearchEquivalentToPreRedesignEngineTopK(t *testing.T) {
 	}
 	for dsName, d := range datasets {
 		for _, opts := range cascadeConfigs() {
-			name := dsName + "/" + opts.name()
+			name := dsName + "/" + cascadeName(opts)
 			opts := opts
 			d := d
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				ix, err := opts.index(d.Series)
+				ix, err := NewIndex(d.Series, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

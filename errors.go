@@ -40,6 +40,11 @@ var (
 	ErrDuplicateID = retrieve.ErrDuplicateID
 	// ErrUnknownID reports a Remove of an ID not in the collection.
 	ErrUnknownID = retrieve.ErrUnknownID
+	// ErrNoID reports an empty series ID where one is needed: a Remove on
+	// any index, a series of a ShardedIndex (which routes by ID), and a
+	// series added to a store-backed index (the store keys removals on
+	// IDs).
+	ErrNoID = retrieve.ErrNoID
 	// ErrMonitorClosed reports a Push, PushBatch or Flush on a Monitor
 	// that was already flushed — or whose state was abandoned after a
 	// mid-batch cancellation.

@@ -96,19 +96,6 @@ type Config struct {
 	// compared against WidthFrac·M points of Y (the paper sweeps 6%, 10%,
 	// 20%). Zero means 0.10.
 	WidthFrac float64
-	// MinWidthFrac lower-bounds adaptive widths as a fraction of M.
-	// Negative means none; zero means 0.20, the lower bound of the
-	// paper's (fc,aw) runs (§4.3), for every adaptive-width strategy.
-	// Without it a row between two close boundaries of an adaptive core
-	// is a few columns wide and pins the warp path to the anchor.
-	MinWidthFrac float64
-	// MaxWidthFrac upper-bounds adaptive widths as a fraction of M.
-	// Zero or >= 1 means no upper bound.
-	MaxWidthFrac float64
-	// NeighborRadius is r for AdaptiveCoreAdaptiveWidthAvg: the width
-	// averages the sizes of the r intervals on each side of the current
-	// one. Zero means 1 (previous, current, next — the paper's ac2,aw).
-	NeighborRadius int
 	// Symmetric, when true, unions this band with the transposed band
 	// built with the roles of X and Y switched (§3.3.3), making the
 	// resulting distance symmetric.
@@ -129,11 +116,20 @@ func Window(r int) Config {
 	return Config{Strategy: FixedCoreFixedWidth, window: max(r, 0) + 1}
 }
 
-// minWidthFrac is the paper's §4.3 lower bound on adaptive widths, 20 %
-// of M. It is the default MinWidthFrac of the adaptive-width strategies
-// and the width of the band the adaptive-core, adaptive-width strategies
-// fall back to (see fallsBack).
-const minWidthFrac = 0.20
+// The fixed adaptive-width parameters.
+const (
+	// minWidthFrac is the paper's §4.3 lower bound on adaptive widths,
+	// 20 % of M, under every adaptive-width strategy. Without it a row
+	// between two close boundaries of an adaptive core is a few columns
+	// wide and pins the warp path to the anchor. It is also the width of
+	// the band the adaptive-core, adaptive-width strategies fall back to
+	// (see fallsBack).
+	minWidthFrac = 0.20
+	// neighborRadius is r for AdaptiveCoreAdaptiveWidthAvg: the width
+	// averages the sizes of the r intervals on each side of the current
+	// one (previous, current, next — the paper's ac2,aw).
+	neighborRadius = 1
+)
 
 func (c Config) withDefaults() Config {
 	if c.WidthFrac <= 0 {
@@ -141,12 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WidthFrac > 1 {
 		c.WidthFrac = 1
-	}
-	if c.MinWidthFrac == 0 && c.Strategy.AdaptiveWidth() {
-		c.MinWidthFrac = minWidthFrac
-	}
-	if c.NeighborRadius <= 0 {
-		c.NeighborRadius = 1
 	}
 	return c
 }
@@ -156,8 +146,7 @@ func (c Config) withDefaults() Config {
 // strategies do. With nothing matched, their core is the diagonal and
 // their one interval the whole grid, so their own band would be the
 // full grid. (ac,fw) keeps its diagonal band at its own width, and
-// (fc,aw) its full-interval one, whose width a MaxWidthFrac bounds and
-// its EnvelopeRadius with it: a 20 % band need not stay inside that.
+// (fc,aw) its full-interval one.
 func (c Config) fallsBack() bool {
 	return c.Strategy.AdaptiveCore() && c.Strategy.AdaptiveWidth()
 }
@@ -305,10 +294,8 @@ func (bu *Builder) coreColumns(al *match.Alignment, adaptive bool) []int {
 		}
 		return core
 	}
-	xs, xe, ys, ye := al.Intervals()
-	for t := range xs {
-		sx, ex := xs[t], xe[t]
-		sy, ey := ys[t], ye[t]
+	for t := range len(al.BoundsX) + 1 {
+		sx, ex, sy, ey := interval(al, t)
 		if ex < sx {
 			continue
 		}
@@ -351,35 +338,30 @@ func (bu *Builder) rowWidths(al *match.Alignment, cfg Config) []int {
 	// Adaptive width: w is the length of the Y interval containing the
 	// candidate point of x_i — equivalently, the Y interval corresponding
 	// to the X interval containing i (§3.3.1).
-	xs, xe, ys, ye := al.Intervals()
+	intervals := len(al.BoundsX) + 1
 	ivalOf := bu.ints(&bu.ivalOf, n)
 	for i := range ivalOf {
 		ivalOf[i] = 0
 	}
-	for t := range xs {
-		for i := xs[t]; i <= xe[t] && i < n; i++ {
+	for t := range intervals {
+		sx, ex, _, _ := interval(al, t)
+		for i := sx; i <= ex && i < n; i++ {
 			ivalOf[i] = t
 		}
 	}
 	ylen := func(t int) int {
-		if t < 0 || t >= len(ys) {
-			return 0
-		}
-		l := ye[t] - ys[t] + 1
-		if l < 0 {
-			return 0
-		}
-		return l
+		_, _, sy, ey := interval(al, t)
+		return max(ey-sy+1, 0)
 	}
-	minW, maxW := widthBounds(cfg, m)
+	minW := int(math.Ceil(minWidthFrac * float64(m)))
 	avg := cfg.Strategy == AdaptiveCoreAdaptiveWidthAvg
 	for i := 0; i < n; i++ {
 		t := ivalOf[i]
 		var w int
 		if avg {
 			sum, cnt := 0, 0
-			for dt := -cfg.NeighborRadius; dt <= cfg.NeighborRadius; dt++ {
-				if t+dt < 0 || t+dt >= len(ys) {
+			for dt := -neighborRadius; dt <= neighborRadius; dt++ {
+				if t+dt < 0 || t+dt >= intervals {
 					continue
 				}
 				sum += ylen(t + dt)
@@ -391,28 +373,24 @@ func (bu *Builder) rowWidths(al *match.Alignment, cfg Config) []int {
 		} else {
 			w = ylen(t)
 		}
-		if w < minW {
-			w = minW
-		}
-		if maxW > 0 && w > maxW {
-			w = maxW
-		}
-		if w < 2 {
-			w = 2
-		}
-		widths[i] = w
+		widths[i] = max(w, minW, 2)
 	}
 	return widths
 }
 
-func widthBounds(cfg Config, m int) (minW, maxW int) {
-	if cfg.MinWidthFrac > 0 {
-		minW = int(math.Ceil(cfg.MinWidthFrac * float64(m)))
+// interval returns interval t of the partition the committed boundaries
+// of al induce (paper Fig 9): [sx, ex] on X and [sy, ey] on Y, inclusive,
+// possibly empty when two boundaries coincide. There are
+// len(al.BoundsX)+1 intervals, chained: each starts where the previous
+// ends, the first at 0 and the last at NX−1 and NY−1.
+func interval(al *match.Alignment, t int) (sx, ex, sy, ey int) {
+	if t > 0 {
+		sx, sy = al.BoundsX[t-1], al.BoundsY[t-1]
 	}
-	if cfg.MaxWidthFrac > 0 && cfg.MaxWidthFrac < 1 {
-		maxW = int(math.Ceil(cfg.MaxWidthFrac * float64(m)))
+	if t < len(al.BoundsX) {
+		return sx, al.BoundsX[t], sy, al.BoundsY[t]
 	}
-	return minW, maxW
+	return sx, al.NX - 1, sy, al.NY - 1
 }
 
 // EnvelopeRadius returns a warping radius (in samples) such that every
@@ -424,30 +402,23 @@ func widthBounds(cfg Config, m int) (minW, maxW int) {
 // It lives next to the builders so the geometry constants cannot drift
 // apart silently; envelope_test.go cross-checks it against built bands.
 //
-// Adaptive-core strategies follow the salient alignment anywhere in the
-// grid, so their only admissible radius is m: the full-width envelope,
-// whose LB_Keogh degenerates to a global min/max range test that
-// lower-bounds even unconstrained DTW.
+// The (fc,fw) band keeps to a window around the diagonal. Every other
+// strategy can reach any cell: adaptive cores follow the salient
+// alignment anywhere in the grid, and an adaptive width is as wide as its
+// interval, which may span the grid. Their only admissible radius is m:
+// the full-width envelope, whose LB_Keogh degenerates to a global
+// min/max range test that lower-bounds even unconstrained DTW.
 func EnvelopeRadius(cfg Config, m int) int {
 	cfg = cfg.withDefaults()
-	switch cfg.Strategy {
-	case FixedCoreFixedWidth:
-		if cfg.window > 0 {
-			// Window's radius is the band's, column for column.
-			return cfg.window - 1
-		}
+	switch {
+	case cfg.Strategy != FixedCoreFixedWidth:
+		return m
+	case cfg.window > 0:
+		// Window's radius is the band's, column for column.
+		return cfg.window - 1
+	default:
 		// dtw.SakoeChiba places ceil(w*m/2) columns on each side of the
 		// scaled diagonal.
 		return int(math.Ceil(cfg.WidthFrac*float64(m)/2)) + 1
-	case FixedCoreAdaptiveWidth:
-		// Diagonal core; rowWidths clamps adaptive widths to maxW last,
-		// so with a max bound the half-width never exceeds maxW/2.
-		if _, maxW := widthBounds(cfg, m); maxW > 0 {
-			return maxW/2 + 2
-		}
-		return m
-	default:
-		// FullGrid and the adaptive-core strategies.
-		return m
 	}
 }

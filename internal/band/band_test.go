@@ -145,20 +145,21 @@ func TestFixedCoreIgnoresBoundaries(t *testing.T) {
 }
 
 func TestAdaptiveWidthTracksIntervalSizes(t *testing.T) {
-	// X intervals: [0,30],[30,99]; Y intervals: [0,10],[10,99].
-	// Rows in the first interval get width ~11, rows in the second ~90.
-	al := alignmentWith(100, 100, []int{30}, []int{10})
-	b, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth, MinWidthFrac: -1})
+	// X intervals: [0,100],[100,199]; Y intervals: [0,60],[60,199].
+	// Rows in the first interval get width 61, rows in the second 140,
+	// both above the 20 % floor of 40.
+	al := alignmentWith(200, 200, []int{100}, []int{60})
+	b, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wFirst := b.Hi[15] - b.Lo[15] + 1
-	wSecond := b.Hi[60] - b.Lo[60] + 1
+	wFirst := b.Hi[50] - b.Lo[50] + 1
+	wSecond := b.Hi[150] - b.Lo[150] + 1
 	if wFirst >= wSecond {
 		t.Fatalf("adaptive width not tracking intervals: %d vs %d", wFirst, wSecond)
 	}
-	if wFirst > 25 {
-		t.Fatalf("narrow interval width = %d, want ≈11", wFirst)
+	if wFirst != 61 {
+		t.Fatalf("narrow interval width = %d, want 61", wFirst)
 	}
 }
 
@@ -166,15 +167,16 @@ func TestAdaptiveWidthNeighbourAveraging(t *testing.T) {
 	// With averaging, the width in a tiny interval is pulled up by its
 	// large neighbours.
 	al := alignmentWith(200, 200, []int{80, 90}, []int{80, 84})
-	plain, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth, MinWidthFrac: -1})
+	plain, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth})
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidthAvg, MinWidthFrac: -1})
+	avg, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidthAvg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Row 85 lies in the tiny middle interval (Y length 5).
+	// Row 85 lies in the tiny middle interval (Y length 5, floored at
+	// 40); averaged with its neighbours (81 and 116) it is 67.
 	wPlain := plain.Hi[85] - plain.Lo[85] + 1
 	wAvg := avg.Hi[85] - avg.Lo[85] + 1
 	if wAvg <= wPlain {
@@ -182,25 +184,16 @@ func TestAdaptiveWidthNeighbourAveraging(t *testing.T) {
 	}
 }
 
+// TestMinMaxWidthBounds: every adaptive width has the 20 % floor and no
+// ceiling. On a 200² grid a Y interval 11 samples long gives its rows the
+// floor's 40 columns, and one 190 long gives its rows all 190.
 func TestMinMaxWidthBounds(t *testing.T) {
-	al := alignmentWith(100, 100, []int{30}, []int{10})
-	b, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth, MinWidthFrac: 0.30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interior rows must have width >= 30 (boundary rows are clamped by
-	// the grid edge).
-	w := b.Hi[15] - b.Lo[15] + 1
-	if w < 16 { // half-width 15 on each side minus clamping at j=0
-		t.Fatalf("min width ignored: row 15 spans %d", w)
-	}
-	b2, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth, MinWidthFrac: -1, MaxWidthFrac: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 5; i < 95; i++ {
-		if w := b2.Hi[i] - b2.Lo[i] + 1; w > 23 {
-			t.Fatalf("max width ignored: row %d spans %d", i, w)
+	al := alignmentWith(200, 200, []int{100}, []int{10})
+	for _, s := range []Strategy{FixedCoreAdaptiveWidth, AdaptiveCoreAdaptiveWidth} {
+		var bu Builder
+		widths := bu.rowWidths(al, Config{Strategy: s}.withDefaults())
+		if widths[60] != 40 || widths[150] != 190 {
+			t.Errorf("%v: rows 60 and 150 are %d and %d wide, want 40 and 190", s, widths[60], widths[150])
 		}
 	}
 }
@@ -252,11 +245,11 @@ func TestEmptyXIntervalGapBridged(t *testing.T) {
 
 func TestSymmetricBandIsUnion(t *testing.T) {
 	al := alignmentWith(80, 120, []int{30}, []int{70})
-	asym, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth, MinWidthFrac: -1})
+	asym, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth, MinWidthFrac: -1, Symmetric: true})
+	sym, err := Build(al, Config{Strategy: AdaptiveCoreAdaptiveWidth, Symmetric: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,23 +395,9 @@ func TestAllStrategiesProduceUsableBands(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	cfg := Config{Strategy: AdaptiveCoreAdaptiveWidthAvg}.withDefaults()
-	if cfg.WidthFrac != 0.10 {
-		t.Errorf("default width = %v, want 0.10", cfg.WidthFrac)
-	}
-	if cfg.NeighborRadius != 1 {
-		t.Errorf("default neighbour radius = %d, want 1", cfg.NeighborRadius)
-	}
-	fcaw := Config{Strategy: FixedCoreAdaptiveWidth}.withDefaults()
-	if fcaw.MinWidthFrac != 0.20 {
-		t.Errorf("(fc,aw) default lower bound = %v, want 0.20", fcaw.MinWidthFrac)
-	}
-	for _, s := range []Strategy{AdaptiveCoreAdaptiveWidth, AdaptiveCoreAdaptiveWidthAvg} {
-		if got := (Config{Strategy: s}).withDefaults().MinWidthFrac; got != 0.20 {
-			t.Errorf("%v default lower bound = %v, want 0.20", s, got)
-		}
-		if got := (Config{Strategy: s, MinWidthFrac: -1}).withDefaults().MinWidthFrac; got != -1 {
-			t.Errorf("%v with no lower bound asked for = %v, want -1", s, got)
+	for w, want := range map[float64]float64{0: 0.10, -1: 0.10, 0.06: 0.06, 1.5: 1} {
+		if got := (Config{Strategy: AdaptiveCoreFixedWidth, WidthFrac: w}).withDefaults().WidthFrac; got != want {
+			t.Errorf("width %v resolves to %v, want %v", w, got, want)
 		}
 	}
 }

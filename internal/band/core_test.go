@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"sdtw/internal/match"
 )
 
 // TestCoreColumnsMonotone verifies the DESIGN.md invariant that the
@@ -72,5 +74,21 @@ func TestCoreColumnsDiagonalWithoutBoundaries(t *testing.T) {
 	mid := core[25]
 	if mid < 45 || mid > 56 {
 		t.Fatalf("diagonal midpoint %d", mid)
+	}
+}
+
+// TestIntervalChain: the intervals of a partition chain from the first
+// sample of each series to the last, each starting where the previous
+// ended, and an alignment with no boundaries is one interval.
+func TestIntervalChain(t *testing.T) {
+	al := &match.Alignment{NX: 100, NY: 120, BoundsX: []int{30, 60}, BoundsY: []int{40, 80}}
+	want := [][4]int{{0, 30, 0, 40}, {30, 60, 40, 80}, {60, 99, 80, 119}}
+	for k, w := range want {
+		if sx, ex, sy, ey := interval(al, k); [4]int{sx, ex, sy, ey} != w {
+			t.Errorf("interval %d is %v, want %v", k, [4]int{sx, ex, sy, ey}, w)
+		}
+	}
+	if sx, ex, sy, ey := interval(&match.Alignment{NX: 50, NY: 60}, 0); [4]int{sx, ex, sy, ey} != [4]int{0, 49, 0, 59} {
+		t.Errorf("the one interval of a boundary-free alignment is %v", [4]int{sx, ex, sy, ey})
 	}
 }

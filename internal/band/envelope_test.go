@@ -8,7 +8,7 @@ import (
 
 // TestEnvelopeRadiusCoversBuiltBands is the geometry contract behind the
 // retrieval cascade's exactness: for every strategy and a spread of grid
-// sizes and width options, every cell of a band actually built by this
+// sizes and widths, every cell of a band actually built by this
 // package stays within the diagonal window EnvelopeRadius promises.
 // If a builder's constants change (radius rounding, width defaults,
 // clamp order), this fails before the public Index can silently drop
@@ -23,11 +23,8 @@ func TestEnvelopeRadiusCoversBuiltBands(t *testing.T) {
 		Window(0),
 		Window(3),
 		{Strategy: FixedCoreAdaptiveWidth},
-		{Strategy: FixedCoreAdaptiveWidth, MaxWidthFrac: 0.10},
-		{Strategy: FixedCoreAdaptiveWidth, MaxWidthFrac: 0.30},
 		{Strategy: AdaptiveCoreFixedWidth},
 		{Strategy: AdaptiveCoreAdaptiveWidth},
-		{Strategy: AdaptiveCoreAdaptiveWidth, MaxWidthFrac: 0.10},
 		{Strategy: AdaptiveCoreAdaptiveWidthAvg, Symmetric: true},
 	}
 	// Alignments to build against: the boundary-free one, which every
@@ -53,8 +50,8 @@ func TestEnvelopeRadiusCoversBuiltBands(t *testing.T) {
 				for i := 0; i < len(b.Lo); i++ {
 					for _, j := range []int{b.Lo[i], b.Hi[i]} {
 						if j < i-r || j > i+r {
-							t.Fatalf("m=%d %v w=%g maxw=%g align=%d: cell (%d,%d) outside radius %d",
-								m, cfg.Strategy, cfg.WidthFrac, cfg.MaxWidthFrac, ai, i, j, r)
+							t.Fatalf("m=%d %v w=%g align=%d: cell (%d,%d) outside radius %d",
+								m, cfg.Strategy, cfg.WidthFrac, ai, i, j, r)
 						}
 					}
 				}

@@ -28,7 +28,7 @@ import (
 
 // Options configures an Engine. The zero value selects the paper's
 // defaults: (ac,aw) constraints, 64-bin descriptors, ε = 0.10 (see
-// sift.Config.Epsilon's calibration note). The point cost is always the
+// the calibration note on sift's epsilon). The point cost is always the
 // squared distance (a−b)², which every bound of the retrieval cascade
 // assumes.
 type Options struct {

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"sdtw/internal/band"
+	"sdtw/internal/datasets"
 	"sdtw/internal/dtw"
 	"sdtw/internal/match"
 	"sdtw/internal/series"
@@ -316,6 +317,53 @@ func TestEngineFallbackAllocatesNothing(t *testing.T) {
 				t.Errorf("%v sym=%v: %v allocs per distance, %v of them matching's: the fallback allocates %v, want 0",
 					s, sym, distance, matching, distance-matching)
 			}
+		}
+	}
+}
+
+// TestEngineAdaptiveBandAllocatesNothing: under every strategy that reads
+// the alignment, a warmed distance on a matched Trace pair allocates no
+// more than matching does for the alignment it returns: the band reads
+// the interval partition straight from the alignment's boundaries and is
+// filled in the pooled builder's scratch.
+func TestEngineAdaptiveBandAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled workspaces, so they are not reliably warm")
+	}
+	d := datasets.Trace(datasets.Config{Seed: 1, SeriesPerClass: 2})
+	x, y := d.Series[0], d.Series[1]
+	for _, s := range []band.Strategy{band.FixedCoreAdaptiveWidth, band.AdaptiveCoreFixedWidth,
+		band.AdaptiveCoreAdaptiveWidth, band.AdaptiveCoreAdaptiveWidthAvg} {
+		eng := NewEngine(optsFor(s))
+		fx, err := eng.Extract(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fy, err := eng.Extract(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.DistanceUnderFeatures(nil, x, fx, y, fy, math.Inf(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Pairs < minPairs {
+			t.Fatalf("%v: the pair keeps %d salient pairs, want a matched pair", s, res.Pairs)
+		}
+		var mws match.Workspace
+		matching := testing.AllocsPerRun(100, func() {
+			if _, err := match.MatchWS(fx, fy, x.Len(), y.Len(), eng.opts.Matcher, &mws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		distance := testing.AllocsPerRun(100, func() {
+			if _, err := eng.DistanceUnderFeatures(nil, x, fx, y, fy, math.Inf(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if distance > matching {
+			t.Errorf("%v: %v allocs per distance, %v of them matching's: the band allocates %v, want 0",
+				s, distance, matching, distance-matching)
 		}
 	}
 }

@@ -150,7 +150,7 @@ var oracleStrategies = []band.Strategy{
 
 // oracleBand builds the band of one fuzz case over an n×m grid: strategy
 // sel under a random alignment (sorted corresponding boundaries, the
-// shape the matcher commits) and random width knobs, or, when sel is past
+// shape the matcher commits) and a random width, or, when sel is past
 // the strategies, one of dtw.StripBand's shapes (the first a random
 // normalized band no strategy would build, the rest aimed at the strip).
 func oracleBand(t *testing.T, rng *rand.Rand, n, m int, sel uint8, symmetric bool) dtw.Band {
@@ -165,11 +165,9 @@ func oracleBand(t *testing.T, rng *rand.Rand, n, m int, sel uint8, symmetric boo
 		sort.Ints(al.BoundsX)
 		sort.Ints(al.BoundsY)
 		b, err := band.Build(al, band.Config{
-			Strategy:       oracleStrategies[k],
-			WidthFrac:      0.05 + 0.4*rng.Float64(),
-			MaxWidthFrac:   rng.Float64(),
-			NeighborRadius: rng.Intn(3),
-			Symmetric:      symmetric,
+			Strategy:  oracleStrategies[k],
+			WidthFrac: 0.05 + 0.4*rng.Float64(),
+			Symmetric: symmetric,
 		})
 		if err != nil {
 			t.Fatalf("%v band over %dx%d: %v", oracleStrategies[k], n, m, err)

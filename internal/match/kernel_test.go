@@ -51,29 +51,27 @@ func scalarMatch(fx, fy []sift.Feature, nx, ny int, cfg Config) *Alignment {
 	for j := range backBest {
 		backBest[j] = -2
 	}
-	tdSq := cfg.DominanceRatio * cfg.DominanceRatio
+	tdSq := dominanceRatio * dominanceRatio
 	for i := range fx {
 		bestJ, bestSq, secondSq := scalarNearestTwoSq(&fx[i], fy, cfg)
 		if bestJ < 0 {
 			continue
 		}
-		if cfg.DominanceRatio > 1 && !math.IsInf(secondSq, 1) && (bestSq*tdSq > secondSq || secondSq == bestSq) {
+		if !math.IsInf(secondSq, 1) && (bestSq*tdSq > secondSq || secondSq == bestSq) {
 			continue
 		}
-		if !cfg.DisableMutualBest {
-			if backBest[bestJ] == -2 {
-				backBest[bestJ], _, _ = scalarNearestTwoSq(&fy[bestJ], fx, cfg)
-			}
-			if bi := backBest[bestJ]; bi < 0 || !sameNeighborhood(&fx[i], &fx[bi]) {
-				continue
-			}
+		if backBest[bestJ] == -2 {
+			backBest[bestJ], _, _ = scalarNearestTwoSq(&fy[bestJ], fx, cfg)
+		}
+		if bi := backBest[bestJ]; bi < 0 || !sameNeighborhood(&fx[i], &fx[bi]) {
+			continue
 		}
 		pairs = append(pairs, Pair{I: i, J: bestJ, FI: fx[i], FJ: fy[bestJ], DescDist: math.Sqrt(bestSq)})
 	}
 	scorePairs(pairs)
 	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].Combined > pairs[b].Combined })
 	var ws Workspace
-	kept := slices.Clone(ws.pruneInconsistent(pairs, nx, ny, cfg))
+	kept := slices.Clone(ws.pruneInconsistent(pairs, nx, ny))
 	sort.Slice(kept, func(a, b int) bool { return kept[a].FI.X < kept[b].FI.X })
 	al := &Alignment{NX: nx, NY: ny, Pairs: kept}
 	al.BoundsX, al.BoundsY = ws.commitBoundaries(kept, nx, ny)
@@ -157,7 +155,8 @@ func plantNaN(rng *rand.Rand, feats []sift.Feature) {
 
 // checkNearestTwoDifferential draws one matching problem from the seed
 // and requires the blocked scan and Match to equal the scalar reference.
-// Bit 0 of nan plants NaN descriptors among the query features, bit 1
+// Bit 0 of flags turns the τa test off and flags>>5 picks the descriptor
+// length; the other bits are unused. Bit 0 of nan plants NaN descriptors among the query features, bit 1
 // among the pool's (plantNaN).
 func checkNearestTwoDifferential(t *testing.T, seed int64, nx8, ny8, flags, nan uint8) {
 	t.Helper()
@@ -173,16 +172,6 @@ func checkNearestTwoDifferential(t *testing.T, seed int64, nx8, ny8, flags, nan 
 	cfg := DefaultConfig()
 	if flags&1 != 0 {
 		cfg.MaxAmplitudeDiff = -1
-	}
-	if flags&2 != 0 {
-		cfg.MaxScaleRatio = 0.5
-	}
-	if flags&4 != 0 {
-		cfg.DominanceRatio = 1
-	}
-	cfg.DisableMutualBest = flags&8 != 0
-	if flags&16 != 0 {
-		cfg.MaxBoundarySlope = 0.5
 	}
 	bins := []int{2, 8, 64}[int(flags>>5)%3]
 	alphabet := make([][]float64, 4)

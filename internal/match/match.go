@@ -22,62 +22,45 @@ import (
 	"sdtw/internal/sift"
 )
 
-// Config holds the matcher thresholds. The zero value selects permissive
-// defaults suitable for the paper's workloads.
+// Config holds the matcher thresholds a program sets. The zero value
+// selects the paper's defaults.
 type Config struct {
 	// MaxAmplitudeDiff is τa: the maximum absolute difference between the
 	// mean amplitudes of two matched features. Zero means 0.5 on
 	// normalised series; negative disables the test (the paper notes each
 	// invariance bound can be turned off).
 	MaxAmplitudeDiff float64
-	// MaxScaleRatio is τs: the maximum ratio between the scales of two
-	// matched features (always >= 1). Zero means 2.5; values < 1 disable
-	// the test.
-	MaxScaleRatio float64
-	// DominanceRatio is τd (> 1): the best descriptor distance must be at
-	// least τd times smaller than the runner-up's for the pair to be kept
+}
+
+// The fixed matcher thresholds.
+const (
+	// maxScaleRatio is τs: the maximum ratio between the scales of two
+	// matched features.
+	maxScaleRatio = 2.5
+	// dominanceRatio is τd: the best descriptor distance must be at least
+	// τd times smaller than the runner-up's for the pair to be kept
 	// (Lowe-style ratio test written as distance·τd <= secondDistance).
 	// The runner-up search excludes features within the best match's
 	// temporal scope: the relaxed extremum detection of §3.1.2 emits
 	// clusters of near-duplicate features at adjacent positions and
 	// scales, and a duplicate of the best match must not masquerade as a
-	// competing alternative. Zero means 1.25; values <= 1 disable.
-	DominanceRatio float64
-	// DisableMutualBest turns off the cross-check requiring the matched
-	// features to be each other's nearest descriptors. Mutual-best
-	// matching suppresses the many-to-one garbage pairs that otherwise
-	// survive when a series region has no true counterpart.
-	DisableMutualBest bool
-	// MaxBoundarySlope bounds the local time stretch any committed pair
+	// competing alternative.
+	dominanceRatio = 1.25
+	// maxBoundarySlope bounds the local time stretch any committed pair
 	// of scope boundaries may imply relative to its committed neighbours
-	// (a slope sanity check on the alignment itself).
-	// Candidate pairs implying steeper stretch are pruned as
-	// inconsistent. Zero means 4; values < 1 disable the check.
-	MaxBoundarySlope float64
-}
+	// (a slope sanity check on the alignment itself). Candidate pairs
+	// implying steeper stretch are pruned as inconsistent.
+	maxBoundarySlope = 4
+)
 
 // DefaultConfig returns the thresholds used by the experiment harness.
 func DefaultConfig() Config {
-	return Config{
-		MaxAmplitudeDiff: 0.5,
-		MaxScaleRatio:    2.5,
-		DominanceRatio:   1.25,
-		MaxBoundarySlope: 4,
-	}
+	return Config{MaxAmplitudeDiff: 0.5}
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxAmplitudeDiff == 0 {
 		c.MaxAmplitudeDiff = 0.5
-	}
-	if c.MaxScaleRatio == 0 {
-		c.MaxScaleRatio = 2.5
-	}
-	if c.DominanceRatio == 0 {
-		c.DominanceRatio = 1.25
-	}
-	if c.MaxBoundarySlope == 0 {
-		c.MaxBoundarySlope = 4
 	}
 	return c
 }
@@ -125,27 +108,6 @@ func (a *Alignment) Swap() *Alignment {
 	return sw
 }
 
-// Intervals returns the consecutive corresponding intervals the committed
-// boundaries induce: interval t spans [XStarts[t], XEnds[t]] on X and
-// [YStarts[t], YEnds[t]] on Y (inclusive, possibly empty when two
-// boundaries coincide). There are len(BoundsX)+1 intervals.
-func (a *Alignment) Intervals() (xs, xe, ys, ye []int) {
-	k := len(a.BoundsX)
-	xs = make([]int, k+1)
-	xe = make([]int, k+1)
-	ys = make([]int, k+1)
-	ye = make([]int, k+1)
-	prevX, prevY := 0, 0
-	for t := 0; t < k; t++ {
-		xs[t], xe[t] = prevX, a.BoundsX[t]
-		ys[t], ye[t] = prevY, a.BoundsY[t]
-		prevX, prevY = a.BoundsX[t], a.BoundsY[t]
-	}
-	xs[k], xe[k] = prevX, a.NX-1
-	ys[k], ye[k] = prevY, a.NY-1
-	return xs, xe, ys, ye
-}
-
 // Workspace holds the matcher's reusable scratch: the nearest-two scan's
 // gathered indices and distances, the mutual-best memo, the dominant-pair
 // list, and the pruning stage's boundary lists and sort temporaries. The
@@ -190,7 +152,7 @@ func MatchWS(fx, fy []sift.Feature, nx, ny int, cfg Config, ws *Workspace) (*Ali
 	pairs := ws.dominantPairs(fx, fy, cfg)
 	scorePairs(pairs)
 	slices.SortStableFunc(pairs, func(a, b Pair) int { return cmp.Compare(b.Combined, a.Combined) })
-	kept := ws.pruneInconsistent(pairs, nx, ny, cfg)
+	kept := ws.pruneInconsistent(pairs, nx, ny)
 	// Pairs tying on X land where pattern-defeating quicksort leaves them,
 	// exactly as under sort.Slice: the two run the same algorithm.
 	slices.SortFunc(kept, func(a, b Pair) int { return cmp.Compare(a.FI.X, b.FI.X) })
@@ -203,9 +165,11 @@ func MatchWS(fx, fy []sift.Feature, nx, ny int, cfg Config, ws *Workspace) (*Ali
 // feature of Y by descriptor distance is returned as a pair when it passes
 // the τa/τs thresholds, dominates the runner-up by τd (runner-ups inside
 // the best match's temporal scope are duplicates, not competitors, and are
-// skipped), and — unless disabled — is the mutual nearest match. All
-// nearest-neighbour scans work on squared distances; the Y→X back-check is
-// memoised so each Y feature is scanned at most once.
+// skipped), and is the mutual nearest match. Mutual-best matching
+// suppresses the many-to-one garbage pairs that otherwise survive when a
+// series region has no true counterpart. All nearest-neighbour scans work
+// on squared distances; the Y→X back-check is memoised so each Y feature
+// is scanned at most once.
 func DominantPairs(fx, fy []sift.Feature, cfg Config) []Pair {
 	ws := workspaces.Get().(*Workspace)
 	defer workspaces.Put(ws)
@@ -216,19 +180,17 @@ func DominantPairs(fx, fy []sift.Feature, cfg Config) []Pair {
 // until the next call); cfg has its defaults applied.
 func (ws *Workspace) dominantPairs(fx, fy []sift.Feature, cfg Config) []Pair {
 	pairs := ws.pairs[:0]
-	if !cfg.DisableMutualBest {
-		ws.backBest = slices.Grow(ws.backBest[:0], len(fy))[:len(fy)]
-		for j := range ws.backBest {
-			ws.backBest[j] = -2
-		}
+	ws.backBest = slices.Grow(ws.backBest[:0], len(fy))[:len(fy)]
+	for j := range ws.backBest {
+		ws.backBest[j] = -2
 	}
-	tdSq := cfg.DominanceRatio * cfg.DominanceRatio
+	const tdSq = dominanceRatio * dominanceRatio
 	for i := range fx {
 		bestJ, bestSq, secondSq := ws.nearestTwoSq(&fx[i], fy, cfg)
 		if bestJ < 0 {
 			continue
 		}
-		if cfg.DominanceRatio > 1 && !math.IsInf(secondSq, 1) {
+		if !math.IsInf(secondSq, 1) {
 			if bestSq*tdSq > secondSq {
 				continue // ambiguous match: a distinct alternative is too close
 			}
@@ -238,15 +200,13 @@ func (ws *Workspace) dominantPairs(fx, fy []sift.Feature, cfg Config) []Pair {
 				continue
 			}
 		}
-		if !cfg.DisableMutualBest {
-			if ws.backBest[bestJ] == -2 {
-				bi, _, _ := ws.nearestTwoSq(&fy[bestJ], fx, cfg)
-				ws.backBest[bestJ] = bi
-			}
-			backI := ws.backBest[bestJ]
-			if backI < 0 || !sameNeighborhood(&fx[i], &fx[backI]) {
-				continue // not mutually nearest (up to duplicate clusters)
-			}
+		if ws.backBest[bestJ] == -2 {
+			bi, _, _ := ws.nearestTwoSq(&fy[bestJ], fx, cfg)
+			ws.backBest[bestJ] = bi
+		}
+		backI := ws.backBest[bestJ]
+		if backI < 0 || !sameNeighborhood(&fx[i], &fx[backI]) {
+			continue // not mutually nearest (up to duplicate clusters)
 		}
 		pairs = append(pairs, Pair{I: i, J: bestJ, FI: fx[i], FJ: fy[bestJ], DescDist: math.Sqrt(bestSq)})
 	}
@@ -378,14 +338,12 @@ func passesThresholds(a, b *sift.Feature, cfg Config) bool {
 	if cfg.MaxAmplitudeDiff >= 0 && math.Abs(a.Amplitude-b.Amplitude) > cfg.MaxAmplitudeDiff {
 		return false
 	}
-	if cfg.MaxScaleRatio >= 1 {
-		r := a.Sigma / b.Sigma
-		if r < 1 {
-			r = 1 / r
-		}
-		if r > cfg.MaxScaleRatio {
-			return false
-		}
+	r := a.Sigma / b.Sigma
+	if r < 1 {
+		r = 1 / r
+	}
+	if r > maxScaleRatio {
+		return false
 	}
 	return true
 }

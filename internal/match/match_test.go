@@ -59,9 +59,9 @@ func TestDominantPairsScaleRatioThreshold(t *testing.T) {
 	if pairs := DominantPairs(fx, fy, cfg); len(pairs) != 0 {
 		t.Fatalf("scale threshold ignored: %+v", pairs)
 	}
-	cfg.MaxScaleRatio = 0.5 // disabled (<1)
+	fy[0].Sigma = 2 * maxScaleRatio // just inside τs
 	if pairs := DominantPairs(fx, fy, cfg); len(pairs) != 1 {
-		t.Fatalf("disabled scale threshold still filters: %+v", pairs)
+		t.Fatalf("scales within τs filtered: %+v", pairs)
 	}
 }
 
@@ -74,10 +74,11 @@ func TestDominantPairsDominanceTest(t *testing.T) {
 	if pairs := DominantPairs(fx, fy, cfg); len(pairs) != 0 {
 		t.Fatalf("ambiguous match survived the ratio test: %+v", pairs)
 	}
-	// Disabling the test lets the (arbitrary) nearest win.
-	cfg.DominanceRatio = 0.5
-	if pairs := DominantPairs(fx, fy, cfg); len(pairs) != 1 {
-		t.Fatalf("disabled ratio test still filters")
+	// A runner-up more than τd farther than the best lets the best win.
+	fy[1].Descriptor = []float64{0, 1, 0, 0, 0, 0, 0, 0}
+	fx[0].Descriptor = []float64{1, 0.1, 0, 0, 0, 0, 0, 0}
+	if pairs := DominantPairs(fx, fy, cfg); len(pairs) != 1 || pairs[0].J != 0 {
+		t.Fatalf("dominant match filtered: %+v", pairs)
 	}
 }
 
@@ -101,16 +102,9 @@ func TestDominantPairsMutualBest(t *testing.T) {
 	exact := feat(90, 3, 1, 0)
 	fx := []sift.Feature{near, exact}
 	fy := []sift.Feature{feat(88, 3, 1, 0)}
-	cfg := DefaultConfig()
-	cfg.DominanceRatio = 0.5 // isolate the mutual-best behaviour
-	pairs := DominantPairs(fx, fy, cfg)
+	pairs := DominantPairs(fx, fy, DefaultConfig())
 	if len(pairs) != 1 || pairs[0].I != 1 {
 		t.Fatalf("mutual best violated: %+v", pairs)
-	}
-	cfg.DisableMutualBest = true
-	pairs = DominantPairs(fx, fy, cfg)
-	if len(pairs) != 2 {
-		t.Fatalf("disabling mutual best should allow both claims, got %+v", pairs)
 	}
 }
 
@@ -185,15 +179,14 @@ func TestMatchSlopeBound(t *testing.T) {
 	if len(al.Pairs) != 0 {
 		t.Fatalf("implausible stretch survived: %+v", al.Pairs)
 	}
-	// With the bound disabled it survives.
-	cfg := DefaultConfig()
-	cfg.MaxBoundarySlope = 0.5
-	al, err = Match(fx, fy, 160, 160, cfg)
+	// A 2x stretch is within the bound and survives.
+	fy[0].X = 20
+	al, err = Match(fx, fy, 160, 160, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(al.Pairs) != 1 {
-		t.Fatalf("disabled slope bound still prunes")
+		t.Fatalf("plausible stretch pruned: %+v", al.Pairs)
 	}
 }
 
@@ -231,32 +224,42 @@ func TestSwapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIntervalsPartition: the boundaries of a matched alignment lie
+// strictly inside both series and strictly increase, so the intervals
+// between them (paper Fig 9) chain from the first sample to the last of
+// each series, each X interval corresponding to its Y interval.
 func TestIntervalsPartition(t *testing.T) {
-	al := &Alignment{NX: 100, NY: 120, BoundsX: []int{30, 60}, BoundsY: []int{40, 80}}
-	xs, xe, ys, ye := al.Intervals()
-	if len(xs) != 3 {
-		t.Fatalf("got %d intervals, want 3", len(xs))
+	fx := []sift.Feature{feat(20, 2, 1, 0), feat(80, 2, 1, 1), feat(140, 2, 1, 2)}
+	fy := []sift.Feature{feat(25, 2, 1, 0), feat(85, 2, 1, 1), feat(150, 2, 1, 2)}
+	al, err := Match(fx, fy, 200, 220, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// First interval starts at 0; last ends at N-1.
-	if xs[0] != 0 || ys[0] != 0 {
-		t.Fatalf("first interval starts at (%d,%d)", xs[0], ys[0])
+	if len(al.BoundsX) == 0 || len(al.BoundsX) != len(al.BoundsY) {
+		t.Fatalf("boundary lists %v and %v: want equal, non-empty", al.BoundsX, al.BoundsY)
 	}
-	if xe[2] != 99 || ye[2] != 119 {
-		t.Fatalf("last interval ends at (%d,%d)", xe[2], ye[2])
-	}
-	// Intervals chain: each starts where the previous ended.
-	for t2 := 1; t2 < 3; t2++ {
-		if xs[t2] != xe[t2-1] || ys[t2] != ye[t2-1] {
-			t.Fatalf("intervals do not chain at %d", t2)
+	prevX, prevY := 0, 0
+	for k := range al.BoundsX {
+		if al.BoundsX[k] <= prevX || al.BoundsY[k] <= prevY {
+			t.Fatalf("boundary %d at (%d,%d) does not follow (%d,%d)", k, al.BoundsX[k], al.BoundsY[k], prevX, prevY)
 		}
+		prevX, prevY = al.BoundsX[k], al.BoundsY[k]
+	}
+	if prevX >= al.NX-1 || prevY >= al.NY-1 {
+		t.Fatalf("last boundary (%d,%d) is not inside the %dx%d grid", prevX, prevY, al.NX, al.NY)
 	}
 }
 
+// TestIntervalsNoBoundaries: an alignment that keeps no pair (here the
+// one candidate fails τs) has no boundaries, so its one interval is the
+// whole of both series.
 func TestIntervalsNoBoundaries(t *testing.T) {
-	al := &Alignment{NX: 50, NY: 60}
-	xs, xe, ys, ye := al.Intervals()
-	if len(xs) != 1 || xs[0] != 0 || xe[0] != 49 || ys[0] != 0 || ye[0] != 59 {
-		t.Fatalf("trivial partition wrong: %v %v %v %v", xs, xe, ys, ye)
+	al, err := Match([]sift.Feature{feat(30, 2, 1, 0)}, []sift.Feature{feat(30, 20, 1, 0)}, 50, 60, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(al.Pairs) != 0 || al.BoundsX != nil || al.BoundsY != nil || al.NX != 50 || al.NY != 60 {
+		t.Fatalf("trivial partition wrong: %+v", al)
 	}
 }
 

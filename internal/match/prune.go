@@ -38,9 +38,9 @@ func (bl *boundaryList) insert(st, end int) {
 // descending µcomb) and keeps a pair only when (a) inserting its scope
 // boundaries preserves identical boundary ordering in both series
 // (§3.2.2 step 2) and (b) the local time stretch the boundaries imply
-// against their committed neighbours stays within cfg.MaxBoundarySlope.
-// The kept pairs are returned in walk order, in workspace scratch.
-func (ws *Workspace) pruneInconsistent(pairs []Pair, nx, ny int, cfg Config) []Pair {
+// against their committed neighbours stays within maxBoundarySlope. The
+// kept pairs are returned in walk order, in workspace scratch.
+func (ws *Workspace) pruneInconsistent(pairs []Pair, nx, ny int) []Pair {
 	blX, blY := &ws.blX, &ws.blY
 	blX.points, blY.points = blX.points[:0], blY.points[:0]
 	// committed holds the corresponding boundary points of both series,
@@ -58,8 +58,7 @@ func (ws *Workspace) pruneInconsistent(pairs []Pair, nx, ny int, cfg Config) []P
 		if rs1 != rs2 || re1 != re2 {
 			continue // would reorder scope boundaries across the series
 		}
-		if cfg.MaxBoundarySlope >= 1 &&
-			!ws.slopesOK(committed, bpoint{st1, st2}, bpoint{end1, end2}, cfg.MaxBoundarySlope) {
+		if !ws.slopesOK(committed, bpoint{st1, st2}, bpoint{end1, end2}) {
 			continue // implies an implausible local stretch
 		}
 		blX.insert(st1, end1)
@@ -85,10 +84,10 @@ func insertBPoint(committed []bpoint, p bpoint) []bpoint {
 }
 
 // slopesOK checks that adding the candidate boundary points keeps every
-// implied segment stretch within maxSlope. Segment stretch is measured on
-// +1-smoothed deltas so coincident boundaries (empty intervals, which
-// §3.3.2 explicitly tolerates) do not divide by zero.
-func (ws *Workspace) slopesOK(committed []bpoint, st, end bpoint, maxSlope float64) bool {
+// implied segment stretch within maxBoundarySlope. Segment stretch is
+// measured on +1-smoothed deltas so coincident boundaries (empty
+// intervals, which §3.3.2 explicitly tolerates) do not divide by zero.
+func (ws *Workspace) slopesOK(committed []bpoint, st, end bpoint) bool {
 	pts := insertBPoint(append(ws.trial[:0], committed...), st)
 	pts = insertBPoint(pts, end)
 	ws.trial = pts
@@ -99,7 +98,7 @@ func (ws *Workspace) slopesOK(committed []bpoint, st, end bpoint, maxSlope float
 			return false // crossing in Y; the rank test usually catches this first
 		}
 		slope := dy / dx
-		if slope > maxSlope || slope < 1/maxSlope {
+		if slope > maxBoundarySlope || slope < 1.0/maxBoundarySlope {
 			return false
 		}
 	}

@@ -16,10 +16,10 @@ import (
 )
 
 // TestEngineCascadeMatchesBruteForce holds the engine cascade exact under
-// fixed-core adaptive widths capped at 0.30 of the length: the one band
-// configuration that reads salient features and still has an LB_Keogh
-// envelope radius below the series length, so the Keogh stage prunes
-// against a narrow envelope built from the band geometry. On random walks
+// a fixed-core fixed width of 0.30 of the length: an engine band whose
+// LB_Keogh envelope radius is below the series length (every strategy
+// that reads salient features has the full-length radius), so the Keogh
+// stage prunes against a narrow envelope built from the band geometry. On random walks
 // of equal and unequal lengths and on the Gun and Trace generators, every
 // search — k of 1 and 3, which prune and abandon, and k above the
 // collection size, which never tightens its threshold — returns the
@@ -35,12 +35,12 @@ func TestEngineCascadeMatchesBruteForce(t *testing.T) {
 		"Trace":          datasets.Trace(datasets.Config{Seed: 82, SeriesPerClass: 3}).Series,
 	}
 	opts := core.DefaultOptions()
-	opts.Band = band.Config{Strategy: band.FixedCoreAdaptiveWidth, MaxWidthFrac: 0.30}
+	opts.Band = band.Config{Strategy: band.FixedCoreFixedWidth, WidthFrac: 0.30}
 	engine := core.NewEngine(opts)
-	backend := NewEngineBackend(engine, "fc,aw+maxw", false)
+	backend := NewEngineBackend(engine, "fc,fw+w=0.3", false)
 	for name, data := range collections {
 		data := data
-		t.Run(name+"/fc,aw+maxw", func(t *testing.T) {
+		t.Run(name+"/fc,fw+w=0.3", func(t *testing.T) {
 			t.Parallel()
 			if m := len(data[0].Values); backend.EnvelopeRadius(m) >= m {
 				t.Fatalf("envelope radius %d at length %d: the case needs one below the length", backend.EnvelopeRadius(m), m)

@@ -37,4 +37,7 @@ var (
 	ErrDuplicateID = errors.New("duplicate series ID")
 	// ErrUnknownID reports a Remove of an ID not in the collection.
 	ErrUnknownID = errors.New("unknown series ID")
+	// ErrNoID reports an empty series ID where one is needed: a Remove,
+	// or a series added to a collection that routes or stores by ID.
+	ErrNoID = errors.New("empty series ID")
 )

@@ -519,7 +519,7 @@ func (c *Core) Add(s series.Series, persist func(env lower.Envelope) error) erro
 // lock).
 func (c *Core) Remove(id string) error {
 	if id == "" {
-		return fmt.Errorf("Remove needs a non-empty ID")
+		return ErrNoID
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -613,7 +613,7 @@ func (c *Core) CloneAdd(s series.Series) (*Core, error) {
 // the copy is then an empty core, which is what a drained shard holds.
 func (c *Core) CloneRemove(id string) (*Core, int, error) {
 	if id == "" {
-		return nil, -1, fmt.Errorf("Remove needs a non-empty ID")
+		return nil, -1, ErrNoID
 	}
 	c.mu.RLock()
 	pos, ok := c.ids[id]

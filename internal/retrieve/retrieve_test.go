@@ -85,8 +85,8 @@ func TestRemoveRenumbersIDs(t *testing.T) {
 	if err := c.Remove("s-02"); !errors.Is(err, ErrUnknownID) {
 		t.Fatalf("double remove: got %v, want ErrUnknownID", err)
 	}
-	if err := c.Remove(""); err == nil {
-		t.Fatal("empty-ID remove succeeded")
+	if err := c.Remove(""); !errors.Is(err, ErrNoID) {
+		t.Fatalf("empty-ID remove: got %v, want ErrNoID", err)
 	}
 
 	// The collection never drains to empty through the in-place Remove —

@@ -101,22 +101,21 @@ func FuzzConvolveDifferential(f *testing.F) {
 
 // refBuild is the pyramid Build must reproduce bit for bit: freshly
 // allocated levels, each smoothed by refConvolve with its own kernel.
-func refBuild(v []float64, cfg Config) (*Pyramid, error) {
+func refBuild(v []float64) (*Pyramid, error) {
 	if len(v) < 4 {
 		return nil, fmt.Errorf("series too short")
 	}
-	cfg = cfg.withDefaults(len(v))
-	s := cfg.Levels
+	s := levelsPerOctave
 	kappa := math.Pow(2, 1/float64(s))
-	p := &Pyramid{Cfg: cfg, N: len(v)}
+	p := &Pyramid{N: len(v)}
 	base := v
 	stride := 1
-	for o := 0; o < cfg.Octaves && len(base) >= 4; o++ {
+	for o := 0; o < AutoOctaves(len(v)) && len(base) >= 4; o++ {
 		oct := Octave{Index: o, Stride: stride}
 		numGauss := s + 3
 		oct.Gauss = make([]Level, numGauss)
 		for l := range oct.Gauss {
-			relSigma := cfg.BaseSigma * math.Pow(kappa, float64(l))
+			relSigma := baseSigma * math.Pow(kappa, float64(l))
 			oct.Gauss[l] = Level{Values: refConvolve(base, Kernel(relSigma)), Sigma: relSigma * float64(stride)}
 		}
 		oct.DoG = make([]Level, numGauss-1)
@@ -142,7 +141,7 @@ func refBuild(v []float64, cfg Config) (*Pyramid, error) {
 // TestBuildMatchesReference holds every level of a built pyramid, bit
 // for bit, to the reference pyramid: Gun-, Trace- and 50Words-shaped
 // series and series with planted ±0, subnormals and ±1e300, at the
-// workloads' lengths and the shortest, under three configurations.
+// workloads' lengths and the shortest.
 func TestBuildMatchesReference(t *testing.T) {
 	inputs := make(map[string][]float64)
 	for _, n := range []int{4, 5, 64, 150, 270, 1024} {
@@ -154,21 +153,19 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 	var ws Workspace
 	for name, v := range inputs {
-		for _, cfg := range []Config{{}, {Levels: 3, BaseSigma: 0.7}, {Octaves: 9}} {
-			want, werr := refBuild(v, cfg)
-			// Build and a workspace reused across configurations and
-			// lengths must both give the reference.
-			for _, build := range []func([]float64, Config) (*Pyramid, error){Build, ws.Build} {
-				got, err := build(v, cfg)
-				if (err != nil) != (werr != nil) {
-					t.Fatalf("%s %+v: error %v, reference %v", name, cfg, err, werr)
-				}
-				if err != nil {
-					continue
-				}
-				if diff := samePyramid(got, want); diff != "" {
-					t.Fatalf("%s %+v: %s", name, cfg, diff)
-				}
+		want, werr := refBuild(v)
+		// Build and a workspace reused across lengths must both give the
+		// reference.
+		for _, build := range []func([]float64, Config) (*Pyramid, error){Build, ws.Build} {
+			got, err := build(v, Config{})
+			if (err != nil) != (werr != nil) {
+				t.Fatalf("%s: error %v, reference %v", name, err, werr)
+			}
+			if err != nil {
+				continue
+			}
+			if diff := samePyramid(got, want); diff != "" {
+				t.Fatalf("%s: %s", name, diff)
 			}
 		}
 	}
@@ -177,7 +174,7 @@ func TestBuildMatchesReference(t *testing.T) {
 // samePyramid reports the first difference between got and want in any
 // header or sample, compared by bits, or "".
 func samePyramid(got, want *Pyramid) string {
-	if got.N != want.N || got.Cfg != want.Cfg || len(got.Octaves) != len(want.Octaves) {
+	if got.N != want.N || len(got.Octaves) != len(want.Octaves) {
 		return "pyramid shape differs"
 	}
 	for o, oct := range want.Octaves {
@@ -205,7 +202,7 @@ func samePyramid(got, want *Pyramid) string {
 
 // TestBuildIntoWorkspaceAllocatesNothing pins the pooled path: once a
 // workspace has built a pyramid of a length, building another of that
-// length under the same configuration allocates nothing.
+// length allocates nothing.
 func TestBuildIntoWorkspaceAllocatesNothing(t *testing.T) {
 	v := convolveCase(1, 1024)
 	var ws Workspace

@@ -15,35 +15,24 @@ import (
 	"math"
 )
 
-// DefaultBaseSigma is the smoothing scale assigned to level 0 of octave 0,
-// the SIFT convention.
-const DefaultBaseSigma = 1.6
+// Config has no fields, and Build ignores it: the octave count is
+// AutoOctaves of the series length, every octave has levelsPerOctave
+// scale sub-divisions, and level 0 of octave 0 is smoothed at baseSigma.
+// The type stays because the benchmark module names it; it goes with
+// ROADMAP item 2c's benchmark edit, like the ignored PointDistance
+// parameters.
+type Config struct{}
 
-// Config controls pyramid construction.
-type Config struct {
-	// Octaves is the number of octaves. Zero means auto; see AutoOctaves.
-	Octaves int
-	// Levels is s, the number of scale sub-divisions per octave (κ^s = 2).
-	// Zero means the paper default s = 2.
-	Levels int
-	// BaseSigma is the scale of the first level. Zero means 1.6.
-	BaseSigma float64
-}
+const (
+	// levelsPerOctave is s, the number of scale sub-divisions per octave
+	// (κ^s = 2), the paper's default.
+	levelsPerOctave = 2
+	// baseSigma is the smoothing scale of level 0 of octave 0, the SIFT
+	// convention.
+	baseSigma = 1.6
+)
 
-func (c Config) withDefaults(n int) Config {
-	if c.Levels <= 0 {
-		c.Levels = 2
-	}
-	if c.BaseSigma <= 0 {
-		c.BaseSigma = DefaultBaseSigma
-	}
-	if c.Octaves <= 0 {
-		c.Octaves = AutoOctaves(n)
-	}
-	return c
-}
-
-// AutoOctaves returns the default octave count for a series of length n:
+// AutoOctaves returns the octave count of a series of length n:
 // ⌊log2 n⌋ − 4, at least 3, and never so many that an octave would shrink
 // below 8 samples.
 //
@@ -51,9 +40,8 @@ func (c Config) withDefaults(n int) Config {
 // for the paper's own series lengths (150–275) — yet its Table 2 reports
 // substantial feature populations at three distinct scale classes, which
 // requires at least three octaves. We therefore treat the paper's formula
-// as shifted and default to ⌊log2 N⌋ − 4 (3 octaves at N=150, 4 at
-// N=270), which reproduces Table 2's fine/medium/rough structure. The
-// paper's literal value remains available through Config.Octaves.
+// as shifted and use ⌊log2 N⌋ − 4 (3 octaves at N=150, 4 at N=270), which
+// reproduces Table 2's fine/medium/rough structure.
 func AutoOctaves(n int) int {
 	if n < 2 {
 		return 1
@@ -98,7 +86,6 @@ type Octave struct {
 // Pyramid is the full multi-octave scale-space representation of a series.
 type Pyramid struct {
 	Octaves []Octave
-	Cfg     Config
 	// N is the original series length.
 	N int
 }
@@ -197,8 +184,7 @@ func Build(v []float64, cfg Config) (*Pyramid, error) {
 
 // Workspace holds the buffers of one pyramid — its octave and level
 // headers, one block holding every level's samples, and the padded base
-// its levels are smoothed from — and the Gaussian kernels of the
-// configuration it last built, so that a workspace kept across series
+// its levels are smoothed from — so that a workspace kept across series
 // builds each pyramid without allocating. A zero Workspace is ready to
 // use; it is not safe for concurrent use.
 type Workspace struct {
@@ -208,33 +194,43 @@ type Workspace struct {
 	samples []float64
 	// padded is an octave's base between copies of its end samples.
 	padded []float64
-	// kernels[l] and sigmas[l] are the kernel and the octave-relative
-	// scale of Gaussian level l for kernelSigma and kernelLevels, the
-	// defaulted BaseSigma and Levels they were built for.
-	kernels      [][]float64
-	sigmas       []float64
-	kernelSigma  float64
-	kernelLevels int
+}
+
+// gaussKernels[l] and gaussSigmas[l] are the kernel and the
+// octave-relative scale of Gaussian level l of an octave. They depend on
+// the level alone, so every octave of every series shares them.
+var gaussKernels, gaussSigmas = octaveKernels()
+
+// octaveKernels returns the kernels and the octave-relative scales of the
+// levelsPerOctave+3 Gaussian levels of an octave.
+func octaveKernels() (kernels [][]float64, sigmas []float64) {
+	kappa := math.Pow(2, 1/float64(levelsPerOctave))
+	kernels = make([][]float64, levelsPerOctave+3)
+	sigmas = make([]float64, levelsPerOctave+3)
+	for l := range kernels {
+		sigmas[l] = baseSigma * math.Pow(kappa, float64(l))
+		kernels[l] = Kernel(sigmas[l])
+	}
+	return kernels, sigmas
 }
 
 // Build constructs the Gaussian pyramid and DoG stack for v into ws. The
 // pyramid and its levels belong to ws: they are valid until the next
 // Build on ws.
-func (ws *Workspace) Build(v []float64, cfg Config) (*Pyramid, error) {
+func (ws *Workspace) Build(v []float64, _ Config) (*Pyramid, error) {
 	if len(v) < 4 {
 		return nil, fmt.Errorf("scalespace: series too short (%d samples, need >= 4)", len(v))
 	}
-	cfg = cfg.withDefaults(len(v))
-	s := cfg.Levels
-	numGauss := s + 3
-	kernels, sigmas := ws.gaussKernels(cfg)
+	const s = levelsPerOctave
+	const numGauss = s + 3
+	kernels, sigmas := gaussKernels, gaussSigmas
 
 	// Size every buffer first: an octave of length m holds numGauss
 	// Gaussian and numGauss−1 DoG levels, and every octave after the
-	// first its downsampled base. len(v) >= 4 and cfg.Octaves >= 1, so
+	// first its downsampled base. len(v) >= 4 and AutoOctaves >= 1, so
 	// there is at least one octave.
 	octaves, samples := 0, 0
-	for m := len(v); octaves < cfg.Octaves && m >= 4; m = (m + 1) / 2 {
+	for m, limit := len(v), AutoOctaves(len(v)); octaves < limit && m >= 4; m = (m + 1) / 2 {
 		samples += (2*numGauss - 1) * m
 		if octaves > 0 {
 			samples += m
@@ -303,26 +299,6 @@ func (ws *Workspace) Build(v []float64, cfg Config) (*Pyramid, error) {
 			stride *= 2
 		}
 	}
-	ws.pyr = Pyramid{Octaves: ws.octaves[:octaves:octaves], Cfg: cfg, N: len(v)}
+	ws.pyr = Pyramid{Octaves: ws.octaves[:octaves:octaves], N: len(v)}
 	return &ws.pyr, nil
-}
-
-// gaussKernels returns the kernels and the octave-relative scales of the
-// s+3 Gaussian levels of an octave under cfg (defaulted). They depend on
-// the base scale and the level only, so every octave of every series
-// built under one configuration shares them; ws rebuilds them when the
-// configuration changes.
-func (ws *Workspace) gaussKernels(cfg Config) (kernels [][]float64, sigmas []float64) {
-	if ws.kernels != nil && math.Float64bits(ws.kernelSigma) == math.Float64bits(cfg.BaseSigma) && ws.kernelLevels == cfg.Levels {
-		return ws.kernels, ws.sigmas
-	}
-	kappa := math.Pow(2, 1/float64(cfg.Levels))
-	ws.kernels = make([][]float64, cfg.Levels+3)
-	ws.sigmas = make([]float64, cfg.Levels+3)
-	for l := range ws.kernels {
-		ws.sigmas[l] = cfg.BaseSigma * math.Pow(kappa, float64(l))
-		ws.kernels[l] = Kernel(ws.sigmas[l])
-	}
-	ws.kernelSigma, ws.kernelLevels = cfg.BaseSigma, cfg.Levels
-	return ws.kernels, ws.sigmas
 }

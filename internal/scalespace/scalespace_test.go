@@ -156,12 +156,12 @@ func TestDownsample(t *testing.T) {
 	if next.Stride != 2 {
 		t.Fatalf("octave 1 stride = %d, want 2", next.Stride)
 	}
-	fine := prev.Gauss[p.Cfg.Levels].Values
+	fine := prev.Gauss[levelsPerOctave].Values
 	base := make([]float64, 15)
 	for i := range base {
 		base[i] = fine[2*i]
 	}
-	want := Convolve(base, Kernel(p.Cfg.BaseSigma))
+	want := Convolve(base, Kernel(baseSigma))
 	got := next.Gauss[0].Values
 	if len(got) != len(want) {
 		t.Fatalf("octave 1 has %d samples, want %d", len(got), len(want))
@@ -198,12 +198,12 @@ func TestBuildStructure(t *testing.T) {
 	for i := range v {
 		v[i] = math.Sin(float64(i) / 8)
 	}
-	p, err := Build(v, Config{Octaves: 3, Levels: 2})
+	p, err := Build(v, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Octaves) != 3 {
-		t.Fatalf("built %d octaves, want 3", len(p.Octaves))
+	if len(p.Octaves) != 4 {
+		t.Fatalf("built %d octaves, want AutoOctaves(256) = 4", len(p.Octaves))
 	}
 	for o, oct := range p.Octaves {
 		if oct.Index != o {
@@ -242,7 +242,7 @@ func TestBuildDoGIsDifference(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i % 7)
 	}
-	p, err := Build(v, Config{Octaves: 1, Levels: 2})
+	p, err := Build(v, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +265,13 @@ func TestBuildRejectsTinySeries(t *testing.T) {
 
 func TestBuildStopsWhenOctaveTooSmall(t *testing.T) {
 	v := make([]float64, 20)
-	p, err := Build(v, Config{Octaves: 10, Levels: 2})
+	p, err := Build(v, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 20 → 10 → 5 → 2(too small): at most 3 octaves.
-	if len(p.Octaves) > 3 {
-		t.Fatalf("built %d octaves from 20 samples", len(p.Octaves))
+	// 20 → 10 → 5: the third octave would hold fewer than 8 samples.
+	if len(p.Octaves) != 2 {
+		t.Fatalf("built %d octaves from 20 samples, want 2", len(p.Octaves))
 	}
 }
 
@@ -287,7 +287,7 @@ func TestGaussianBlurDetectsScale(t *testing.T) {
 		return v
 	}
 	peakSigma := func(v []float64) float64 {
-		p, err := Build(v, Config{Octaves: 4, Levels: 2})
+		p, err := Build(v, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

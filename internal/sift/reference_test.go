@@ -19,8 +19,7 @@ import (
 // scalespace's TestBuildMatchesReference holds to its own reference).
 
 // refExtract builds the pyramid and hands the configuration as given to
-// refExtractFromPyramid, which defaults it once — so a negative Epsilon
-// means strict extrema on both entry points.
+// refExtractFromPyramid, which defaults it once.
 func refExtract(v []float64, cfg Config) ([]Feature, error) {
 	if _, err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -47,7 +46,7 @@ func refExtractFromPyramid(v []float64, pyr *scalespace.Pyramid, cfg Config) ([]
 			}
 		}
 	}
-	minResp := cfg.ContrastThreshold * maxResp
+	minResp := contrastThreshold * maxResp
 	var feats []Feature
 	for _, oct := range pyr.Octaves {
 		for l := 1; l+1 < len(oct.DoG); l++ {
@@ -56,10 +55,10 @@ func refExtractFromPyramid(v []float64, pyr *scalespace.Pyramid, cfg Config) ([]
 			above := oct.DoG[l+1].Values
 			for i := 1; i+1 < len(d); i++ {
 				val := d[i]
-				if cfg.ContrastThreshold >= 0 && math.Abs(val) < minResp {
+				if math.Abs(val) < minResp {
 					continue
 				}
-				if !refIsRelaxedExtremum(val, i, d, below, above, cfg.Epsilon) {
+				if !refIsRelaxedExtremum(val, i, d, below, above, epsilon) {
 					continue
 				}
 				f := Feature{X: i * oct.Stride, Sigma: oct.DoG[l].Sigma, Octave: oct.Index, Level: l, Response: val}
@@ -74,7 +73,7 @@ func refExtractFromPyramid(v []float64, pyr *scalespace.Pyramid, cfg Config) ([]
 			}
 		}
 	}
-	feats = refCapFeatures(feats, cfg.MaxFeatures)
+	feats = refCapFeatures(feats, maxFeatures)
 	sort.Slice(feats, func(a, b int) bool {
 		if feats[a].X != feats[b].X {
 			return feats[a].X < feats[b].X
@@ -93,7 +92,7 @@ func refExtractFromPyramid(v []float64, pyr *scalespace.Pyramid, cfg Config) ([]
 }
 
 func refCapFeatures(feats []Feature, limit int) []Feature {
-	if limit <= 0 || len(feats) <= limit {
+	if len(feats) <= limit {
 		return feats
 	}
 	byOct := make(map[int][]Feature)
@@ -168,7 +167,7 @@ func refIsRelaxedExtremum(val float64, i int, d, below, above []float64, eps flo
 
 func refDescribe(desc, g []float64, i int, cfg Config) {
 	cells := cfg.DescriptorBins / 2
-	window := cells * cfg.CellWidth
+	window := cells * cellWidth
 	half := window / 2
 	if len(g) < 3 {
 		return
@@ -188,7 +187,7 @@ func refDescribe(desc, g []float64, i int, cfg Config) {
 			grad = (g[hi] - g[lo]) / float64(hi-lo)
 		}
 		w := math.Exp(-0.5 * float64(t*t) / (wSigma * wSigma))
-		cell := min(max((t+half)/cfg.CellWidth, 0), cells-1)
+		cell := min(max((t+half)/cellWidth, 0), cells-1)
 		if grad >= 0 {
 			desc[2*cell] += float64(w * grad)
 		} else {
@@ -268,21 +267,18 @@ func referenceInputs() map[string][]float64 {
 
 // TestExtractMatchesReference holds Extract to the reference on every
 // Feature field and every descriptor bit, under both amplitude settings
-// and with the cap on and off. The inputs run concurrently, so under
-// -race the pooled workspaces are shared between goroutines.
+// and two descriptor lengths. The inputs run concurrently, so under -race
+// the pooled workspaces are shared between goroutines.
 func TestExtractMatchesReference(t *testing.T) {
 	inputs := referenceInputs()
 	var cfgs []Config
 	for _, amp := range []bool{true, false} {
-		for _, maxF := range []int{-1, 48} {
+		for _, bins := range []int{64, 16} {
 			cfg := DefaultConfig()
-			cfg.AmplitudeInvariant, cfg.MaxFeatures = amp, maxF
+			cfg.AmplitudeInvariant, cfg.DescriptorBins = amp, bins
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	strict := DefaultConfig()
-	strict.Epsilon, strict.ContrastThreshold, strict.DescriptorBins = -1, -1, 16
-	cfgs = append(cfgs, strict)
 	var wg sync.WaitGroup
 	for name, v := range inputs {
 		wg.Add(1)
@@ -296,7 +292,7 @@ func TestExtractMatchesReference(t *testing.T) {
 					continue
 				}
 				if diff := sameFeatures(got, want); diff != "" {
-					t.Errorf("%s (amplitude %v, max %d): %s", name, cfg.AmplitudeInvariant, cfg.MaxFeatures, diff)
+					t.Errorf("%s (amplitude %v, bins %d): %s", name, cfg.AmplitudeInvariant, cfg.DescriptorBins, diff)
 				}
 				if err != nil {
 					continue

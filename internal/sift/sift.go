@@ -109,84 +109,67 @@ func (f Feature) Class() ScaleClass {
 	}
 }
 
-// Config controls detection and description. The zero value selects the
-// paper's defaults.
+// Config controls detection and description: the knobs a program sets.
+// The zero value selects the paper's defaults, with descriptors that are
+// not amplitude-invariant.
 type Config struct {
 	// Scale space construction; see scalespace.Config.
 	ScaleSpace scalespace.Config
-	// Epsilon is the relaxation of the extremum test: a point survives if
-	// it is at least (1−ε)× every neighbour (§3.1.2). Zero means 0.10;
-	// negative disables relaxation (strict extrema).
+	// DescriptorBins is the descriptor length (2·cells). The paper sweeps
+	// 4..128 and defaults to 64. Zero means 64. Must be even and >= 2.
+	DescriptorBins int
+	// AmplitudeInvariant, when true (the default via DefaultConfig),
+	// normalises descriptors to unit length so that uniform amplitude
+	// scaling of the series leaves descriptors unchanged. §3.1.2 notes
+	// each invariance can be toggled independently.
+	AmplitudeInvariant bool
+}
+
+// The fixed detection and description parameters.
+const (
+	// epsilon is the relaxation of the extremum test: a point survives if
+	// it is at least (1−ε)× every neighbour (§3.1.2).
 	//
 	// Calibration note: the paper reports ε as "0.96%". Read literally
 	// (0.0096) the relaxed test is nearly strict and detects an order of
 	// magnitude fewer features than the paper's Table 2; read as 0.96 it
 	// accepts nearly every grid position, reproducing Table 2's absolute
 	// counts but making matching quadratically expensive, contradicting
-	// §3.4's |S_X| ≪ N assumption. The default 0.10 lands feature
-	// populations in the tens per series, preserving both Table 2's
-	// fine/medium/rough profile and the complexity argument. Both paper
-	// readings remain available through this field.
-	Epsilon float64
-	// ContrastThreshold discards keypoints whose |DoG| response is below
+	// §3.4's |S_X| ≪ N assumption. 0.10 lands feature populations in the
+	// tens per series, preserving both Table 2's fine/medium/rough
+	// profile and the complexity argument.
+	epsilon = 0.10
+	// contrastThreshold discards keypoints whose |DoG| response is below
 	// this fraction of the largest response in the series, mirroring
-	// SIFT's low-contrast filtering (§3.1.1 step 2). Zero means 0.01.
-	// Negative disables the filter.
-	ContrastThreshold float64
-	// DescriptorBins is the descriptor length (2·cells). The paper sweeps
-	// 4..128 and defaults to 64. Zero means 64. Must be even and >= 2.
-	DescriptorBins int
-	// CellWidth is the number of octave-resolution samples per descriptor
-	// cell (SIFT uses 4 pixels per cell). Zero means 4.
-	CellWidth int
-	// AmplitudeInvariant, when true (the default via DefaultConfig),
-	// normalises descriptors to unit length so that uniform amplitude
-	// scaling of the series leaves descriptors unchanged. §3.1.2 notes
-	// each invariance can be toggled independently.
-	AmplitudeInvariant bool
-	// MaxFeatures caps the number of features kept per series. When the
+	// SIFT's low-contrast filtering (§3.1.1 step 2).
+	contrastThreshold = 0.01
+	// cellWidth is the number of octave-resolution samples per descriptor
+	// cell (SIFT uses 4 pixels per cell).
+	cellWidth = 4
+	// maxFeatures caps the number of features kept per series. When the
 	// detector finds more, the strongest by |DoG response| survive, with
 	// each octave retaining a proportional share so coarse evidence is
 	// never starved by fine-scale noise. Keeping |S_X| ≪ N preserves the
 	// paper's §3.4 complexity argument (matching far cheaper than the
-	// grid fill). Zero means 48; negative disables the cap.
-	MaxFeatures int
-}
+	// grid fill).
+	maxFeatures = 48
+)
 
-// DefaultConfig returns the repository's default configuration: auto
-// octave count, s=2 levels, ε=0.10 (see the Epsilon calibration note),
-// 64-bin descriptors as in the paper's experiments.
+// DefaultConfig returns the repository's default configuration: 64-bin
+// amplitude-invariant descriptors as in the paper's experiments.
 func DefaultConfig() Config {
 	return Config{
-		Epsilon:            0.10,
-		ContrastThreshold:  0.01,
 		DescriptorBins:     64,
-		CellWidth:          4,
 		AmplitudeInvariant: true,
 	}
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.10
-	}
-	if c.Epsilon < 0 {
-		c.Epsilon = 0
-	}
-	if c.ContrastThreshold == 0 {
-		c.ContrastThreshold = 0.01
-	}
 	if c.DescriptorBins == 0 {
 		c.DescriptorBins = 64
 	}
 	if c.DescriptorBins < 2 || c.DescriptorBins%2 != 0 {
 		return c, fmt.Errorf("sift: DescriptorBins must be even and >= 2, got %d", c.DescriptorBins)
-	}
-	if c.CellWidth <= 0 {
-		c.CellWidth = 4
-	}
-	if c.MaxFeatures == 0 {
-		c.MaxFeatures = 48
 	}
 	return c, nil
 }
@@ -240,8 +223,7 @@ var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 // cfg. The features and their descriptor block are fresh allocations;
 // everything else is ws's.
 func (ws *workspace) extract(v []float64, pyr *scalespace.Pyramid, cfg Config) []Feature {
-	maxResp := maxAbsDoG(pyr)
-	minResp := cfg.ContrastThreshold * maxResp
+	minResp := contrastThreshold * maxAbsDoG(pyr)
 	feats := ws.feats[:0]
 	for _, oct := range pyr.Octaves {
 		// Interior DoG levels have scale neighbours on both sides.
@@ -251,10 +233,10 @@ func (ws *workspace) extract(v []float64, pyr *scalespace.Pyramid, cfg Config) [
 			above := oct.DoG[l+1].Values
 			for i := 1; i+1 < len(d); i++ {
 				val := d[i]
-				if cfg.ContrastThreshold >= 0 && math.Abs(val) < minResp {
+				if math.Abs(val) < minResp {
 					continue
 				}
-				if !isRelaxedExtremum(val, i, d, below, above, cfg.Epsilon) {
+				if !isRelaxedExtremum(val, i, d, below, above) {
 					continue
 				}
 				f := Feature{
@@ -273,7 +255,7 @@ func (ws *workspace) extract(v []float64, pyr *scalespace.Pyramid, cfg Config) [
 	if len(feats) == 0 {
 		return nil
 	}
-	feats = capFeatures(feats, cfg.MaxFeatures)
+	feats = capFeatures(feats, maxFeatures)
 	slices.SortFunc(feats, func(a, b Feature) int {
 		if a.X != b.X {
 			return cmp.Compare(a.X, b.X)
@@ -318,7 +300,7 @@ func compareLess(a, b float64) int {
 // emits them; each group is ranked in place and its kept head moved down
 // over the dropped tails before it.
 func capFeatures(feats []Feature, limit int) []Feature {
-	if limit <= 0 || len(feats) <= limit {
+	if len(feats) <= limit {
 		return feats
 	}
 	total := len(feats)
@@ -343,11 +325,11 @@ func capFeatures(feats []Feature, limit int) []Feature {
 // of DoG level d with scale neighbours below/above: the point is accepted
 // when it is a maximum (or, symmetrically, a minimum) relative to all eight
 // neighbours up to the (1−ε) slack.
-func isRelaxedExtremum(val float64, i int, d, below, above []float64, eps float64) bool {
+func isRelaxedExtremum(val float64, i int, d, below, above []float64) bool {
 	if val == 0 || math.IsNaN(val) {
 		return false // neither a peak nor a dip
 	}
-	slack := 1 - eps
+	const slack = 1 - epsilon
 	ok := true
 	for off := -1; off <= 1 && ok; off++ {
 		j := i + off
@@ -386,7 +368,7 @@ func extremumAgainst(val, nb, slack float64) bool {
 // samples under cfg, window offset t at index t+half: the expression
 // describe evaluated per sample, evaluated once per call.
 func (ws *workspace) windowWeights(cfg Config) []float64 {
-	window := cfg.DescriptorBins / 2 * cfg.CellWidth
+	window := cfg.DescriptorBins / 2 * cellWidth
 	half := window / 2
 	// Gaussian weighting with σ = half the window, as in SIFT.
 	wSigma := float64(window) / 2
@@ -401,7 +383,7 @@ func (ws *workspace) windowWeights(cfg Config) []float64 {
 // describe builds, into the zeroed desc (len = DescriptorBins), the
 // gradient-histogram descriptor around sample i of the octave-resolution
 // smoothed series g (paper §3.1.2 step 2, Fig 5b).
-// The window spans cells·CellWidth samples centred at i; each cell
+// The window spans cells·cellWidth samples centred at i; each cell
 // accumulates Gaussian-weighted (weights, see windowWeights) positive
 // gradient magnitude into its first bin and negative magnitude into its
 // second.
@@ -412,7 +394,7 @@ func describe(desc, g []float64, i int, weights []float64, cfg Config) {
 	lo := i - len(weights)/2 // the window's first sample
 	for u, w := range weights {
 		grad := gradientAt(g, lo+u)
-		cell := u / cfg.CellWidth
+		cell := u / cellWidth
 		if grad >= 0 {
 			desc[2*cell] += float64(w * grad)
 		} else {

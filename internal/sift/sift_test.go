@@ -3,6 +3,7 @@ package sift
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -165,7 +166,6 @@ func TestExtractAmplitudeInvarianceToggle(t *testing.T) {
 		doubled[i] = 2 * v[i]
 	}
 	cfg := DefaultConfig()
-	cfg.MaxFeatures = -1
 	f1, err := Extract(v, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -316,45 +316,53 @@ func TestCountByClass(t *testing.T) {
 }
 
 func TestMaxFeaturesCap(t *testing.T) {
+	// Detected keypoints arrive grouped by octave: 30 fine, 12 medium and
+	// 2 rough, with distinct responses.
 	rng := rand.New(rand.NewSource(3))
-	v := make([]float64, 400)
-	for i := range v {
-		v[i] = rng.NormFloat64()
+	var all []Feature
+	for oct, n := range []int{30, 12, 2} {
+		for range n {
+			all = append(all, Feature{Octave: oct, Response: rng.NormFloat64()})
+		}
 	}
-	cfg := DefaultConfig()
-	cfg.MaxFeatures = -1
-	all, err := Extract(v, cfg)
-	if err != nil {
-		t.Fatal(err)
+	maxResp := 0.0
+	for _, f := range all {
+		maxResp = math.Max(maxResp, math.Abs(f.Response))
 	}
-	cfg.MaxFeatures = 10
-	capped, err := Extract(v, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) <= 10 {
-		t.Skip("noise series produced too few features to exercise the cap")
-	}
+	capped := capFeatures(slices.Clone(all), 10)
 	// Proportional quotas may slightly exceed the cap through per-octave
 	// minimums, but never the uncapped count.
 	if len(capped) > 10+3 || len(capped) >= len(all) {
 		t.Fatalf("cap kept %d of %d features", len(capped), len(all))
 	}
-	// Capped features are the strong ones: the max response must survive.
-	maxResp := 0.0
-	for _, f := range all {
-		if math.Abs(f.Response) > maxResp {
-			maxResp = math.Abs(f.Response)
-		}
-	}
+	perOctave := map[int]int{}
 	found := false
 	for _, f := range capped {
-		if math.Abs(f.Response) == maxResp {
-			found = true
-		}
+		perOctave[f.Octave]++
+		found = found || math.Abs(f.Response) == maxResp
 	}
+	if perOctave[0] != 6 || perOctave[1] != 2 || perOctave[2] != 1 {
+		t.Fatalf("per-octave quotas %v, want 6, 2 and 1", perOctave)
+	}
+	// Capped features are the strong ones: the max response survives.
 	if !found {
 		t.Fatal("cap discarded the strongest feature")
+	}
+	if got := capFeatures(slices.Clone(all), len(all)); len(got) != len(all) {
+		t.Fatalf("cap at the feature count kept %d of %d", len(got), len(all))
+	}
+	// Extract keeps at most maxFeatures of a noise series' many keypoints,
+	// up to one more per octave.
+	v := make([]float64, 400)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	feats, err := Extract(v, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(feats) > maxFeatures+3 {
+		t.Fatalf("Extract kept %d features, cap %d", len(feats), maxFeatures)
 	}
 }
 

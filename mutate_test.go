@@ -188,8 +188,8 @@ func TestIndexMutationValidation(t *testing.T) {
 	if err := ix.Remove("no-such-id"); !IsErr(err, ErrUnknownID) {
 		t.Fatalf("unknown Remove: got %v, want ErrUnknownID", err)
 	}
-	if err := ix.Remove(""); err == nil {
-		t.Fatal("empty-ID Remove accepted")
+	if err := ix.Remove(""); !IsErr(err, ErrNoID) {
+		t.Fatalf("empty-ID Remove: got %v, want ErrNoID", err)
 	}
 	// The windowed backend additionally rejects wrong-length additions.
 	wix, err := NewWindowedIndex(d.Series, 10)
@@ -210,6 +210,78 @@ func TestIndexMutationValidation(t *testing.T) {
 	}
 	if err := tiny.Remove(two[1].ID); !IsErr(err, ErrEmptyCollection) {
 		t.Fatalf("removing the last series: got %v, want ErrEmptyCollection", err)
+	}
+}
+
+// TestRemoveEmptyIDIsErrNoID: on every kind of index — flat or sharded,
+// in RAM or store-backed — Remove("") wraps ErrNoID and leaves the
+// collection and its answers as they were.
+func TestRemoveEmptyIDIsErrNoID(t *testing.T) {
+	d := GunDataset(DatasetConfig{Seed: 3, SeriesPerClass: 3})
+	opts := Options{Strategy: FixedCoreFixedWidth, WidthFrac: 0.10}
+	type index interface {
+		Remove(id string) error
+		Len() int
+		Search(ctx context.Context, q Series, opts ...SearchOption) ([]Neighbor, SearchStats, error)
+	}
+	saved := func(t *testing.T, save func(dir string) error) string {
+		dir := t.TempDir()
+		if err := save(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	kinds := map[string]func(t *testing.T) (index, error){
+		"flat": func(t *testing.T) (index, error) { return NewIndex(d.Series, opts) },
+		"flat/store": func(t *testing.T) (index, error) {
+			ix, err := NewIndex(d.Series, opts)
+			if err != nil {
+				return nil, err
+			}
+			cold, err := OpenIndex(saved(t, ix.SaveStore), opts)
+			if err == nil {
+				t.Cleanup(func() { cold.CloseStore() })
+			}
+			return cold, err
+		},
+		"sharded": func(t *testing.T) (index, error) { return NewShardedIndex(d.Series, 3, opts) },
+		"sharded/store": func(t *testing.T) (index, error) {
+			si, err := NewShardedIndex(d.Series, 3, opts)
+			if err != nil {
+				return nil, err
+			}
+			cold, err := OpenShardedIndex(saved(t, si.SaveStore), opts)
+			if err == nil {
+				t.Cleanup(func() { cold.CloseStore() })
+			}
+			return cold, err
+		},
+	}
+	q := d.Series[1]
+	for name, build := range kinds {
+		t.Run(name, func(t *testing.T) {
+			ix, err := build(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, _, err := ix.Search(context.Background(), q, WithK(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Remove(""); !IsErr(err, ErrNoID) {
+				t.Fatalf("Remove(\"\"): %v, want ErrNoID", err)
+			}
+			if ix.Len() != d.Len() {
+				t.Fatalf("%d series after a refused Remove, want %d", ix.Len(), d.Len())
+			}
+			after, _, err := ix.Search(context.Background(), q, WithK(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("answers moved after a refused Remove: %v, were %v", after, before)
+			}
+		})
 	}
 }
 

@@ -40,6 +40,37 @@ done
 
 options=$(grep -cE '^func With(out)?[A-Z]' <<<"$doc")
 
+# Settable fields of the five feature-pipeline configs: match.Config,
+# sift.Config, scalespace.Config, band.Config and core.Options, one
+# "package name" a line. A field holding another of these configs nests
+# them and is not counted.
+pipeline_fields=$(for src in internal/match/match.go:Config internal/sift/sift.go:Config \
+	internal/scalespace/scalespace.go:Config internal/band/band.go:Config internal/core/engine.go:Options; do
+	awk -v type="${src#*:}" -v pkg="$(dirname "${src%:*}")" '
+		$0 ~ "^type " type " struct\\{\\}" { exit }
+		$0 ~ "^type " type " struct" { in_struct = 1; next }
+		in_struct && /^}/ { exit }
+		in_struct && match($0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) {
+			if ($NF ~ /^(band|sift|match|scalespace)\.Config$/) next
+			n = split(substr($0, RSTART, RLENGTH), names, ",")
+			for (i = 1; i <= n; i++) { gsub(/[ \t]/, "", names[i]); print pkg, names[i] }
+		}' "${src%:*}"
+done)
+pipeline=$(grep -c . <<<"$pipeline_fields" || true)
+
+# Of those, the fields no non-test Go file outside the field's own
+# package sets, by assignment or as a composite-literal key (commands,
+# examples, benchmark workloads, internal/experiments and the root
+# package's Options lowering all count as programs).
+unset_pipeline=0
+while read -r pkg name; do
+	[ -n "$name" ] || continue
+	setters=$(git ls-files '*.go' | grep -v '_test\.go$' | grep -v "^$pkg/")
+	# shellcheck disable=SC2086 # one path a word
+	grep -qE "(\.$name[[:space:]]*=[^=]|[{,[:space:]]$name:[^=])" $setters ||
+		unset_pipeline=$((unset_pipeline + 1))
+done <<<"$pipeline_fields"
+
 # Fields of retrieve.Params, the knobs one search resolves to.
 params=$(awk '
 	/^type Params struct/ { in_struct = 1; next }
@@ -74,6 +105,8 @@ printf 'root exported symbols:                %d\n' "$symbols"
 printf 'Options fields:                       %d\n' "$fields"
 printf 'Options fields no command, example or benchmark names: %d\n' "$unset_fields"
 printf 'root With*/Without* options:          %d\n' "$options"
+printf 'settable pipeline-config fields:      %d\n' "$pipeline"
+printf 'pipeline-config fields no program sets: %d\n' "$unset_pipeline"
 printf 'retrieve.Params fields:               %d\n' "$params"
 printf 'internal/ packages:                   %d\n' "$internal"
 printf 'examples:                             %d\n' "$examples"

@@ -2,7 +2,6 @@ package sdtw
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -68,10 +67,6 @@ type shardSlot struct {
 // Hit is Neighbor under the name the sharded surfaces use; a sharded
 // result is identified by its ID and carries Pos -1.
 type Hit = Neighbor
-
-// ErrNoID reports a series without an ID reaching a surface that keys on
-// IDs: a sharded index routes by them, and a store keys removals on them.
-var ErrNoID = errors.New("sharded collections need non-empty series IDs")
 
 // route maps a series ID to its shard: FNV-1a over the ID, modulo the
 // shard count. A store root's shard directories are laid out by it.
@@ -267,9 +262,6 @@ func (si *ShardedIndex) Remove(id string) error {
 // shard's writer lock, then hands the series' insertion sequence to
 // persist (nil in RAM) and publishes only once persist succeeds.
 func (si *ShardedIndex) drop(id string, persist func(seq uint64) error) error {
-	if id == "" {
-		return fmt.Errorf("Remove needs a non-empty ID: %w", ErrNoID)
-	}
 	sl := si.slot(id)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()

@@ -220,6 +220,9 @@ func (ss *storeSet) add(i int, s Series, admit func(persist func(seq uint64, env
 // would drop it from searches, answer the retry with ErrUnknownID, and
 // resurrect it at the next open.
 func (ss *storeSet) remove(i int, id string, unpublish func(tombstone func(seq uint64) error) error) error {
+	if id == "" {
+		return fmt.Errorf("sdtw: Remove: %w", ErrNoID)
+	}
 	ss.storeMu.Lock()
 	defer ss.storeMu.Unlock()
 	err := unpublish(func(seq uint64) error { return ss.stores[i].Tombstone(id, seq) })
